@@ -42,31 +42,20 @@ fn bench_serve_batching(c: &mut Criterion) {
     let cfg = PipelineConfig::default();
 
     let mut group = c.benchmark_group("serve_batching_1k");
-    // A/B: cross-frame block batching (one parallel map over the union of
-    // the batch's fused sample+group block tasks) vs the legacy
-    // one-sequential-lane-per-frame schedule. Results are bit-identical;
-    // only scheduling differs. The budget is forced above 1 so the block
-    // schedule genuinely engages even on single-CPU hosts.
+    // Eight compatible frames submitted up front so they fuse into one
+    // batch. The budget is forced above 1 so the per-job lanes genuinely
+    // run in parallel even on single-CPU hosts.
     let budget = fractalcloud_parallel::workers().max(2);
-    for (label, batch_blocks) in
-        [("submit-8-compatible-frames", true), ("submit-8-legacy-frame-lanes", false)]
-    {
-        let engine = Engine::start(
-            ServeConfig::default()
-                .cache_capacity(0)
-                .max_batch(8)
-                .thread_budget(budget)
-                .batch_blocks(batch_blocks),
-        );
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let tickets: Vec<_> =
-                    frames.iter().map(|f| engine.submit(f.clone(), cfg).unwrap()).collect();
-                tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>().len()
-            })
-        });
-        engine.shutdown();
-    }
+    let engine =
+        Engine::start(ServeConfig::default().cache_capacity(0).max_batch(8).thread_budget(budget));
+    group.bench_function("submit-8-compatible-frames", |b| {
+        b.iter(|| {
+            let tickets: Vec<_> =
+                frames.iter().map(|f| engine.submit(f.clone(), cfg).unwrap()).collect();
+            tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>().len()
+        })
+    });
+    engine.shutdown();
     group.finish();
 }
 

@@ -258,18 +258,14 @@ fn main() {
     // The tentpole's zero-allocation claim, measured: a cache-hit-style
     // frame (partition prebuilt, BPPO half re-run) through one reused
     // workspace + output staging. Cold = the first frame (buffers grow);
-    // warm = the worst of the next five (must be 0 in reuse mode).
+    // warm = the worst of the next five (must be 0).
     let allocs = measure_allocs_per_frame(4096);
 
     // --- Serve throughput: in-process engine, fixed frame size ---
     // Distinct frames with the cache off, so the row measures the full
-    // admission → batch → partition → BPPO → response path per frame.
-    // Both rows share one methodology (up-front submission, so batches
-    // genuinely fuse to mean ≈ max_batch) and differ ONLY in the
-    // `batch_blocks` schedule, so their ratio isolates the tentpole.
-    let serve = measure_serve_throughput(if quick { 24 } else { 192 }, 4096, reps.min(7), false);
-    let serve_blocks =
-        measure_serve_throughput(if quick { 24 } else { 192 }, 4096, reps.min(7), true);
+    // admission → batch → partition → BPPO → response path per frame
+    // (up-front submission, so batches genuinely fuse to mean ≈ max_batch).
+    let serve = measure_serve_throughput(if quick { 24 } else { 192 }, 4096, reps.min(7));
 
     // --- Streaming time-to-first-byte: warm first paint vs full frame ---
     // The progressive-LOD claim in one number: with the ordering cached, a
@@ -310,14 +306,9 @@ fn main() {
     println!(
         "{:<18} {:>20}",
         "serve_throughput",
-        format!("{:.1} frames/s ({} pts)", serve.frames_per_s, serve.frame_points)
-    );
-    println!(
-        "{:<26} {:>20}",
-        "serve_throughput_batched_blocks",
         format!(
             "{:.1} frames/s ({} pts, mean batch {:.1})",
-            serve_blocks.frames_per_s, serve_blocks.frame_points, serve_blocks.mean_batch
+            serve.frames_per_s, serve.frame_points, serve.mean_batch
         )
     );
     println!(
@@ -335,13 +326,7 @@ fn main() {
         true => println!(
             "{:<18} {:>20}",
             "allocs_per_frame",
-            format!(
-                "cold {} / warm {} ({} pts, {} mode)",
-                allocs.cold,
-                allocs.warm,
-                allocs.frame_points,
-                fractalcloud_core::workspace::workspace_mode().name()
-            )
+            format!("cold {} / warm {} ({} pts)", allocs.cold, allocs.warm, allocs.frame_points)
         ),
         false => println!("{:<18} {:>20}", "allocs_per_frame", "skipped_alloc_counter_off"),
     }
@@ -392,7 +377,6 @@ fn main() {
         backend.name(),
         &comparisons,
         &serve,
-        &serve_blocks,
         &stream_ttfb,
         &allocs,
         &infer_eager,
@@ -514,26 +498,13 @@ struct ServeThroughput {
 /// front so the adaptive batcher genuinely fuses (mean batch ≈ the
 /// engine's `max_batch`), `reps` times, reporting the best sustained
 /// frames/s.
-///
-/// With `batch_blocks` the fused batches execute as ONE budgeted
-/// `parallel_map` over the union of their sample+group `(frame, block)`
-/// tasks — the tentpole schedule — otherwise as the legacy sequential lane
-/// per frame. The block-*parallel* win scales with cores; on a single-CPU
-/// host (thread budget 1) the engine falls back to the frame-at-a-time
-/// order, so the two rows then measure the same schedule and should agree
-/// within noise. Results are bit-identical in every case.
-fn measure_serve_throughput(
-    frames: usize,
-    frame_points: usize,
-    reps: usize,
-    batch_blocks: bool,
-) -> ServeThroughput {
+fn measure_serve_throughput(frames: usize, frame_points: usize, reps: usize) -> ServeThroughput {
     use fractalcloud_serve::{Engine, ServeConfig};
     let clouds: Vec<_> = (0..frames)
         .map(|s| scene_cloud(&SceneConfig::default(), frame_points, s as u64 + 1000))
         .collect();
     let engine = std::sync::Arc::new(Engine::start(
-        ServeConfig::default().cache_capacity(0).queue_capacity(frames).batch_blocks(batch_blocks),
+        ServeConfig::default().cache_capacity(0).queue_capacity(frames),
     ));
     let config = fractalcloud_core::PipelineConfig::default();
     let mut best = f64::INFINITY;
@@ -642,19 +613,10 @@ fn measure_stage_breakdown(frame_points: usize, requests: usize) -> Vec<StageBre
     let config = PipelineConfig::default();
 
     // Aggregate one phase's drained spans into mean-µs-per-request stages.
-    // The whole-frame sample/group spans (aux == u32::MAX) wrap the
-    // per-block ones, so when present only they count — summing both would
-    // attribute the same wall time twice.
     let aggregate = |phase: &'static str, spans: &[obs::SpanEvent], e2e_total_us: f64| {
         let mut stages: Vec<(&'static str, f64)> = Vec::new();
         for kind in obs::SpanKind::ALL {
-            let nested = matches!(kind, obs::SpanKind::BlockSample | obs::SpanKind::BlockGroup)
-                && spans.iter().any(|s| s.kind == kind && s.aux == u32::MAX);
-            let sum: u64 = spans
-                .iter()
-                .filter(|s| s.kind == kind && (!nested || s.aux == u32::MAX))
-                .map(|s| s.dur_us)
-                .sum();
+            let sum: u64 = spans.iter().filter(|s| s.kind == kind).map(|s| s.dur_us).sum();
             if sum > 0 {
                 stages.push((kind.name(), sum as f64 / requests as f64));
             }
@@ -723,7 +685,6 @@ fn render_json(
     backend: &str,
     comparisons: &[Comparison],
     serve: &ServeThroughput,
-    serve_blocks: &ServeThroughput,
     stream_ttfb: &StreamTtfb,
     allocs: &AllocsPerFrame,
     infer_eager: &InferenceRow,
@@ -770,22 +731,14 @@ fn render_json(
         backend, serve.frames, serve.frame_points, serve.frames_per_s, serve.mean_batch
     ));
     out.push_str(&format!(
-        "    {{ \"name\": \"serve_throughput_batched_blocks\", \"backend\": \"{}\", \"frames\": {}, \"frame_points\": {}, \"frames_per_s\": {:.1}, \"mean_batch\": {:.2}, \"status\": \"ok\" }},\n",
-        backend, serve_blocks.frames, serve_blocks.frame_points, serve_blocks.frames_per_s,
-        serve_blocks.mean_batch
-    ));
-    out.push_str(&format!(
         "    {{ \"name\": \"serve_stream_ttfb\", \"backend\": \"{}\", \"frame_points\": {}, \"first_paint\": {}, \"ttfb_ms\": {:.4}, \"full_ms\": {:.4}, \"speedup\": {:.3}, \"status\": \"ok\" }},\n",
         backend, stream_ttfb.frame_points, stream_ttfb.first_paint, stream_ttfb.ttfb_ms,
         stream_ttfb.full_ms, stream_ttfb.full_ms / stream_ttfb.ttfb_ms
     ));
     match allocs.measured {
         true => out.push_str(&format!(
-            "    {{ \"name\": \"allocs_per_frame\", \"cold\": {}, \"warm\": {}, \"frame_points\": {}, \"workspace_mode\": \"{}\", \"status\": \"ok\" }},\n",
-            allocs.cold,
-            allocs.warm,
-            allocs.frame_points,
-            fractalcloud_core::workspace::workspace_mode().name()
+            "    {{ \"name\": \"allocs_per_frame\", \"cold\": {}, \"warm\": {}, \"frame_points\": {}, \"status\": \"ok\" }},\n",
+            allocs.cold, allocs.warm, allocs.frame_points
         )),
         false => out.push_str(&format!(
             "    {{ \"name\": \"allocs_per_frame\", \"cold\": null, \"warm\": null, \"frame_points\": {}, \"status\": \"skipped_alloc_counter_off\" }},\n",

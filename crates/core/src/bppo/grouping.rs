@@ -171,27 +171,12 @@ pub struct BlockNeighborTask {
     pub reuse: ReuseStats,
 }
 
-/// Ball query for a single block — the independent unit of work
-/// [`block_ball_query`] fans out per block, public so batching layers can
-/// flatten block tasks across frames. Parameters are assumed validated
+/// Ball query for a single block — the independent unit of work the
+/// parallel branch of [`block_ball_query_into`] fans out per block (one
+/// pooled [`Workspace`] per lane), reassembled with
+/// [`assemble_block_neighbors`]. Parameters are assumed validated
 /// (positive `radius`, `num ≥ 1`, `b` in range), exactly as inside
 /// [`block_ball_query`] after its own checks.
-#[allow(clippy::too_many_arguments)]
-pub fn ball_query_block_task(
-    cloud: &PointCloud,
-    partition: &Partition,
-    b: usize,
-    centers: &[usize],
-    radius: f32,
-    num: usize,
-    parent_expansion: bool,
-) -> BlockNeighborTask {
-    let mut ws = global_pool().checkout();
-    ball_query_block_task_ws(cloud, partition, b, centers, radius, num, parent_expansion, &mut ws)
-}
-
-/// [`ball_query_block_task`] on a caller-provided [`Workspace`] (per-lane
-/// scratch for batching layers); the task is still an owned result.
 #[allow(clippy::too_many_arguments)]
 pub fn ball_query_block_task_ws(
     cloud: &PointCloud,
@@ -218,7 +203,7 @@ pub fn ball_query_block_task_ws(
     task
 }
 
-/// [`ball_query_block_task`] refilling a caller-provided task in place —
+/// [`ball_query_block_task_ws`] refilling a caller-provided task in place —
 /// the allocation-free per-block form: a warmed `task` + workspace pair
 /// performs no heap allocation, and a dirty pair yields bit-identical
 /// results to a fresh one.
@@ -367,9 +352,10 @@ pub fn ball_query_block_model(
 }
 
 /// Reassembles per-block ball-query tasks (in block order) into a
-/// [`BlockNeighborResult`] — the aggregation half of [`block_ball_query`],
-/// shared with cross-frame block-batching layers so both paths produce
-/// bit-identical results by construction.
+/// [`BlockNeighborResult`] — the aggregation half of the parallel branch
+/// of [`block_ball_query_into`], shared with the prefix/LOD views
+/// ([`crate::PipelineOutput::prefix`]) so a sliced view assembles exactly
+/// as a real run does.
 pub fn assemble_block_neighbors(
     num: usize,
     results: Vec<BlockNeighborTask>,

@@ -27,16 +27,15 @@ mod sampling;
 
 pub use gathering::{block_gather, BlockGatherResult, GatherLocality};
 pub use grouping::{
-    assemble_block_neighbors, ball_query_block_model, ball_query_block_task,
-    ball_query_block_task_into, ball_query_block_task_ws, block_ball_query, block_ball_query_into,
-    BlockNeighborResult, BlockNeighborTask,
+    assemble_block_neighbors, ball_query_block_model, ball_query_block_task_into,
+    ball_query_block_task_ws, block_ball_query, block_ball_query_into, BlockNeighborResult,
+    BlockNeighborTask,
 };
 pub use interpolation::{block_interpolate, BlockInterpolationResult};
 pub use sampling::{
     assemble_block_fps, block_fps, block_fps_pinned, block_fps_with_counts,
     block_fps_with_counts_into, block_sample_counts, block_sample_counts_into, equal_sample_counts,
-    fps_block_task, fps_block_task_into, fps_block_task_pinned_into, fps_block_task_ws,
-    BlockFpsResult,
+    fps_block_task_into, fps_block_task_pinned_into, fps_block_task_ws, BlockFpsResult,
 };
 
 use serde::{Deserialize, Serialize};

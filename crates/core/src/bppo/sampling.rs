@@ -271,10 +271,10 @@ fn recycled_row(rows: &mut Vec<Vec<usize>>, b: usize) -> &mut Vec<usize> {
 }
 
 /// Reassembles per-block FPS task outputs (in block order) into a
-/// [`BlockFpsResult`] — the aggregation half of [`block_fps_with_counts`],
-/// exposed so a serving layer can scatter [`fps_block_task`] calls across
-/// the blocks of *many* frames and still assemble each frame's result
-/// bit-identically to a per-frame run (the two paths share this code).
+/// [`BlockFpsResult`] — the aggregation half of the parallel branch of
+/// [`block_fps_with_counts_into`], shared with the prefix/LOD views
+/// ([`crate::PipelineOutput::prefix`]) so a sliced view assembles exactly
+/// as a real run does.
 pub fn assemble_block_fps(results: Vec<(Vec<usize>, OpCounters)>) -> BlockFpsResult {
     let mut indices = Vec::new();
     let mut per_block = Vec::with_capacity(results.len());
@@ -291,11 +291,11 @@ pub fn assemble_block_fps(results: Vec<(Vec<usize>, OpCounters)>) -> BlockFpsRes
     BlockFpsResult { indices, per_block, counters, critical_path }
 }
 
-/// FPS restricted to `block` (global indices), selecting `m` points —
-/// the independent unit of work [`block_fps_with_counts`] fans out per
-/// block, public so batching layers can flatten block tasks across frames
-/// (`(frame, block)`-tagged work lists) and reassemble with
-/// [`assemble_block_fps`]. Returns global indices plus work counters.
+/// FPS restricted to `block` (global indices), selecting `m` points — the
+/// independent unit of work the parallel branch of
+/// [`block_fps_with_counts_into`] fans out per block (one pooled
+/// [`Workspace`] per lane), reassembled with [`assemble_block_fps`].
+/// Returns global indices plus work counters.
 ///
 /// The block's coordinates are gathered into local SoA buffers once — the
 /// software analogue of loading the block into SRAM — and every iteration
@@ -312,18 +312,6 @@ pub fn assemble_block_fps(results: Vec<(Vec<usize>, OpCounters)>) -> BlockFpsRes
 /// window check, iteration `s` (with `s` points already sampled) visits the
 /// `n − s` valid candidates and skips `s`; without it, all `n` candidates
 /// are visited. Two comparisons (relax + argmax) per visited candidate.
-pub fn fps_block_task(
-    cloud: &PointCloud,
-    block: &[usize],
-    m: usize,
-    window_check: bool,
-) -> (Vec<usize>, OpCounters) {
-    let mut ws = global_pool().checkout();
-    fps_block_task_ws(cloud, block, m, window_check, &mut ws)
-}
-
-/// [`fps_block_task`] on a caller-provided [`Workspace`] (per-lane scratch
-/// for batching layers); the selected indices are still an owned result.
 pub fn fps_block_task_ws(
     cloud: &PointCloud,
     block: &[usize],
@@ -336,7 +324,7 @@ pub fn fps_block_task_ws(
     (selected, counters)
 }
 
-/// The allocation-free core of [`fps_block_task`]: block coordinates and
+/// The allocation-free core of [`fps_block_task_ws`]: block coordinates and
 /// the running-distance array live in `ws`, and the selected indices are
 /// *appended* to `selected` (callers clear or recycle the row). A warmed
 /// workspace + row performs no heap allocation.

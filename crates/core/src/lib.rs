@@ -19,8 +19,7 @@
 //! * [`workspace`] — reusable scratch arenas ([`Workspace`], [`workspace::Pool`])
 //!   threaded through the build and BPPO hot paths so a warmed pipeline
 //!   performs no per-frame heap allocation (the software analogue of the
-//!   paper's on-chip block residency; `FRACTALCLOUD_WORKSPACE=fresh|reuse`
-//!   A/Bs the two paths).
+//!   paper's on-chip block residency).
 //!
 //! # Example: partition, sample, group
 //!
@@ -53,12 +52,12 @@ pub mod workspace;
 
 pub use bppo::interpolation::BlockInterpolationResult;
 pub use bppo::{
-    assemble_block_fps, assemble_block_neighbors, ball_query_block_model, ball_query_block_task,
+    assemble_block_fps, assemble_block_neighbors, ball_query_block_model,
     ball_query_block_task_into, ball_query_block_task_ws, block_ball_query, block_ball_query_into,
     block_fps, block_fps_pinned, block_fps_with_counts, block_fps_with_counts_into, block_gather,
-    block_interpolate, block_sample_counts, equal_sample_counts, fps_block_task,
-    fps_block_task_into, fps_block_task_ws, BlockFpsResult, BlockGatherResult, BlockNeighborResult,
-    BlockNeighborTask, BppoConfig, GatherLocality, ReuseStats,
+    block_interpolate, block_sample_counts, equal_sample_counts, fps_block_task_into,
+    fps_block_task_ws, BlockFpsResult, BlockGatherResult, BlockNeighborResult, BlockNeighborTask,
+    BppoConfig, GatherLocality, ReuseStats,
 };
 pub use fractal::{Fractal, FractalConfig, FractalResult};
 pub use lod::{LodSegment, LodSlice, SampleOrder};

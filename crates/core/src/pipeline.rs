@@ -17,15 +17,12 @@
 //! make).
 
 use crate::bppo::{
-    assemble_block_fps, assemble_block_neighbors, ball_query_block_task, ball_query_block_task_ws,
     block_ball_query_into, block_fps_with_counts_into, block_sample_counts,
-    block_sample_counts_into, fps_block_task, fps_block_task_ws, BlockFpsResult,
-    BlockNeighborResult, BlockNeighborTask, BppoConfig,
+    block_sample_counts_into, BlockFpsResult, BlockNeighborResult, BppoConfig,
 };
 use crate::fractal::{Fractal, FractalConfig, FractalResult};
 use crate::lod::SampleOrder;
 use crate::workspace::{global_pool, Workspace};
-use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -337,13 +334,16 @@ impl Pipeline {
         ws: &mut Workspace,
         out: &mut PipelineOutput,
     ) -> Result<()> {
-        self.run_into_inner(cloud, built, parallel, ws, out, None)
+        self.run_with_partition_into_cancel(cloud, built, usize::MAX, parallel, ws, out, None)
     }
 
-    /// [`Pipeline::run_with_partition_into`] with a cooperative
-    /// [`CancelToken`] checked at the stage seams (entry, after sample
-    /// counts, between sampling and grouping), so a frame whose deadline
-    /// already passed stops burning its thread budget mid-run.
+    /// The one implementation of the BPPO half, behind every `run*` entry
+    /// point: [`Pipeline::run_with_partition_into`] at a sample budget
+    /// (clamped to the run's total, so `usize::MAX` is full depth; see
+    /// [`Pipeline::run_with_partition_budget`]) and with an optional
+    /// cooperative [`CancelToken`] checked at the stage seams (entry, after
+    /// sample counts, between sampling and grouping), so a frame whose
+    /// deadline already passed stops burning its thread budget mid-run.
     ///
     /// After an `Err(Error::Cancelled)` return, `out` holds garbage from
     /// the aborted stages — reuse the buffers, never the contents.
@@ -352,22 +352,12 @@ impl Pipeline {
     ///
     /// Returns [`Error::Cancelled`] when `cancel` trips, or
     /// [`Error::EmptyCloud`] for an empty cloud.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_with_partition_into_cancel(
         &self,
         cloud: &PointCloud,
         built: &FractalResult,
-        parallel: bool,
-        ws: &mut Workspace,
-        out: &mut PipelineOutput,
-        cancel: &CancelToken,
-    ) -> Result<()> {
-        self.run_into_inner(cloud, built, parallel, ws, out, Some(cancel))
-    }
-
-    fn run_into_inner(
-        &self,
-        cloud: &PointCloud,
-        built: &FractalResult,
+        budget: usize,
         parallel: bool,
         ws: &mut Workspace,
         out: &mut PipelineOutput,
@@ -384,11 +374,22 @@ impl Pipeline {
         if let Some(c) = cancel {
             c.check()?;
         }
+        // The coarse-to-fine ordering block FPS is about to compute: the
+        // interleave schedule over the *full* per-block budgets, staged in
+        // the workspace so the warm path stays allocation-free.
+        out.order.build_into(&built.partition, &ws.counts, &mut ws.sched);
+        if budget < out.order.len() {
+            // A budgeted run keeps the first `budget` ranks of that
+            // schedule and samples each block at its share of them.
+            out.order.schedule.truncate(budget);
+            ws.counts.fill(0);
+            for &b in &out.order.schedule {
+                ws.counts[b as usize] += 1;
+            }
+        }
         // Move the counts out for the duration of the sampling call (the
         // sampler needs the whole workspace mutably); moved back after.
         let counts = std::mem::take(&mut ws.counts);
-        // Whole-frame stage spans (aux = u32::MAX distinguishes them from
-        // the per-block task spans the fused batching path records).
         let sample_span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockSample, u32::MAX);
         let sampled = block_fps_with_counts_into(
             cloud,
@@ -404,10 +405,6 @@ impl Pipeline {
         if let Some(c) = cancel {
             c.check()?;
         }
-        // Retain the coarse-to-fine ordering block FPS just computed: the
-        // interleave schedule over the full per-block budgets, staged in
-        // the workspace so the warm path stays allocation-free.
-        out.order.build_into(&built.partition, &ws.counts, &mut ws.sched);
         let PipelineOutput { sampled, grouped, blocks, order: _ } = out;
         let group_span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockGroup, u32::MAX);
         block_ball_query_into(
@@ -425,117 +422,11 @@ impl Pipeline {
         Ok(())
     }
 
-    // --- Block-task decomposition seam -----------------------------------
-    //
-    // The BPPO half of a run decomposes into independent per-block tasks:
-    // `sample_counts` fixes every block's FPS budget, `sample_block` /
-    // `group_block` are the units of work, and `assemble_output` is the
-    // aggregation both execution orders share. A serving layer can
-    // therefore flatten the union of many frames' blocks into ONE work
-    // list (tasks tagged `(frame, block)`), scatter the partial results
-    // back per frame, and still produce output bit-identical to
-    // [`Pipeline::run_with_partition`] — the assembly code is literally
-    // the same. `crates/serve`'s cross-frame block batching is the main
-    // consumer; the fixed BPPO feature settings (window check and parent
-    // expansion on) match what `run_with_partition` always uses.
-
     /// Per-block FPS sample counts for `built`'s partition at this
     /// pipeline's sampling rate — the allocation `run_with_partition` uses.
     pub fn sample_counts(&self, built: &FractalResult) -> Vec<usize> {
         let sizes: Vec<usize> = built.partition.blocks.iter().map(|b| b.len()).collect();
         block_sample_counts(&sizes, self.config.sample_rate)
-    }
-
-    /// The FPS task of one block: samples `count` points from block
-    /// `block` of `built`'s partition. Independent of every other block.
-    pub fn sample_block(
-        &self,
-        cloud: &PointCloud,
-        built: &FractalResult,
-        block: usize,
-        count: usize,
-    ) -> (Vec<usize>, OpCounters) {
-        fps_block_task(cloud, &built.partition.blocks[block].indices, count, true)
-    }
-
-    /// [`Pipeline::sample_block`] on a caller-provided [`Workspace`] — the
-    /// form cross-frame batching layers use with per-lane workspaces.
-    pub fn sample_block_ws(
-        &self,
-        cloud: &PointCloud,
-        built: &FractalResult,
-        block: usize,
-        count: usize,
-        ws: &mut Workspace,
-    ) -> (Vec<usize>, OpCounters) {
-        let _span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockSample, block as u32);
-        fps_block_task_ws(cloud, &built.partition.blocks[block].indices, count, true, ws)
-    }
-
-    /// The ball-query task of one block: groups `centers` (block `block`'s
-    /// sampled points) against the block's parent search space.
-    pub fn group_block(
-        &self,
-        cloud: &PointCloud,
-        built: &FractalResult,
-        block: usize,
-        centers: &[usize],
-    ) -> BlockNeighborTask {
-        ball_query_block_task(
-            cloud,
-            &built.partition,
-            block,
-            centers,
-            self.config.radius,
-            self.config.neighbors,
-            true,
-        )
-    }
-
-    /// [`Pipeline::group_block`] on a caller-provided [`Workspace`] — the
-    /// form cross-frame batching layers use with per-lane workspaces.
-    pub fn group_block_ws(
-        &self,
-        cloud: &PointCloud,
-        built: &FractalResult,
-        block: usize,
-        centers: &[usize],
-        ws: &mut Workspace,
-    ) -> BlockNeighborTask {
-        let _span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockGroup, block as u32);
-        ball_query_block_task_ws(
-            cloud,
-            &built.partition,
-            block,
-            centers,
-            self.config.radius,
-            self.config.neighbors,
-            true,
-            ws,
-        )
-    }
-
-    /// Reassembles per-block task outputs (block order) into the
-    /// [`PipelineOutput`] a monolithic [`Pipeline::run_with_partition`]
-    /// over the same partition would return — bit-identical, because the
-    /// monolithic path runs through this very aggregation.
-    pub fn assemble_output(
-        &self,
-        built: &FractalResult,
-        sampled: Vec<(Vec<usize>, OpCounters)>,
-        grouped: Vec<BlockNeighborTask>,
-    ) -> PipelineOutput {
-        // The per-block budgets are recoverable from the task rows (a
-        // block's row length IS its budget, counts are clamped to block
-        // populations), so the decomposed path carries the same
-        // coarse-to-fine ordering as a monolithic run.
-        let counts: Vec<usize> = sampled.iter().map(|(row, _)| row.len()).collect();
-        PipelineOutput {
-            sampled: assemble_block_fps(sampled),
-            grouped: assemble_block_neighbors(self.config.neighbors, grouped),
-            blocks: built.partition.blocks.len(),
-            order: SampleOrder::build(&built.partition, &counts),
-        }
     }
 
     // --- Budget runs (progressive LOD) -----------------------------------
@@ -575,34 +466,9 @@ impl Pipeline {
         k: usize,
         parallel: bool,
     ) -> Result<PipelineOutput> {
-        let bppo = if parallel { BppoConfig::default() } else { BppoConfig::sequential() };
-        let full_counts = self.sample_counts(built);
-        let order = SampleOrder::build(&built.partition, &full_counts);
-        let k = k.min(order.len());
-        let counts_k = order.prefix_counts(k);
-
         let mut ws = global_pool().checkout();
         let mut out = PipelineOutput::default();
-        block_fps_with_counts_into(
-            cloud,
-            &built.partition,
-            &counts_k,
-            &bppo,
-            &mut ws,
-            &mut out.sampled,
-        )?;
-        block_ball_query_into(
-            cloud,
-            &built.partition,
-            &out.sampled.per_block,
-            self.config.radius,
-            self.config.neighbors,
-            &bppo,
-            &mut ws,
-            &mut out.grouped,
-        )?;
-        out.blocks = built.partition.blocks.len();
-        out.order = order.prefix(k);
+        self.run_with_partition_into_cancel(cloud, built, k, parallel, &mut ws, &mut out, None)?;
         Ok(out)
     }
 }
@@ -651,40 +517,6 @@ mod tests {
         let fresh = pipe.run(&cloud, true).unwrap();
         let reused = pipe.run_with_partition(&cloud, &built, true).unwrap();
         assert_eq!(fresh, reused);
-    }
-
-    #[test]
-    fn block_task_decomposition_is_bit_identical_to_monolithic_run() {
-        // The seam the serving layer's cross-frame block batching stands
-        // on: running every block as an independent task (even in a
-        // shuffled order) and reassembling in block order must reproduce
-        // run_with_partition exactly — indices, counters, critical path,
-        // reuse statistics, everything.
-        for (n, seed) in [(4096usize, 11u64), (700, 12), (57, 13)] {
-            let cloud = scene_cloud(&SceneConfig::default(), n, seed);
-            let pipe = Pipeline::new(PipelineConfig::default()).unwrap();
-            let built = pipe.partition(&cloud, false).unwrap();
-            let expected = pipe.run_with_partition(&cloud, &built, false).unwrap();
-
-            let counts = pipe.sample_counts(&built);
-            let blocks = built.partition.blocks.len();
-            // Execute tasks out of order to prove independence...
-            let mut order: Vec<usize> = (0..blocks).rev().collect();
-            order.rotate_left(blocks / 3);
-            let mut sampled: Vec<Option<(Vec<usize>, OpCounters)>> = vec![None; blocks];
-            for &b in &order {
-                sampled[b] = Some(pipe.sample_block(&cloud, &built, b, counts[b]));
-            }
-            let sampled: Vec<_> = sampled.into_iter().map(|s| s.unwrap()).collect();
-            let mut grouped: Vec<Option<BlockNeighborTask>> = vec![None; blocks];
-            for &b in &order {
-                grouped[b] = Some(pipe.group_block(&cloud, &built, b, &sampled[b].0));
-            }
-            let grouped: Vec<_> = grouped.into_iter().map(|g| g.unwrap()).collect();
-            // ...then assemble in block order.
-            let decomposed = pipe.assemble_output(&built, sampled, grouped);
-            assert_eq!(decomposed, expected, "decomposed run diverged at n={n}");
-        }
     }
 
     #[test]
@@ -743,16 +575,33 @@ mod tests {
         let mut out = PipelineOutput::default();
         let tripped = CancelToken::new();
         tripped.cancel();
+        let full = usize::MAX;
         assert_eq!(
-            pipe.run_with_partition_into_cancel(&cloud, &built, false, &mut ws, &mut out, &tripped),
+            pipe.run_with_partition_into_cancel(
+                &cloud,
+                &built,
+                full,
+                false,
+                &mut ws,
+                &mut out,
+                Some(&tripped)
+            ),
             Err(Error::Cancelled)
         );
         // The aborted staging is garbage but reusable: the next clean run
         // through the same buffers must be bit-identical to a fresh one.
         let live =
             CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(3600));
-        pipe.run_with_partition_into_cancel(&cloud, &built, false, &mut ws, &mut out, &live)
-            .unwrap();
+        pipe.run_with_partition_into_cancel(
+            &cloud,
+            &built,
+            full,
+            false,
+            &mut ws,
+            &mut out,
+            Some(&live),
+        )
+        .unwrap();
         assert_eq!(out, expected);
     }
 }

@@ -34,16 +34,9 @@
 //! drop. Steady state, the pool holds as many workspaces as the maximum
 //! number of concurrent lanes ever observed, and checkout is one
 //! uncontended mutex pop — no allocation.
-//!
-//! # `FRACTALCLOUD_WORKSPACE`
-//!
-//! Setting `FRACTALCLOUD_WORKSPACE=fresh` disables recycling: every
-//! checkout constructs a brand-new value and drops it afterwards. This is
-//! the A/B switch CI uses to prove reuse changes nothing but allocation
-//! traffic (`reuse`, the default, names the recycling mode explicitly).
 
 use fractalcloud_pointcloud::kernels::SelectScratch;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Scratch-buffer arena for one execution lane of the partition + BPPO
 /// pipeline. See the [module docs](self) for ownership rules.
@@ -168,41 +161,9 @@ pub(crate) struct BuildScratch {
     pub right: Vec<usize>,
 }
 
-/// Whether checked-in values are recycled (`reuse`, default) or discarded
-/// with every checkout constructing fresh (`fresh`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkspaceMode {
-    /// Pooled values are recycled across checkouts (the default).
-    Reuse,
-    /// Every checkout constructs a fresh value; returns are discarded.
-    Fresh,
-}
-
-impl WorkspaceMode {
-    /// The mode's `FRACTALCLOUD_WORKSPACE` name.
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkspaceMode::Reuse => "reuse",
-            WorkspaceMode::Fresh => "fresh",
-        }
-    }
-}
-
-/// The process-wide workspace mode: `FRACTALCLOUD_WORKSPACE=fresh` disables
-/// recycling, anything else (including unset) selects [`WorkspaceMode::Reuse`].
-/// Resolved once per process.
-pub fn workspace_mode() -> WorkspaceMode {
-    static MODE: OnceLock<WorkspaceMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("FRACTALCLOUD_WORKSPACE") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("fresh") => WorkspaceMode::Fresh,
-        _ => WorkspaceMode::Reuse,
-    })
-}
-
 /// A free-list pool of `Default`-constructible values (workspaces, output
 /// staging buffers). `checkout` pops a recycled value or constructs one;
-/// the guard returns it on drop. Honors [`workspace_mode`]: in `fresh` mode
-/// every checkout constructs and every return discards.
+/// the guard returns it on drop.
 #[derive(Debug)]
 pub struct Pool<T> {
     slots: Mutex<Vec<T>>,
@@ -222,11 +183,7 @@ impl<T: Default> Pool<T> {
     /// leave the vector in a torn state, so a poisoned lock still guards a
     /// valid-by-construction free list.
     pub fn checkout(&self) -> PoolGuard<'_, T> {
-        let value = match workspace_mode() {
-            WorkspaceMode::Reuse => lock_unpoisoned(&self.slots).pop().unwrap_or_default(),
-            WorkspaceMode::Fresh => T::default(),
-        };
-        PoolGuard { pool: self, value: Some(value) }
+        PoolGuard { pool: self, value: Some(self.take()) }
     }
 
     /// Number of values currently checked in (test/diagnostic hook).
@@ -239,21 +196,16 @@ impl<T: Default> Pool<T> {
     /// response buffers handed to a client). Pair with [`Pool::put`]; a
     /// value never returned is simply dropped, which is always safe.
     pub fn take(&self) -> T {
-        match workspace_mode() {
-            WorkspaceMode::Reuse => lock_unpoisoned(&self.slots).pop().unwrap_or_default(),
-            WorkspaceMode::Fresh => T::default(),
-        }
+        lock_unpoisoned(&self.slots).pop().unwrap_or_default()
     }
 
-    /// Checks a value taken with [`Pool::take`] back in (discarded in
-    /// `fresh` mode). The caller vouches the value holds no torn mid-stage
-    /// state — unlike [`PoolGuard`], a by-value return has no unwind
-    /// tracking, so only return values whose content is valid-by-
-    /// construction (e.g. buffers about to be overwritten from scratch).
+    /// Checks a value taken with [`Pool::take`] back in. The caller vouches
+    /// the value holds no torn mid-stage state — unlike [`PoolGuard`], a
+    /// by-value return has no unwind tracking, so only return values whose
+    /// content is valid-by-construction (e.g. buffers about to be
+    /// overwritten from scratch).
     pub fn put(&self, value: T) {
-        if workspace_mode() == WorkspaceMode::Reuse {
-            lock_unpoisoned(&self.slots).push(value);
-        }
+        lock_unpoisoned(&self.slots).push(value);
     }
 }
 
@@ -263,8 +215,7 @@ impl<T: Default> Default for Pool<T> {
     }
 }
 
-/// Exclusive access to a pooled value; checks it back in on drop (unless
-/// the process runs in `fresh` mode, which discards it).
+/// Exclusive access to a pooled value; checks it back in on drop.
 ///
 /// The guard is unwind-aware: when dropped *during panic unwinding* the
 /// value is discarded instead of returned, because a panic can strike
@@ -296,7 +247,7 @@ impl<T: Default> Drop for PoolGuard<'_, T> {
         // A guard dropped while its thread unwinds was live when the panic
         // struck — its value may hold inconsistent mid-stage scratch, so it
         // is discarded rather than re-pooled.
-        if workspace_mode() == WorkspaceMode::Reuse && !std::thread::panicking() {
+        if !std::thread::panicking() {
             if let Some(v) = self.value.take() {
                 lock_unpoisoned(&self.pool.slots).push(v);
             }
@@ -324,9 +275,6 @@ mod tests {
 
     #[test]
     fn pool_recycles_values_in_reuse_mode() {
-        if workspace_mode() != WorkspaceMode::Reuse {
-            return; // suite running under FRACTALCLOUD_WORKSPACE=fresh
-        }
         let pool: Pool<Vec<u8>> = Pool::new();
         {
             let mut v = pool.checkout();
@@ -340,9 +288,6 @@ mod tests {
 
     #[test]
     fn guard_live_during_unwind_discards_instead_of_repooling() {
-        if workspace_mode() != WorkspaceMode::Reuse {
-            return; // suite running under FRACTALCLOUD_WORKSPACE=fresh
-        }
         let pool: Pool<Vec<u8>> = Pool::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut v = pool.checkout();
@@ -358,9 +303,6 @@ mod tests {
 
     #[test]
     fn pool_take_and_put_recycle_by_value() {
-        if workspace_mode() != WorkspaceMode::Reuse {
-            return; // suite running under FRACTALCLOUD_WORKSPACE=fresh
-        }
         let pool: Pool<Vec<u8>> = Pool::new();
         let mut v = pool.take();
         v.push(42);
@@ -376,11 +318,5 @@ mod tests {
         let b = global_pool().checkout();
         // Two live guards always hold distinct arenas.
         assert_ne!(&*a as *const Workspace, &*b as *const Workspace);
-    }
-
-    #[test]
-    fn mode_names_round_trip() {
-        assert_eq!(WorkspaceMode::Reuse.name(), "reuse");
-        assert_eq!(WorkspaceMode::Fresh.name(), "fresh");
     }
 }

@@ -9,9 +9,8 @@
 
 use fractalcloud_core::workspace::Workspace;
 use fractalcloud_core::{
-    ball_query_block_task, ball_query_block_task_ws, block_ball_query, block_fps, block_fps_pinned,
-    fps_block_task, fps_block_task_ws, BppoConfig, Fractal, Pipeline, PipelineConfig,
-    PipelineOutput,
+    ball_query_block_task_ws, block_ball_query, block_fps, block_fps_pinned, fps_block_task_ws,
+    BppoConfig, Fractal, Pipeline, PipelineConfig, PipelineOutput,
 };
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::{Point3, PointCloud};
@@ -48,11 +47,13 @@ proptest! {
 
     /// Full pipeline (partition + FPS + ball query) through a dirty
     /// workspace + dirty output staging equals fresh allocation, on every
-    /// backend, including every counter.
+    /// backend, including every counter — at full depth and at a sample
+    /// budget, where the dirty run must equal the same-length prefix of
+    /// the fresh full run.
     #[test]
     fn dirty_workspace_pipeline_is_bit_identical(
         (cloud, th) in (arb_cloud(400), 4usize..96),
-        rate in 0.05f64..0.95,
+        (rate, frac) in (0.05f64..0.95, 0.0f64..=1.0),
         radius in 0.2f32..4.0,
         num in 1usize..12,
     ) {
@@ -76,6 +77,10 @@ proptest! {
                 pipe.run_with_partition_into(&seed, &pipe.partition(&seed, false).unwrap(), false, &mut ws, &mut staging).unwrap();
                 pipe.run_with_partition_into(&cloud, &built_ws, false, &mut ws, &mut staging).unwrap();
                 assert_eq!(staging, fresh, "dirty-staging output diverged");
+                // Budget-k through the same (now dirtier) workspace + staging.
+                let k = ((fresh.total_samples() as f64) * frac).floor() as usize;
+                pipe.run_with_partition_into_cancel(&cloud, &built_ws, k, false, &mut ws, &mut staging, None).unwrap();
+                assert_eq!(staging, fresh.prefix(k), "dirty budget-{k} run diverged from prefix({k})");
                 results.push(fresh);
             });
         });
@@ -85,9 +90,10 @@ proptest! {
         }
     }
 
-    /// Per-block task entry points: the `_ws` forms on a dirty workspace
-    /// equal the no-workspace wrappers, block by block (ragged blocks
-    /// included by construction — Fractal leaves are unevenly sized).
+    /// Per-block task entry points (the owned-result wrappers the parallel
+    /// branch of `block_*_into` fans out): on a dirty workspace they equal
+    /// the same call on a fresh one, block by block (ragged blocks included
+    /// by construction — Fractal leaves are unevenly sized).
     #[test]
     fn dirty_workspace_block_tasks_match_wrappers(
         (cloud, th) in (arb_cloud(300), 4usize..48),
@@ -102,12 +108,13 @@ proptest! {
         let mut ws = dirty_workspace(&seed);
         for b in 0..built.partition.blocks.len() {
             let block = &built.partition.blocks[b].indices;
-            let plain = fps_block_task(&cloud, block, count, true);
+            let plain = fps_block_task_ws(&cloud, block, count, true, &mut Workspace::new());
             let via_ws = fps_block_task_ws(&cloud, block, count, true, &mut ws);
             prop_assert_eq!(&plain, &via_ws);
             let centers = &plain.0;
-            let plain_bq =
-                ball_query_block_task(&cloud, &built.partition, b, centers, radius, num, true);
+            let plain_bq = ball_query_block_task_ws(
+                &cloud, &built.partition, b, centers, radius, num, true, &mut Workspace::new(),
+            );
             let ws_bq = ball_query_block_task_ws(
                 &cloud, &built.partition, b, centers, radius, num, true, &mut ws,
             );

@@ -28,22 +28,9 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Thread budget shared by the requests of one batch: a lone request
     /// gets the whole budget (parallel build + block scheduling), while a
-    /// fused batch shares it across the union of the frames' block tasks
-    /// (see `batch_blocks`) or, with block batching off, across one
-    /// sequential lane per frame.
+    /// fused batch divides it across one lane per request, each lane's
+    /// share inherited by the block fan-out inside its pipeline.
     pub thread_budget: usize,
-    /// Cross-frame block batching: a fused batch flattens the union of all
-    /// frames' blocks into one work list and runs a single budgeted
-    /// `parallel_map` over `(frame, block)` tasks, each fusing its block's
-    /// sampling and grouping — bit-identical results, but the budget
-    /// saturates even when frame counts are small and block counts are
-    /// large, and each block's data stays hot across its two stages.
-    /// Engages when `thread_budget > 1`: with one worker there is nothing
-    /// to saturate and the frame-at-a-time order measures slightly faster
-    /// (better frame locality), so budget-1 hosts keep it. Off = the
-    /// legacy one-sequential-lane-per-frame schedule everywhere (kept for
-    /// A/B measurement; `perf_snapshot` reports both).
-    pub batch_blocks: bool,
     /// Maximum concurrent TCP connections; further connects are answered
     /// with `status::TOO_MANY_CONNECTIONS` (retryable) and closed.
     pub max_connections: usize,
@@ -92,7 +79,6 @@ impl ServeConfig {
     /// | `FRACTALCLOUD_SERVE_BATCH` | 8 |
     /// | `FRACTALCLOUD_SERVE_MAX_POINTS` | 1_048_576 |
     /// | `FRACTALCLOUD_SERVE_CACHE` | 32 |
-    /// | `FRACTALCLOUD_SERVE_BATCH_BLOCKS` | 1 (`0` = legacy per-frame lanes) |
     /// | `FRACTALCLOUD_SERVE_CONNS` | 64 |
     /// | `FRACTALCLOUD_SERVE_DEADLINE_MS` | 0 (no default deadline) |
     /// | `FRACTALCLOUD_SERVE_STREAM_FIRST_PAINT` | 512 |
@@ -114,8 +100,6 @@ impl ServeConfig {
             max_points: env_usize("FRACTALCLOUD_SERVE_MAX_POINTS").unwrap_or(def.max_points),
             cache_capacity: env_usize("FRACTALCLOUD_SERVE_CACHE").unwrap_or(def.cache_capacity),
             thread_budget: def.thread_budget,
-            batch_blocks: env_usize("FRACTALCLOUD_SERVE_BATCH_BLOCKS")
-                .map_or(def.batch_blocks, |v| v != 0),
             max_connections: env_usize("FRACTALCLOUD_SERVE_CONNS")
                 .unwrap_or(def.max_connections)
                 .max(1),
@@ -171,12 +155,6 @@ impl ServeConfig {
     /// Returns `self` with the given batch thread budget (minimum 1).
     pub fn thread_budget(mut self, thread_budget: usize) -> ServeConfig {
         self.thread_budget = thread_budget.max(1);
-        self
-    }
-
-    /// Returns `self` with cross-frame block batching on or off.
-    pub fn batch_blocks(mut self, batch_blocks: bool) -> ServeConfig {
-        self.batch_blocks = batch_blocks;
         self
     }
 
@@ -252,7 +230,6 @@ impl Default for ServeConfig {
             max_points: 1 << 20,
             cache_capacity: 32,
             thread_budget: fractalcloud_parallel::workers(),
-            batch_blocks: true,
             max_connections: 64,
             deadline_ms: 0,
             stream_first_paint: 512,

@@ -15,22 +15,23 @@
 //!    `max_batch - 1` further *compatible* jobs (equal
 //!    [`PipelineConfig`]) from every class, highest first, preserving each
 //!    class's arrival order among what remains.
-//! 4. **Execution** — with cross-frame block batching
-//!    (`ServeConfig::batch_blocks`, the default) a fused batch flattens
-//!    the union of all frames' blocks into one work list and runs a single
-//!    [`fractalcloud_parallel::parallel_map_budget`] of `(frame, block)`
-//!    tasks — each task fusing its block's sampling and grouping — so the
-//!    thread budget saturates even when the batch holds few frames with
-//!    many blocks each; a lone frame keeps the whole budget for its own
-//!    build + blocks. The legacy schedule (one sequential lane per frame)
-//!    serves single-worker budgets, where frame-at-a-time order wins on
-//!    locality, and remains available everywhere for A/B measurement.
-//!    Lane/task allowances are inherited by every nested fan-out
-//!    ([`fractalcloud_parallel::effective_budget`]), so the batch's total
-//!    worker count stays within the configured budget. Every schedule is
-//!    bit-identical to direct library calls — the per-frame assembly is
-//!    literally the code [`Pipeline::run_with_partition`] runs — so
-//!    scheduling is purely a latency/throughput decision.
+//! 4. **Execution** — one schedule for every request kind: a lone job
+//!    runs inline on its worker with the whole thread budget (parallel
+//!    build + block fan-out); a fused batch runs one lane per job
+//!    ([`fractalcloud_parallel::parallel_map_budget_with`]), and each
+//!    lane's share of the budget is inherited by every nested fan-out
+//!    ([`fractalcloud_parallel::effective_budget`]) — the paper's
+//!    block-parallel point operations spread one frame's independent blocks
+//!    over whatever the lane was granted — so the batch's total worker
+//!    count stays within the configured budget. Every lane runs the same
+//!    staged executor (`run_job`): deadline and fault checks, partition
+//!    (cached or built), stage 1 (sampling + grouping at the job's sample
+//!    budget, in the lane's workspace and pooled staging), then the kind's
+//!    epilogue — swap the vectors into a pooled [`FrameResponse`], cache
+//!    the ordering and slice a chunk, or run the network forward pass.
+//!    Results are bit-identical to direct library calls for every budget
+//!    and batch size, so scheduling is purely a latency/throughput
+//!    decision.
 //! 5. **Completion** — the response is published through the request's
 //!    [`Ticket`] and latency is recorded, globally and per class.
 //!
@@ -72,7 +73,7 @@ use crate::config::ServeConfig;
 use crate::faults::{self, FaultLayer, FaultPoint};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::overload::{OverloadController, OverloadLevel, MAX_BROWNOUT, SHED_LEVEL};
-use fractalcloud_core::workspace::{global_pool, workspace_mode, Pool, WorkspaceMode};
+use fractalcloud_core::workspace::{global_pool, Pool};
 use fractalcloud_core::{
     fnv1a64, CancelToken, LodSlice, Pipeline, PipelineConfig, PipelineOutput, Workspace,
     FNV1A64_SEED,
@@ -292,14 +293,37 @@ pub struct InferResponse {
 }
 
 /// What a resolved slot carries: one variant per request kind. Private —
-/// the public [`Ticket`]/[`InferTicket`] handles unwrap the variant their
-/// submission created (the kinds never cross because a ticket type is only
-/// ever minted by the matching `submit_*`).
+/// a [`Ticket<T>`] unwraps the variant its submission created (the kinds
+/// never cross because a ticket is only ever minted by the matching
+/// `submit_*`, which also picks the accessor below).
 #[derive(Debug)]
 enum EngineResponse {
     Frame(FrameResponse),
     Infer(InferResponse),
     Chunk(StreamChunkResponse),
+}
+
+impl EngineResponse {
+    fn frame(self) -> Option<FrameResponse> {
+        match self {
+            EngineResponse::Frame(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn infer(self) -> Option<InferResponse> {
+        match self {
+            EngineResponse::Infer(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn chunk(self) -> Option<StreamChunkResponse> {
+        match self {
+            EngineResponse::Chunk(r) => Some(r),
+            _ => None,
+        }
+    }
 }
 
 /// One coarse-to-fine refinement slice of a streamed frame: samples
@@ -346,7 +370,7 @@ struct Slot {
 /// impossible. Observing the other side's decrement also orders its final
 /// mutex accesses before the reset here, and the reset-then-push happens
 /// while no other handle exists, so a recycled slot is always `None` and
-/// unobserved. Honors [`workspace_mode`]: `fresh` disables recycling.
+/// unobserved.
 #[derive(Debug, Default)]
 struct SlotStash {
     slots: Mutex<Vec<Arc<Slot>>>,
@@ -354,36 +378,40 @@ struct SlotStash {
 
 impl SlotStash {
     fn take(&self) -> Arc<Slot> {
-        if workspace_mode() == WorkspaceMode::Reuse {
-            if let Some(slot) = lock_unpoisoned(&self.slots).pop() {
-                return slot;
-            }
-        }
-        Arc::new(Slot::default())
+        lock_unpoisoned(&self.slots).pop().unwrap_or_default()
     }
 
     fn release(&self, slot: Arc<Slot>) {
-        if workspace_mode() == WorkspaceMode::Reuse
-            && Arc::strong_count(&slot) == 1
-            && Arc::weak_count(&slot) == 0
-        {
+        if Arc::strong_count(&slot) == 1 && Arc::weak_count(&slot) == 0 {
             *lock_unpoisoned(&slot.result) = None;
             lock_unpoisoned(&self.slots).push(slot);
         }
     }
 }
 
-/// Handle to one in-flight request; redeem with [`Ticket::wait`].
+/// Handle to one in-flight request; redeem with [`Ticket::wait`]. `T` is
+/// the response kind the submission produces: [`FrameResponse`] for frames
+/// (the default), [`InferResponse`] for [`InferTicket`],
+/// [`StreamChunkResponse`] for [`StreamTicket`].
 #[derive(Debug)]
-pub struct Ticket {
+pub struct Ticket<T = FrameResponse> {
     /// `Some` until the drop handler releases the slot to the stash.
     slot: Option<Arc<Slot>>,
     stash: Arc<SlotStash>,
     /// Flight-recorder request id minted at admission.
     req: u64,
+    /// Picks this ticket's variant out of the resolved slot.
+    open: fn(EngineResponse) -> Option<T>,
 }
 
-impl Ticket {
+/// Handle to one in-flight inference request ([`Engine::submit_infer`]).
+pub type InferTicket = Ticket<InferResponse>;
+
+/// Handle to one in-flight streaming chunk
+/// ([`Engine::submit_stream_chunk`]).
+pub type StreamTicket = Ticket<StreamChunkResponse>;
+
+impl<T> Ticket<T> {
     /// The flight-recorder request id this admission minted — the key that
     /// reassembles the request's spans ([`fractalcloud_obs::spans_for`])
     /// and labels its wire-side spans.
@@ -391,18 +419,25 @@ impl Ticket {
         self.req
     }
 
-    /// Blocks until the slot resolves, whatever the response kind.
-    fn wait_any(&self) -> Result<EngineResponse, ServeError> {
+    /// Blocks until the response (or terminal error) is ready. Never hangs:
+    /// every admitted job carries a drop-guard that resolves the slot (with
+    /// [`ServeError::Internal`]) even when its executor panics or its
+    /// worker dies.
+    pub fn wait(self) -> Result<T, ServeError> {
         let slot = self.slot.as_ref().expect("slot present until drop");
         let mut guard = lock_unpoisoned(&slot.result);
         while guard.is_none() {
             guard = slot.ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
-        guard.take().expect("checked above")
+        self.unwrap_kind(guard.take().expect("checked above"))
     }
 
-    /// As [`Ticket::wait_any`], bounded by a timeout (`None` = pending).
-    fn wait_any_timeout(&self, timeout: Duration) -> Option<Result<EngineResponse, ServeError>> {
+    /// [`Ticket::wait`] bounded by a timeout: `None` when the response was
+    /// still pending after `timeout` (the ticket is consumed; the request
+    /// keeps running and resolves into the abandoned slot). The engine's
+    /// failure model makes `None` an anomaly worth asserting on — chaos
+    /// tests use exactly that.
+    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<T, ServeError>> {
         let slot = self.slot.as_ref().expect("slot present until drop");
         let deadline = Instant::now().checked_add(timeout)?;
         let mut guard = lock_unpoisoned(&slot.result);
@@ -417,112 +452,21 @@ impl Ticket {
                 .unwrap_or_else(PoisonError::into_inner);
             guard = g;
         }
-        Some(guard.take().expect("checked above"))
+        Some(self.unwrap_kind(guard.take().expect("checked above")))
     }
 
-    /// Blocks until the response (or terminal error) is ready. Never hangs:
-    /// every admitted job carries a drop-guard that resolves the slot (with
-    /// [`ServeError::Internal`]) even when its executor panics or its
-    /// worker dies.
-    pub fn wait(self) -> Result<FrameResponse, ServeError> {
-        match self.wait_any() {
-            Ok(EngineResponse::Frame(r)) => Ok(r),
-            // Unreachable by construction: a `Ticket` is only minted by the
-            // frame-submitting paths. Kept total so a logic error surfaces
-            // as an error, never a panic in a waiter.
-            Ok(_) => Err(ServeError::Internal),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`Ticket::wait`] bounded by a timeout: `None` when the response was
-    /// still pending after `timeout` (the ticket is consumed; the request
-    /// keeps running and resolves into the abandoned slot). The engine's
-    /// failure model makes `None` an anomaly worth asserting on — chaos
-    /// tests use exactly that.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<FrameResponse, ServeError>> {
-        match self.wait_any_timeout(timeout) {
-            Some(Ok(EngineResponse::Frame(r))) => Some(Ok(r)),
-            Some(Ok(_)) => Some(Err(ServeError::Internal)),
-            Some(Err(e)) => Some(Err(e)),
-            None => None,
-        }
+    /// A mismatched variant is unreachable by construction (see
+    /// [`EngineResponse`]); kept total so a logic error surfaces as an
+    /// error, never a panic in a waiter.
+    fn unwrap_kind(&self, outcome: Result<EngineResponse, ServeError>) -> Result<T, ServeError> {
+        outcome.and_then(|r| (self.open)(r).ok_or(ServeError::Internal))
     }
 }
 
-impl Drop for Ticket {
+impl<T> Drop for Ticket<T> {
     fn drop(&mut self) {
         if let Some(slot) = self.slot.take() {
             self.stash.release(slot);
-        }
-    }
-}
-
-/// Handle to one in-flight inference request; redeem with
-/// [`InferTicket::wait`]. Same completion contract as [`Ticket`].
-#[derive(Debug)]
-pub struct InferTicket {
-    inner: Ticket,
-}
-
-impl InferTicket {
-    /// The flight-recorder request id, as [`Ticket::request_id`].
-    pub fn request_id(&self) -> u64 {
-        self.inner.request_id()
-    }
-
-    /// Blocks until the inference response (or terminal error) is ready.
-    pub fn wait(self) -> Result<InferResponse, ServeError> {
-        match self.inner.wait_any() {
-            Ok(EngineResponse::Infer(r)) => Ok(r),
-            Ok(_) => Err(ServeError::Internal),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`Ticket::wait_timeout`], for inference requests.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<InferResponse, ServeError>> {
-        match self.inner.wait_any_timeout(timeout) {
-            Some(Ok(EngineResponse::Infer(r))) => Some(Ok(r)),
-            Some(Ok(_)) => Some(Err(ServeError::Internal)),
-            Some(Err(e)) => Some(Err(e)),
-            None => None,
-        }
-    }
-}
-
-/// Handle to one in-flight streaming chunk; redeem with
-/// [`StreamTicket::wait`]. Same completion contract as [`Ticket`].
-#[derive(Debug)]
-pub struct StreamTicket {
-    inner: Ticket,
-}
-
-impl StreamTicket {
-    /// The flight-recorder request id, as [`Ticket::request_id`].
-    pub fn request_id(&self) -> u64 {
-        self.inner.request_id()
-    }
-
-    /// Blocks until the chunk (or terminal error) is ready.
-    pub fn wait(self) -> Result<StreamChunkResponse, ServeError> {
-        match self.inner.wait_any() {
-            Ok(EngineResponse::Chunk(r)) => Ok(r),
-            Ok(_) => Err(ServeError::Internal),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`Ticket::wait_timeout`], for streaming chunks.
-    pub fn wait_timeout(
-        self,
-        timeout: Duration,
-    ) -> Option<Result<StreamChunkResponse, ServeError>> {
-        match self.inner.wait_any_timeout(timeout) {
-            Some(Ok(EngineResponse::Chunk(r))) => Some(Ok(r)),
-            Some(Ok(_)) => Some(Err(ServeError::Internal)),
-            Some(Err(e)) => Some(Err(e)),
-            None => None,
         }
     }
 }
@@ -625,6 +569,28 @@ enum WorkKind {
     Infer { executor: Arc<NetworkExecutor> },
 }
 
+impl WorkKind {
+    /// The batch-compat key of a job of this kind under `config`: the
+    /// batcher fuses only jobs whose keys are equal. Kind purity of a batch
+    /// does not *depend* on the key — execution dispatches per job — but
+    /// the per-kind tags keep a batch to one kind of work, budgeted frames
+    /// fuse only with frames of the same budget, and identical inference
+    /// requests (executors are cached and shared, so equal requests carry
+    /// the same `Arc` pointer) fuse with each other.
+    fn compat(&self, config: &PipelineConfig) -> u64 {
+        let key = config.compat_key();
+        match self {
+            WorkKind::Frame { budget: 0 } => key,
+            WorkKind::Frame { budget } => fnv1a64(fnv1a64(key, 0x4c4f_4442), *budget as u64),
+            WorkKind::Stream { .. } => fnv1a64(key, 0x5354_524d),
+            WorkKind::Infer { executor } => {
+                let h = (0x1f3a_9e44_0b1d_77c5u64 ^ key).wrapping_mul(0x100_0000_01b3);
+                (h ^ Arc::as_ptr(executor) as usize as u64).wrapping_mul(0x100_0000_01b3)
+            }
+        }
+    }
+}
+
 /// One queued unit of work. The cloud rides behind an `Arc` so in-process
 /// clients can submit without copying the frame (and so a warmed serving
 /// loop stays allocation-free).
@@ -711,14 +677,14 @@ struct Shared {
     metrics: Arc<Metrics>,
     cache: Mutex<PartitionCache>,
     /// Pooled [`PipelineOutput`] staging: workers refill a recycled output
-    /// in place (`run_with_partition_into`), move the response vectors out,
+    /// in place (`stage1`), move the response vectors out,
     /// and return the staging — so the per-block rows and other assembly
     /// buffers are reused across frames. Workspaces themselves come from
     /// the core crate's process-wide pool, one per execution lane.
     /// Both pools discard (never re-pool) values whose guard drops during
     /// an unwind.
     outputs: Pool<PipelineOutput>,
-    /// Recycled [`FrameResponse`] shells: `execute_one` *swaps* its filled
+    /// Recycled [`FrameResponse`] shells: `run_job` *swaps* its filled
     /// staging vectors with a pooled response's spent ones, so buffer
     /// capacity circulates client → engine → client ([`Engine::recycle`])
     /// instead of being reallocated per frame.
@@ -892,8 +858,7 @@ impl Engine {
     /// proportionally lower cost. 0 = full depth.
     ///
     /// Budgeted jobs carry a budget-specific batch-compat key, so they
-    /// fuse only with jobs of the same budget and never dilute the
-    /// full-depth block-batching fast path.
+    /// fuse only with jobs of the same budget.
     ///
     /// # Errors
     ///
@@ -906,11 +871,8 @@ impl Engine {
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        let compat = match budget {
-            0 => config.compat_key(),
-            b => fnv1a64(fnv1a64(config.compat_key(), 0x4c4f_4442), b as u64),
-        };
-        self.admit(cloud, config, compat, WorkKind::Frame { budget }, priority, deadline)
+        let kind = WorkKind::Frame { budget };
+        self.admit(cloud, config, kind, priority, deadline, EngineResponse::frame)
     }
 
     /// Admits one progressive-LOD refinement chunk: samples `lo..hi` of
@@ -933,13 +895,8 @@ impl Engine {
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<StreamTicket, ServeError> {
-        // Distinct compat tag: chunk jobs fuse with each other (per-job
-        // lanes) but never gate a pure frame batch off its block-batching
-        // fast path.
-        let compat = fnv1a64(config.compat_key(), 0x5354_524d);
-        let ticket =
-            self.admit(cloud, config, compat, WorkKind::Stream { lo, hi }, priority, deadline)?;
-        Ok(StreamTicket { inner: ticket })
+        let kind = WorkKind::Stream { lo, hi };
+        self.admit(cloud, config, kind, priority, deadline, EngineResponse::chunk)
     }
 
     /// Validates and admits one inference request, returning an
@@ -972,11 +929,8 @@ impl Engine {
         };
         let config = PipelineConfig::new(threshold, sa.sample_ratio, sa.radius, sa.nsample);
         let aggregation = aggregation.unwrap_or_else(Aggregation::from_env);
-        let executor = self.executor_for(model, seed, aggregation);
-        let compat = infer_compat(&executor, &config);
-        let ticket =
-            self.admit(cloud, config, compat, WorkKind::Infer { executor }, priority, deadline)?;
-        Ok(InferTicket { inner: ticket })
+        let kind = WorkKind::Infer { executor: self.executor_for(model, seed, aggregation) };
+        self.admit(cloud, config, kind, priority, deadline, EngineResponse::infer)
     }
 
     /// The cached executor for `(model, seed, aggregation)`, materializing
@@ -1002,16 +956,17 @@ impl Engine {
 
     /// The shared admission path: validate, then queue under the bound (or
     /// displace / shed), minting the ticket pair only once admission is
-    /// certain.
-    fn admit(
+    /// certain. `open` is the accessor for the response variant `kind`
+    /// resolves to.
+    fn admit<T>(
         &self,
         cloud: Arc<PointCloud>,
         config: PipelineConfig,
-        compat: u64,
         kind: WorkKind,
         priority: Priority,
         deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
+        open: fn(EngineResponse) -> Option<T>,
+    ) -> Result<Ticket<T>, ServeError> {
         let m = &self.shared.metrics;
         m.submitted.fetch_add(1, Ordering::Relaxed);
         if let Err(e) = config.validate() {
@@ -1037,7 +992,7 @@ impl Engine {
         // frame/inference work sheds retryably before touching the queue
         // (streams keep flowing — their refinement chunks are Bulk and
         // already shed first at the queue bound).
-        let mut compat = compat;
+        let mut compat = kind.compat(&config);
         let mut degrade = 0u8;
         let level = self.shared.overload.level_u8();
         if level > 0 && priority != Priority::High {
@@ -1049,9 +1004,7 @@ impl Engine {
                         return Err(ServeError::Shed(ShedReason::QueueFull));
                     }
                     degrade = level.min(MAX_BROWNOUT);
-                    // Degraded jobs fuse only with same-level peers (and
-                    // never gate a full-quality batch off its block-fused
-                    // fast path).
+                    // Degraded jobs fuse only with same-level peers.
                     compat = fnv1a64(fnv1a64(compat, 0x4447_5244), u64::from(degrade));
                 }
                 WorkKind::Infer { .. } if level >= SHED_LEVEL => {
@@ -1124,7 +1077,7 @@ impl Engine {
             victim.ticket.finish(Err(ServeError::Shed(ShedReason::QueueFull)));
         }
         self.shared.available.notify_one();
-        Ok(Ticket { slot: Some(slot), stash: Arc::clone(&self.shared.slots), req })
+        Ok(Ticket { slot: Some(slot), stash: Arc::clone(&self.shared.slots), req, open })
     }
 
     /// Submits a frame and blocks for its response — the in-process client
@@ -1169,10 +1122,12 @@ impl Engine {
         self.submit_infer(cloud, req)?.wait()
     }
 
-    /// Returns a finished response's buffers to the engine's staging pool
-    /// (a no-op in `FRACTALCLOUD_WORKSPACE=fresh` mode). Recycling is what
-    /// closes the allocation loop: the next frame's response reuses these
-    /// vectors instead of growing fresh ones.
+    /// Returns a finished response's buffers to the engine's staging pool.
+    /// Recycling is what closes the allocation loop: the next frame's
+    /// response reuses these vectors instead of growing fresh ones. Every
+    /// response the engine hands out is a shell taken from this same pool,
+    /// so recycling each reply keeps the pool no larger than the number of
+    /// responses ever in flight at once.
     pub fn recycle(&self, response: FrameResponse) {
         self.shared.responses.put(response);
     }
@@ -1505,18 +1460,6 @@ pub(crate) fn aggregation_wire(agg: Aggregation) -> u8 {
     }
 }
 
-/// Batch-compat key of an inference job: the stage-1 pipeline key mixed
-/// with the executor identity (executors are cached and shared, so equal
-/// requests carry the same `Arc` pointer) and an INFER tag. Kind purity of
-/// a batch does not *depend* on this key — execution dispatches per job —
-/// but matching keys are what let identical inference requests fuse.
-fn infer_compat(executor: &Arc<NetworkExecutor>, config: &PipelineConfig) -> u64 {
-    let mut h = 0x1f3a_9e44_0b1d_77c5u64 ^ config.compat_key();
-    h = h.wrapping_mul(0x100_0000_01b3);
-    h ^= Arc::as_ptr(executor) as usize as u64;
-    h.wrapping_mul(0x100_0000_01b3)
-}
-
 /// Spawns one supervised worker thread.
 fn spawn_worker(shared: &Arc<Shared>, id: usize) -> std::io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
@@ -1725,52 +1668,27 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
         // per-batch result vector — with a warmed workspace and staging
         // this path performs zero heap allocations.
         let job = batch.pop().expect("size checked above");
-        let Job { cloud, config, kind, ticket, deadline, req, priority, degrade, .. } = job;
-        let _trace = obs::scoped_context(req, priority.index() as u8);
         let mut ws = global_pool().checkout();
-        let outcome =
-            run_job(shared, &cloud, config, &kind, priority, degrade, deadline, size, &mut ws);
-        ticket.finish(outcome);
+        let outcome = run_job(shared, &job, size, &mut ws);
+        job.ticket.finish(outcome);
         return;
     }
 
-    if shared.cfg.batch_blocks
-        && shared.cfg.thread_budget > 1
-        && batch.iter().all(|j| j.degrade == 0 && matches!(j.kind, WorkKind::Frame { budget: 0 }))
-    {
-        // The tentpole path: flatten the union of all frames' blocks into
-        // one work list and run a single budgeted map over fused
-        // sample+group block tasks. Only taken when there is a budget to
-        // saturate: with one worker the flattened list buys nothing and
-        // measures ~1% slower than the frame-at-a-time order below (the
-        // partitions-then-blocks barrier costs frame locality), so the
-        // legacy order serves budget-1 hosts — results are bit-identical
-        // either way; this is purely a schedule choice. (Frames only:
-        // inference batches — compat-homogeneous by key construction —
-        // take the per-job lanes below.)
-        let owned: Vec<Job> = std::mem::take(batch);
-        execute_batch_blocks(shared, owned);
-        return;
-    }
-
-    // Legacy schedule: one lane per job. `parallel_map_budget_with` divides
-    // the engine's budget across the lanes, each lane's allowance is
-    // inherited by every fan-out inside the pipeline, and each lane checks
-    // one workspace out of the process-wide pool — scratch is reused
-    // across the lane's jobs and across batches, never shared between
-    // threads. Results are identical for every budget — only wall-clock
-    // (and allocation traffic) differs.
+    // One lane per job. `parallel_map_budget_with` divides the engine's
+    // budget across the lanes, each lane's allowance is inherited by every
+    // fan-out inside the pipeline, and each lane checks one workspace out
+    // of the process-wide pool — scratch is reused across the lane's jobs
+    // and across batches, never shared between threads. Results are
+    // identical for every budget — only wall-clock (and allocation
+    // traffic) differs.
     let owned: Vec<Job> = std::mem::take(batch);
     let outcomes = fractalcloud_parallel::parallel_map_budget_with(
         owned,
         shared.cfg.thread_budget,
         || global_pool().checkout(),
         |_, job, ws| {
-            let Job { cloud, config, kind, ticket, deadline, req, priority, degrade, .. } = job;
-            let _trace = obs::scoped_context(req, priority.index() as u8);
-            let outcome =
-                run_job(shared, &cloud, config, &kind, priority, degrade, deadline, size, ws);
-            (ticket, outcome)
+            let outcome = run_job(shared, &job, size, ws);
+            (job.ticket, outcome)
         },
     );
     // A lane that panicked dropped its (ticket, outcome) pair mid-flight —
@@ -1781,360 +1699,181 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
     }
 }
 
-/// Dispatches one job to its kind's executor.
-#[allow(clippy::too_many_arguments)]
+/// The staged executor every job runs through, whatever its kind: the
+/// shared prologue (deadline, injected block fault, pipeline, partition —
+/// cached or built with this lane's workspace and budget), stage 1 at the
+/// job's sample budget, then the kind's epilogue. Parallelism inside the
+/// pipeline is governed by the lane's inherited thread budget (a 1-thread
+/// lane resolves every nested fan-out to sequential execution).
+///
+/// All scratch lives in the lane's `ws`, and stage 1 refills a pooled
+/// [`PipelineOutput`] staging buffer in place; only the vectors a response
+/// hands to the client leave with it (and come back through
+/// [`Engine::recycle`]).
 fn run_job(
     shared: &Shared,
-    cloud: &PointCloud,
-    config: PipelineConfig,
-    kind: &WorkKind,
-    priority: Priority,
-    degrade: u8,
-    deadline: Option<Instant>,
+    job: &Job,
     batch_size: usize,
     ws: &mut Workspace,
 ) -> Result<EngineResponse, ServeError> {
-    match kind {
-        WorkKind::Frame { budget } => {
-            execute_one(shared, cloud, config, *budget, priority, degrade, deadline, batch_size, ws)
-                .map(EngineResponse::Frame)
-        }
-        WorkKind::Stream { lo, hi } => {
-            execute_stream_one(shared, cloud, config, *lo, *hi, deadline, ws)
-                .map(EngineResponse::Chunk)
-        }
-        WorkKind::Infer { executor } => {
-            execute_infer_one(shared, cloud, config, executor, deadline, batch_size, ws)
-                .map(EngineResponse::Infer)
-        }
-    }
-}
-
-/// Cross-frame block batching: the union of the batch's blocks runs as ONE
-/// budgeted `parallel_map` of fused sample+group `(frame, block)` tasks,
-/// with results scattered back per frame — bit-identical to per-frame
-/// execution (the per-frame assembly is the same code
-/// `Pipeline::run_with_partition` uses), but the thread budget saturates
-/// even when the batch holds few frames with many blocks each, and each
-/// block's grouping runs right after its sampling while the block's data
-/// is hot.
-fn execute_batch_blocks(shared: &Shared, batch: Vec<Job>) {
-    let size = batch.len();
-    let m = &shared.metrics;
-    let budget = shared.cfg.thread_budget;
-
-    struct FrameCtx {
-        job: Job,
-        pipeline: Pipeline,
-        key: u64,
-        built: Option<(Arc<fractalcloud_core::FractalResult>, bool)>,
-    }
-
-    /// One `(frame, block)` task's verdict. Anything but `Done` marks the
-    /// whole frame (a frame with a missing block has no valid assembly).
-    // Not boxed: `Done` is the overwhelmingly common variant and these
-    // values live only inside one short-lived per-batch Vec — indirection
-    // would put an allocation per block task on the hot path.
-    #[allow(clippy::large_enum_variant)]
-    enum TaskOut {
-        Done((Vec<usize>, OpCounters), fractalcloud_core::BlockNeighborTask),
-        Expired,
-        Failed,
-    }
-
-    // Stage 0 — pipelines and partition-cache lookups (cheap, sequential).
-    let mut frames: Vec<Option<FrameCtx>> = Vec::with_capacity(size);
-    for job in batch {
-        match Pipeline::new(job.config) {
-            Ok(pipeline) => {
-                let key = frame_key(&job.cloud, job.config.threshold);
-                let cached = lock_unpoisoned(&shared.cache).get(key);
-                match &cached {
-                    Some(_) => {
-                        obs::record_span_at(
-                            obs::SpanKind::PartitionCacheHit,
-                            job.req,
-                            job.priority.index() as u8,
-                            Instant::now(),
-                            Instant::now(),
-                            0,
-                        );
-                        m.cache_hits.fetch_add(1, Ordering::Relaxed)
-                    }
-                    None => m.cache_misses.fetch_add(1, Ordering::Relaxed),
-                };
-                frames.push(Some(FrameCtx {
-                    job,
-                    pipeline,
-                    key,
-                    built: cached.map(|b| (b, true)),
-                }));
-            }
-            Err(e) => {
-                // Unreachable in practice (configs are validated at
-                // admission), kept total so a worker can never panic.
-                job.ticket.finish(Err(ServeError::Invalid(e)));
-                frames.push(None);
-            }
-        }
-    }
-
-    // Stage 1 — build missing partitions, parallel across frames; each
-    // lane builds with whatever allowance the budget split grants it and
-    // a pooled workspace of its own.
-    let missing: Vec<usize> = frames
-        .iter()
-        .enumerate()
-        .filter_map(|(f, ctx)| ctx.as_ref().filter(|c| c.built.is_none()).map(|_| f))
-        .collect();
-    if !missing.is_empty() {
-        let builds = fractalcloud_parallel::parallel_map_budget_with(
-            missing,
-            budget,
-            || global_pool().checkout(),
-            |_, f, ws| {
-                let ctx = frames[f].as_ref().expect("missing frame is live");
-                let _trace = obs::scoped_context(ctx.job.req, ctx.job.priority.index() as u8);
-                let parallel = fractalcloud_parallel::effective_budget() > 1;
-                (f, ctx.pipeline.partition_ws(&ctx.job.cloud, parallel, ws))
-            },
-        );
-        for (f, built) in builds {
-            match built {
-                Ok(result) => {
-                    let ctx = frames[f].as_mut().expect("missing frame is live");
-                    let arc = Arc::new(result);
-                    if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
-                        lock_unpoisoned(&shared.cache).insert(ctx.key, Arc::clone(&arc));
-                    }
-                    ctx.built = Some((arc, false));
-                }
-                Err(e) => {
-                    let ctx = frames[f].take().expect("missing frame is live");
-                    ctx.job.ticket.finish(Err(ServeError::Invalid(e)));
-                }
-            }
-        }
-    }
-
-    // Stage 2 — ONE parallel map over the union of all frames' block
-    // tasks, tagged (frame, block). A block's ball query depends only on
-    // that block's own FPS samples, so each task fuses sampling and
-    // grouping for its block (FuseFPS-style): one scheduling pass, and the
-    // block's gathered coordinates are still hot when its grouping runs.
-    // Tasks are generated frame-major, so the in-order results scatter
-    // back per frame (in block order) by a single pass.
-    let counts: Vec<Vec<usize>> = frames
-        .iter()
-        .map(|ctx| match ctx {
-            Some(c) => {
-                let (built, _) = c.built.as_ref().expect("live frames have partitions");
-                c.pipeline.sample_counts(built)
-            }
-            None => Vec::new(),
-        })
-        .collect();
-    let tasks: Vec<(usize, usize)> =
-        counts.iter().enumerate().flat_map(|(f, c)| (0..c.len()).map(move |b| (f, b))).collect();
-    // Each task first checks its frame's deadline (cooperative
-    // cancellation at the block seam) and the injected block fault point;
-    // anything but a completed block marks the whole frame's fate.
-    let parts = fractalcloud_parallel::parallel_map_budget_with(
-        tasks,
-        budget,
-        || global_pool().checkout(),
-        |_, (f, b), ws| {
-            let ctx = frames[f].as_ref().expect("task frames are live");
-            let _trace = obs::scoped_context(ctx.job.req, ctx.job.priority.index() as u8);
-            if ctx.job.expired(Instant::now()) {
-                return ((f, b), TaskOut::Expired);
-            }
-            if faults::fire(&shared.faults, FaultPoint::Block) {
-                return ((f, b), TaskOut::Failed);
-            }
-            let (built, _) = ctx.built.as_ref().expect("live frames have partitions");
-            let fps = ctx.pipeline.sample_block_ws(&ctx.job.cloud, built, b, counts[f][b], ws);
-            let group = ctx.pipeline.group_block_ws(&ctx.job.cloud, built, b, &fps.0, ws);
-            ((f, b), TaskOut::Done(fps, group))
-        },
-    );
-    let mut sampled: Vec<Vec<(Vec<usize>, OpCounters)>> =
-        counts.iter().map(|c| Vec::with_capacity(c.len())).collect();
-    let mut grouped: Vec<Vec<fractalcloud_core::BlockNeighborTask>> =
-        counts.iter().map(|c| Vec::with_capacity(c.len())).collect();
-    // Frame fates: 0 = every block done, 1 = a block saw the deadline pass,
-    // 2 = a block failed (failure outranks expiry — Internal is the honest
-    // answer when both happened).
-    let mut fate: Vec<u8> = vec![0; size];
-    for ((f, _), out) in parts {
-        match out {
-            TaskOut::Done(fps, group) => {
-                sampled[f].push(fps);
-                grouped[f].push(group);
-            }
-            TaskOut::Expired => fate[f] = fate[f].max(1),
-            TaskOut::Failed => fate[f] = 2,
-        }
-    }
-
-    // Stage 3 — per-frame assembly (the same aggregation a per-frame run
-    // uses) and resolution; frames with missing blocks resolve to their
-    // fate instead.
-    for (f, ((ctx, sampled), grouped)) in frames.into_iter().zip(sampled).zip(grouped).enumerate() {
-        let Some(ctx) = ctx else { continue };
-        match fate[f] {
-            2 => ctx.job.ticket.finish(Err(ServeError::Internal)),
-            1 => ctx.job.ticket.finish(Err(ServeError::Shed(ShedReason::DeadlineExceeded))),
-            _ => {
-                let (built, cache_hit) = ctx.built.expect("live frames have partitions");
-                let out = ctx.pipeline.assemble_output(&built, sampled, grouped);
-                let response = FrameResponse {
-                    sampled_indices: out.sampled.indices,
-                    neighbor_indices: out.grouped.indices,
-                    found: out.grouped.found,
-                    num: out.grouped.num,
-                    blocks: out.blocks,
-                    sample_counters: out.sampled.counters,
-                    group_counters: out.grouped.counters,
-                    cache_hit,
-                    batch_size: size,
-                    degraded: false,
-                    budget_served: 0,
-                };
-                ctx.job.ticket.finish(Ok(EngineResponse::Frame(response)));
-            }
-        }
-    }
-}
-
-/// Runs one frame through the pipeline, reusing a cached partition when the
-/// frame bytes have been seen at this threshold before. Parallelism inside
-/// the pipeline is governed by the lane's inherited thread budget (a
-/// 1-thread lane resolves every nested fan-out to sequential execution).
-///
-/// All scratch lives in the lane's `ws`, and the BPPO half refills a pooled
-/// [`PipelineOutput`] staging buffer in place; only the vectors the
-/// response hands to the client are moved out (their buffers leave with the
-/// response — the one unavoidable per-frame allocation class on a warmed
-/// engine).
-#[allow(clippy::too_many_arguments)]
-fn execute_one(
-    shared: &Shared,
-    cloud: &PointCloud,
-    config: PipelineConfig,
-    budget: usize,
-    priority: Priority,
-    degrade: u8,
-    deadline: Option<Instant>,
-    batch_size: usize,
-    ws: &mut Workspace,
-) -> Result<FrameResponse, ServeError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
+    let _trace = obs::scoped_context(job.req, job.priority.index() as u8);
+    if job.expired(Instant::now()) {
         return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
     }
     if faults::fire(&shared.faults, FaultPoint::Block) {
         return Err(ServeError::Internal);
     }
+    let cloud = &*job.cloud;
     let parallel = fractalcloud_parallel::effective_budget() > 1;
-    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
+    let pipeline = Pipeline::new(job.config).map_err(ServeError::Invalid)?;
     let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
 
-    // Brown-out resolves here, where the partition (and thus the frame's
-    // full sample total) is in hand: the served budget is the requested
-    // depth right-shifted by the admission-time level — and the result is
-    // `run_with_partition_budget` at that budget, so a degraded response
-    // is bit-identical to the same-length prefix of the full answer by
-    // construction, not by a parallel code path.
-    let degraded = degrade > 0;
-    let budget = if degraded {
-        let requested = match budget {
-            0 => pipeline.sample_counts(&built).iter().sum(),
-            b => b,
-        };
-        (requested >> degrade).max(1)
-    } else {
-        budget
-    };
-    if degraded {
-        shared.metrics.requests_degraded[priority.index()][usize::from(degrade - 1).min(2)]
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    if budget > 0 {
-        // Budgeted frame: the kernels run at the truncated per-block
-        // counts, so the cost is proportional to the budget — and the
-        // interleave schedule is derived from the *full* counts, so the
-        // result is bit-identical to the same-length prefix of a full run.
-        // The deadline was already checked above; a budgeted run is the
-        // short kind of work cooperative cancellation exists to protect,
-        // so it doesn't arm a token.
-        let mut out = pipeline
-            .run_with_partition_budget(cloud, &built, budget, parallel)
-            .map_err(ServeError::Invalid)?;
-        let mut resp = shared.responses.take();
-        std::mem::swap(&mut resp.sampled_indices, &mut out.sampled.indices);
-        std::mem::swap(&mut resp.neighbor_indices, &mut out.grouped.indices);
-        std::mem::swap(&mut resp.found, &mut out.grouped.found);
-        resp.num = out.grouped.num;
-        resp.blocks = out.blocks;
-        resp.sample_counters = out.sampled.counters;
-        resp.group_counters = out.grouped.counters;
-        resp.cache_hit = cache_hit;
-        resp.batch_size = batch_size;
-        // Pooled shells recycle: both marker fields are (re)set every time.
-        resp.degraded = degraded;
-        resp.budget_served = if degraded { resp.sampled_indices.len() } else { 0 };
-        return Ok(resp);
-    }
-
-    let mut staging = shared.outputs.checkout();
-    // Deadline-free requests keep the plain path (no CancelToken, no Arc
-    // allocation — preserving the zero-alloc warmed steady state); a
-    // deadline arms cooperative cancellation at the pipeline stage seams.
-    let run = match deadline {
-        None => pipeline.run_with_partition_into(cloud, &built, parallel, ws, &mut staging),
-        Some(d) => {
-            let cancel = CancelToken::with_deadline(d);
-            pipeline.run_with_partition_into_cancel(
-                cloud,
-                &built,
-                parallel,
-                ws,
-                &mut staging,
-                &cancel,
-            )
+    match &job.kind {
+        WorkKind::Frame { budget } => {
+            // Brown-out resolves here, where the partition (and thus the
+            // frame's full sample total) is in hand: the served depth is
+            // the requested one right-shifted by the admission-time level,
+            // and it runs through the same stage 1 as any budget — so a
+            // degraded response is bit-identical to the same-length prefix
+            // of the full answer by construction, not by a parallel path.
+            let degraded = job.degrade > 0;
+            let mut depth = if *budget == 0 { usize::MAX } else { *budget };
+            if degraded {
+                if *budget == 0 {
+                    depth = pipeline.sample_counts(&built).iter().sum();
+                }
+                depth = (depth >> job.degrade).max(1);
+                shared.metrics.requests_degraded[job.priority.index()]
+                    [usize::from(job.degrade - 1).min(2)]
+                .fetch_add(1, Ordering::Relaxed);
+            }
+            let mut staging = shared.outputs.checkout();
+            stage1(job, &pipeline, &built, depth, parallel, ws, &mut staging)?;
+            let out = &mut *staging;
+            // Swap the filled staging vectors with a recycled response's
+            // spent ones (instead of `mem::take`, which would strip the
+            // staging's capacity every frame): the response leaves with the
+            // data, the staging keeps warm buffers, and once clients
+            // recycle ([`Engine::recycle`]) the capacity circulates
+            // indefinitely — zero allocations per warm frame.
+            let mut resp = shared.responses.take();
+            std::mem::swap(&mut resp.sampled_indices, &mut out.sampled.indices);
+            std::mem::swap(&mut resp.neighbor_indices, &mut out.grouped.indices);
+            std::mem::swap(&mut resp.found, &mut out.grouped.found);
+            resp.num = out.grouped.num;
+            resp.blocks = out.blocks;
+            resp.sample_counters = out.sampled.counters;
+            resp.group_counters = out.grouped.counters;
+            resp.cache_hit = cache_hit;
+            resp.batch_size = batch_size;
+            // Pooled shells recycle: both marker fields are (re)set every time.
+            resp.degraded = degraded;
+            resp.budget_served = if degraded { resp.sampled_indices.len() } else { 0 };
+            Ok(EngineResponse::Frame(resp))
         }
-    };
-    run.map_err(|e| match e {
-        Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
-        other => ServeError::Invalid(other),
-    })?;
-    let out = &mut *staging;
-    // Swap the filled staging vectors with a recycled response's spent ones
-    // (instead of `mem::take`, which would strip the staging's capacity
-    // every frame): the response leaves with the data, the staging keeps
-    // warm buffers, and once clients recycle ([`Engine::recycle`]) the
-    // capacity circulates indefinitely — zero allocations per warm frame.
-    let mut resp = shared.responses.take();
-    std::mem::swap(&mut resp.sampled_indices, &mut out.sampled.indices);
-    std::mem::swap(&mut resp.neighbor_indices, &mut out.grouped.indices);
-    std::mem::swap(&mut resp.found, &mut out.grouped.found);
-    resp.num = out.grouped.num;
-    resp.blocks = out.blocks;
-    resp.sample_counters = out.sampled.counters;
-    resp.group_counters = out.grouped.counters;
-    resp.cache_hit = cache_hit;
-    resp.batch_size = batch_size;
-    // Pooled shells recycle: clear any stale degradation marker.
-    resp.degraded = false;
-    resp.budget_served = 0;
-    Ok(resp)
+        WorkKind::Stream { lo, hi } => {
+            // The full-depth output is the expensive half — it is computed
+            // at most once per `(frame, config)` and cached in the
+            // engine-wide ordering LRU (keyed by the frame key folded with
+            // the pipeline compatibility key, so distinct configs never
+            // alias), after which every chunk — this viewer's refinements
+            // and every other viewer of the same frame — is a pure
+            // `slice_level` copy.
+            let key = frame_key(cloud, job.config.threshold);
+            let order_key = fnv1a64(fnv1a64(FNV1A64_SEED, key), job.config.compat_key());
+            let cached = lock_unpoisoned(&shared.cache).get_order(order_key);
+            let full = match cached {
+                Some(full) => full,
+                None => {
+                    let mut out = PipelineOutput::default();
+                    stage1(job, &pipeline, &built, usize::MAX, parallel, ws, &mut out)?;
+                    let full = Arc::new(out);
+                    if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
+                        lock_unpoisoned(&shared.cache).insert_order(order_key, Arc::clone(&full));
+                    }
+                    full
+                }
+            };
+            let span = obs::span(obs::SpanKind::ChunkEmit, (*hi).min(u32::MAX as usize) as u32);
+            let slice = full.slice_level(*lo, *hi);
+            span.done();
+            // Counted by the *engine*, not the socket writer: a cancelled
+            // stream's unexecuted chunk jobs never pass this point, so a
+            // flat `stream_chunks_sent` after STREAM_CANCEL proves the
+            // server really stopped working, not just stopped talking.
+            shared.metrics.stream_chunks_sent.fetch_add(1, Ordering::Relaxed);
+            // The *partition* cache verdict, matching what a direct request
+            // for the same frame would report, so an accumulated stream is
+            // byte-identical to the equivalent budgeted response.
+            Ok(EngineResponse::Chunk(StreamChunkResponse { slice, cache_hit }))
+        }
+        WorkKind::Infer { executor } => {
+            let mut staging = shared.outputs.checkout();
+            stage1(job, &pipeline, &built, usize::MAX, parallel, ws, &mut staging)?;
+            // The forward pass has no internal cancel seam; re-check the
+            // deadline at the pipeline→network boundary so an
+            // already-expired request never pays for the MLP stack.
+            if job.expired(Instant::now()) {
+                return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
+            }
+            let mut output = shared.infer_outputs.take();
+            executor
+                .run_with_stage1_into(cloud, &staging, ws, &mut output)
+                .map_err(ServeError::Invalid)?;
+            // Aggregate the forward pass's op counters into the engine-wide
+            // metrics so the exposition endpoint can report MACs
+            // moved/saved and gather traffic across all inference served.
+            let c = &output.counters;
+            let m = &shared.metrics;
+            m.op_macs_moved.fetch_add(c.macs_moved, Ordering::Relaxed);
+            m.op_macs_saved.fetch_add(c.macs_saved, Ordering::Relaxed);
+            m.op_gather_bytes.fetch_add(c.gather_bytes, Ordering::Relaxed);
+            Ok(EngineResponse::Infer(InferResponse {
+                output,
+                aggregation: executor.config().aggregation,
+                cache_hit,
+                batch_size,
+            }))
+        }
+    }
 }
 
-/// The partition half shared by both request kinds: look the frame up in
-/// the engine-wide LRU, else build (with this lane's workspace and budget)
-/// and insert — the insert skipped under an injected cache fault, which
-/// costs a future miss, never correctness.
+/// Stage 1 of a job — block sampling + grouping of its frame at `depth`
+/// samples (clamped to the frame's total) into `out` — and the one place a
+/// job's deadline becomes a [`CancelToken`] and a run cancelled at a stage
+/// seam becomes the retryable [`ShedReason::DeadlineExceeded`].
+/// Deadline-free requests arm no token (no `Arc` allocation — preserving
+/// the zero-alloc warmed steady state).
+fn stage1(
+    job: &Job,
+    pipeline: &Pipeline,
+    built: &fractalcloud_core::FractalResult,
+    depth: usize,
+    parallel: bool,
+    ws: &mut Workspace,
+    out: &mut PipelineOutput,
+) -> Result<(), ServeError> {
+    let cancel = job.deadline.map(CancelToken::with_deadline);
+    pipeline
+        .run_with_partition_into_cancel(
+            &job.cloud,
+            built,
+            depth,
+            parallel,
+            ws,
+            out,
+            cancel.as_ref(),
+        )
+        .map_err(|e| match e {
+            Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
+            other => ServeError::Invalid(other),
+        })
+}
+
+/// The partition half of every job: look the frame up in the engine-wide
+/// LRU, else build (with this lane's workspace and budget) and insert — the
+/// insert skipped under an injected cache fault, which costs a future miss,
+/// never correctness.
 fn cached_partition(
     shared: &Shared,
     pipeline: &Pipeline,
@@ -2160,137 +1899,6 @@ fn cached_partition(
             Ok((built, false))
         }
     }
-}
-
-/// Runs one progressive-LOD refinement chunk: samples `lo..hi` of the
-/// frame's quality ordering.
-///
-/// The full-depth [`PipelineOutput`] is the expensive half — it is computed
-/// at most once per `(frame, config)` and cached in the engine-wide
-/// ordering LRU (keyed by the frame key folded with the pipeline
-/// compatibility key, so distinct configs never alias), after which every
-/// chunk — this viewer's refinements and every other viewer of the same
-/// frame — is a pure `slice_level` copy. The reported `cache_hit` is the
-/// *partition* cache verdict, matching what a direct request for the same
-/// frame would report, so an accumulated stream is byte-identical to the
-/// equivalent budgeted response.
-fn execute_stream_one(
-    shared: &Shared,
-    cloud: &PointCloud,
-    config: PipelineConfig,
-    lo: usize,
-    hi: usize,
-    deadline: Option<Instant>,
-    ws: &mut Workspace,
-) -> Result<StreamChunkResponse, ServeError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
-    }
-    if faults::fire(&shared.faults, FaultPoint::Block) {
-        return Err(ServeError::Internal);
-    }
-    let parallel = fractalcloud_parallel::effective_budget() > 1;
-    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
-    let (built, part_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
-
-    let key = frame_key(cloud, pipeline.config().threshold);
-    let order_key = fnv1a64(fnv1a64(FNV1A64_SEED, key), pipeline.config().compat_key());
-    let cached = lock_unpoisoned(&shared.cache).get_order(order_key);
-    let full = match cached {
-        Some(full) => full,
-        None => {
-            let mut out = PipelineOutput::default();
-            let run = match deadline {
-                None => pipeline.run_with_partition_into(cloud, &built, parallel, ws, &mut out),
-                Some(d) => {
-                    let cancel = CancelToken::with_deadline(d);
-                    pipeline.run_with_partition_into_cancel(
-                        cloud, &built, parallel, ws, &mut out, &cancel,
-                    )
-                }
-            };
-            run.map_err(|e| match e {
-                Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
-                other => ServeError::Invalid(other),
-            })?;
-            let full = Arc::new(out);
-            if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
-                lock_unpoisoned(&shared.cache).insert_order(order_key, Arc::clone(&full));
-            }
-            full
-        }
-    };
-
-    let span = obs::span(obs::SpanKind::ChunkEmit, hi.min(u32::MAX as usize) as u32);
-    let slice = full.slice_level(lo, hi);
-    span.done();
-    // Counted by the *engine*, not the socket writer: a cancelled stream's
-    // unexecuted chunk jobs never pass this point, so a flat
-    // `stream_chunks_sent` after STREAM_CANCEL proves the server really
-    // stopped working, not just stopped talking.
-    shared.metrics.stream_chunks_sent.fetch_add(1, Ordering::Relaxed);
-    Ok(StreamChunkResponse { slice, cache_hit: part_hit })
-}
-
-/// Runs one inference request: the frame path's partition + stage-1
-/// pipeline (same cache, same deadline seams, same fault points), then the
-/// network forward pass over the stage-1 output — all scratch from the
-/// lane's workspace, logits staged in a pooled [`InferOutput`].
-fn execute_infer_one(
-    shared: &Shared,
-    cloud: &PointCloud,
-    config: PipelineConfig,
-    executor: &NetworkExecutor,
-    deadline: Option<Instant>,
-    batch_size: usize,
-    ws: &mut Workspace,
-) -> Result<InferResponse, ServeError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
-    }
-    if faults::fire(&shared.faults, FaultPoint::Block) {
-        return Err(ServeError::Internal);
-    }
-    let parallel = fractalcloud_parallel::effective_budget() > 1;
-    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
-    let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
-
-    let mut staging = shared.outputs.checkout();
-    let run = match deadline {
-        None => pipeline.run_with_partition_into(cloud, &built, parallel, ws, &mut staging),
-        Some(d) => {
-            let cancel = CancelToken::with_deadline(d);
-            pipeline.run_with_partition_into_cancel(
-                cloud,
-                &built,
-                parallel,
-                ws,
-                &mut staging,
-                &cancel,
-            )
-        }
-    };
-    run.map_err(|e| match e {
-        Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
-        other => ServeError::Invalid(other),
-    })?;
-    // The forward pass has no internal cancel seam; re-check the deadline
-    // at the pipeline→network boundary so an already-expired request never
-    // pays for the MLP stack.
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
-    }
-    let mut output = shared.infer_outputs.take();
-    executor.run_with_stage1_into(cloud, &staging, ws, &mut output).map_err(ServeError::Invalid)?;
-    // Aggregate the forward pass's op counters into the engine-wide metrics
-    // so the exposition endpoint can report MACs moved/saved and gather
-    // traffic across all inference served so far.
-    let c = &output.counters;
-    let m = &shared.metrics;
-    m.op_macs_moved.fetch_add(c.macs_moved, Ordering::Relaxed);
-    m.op_macs_saved.fetch_add(c.macs_saved, Ordering::Relaxed);
-    m.op_gather_bytes.fetch_add(c.gather_bytes, Ordering::Relaxed);
-    Ok(InferResponse { output, aggregation: executor.config().aggregation, cache_hit, batch_size })
 }
 
 /// Prints a slow request's identity and — when the flight recorder is on —
@@ -2418,7 +2026,12 @@ mod tests {
 
     /// A waiter-side ticket over `slot` with a throwaway stash.
     fn test_ticket(slot: Arc<Slot>) -> Ticket {
-        Ticket { slot: Some(slot), stash: Arc::new(SlotStash::default()), req: 0 }
+        Ticket {
+            slot: Some(slot),
+            stash: Arc::new(SlotStash::default()),
+            req: 0,
+            open: EngineResponse::frame,
+        }
     }
 
     #[test]
@@ -2635,6 +2248,41 @@ mod tests {
         let after = engine.health();
         assert_eq!(after.worker_panics, 0);
         assert_eq!(after.workers_respawned, 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn recycling_every_reply_keeps_the_response_pool_within_the_window() {
+        // Windows of compatible frames submitted up front fuse into
+        // batches; every fused member must draw its response shell from
+        // the pool it is later recycled into, or the pool grows by one
+        // shell per reply forever.
+        const WINDOW: usize = 8;
+        let engine = Engine::start(
+            ServeConfig::default()
+                .workers(1)
+                .thread_budget(2)
+                .max_batch(WINDOW)
+                .queue_capacity(WINDOW)
+                .cache_capacity(0),
+        );
+        let clouds: Vec<Arc<PointCloud>> =
+            (0..WINDOW as u64).map(|seed| Arc::new(uniform_cube(1024, seed))).collect();
+        let mut fused = 0;
+        for _window in 0..6 {
+            let tickets: Vec<Ticket> = clouds
+                .iter()
+                .map(|c| engine.submit_shared(Arc::clone(c), PipelineConfig::default()).unwrap())
+                .collect();
+            for ticket in tickets {
+                let r = ticket.wait().unwrap();
+                fused = fused.max(r.batch_size);
+                engine.recycle(r);
+                let idle = engine.shared.responses.idle();
+                assert!(idle <= WINDOW, "response pool grew to {idle} shells");
+            }
+        }
+        assert!(fused >= 2, "the windows must actually fuse, got batch size {fused}");
         engine.shutdown();
     }
 

@@ -13,12 +13,11 @@
 //! * [`Engine`] — bounded admission queue with [`Priority`] classes
 //!   (weighted dequeue, Bulk-sheds-first displacement at the bound) and
 //!   counted load-shedding (never unbounded growth), an adaptive batcher
-//!   fusing compatible frames, **cross-frame block batching** (a fused
-//!   batch runs ONE budgeted `parallel_map` over the union of all frames'
-//!   `(frame, block)` tasks — bit-identical results, saturated thread
-//!   budget) layered on
-//!   [`fractalcloud_parallel::parallel_map_budget`], and a partition LRU
-//!   ([`cache`]) keyed by frame hash;
+//!   fusing compatible frames into one lane per request on
+//!   [`fractalcloud_parallel::parallel_map_budget_with`] (each lane's share
+//!   of the thread budget is inherited by the block fan-out inside its
+//!   pipeline — bit-identical results for every budget), and a partition
+//!   LRU ([`cache`]) keyed by frame hash;
 //! * [`Metrics`] — per-stage counters (global and per priority class),
 //!   queue-depth gauges, and log-bucketed p50/p99 latency histograms;
 //! * [`protocol`] — the length-prefixed little-endian wire format (the

@@ -9,9 +9,9 @@
 //!
 //! * **Normal** (level 0) — every request runs at its requested budget.
 //! * **BrownOut(n)** (levels 1–3) — admitted `Normal`/`Bulk` frames run
-//!   through `Pipeline::run_with_partition_budget` at `1/2ⁿ` of their
-//!   requested depth (bit-identical to the same-length prefix of the full
-//!   run, by the PR 9 ordering contract). `High` priority is never
+//!   the ordinary stage 1 at a sample budget of `1/2ⁿ` of their requested
+//!   depth (bit-identical to the same-length prefix of the full run, by
+//!   the PR 9 ordering contract). `High` priority is never
 //!   degraded, and responses carry a `degraded: budget_served` marker.
 //! * **Shed** (level 4) — degradation wasn't enough: new `Normal`/`Bulk`
 //!   admissions shed retryably ([`QueueFull`](crate::ShedReason)) before

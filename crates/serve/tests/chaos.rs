@@ -145,7 +145,15 @@ fn health_is_served_over_tcp() {
     assert_eq!(h.queued_by_class, [0, 0, 0]);
     assert_eq!(h.worker_panics, 0);
     assert_eq!(h.workers_respawned, 0);
-    assert_eq!(h, engine.health(), "wire health equals the in-process snapshot");
+    // The in-process snapshot is taken later than the wire one, so the two
+    // clock fields may have ticked: assert they only move forward, then
+    // copy them over so the equality stays exhaustive on every other field.
+    let mut local = engine.health();
+    assert!(local.uptime_ms >= h.uptime_ms, "uptime went backwards");
+    assert!(local.last_progress_age_ms >= h.last_progress_age_ms, "progress age went backwards");
+    local.uptime_ms = h.uptime_ms;
+    local.last_progress_age_ms = h.last_progress_age_ms;
+    assert_eq!(h, local, "wire health equals the in-process snapshot");
 
     // Still answered while draining begins (the probe never queues).
     server.shutdown();

@@ -114,13 +114,14 @@ fn batched_execution_matches_direct_calls_for_every_member() {
 }
 
 #[test]
-fn cross_frame_block_batching_is_bit_identical_to_per_frame_execution() {
-    // The tentpole contract: a fused batch scheduled as ONE parallel map
-    // over the union of all frames' blocks must answer byte-for-byte what
-    // per-frame sequential execution answers — on every kernel backend
-    // (this test runs under whichever backend dispatch selected; CI
-    // repeats the suite with FRACTALCLOUD_KERNEL=scalar and soa), for
-    // *ragged* batches whose frames have wildly different block counts.
+fn fused_ragged_batches_are_bit_identical_to_per_frame_execution() {
+    // A fused batch — one lane per frame, each lane's block fan-out
+    // running on its share of the thread budget — must answer
+    // byte-for-byte what per-frame sequential execution answers, on every
+    // kernel backend (this test runs under whichever backend dispatch
+    // selected; CI repeats the suite with FRACTALCLOUD_KERNEL=scalar and
+    // soa), for *ragged* batches whose frames have wildly different block
+    // counts.
     let cfg = PipelineConfig::default();
     let clouds: Vec<PointCloud> = vec![
         // First frame is the largest so the remaining submissions queue up
@@ -141,46 +142,35 @@ fn cross_frame_block_batching_is_bit_identical_to_per_frame_execution() {
         }
     }
 
-    // thread_budget(4) forces the block-batched schedule even on 1-CPU
-    // hosts (it only engages with a budget > 1 to saturate) and gives the
-    // legacy arm genuinely parallel lanes — both must still match the
-    // sequential per-frame expectation bit for bit.
-    for batch_blocks in [true, false] {
-        let engine = Arc::new(Engine::start(
-            ServeConfig::default()
-                .workers(1)
-                .max_batch(8)
-                .queue_capacity(16)
-                .cache_capacity(0)
-                .thread_budget(4)
-                .batch_blocks(batch_blocks),
-        ));
-        // Mixed priorities across the batch: scheduling class must never
-        // change results.
-        let tickets: Vec<_> = clouds
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                engine
-                    .submit_with_priority(c.clone(), cfg, Priority::ALL[i % 3])
-                    .expect("queue sized for the whole batch")
-            })
-            .collect();
-        let responses: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        for ((r, want), cloud) in responses.iter().zip(&expected).zip(&clouds) {
-            assert_eq!(
-                &shape(r),
-                want,
-                "batch_blocks={batch_blocks} diverged on a {}-point frame",
-                cloud.len()
-            );
-        }
-        if batch_blocks {
-            let fused = responses.iter().map(|r| r.batch_size).max().unwrap();
-            assert!(fused >= 2, "expected at least one genuinely fused batch, got {fused}");
-        }
-        engine.shutdown();
+    // thread_budget(4) gives the batch genuinely parallel lanes even on
+    // 1-CPU hosts — they must still match the sequential per-frame
+    // expectation bit for bit.
+    let engine = Arc::new(Engine::start(
+        ServeConfig::default()
+            .workers(1)
+            .max_batch(8)
+            .queue_capacity(16)
+            .cache_capacity(0)
+            .thread_budget(4),
+    ));
+    // Mixed priorities across the batch: scheduling class must never
+    // change results.
+    let tickets: Vec<_> = clouds
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            engine
+                .submit_with_priority(c.clone(), cfg, Priority::ALL[i % 3])
+                .expect("queue sized for the whole batch")
+        })
+        .collect();
+    let responses: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+    for ((r, want), cloud) in responses.iter().zip(&expected).zip(&clouds) {
+        assert_eq!(&shape(r), want, "fused batch diverged on a {}-point frame", cloud.len());
     }
+    let fused = responses.iter().map(|r| r.batch_size).max().unwrap();
+    assert!(fused >= 2, "expected at least one genuinely fused batch, got {fused}");
+    engine.shutdown();
 }
 
 #[test]

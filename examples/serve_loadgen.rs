@@ -14,7 +14,6 @@
 //! passes its bound, so memory stays flat no matter how hard the clients
 //! push.
 
-use fractalcloud::core::workspace::{workspace_mode, WorkspaceMode};
 use fractalcloud::core::{Pipeline, PipelineConfig, PipelineOutput, Workspace};
 use fractalcloud::pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud::pointcloud::kernels;
@@ -152,7 +151,7 @@ fn main() {
     // --- Steady-state allocation telemetry (workspace reuse) ---
     // The warmed core hot path (cache-hit shape: partition prebuilt, BPPO
     // half re-run through one workspace + output staging) must allocate
-    // nothing per frame in reuse mode; the serve path on cache hits adds
+    // nothing per frame; the serve path on cache hits adds
     // only the response buffers it hands to the client. Counted by the
     // measurement allocator when built with the `bench` feature (default).
     if cfg!(feature = "bench") {
@@ -188,26 +187,21 @@ fn main() {
         }
         let serve_allocs = (allocation_count() - before) / serve_frames;
         engine.shutdown();
-        println!("\nsteady-state allocations ({} mode)", workspace_mode().name());
+        println!("\nsteady-state allocations");
         println!(
             "  core hot path  : {core_allocs} allocs/frame (warmed workspace + output staging)"
         );
         println!(
             "  serve cache-hit: {serve_allocs} allocs/frame (shared cloud, recycled response buffers)"
         );
-        if workspace_mode() == WorkspaceMode::Reuse {
-            assert_eq!(
-                core_allocs, 0,
-                "the warmed core hot path must be allocation-free in reuse mode"
-            );
-            assert_eq!(
-                serve_allocs, 0,
-                "the recycling serve loop must be allocation-free on cache hits in reuse mode"
-            );
-            println!(
-                "  steady state   : 0 allocs/frame end to end (core hot path AND the\n  recycling serve loop — response buffers circulate client → engine → client)"
-            );
-        }
+        assert_eq!(core_allocs, 0, "the warmed core hot path must be allocation-free");
+        assert_eq!(
+            serve_allocs, 0,
+            "the recycling serve loop must be allocation-free on cache hits"
+        );
+        println!(
+            "  steady state   : 0 allocs/frame end to end (core hot path AND the\n  recycling serve loop — response buffers circulate client → engine → client)"
+        );
     } else {
         println!("\nsteady-state allocations: not measured (build with --features bench)");
     }
