@@ -171,5 +171,37 @@ fn bench_batched_selection(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_point_ops, bench_scalar_vs_kernel, bench_batched_selection);
+/// The packed dense-layer GEMM per backend, on the two extreme PointNet++ (c)
+/// layer shapes at 1k points: tall (every input point through a narrow
+/// layer) and wide (few rows against 2 MB of weights, where panel packing
+/// and the panel-outer loop order pay).
+fn bench_linear_gemm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("linear_gemm");
+    for (shape, rows, cin, cout) in
+        [("tall-1024x64x128", 1024, 64, 128), ("wide-64x512x1024", 64, 512, 1024)]
+    {
+        let weights = (0..cout * cin).map(|i| (i % 97) as f32 / 97.0 - 0.5);
+        let packed = kernels::pack_linear_weights(weights, cin, cout);
+        let bias = vec![0.01f32; cout];
+        let input: Vec<f32> = (0..rows * cin).map(|i| (i % 89) as f32 / 89.0 - 0.5).collect();
+        let mut out = vec![0.0f32; rows * cout];
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            group.bench_function(format!("{shape}-{}", backend.name()), |b| {
+                b.iter(|| {
+                    kernels::linear_into(backend, &packed, &bias, cin, true, &input, &mut out);
+                    out[0]
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_point_ops,
+    bench_scalar_vs_kernel,
+    bench_batched_selection,
+    bench_linear_gemm
+);
 criterion_main!(benches);

@@ -283,6 +283,12 @@ fn main() {
     let infer_delayed =
         measure_inference(infer_points, reps.min(7), fractalcloud_serve::Aggregation::Delayed);
 
+    // --- Dense layers: the packed GEMM on every available backend ---
+    // Micro-evidence for where inference time goes (the 12 layer shapes of
+    // one PointNet++ (c) delayed pass at 1k points); the end-to-end claim
+    // lives in fcbench's `infer_delayed_1k`.
+    let gemm = measure_linear_gemm(1024, reps);
+
     // --- Per-stage latency breakdown from the flight recorder ---
     // Runs LAST: it enables tracing process-wide, and the rows above must
     // measure the tracing-off hot path. Each phase's stage times plus the
@@ -353,6 +359,19 @@ fn main() {
         ),
         infer_eager.ms / infer_delayed.ms
     );
+    let per_backend: Vec<String> = gemm
+        .backends
+        .iter()
+        .map(|&(name, ms)| format!("{name} {ms:.3} ms / {:.1} GFLOP/s", gemm.gflops(ms)))
+        .collect();
+    println!(
+        "{:<18} {} layers, {} MACs @ {} pts: {}",
+        "linear_gemm",
+        gemm.layers,
+        gemm.macs,
+        gemm.frame_points,
+        per_backend.join(", ")
+    );
     for phase in &breakdown {
         let stages: Vec<String> = phase
             .stages
@@ -381,6 +400,7 @@ fn main() {
         &allocs,
         &infer_eager,
         &infer_delayed,
+        &gemm,
         &breakdown,
     );
     std::fs::write("BENCH_point_ops.json", &json).expect("write BENCH_point_ops.json");
@@ -448,6 +468,67 @@ fn measure_inference(
         gather_bytes: counters.gather_bytes,
         allocs_per_frame,
     }
+}
+
+/// The dense-layer measurement: one pass over every `Linear` of a
+/// PointNet++ (c) delayed forward at `frame_points` points, per backend.
+struct LinearGemm {
+    frame_points: usize,
+    layers: usize,
+    /// Multiply-accumulates per pass, computed from the layer shapes.
+    macs: u64,
+    /// `(backend name, median ms per pass)` for every available backend.
+    backends: Vec<(&'static str, f64)>,
+}
+
+impl LinearGemm {
+    fn gflops(&self, ms: f64) -> f64 {
+        2.0 * self.macs as f64 / (ms * 1e6)
+    }
+}
+
+/// Times `Linear::forward_into` over the layer chain a delayed
+/// classification pass applies to an `n`-point cloud — the MLP ops of the
+/// model's [`OpTrace`](fractalcloud_pnn::OpTrace), a grouped stage MLP
+/// running once per *unique* candidate point — on every available backend,
+/// asserting in-run that all backends produce the same bits.
+fn measure_linear_gemm(n: usize, reps: usize) -> LinearGemm {
+    use fractalcloud_pnn::{layers::Linear, MlpKind, ModelConfig, OpTrace, PnnOp};
+    let trace = OpTrace::build(&ModelConfig::pointnetpp_classification(), n);
+    let shapes = trace.ops.iter().filter_map(|op| match *op {
+        PnnOp::Mlp { cin, cout, kind: MlpKind::Grouped { candidates, .. }, .. } => {
+            Some((candidates, cin, cout))
+        }
+        PnnOp::Mlp { rows, cin, cout, .. } => Some((rows, cin, cout)),
+        _ => None,
+    });
+    let layers: Vec<(Linear, Vec<f32>)> = shapes
+        .enumerate()
+        .map(|(i, (rows, cin, cout))| {
+            let input = (0..rows * cin).map(|j| ((j * 37 + i) % 211) as f32 / 211.0 - 0.5);
+            (Linear::seeded(cin, cout, 42 + i as u64, true), input.collect())
+        })
+        .collect();
+    let macs = layers.iter().map(|(l, x)| l.macs(x.len() / l.cin)).sum();
+
+    let mut out = Vec::new();
+    let mut baseline: Option<Vec<u32>> = None;
+    let mut backends = Vec::new();
+    for b in kernels::Backend::ALL.into_iter().filter(|b| b.is_available()) {
+        kernels::with_backend(b, || {
+            let bits: Vec<u32> =
+                layers.iter().flat_map(|(l, x)| l.forward(x)).map(f32::to_bits).collect();
+            assert_eq!(baseline.get_or_insert_with(|| bits.clone()), &bits, "{}", b.name());
+            let ms = time_ms(reps, || {
+                for (layer, input) in &layers {
+                    layer.forward_into(input, &mut out);
+                    std::hint::black_box(&out);
+                }
+            });
+            backends.push((b.name(), ms));
+        });
+    }
+    LinearGemm { frame_points: n, layers: layers.len(), macs, backends }
 }
 
 /// The allocs-per-frame measurement on the warmed core hot path.
@@ -689,6 +770,7 @@ fn render_json(
     allocs: &AllocsPerFrame,
     infer_eager: &InferenceRow,
     infer_delayed: &InferenceRow,
+    gemm: &LinearGemm,
     breakdown: &[StageBreakdown],
 ) -> String {
     // Hand-rolled JSON: the workspace intentionally has no serde machinery
@@ -755,6 +837,20 @@ fn render_json(
         infer_delayed.ms, infer_delayed.frame_points, infer_delayed.macs_moved,
         infer_delayed.macs_saved, infer_delayed.gather_bytes, infer_delayed.allocs_per_frame,
         infer_eager.ms / infer_delayed.ms
+    ));
+    let per_backend: Vec<String> = gemm
+        .backends
+        .iter()
+        .map(|&(name, ms)| {
+            format!("\"{name}_ms\": {ms:.4}, \"{name}_gflops\": {:.2}", gemm.gflops(ms))
+        })
+        .collect();
+    out.push_str(&format!(
+        "    {{ \"name\": \"linear_gemm\", \"frame_points\": {}, \"layers\": {}, \"macs\": {}, {}, \"status\": \"ok\" }},\n",
+        gemm.frame_points,
+        gemm.layers,
+        gemm.macs,
+        per_backend.join(", ")
     ));
     out.push_str("    { \"name\": \"serve_stage_breakdown\", \"phases\": [\n");
     for (i, phase) in breakdown.iter().enumerate() {

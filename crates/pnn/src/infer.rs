@@ -384,7 +384,9 @@ impl NetworkExecutor {
         }
         let mut ch0 = in_ch;
         if let Some(stem) = &self.stem {
+            let span = mlp_span(0);
             stem.forward_into(rows, feat_a);
+            span.done();
             std::mem::swap(rows, feat_a);
             ch0 = stem.cout;
         }
@@ -491,8 +493,7 @@ impl NetworkExecutor {
                         }
                         counters.gather_bytes += (rows.len() * std::mem::size_of::<f32>()) as u64;
                         counters.feature_reads += (c_cnt * sa.nsample) as u64;
-                        let span =
-                            fractalcloud_obs::span(fractalcloud_obs::SpanKind::StageMlp, s as u32);
+                        let span = mlp_span(s);
                         mlp_chain(&sw.mlp, rows, feat_a);
                         span.done();
                         ch_out = sw.mlp.last().map(|l| l.cout).unwrap_or(cin);
@@ -519,8 +520,7 @@ impl NetworkExecutor {
                         counters.macs_moved += moved;
                         counters.macs_saved +=
                             (per_row * (c_cnt * sa.nsample) as u64).saturating_sub(moved);
-                        let span =
-                            fractalcloud_obs::span(fractalcloud_obs::SpanKind::StageMlp, s as u32);
+                        let span = mlp_span(s);
                         mlp_chain(&sw.mlp, rows, feat_a);
                         span.done();
                         ch_out = sw.mlp.last().map(|l| l.cout).unwrap_or(cin);
@@ -539,12 +539,16 @@ impl NetworkExecutor {
 
                 // Residual blocks on the pooled features (identical in both
                 // schedules — they operate post-aggregation).
-                for (up, down) in &sw.blocks {
-                    up.forward_into(pooled, feat_a);
-                    down.forward_into(feat_a, feat_b);
-                    for (p, e) in pooled.iter_mut().zip(feat_b.iter()) {
-                        *p = (*p + e).max(0.0);
+                if !sw.blocks.is_empty() {
+                    let span = mlp_span(s);
+                    for (up, down) in &sw.blocks {
+                        up.forward_into(pooled, feat_a);
+                        down.forward_into(feat_a, feat_b);
+                        for (p, e) in pooled.iter_mut().zip(feat_b.iter()) {
+                            *p = (*p + e).max(0.0);
+                        }
                     }
+                    span.done();
                 }
 
                 // Stage the new level while the current one is still
@@ -639,7 +643,9 @@ impl NetworkExecutor {
                 counters.feature_reads += (k * tgt.len) as u64;
                 counters.writes += tgt.len as u64;
 
+                let span = mlp_span(s_cnt);
                 mlp_chain(pw, rows, feat_a);
+                span.done();
                 cur_ch = pw.last().map(|l| l.cout).unwrap_or(merged);
                 std::mem::swap(pooled, rows);
             }
@@ -660,8 +666,10 @@ impl NetworkExecutor {
             }
             std::mem::swap(pooled, rows);
         }
+        let span = mlp_span(s_cnt);
         mlp_chain(&self.head, pooled, feat_a);
         self.out.forward_into(pooled, feat_b);
+        span.done();
 
         out.logits.clear();
         out.logits.extend_from_slice(feat_b);
@@ -677,6 +685,15 @@ impl NetworkExecutor {
         out.counters = counters;
         Ok(())
     }
+}
+
+/// Opens the flight-recorder span every dense-layer run sits in, so MLP time
+/// is attributed wherever a `Linear` executes: the stage index for a stage's
+/// MLP chain and residual blocks (the stem counts towards stage 0),
+/// `stages.len()` for the feature-propagation chains, the head and the
+/// output layer.
+fn mlp_span(stage: usize) -> fractalcloud_obs::Span {
+    fractalcloud_obs::span(fractalcloud_obs::SpanKind::StageMlp, stage as u32)
 }
 
 /// Runs `cur` through the layer chain, ping-ponging through `tmp`; the

@@ -1,16 +1,21 @@
 //! Minimal real-arithmetic neural layers for the CPU reference executor.
 
+use fractalcloud_pointcloud::kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A dense layer `y = relu(W·x + b)` with deterministic seeded weights.
+///
+/// The weights live only in the panel layout of
+/// [`kernels::pack_linear_weights`]; the forward pass is
+/// [`kernels::linear_into`] on the active kernel backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     /// Input width.
     pub cin: usize,
     /// Output width.
     pub cout: usize,
-    weights: Vec<f32>, // cout × cin, row-major
+    packed: Vec<f32>,
     bias: Vec<f32>,
     relu: bool,
 }
@@ -20,9 +25,12 @@ impl Linear {
     pub fn seeded(cin: usize, cout: usize, seed: u64, relu: bool) -> Linear {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11ea5);
         let bound = (6.0 / (cin as f32)).sqrt();
-        let weights = (0..cin * cout).map(|_| rng.gen_range(-bound..bound)).collect();
+        // Drawn in `cout × cin` row-major order (the seed → network mapping)
+        // and written straight into the packed layout.
+        let weights = (0..cin * cout).map(|_| rng.gen_range(-bound..bound));
+        let packed = kernels::pack_linear_weights(weights, cin, cout);
         let bias = (0..cout).map(|_| rng.gen_range(-0.01..0.01)).collect();
-        Linear { cin, cout, weights, bias, relu }
+        Linear { cin, cout, packed, bias, relu }
     }
 
     /// Applies the layer to a row-major `rows × cin` matrix, producing
@@ -47,21 +55,17 @@ impl Linear {
     /// Panics if `input.len()` is not a multiple of `cin`.
     pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
         assert_eq!(input.len() % self.cin, 0, "input width mismatch");
-        let rows = input.len() / self.cin;
         out.clear();
-        out.resize(rows * self.cout, 0.0);
-        for r in 0..rows {
-            let x = &input[r * self.cin..(r + 1) * self.cin];
-            let y = &mut out[r * self.cout..(r + 1) * self.cout];
-            for (o, yo) in y.iter_mut().enumerate() {
-                let w = &self.weights[o * self.cin..(o + 1) * self.cin];
-                let mut acc = self.bias[o];
-                for (wi, xi) in w.iter().zip(x) {
-                    acc += wi * xi;
-                }
-                *yo = if self.relu { acc.max(0.0) } else { acc };
-            }
-        }
+        out.resize(input.len() / self.cin * self.cout, 0.0);
+        kernels::linear_into(
+            kernels::active_backend(),
+            &self.packed,
+            &self.bias,
+            self.cin,
+            self.relu,
+            input,
+            out,
+        );
     }
 
     /// Multiply-accumulates performed by a forward pass over `rows` rows.

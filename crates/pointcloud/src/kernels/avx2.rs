@@ -17,6 +17,11 @@
 //!   through `maskload`/`maskstore` for the tail, which architecturally
 //!   never touch memory of masked-off lanes. No pointer ever leaves its
 //!   slice's bounds.
+//! * The dense-layer kernel ([`linear`]) reads inputs and bias through safe
+//!   slices; its only raw accesses are whole 16-float rows — a packed-panel
+//!   row handed out by `chunks_exact(16)`, or a destination whose length is
+//!   checked to be 16 (a partial last panel goes through a stack row and a
+//!   bounds-checked copy).
 //!
 //! # Exactness argument
 //!
@@ -28,6 +33,10 @@
 //!   per lane (returns the second operand on NaN), exactly the reference's
 //!   relax idiom; `_mm256_max_ps(v, acc)` likewise never lets NaN overwrite
 //!   the accumulator;
+//! * the dense layer keeps its lanes across output columns, so each element
+//!   accumulates `bias + Σᵢ w·x` in ascending `i` through `mul` then `add`,
+//!   exactly the scalar loop; its ReLU `_mm256_max_ps(acc, zero)` returns
+//!   `zero` for NaN and `-0.0`, the scalar `if acc > 0.0 { acc } else { 0.0 }`;
 //! * compares use `_CMP_LE_OQ` (ordered, non-signaling), so NaN distances
 //!   never count as radius hits — same as the scalar `d <= r_sq`;
 //! * argmax/argmin reductions record the first chunk that *strictly*
@@ -41,10 +50,11 @@ use core::arch::x86_64::{
     __m256, __m256i, _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_castsi256_ps,
     _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
     _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_set1_epi32,
-    _mm256_set1_ps, _mm256_setr_epi32, _mm256_storeu_ps, _mm256_sub_ps, _CMP_LE_OQ, _CMP_NGE_UQ,
+    _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
+    _CMP_LE_OQ, _CMP_NGE_UQ,
 };
 
-use super::CHUNK;
+use super::{CHUNK, LINEAR_PANEL as PANEL};
 
 /// SIMD width: 8 `f32` lanes per 256-bit vector.
 const LANES: usize = 8;
@@ -427,6 +437,130 @@ unsafe fn segmented_max_impl(
             }
             _mm256_maskstore_ps(orow.as_mut_ptr().add(ch), m, acc);
         }
+    }
+}
+
+/// AVX2 dense layer over packed weight panels; see
+/// [`kernels::linear_into`](super::linear_into) for the contract.
+/// Panel-outer / 4-row-tile-inner: a `cin × 16` panel stays cache-resident
+/// while every input row streams past it, each tile holding its 4 rows ×
+/// 2 × 8 lanes of accumulators in eight registers (initialised to the bias)
+/// for the whole walk over `cin`, with a 1-row tail and ReLU fused into the
+/// store. Lanes run across the panel's output columns, so per element this
+/// is the scalar backend's `bias + Σᵢ w·x` in ascending `i` with a separate
+/// `mul` and `add` (never FMA); `_mm256_max_ps(acc, zero)` returns `zero`
+/// for a NaN or `-0.0` accumulator — the scalar select idiom.
+pub fn linear(
+    packed: &[f32],
+    bias: &[f32],
+    cin: usize,
+    relu: bool,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    assert_avx2();
+    // SAFETY: AVX2 availability asserted above. The packed buffer is
+    // `panels · cin · 16` floats (checked by the dispatcher) and is only
+    // ever re-sliced through `chunks_exact`, so each pair of full-width
+    // weight loads reads one whole 16-float row of a (zero-padded) panel;
+    // inputs and the bias are read through safe slices; full-width stores
+    // go to a destination checked to be 16 floats long, and the partial
+    // last panel is stored through a bounds-checked `copy_from_slice`.
+    unsafe { linear_impl(packed, bias, cin, relu, input, out) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn linear_impl(
+    packed: &[f32],
+    bias: &[f32],
+    cin: usize,
+    relu: bool,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    let cout = bias.len();
+    for (p, panel) in packed.chunks_exact(cin * PANEL).enumerate() {
+        let o0 = p * PANEL;
+        let width = PANEL.min(cout - o0);
+        let mut b = [0.0f32; PANEL];
+        b[..width].copy_from_slice(&bias[o0..o0 + width]);
+        let (b0, b1) = load16(&b);
+
+        let mut xs = input.chunks_exact(4 * cin);
+        let mut ys = out.chunks_exact_mut(4 * cout);
+        for (x, y) in xs.by_ref().zip(ys.by_ref()) {
+            let (x0, x) = x.split_at(cin);
+            let (x1, x) = x.split_at(cin);
+            let (x2, x3) = x.split_at(cin);
+            let mut acc = [(b0, b1); 4];
+            let tile = x0.iter().zip(x1).zip(x2).zip(x3);
+            for (w, (((&v0, &v1), &v2), &v3)) in panel.chunks_exact(PANEL).zip(tile) {
+                let w = load16(w);
+                for (a, v) in acc.iter_mut().zip([v0, v1, v2, v3]) {
+                    *a = mul_then_add16(*a, w, v);
+                }
+            }
+            for (a, y) in acc.into_iter().zip(y.chunks_exact_mut(cout)) {
+                linear_store(a, relu, &mut y[o0..o0 + width]);
+            }
+        }
+        let tail = xs.remainder().chunks_exact(cin).zip(ys.into_remainder().chunks_exact_mut(cout));
+        for (x, y) in tail {
+            let mut a = (b0, b1);
+            for (w, &v) in panel.chunks_exact(PANEL).zip(x) {
+                a = mul_then_add16(a, load16(w), v);
+            }
+            linear_store(a, relu, &mut y[o0..o0 + width]);
+        }
+    }
+}
+
+/// The two 8-lane halves of a 16-float row.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load16(row: &[f32]) -> (__m256, __m256) {
+    assert_eq!(row.len(), PANEL);
+    (_mm256_loadu_ps(row.as_ptr()), _mm256_loadu_ps(row.as_ptr().add(LANES)))
+}
+
+/// One step of the dense-layer accumulation for 16 output columns:
+/// `acc + w · x` as a rounded multiply followed by a rounded add — never an
+/// FMA, which would skip the product's rounding and move result bits.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mul_then_add16(acc: (__m256, __m256), w: (__m256, __m256), x: f32) -> (__m256, __m256) {
+    let x = _mm256_set1_ps(x);
+    (_mm256_add_ps(acc.0, _mm256_mul_ps(w.0, x)), _mm256_add_ps(acc.1, _mm256_mul_ps(w.1, x)))
+}
+
+/// Epilogue of [`linear_impl`]: optional ReLU, then the 16 accumulator
+/// lanes into `dst` — straight from the registers for a full panel, through
+/// a stack copy (bounds-checked) for the partial last panel.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn linear_store((lo, hi): (__m256, __m256), relu: bool, dst: &mut [f32]) {
+    // max(acc, zero): NaN and -0.0 accumulators yield the second operand.
+    let zero = _mm256_setzero_ps();
+    let (lo, hi) = if relu { (_mm256_max_ps(lo, zero), _mm256_max_ps(hi, zero)) } else { (lo, hi) };
+    let mut tmp = [0.0f32; PANEL];
+    let full = dst.len() == PANEL;
+    let row = if full { dst.as_mut_ptr() } else { tmp.as_mut_ptr() };
+    _mm256_storeu_ps(row, lo);
+    _mm256_storeu_ps(row.add(LANES), hi);
+    if !full {
+        dst.copy_from_slice(&tmp[..dst.len()]);
     }
 }
 

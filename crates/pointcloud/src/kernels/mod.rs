@@ -27,7 +27,7 @@
 //!   fast path and the fallback on non-x86 hosts.
 //! * [`Backend::Avx2`] — explicit 8-lane `core::arch::x86_64` intrinsics
 //!   ([`avx2`]), used when `is_x86_feature_detected!("avx2")` holds. All
-//!   `unsafe` is confined to that one module behind safe wrappers.
+//!   SIMD `unsafe` is confined to that one module behind safe wrappers.
 //!
 //! The active backend is chosen on first use: the `FRACTALCLOUD_KERNEL`
 //! environment variable (`scalar` | `soa` | `avx2`) wins when it names an
@@ -75,6 +75,26 @@
 //! software analogue of loading a block into SRAM once and reusing it for
 //! every query (§V-C intra-block reuse).
 //!
+//! # Dense layers
+//!
+//! [`linear_into`] is the one dense-layer kernel (`y = [relu](W·x + b)` over
+//! a row-major `rows × cin` matrix), a register-tiled GEMM over weights
+//! packed once by [`pack_linear_weights`] into [`LINEAR_PANEL`]-column
+//! panels (`cin × 16` contiguous, the last panel zero-padded). The loop nest
+//! is panel-outer / row-tile-inner, so a panel stays cache-resident while
+//! every input row streams past it.
+//!
+//! The order contract: **SIMD lanes run across `cout`, never across `cin`**.
+//! Every output element is still `bias[o] + Σᵢ w[o][i]·x[i]` accumulated in
+//! ascending `i` with a separate multiply and add (no FMA, no partial sums,
+//! no reduction tree) — the per-element operation order of the plain
+//! `row × cout × cin` triple loop, which therefore serves as the test oracle
+//! (`tests/backend_equivalence.rs`) and keeps results bit-identical on every
+//! backend. The fused ReLU is the select idiom `if acc > 0.0 { acc } else
+//! { 0.0 }` (`_mm256_max_ps(acc, zero)`): `f32::max(acc, 0.0)` with NaN →
+//! `0.0`, and the signed-zero tie `f32::max` leaves unspecified resolved to
+//! `+0.0`.
+//!
 //! # Caller-provided scratch (`*_into` variants)
 //!
 //! Every kernel that needs intermediate buffers has a form that writes into
@@ -109,6 +129,11 @@ pub const CHUNK: usize = 64;
 /// Eight queries share every [`CHUNK`]-sized coordinate load; the per-tile
 /// distance scratch (8 × 64 lanes) stays within a few KiB of L1.
 pub const QUERY_TILE: usize = 8;
+
+/// Output columns per packed weight panel of the dense-layer kernel
+/// ([`linear_into`]): two 8-lane vectors, so a 4-row tile holds its 4 × 16
+/// accumulators in eight 256-bit registers.
+pub const LINEAR_PANEL: usize = 16;
 
 /// A kernel implementation, selectable at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -484,6 +509,70 @@ pub fn segmented_max(
     let mut out = vec![0.0; counts.len() * channels];
     segmented_max_into(features, channels, indices, counts, num, &mut out);
     out
+}
+
+/// Packs a `cout × cin` weight matrix, streamed in row-major order, into the
+/// panel layout [`linear_into`] consumes: `ceil(cout / 16)` panels of
+/// [`LINEAR_PANEL`] output columns, each `cin × 16` contiguous
+/// (`panel[i * 16 + j]` is `w[16·p + j][i]`), the last panel zero-padded —
+/// at most 15 padding columns per layer. Taking a stream lets a caller that
+/// generates its weights write them straight into the packed form, with no
+/// row-major copy ever resident.
+///
+/// # Panics
+///
+/// Panics if `weights` does not yield exactly `cout * cin` values.
+pub fn pack_linear_weights(
+    weights: impl IntoIterator<Item = f32>,
+    cin: usize,
+    cout: usize,
+) -> Vec<f32> {
+    let mut weights = weights.into_iter();
+    let mut packed = vec![0.0; cout.div_ceil(LINEAR_PANEL) * cin * LINEAR_PANEL];
+    for o in 0..cout {
+        let column = (o / LINEAR_PANEL) * cin * LINEAR_PANEL + o % LINEAR_PANEL;
+        for w in packed[column..].iter_mut().step_by(LINEAR_PANEL).take(cin) {
+            *w = weights.next().expect("weights shorter than cout × cin");
+        }
+    }
+    assert!(weights.next().is_none(), "weights longer than cout × cin");
+    packed
+}
+
+/// The dense-layer kernel: `out = [relu](W·input + bias)` for a row-major
+/// `rows × cin` input and `rows × bias.len()` output, over weights packed by
+/// [`pack_linear_weights`], on an explicit backend (unavailable backends
+/// fall back to [`Backend::Soa`]). See the [module docs](self#dense-layers)
+/// for the loop nest and the per-element order contract that keeps every
+/// backend bit-identical to the plain triple loop.
+///
+/// # Panics
+///
+/// Panics if `cin == 0`, `packed` is not the packed form of a
+/// `bias.len() × cin` matrix, `input` is not whole rows, or `out` is not
+/// `rows × bias.len()`.
+pub fn linear_into(
+    backend: Backend,
+    packed: &[f32],
+    bias: &[f32],
+    cin: usize,
+    relu: bool,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    assert!(cin > 0, "dense layer needs at least one input channel");
+    let cout = bias.len();
+    assert_eq!(
+        packed.len(),
+        cout.div_ceil(LINEAR_PANEL) * cin * LINEAR_PANEL,
+        "packed weights do not match cout × cin"
+    );
+    assert_eq!(input.len() % cin, 0, "input width mismatch");
+    assert_eq!(out.len(), input.len() / cin * cout, "out length mismatch");
+    if out.is_empty() {
+        return;
+    }
+    dispatch!(backend, linear(packed, bias, cin, relu, input, out));
 }
 
 /// Gathers the coordinates at `indices` into local SoA buffers (cleared

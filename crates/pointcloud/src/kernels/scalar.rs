@@ -7,6 +7,8 @@
 //! FMA contraction), so results are bit-identical; only the loop structure
 //! differs.
 
+use super::LINEAR_PANEL as PANEL;
+
 /// Per-point squared distances; see [`kernels::distances_sq`](super::distances_sq).
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {
     for i in 0..xs.len() {
@@ -141,6 +143,32 @@ pub fn segmented_max(
                     orow[ch] = v;
                 }
             }
+        }
+    }
+}
+
+/// Dense layer over packed weight panels; see
+/// [`kernels::linear_into`](super::linear_into) for the contract. One output
+/// element at a time, straight off the panel layout: the accumulator starts
+/// at the bias and takes `w·x` in ascending `i` — the order contract every
+/// other backend reproduces lane-wise.
+pub fn linear(
+    packed: &[f32],
+    bias: &[f32],
+    cin: usize,
+    relu: bool,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    let cout = bias.len();
+    for (x, y) in input.chunks_exact(cin).zip(out.chunks_exact_mut(cout)) {
+        for (o, yo) in y.iter_mut().enumerate() {
+            let panel = &packed[(o / PANEL) * cin * PANEL..][..cin * PANEL];
+            let mut acc = bias[o];
+            for (w, xi) in panel.chunks_exact(PANEL).zip(x) {
+                acc += w[o % PANEL] * xi;
+            }
+            *yo = if !relu || acc > 0.0 { acc } else { 0.0 };
         }
     }
 }

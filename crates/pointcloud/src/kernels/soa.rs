@@ -7,7 +7,7 @@
 //! idioms (`if a < b { a } else { b }`) the compiler lowers to vector
 //! min/max. Branchy selection consumes the chunk's results afterwards.
 
-use super::CHUNK;
+use super::{CHUNK, LINEAR_PANEL as PANEL};
 
 /// Chunked squared distances; see [`kernels::distances_sq`](super::distances_sq).
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {
@@ -250,6 +250,74 @@ pub fn segmented_max(
                 *acc = if v > *acc { v } else { *acc };
             }
         }
+    }
+}
+
+/// Dense layer over packed weight panels; see
+/// [`kernels::linear_into`](super::linear_into) for the contract.
+/// Panel-outer / row-tile-inner: each `cin × 16` panel is walked once per
+/// tile of [`ROW_TILE`] input rows, the tile's accumulators (lanes across
+/// the panel's 16 output columns) living in a fixed-size array the compiler
+/// keeps in vector registers. Per lane this is the scalar backend's
+/// `bias + Σᵢ w·x` in ascending `i`, multiply and add kept separate.
+pub fn linear(
+    packed: &[f32],
+    bias: &[f32],
+    cin: usize,
+    relu: bool,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    let cout = bias.len();
+    for (p, panel) in packed.chunks_exact(cin * PANEL).enumerate() {
+        let o0 = p * PANEL;
+        let width = PANEL.min(cout - o0);
+        let mut b = [0.0; PANEL];
+        b[..width].copy_from_slice(&bias[o0..o0 + width]);
+        let mut xs = input.chunks_exact(ROW_TILE * cin);
+        let mut ys = out.chunks_exact_mut(ROW_TILE * cout);
+        for (x, y) in xs.by_ref().zip(ys.by_ref()) {
+            linear_tile::<ROW_TILE>(panel, &b, relu, x, &mut y[o0..], cout, width);
+        }
+        let tail = xs.remainder().chunks_exact(cin).zip(ys.into_remainder().chunks_exact_mut(cout));
+        for (x, y) in tail {
+            linear_tile::<1>(panel, &b, relu, x, &mut y[o0..], cout, width);
+        }
+    }
+}
+
+/// Input rows sharing one pass over a weight panel in [`linear`].
+const ROW_TILE: usize = 4;
+
+/// `R` contiguous rows of `x` against one panel, written to the first
+/// `width` columns of `R` rows of `y` (stride `cout`).
+#[inline(always)]
+fn linear_tile<const R: usize>(
+    panel: &[f32],
+    bias: &[f32; PANEL],
+    relu: bool,
+    x: &[f32],
+    y: &mut [f32],
+    cout: usize,
+    width: usize,
+) {
+    let cin = x.len() / R;
+    let mut acc = [*bias; R];
+    for (i, w) in panel.chunks_exact(PANEL).enumerate() {
+        for (r, a) in acc.iter_mut().enumerate() {
+            let xi = x[r * cin + i];
+            for (aj, &wj) in a.iter_mut().zip(w) {
+                *aj += wj * xi;
+            }
+        }
+    }
+    for (r, a) in acc.iter_mut().enumerate() {
+        if relu {
+            for aj in a.iter_mut() {
+                *aj = if *aj > 0.0 { *aj } else { 0.0 };
+            }
+        }
+        y[r * cout..r * cout + width].copy_from_slice(&a[..width]);
     }
 }
 

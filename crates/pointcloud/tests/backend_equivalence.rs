@@ -263,3 +263,120 @@ proptest! {
         }
     }
 }
+
+/// The dense-layer oracle: the plain `row × cout × cin` triple loop over
+/// row-major weights that `pnn::layers::Linear` ran before it moved onto
+/// the packed [`kernels::linear_into`] GEMM. It survives here, as test-only
+/// code, because it *is* the order contract — `bias[o] + Σᵢ w[o][i]·x[i]` in
+/// ascending `i`, multiply and add separate. The ReLU is `f32::max(acc,
+/// 0.0)` (NaN → `0.0`) with the signed-zero tie std leaves unspecified
+/// pinned to `+0.0`.
+fn linear_oracle(weights: &[f32], bias: &[f32], cin: usize, relu: bool, input: &[f32]) -> Vec<f32> {
+    let cout = bias.len();
+    let rows = input.len() / cin;
+    let mut out = vec![0.0; rows * cout];
+    for r in 0..rows {
+        let x = &input[r * cin..(r + 1) * cin];
+        let y = &mut out[r * cout..(r + 1) * cout];
+        for (o, yo) in y.iter_mut().enumerate() {
+            let w = &weights[o * cin..(o + 1) * cin];
+            let mut acc = bias[o];
+            for (wi, xi) in w.iter().zip(x) {
+                acc += wi * xi;
+            }
+            *yo = if !relu || acc > 0.0 { acc } else { 0.0 };
+        }
+    }
+    out
+}
+
+/// `to_bits` equality for non-NaN values, "both NaN" otherwise (NaN payloads
+/// are not part of the contract).
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Runs the packed kernel on every backend against [`linear_oracle`].
+fn assert_linear_matches_oracle(
+    weights: &[f32],
+    bias: &[f32],
+    cin: usize,
+    relu: bool,
+    input: &[f32],
+) -> Result<(), TestCaseError> {
+    let packed = kernels::pack_linear_weights(weights.iter().copied(), cin, bias.len());
+    let expect = linear_oracle(weights, bias, cin, relu, input);
+    for b in Backend::ALL {
+        // Poisoned so an element the kernel skips cannot pass by accident.
+        let mut out = vec![f32::from_bits(0x7fc0_dead); expect.len()];
+        kernels::linear_into(b, &packed, bias, cin, relu, input, &mut out);
+        for (i, (&got, &want)) in out.iter().zip(&expect).enumerate() {
+            prop_assert!(
+                same_value(got, want),
+                "backend {} cin {} cout {} relu {}: element {} is {:?} ({:#x}), oracle {:?} ({:#x})",
+                b.name(), cin, bias.len(), relu, i, got, got.to_bits(), want, want.to_bits()
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The packed GEMM equals the triple-loop oracle bit for bit on every
+    /// backend, over shapes straddling the 16-column panel (partial, exact,
+    /// one-past) and the 4-row tile (empty, tail-only, exact, tile + tail),
+    /// with `±inf`, NaN and signed zeros in the inputs and weights.
+    #[test]
+    fn linear_matches_the_triple_loop_oracle_on_every_backend(
+        shape in 0usize..(5 * 6 * 6),
+        relu in any::<bool>(),
+        salt in 0usize..100_000,
+    ) {
+        let cin = [1, 3, 6, 131, 259][shape % 5];
+        let cout = [1, 15, 16, 17, 40, 64][shape / 5 % 6];
+        let rows = [0, 1, 3, 4, 5, 33][shape / 30];
+        // Full-mantissa finite values everywhere, so every product and every
+        // partial sum rounds (an FMA or a reassociated sum lands on other
+        // bits); every third row and every fifth output column also draw
+        // from the special values (whole-row NaN would hide the rest).
+        let finite = |i: usize| {
+            let h = (salt as u32 ^ (i as u32).wrapping_mul(0x9e37_79b9)).wrapping_mul(0x85eb_ca6b);
+            (h >> 8) as f32 / (1 << 24) as f32 * 6.0 - 3.0
+        };
+        let input: Vec<f32> = (0..rows * cin)
+            .map(|i| if (salt + i / cin) % 3 == 0 { salted_feature(salt, i) } else { finite(i) })
+            .collect();
+        let weights: Vec<f32> = (0..cout * cin)
+            .map(|i| if (salt + i / cin) % 5 == 0 { salted_feature(salt, i) } else { finite(i + 11) })
+            .collect();
+        let bias: Vec<f32> = (0..cout).map(|o| finite(o + 5) / 100.0).collect();
+        assert_linear_matches_oracle(&weights, &bias, cin, relu, &input)?;
+    }
+}
+
+/// Signed zeros and NaN through the fused ReLU: a `-0.0` accumulator (bias
+/// `-0.0`, every product `-0.0`) stays `-0.0` without ReLU and becomes
+/// `+0.0` with it, and a NaN accumulator becomes `0.0` — on every backend,
+/// in both the 4-row tile and the 1-row tail, full and partial panels.
+#[test]
+fn linear_relu_resolves_negative_zero_and_nan_to_positive_zero() {
+    let (cin, cout, rows) = (3, 17, 5);
+    let weights = vec![-1.0f32; cout * cin];
+    let bias = vec![-0.0f32; cout];
+    let packed = kernels::pack_linear_weights(weights.iter().copied(), cin, cout);
+    let zeros = vec![0.0f32; rows * cin];
+    let nans = vec![f32::NAN; rows * cin];
+    for b in Backend::ALL {
+        let run = |relu: bool, input: &[f32]| {
+            let mut out = vec![1.0f32; rows * cout];
+            kernels::linear_into(b, &packed, &bias, cin, relu, input, &mut out);
+            out
+        };
+        assert!(run(false, &zeros).iter().all(|v| v.to_bits() == (-0.0f32).to_bits()), "{b:?}");
+        assert!(run(true, &zeros).iter().all(|v| v.to_bits() == 0), "{b:?}");
+        assert!(run(false, &nans).iter().all(|v| v.is_nan()), "{b:?}");
+        assert!(run(true, &nans).iter().all(|v| v.to_bits() == 0), "{b:?}");
+    }
+}
