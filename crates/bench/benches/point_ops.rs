@@ -133,22 +133,30 @@ fn bench_batched_selection(c: &mut Criterion) {
                 rows
             })
         });
-        group.bench_function(format!("ballquery-batched-{name}"), |b| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                kernels::ball_select_batch_with(
-                    backend,
-                    xs,
-                    ys,
-                    zs,
-                    &queries,
-                    r_sq,
-                    num,
-                    |_, best, _| hits += best.len(),
-                );
-                hits
-            })
-        });
+        // `num` on each selection path: the constant-width row (16) and the
+        // count + shift rows the deeper network stages use (32, 64).
+        for (num, row) in [
+            (num, "ballquery-batched"),
+            (32, "ballquery-batched-n32"),
+            (64, "ballquery-batched-n64"),
+        ] {
+            group.bench_function(format!("{row}-{name}"), |b| {
+                b.iter(|| {
+                    let mut hits = 0usize;
+                    kernels::ball_select_batch_with(
+                        backend,
+                        xs,
+                        ys,
+                        zs,
+                        &queries,
+                        r_sq,
+                        num,
+                        |_, best, _| hits += best.len(),
+                    );
+                    hits
+                })
+            });
+        }
         group.bench_function(format!("ballquery-per-query-{name}"), |b| {
             b.iter(|| {
                 let mut hits = 0usize;

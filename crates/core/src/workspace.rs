@@ -58,7 +58,7 @@ pub struct Workspace {
     pub(crate) candidates: Vec<usize>,
     /// Query coordinates staged for batched selection.
     pub(crate) queries: Vec<[f32; 3]>,
-    /// Batched-selection scratch: top-k heaps, distance tiles, hit lists.
+    /// Batched-selection scratch: top-k heaps, distance tiles, key rows.
     pub(crate) select: SelectScratch,
     /// Block sizes staged for sample-count allocation.
     pub(crate) sizes: Vec<usize>,

@@ -56,9 +56,10 @@ pub enum SpanKind {
     PartitionBuild = 2,
     /// Partition served from the LRU cache (instantaneous).
     PartitionCacheHit = 3,
-    /// Block-FPS sampling; `aux` = block index (`u32::MAX` = whole frame).
+    /// FPS sampling; `aux` = block index (`u32::MAX` = whole frame, or one
+    /// whole level of an inference stage past the first).
     BlockSample = 4,
-    /// Ball-query grouping; `aux` = block index (`u32::MAX` = whole frame).
+    /// Ball-query grouping; `aux` as for [`SpanKind::BlockSample`].
     BlockGroup = 5,
     /// One set-abstraction stage's shared MLP; `aux` = stage index.
     StageMlp = 6,

@@ -420,6 +420,12 @@ impl NetworkExecutor {
                         let n_out = ((n_in as f64) * sa.sample_ratio).round().max(1.0) as usize;
                         let m_samp = n_out.min(n_in);
 
+                        // Whole-level spans (`aux = u32::MAX`), as the
+                        // pipeline opens around its stage-1 halves.
+                        let span = fractalcloud_obs::span(
+                            fractalcloud_obs::SpanKind::BlockSample,
+                            u32::MAX,
+                        );
                         dist.clear();
                         dist.resize(n_in, f32::INFINITY);
                         centers.clear();
@@ -430,12 +436,17 @@ impl NetworkExecutor {
                             current = kernels::fps_relax_argmax_with(backend, xs, ys, zs, q, dist);
                             centers.push(current);
                         }
+                        span.done();
                         counters.writes += m_samp as u64;
                         let scans = (m_samp - 1) as u64;
                         counters.coord_reads += scans * n_in as u64;
                         counters.distance_evals += scans * n_in as u64;
                         counters.comparisons += 2 * scans * n_in as u64;
 
+                        let span = fractalcloud_obs::span(
+                            fractalcloud_obs::SpanKind::BlockGroup,
+                            u32::MAX,
+                        );
                         queries.clear();
                         queries.extend(centers.iter().map(|&i| [xs[i], ys[i], zs[i]]));
                         let r_sq = sa.radius * sa.radius;
@@ -464,6 +475,7 @@ impl NetworkExecutor {
                                 }
                             },
                         );
+                        span.done();
                         let scans = centers.len() as u64 * n_in as u64;
                         counters.coord_reads += scans;
                         counters.distance_evals += scans;

@@ -589,12 +589,11 @@ pub fn ball_prefilter_tile(
     unsafe { ball_prefilter_tile_impl(xs, ys, zs, queries, r_sq, thresholds, out, masks, mins) }
 }
 
-/// Per query this computes exactly what [`ball_chunk_impl`] computes — the
-/// same distance expression, the same ordered compares, the same NaN-free
-/// vector minimum fold and first-occurrence rescan — so results are
-/// bit-identical to the one-query-at-a-time formulation; only the loop
-/// nest differs (coordinates loaded once per 8-lane group for the whole
-/// tile).
+/// Per query this computes what the scalar backend's per-lane loop computes
+/// — the same distance expression, the same ordered `<= r²` and
+/// unordered-true `!(d >= thr)` compares, a NaN-free vector minimum fold —
+/// so results are bit-identical; only the loop nest differs (coordinates
+/// loaded once per 8-lane group for the whole tile).
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn ball_prefilter_tile_impl(
@@ -674,99 +673,4 @@ unsafe fn ball_prefilter_tile_impl(
         }
         mins[qi] = min;
     }
-}
-
-/// AVX2 fused distance + radius-compare + acceptance-prefilter chunk; the
-/// contract is documented on the dispatching wrapper in [`kernels`](super)
-/// (`ball_chunk_with`). The extra `_CMP_LT_OQ` against the acceptance
-/// threshold folds the selection buffer's reject test into the same
-/// vector pass, so converged queries discard whole chunks without a
-/// single branchy-insertion iteration.
-pub fn ball_chunk(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    thr: f32,
-    out: &mut [f32],
-) -> (u64, f32, u32) {
-    assert_avx2();
-    // SAFETY: AVX2 availability asserted above; all accesses stay in bounds.
-    unsafe { ball_chunk_impl(xs, ys, zs, q, r_sq, thr, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn ball_chunk_impl(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    thr: f32,
-    out: &mut [f32],
-) -> (u64, f32, u32) {
-    let len = xs.len();
-    debug_assert!(len <= 64, "ball_chunk mask is 64 lanes wide");
-    let qx = _mm256_set1_ps(q[0]);
-    let qy = _mm256_set1_ps(q[1]);
-    let qz = _mm256_set1_ps(q[2]);
-    let rv = _mm256_set1_ps(r_sq);
-    let tv = _mm256_set1_ps(thr);
-    let inf = _mm256_set1_ps(f32::INFINITY);
-    let mut mask = 0u64;
-    let mut vmin = inf;
-    let mut i = 0;
-    while i + LANES <= len {
-        let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-        let y = _mm256_loadu_ps(ys.as_ptr().add(i));
-        let z = _mm256_loadu_ps(zs.as_ptr().add(i));
-        let nd = dist8(x, y, z, qx, qy, qz);
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), nd);
-        // Ordered, non-signaling compares: NaN lanes never hit either test.
-        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(nd, rv);
-        let lt = _mm256_cmp_ps::<_CMP_NGE_UQ>(nd, tv);
-        let keep = _mm256_and_ps(le, lt);
-        mask |= u64::from(_mm256_movemask_ps(keep) as u8) << i;
-        vmin = _mm256_min_ps(nd, vmin);
-        i += LANES;
-    }
-    let rem = len - i;
-    if rem > 0 {
-        let m = tail_mask(rem);
-        let x = _mm256_maskload_ps(xs.as_ptr().add(i), m);
-        let y = _mm256_maskload_ps(ys.as_ptr().add(i), m);
-        let z = _mm256_maskload_ps(zs.as_ptr().add(i), m);
-        let nd = dist8(x, y, z, qx, qy, qz);
-        _mm256_maskstore_ps(out.as_mut_ptr().add(i), m, nd);
-        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(nd, rv);
-        let lt = _mm256_cmp_ps::<_CMP_NGE_UQ>(nd, tv);
-        let keep = _mm256_and_ps(le, lt);
-        let bits = (_mm256_movemask_ps(keep) as u32) & ((1u32 << rem) - 1);
-        mask |= u64::from(bits) << i;
-        // Inactive lanes hold garbage distances of zeroed loads; blend them
-        // to +inf so they cannot influence the minimum.
-        let ndm = _mm256_blendv_ps(inf, nd, _mm256_castsi256_ps(m));
-        vmin = _mm256_min_ps(ndm, vmin);
-    }
-    // NaN-free horizontal min (NaN lanes never entered `vmin`), then rescan
-    // the stored distances for the first occurrence.
-    let mut lanes = [0.0f32; LANES];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), vmin);
-    let mut min = f32::INFINITY;
-    for &v in &lanes {
-        if v < min {
-            min = v;
-        }
-    }
-    let lane = if min < f32::INFINITY {
-        let mut l = 0;
-        while out[l] != min {
-            l += 1;
-        }
-        l as u32
-    } else {
-        u32::MAX
-    };
-    (mask, min, lane)
 }

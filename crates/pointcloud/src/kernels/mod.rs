@@ -55,9 +55,9 @@
 //! 2. work proceeds in chunks of [`CHUNK`] lanes; within a chunk, distance
 //!    evaluation is a straight-line loop over the slices with **no
 //!    branches, no counter updates, and no per-point struct construction**;
-//! 3. branchy selection logic (argmax, top-k insertion, radius tests)
-//!    consumes the chunk's distance buffer *after* it is computed, keeping
-//!    the rare-path branches out of the arithmetic loop.
+//! 3. selection logic (argmax, top-k insertion, radius tests) consumes the
+//!    chunk's distance buffer *after* it is computed, keeping its branches
+//!    out of the arithmetic loop.
 //!
 //! # Batched-query selection
 //!
@@ -69,6 +69,29 @@
 //! analogue of the RSPU's intra-block candidate reuse, §V-C). Selection per
 //! query still consumes chunks in ascending scan order, so results are
 //! identical to the one-query-at-a-time formulation.
+//!
+//! The two drivers select differently. KNN keeps a [`TopK`] per query: every
+//! candidate competes, accepted ones are rare once the buffer has converged,
+//! and each is a binary search plus `Vec::insert`. A ball query's hits are
+//! dense (on indoor scenes nearly half of a block is inside the radius), so
+//! its driver keeps no `(f32, usize)` list at all: a hit becomes one `u64`
+//! key, `distance bits << 32 | candidate slot`. A hit's distance satisfies
+//! `+0.0 <= d <= r_sq` — never NaN, never `-0.0` — and on that range `f32`
+//! bit patterns order like the values, so integer order on keys *is* the
+//! canonical `(distance, scan order)` order and the "a tie with the current
+//! worst is rejected" rule is the same single compare (a later candidate
+//! has a larger slot). Each query owns one ascending row of keys, empty
+//! slots holding an all-ones sentinel: there is no separate filling phase,
+//! the hit count is the number of non-sentinel keys among the first `num`,
+//! and the prefilter threshold is the distance half of slot `num - 1` (the
+//! sentinel's reads as NaN, the prefilter's keep-everything value). For
+//! `num <= 16` the row is 8 or 16 keys wide, a compile-time constant, and a
+//! hit is inserted by rewriting every slot as
+//! `max(row[i - 1], min(row[i], key))` — straight-line compare/select code,
+//! no data-dependent branch. That costs O(width) per hit; above 16 the row
+//! is `num` wide and a hit is a branch-free count of the keys below it plus
+//! one `copy_within`. Keys are unpacked into `(distance, slot)` pairs only
+//! when a query's row is emitted.
 //!
 //! Callers that operate on an indexed subset (block-local operations) first
 //! gather the subset into local SoA buffers with [`gather_coords`] — the
@@ -102,7 +125,7 @@
 //! always taken its output slice, [`gather_coords`] reuses the caller's SoA
 //! vectors, and the batched selection drivers come as
 //! [`knn_select_batch_into`] / [`ball_select_batch_into`], which keep their
-//! top-k heaps, distance tiles and hit lists inside a caller-owned
+//! top-k heaps, distance tiles and key rows inside a caller-owned
 //! [`SelectScratch`]. A warmed scratch makes the drivers allocation-free;
 //! the no-scratch entry points are thin wrappers that allocate a transient
 //! [`SelectScratch`], so both paths run the same code and return bit-equal
@@ -397,39 +420,6 @@ pub fn fps_relax_argmax_pin_with(
     dispatch!(backend, fps_relax_argmax_pin(xs, ys, zs, q, r_sq, dist))
 }
 
-/// Fused distance + radius-compare + acceptance-prefilter pass over one
-/// chunk (`len ≤ 64`): distances are written to `out`, the returned `u64`
-/// has bit `j` set when `out[j] <= r_sq` **and** `out[j] < thr` (NaN
-/// distances never hit), and the returned pair is the chunk minimum over
-/// *all* lanes with the lane of its first occurrence (`(f32::INFINITY,
-/// u32::MAX)` when no distance is strictly below `+∞`, matching the
-/// reference's strict `d < nearest` update — the nearest tracking ignores
-/// the threshold so the empty-ball fallback is unchanged).
-///
-/// `thr` is the selection buffer's acceptance threshold at chunk start:
-/// NaN while the buffer is filling (`!(d >= NaN)` keeps every in-radius
-/// lane, `+∞` distances included), the current worst kept distance once it
-/// is full. The threshold only
-/// tightens as survivors insert, so lanes it drops could never be
-/// accepted — the surviving set reaching the branchy insertion is exactly
-/// the set the unfiltered scan would have accepted, one fused vector
-/// compare earlier.
-#[cfg_attr(not(test), allow(dead_code))] // the driver runs the tiled form; tests pin this one
-#[allow(clippy::too_many_arguments)]
-fn ball_chunk_with(
-    backend: Backend,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    thr: f32,
-    out: &mut [f32],
-) -> (u64, f32, u32) {
-    debug_assert!(xs.len() <= 64, "ball_chunk mask is 64 lanes wide");
-    dispatch!(backend, ball_chunk(xs, ys, zs, q, r_sq, thr, out))
-}
-
 /// Segmented max-aggregation over neighbor index lists, on the active
 /// backend — the delayed-aggregation (Mesorasi) primitive: instead of
 /// materializing a duplicated `segments × num × channels` grouped feature
@@ -629,24 +619,6 @@ pub struct TopK {
 /// Prefilter sub-chunk width of [`TopK::select_offset`]'s second phase.
 const PREFILTER: usize = 64;
 
-/// Sorted-insertion position for `d` in an ascending buffer: the first
-/// index after every entry `<= d`. A backward linear scan, used by the
-/// ball driver's hit insertion where it measures faster than
-/// `partition_point`'s mispredicting halving (small buffers, dense
-/// accepted-hit streams); `TopK` keeps the binary search, which measures
-/// better on its sparser insert pattern. The `!(bd <= d)` form (not
-/// `bd > d`) makes a NaN `d` walk to position 0, exactly where
-/// `partition_point(bd <= d)` puts it.
-#[inline]
-fn sorted_insert_pos(buf: &[(f32, usize)], d: f32) -> usize {
-    let mut pos = buf.len();
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    while pos > 0 && !(buf[pos - 1].0 <= d) {
-        pos -= 1;
-    }
-    pos
-}
-
 impl TopK {
     /// A buffer selecting the `k` smallest distances.
     ///
@@ -806,7 +778,7 @@ impl TopK {
 }
 
 /// Reusable scratch for the batched selection drivers: per-tile top-k
-/// heaps, the tile's distance rows, and the ball drivers' hit lists.
+/// heaps, the tile's distance rows, and the ball driver's packed-key rows.
 ///
 /// One warmed `SelectScratch` makes [`knn_select_batch_into`] and
 /// [`ball_select_batch_into`] allocation-free in steady state (buffers only
@@ -819,7 +791,10 @@ impl TopK {
 pub struct SelectScratch {
     topks: Vec<TopK>,
     dbuf: Vec<f32>,
-    bests: Vec<Vec<(f32, usize)>>,
+    /// One sorted row of packed hit keys per tile query (ball driver).
+    keys: Vec<u64>,
+    /// The row handed to the ball driver's `emit`, unpacked from `keys`.
+    hits: Vec<(f32, usize)>,
     nearests: Vec<(f32, usize)>,
 }
 
@@ -975,17 +950,26 @@ pub fn ball_select_batch(
 /// sharing each pass over the candidate chunks.
 ///
 /// Per chunk the fused distance + compare kernel produces a hit bitmask
-/// (`d <= r_sq`) and the chunk's first minimum; only hit lanes reach the
-/// branchy sorted insertion (`best.len() < num || d < worst`, the canonical
-/// nearest-`num`-within-radius semantics). `emit(query, pairs, nearest)` is
-/// called once per query, in query order, with the ascending
-/// `(distance_sq, candidate_index)` hits and the overall-nearest candidate
-/// (`(f32::INFINITY, usize::MAX)` when no distance was strictly below `+∞`,
-/// e.g. for an empty candidate set) for the empty-ball fallback.
+/// (`d <= r_sq`, and below the query's current worst once it has `num`
+/// hits) and the chunk's minimum. Each hit lane is packed into a `u64` key
+/// — distance bits above the candidate slot, whose integer order is the
+/// canonical `(distance, scan order)` order — and inserted into the
+/// query's ascending key row (branch-free up to `num` 16); see the
+/// [module docs](self#batched-query-selection) for why that order holds and
+/// how the row width follows `num`. The result is the canonical
+/// nearest-`num`-within-radius set: equal distances keep scan order, and a
+/// hit tying the current worst is rejected.
+///
+/// `emit(query, pairs, nearest)` is called once per query, in query order,
+/// with the ascending `(distance_sq, candidate_index)` hits and the
+/// overall-nearest candidate (`(f32::INFINITY, usize::MAX)` when no
+/// distance was strictly below `+∞`, e.g. for an empty candidate set) for
+/// the empty-ball fallback.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ.
+/// Panics if the slice lengths differ, `num` is zero, or there are more
+/// than `u32::MAX` candidates (a hit's slot is the low half of its key).
 #[allow(clippy::too_many_arguments)]
 pub fn ball_select_batch_with(
     backend: Backend,
@@ -1002,14 +986,16 @@ pub fn ball_select_batch_with(
 }
 
 /// [`ball_select_batch_with`] running entirely inside a caller-owned
-/// [`SelectScratch`]: the per-tile hit lists and nearest-candidate trackers
-/// live in `scratch` and are reused across calls, so a warmed scratch
-/// performs no heap allocation. Results are bit-identical to the
-/// allocating wrappers — they call this function with a transient scratch.
+/// [`SelectScratch`]: the per-tile key rows, the unpacked hit row and the
+/// nearest-candidate trackers live in `scratch` and are reused across calls,
+/// so a warmed scratch performs no heap allocation. Results are
+/// bit-identical to the allocating wrappers — they call this function with
+/// a transient scratch.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ.
+/// Panics if the slice lengths differ, `num` is zero, or there are more
+/// than `u32::MAX` candidates (a hit's slot is the low half of its key).
 #[allow(clippy::too_many_arguments)]
 pub fn ball_select_batch_into(
     backend: Backend,
@@ -1020,34 +1006,118 @@ pub fn ball_select_batch_into(
     r_sq: f32,
     num: usize,
     scratch: &mut SelectScratch,
-    mut emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
+    emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
 ) {
     assert_soa(xs, ys, zs);
+    assert!(num > 0, "num must be at least 1");
+    assert!(xs.len() <= u32::MAX as usize, "candidate slots must fit the key's low 32 bits");
+    macro_rules! tiles {
+        ($width:expr, $insert:expr) => {
+            ball_select_tiles(
+                backend, xs, ys, zs, queries, r_sq, num, $width, scratch, emit, $insert,
+            )
+        };
+    }
+    // The full-pass update needs its row width at compile time (it unrolls
+    // into straight-line compare/select code) and costs O(width) per hit: it
+    // measured 1.5× faster than count + shift at `num` 16; a 32-wide pass
+    // was 1.05× faster at `num` 32 and 1.09× slower at 17, so rows stop at 16.
+    match num {
+        ..=8 => tiles!(8, insert_key_pass::<8>),
+        9..=16 => tiles!(16, insert_key_pass::<16>),
+        _ => tiles!(num, insert_key_shift),
+    }
+}
+
+/// Key of an unoccupied selection slot. Its distance half is a NaN bit
+/// pattern, which no hit carries, so it orders after every real key — and
+/// read back as a threshold it is the prefilter's keep-everything sentinel.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// Packs a hit into its selection key: squared-distance bits above the
+/// candidate slot. A hit satisfies `+0.0 <= d <= r_sq` — a sum of squares is
+/// never `-0.0`, and the ordered radius compare rejects NaN — and on that
+/// range `f32` bit patterns order like the values (`+∞` included), so `u64`
+/// order on keys is `(distance, scan order)` order.
+#[inline]
+fn pack_hit(d: f32, slot: usize) -> u64 {
+    (u64::from(d.to_bits()) << 32) | slot as u64
+}
+
+/// The distance half of a key — also the prefilter threshold a row's worst
+/// key implies (NaN for [`EMPTY_KEY`]).
+#[inline]
+fn key_distance(key: u64) -> f32 {
+    f32::from_bits((key >> 32) as u32)
+}
+
+/// The `(distance, slot)` pair [`pack_hit`] packed.
+#[inline]
+fn unpack_hit(key: u64) -> (f32, usize) {
+    (key_distance(key), key as u32 as usize)
+}
+
+/// Inserts `key` into the ascending row `a` (exactly `W` keys), dropping the
+/// largest: every slot becomes `max(a[i - 1], min(a[i], key))` — `a[i]`
+/// where it is below the key, the key where it lands, the left neighbour
+/// after it. No compare feeds a branch and no slot depends on another's new
+/// value.
+#[inline]
+fn insert_key_pass<const W: usize>(a: &mut [u64], key: u64) {
+    let a: &mut [u64; W] = a.try_into().expect("row is W keys wide");
+    for i in (1..W).rev() {
+        a[i] = a[i - 1].max(a[i].min(key));
+    }
+    a[0] = a[0].min(key);
+}
+
+/// [`insert_key_pass`] for rows too wide to rewrite per hit: counts the
+/// keys below `key` (branch-free) and shifts the tail once.
+#[inline]
+fn insert_key_shift(a: &mut [u64], key: u64) {
+    let pos: usize = a.iter().map(|&k| usize::from(k < key)).sum();
+    if pos < a.len() {
+        a.copy_within(pos..a.len() - 1, pos + 1);
+        a[pos] = key;
+    }
+}
+
+/// The body of [`ball_select_batch_into`] over key rows of `width >= num`
+/// slots, with `insert` the sorted insertion for that width. Slots past
+/// `num` only ever hold keys above `row[num - 1]`: acceptance, the hit
+/// count and the emitted row all read the first `num`.
+#[allow(clippy::too_many_arguments)]
+fn ball_select_tiles(
+    backend: Backend,
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    queries: &[[f32; 3]],
+    r_sq: f32,
+    num: usize,
+    width: usize,
+    scratch: &mut SelectScratch,
+    mut emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
+    insert: impl Fn(&mut [u64], u64),
+) {
     let n = xs.len();
     let tile_cap = QUERY_TILE.min(queries.len().max(1));
-    while scratch.bests.len() < tile_cap {
-        scratch.bests.push(Vec::new());
+    if scratch.keys.len() < tile_cap * width {
+        scratch.keys.resize(tile_cap * width, EMPTY_KEY);
     }
     if scratch.nearests.len() < tile_cap {
         scratch.nearests.resize(tile_cap, (f32::INFINITY, usize::MAX));
     }
-    let bests = &mut scratch.bests[..tile_cap];
-    let nearests = &mut scratch.nearests[..tile_cap];
-    for b in bests.iter_mut() {
-        b.clear();
-        b.reserve(num + 1);
-    }
     if scratch.dbuf.len() < tile_cap * CHUNK {
         scratch.dbuf.resize(tile_cap * CHUNK, 0.0);
     }
+    let keys = &mut scratch.keys[..tile_cap * width];
+    let nearests = &mut scratch.nearests[..tile_cap];
     let dbuf = &mut scratch.dbuf[..];
+    let hits = &mut scratch.hits;
     for (tile_idx, tile) in queries.chunks(QUERY_TILE).enumerate() {
-        for b in &mut bests[..tile.len()] {
-            b.clear();
-        }
-        for nearest in &mut nearests[..tile.len()] {
-            *nearest = (f32::INFINITY, usize::MAX);
-        }
+        keys.fill(EMPTY_KEY);
+        nearests.fill((f32::INFINITY, usize::MAX));
         let mut thresholds = [0.0f32; QUERY_TILE];
         let mut masks = [0u64; QUERY_TILE];
         let mut mins = [f32::INFINITY; QUERY_TILE];
@@ -1056,16 +1126,16 @@ pub fn ball_select_batch_into(
             let len = CHUNK.min(n - base);
             let (xc, yc, zc) =
                 (&xs[base..base + len], &ys[base..base + len], &zs[base..base + len]);
-            // Acceptance prefilter thresholds: once a query's buffer is
-            // full, only hits strictly below its current worst can be
-            // accepted — the fused tile kernel drops the rest before the
-            // branchy insertion ever sees them (bit-identical results; the
-            // threshold only tightens within the chunk).
-            for (qi, best) in bests[..tile.len()].iter().enumerate() {
-                // NaN while the buffer fills: `!(d >= NaN)` keeps every
-                // in-radius lane (+inf distances included), exactly like
-                // the knn prefilter's filling sentinel.
-                thresholds[qi] = if best.len() == num { best[best.len() - 1].0 } else { f32::NAN };
+            // Acceptance prefilter thresholds: once a query's first `num`
+            // slots are occupied, only hits strictly below its current
+            // worst can be accepted — the fused tile kernel drops the rest
+            // before selection ever sees them (bit-identical results; the
+            // threshold only tightens within the chunk). While slot
+            // `num - 1` is empty its distance half reads as NaN, and
+            // `!(d >= NaN)` keeps every in-radius lane (+inf distances
+            // included), exactly like the knn prefilter's filling sentinel.
+            for (thr, row) in thresholds.iter_mut().zip(keys.chunks_exact(width)) {
+                *thr = key_distance(row[num - 1]);
             }
             // One fused dispatched call scores the whole tile against this
             // chunk (the AVX2 path keeps the coordinate vectors in
@@ -1085,7 +1155,7 @@ pub fn ball_select_batch_into(
                     &mut mins,
                 )
             );
-            for (qi, best) in bests[..tile.len()].iter_mut().enumerate() {
+            for (qi, krow) in keys.chunks_exact_mut(width).take(tile.len()).enumerate() {
                 let row = &dbuf[qi * CHUNK..qi * CHUNK + len];
                 let cmin = mins[qi];
                 if cmin < nearests[qi].0 {
@@ -1100,24 +1170,24 @@ pub fn ball_select_batch_into(
                     }
                     nearests[qi] = (cmin, base + l);
                 }
+                // Every surviving lane is inserted unconditionally: one
+                // that the tightened threshold would now reject lands past
+                // slot `num - 1` or falls off the row.
                 let mut m = masks[qi];
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let d = row[l];
-                    if best.len() < num || d < best[best.len() - 1].0 {
-                        let pos = sorted_insert_pos(best, d);
-                        best.insert(pos, (d, base + l));
-                        if best.len() > num {
-                            best.pop();
-                        }
-                    }
+                    insert(krow, pack_hit(row[l], base + l));
                 }
             }
             base += len;
         }
-        for (qi, best) in bests[..tile.len()].iter().enumerate() {
-            emit(tile_idx * QUERY_TILE + qi, best, nearests[qi]);
+        for (qi, krow) in keys.chunks_exact(width).take(tile.len()).enumerate() {
+            hits.clear();
+            hits.extend(
+                krow[..num].iter().take_while(|&&k| k != EMPTY_KEY).map(|&k| unpack_hit(k)),
+            );
+            emit(tile_idx * QUERY_TILE + qi, hits, nearests[qi]);
         }
     }
 }
@@ -1428,43 +1498,80 @@ mod tests {
         assert_eq!(whole_inserts, chunked_inserts);
     }
 
+    /// One chunk through `ball_prefilter_tile` on backend `b`: per-query
+    /// `(mask, chunk minimum)`.
+    fn prefilter_tile(
+        b: Backend,
+        pts: &[[f32; 3]],
+        queries: &[[f32; 3]],
+        r_sq: f32,
+        thresholds: &[f32],
+    ) -> Vec<(u64, f32)> {
+        let (xs, ys, zs) = soa_of(pts);
+        let mut out = vec![0.0f32; queries.len() * CHUNK];
+        let mut masks = [0u64; QUERY_TILE];
+        let mut mins = [0.0f32; QUERY_TILE];
+        dispatch!(
+            b,
+            ball_prefilter_tile(
+                &xs, &ys, &zs, queries, r_sq, thresholds, &mut out, &mut masks, &mut mins
+            )
+        );
+        (0..queries.len()).map(|qi| (masks[qi], mins[qi])).collect()
+    }
+
     #[test]
-    fn ball_chunk_masks_hits_and_finds_first_min() {
-        let pts: Vec<[f32; 3]> = vec![
-            [3.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0], // ties lane 1: first min must stay lane 1
-            [0.5, 0.0, 0.0],
-            [9.0, 0.0, 0.0],
-        ];
-        let (xs, ys, zs) = soa_of(&pts);
+    fn ball_prefilter_tile_masks_hits_under_each_querys_threshold() {
+        let pts =
+            [[3.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [9.0, 0.0, 0.0]];
         for b in available() {
-            let mut out = [0.0f32; 5];
-            let (mask, cmin, clane) =
-                ball_chunk_with(b, &xs, &ys, &zs, [0.0; 3], 1.0, f32::INFINITY, &mut out[..5]);
-            assert_eq!(mask, 0b01110, "hits are d² <= 1 ({})", b.name());
-            assert_eq!(cmin, 0.25);
-            assert_eq!(clane, 3);
-            // A finite acceptance threshold additionally drops hits at or
-            // above it (strict <), without touching the nearest tracking.
-            let (mask, cmin, clane) =
-                ball_chunk_with(b, &xs, &ys, &zs, [0.0; 3], 1.0, 1.0, &mut out[..5]);
-            assert_eq!(mask, 0b01000, "only d² < 1 survives thr = 1 ({})", b.name());
-            assert_eq!(cmin, 0.25);
-            assert_eq!(clane, 3);
+            // The same query under three thresholds: filling (NaN keeps every
+            // in-radius lane), +inf, and a finite one that additionally drops
+            // hits at or above it (strict <) without touching the minimum.
+            let got = prefilter_tile(b, &pts, &[[0.0; 3]; 3], 1.0, &[f32::NAN, f32::INFINITY, 1.0]);
+            assert_eq!(got[0], (0b01110, 0.25), "hits are d² <= 1 ({})", b.name());
+            assert_eq!(got[1], (0b01110, 0.25), "{}", b.name());
+            assert_eq!(got[2], (0b01000, 0.25), "only d² < 1 survives thr = 1 ({})", b.name());
         }
     }
 
     #[test]
-    fn ball_chunk_empty_and_nan_lanes_never_hit() {
-        let (xs, ys, zs) = soa_of(&[[f32::NAN, 0.0, 0.0], [f32::INFINITY, 0.0, 0.0]]);
+    fn ball_prefilter_tile_nan_lanes_never_hit() {
+        // Lane 0's distance is NaN, lane 1's +inf: neither is within a finite
+        // radius and neither lowers the minimum; under an infinite radius the
+        // +inf lane is a hit (`inf <= inf`) and the NaN lane still is not.
+        let pts = [[f32::NAN, 0.0, 0.0], [f32::INFINITY, 0.0, 0.0]];
         for b in available() {
-            let mut out = [0.0f32; 2];
-            let (mask, cmin, clane) =
-                ball_chunk_with(b, &xs, &ys, &zs, [0.0; 3], 1e30, f32::INFINITY, &mut out[..2]);
-            assert_eq!(mask, 0, "NaN and +inf distances are not hits ({})", b.name());
-            assert_eq!(cmin, f32::INFINITY);
-            assert_eq!(clane, u32::MAX, "no lane is strictly below +inf");
+            for thr in [f32::NAN, f32::INFINITY] {
+                let got = prefilter_tile(b, &pts, &[[0.0; 3]], 1e30, &[thr]);
+                assert_eq!(got[0], (0, f32::INFINITY), "thr {thr} on {}", b.name());
+            }
+            let got = prefilter_tile(b, &pts, &[[0.0; 3]], f32::INFINITY, &[f32::NAN]);
+            assert_eq!(got[0], (0b10, f32::INFINITY), "{}", b.name());
+        }
+    }
+
+    #[test]
+    fn ball_batch_nearest_is_the_first_occurrence_of_the_minimum() {
+        // Nothing is in radius, so only the fallback is reported: the minimum
+        // distance 1.0 occurs at candidates 1 and 2 of the first chunk and
+        // again in the second; the earliest must win. NaN and +inf
+        // candidates alone leave the sentinel.
+        let mut pts = vec![[3.0f32, 0.0, 0.0]; CHUNK + 5];
+        pts[1] = [1.0, 0.0, 0.0];
+        pts[2] = [-1.0, 0.0, 0.0];
+        pts[CHUNK + 1] = [0.0, 1.0, 0.0];
+        let (xs, ys, zs) = soa_of(&pts);
+        let (nx, ny, nz) = soa_of(&[[f32::NAN, 0.0, 0.0], [f32::INFINITY, 0.0, 0.0]]);
+        for b in available() {
+            ball_select_batch_with(b, &xs, &ys, &zs, &[[0.0; 3]], 0.01, 3, |_, best, nearest| {
+                assert!(best.is_empty());
+                assert_eq!(nearest, (1.0, 1), "{}", b.name());
+            });
+            ball_select_batch_with(b, &nx, &ny, &nz, &[[0.0; 3]], 1e30, 3, |_, best, nearest| {
+                assert!(best.is_empty());
+                assert_eq!(nearest, (f32::INFINITY, usize::MAX), "{}", b.name());
+            });
         }
     }
 
@@ -1553,6 +1660,12 @@ mod tests {
                 assert_eq!(got[qi].1, nearest, "nearest for query {qi} on {}", b.name());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "num must be at least 1")]
+    fn ball_batch_rejects_zero_num() {
+        ball_select_batch(&[0.0], &[0.0], &[0.0], &[[0.0; 3]], 1.0, 0, |_, _, _| {});
     }
 
     #[test]

@@ -173,13 +173,13 @@ pub fn linear(
     }
 }
 
-/// Tiled form of [`ball_chunk`]: one call scores every query of the tile
-/// against the chunk (rows of `out` strided by [`CHUNK`](super::CHUNK)),
-/// writing per-query hit masks and chunk minima. See the dispatching
-/// `ball_prefilter_tile` call site in [`kernels`](super) for the contract.
-/// Per-query `mins` hold the chunk's minimum distance only; the caller
-/// locates the first-occurrence lane lazily (and only when the chunk
-/// improves the running nearest) by rescanning the stored row.
+/// Fused distance + radius-compare + acceptance-prefilter pass of one chunk
+/// against every query of the tile (rows of `out` strided by
+/// [`CHUNK`](super::CHUNK)), writing per-query hit masks and chunk minima.
+/// See the dispatching `ball_prefilter_tile` call site in [`kernels`](super)
+/// for the contract. Per-query `mins` hold the chunk's minimum distance
+/// only; the caller locates the first-occurrence lane lazily (and only when
+/// the chunk improves the running nearest) by rescanning the stored row.
 #[allow(clippy::too_many_arguments)]
 pub fn ball_prefilter_tile(
     xs: &[f32],
@@ -193,45 +193,29 @@ pub fn ball_prefilter_tile(
     mins: &mut [f32],
 ) {
     for (qi, q) in queries.iter().enumerate() {
+        let thr = thresholds[qi];
         let row = &mut out[qi * super::CHUNK..qi * super::CHUNK + xs.len()];
-        let (mask, min, _lane) = ball_chunk(xs, ys, zs, *q, r_sq, thresholds[qi], row);
+        let mut mask = 0u64;
+        let mut min = f32::INFINITY;
+        for i in 0..xs.len() {
+            let dx = xs[i] - q[0];
+            let dy = ys[i] - q[1];
+            let dz = zs[i] - q[2];
+            let d = dx * dx + dy * dy + dz * dz;
+            row[i] = d;
+            // `!(d >= thr)` (not `d < thr`): the buffer-filling sentinel is
+            // a NaN threshold, which must keep every in-radius lane —
+            // including an overflow-to-+inf distance the reference accepts
+            // as a hit.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            {
+                mask |= u64::from(d <= r_sq && !(d >= thr)) << i;
+            }
+            if d < min {
+                min = d;
+            }
+        }
         masks[qi] = mask;
         mins[qi] = min;
     }
-}
-
-/// Fused distance + radius-compare + acceptance-prefilter chunk; see the
-/// dispatching [`ball_chunk_with`](super::ball_chunk_with) for the
-/// contract (`thr` masks out hits the selection buffer would reject).
-pub fn ball_chunk(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    thr: f32,
-    out: &mut [f32],
-) -> (u64, f32, u32) {
-    let mut mask = 0u64;
-    let mut min = f32::INFINITY;
-    let mut lane = u32::MAX;
-    for i in 0..xs.len() {
-        let dx = xs[i] - q[0];
-        let dy = ys[i] - q[1];
-        let dz = zs[i] - q[2];
-        let d = dx * dx + dy * dy + dz * dz;
-        out[i] = d;
-        // `!(d >= thr)` (not `d < thr`): the buffer-filling sentinel is a
-        // NaN threshold, which must keep every in-radius lane — including
-        // an overflow-to-+inf distance the reference accepts as a hit.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        {
-            mask |= u64::from(d <= r_sq && !(d >= thr)) << i;
-        }
-        if d < min {
-            min = d;
-            lane = i as u32;
-        }
-    }
-    (mask, min, lane)
 }

@@ -321,13 +321,18 @@ fn linear_tile<const R: usize>(
     }
 }
 
-/// Tiled form of [`ball_chunk`]: one call scores every query of the tile
-/// against the chunk (rows of `out` strided by [`CHUNK`]), writing
-/// per-query hit masks and chunk minima. See the dispatching
+/// Fused distance + radius-compare + acceptance-prefilter pass of one chunk
+/// against every query of the tile (rows of `out` strided by [`CHUNK`]),
+/// writing per-query hit masks and chunk minima. See the dispatching
 /// `ball_prefilter_tile` call site in [`kernels`](super) for the contract.
 /// Per-query `mins` hold the chunk's minimum distance only; the caller
 /// locates the first-occurrence lane lazily (and only when the chunk
 /// improves the running nearest) by rescanning the stored row.
+///
+/// Distances are computed in the branch-free chunked form, the hit mask —
+/// in-radius *and* strictly under the acceptance threshold — is
+/// accumulated with a branch-free shift-or, and only the minimum tracking
+/// carries a (well-predicted) branch.
 #[allow(clippy::too_many_arguments)]
 pub fn ball_prefilter_tile(
     xs: &[f32],
@@ -341,45 +346,23 @@ pub fn ball_prefilter_tile(
     mins: &mut [f32],
 ) {
     for (qi, q) in queries.iter().enumerate() {
+        let thr = thresholds[qi];
         let row = &mut out[qi * CHUNK..qi * CHUNK + xs.len()];
-        let (mask, min, _lane) = ball_chunk(xs, ys, zs, *q, r_sq, thresholds[qi], row);
+        distances_sq(xs, ys, zs, *q, row);
+        let mut mask = 0u64;
+        let mut min = f32::INFINITY;
+        for (j, &d) in row.iter().enumerate() {
+            // `!(d >= thr)`: a NaN threshold (buffer still filling) keeps
+            // every in-radius lane, +inf distances included.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            {
+                mask |= u64::from(d <= r_sq && !(d >= thr)) << j;
+            }
+            if d < min {
+                min = d;
+            }
+        }
         masks[qi] = mask;
         mins[qi] = min;
     }
-}
-
-/// Fused distance + radius-compare + acceptance-prefilter chunk; the
-/// contract is documented on the dispatching wrapper in [`kernels`](super)
-/// (`ball_chunk_with`).
-///
-/// Distances are computed in the branch-free chunked form, the hit mask —
-/// in-radius *and* strictly under the acceptance threshold — is
-/// accumulated with a branch-free shift-or, and only the first-minimum
-/// tracking carries a (well-predicted) branch.
-pub fn ball_chunk(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    thr: f32,
-    out: &mut [f32],
-) -> (u64, f32, u32) {
-    distances_sq(xs, ys, zs, q, out);
-    let mut mask = 0u64;
-    let mut min = f32::INFINITY;
-    let mut lane = u32::MAX;
-    for (j, &d) in out.iter().enumerate() {
-        // `!(d >= thr)`: a NaN threshold (buffer still filling) keeps every
-        // in-radius lane, +inf distances included.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        {
-            mask |= u64::from(d <= r_sq && !(d >= thr)) << j;
-        }
-        if d < min {
-            min = d;
-            lane = j as u32;
-        }
-    }
-    (mask, min, lane)
 }

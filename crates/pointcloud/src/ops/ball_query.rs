@@ -50,7 +50,7 @@ impl BallQueryResult {
 /// share every pass over the candidate chunks on the active
 /// [`kernels::Backend`], each chunk's distance + radius-compare pass
 /// produces a hit bitmask plus the chunk minimum (for the nearest-neighbor
-/// fallback), and only hit lanes reach the branchy top-`num` insertion.
+/// fallback), and only hit lanes reach the packed-key top-`num` selection.
 /// Counters are accumulated analytically per scan and match the scalar
 /// reference ([`reference::ball_query`](crate::ops::reference::ball_query))
 /// exactly.

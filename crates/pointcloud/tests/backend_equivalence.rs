@@ -7,7 +7,7 @@
 //! Backends unavailable on the host resolve to `Soa`, so the suite stays
 //! portable (the comparisons degenerate to Soa-vs-Soa there).
 
-use fractalcloud_pointcloud::kernels::{self, Backend, QUERY_TILE};
+use fractalcloud_pointcloud::kernels::{self, Backend, SelectScratch, CHUNK, QUERY_TILE};
 use fractalcloud_pointcloud::ops::{
     ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors, reference,
 };
@@ -68,31 +68,6 @@ proptest! {
         prop_assert_eq!(kernel.counters, scalar.counters);
     }
 
-    /// Ball query: identical rows (padding and nearest-fallback included),
-    /// found counts, and counters on every backend and vs the reference.
-    /// Small radii produce empty balls; the query count straddles the tile.
-    #[test]
-    fn ball_query_identical_across_backends(
-        pts in arb_points(150),
-        radius in 0.01f32..30.0,
-        num in 1usize..10,
-        centers_n in 1usize..(2 * QUERY_TILE + 3),
-    ) {
-        let cloud = PointCloud::from_points(pts);
-        let centers: Vec<Point3> = (0..centers_n)
-            .map(|i| cloud.point((i * 5) % cloud.len()) + Point3::splat(40.0)) // far out: empty balls
-            .collect();
-        assert_all_backends_equal(|| {
-            let r = ball_query(&cloud, &centers, radius, num).unwrap();
-            (r.indices, r.found, r.counters)
-        });
-        let scalar = reference::ball_query(&cloud, &centers, radius, num).unwrap();
-        let kernel = ball_query(&cloud, &centers, radius, num).unwrap();
-        prop_assert_eq!(kernel.indices, scalar.indices);
-        prop_assert_eq!(kernel.found, scalar.found);
-        prop_assert_eq!(kernel.counters, scalar.counters);
-    }
-
     /// Interpolation: identical features and counters on every backend and
     /// vs the reference.
     #[test]
@@ -131,6 +106,116 @@ proptest! {
                 kernels::fps_relax_argmax(cloud.xs(), cloud.ys(), cloud.zs(), q, &mut dist);
             (best, dist)
         });
+    }
+}
+
+/// `num` values on both sides of every selection-row width (8, 16) and of
+/// the wide path, plus one past anything a model uses.
+const BALL_NUMS: [usize; 10] = [1, 3, 8, 9, 16, 17, 32, 33, 64, 100];
+
+/// Clouds that stress the packed-key selection order. The candidate count
+/// straddles `CHUNK` (0, 1, 63, 64, 65, ~700, or anything below 150); the
+/// shape decides what ties: distinct points, every point repeated (equal
+/// distances, so only the slot half of a key orders them), one point
+/// repeated `n` times (every distance ties), and distinct points with NaN
+/// or ±inf coordinates sprinkled in.
+fn arb_ball_cloud() -> impl Strategy<Value = Vec<Point3>> {
+    (0usize..7, 0usize..5, arb_points(150), arb_points(9)).prop_map(|(count, shape, pts, base)| {
+        let n = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 11 * CHUNK - 3, pts.len()][count];
+        (0..n)
+            .map(|i| {
+                let p = pts[i % pts.len()] + Point3::splat((i / pts.len()) as f32 * 0.125);
+                match shape {
+                    0 => p,
+                    1 => base[i % base.len()],
+                    2 => base[0],
+                    3 if i % 7 == 3 => Point3::new(f32::NAN, p.y, p.z),
+                    4 if i % 5 == 1 => Point3::new(p.x, f32::INFINITY, p.z),
+                    4 if i % 5 == 4 => Point3::new(p.x, p.y, f32::NEG_INFINITY),
+                    _ => p,
+                }
+            })
+            .collect()
+    })
+}
+
+/// The padded rows and hit counts `ops::ball_query` would build, straight
+/// off the `_into` driver on `backend` with the caller's scratch.
+fn select_rows(
+    backend: Backend,
+    cloud: &PointCloud,
+    centers: &[Point3],
+    r_sq: f32,
+    num: usize,
+    scratch: &mut SelectScratch,
+) -> (Vec<usize>, Vec<usize>) {
+    let queries: Vec<[f32; 3]> = centers.iter().map(|c| [c.x, c.y, c.z]).collect();
+    let (mut indices, mut found) = (Vec::new(), Vec::new());
+    kernels::ball_select_batch_into(
+        backend,
+        cloud.xs(),
+        cloud.ys(),
+        cloud.zs(),
+        &queries,
+        r_sq,
+        num,
+        scratch,
+        |_, best, nearest| {
+            found.push(best.len());
+            let start = indices.len();
+            indices.extend(best.iter().map(|&(_, i)| i));
+            if best.is_empty() {
+                indices.push(nearest.1);
+            }
+            let first = indices[start];
+            indices.resize(start + num, first);
+        },
+    );
+    (indices, found)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Ball query: identical rows (padding and nearest-fallback included),
+    /// found counts, and counters on every backend and vs the reference,
+    /// over [`arb_ball_cloud`] and [`BALL_NUMS`]. Centers alternate between
+    /// cloud points (zero distances, full balls) and far-out ones (empty
+    /// balls); every fifth radius is infinite, which makes `+inf` distances
+    /// hits; the query count straddles the tile. The `_into` driver must
+    /// give the same rows on a scratch dirtied by a different `num`.
+    #[test]
+    fn ball_query_identical_across_backends(
+        pts in arb_ball_cloud(),
+        radius in (0.01f32..30.0, 0usize..5),
+        num in 0usize..BALL_NUMS.len(),
+        centers_n in 1usize..(2 * QUERY_TILE + 3),
+    ) {
+        let radius = if radius.1 == 0 { f32::INFINITY } else { radius.0 };
+        let (dirty_num, num) = (BALL_NUMS[(num + 3) % BALL_NUMS.len()], BALL_NUMS[num]);
+        let cloud = PointCloud::from_points(pts);
+        let centers: Vec<Point3> = (0..centers_n)
+            .map(|i| {
+                let p = if cloud.is_empty() { Point3::ORIGIN } else { cloud.point((i * 5) % cloud.len()) };
+                if i % 2 == 0 { p } else { p + Point3::splat(40.0) }
+            })
+            .collect();
+        assert_all_backends_equal(|| {
+            let r = ball_query(&cloud, &centers, radius, num).unwrap();
+            (r.indices, r.found, r.counters)
+        });
+        let scalar = reference::ball_query(&cloud, &centers, radius, num).unwrap();
+        let kernel = ball_query(&cloud, &centers, radius, num).unwrap();
+        prop_assert_eq!(&kernel.indices, &scalar.indices);
+        prop_assert_eq!(&kernel.found, &scalar.found);
+        prop_assert_eq!(kernel.counters, scalar.counters);
+        let mut scratch = SelectScratch::new();
+        for b in Backend::ALL {
+            select_rows(b, &cloud, &centers, radius * radius, dirty_num, &mut scratch);
+            let (indices, found) = select_rows(b, &cloud, &centers, radius * radius, num, &mut scratch);
+            prop_assert_eq!(&indices, &scalar.indices);
+            prop_assert_eq!(&found, &scalar.found);
+        }
     }
 }
 
