@@ -1,8 +1,7 @@
-//! Criterion micro-benchmarks: partitioning strategies (software builders)
-//! and the sequential vs level-synchronous-parallel Fractal build.
+//! Criterion micro-benchmarks: partitioning strategies (software builders).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fractalcloud_core::{Fractal, FractalConfig};
+use fractalcloud_core::Fractal;
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud_pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
@@ -28,22 +27,5 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential vs level-synchronous parallel Fractal build (identical
-/// results; the gap is pure scheduling and scales with available cores).
-fn bench_build_scheduling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fractal_build_scheduling");
-    for &n in &[16_384usize, 65_536] {
-        let cloud = scene_cloud(&SceneConfig::default(), n, 42);
-        let cfg = FractalConfig::new(256);
-        group.bench_with_input(BenchmarkId::new("sequential", n), &cloud, |b, cl| {
-            b.iter(|| Fractal::new(cfg.sequential()).build(cl).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("parallel-frontier", n), &cloud, |b, cl| {
-            b.iter(|| Fractal::new(cfg).build(cl).unwrap())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_partitioners, bench_build_scheduling);
+criterion_group!(benches, bench_partitioners);
 criterion_main!(benches);

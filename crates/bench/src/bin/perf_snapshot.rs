@@ -2,11 +2,10 @@
 //!
 //! Times the software hot paths end-to-end — global FPS at 4k/16k points,
 //! global KNN / ball query / interpolation at 4k points (scalar reference vs
-//! the dispatched kernel path, whose backend is recorded in the JSON), the
-//! Fractal build at 64k points (sequential vs level-synchronous parallel),
-//! and block-parallel FPS over the 64k partition (sequential vs parallel
-//! blocks) — verifying result equivalence in the same run, and writes
-//! `BENCH_point_ops.json`.
+//! the dispatched kernel path, whose backend is recorded in the JSON) and
+//! block-parallel FPS over a 64k-point Fractal partition (sequential vs
+//! parallel blocks) — verifying result equivalence in the same run, and
+//! writes `BENCH_point_ops.json`.
 //!
 //! ```text
 //! cargo run --release -p fractalcloud-bench --bin perf_snapshot
@@ -17,15 +16,14 @@
 //! written, flagged `"mode": "quick"`); committed snapshots should come
 //! from a full run.
 //!
-//! The thread-scheduling rows (`fractal_build`, `block_fps_scheduling`)
-//! measure ~1× on a single-CPU host by construction; they are skipped there
-//! and recorded with `"status": "skipped_single_cpu"` instead of reporting
-//! a misleading speedup.
+//! The thread-scheduling row (`block_fps_scheduling`) measures ~1× on a
+//! single-CPU host by construction; it is skipped there and recorded with
+//! `"status": "skipped_single_cpu"` instead of reporting a misleading
+//! speedup.
 
 use fractalcloud_core::bppo::reference as bppo_reference;
 use fractalcloud_core::{
-    block_fps, BppoConfig, Fractal, FractalConfig, Pipeline, PipelineConfig, PipelineOutput,
-    Workspace,
+    block_fps, BppoConfig, Fractal, Pipeline, PipelineConfig, PipelineOutput, Workspace,
 };
 use fractalcloud_pointcloud::generate::{scene_cloud, with_random_features, SceneConfig};
 use fractalcloud_pointcloud::kernels;
@@ -184,35 +182,11 @@ fn main() {
         optimized_ms,
     ));
 
-    // --- Fractal build: sequential vs level-synchronous parallel ---
-    let cloud = scene_cloud(&SceneConfig::default(), build_n, seed);
-    let cfg = FractalConfig::new(256);
-    let par = Fractal::new(cfg).build(&cloud).unwrap();
-    let seq = Fractal::new(cfg.sequential()).build(&cloud).unwrap();
-    assert_eq!(par, seq, "parallel build must be bit-identical to sequential");
-    if workers > 1 {
-        let baseline_ms = time_ms(reps, || Fractal::new(cfg.sequential()).build(&cloud).unwrap());
-        let optimized_ms = time_ms(reps, || Fractal::new(cfg).build(&cloud).unwrap());
-        comparisons.push(Comparison::measured(
-            "fractal_build",
-            "sequential",
-            "parallel_frontier",
-            baseline_ms,
-            optimized_ms,
-        ));
-    } else {
-        comparisons.push(Comparison::skipped(
-            "fractal_build",
-            "sequential",
-            "parallel_frontier",
-            "skipped_single_cpu",
-        ));
-    }
-
-    // --- Block-parallel FPS over the build's partition ---
+    // --- Block-parallel FPS over a Fractal partition ---
     // First the kernel win at fixed (sequential) scheduling: scalar
     // reference blocks vs dispatched kernel blocks.
-    let part = par.partition;
+    let cloud = scene_cloud(&SceneConfig::default(), build_n, seed);
+    let part = Fractal::with_threshold(256).build(&cloud).unwrap().partition;
     let scalar = bppo_reference::block_fps(&cloud, &part, 0.25, &BppoConfig::sequential()).unwrap();
     let bseq = block_fps(&cloud, &part, 0.25, &BppoConfig::sequential()).unwrap();
     let bpar = block_fps(&cloud, &part, 0.25, &BppoConfig::default()).unwrap();
@@ -550,7 +524,7 @@ fn measure_allocs_per_frame(frame_points: usize) -> AllocsPerFrame {
     let cloud = scene_cloud(&SceneConfig::default(), frame_points, 777);
     let pipe = Pipeline::new(PipelineConfig::default()).expect("default config is valid");
     let mut ws = Workspace::new();
-    let built = pipe.partition_ws(&cloud, false, &mut ws).expect("partition");
+    let built = pipe.partition_ws(&cloud, &mut ws).expect("partition");
     let mut staging = PipelineOutput::default();
     let before = allocation_count();
     pipe.run_with_partition_into(&cloud, &built, false, &mut ws, &mut staging).expect("cold run");
@@ -783,7 +757,7 @@ fn render_json(
     out.push_str(&format!("  \"threads\": {},\n", fractalcloud_parallel::workers()));
     out.push_str(&format!("  \"backend\": \"{backend}\",\n"));
     out.push_str(&format!(
-        "  \"scales\": {{ \"fps_global_small\": {fps_small}, \"fps_global_large\": {fps_large}, \"knn\": {sel_n}, \"ball_query\": {sel_n}, \"interpolate\": {sel_n}, \"fractal_build\": {build_n}, \"block_fps\": {build_n}, \"block_fps_scheduling\": {build_n} }},\n"
+        "  \"scales\": {{ \"fps_global_small\": {fps_small}, \"fps_global_large\": {fps_large}, \"knn\": {sel_n}, \"ball_query\": {sel_n}, \"interpolate\": {sel_n}, \"block_fps\": {build_n}, \"block_fps_scheduling\": {build_n} }},\n"
     ));
     out.push_str("  \"results\": [\n");
     for c in comparisons {

@@ -103,11 +103,9 @@ impl ReuseStats {
 /// of scheduling).
 ///
 /// Inter-block parallelism is delegated to
-/// [`fractalcloud_parallel::parallel_map_with`], the same work-claiming
-/// pool the Fractal partitioner's level-synchronous frontier uses, so
-/// block FPS/KNN and the build scale on the same worker budget. Each
-/// execution lane gets a pooled [`Workspace`](crate::Workspace) through
-/// the per-lane `make` hook — one checkout from
+/// [`fractalcloud_parallel::parallel_map_with`]. Each execution lane gets
+/// a pooled [`Workspace`](crate::Workspace) through the per-lane `make`
+/// hook — one checkout from
 /// [`global_pool`](crate::workspace::global_pool) per lane, so scoped
 /// threads never share scratch, and the inline path reuses a single
 /// checkout for every block.

@@ -12,15 +12,15 @@
 //!
 //! Determinism contract: for a given cloud and config, [`Pipeline::run`] is
 //! bit-identical to calling the underlying free functions directly, for
-//! every thread budget and every kernel backend — the parallel toggles only
-//! affect wall-clock time (the same guarantee the underlying operations
-//! make).
+//! every thread budget and every kernel backend — `parallel` (the block
+//! fan-out of the BPPO half) only affects wall-clock time (the same
+//! guarantee the underlying operations make).
 
 use crate::bppo::{
     block_ball_query_into, block_fps_with_counts_into, block_sample_counts,
     block_sample_counts_into, BlockFpsResult, BlockNeighborResult, BppoConfig,
 };
-use crate::fractal::{Fractal, FractalConfig, FractalResult};
+use crate::fractal::{Fractal, FractalResult};
 use crate::lod::SampleOrder;
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
@@ -249,15 +249,14 @@ impl Pipeline {
     }
 
     /// Builds the Fractal partition for `cloud` (the cacheable half of a
-    /// run). `parallel` selects level-synchronous parallel building; the
-    /// result is bit-identical either way.
+    /// run).
     ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyCloud`] for an empty cloud.
-    pub fn partition(&self, cloud: &PointCloud, parallel: bool) -> Result<FractalResult> {
+    pub fn partition(&self, cloud: &PointCloud) -> Result<FractalResult> {
         let mut ws = global_pool().checkout();
-        self.partition_ws(cloud, parallel, &mut ws)
+        self.partition_ws(cloud, &mut ws)
     }
 
     /// [`Pipeline::partition`] with an explicit scratch [`Workspace`]
@@ -266,18 +265,9 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns [`Error::EmptyCloud`] for an empty cloud.
-    pub fn partition_ws(
-        &self,
-        cloud: &PointCloud,
-        parallel: bool,
-        ws: &mut Workspace,
-    ) -> Result<FractalResult> {
-        let mut fc = FractalConfig::new(self.config.threshold);
-        if !parallel {
-            fc = fc.sequential();
-        }
+    pub fn partition_ws(&self, cloud: &PointCloud, ws: &mut Workspace) -> Result<FractalResult> {
         let span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::PartitionBuild, 0);
-        let built = Fractal::new(fc).build_ws(cloud, ws);
+        let built = Fractal::with_threshold(self.config.threshold).build_ws(cloud, ws);
         span.done();
         built
     }
@@ -289,7 +279,7 @@ impl Pipeline {
     /// Returns [`Error::EmptyCloud`] for an empty cloud (parameter errors
     /// were ruled out at construction).
     pub fn run(&self, cloud: &PointCloud, parallel: bool) -> Result<PipelineOutput> {
-        let built = self.partition(cloud, parallel)?;
+        let built = self.partition(cloud)?;
         self.run_with_partition(cloud, &built, parallel)
     }
 
@@ -443,7 +433,7 @@ impl Pipeline {
         k: usize,
         parallel: bool,
     ) -> Result<PipelineOutput> {
-        let built = self.partition(cloud, parallel)?;
+        let built = self.partition(cloud)?;
         self.run_with_partition_budget(cloud, &built, k, parallel)
     }
 
@@ -513,7 +503,7 @@ mod tests {
     fn cached_partition_reuse_is_identical_to_fresh_run() {
         let cloud = scene_cloud(&SceneConfig::default(), 3000, 9);
         let pipe = Pipeline::new(PipelineConfig::default()).unwrap();
-        let built = pipe.partition(&cloud, true).unwrap();
+        let built = pipe.partition(&cloud).unwrap();
         let fresh = pipe.run(&cloud, true).unwrap();
         let reused = pipe.run_with_partition(&cloud, &built, true).unwrap();
         assert_eq!(fresh, reused);
@@ -568,7 +558,7 @@ mod tests {
     fn cancelled_run_aborts_and_staging_is_reusable_afterwards() {
         let cloud = scene_cloud(&SceneConfig::default(), 2048, 21);
         let pipe = Pipeline::new(PipelineConfig::default()).unwrap();
-        let built = pipe.partition(&cloud, false).unwrap();
+        let built = pipe.partition(&cloud).unwrap();
         let expected = pipe.run_with_partition(&cloud, &built, false).unwrap();
 
         let mut ws = Workspace::new();

@@ -70,7 +70,7 @@ pub struct Workspace {
     pub(crate) own: Vec<usize>,
     /// Sorted search-space membership scratch (gather locality).
     pub(crate) space: Vec<usize>,
-    /// Fractal build scratch (order buffer, frontier lists, split runs).
+    /// Fractal build scratch (order buffer, active-node lists, split runs).
     pub(crate) build: BuildScratch,
     /// LOD schedule scratch: `(rank, count, block)` entries staged for the
     /// [`SampleOrder`](crate::lod::SampleOrder) interleave sort.
@@ -148,9 +148,9 @@ pub struct InferScratch {
     pub select: SelectScratch,
 }
 
-/// Scratch of the sequential Fractal build: the global order buffer whose
-/// final state is the DFT layout, the level-synchronous frontier lists, and
-/// the per-split left/right runs.
+/// Scratch of the Fractal build: the global order buffer whose final state
+/// is the DFT layout, this iteration's and the next's active-node lists,
+/// the DFT leaf list, and the per-split left/right runs.
 #[derive(Debug, Default)]
 pub(crate) struct BuildScratch {
     pub order: Vec<usize>,

@@ -4,9 +4,9 @@
 //! selection order is decided by candidate position alone — rows must be
 //! the first `num` candidates of the center's search space.
 
-use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal};
+use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal, FractalResult};
 use fractalcloud_pointcloud::kernels::{with_backend, Backend};
-use fractalcloud_pointcloud::{Point3, PointCloud};
+use fractalcloud_pointcloud::{Error, Point3, PointCloud};
 
 /// Runs the three stages on every backend and checks each neighbor row
 /// against a stable sort of the center's search space by distance (ties
@@ -90,4 +90,89 @@ fn collinear_points_select_nearest_in_search_space_order() {
             assert_eq!(spaces.len() > 1, n > 16, "a line longer than the threshold splits");
         }
     }
+}
+
+/// Hostile coordinates go through `Fractal::build` alone: builds `points`
+/// twice and checks what every build guarantees whatever the coordinates
+/// are — an exact partition, a valid tree inside the depth cap, and the
+/// same result both times (compared through `Debug` text: NaN bounding
+/// boxes never compare equal).
+fn build_twice(points: Vec<Point3>, threshold: usize) -> FractalResult {
+    let cloud = PointCloud::from_points(points);
+    let fractal = Fractal::with_threshold(threshold);
+    let built = fractal.build(&cloud).unwrap();
+    assert!(built.partition.is_exact_partition_of(cloud.len()));
+    built.tree.validate().unwrap();
+    assert!(built.partition.max_depth <= fractal.config().max_depth);
+    assert_eq!(format!("{built:?}"), format!("{:?}", fractal.build(&cloud).unwrap()));
+    built
+}
+
+fn line(n: usize) -> Vec<Point3> {
+    (0..n).map(|i| Point3::new(i as f32 * 0.25, 1.0, -2.0)).collect()
+}
+
+#[test]
+fn an_empty_cloud_is_refused() {
+    assert_eq!(Fractal::with_threshold(16).build(&PointCloud::new()), Err(Error::EmptyCloud));
+}
+
+#[test]
+fn nan_points_collect_in_forced_leaves() {
+    let nan = Point3::splat(f32::NAN);
+
+    // One NaN point, first, last and in the middle: it compares greater
+    // than every split plane, so it rides the right-hand side down and the
+    // finite points still split to the threshold.
+    for at in [0, 100, 199] {
+        let mut pts = line(200);
+        pts[at] = nan;
+        let built = build_twice(pts, 16);
+        assert!(built.partition.blocks.iter().all(|b| b.len() <= 16), "NaN at {at}");
+    }
+
+    // A third of the points: the NaN points end in one leaf no plane can
+    // split, which may exceed the threshold; no other block does.
+    let mut pts = line(300);
+    (0..300).step_by(3).for_each(|i| pts[i] = nan);
+    let built = build_twice(pts.clone(), 16);
+    let oversized: Vec<_> = built.partition.blocks.iter().filter(|b| b.len() > 16).collect();
+    assert_eq!(oversized.len(), 1);
+    assert_eq!(oversized[0].len(), 100);
+    assert!(oversized[0].indices.iter().all(|&i| pts[i].x.is_nan()));
+
+    // All NaN: nothing to split on, one block.
+    let built = build_twice(vec![nan; 100], 16);
+    assert_eq!(built.partition.blocks.len(), 1);
+    assert_eq!(built.iterations, 1);
+}
+
+#[test]
+fn infinite_coordinates_make_their_axis_unsplittable() {
+    // +inf on x only: the x midpoint of any node holding that point is
+    // +inf (nothing falls right of it), so those nodes split on y and z
+    // alone — constant here, so the point's node is a forced leaf.
+    let mut pts = line(200);
+    pts[7].x = f32::INFINITY;
+    let built = build_twice(pts, 16);
+    assert_eq!(built.partition.blocks.len(), 1);
+
+    // With extent on the other axes the cloud still splits to the threshold.
+    let mut pts: Vec<Point3> =
+        (0..200).map(|i| Point3::new((i % 10) as f32, (i / 10) as f32, 0.5)).collect();
+    pts[7].x = f32::INFINITY;
+    pts[8].x = f32::NEG_INFINITY;
+    let built = build_twice(pts, 16);
+    assert!(built.partition.blocks.iter().all(|b| b.len() <= 16));
+}
+
+#[test]
+fn a_line_near_f32_max_splits_to_the_threshold() {
+    // One level down x spans [MAX/2, MAX] and y [-MAX, -MAX/2]: min + max
+    // overflows on both, and the midpoint halves the corners first instead.
+    let coords = (0..1000).map(|i| i as f32 / 999.0 * f32::MAX);
+    let pts = coords.map(|c| Point3::new(c, -c, 0.0)).collect();
+    let built = build_twice(pts, 64);
+    assert!(built.partition.blocks.iter().all(|b| b.len() <= 64));
+    assert!(built.tree.nodes().iter().filter_map(|n| n.split).all(|(_, mid)| mid.is_finite()));
 }

@@ -3,7 +3,6 @@
 use fractalcloud_core::bppo::reference as bppo_reference;
 use fractalcloud_core::{
     block_ball_query, block_fps, block_gather, block_interpolate, BppoConfig, Fractal,
-    FractalConfig,
 };
 use fractalcloud_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;
@@ -151,15 +150,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The parallel (level-synchronous) Fractal build is bit-identical to
-    /// the sequential build: same tree, blocks, layout, and cost counters.
-    #[test]
-    fn fractal_parallel_build_equals_sequential((cloud, th) in (arb_cloud(400), 4usize..64)) {
-        let par = Fractal::new(FractalConfig::new(th)).build(&cloud).unwrap();
-        let seq = Fractal::new(FractalConfig::new(th).sequential()).build(&cloud).unwrap();
-        prop_assert_eq!(par, seq);
-    }
-
     /// Kernel block FPS equals the retained scalar reference — indices and
     /// counters — with and without the window check.
     #[test]
@@ -280,7 +270,7 @@ proptest! {
         };
         let pipe = Pipeline::new(cfg).unwrap();
         assert_all_backends_equal(|| {
-            let built = pipe.partition(&cloud, false).unwrap();
+            let built = pipe.partition(&cloud).unwrap();
             let full = pipe.run_with_partition(&cloud, &built, false).unwrap();
             let k = ((full.total_samples() as f64) * frac).floor() as usize;
             let view = full.prefix(k);

@@ -36,7 +36,7 @@ fn on_every_backend(mut f: impl FnMut(Backend)) {
 fn dirty_workspace(seed_cloud: &PointCloud) -> Workspace {
     let mut ws = Workspace::new();
     let pipe = Pipeline::new(PipelineConfig::new(13, 0.5, 0.9, 3)).unwrap();
-    let built = pipe.partition_ws(seed_cloud, false, &mut ws).unwrap();
+    let built = pipe.partition_ws(seed_cloud, &mut ws).unwrap();
     let mut staging = PipelineOutput::default();
     pipe.run_with_partition_into(seed_cloud, &built, false, &mut ws, &mut staging).unwrap();
     ws
@@ -66,15 +66,15 @@ proptest! {
         on_every_backend(|backend| {
             kernels::with_backend(backend, || {
                 // Fresh path: plain entry points (transient pool state).
-                let built = pipe.partition(&cloud, false).unwrap();
+                let built = pipe.partition(&cloud).unwrap();
                 let fresh = pipe.run_with_partition(&cloud, &built, false).unwrap();
                 // Dirty path: reused workspace + reused (dirty) staging.
                 let mut ws = dirty_workspace(&seed);
-                let built_ws = pipe.partition_ws(&cloud, false, &mut ws).unwrap();
+                let built_ws = pipe.partition_ws(&cloud, &mut ws).unwrap();
                 assert_eq!(built_ws, built, "dirty-workspace build diverged");
                 let mut staging = PipelineOutput::default();
                 // Dirty the staging with a different frame first.
-                pipe.run_with_partition_into(&seed, &pipe.partition(&seed, false).unwrap(), false, &mut ws, &mut staging).unwrap();
+                pipe.run_with_partition_into(&seed, &pipe.partition(&seed).unwrap(), false, &mut ws, &mut staging).unwrap();
                 pipe.run_with_partition_into(&cloud, &built_ws, false, &mut ws, &mut staging).unwrap();
                 assert_eq!(staging, fresh, "dirty-staging output diverged");
                 // Budget-k through the same (now dirtier) workspace + staging.
@@ -131,7 +131,7 @@ proptest! {
         let config = PipelineConfig::new(th, 0.25, 0.6, 8);
         let pipe = Pipeline::new(config).unwrap();
         let mut ws = Workspace::new();
-        let built = pipe.partition_ws(&cloud, false, &mut ws).unwrap();
+        let built = pipe.partition_ws(&cloud, &mut ws).unwrap();
         let first = pipe.run_with_partition(&cloud, &built, false).unwrap();
         let mut staging = PipelineOutput::default();
         for _round in 0..3 {
@@ -186,16 +186,16 @@ fn pool_survives_injected_mid_stage_panic() {
     // partition half has run, FPS/ball-query scratch is in a torn state.
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut ws = fractalcloud_core::workspace::global_pool().checkout();
-        let _built = pipe.partition_ws(&cloud, false, &mut ws).unwrap();
+        let _built = pipe.partition_ws(&cloud, &mut ws).unwrap();
         panic!("injected mid-stage panic");
     }));
     assert!(r.is_err());
     // A clean frame via the pooled entry points equals a run through a
     // never-pooled workspace, bit for bit.
-    let built = pipe.partition(&cloud, false).unwrap();
+    let built = pipe.partition(&cloud).unwrap();
     let pooled = pipe.run_with_partition(&cloud, &built, false).unwrap();
     let mut fresh_ws = Workspace::new();
-    let built_fresh = pipe.partition_ws(&cloud, false, &mut fresh_ws).unwrap();
+    let built_fresh = pipe.partition_ws(&cloud, &mut fresh_ws).unwrap();
     assert_eq!(built_fresh, built, "post-panic pooled build diverged");
     let mut staging = PipelineOutput::default();
     pipe.run_with_partition_into(&cloud, &built_fresh, false, &mut fresh_ws, &mut staging).unwrap();

@@ -32,8 +32,8 @@ use std::sync::{Mutex, OnceLock};
 ///
 /// Honors `FRACTALCLOUD_THREADS` when set (minimum 1), otherwise
 /// `available_parallelism`, otherwise 4. Resolved once per process: this
-/// is called on every `parallel_map` (per node split during a Fractal
-/// build), so the env lookup is cached.
+/// is called on every `parallel_map` (per block fan-out of every frame),
+/// so the env lookup is cached.
 pub fn workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {

@@ -813,7 +813,7 @@ mod tests {
         let sa = &model.stages[0];
         let cfg = PipelineConfig::new(128, sa.sample_ratio, sa.radius, sa.nsample);
         let pipe = Pipeline::new(cfg).unwrap();
-        let built = pipe.partition(&cloud, false).unwrap();
+        let built = pipe.partition(&cloud).unwrap();
         let po = pipe.run_with_partition(&cloud, &built, false).unwrap();
 
         let mut ws = Workspace::default();

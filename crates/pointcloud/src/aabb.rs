@@ -112,9 +112,17 @@ impl Aabb {
     /// The hardware computes this with one addition and a right shift
     /// (Fig. 9(a), "Mid. Comp."); in floating point that is an add and a
     /// multiply by 0.5, which is numerically identical for finite inputs.
+    /// Only when that sum overflows (`|min + max| > f32::MAX`) are the
+    /// corners halved first, so a finite box always has a finite midpoint.
     #[inline]
     pub fn midpoint(&self, axis: Axis) -> f32 {
-        (self.min.coord(axis) + self.max.coord(axis)) * 0.5
+        let (lo, hi) = (self.min.coord(axis), self.max.coord(axis));
+        let sum = lo + hi;
+        if sum.is_finite() {
+            sum * 0.5
+        } else {
+            lo * 0.5 + hi * 0.5
+        }
     }
 
     /// The center of the box.
@@ -211,6 +219,17 @@ mod tests {
         assert!((b.midpoint(Axis::X) - 0.5).abs() < 1e-6);
         assert_eq!(b.midpoint(Axis::Y), 0.0);
         assert_eq!(b.midpoint(Axis::Z), 5.0);
+    }
+
+    #[test]
+    fn midpoint_of_a_finite_box_is_finite_when_the_corner_sum_overflows() {
+        let (lo, hi) = (f32::MAX * 0.5, f32::MAX);
+        let b = Aabb::new(Point3::new(lo, -hi, 0.0), Point3::new(hi, -lo, 0.0));
+        assert_eq!(b.midpoint(Axis::X), f32::MAX * 0.75);
+        assert_eq!(b.midpoint(Axis::Y), f32::MAX * -0.75);
+        // An infinite corner still gives what the plain sum gives.
+        let b = Aabb::new(Point3::splat(f32::NEG_INFINITY), Point3::splat(f32::INFINITY));
+        assert!(b.midpoint(Axis::Z).is_nan());
     }
 
     #[test]

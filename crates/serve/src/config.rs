@@ -27,9 +27,9 @@ pub struct ServeConfig {
     /// Partition-LRU capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Thread budget shared by the requests of one batch: a lone request
-    /// gets the whole budget (parallel build + block scheduling), while a
-    /// fused batch divides it across one lane per request, each lane's
-    /// share inherited by the block fan-out inside its pipeline.
+    /// gets the whole budget, while a fused batch divides it across one
+    /// lane per request; a lane spends its share on the block fan-out
+    /// inside its pipeline (the Fractal build is single-threaded).
     pub thread_budget: usize,
     /// Maximum concurrent TCP connections; further connects are answered
     /// with `status::TOO_MANY_CONNECTIONS` (retryable) and closed.

@@ -16,8 +16,8 @@
 //!    [`PipelineConfig`]) from every class, highest first, preserving each
 //!    class's arrival order among what remains.
 //! 4. **Execution** — one schedule for every request kind: a lone job
-//!    runs inline on its worker with the whole thread budget (parallel
-//!    build + block fan-out); a fused batch runs one lane per job
+//!    runs inline on its worker with the whole thread budget (block
+//!    fan-out); a fused batch runs one lane per job
 //!    ([`fractalcloud_parallel::parallel_map_budget_with`]), and each
 //!    lane's share of the budget is inherited by every nested fan-out
 //!    ([`fractalcloud_parallel::effective_budget`]) — the paper's
@@ -1701,10 +1701,10 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
 
 /// The staged executor every job runs through, whatever its kind: the
 /// shared prologue (deadline, injected block fault, pipeline, partition —
-/// cached or built with this lane's workspace and budget), stage 1 at the
-/// job's sample budget, then the kind's epilogue. Parallelism inside the
-/// pipeline is governed by the lane's inherited thread budget (a 1-thread
-/// lane resolves every nested fan-out to sequential execution).
+/// cached or built in this lane's workspace), stage 1 at the job's sample
+/// budget, then the kind's epilogue. The block fan-out inside stage 1 is
+/// governed by the lane's inherited thread budget (a 1-thread lane
+/// resolves it to sequential execution); the build never fans out.
 ///
 /// All scratch lives in the lane's `ws`, and stage 1 refills a pooled
 /// [`PipelineOutput`] staging buffer in place; only the vectors a response
@@ -1724,9 +1724,8 @@ fn run_job(
         return Err(ServeError::Internal);
     }
     let cloud = &*job.cloud;
-    let parallel = fractalcloud_parallel::effective_budget() > 1;
     let pipeline = Pipeline::new(job.config).map_err(ServeError::Invalid)?;
-    let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
+    let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, ws)?;
 
     match &job.kind {
         WorkKind::Frame { budget } => {
@@ -1748,7 +1747,7 @@ fn run_job(
                 .fetch_add(1, Ordering::Relaxed);
             }
             let mut staging = shared.outputs.checkout();
-            stage1(job, &pipeline, &built, depth, parallel, ws, &mut staging)?;
+            stage1(job, &pipeline, &built, depth, ws, &mut staging)?;
             let out = &mut *staging;
             // Swap the filled staging vectors with a recycled response's
             // spent ones (instead of `mem::take`, which would strip the
@@ -1786,7 +1785,7 @@ fn run_job(
                 Some(full) => full,
                 None => {
                     let mut out = PipelineOutput::default();
-                    stage1(job, &pipeline, &built, usize::MAX, parallel, ws, &mut out)?;
+                    stage1(job, &pipeline, &built, usize::MAX, ws, &mut out)?;
                     let full = Arc::new(out);
                     if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
                         lock_unpoisoned(&shared.cache).insert_order(order_key, Arc::clone(&full));
@@ -1809,7 +1808,7 @@ fn run_job(
         }
         WorkKind::Infer { executor } => {
             let mut staging = shared.outputs.checkout();
-            stage1(job, &pipeline, &built, usize::MAX, parallel, ws, &mut staging)?;
+            stage1(job, &pipeline, &built, usize::MAX, ws, &mut staging)?;
             // The forward pass has no internal cancel seam; re-check the
             // deadline at the pipeline→network boundary so an
             // already-expired request never pays for the MLP stack.
@@ -1843,27 +1842,19 @@ fn run_job(
 /// job's deadline becomes a [`CancelToken`] and a run cancelled at a stage
 /// seam becomes the retryable [`ShedReason::DeadlineExceeded`].
 /// Deadline-free requests arm no token (no `Arc` allocation — preserving
-/// the zero-alloc warmed steady state).
+/// the zero-alloc warmed steady state). The block fan-out is always
+/// allowed: whether it happens is the lane budget's decision.
 fn stage1(
     job: &Job,
     pipeline: &Pipeline,
     built: &fractalcloud_core::FractalResult,
     depth: usize,
-    parallel: bool,
     ws: &mut Workspace,
     out: &mut PipelineOutput,
 ) -> Result<(), ServeError> {
     let cancel = job.deadline.map(CancelToken::with_deadline);
     pipeline
-        .run_with_partition_into_cancel(
-            &job.cloud,
-            built,
-            depth,
-            parallel,
-            ws,
-            out,
-            cancel.as_ref(),
-        )
+        .run_with_partition_into_cancel(&job.cloud, built, depth, true, ws, out, cancel.as_ref())
         .map_err(|e| match e {
             Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
             other => ServeError::Invalid(other),
@@ -1871,14 +1862,13 @@ fn stage1(
 }
 
 /// The partition half of every job: look the frame up in the engine-wide
-/// LRU, else build (with this lane's workspace and budget) and insert — the
+/// LRU, else build (in this lane's workspace) and insert — the
 /// insert skipped under an injected cache fault, which costs a future miss,
 /// never correctness.
 fn cached_partition(
     shared: &Shared,
     pipeline: &Pipeline,
     cloud: &PointCloud,
-    parallel: bool,
     ws: &mut Workspace,
 ) -> Result<(Arc<fractalcloud_core::FractalResult>, bool), ServeError> {
     let key = frame_key(cloud, pipeline.config().threshold);
@@ -1891,8 +1881,7 @@ fn cached_partition(
         }
         None => {
             shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let built =
-                Arc::new(pipeline.partition_ws(cloud, parallel, ws).map_err(ServeError::Invalid)?);
+            let built = Arc::new(pipeline.partition_ws(cloud, ws).map_err(ServeError::Invalid)?);
             if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
                 lock_unpoisoned(&shared.cache).insert(key, Arc::clone(&built));
             }

@@ -256,24 +256,31 @@ fn refuse_connection(mut stream: TcpStream) {
     }
 }
 
-/// Serves one connection: a loop of request → response frames. Returns (and
-/// closes the stream) on EOF, protocol violation, or I/O error.
-fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGate) {
+/// Socket set-up of an accepted connection, before its first read.
+fn configure_accepted(stream: &TcpStream, idle_ms: u64) -> io::Result<()> {
     // Handlers use blocking reads; the listener's non-blocking flag is
     // inherited on some platforms, so reset it explicitly.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
+    stream.set_nonblocking(false)?;
+    // Replies end in small frames (a stream's `STREAM_END`, a status byte):
+    // under Nagle each waits out the peer's delayed ACK (~40 ms).
+    stream.set_nodelay(true)?;
     // Slow-peer defense: bound every socket read and write so a peer that
     // stops feeding (or draining) the connection cannot pin this handler
     // thread forever. An idle-but-healthy client is reaped too — it simply
     // reconnects on its next request.
-    let idle_ms = engine.config().idle_timeout_ms;
     if idle_ms > 0 {
         let t = Some(Duration::from_millis(idle_ms));
-        if stream.set_read_timeout(t).is_err() || stream.set_write_timeout(t).is_err() {
-            return;
-        }
+        stream.set_read_timeout(t)?;
+        stream.set_write_timeout(t)?;
+    }
+    Ok(())
+}
+
+/// Serves one connection: a loop of request → response frames. Returns (and
+/// closes the stream) on EOF, protocol violation, or I/O error.
+fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGate) {
+    if configure_accepted(&stream, engine.config().idle_timeout_ms).is_err() {
+        return;
     }
     let metrics = engine.metrics_registry();
     // Counts this connection as drained (when it eventually closes) once
@@ -1587,6 +1594,28 @@ impl ServeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_both_idle_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "the platform default is Nagle on");
+
+        configure_accepted(&accepted, 1500).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        let idle = Some(Duration::from_millis(1500));
+        assert_eq!(accepted.read_timeout().unwrap(), idle);
+        assert_eq!(accepted.write_timeout().unwrap(), idle);
+
+        // Zero disables the reaper: no timeout is armed.
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_accepted(&accepted, 0).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), None);
+        assert_eq!(accepted.write_timeout().unwrap(), None);
+    }
 
     #[test]
     fn retry_backoff_is_deterministic_per_seed() {

@@ -159,7 +159,7 @@ fn main() {
         let cloud = &clouds[0];
         let pipe = Pipeline::new(cfg).expect("default config");
         let mut ws = Workspace::new();
-        let built = pipe.partition_ws(cloud, false, &mut ws).expect("partition");
+        let built = pipe.partition_ws(cloud, &mut ws).expect("partition");
         let mut staging = PipelineOutput::default();
         pipe.run_with_partition_into(cloud, &built, false, &mut ws, &mut staging).expect("warm");
         let mut core_allocs = 0u64;
