@@ -60,7 +60,7 @@ pub use bppo::{
     BppoConfig, GatherLocality, ReuseStats,
 };
 pub use fractal::{Fractal, FractalConfig, FractalResult};
-pub use lod::{LodSegment, LodSlice, SampleOrder};
+pub use lod::{LodCursor, LodSegment, LodSegmentRef, LodSlice, SampleOrder};
 pub use pipeline::{fnv1a64, CancelToken, Pipeline, PipelineConfig, PipelineOutput, FNV1A64_SEED};
 pub use quality::{evaluate_quality, QualityConfig, QualityReport};
 pub use tree::{FractalNode, FractalTree, NodeId};

@@ -246,47 +246,211 @@ impl PipelineOutput {
     /// indices and neighbor rows it gains, in block order. Appending this
     /// slice's segments to the per-block state of [`PipelineOutput::prefix`]`(lo)`
     /// reproduces `prefix(hi)` exactly — the invariant streaming chunks
-    /// rely on.
+    /// rely on. The owned form of a [`LodCursor`] cut.
     ///
     /// # Panics
     ///
     /// Panics if the output carries no ordering (see
     /// [`PipelineOutput::prefix`]).
     pub fn slice_level(&self, lo: usize, hi: usize) -> LodSlice {
-        assert_eq!(
-            self.order.len(),
-            self.sampled.indices.len(),
-            "PipelineOutput::slice_level needs the ordering a pipeline run carries"
-        );
-        let total = self.order.len();
+        let (total, num, blocks) = (self.order.len(), self.grouped.num, self.blocks);
         let hi = hi.min(total);
         let lo = lo.min(hi);
-        let counts_lo = self.order.prefix_counts(lo);
-        let counts_hi = self.order.prefix_counts(hi);
-        let num = self.grouped.num;
+        let mut cursor = LodCursor::new(self);
+        cursor.advance(lo);
+        cursor.advance(hi);
+        let own = |s: LodSegmentRef<'_>| LodSegment {
+            block: s.block,
+            sampled: s.sampled.to_vec(),
+            grouped: s.grouped.to_vec(),
+            found: s.found.to_vec(),
+        };
+        let segments = cursor.segments().map(own).collect();
+        LodSlice { lo, hi, total, num, blocks, segments }
+    }
+}
 
-        let mut segments = Vec::new();
+/// One block's contribution to a [`LodCursor`] cut, borrowed from the
+/// output it cuts (the allocation-free form of [`LodSegment`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LodSegmentRef<'a> {
+    /// Leaf block index.
+    pub block: usize,
+    /// The block's new sampled indices.
+    pub sampled: &'a [usize],
+    /// `sampled.len() × num` neighbor indices, row-major.
+    pub grouped: &'a [usize],
+    /// In-radius hits per new center before padding.
+    pub found: &'a [usize],
+}
+
+/// A position in a pipeline output's coarse-to-fine ordering that moves
+/// forward one cut `(lo, hi]` at a time — what a stream holds between
+/// chunks. The per-block delivered counts are carried from cut to cut, so
+/// a cut costs O(`hi − lo`) schedule steps (not a recount from rank 0),
+/// and its segments are slices of the output, so it copies nothing.
+#[derive(Debug)]
+pub struct LodCursor<'a> {
+    out: &'a PipelineOutput,
+    lo: usize,
+    hi: usize,
+    /// Per-block delivered counts at depth `lo` / at depth `hi`.
+    from: Vec<usize>,
+    to: Vec<usize>,
+    /// Full-output center-row offset of each block.
+    rows: Vec<usize>,
+}
+
+impl<'a> LodCursor<'a> {
+    /// A cursor at depth 0 of `out` (the empty cut `(0, 0]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output carries no ordering (see
+    /// [`PipelineOutput::prefix`]).
+    pub fn new(out: &'a PipelineOutput) -> LodCursor<'a> {
+        assert_eq!(
+            out.order.len(),
+            out.sampled.indices.len(),
+            "LodCursor needs the ordering a pipeline run carries"
+        );
+        let blocks = out.sampled.per_block.len();
+        let mut rows = Vec::with_capacity(blocks);
         let mut row = 0usize;
-        for (b, full) in self.sampled.per_block.iter().enumerate() {
-            let (c0, c1) = (counts_lo[b], counts_hi[b]);
-            if c1 > c0 {
-                segments.push(LodSegment {
-                    block: b,
-                    sampled: full[c0..c1].to_vec(),
-                    grouped: self.grouped.indices[(row + c0) * num..(row + c1) * num].to_vec(),
-                    found: self.grouped.found[row + c0..row + c1].to_vec(),
-                });
-            }
+        for full in &out.sampled.per_block {
+            rows.push(row);
             row += full.len();
         }
-        LodSlice { lo, hi, total, num, blocks: self.blocks, segments }
+        LodCursor { out, lo: 0, hi: 0, from: vec![0; blocks], to: vec![0; blocks], rows }
+    }
+
+    /// Moves to the cut `(previous hi, hi]`; `hi` clamps to the total and
+    /// never moves backwards (an `hi` at or below the current depth yields
+    /// the empty cut there).
+    pub fn advance(&mut self, hi: usize) {
+        let hi = hi.min(self.out.order.len()).max(self.hi);
+        self.from.copy_from_slice(&self.to);
+        for &b in &self.out.order.schedule[self.hi..hi] {
+            self.to[b as usize] += 1;
+        }
+        (self.lo, self.hi) = (self.hi, hi);
+    }
+
+    /// Start depth of the current cut (exclusive).
+    pub fn lo(&self) -> usize {
+        self.lo
+    }
+
+    /// End depth of the current cut — the samples delivered so far.
+    pub fn hi(&self) -> usize {
+        self.hi
+    }
+
+    /// The output this cursor cuts.
+    pub fn output(&self) -> &'a PipelineOutput {
+        self.out
+    }
+
+    /// The current cut's per-block refinement deltas, block order, empty
+    /// blocks omitted.
+    pub fn segments(&self) -> impl Iterator<Item = LodSegmentRef<'a>> + '_ {
+        let (out, num) = (self.out, self.out.grouped.num);
+        (0..self.rows.len()).filter(|&b| self.to[b] > self.from[b]).map(move |b| {
+            let (c0, c1, row) = (self.from[b], self.to[b], self.rows[b]);
+            LodSegmentRef {
+                block: b,
+                sampled: &out.sampled.per_block[b][c0..c1],
+                grouped: &out.grouped.indices[(row + c0) * num..(row + c1) * num],
+                found: &out.grouped.found[row + c0..row + c1],
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::pipeline::{Pipeline, PipelineConfig};
+    use super::{LodCursor, LodSegment, LodSlice};
+    use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
     use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
+    use proptest::prelude::*;
+
+    /// The reference cut the cursor is tested against: both depths
+    /// recounted from rank 0 (`prefix_counts`), every block copied.
+    fn slice_level_oracle(out: &PipelineOutput, lo: usize, hi: usize) -> LodSlice {
+        let total = out.order.len();
+        let hi = hi.min(total);
+        let lo = lo.min(hi);
+        let counts_lo = out.order.prefix_counts(lo);
+        let counts_hi = out.order.prefix_counts(hi);
+        let num = out.grouped.num;
+
+        let mut segments = Vec::new();
+        let mut row = 0usize;
+        for (b, full) in out.sampled.per_block.iter().enumerate() {
+            let (c0, c1) = (counts_lo[b], counts_hi[b]);
+            if c1 > c0 {
+                segments.push(LodSegment {
+                    block: b,
+                    sampled: full[c0..c1].to_vec(),
+                    grouped: out.grouped.indices[(row + c0) * num..(row + c1) * num].to_vec(),
+                    found: out.grouped.found[row + c0..row + c1].to_vec(),
+                });
+            }
+            row += full.len();
+        }
+        LodSlice { lo, hi, total, num, blocks: out.blocks, segments }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One cursor walked cut by cut, and a fresh one positioned at each
+        /// cut's `lo` (`slice_level`), both equal the oracle at every cut —
+        /// over one-block clouds (n ≤ threshold), blocks that sample
+        /// nothing (low rates), empty and width-1 cuts, and a last cut past
+        /// the total.
+        #[test]
+        fn cursor_cuts_equal_the_recounting_oracle(
+            (n, seed) in (20usize..700, 0u64..1_000),
+            (threshold, rate) in (8usize..200, 0.02f64..0.6),
+            widths in proptest::collection::vec(0usize..40, 1..12),
+        ) {
+            let cloud = scene_cloud(&SceneConfig::default(), n, seed);
+            let config = PipelineConfig { threshold, sample_rate: rate, ..Default::default() };
+            let out = Pipeline::new(config).unwrap().run(&cloud, false).unwrap();
+            let mut cursor = LodCursor::new(&out);
+            let cuts = widths.iter().scan(0usize, |hi, w| {
+                *hi += w;
+                Some(*hi)
+            });
+            for hi in cuts.chain([out.total_samples() + 7]) {
+                let lo = cursor.hi();
+                cursor.advance(hi);
+                let want = slice_level_oracle(&out, lo, hi);
+                prop_assert_eq!((cursor.lo(), cursor.hi()), (want.lo, want.hi));
+                let walked: Vec<_> = cursor
+                    .segments()
+                    .map(|s| (s.block, s.sampled.to_vec(), s.grouped.to_vec(), s.found.to_vec()))
+                    .collect();
+                let wanted: Vec<_> = want
+                    .segments
+                    .iter()
+                    .map(|s| (s.block, s.sampled.clone(), s.grouped.clone(), s.found.clone()))
+                    .collect();
+                prop_assert_eq!(walked, wanted);
+                prop_assert_eq!(out.slice_level(lo, hi), want);
+            }
+            prop_assert_eq!(cursor.hi(), out.total_samples());
+        }
+    }
+
+    #[test]
+    fn slice_level_treats_an_inverted_range_as_empty_at_hi() {
+        let cloud = scene_cloud(&SceneConfig::default(), 600, 4);
+        let out = Pipeline::new(PipelineConfig::default()).unwrap().run(&cloud, false).unwrap();
+        assert_eq!(out.slice_level(90, 40), slice_level_oracle(&out, 90, 40));
+        assert_eq!((out.slice_level(90, 40).lo, out.slice_level(90, 40).hi), (40, 40));
+    }
 
     #[test]
     fn schedule_is_prefix_monotone_and_complete() {

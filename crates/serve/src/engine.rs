@@ -338,6 +338,10 @@ pub struct StreamChunkResponse {
     /// flag a direct request reports, so accumulated chunks reproduce a
     /// direct response byte-for-byte on a warm frame).
     pub cache_hit: bool,
+    /// The full-depth output the slice was cut from (the cached ordering):
+    /// the TCP front-end keeps it and cuts the stream's later refinements
+    /// itself ([`fractalcloud_core::LodCursor`]) instead of submitting them.
+    pub output: Arc<PipelineOutput>,
 }
 
 /// Engine lifecycle states (stored in an `AtomicU8`). `SOFT_DRAINING` is
@@ -875,13 +879,14 @@ impl Engine {
         self.admit(cloud, config, kind, priority, deadline, EngineResponse::frame)
     }
 
-    /// Admits one progressive-LOD refinement chunk: samples `lo..hi` of
-    /// the frame's quality ordering. The full-depth ordering is computed
-    /// once per `(frame, config)` and cached engine-wide, so N viewers
-    /// streaming the same frame share one FPS — each chunk job is then a
-    /// pure slice. The TCP front-end submits the first-paint chunk at the
-    /// requester's priority and every refinement chunk at
-    /// [`Priority::Bulk`].
+    /// Admits one progressive-LOD chunk job: samples `lo..hi` of the
+    /// frame's quality ordering. The full-depth ordering is computed once
+    /// per `(frame, config)` and cached engine-wide, so N viewers streaming
+    /// the same frame share one FPS — each chunk job is then a pure slice.
+    /// The TCP front-end submits exactly one per stream — the first paint,
+    /// at the requester's priority — and serves the refinements itself from
+    /// the [`StreamChunkResponse::output`] that job hands back; in-process
+    /// callers may keep submitting one job per chunk.
     ///
     /// # Errors
     ///
@@ -990,8 +995,8 @@ impl Engine {
         // a response reports is the degradation that admitted it. High
         // priority is exempt at every level; at the shed level new
         // frame/inference work sheds retryably before touching the queue
-        // (streams keep flowing — their refinement chunks are Bulk and
-        // already shed first at the queue bound).
+        // (a stream's one job — its first paint — is still admitted; its
+        // refinements are cut on the connection thread and load no worker).
         let mut compat = kind.compat(&config);
         let mut degrade = 0u8;
         let level = self.shared.overload.level_u8();
@@ -1264,6 +1269,12 @@ impl Engine {
     /// Whether the engine is in the zero-downtime drain state.
     pub fn is_draining(&self) -> bool {
         self.shared.state.load(Ordering::SeqCst) == SOFT_DRAINING
+    }
+
+    /// Whether the terminal [`Engine::shutdown`] has begun (a soft drain
+    /// has not) — what an open stream checks at each chunk boundary.
+    pub(crate) fn is_shutting_down(&self) -> bool {
+        matches!(self.shared.state.load(Ordering::SeqCst), DRAINING | STOPPED)
     }
 
     /// Graceful shutdown: stops admitting (subsequent submits shed with
@@ -1725,7 +1736,7 @@ fn run_job(
     }
     let cloud = &*job.cloud;
     let pipeline = Pipeline::new(job.config).map_err(ServeError::Invalid)?;
-    let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, ws)?;
+    let (built, cache_hit, key) = cached_partition(shared, &pipeline, cloud, ws)?;
 
     match &job.kind {
         WorkKind::Frame { budget } => {
@@ -1775,10 +1786,9 @@ fn run_job(
             // at most once per `(frame, config)` and cached in the
             // engine-wide ordering LRU (keyed by the frame key folded with
             // the pipeline compatibility key, so distinct configs never
-            // alias), after which every chunk — this viewer's refinements
-            // and every other viewer of the same frame — is a pure
-            // `slice_level` copy.
-            let key = frame_key(cloud, job.config.threshold);
+            // alias), after which every chunk — this stream's refinements,
+            // cut by its connection from the handle returned below, and
+            // every other viewer of the same frame — is a pure slice.
             let order_key = fnv1a64(fnv1a64(FNV1A64_SEED, key), job.config.compat_key());
             let cached = lock_unpoisoned(&shared.cache).get_order(order_key);
             let full = match cached {
@@ -1796,15 +1806,16 @@ fn run_job(
             let span = obs::span(obs::SpanKind::ChunkEmit, (*hi).min(u32::MAX as usize) as u32);
             let slice = full.slice_level(*lo, *hi);
             span.done();
-            // Counted by the *engine*, not the socket writer: a cancelled
-            // stream's unexecuted chunk jobs never pass this point, so a
-            // flat `stream_chunks_sent` after STREAM_CANCEL proves the
-            // server really stopped working, not just stopped talking.
+            // Counted where the slice is taken (here, and in the TCP
+            // front-end for the refinements it cuts itself), not where it
+            // is written: a cancelled stream cuts nothing more, so a flat
+            // `stream_chunks_sent` after STREAM_CANCEL proves the server
+            // really stopped working, not just stopped talking.
             shared.metrics.stream_chunks_sent.fetch_add(1, Ordering::Relaxed);
             // The *partition* cache verdict, matching what a direct request
             // for the same frame would report, so an accumulated stream is
             // byte-identical to the equivalent budgeted response.
-            Ok(EngineResponse::Chunk(StreamChunkResponse { slice, cache_hit }))
+            Ok(EngineResponse::Chunk(StreamChunkResponse { slice, cache_hit, output: full }))
         }
         WorkKind::Infer { executor } => {
             let mut staging = shared.outputs.checkout();
@@ -1864,20 +1875,21 @@ fn stage1(
 /// The partition half of every job: look the frame up in the engine-wide
 /// LRU, else build (in this lane's workspace) and insert — the
 /// insert skipped under an injected cache fault, which costs a future miss,
-/// never correctness.
+/// never correctness. Returns the partition, whether it was a hit, and the
+/// frame's [`frame_key`] — hashed here, once per job.
 fn cached_partition(
     shared: &Shared,
     pipeline: &Pipeline,
     cloud: &PointCloud,
     ws: &mut Workspace,
-) -> Result<(Arc<fractalcloud_core::FractalResult>, bool), ServeError> {
+) -> Result<(Arc<fractalcloud_core::FractalResult>, bool, u64), ServeError> {
     let key = frame_key(cloud, pipeline.config().threshold);
     let cached = lock_unpoisoned(&shared.cache).get(key);
     match cached {
         Some(b) => {
             obs::event(obs::SpanKind::PartitionCacheHit, 0);
             shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Ok((b, true))
+            Ok((b, true, key))
         }
         None => {
             shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -1885,7 +1897,7 @@ fn cached_partition(
             if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
                 lock_unpoisoned(&shared.cache).insert(key, Arc::clone(&built));
             }
-            Ok((built, false))
+            Ok((built, false, key))
         }
     }
 }

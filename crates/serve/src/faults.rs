@@ -38,7 +38,10 @@ pub const FAULT_POINTS: usize = 6;
 /// Where in the serving path a fault can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Worker batch execution, drawn once per batch before it runs.
+    /// Worker batch execution, drawn once per batch before it runs. A TCP
+    /// stream draws this (and [`FaultPoint::Block`], and
+    /// [`FaultPoint::CacheInsert`] when cold) once — for its first paint,
+    /// the stream's only engine job — never for a refinement.
     Worker,
     /// One per-block task (sampling + grouping of a single block).
     Block,
@@ -47,9 +50,11 @@ pub enum FaultPoint {
     CacheInsert,
     /// A TCP request read on the server side.
     NetRead,
-    /// A TCP response write on the server side.
+    /// A TCP response write on the server side — for a stream, once per
+    /// chunk the connection thread writes and once for its `STREAM_END`.
     NetWrite,
-    /// A streaming credit-wait poll: an injected `delay` models a viewer
+    /// A streaming credit wait, drawn once each time a stream runs out of
+    /// credits and parks: an injected `delay` models a viewer
     /// that stops sending `STREAM_CREDIT` (the slow-consumer stall the
     /// stream deadline must bound); an injected `err` drops the control
     /// read as if the socket died.

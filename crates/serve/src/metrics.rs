@@ -84,7 +84,10 @@ impl LatencyHistogram {
 /// All counters the engine and TCP front-end maintain.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Requests offered to [`Engine::submit`](crate::Engine::submit).
+    /// Requests offered to [`Engine::submit`](crate::Engine::submit). A
+    /// progressive-LOD stream over TCP is **one** request here (its first
+    /// paint) however many chunks it refines to — and so one in `admitted`,
+    /// `completed` and the latency / queue-wait histograms.
     pub submitted: AtomicU64,
     /// Requests admitted to the queue.
     pub admitted: AtomicU64,
@@ -155,9 +158,11 @@ pub struct Metrics {
     pub queue_wait_by_class: [LatencyHistogram; 3],
     /// Progressive-LOD streams opened (`OP_STREAM` requests accepted).
     pub streams_opened: AtomicU64,
-    /// Refinement chunks computed and handed to the wire across all
-    /// streams — incremented by the *engine* when a chunk job executes, so
-    /// a cancelled stream provably stops advancing this counter.
+    /// Chunks *sliced* across all streams — incremented where the slice is
+    /// taken: by the engine when a chunk job executes (a stream's first
+    /// paint, every in-process chunk) and by the connection thread for each
+    /// refinement it cuts from the held ordering. Never by the socket
+    /// write, so a cancelled stream provably stops advancing this counter.
     pub stream_chunks_sent: AtomicU64,
     /// Streams ended early by an explicit `STREAM_CANCEL` frame.
     pub streams_cancelled: AtomicU64,
@@ -328,7 +333,7 @@ impl Metrics {
 /// A plain-data copy of [`Metrics`] for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
-    /// Requests offered.
+    /// Requests offered (a TCP stream counts once, as its first paint).
     pub submitted: u64,
     /// Requests admitted to the queue.
     pub admitted: u64,
@@ -390,7 +395,7 @@ pub struct MetricsSnapshot {
     pub queue_wait_p99_by_class_us: [u64; 3],
     /// Progressive-LOD streams opened.
     pub streams_opened: u64,
-    /// Refinement chunks computed across all streams (engine-side count).
+    /// Chunks sliced across all streams, by the engine or a connection.
     pub stream_chunks_sent: u64,
     /// Streams ended early by explicit cancel.
     pub streams_cancelled: u64,
@@ -527,6 +532,8 @@ pub(crate) fn render_prometheus(
     for (point, v) in fault_points {
         line(&mut out, "fractalcloud_faults_injected_at_total", &[("point", point)], *v as f64);
     }
+    // `chunks_sent` counts chunks sliced (engine jobs and connection-side
+    // refinements alike); `requests_total` above counts one job per stream.
     for (event, v) in [
         ("opened", s.streams_opened),
         ("chunks_sent", s.stream_chunks_sent),

@@ -35,12 +35,11 @@ use crate::engine::{
 };
 use crate::faults::{self, FaultLayer, FaultPoint};
 use crate::protocol::{
-    self, status, WireError, WireInferRequest, WireInferResponse, WireLodSegment, WireResponse,
-    WireStreamChunk, WireStreamEnd, WireStreamOpen, AGG_DELAYED, AGG_EAGER, MAGIC, OP_HEALTH,
-    OP_INFER, OP_METRICS, OP_PROCESS_FRAME, OP_STREAM, OP_STREAM_CANCEL, OP_STREAM_CREDIT,
-    OP_TRACE_DUMP,
+    self, status, WireError, WireInferRequest, WireInferResponse, WireResponse, WireStreamChunk,
+    WireStreamEnd, WireStreamOpen, AGG_DELAYED, AGG_EAGER, MAGIC, OP_HEALTH, OP_INFER, OP_METRICS,
+    OP_PROCESS_FRAME, OP_STREAM, OP_STREAM_CANCEL, OP_STREAM_CREDIT, OP_TRACE_DUMP,
 };
-use fractalcloud_core::PipelineConfig;
+use fractalcloud_core::{LodCursor, PipelineConfig};
 use fractalcloud_obs as obs;
 use fractalcloud_pnn::{Aggregation, ModelConfig};
 use std::io::{self, Read, Write};
@@ -643,20 +642,10 @@ enum StreamExit {
     CloseError,
 }
 
-/// Outcome of one chunk: submitted, executed, encoded, written.
-enum ChunkOutcome {
-    /// Chunk delivered; the stream advanced to depth `hi` of `total`.
-    Sent { hi: usize, total: usize },
-    /// The engine refused the chunk (shed/invalid); an error frame was
-    /// written and the stream is over, but the connection survives.
-    Refused,
-    /// The transport died (or a write fault fired).
-    Dead,
-}
-
 /// One stream-control read's verdict.
+#[derive(Debug, PartialEq)]
 enum ControlRead {
-    /// Nothing pending (non-blocking poll only).
+    /// No complete control frame is queued.
     None,
     /// `OP_STREAM_CREDIT`: one more refinement chunk is welcome.
     Credit,
@@ -668,13 +657,21 @@ enum ControlRead {
     Bad,
 }
 
-/// Drives one progressive-LOD stream: first paint at the requester's
-/// priority, then credit-gated refinement chunks at [`Priority::Bulk`]
-/// until the ordering is exhausted, the client cancels, or the peer goes
-/// away. Every chunk is its own engine job, so a cancel takes effect at
-/// chunk granularity — the engine-side `stream_chunks_sent` counter stops
-/// advancing, which is how tests prove the server stopped *working*, not
-/// just stopped talking.
+/// Drives one progressive-LOD stream. Admission is per stream, not per
+/// chunk: the first paint is the stream's one engine job (validated,
+/// queued, prioritised, deadlined and fault-drawn like any request; a cold
+/// ordering is computed on a worker and cached) and hands back the frame's
+/// full-depth output. Every credit-gated refinement after it is cut from
+/// that output on this thread — a [`LodCursor`] step over the new ranks,
+/// encoded straight from the borrowed rows — so a viewer's deep tail holds
+/// no worker or queue slot and can never displace another viewer's first
+/// paint. Refinements therefore do not count in `submitted/completed`, the
+/// latency / queue-wait histograms or the overload controller, cannot be
+/// shed at the queue bound and draw no `worker`/`block` faults. A cancel
+/// still lands at chunk granularity (`stream_chunks_sent` stops advancing:
+/// the server stopped *working*, not just talking), a terminal
+/// [`Engine::shutdown`] answers `SHUTTING_DOWN` at the next chunk boundary,
+/// and a soft [`Engine::drain`] lets the open stream finish.
 #[allow(clippy::too_many_arguments)]
 fn serve_stream(
     stream: &mut TcpStream,
@@ -692,20 +689,22 @@ fn serve_stream(
     metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
     // Every exit path balances the open/closed pair through this guard —
     // `opened − closed` staying above zero with no client connected is the
-    // hung-stream signal CI greps for.
+    // hung-stream signal CI greps for. STREAM_END is written only after
+    // the books close: a client that read it never finds its stream open.
     struct CloseGuard<'a>(&'a crate::metrics::Metrics);
     impl Drop for CloseGuard<'_> {
         fn drop(&mut self) {
             self.0.streams_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    let _close = CloseGuard(metrics);
+    let close = CloseGuard(metrics);
 
     let cfg = engine.config();
     let pick = |wire: u32, default: usize| if wire == 0 { default } else { wire as usize };
     let first_paint = pick(open.first_paint, cfg.stream_first_paint);
     let chunk_size = pick(open.chunk, cfg.stream_chunk);
     let mut credits = pick(open.credits, cfg.stream_credits);
+    let idle = (cfg.idle_timeout_ms > 0).then(|| Duration::from_millis(cfg.idle_timeout_ms));
 
     // The stream's wall-clock deadline (explicit, or the server default)
     // also bounds credit waits: a viewer that stops sending credits used
@@ -713,153 +712,118 @@ fn serve_stream(
     // stream (`opened − closed` never rebalanced). Now the wait resolves
     // DEADLINE_EXCEEDED at the deadline and the guard above closes the
     // stream. With no deadline configured anywhere the wait stays
-    // unbounded by contract, but polls instead of blocking.
+    // unbounded by contract.
     let wait_deadline = deadline
         .or((cfg.deadline_ms > 0).then(|| Duration::from_millis(cfg.deadline_ms)))
         .map(|d| std::time::Instant::now() + d);
 
-    let cloud = Arc::new(cloud);
-    let mut seq = 0u32;
-
     // First paint: admitted at the requester's priority — it is the
     // time-to-first-point the viewer sees — and never credit-gated.
-    #[rustfmt::skip]
-    let first = run_chunk(
-        stream, engine, gate, faults, &cloud, config, 0, first_paint, priority, deadline,
-        &mut seq, scratch,
-    );
-    let (mut depth, total) = match first {
-        ChunkOutcome::Sent { hi, total } => (hi, total),
-        ChunkOutcome::Refused => return StreamExit::Continue,
-        ChunkOutcome::Dead => return StreamExit::CloseError,
+    let (trace_req, outcome) = match gate.admit(|| {
+        engine.submit_stream_chunk(Arc::new(cloud), config, 0, first_paint, priority, deadline)
+    }) {
+        Ok(ticket) => (ticket.request_id(), ticket.wait()),
+        Err(e) => (0, Err(e)),
     };
+    if faults::fire(faults, FaultPoint::NetWrite) {
+        return StreamExit::CloseError;
+    }
+    // Every span this thread records for the stream — the refinements'
+    // `ChunkEmit`s included — carries the first-paint job's request id.
+    let _trace = obs::scoped_context(trace_req, priority.index() as u8);
+    let first = match outcome {
+        Ok(first) => first,
+        Err(e) => return refuse_stream(stream, error_status(&e), &e.to_string()),
+    };
+    // The first paint goes out through the same borrowed cut as every
+    // refinement: the cursor must count its ranks to stand there anyway.
+    let mut cursor = LodCursor::new(&first.output);
+    cursor.advance(first.slice.hi);
+    let mut seq = 1u32;
+    if write_chunk(stream, seq, first.cache_hit, &cursor, scratch).is_err() {
+        return StreamExit::CloseError;
+    }
 
-    while depth < total {
+    while cursor.hi() < first.slice.total {
         // Consume queued control frames before each refinement — waiting
         // (deadline-bounded) only when out of credits, so a cancel takes
         // effect even while credits remain.
         loop {
             let verdict = if credits == 0 {
-                wait_for_credit(stream, faults, wait_deadline)
+                wait_for_credit(stream, faults, wait_deadline, idle)
             } else {
-                read_control(stream, false)
+                poll_control(stream)
             };
             match verdict {
+                // Deadline expired while credit-starved: the stream
+                // resolves instead of hanging the handler forever.
                 ControlRead::None if credits == 0 => {
-                    // Deadline expired while credit-starved: the stream
-                    // resolves instead of hanging the handler forever.
-                    return if write_error(
+                    return refuse_stream(
                         stream,
                         status::DEADLINE_EXCEEDED,
                         "stream deadline expired waiting for credits",
-                    )
-                    .is_err()
-                    {
-                        StreamExit::CloseError
-                    } else {
-                        StreamExit::Continue
-                    };
+                    );
                 }
                 ControlRead::None => break,
                 ControlRead::Credit => credits += 1,
                 ControlRead::Cancel => {
                     metrics.streams_cancelled.fetch_add(1, Ordering::Relaxed);
-                    return finish_stream(stream, faults, seq, depth, true, scratch);
+                    drop(close);
+                    return finish_stream(stream, faults, seq, cursor.hi(), true, scratch);
                 }
                 ControlRead::Eof => return StreamExit::CloseQuiet,
                 ControlRead::Bad => return StreamExit::CloseError,
             }
         }
         credits -= 1;
-        let hi = (depth + chunk_size).min(total);
-        // Refinements ride the Bulk class: a viewer's deep tail must never
-        // displace another viewer's first paint.
-        #[rustfmt::skip]
-        let next = run_chunk(
-            stream, engine, gate, faults, &cloud, config, depth, hi, Priority::Bulk, deadline,
-            &mut seq, scratch,
-        );
-        match next {
-            ChunkOutcome::Sent { hi, .. } => depth = hi,
-            ChunkOutcome::Refused => return StreamExit::Continue,
-            ChunkOutcome::Dead => return StreamExit::CloseError,
+        // A stream outlives a soft drain, not a terminal shutdown: that
+        // refuses the next chunk boundary.
+        if engine.is_shutting_down() {
+            let reason = ServeError::Shed(ShedReason::ShuttingDown);
+            return refuse_stream(stream, error_status(&reason), &reason.to_string());
+        }
+        let hi = cursor.hi() + chunk_size;
+        let emit_span = obs::span(obs::SpanKind::ChunkEmit, hi.min(u32::MAX as usize) as u32);
+        cursor.advance(hi);
+        emit_span.done();
+        metrics.stream_chunks_sent.fetch_add(1, Ordering::Relaxed);
+        seq += 1;
+        if faults::fire(faults, FaultPoint::NetWrite)
+            || write_chunk(stream, seq, first.cache_hit, &cursor, scratch).is_err()
+        {
+            return StreamExit::CloseError;
         }
     }
-    finish_stream(stream, faults, seq, depth, false, scratch)
+    drop(close);
+    finish_stream(stream, faults, seq, cursor.hi(), false, scratch)
 }
 
-/// Submits one chunk job through the fairness gate, waits for its slice,
-/// and writes it as a [`status::CHUNK`] frame through the connection's
-/// scratch buffers.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
+/// Ends a stream with an error frame; the connection survives if the frame
+/// could be written.
+fn refuse_stream(stream: &mut TcpStream, code: u8, message: &str) -> StreamExit {
+    match write_error(stream, code, message) {
+        Ok(()) => StreamExit::Continue,
+        Err(_) => StreamExit::CloseError,
+    }
+}
+
+/// Encodes the cut `cursor` stands on as a [`status::CHUNK`] frame through
+/// the connection's scratch buffers and writes it.
+fn write_chunk(
     stream: &mut TcpStream,
-    engine: &Arc<Engine>,
-    gate: &FairGate,
-    faults: &Option<Arc<FaultLayer>>,
-    cloud: &Arc<fractalcloud_pointcloud::PointCloud>,
-    config: PipelineConfig,
-    lo: usize,
-    hi: usize,
-    priority: Priority,
-    deadline: Option<Duration>,
-    seq: &mut u32,
+    seq: u32,
+    cache_hit: bool,
+    cursor: &LodCursor<'_>,
     scratch: &mut WireScratch,
-) -> ChunkOutcome {
-    let outcome = match gate
-        .admit(|| engine.submit_stream_chunk(Arc::clone(cloud), config, lo, hi, priority, deadline))
-    {
-        Ok(ticket) => ticket.wait(),
-        Err(e) => Err(e),
-    };
-    if faults::fire(faults, FaultPoint::NetWrite) {
-        return ChunkOutcome::Dead;
-    }
-    match outcome {
-        Ok(resp) => {
-            *seq += 1;
-            let slice = &resp.slice;
-            let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
-            let wire = WireStreamChunk {
-                seq: *seq,
-                lo: slice.lo as u32,
-                hi: slice.hi as u32,
-                total: slice.total as u32,
-                blocks: slice.blocks as u32,
-                num: slice.num as u32,
-                cache_hit: resp.cache_hit,
-                segments: slice
-                    .segments
-                    .iter()
-                    .map(|s| WireLodSegment {
-                        block: s.block as u32,
-                        sampled: s.sampled.iter().map(|&i| i as u32).collect(),
-                        grouped: s.grouped.iter().map(|&i| i as u32).collect(),
-                        found: s.found.iter().map(|&i| i as u32).collect(),
-                    })
-                    .collect(),
-            };
-            scratch.payload.clear();
-            protocol::encode_stream_chunk_into(&wire, &mut scratch.payload);
-            scratch.message.clear();
-            protocol::encode_message_into(status::CHUNK, &scratch.payload, &mut scratch.message);
-            encode_span.done();
-            let write_span = obs::span(obs::SpanKind::WireWrite, 0);
-            let w = stream.write_all(&scratch.message);
-            write_span.done();
-            if w.is_err() {
-                return ChunkOutcome::Dead;
-            }
-            ChunkOutcome::Sent { hi: slice.hi, total: slice.total }
-        }
-        Err(e) => {
-            if write_error(stream, error_status(&e), &e.to_string()).is_err() {
-                ChunkOutcome::Dead
-            } else {
-                ChunkOutcome::Refused
-            }
-        }
-    }
+) -> io::Result<()> {
+    let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
+    scratch.payload.clear();
+    protocol::encode_stream_cut_into(seq, cache_hit, cursor, &mut scratch.payload);
+    scratch.message.clear();
+    protocol::encode_message_into(status::CHUNK, &scratch.payload, &mut scratch.message);
+    encode_span.done();
+    let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
+    stream.write_all(&scratch.message)
 }
 
 /// Terminates a stream with its [`status::STREAM_END`] summary frame.
@@ -883,56 +847,75 @@ fn finish_stream(
     }
 }
 
-/// How often the credit-starved wait polls for a control frame.
+/// How often a credit-starved wait wakes to check the stream's deadline.
 const CREDIT_POLL: Duration = Duration::from_millis(2);
 
 /// Waits (deadline-bounded) for a stream-control frame while
-/// credit-starved, polling non-blocking so the socket's idle timeout never
-/// misfires as a transport error. Returns [`ControlRead::None`] only when
-/// the deadline expires first. The [`FaultPoint::CreditStall`] hook fires
-/// once per wait: an injected `delay` models a viewer that stops sending
-/// credits for a while; an injected `err` drops the control read as if the
-/// socket died.
+/// credit-starved, parked in the kernel: a blocking header *peek* under a
+/// [`CREDIT_POLL`] read timeout, so the wake-up is the frame's arrival and
+/// the deadline is still checked every poll interval. The socket's read
+/// timeout is put back to `idle` (what [`configure_accepted`] set) on every
+/// exit. Returns [`ControlRead::None`] only when the deadline expires
+/// first. The [`FaultPoint::CreditStall`] hook fires once per wait: an
+/// injected `delay` models a viewer that stops sending credits for a while;
+/// an injected `err` drops the control read as if the socket died.
 fn wait_for_credit(
     stream: &mut TcpStream,
     faults: &Option<Arc<FaultLayer>>,
     deadline: Option<std::time::Instant>,
+    idle: Option<Duration>,
 ) -> ControlRead {
-    if faults::fire(faults, FaultPoint::CreditStall) {
+    if faults::fire(faults, FaultPoint::CreditStall)
+        || stream.set_read_timeout(Some(CREDIT_POLL)).is_err()
+    {
         return ControlRead::Bad;
     }
-    loop {
-        match read_control(stream, false) {
-            ControlRead::None => {}
-            verdict => return verdict,
-        }
+    let verdict = loop {
         if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            return ControlRead::None;
+            break ControlRead::None;
         }
-        std::thread::sleep(CREDIT_POLL);
+        let peeked = stream.peek(&mut [0u8; 9]);
+        // Part of a header is queued: the peek no longer parks, so the
+        // wait for the rest of it is the one timed back-off left here.
+        let partial = matches!(peeked, Ok(n) if (1..9).contains(&n));
+        match take_control(stream, peeked) {
+            ControlRead::None if partial => std::thread::sleep(CREDIT_POLL),
+            ControlRead::None => {}
+            verdict => break verdict,
+        }
+    };
+    if stream.set_read_timeout(idle).is_err() {
+        return ControlRead::Bad;
     }
+    verdict
 }
 
-/// Reads one stream-control frame (header-only by contract). Non-blocking
-/// mode *peeks* first and only consumes a complete 9-byte header, so a
-/// partially arrived frame is left queued intact for the next poll.
-fn read_control(stream: &mut TcpStream, blocking: bool) -> ControlRead {
+/// Consumes one queued stream-control frame, if a complete one is there,
+/// without ever blocking.
+fn poll_control(stream: &mut TcpStream) -> ControlRead {
+    if stream.set_nonblocking(true).is_err() {
+        return ControlRead::Bad;
+    }
+    let peeked = stream.peek(&mut [0u8; 9]);
+    if stream.set_nonblocking(false).is_err() {
+        return ControlRead::Bad;
+    }
+    take_control(stream, peeked)
+}
+
+/// Classifies a header peek and consumes the stream-control frame
+/// (header-only by contract) it found. Only a *complete* 9-byte header is
+/// consumed, so a partially arrived frame stays queued intact for the next
+/// peek.
+fn take_control(stream: &mut TcpStream, peeked: io::Result<usize>) -> ControlRead {
     let mut header = [0u8; 9];
-    if !blocking {
-        if stream.set_nonblocking(true).is_err() {
-            return ControlRead::Bad;
-        }
-        let peeked = stream.peek(&mut header);
-        if stream.set_nonblocking(false).is_err() {
-            return ControlRead::Bad;
-        }
-        match peeked {
-            Ok(0) => return ControlRead::Eof,
-            Ok(n) if n < header.len() => return ControlRead::None,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ControlRead::None,
-            Err(_) => return ControlRead::Bad,
-        }
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    match peeked.map_err(|e| e.kind()) {
+        Ok(0) => return ControlRead::Eof,
+        Ok(n) if n < header.len() => return ControlRead::None,
+        Ok(_) => {}
+        Err(WouldBlock | TimedOut | Interrupted) => return ControlRead::None,
+        Err(_) => return ControlRead::Bad,
     }
     match read_exact_or_eof(stream, &mut header) {
         Ok(ReadOutcome::Eof) => return ControlRead::Eof,
@@ -1415,8 +1398,9 @@ impl ServeClient {
 
     /// Opens a progressive-LOD stream ([`OP_STREAM`]) for one frame. The
     /// server answers with a first-paint [`StreamEvent::Chunk`] at this
-    /// request's priority, then refinement chunks (server-side
-    /// [`Priority::Bulk`]) as credits allow — read them with
+    /// request's priority, then refinement chunks (cut from the held
+    /// ordering on the connection, no further admission) as credits allow
+    /// — read them with
     /// [`ServeClient::stream_next`], replenish with
     /// [`ServeClient::stream_credit`], stop early with
     /// [`ServeClient::cancel`]. Zero fields in `open` select the server's
@@ -1613,6 +1597,96 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         configure_accepted(&accepted, 0).unwrap();
         assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), None);
+        assert_eq!(accepted.write_timeout().unwrap(), None);
+    }
+
+    const IDLE: Option<Duration> = Some(Duration::from_millis(1500));
+
+    /// A connected pair: the accepted side configured as a handler's, and
+    /// the peer that plays the viewer.
+    fn loopback_pair(idle_ms: u64) -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_accepted(&accepted, idle_ms).unwrap();
+        (accepted, peer)
+    }
+
+    fn assert_idle_timeouts(stream: &TcpStream) {
+        assert_eq!(stream.read_timeout().unwrap(), IDLE, "read timeout not restored");
+        assert_eq!(stream.write_timeout().unwrap(), IDLE, "write timeout changed");
+    }
+
+    #[test]
+    fn credit_wait_resolves_on_what_the_peer_sends() {
+        // The frame is written by a second thread released just before the
+        // wait starts, so the wait usually parks first — but whichever side
+        // wins, the verdict is the frame's (no wall-clock assertion).
+        for (frame, want) in [
+            (Some(OP_STREAM_CREDIT), ControlRead::Credit),
+            (Some(OP_STREAM_CANCEL), ControlRead::Cancel),
+            (None, ControlRead::Eof), // a clean close
+        ] {
+            let (mut accepted, mut peer) = loopback_pair(1500);
+            let (go, released) = std::sync::mpsc::channel::<()>();
+            let writer = std::thread::spawn(move || {
+                released.recv().unwrap();
+                if let Some(op) = frame {
+                    peer.write_all(&protocol::encode_message(op, &[])).unwrap();
+                    // Hold the socket open until the verdict is in.
+                    let _ = released.recv();
+                }
+            });
+            go.send(()).unwrap();
+            assert_eq!(wait_for_credit(&mut accepted, &None, None, IDLE), want);
+            assert_idle_timeouts(&accepted);
+            drop(go);
+            writer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn credit_wait_leaves_a_partial_header_queued() {
+        let (mut accepted, mut peer) = loopback_pair(1500);
+        let credit = protocol::encode_message(OP_STREAM_CREDIT, &[]);
+        peer.write_all(&credit[..5]).unwrap();
+        // Five of nine bytes resolve nothing: the wait runs out its
+        // deadline and the bytes are still there, unconsumed.
+        let soon = std::time::Instant::now() + Duration::from_millis(20);
+        assert_eq!(wait_for_credit(&mut accepted, &None, Some(soon), IDLE), ControlRead::None);
+        assert_idle_timeouts(&accepted);
+        assert_eq!(poll_control(&mut accepted), ControlRead::None);
+        assert_eq!(accepted.peek(&mut [0u8; 9]).unwrap(), 5);
+        // The remaining four complete the frame.
+        peer.write_all(&credit[5..]).unwrap();
+        assert_eq!(wait_for_credit(&mut accepted, &None, None, IDLE), ControlRead::Credit);
+        assert_idle_timeouts(&accepted);
+    }
+
+    #[test]
+    fn credit_wait_gives_up_at_an_expired_deadline_and_on_an_injected_stall() {
+        let (mut accepted, mut peer) = loopback_pair(1500);
+        // Nothing will ever arrive: only the deadline check can return.
+        let past = std::time::Instant::now();
+        assert_eq!(wait_for_credit(&mut accepted, &None, Some(past), IDLE), ControlRead::None);
+        assert_idle_timeouts(&accepted);
+        // An injected `err@credit_stall` drops the read before it starts.
+        let stall = FaultLayer::new(faults::FaultPlan::OFF.with_fault(
+            faults::FaultKind::Err,
+            FaultPoint::CreditStall,
+            1.0,
+        ));
+        assert_eq!(wait_for_credit(&mut accepted, &stall, None, IDLE), ControlRead::Bad);
+        assert_idle_timeouts(&accepted);
+        // A frame that is not stream control is a framing violation.
+        peer.write_all(&protocol::encode_message(OP_HEALTH, &[])).unwrap();
+        assert_eq!(wait_for_credit(&mut accepted, &None, None, IDLE), ControlRead::Bad);
+        assert_idle_timeouts(&accepted);
+
+        // With the reaper off (`idle_timeout_ms = 0`) "restored" means none.
+        let (mut accepted, _peer) = loopback_pair(0);
+        assert_eq!(wait_for_credit(&mut accepted, &None, Some(past), None), ControlRead::None);
         assert_eq!(accepted.read_timeout().unwrap(), None);
         assert_eq!(accepted.write_timeout().unwrap(), None);
     }

@@ -103,7 +103,7 @@
 //! pre-brown-out servers.
 
 use crate::engine::{EngineHealth, Priority};
-use fractalcloud_core::PipelineConfig;
+use fractalcloud_core::{LodCursor, PipelineConfig};
 use fractalcloud_pointcloud::{Point3, PointCloud};
 
 /// Frame magic: `"FCS1"` (FractalCloud Serve, version 1).
@@ -140,7 +140,7 @@ pub const OP_TRACE_DUMP: u8 = 5;
 
 /// Request opcode: open a progressive LOD stream over a frame. The server
 /// answers with a first-paint [`status::CHUNK`] at the request's priority,
-/// then credit-gated refinement chunks (demoted to bulk internally), then
+/// then credit-gated refinement chunks (cut by the connection, unqueued), then
 /// [`status::STREAM_END`]. Payload is the PROCESS_FRAME layout with a
 /// *required* trailer: `deadline_ms first_paint chunk credits` (see
 /// [`WireStreamOpen`]).
@@ -163,8 +163,8 @@ pub fn request_kind(priority: Priority) -> u8 {
 }
 
 /// Builds an [`OP_STREAM`] request kind byte, priority in the high nibble
-/// (the class the first-paint chunk rides; refinement is demoted to bulk
-/// server-side).
+/// (the class of the stream's one admission, its first-paint chunk;
+/// refinements are cut from the held ordering without queueing).
 pub fn stream_request_kind(priority: Priority) -> u8 {
     OP_STREAM | (priority.to_wire() << 4)
 }
@@ -872,28 +872,55 @@ pub struct WireStreamChunk {
     pub segments: Vec<WireLodSegment>,
 }
 
+/// The fixed head of a [`status::CHUNK`] payload:
+/// `[seq, lo, hi, total, blocks, num]`, the cache flag, the segment count.
+fn put_chunk_head(buf: &mut Vec<u8>, head: [u32; 6], cache_hit: bool, segments: usize) {
+    for v in head {
+        put_u32(buf, v);
+    }
+    buf.push(u8::from(cache_hit));
+    put_u32(buf, segments as u32);
+}
+
+/// One segment of a [`status::CHUNK`] payload — the one segment encoder:
+/// the owned ([`encode_stream_chunk_into`]) and the borrowed
+/// ([`encode_stream_cut_into`]) chunk forms both write through it, so
+/// their bytes cannot diverge. Each run is sized once and filled in place.
+fn put_segment<I: ExactSizeIterator<Item = u32>>(buf: &mut Vec<u8>, block: u32, runs: [I; 3]) {
+    put_u32(buf, block);
+    put_u32(buf, runs[0].len() as u32);
+    for run in runs {
+        let at = buf.len();
+        buf.resize(at + 4 * run.len(), 0);
+        for (slot, v) in buf[at..].chunks_exact_mut(4).zip(run) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
 /// Encodes a [`status::CHUNK`] payload into a caller-provided buffer.
 pub fn encode_stream_chunk_into(chunk: &WireStreamChunk, buf: &mut Vec<u8>) {
-    put_u32(buf, chunk.seq);
-    put_u32(buf, chunk.lo);
-    put_u32(buf, chunk.hi);
-    put_u32(buf, chunk.total);
-    put_u32(buf, chunk.blocks);
-    put_u32(buf, chunk.num);
-    buf.push(u8::from(chunk.cache_hit));
-    put_u32(buf, chunk.segments.len() as u32);
+    let head = [chunk.seq, chunk.lo, chunk.hi, chunk.total, chunk.blocks, chunk.num];
+    put_chunk_head(buf, head, chunk.cache_hit, chunk.segments.len());
     for seg in &chunk.segments {
-        put_u32(buf, seg.block);
-        put_u32(buf, seg.sampled.len() as u32);
-        for &v in &seg.sampled {
-            put_u32(buf, v);
-        }
-        for &v in &seg.grouped {
-            put_u32(buf, v);
-        }
-        for &v in &seg.found {
-            put_u32(buf, v);
-        }
+        let runs = [&seg.sampled, &seg.grouped, &seg.found].map(|v| v.iter().copied());
+        put_segment(buf, seg.block, runs);
+    }
+}
+
+/// Encodes the [`status::CHUNK`] payload of the cut the cursor stands on,
+/// straight from the slices it borrows — byte-identical to
+/// [`encode_stream_chunk_into`] of the [`WireStreamChunk`] built from
+/// [`PipelineOutput::slice_level`](fractalcloud_core::PipelineOutput::slice_level)
+/// at the same `(lo, hi]`, with no owned copy in between.
+pub fn encode_stream_cut_into(seq: u32, cache_hit: bool, cut: &LodCursor<'_>, buf: &mut Vec<u8>) {
+    let out = cut.output();
+    let head = [cut.lo(), cut.hi(), out.total_samples(), out.blocks, out.grouped.num];
+    let [lo, hi, total, blocks, num] = head.map(|v| v as u32);
+    put_chunk_head(buf, [seq, lo, hi, total, blocks, num], cache_hit, cut.segments().count());
+    for seg in cut.segments() {
+        let runs = [seg.sampled, seg.grouped, seg.found].map(|v| v.iter().map(|&i| i as u32));
+        put_segment(buf, seg.block as u32, runs);
     }
 }
 
@@ -1472,6 +1499,62 @@ mod tests {
         encode_stream_end_into(&end, &mut buf);
         assert_eq!(decode_stream_end_payload(&buf).unwrap(), end);
         assert!(decode_stream_end_payload(&buf[..buf.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn borrowed_cut_encodes_byte_identically_to_the_owned_chunk() {
+        // The wire-compatibility gate of connection-side slicing: at every
+        // chunk of every stream shape, the payload written straight from
+        // the cursor's borrowed rows equals the owned `slice_level` →
+        // `WireStreamChunk` → `encode_stream_chunk_into` bytes, and decodes
+        // back to that chunk.
+        use fractalcloud_core::Pipeline;
+        use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
+        let cloud = scene_cloud(&SceneConfig::default(), 4096, 21);
+        let out = Pipeline::new(PipelineConfig::default()).unwrap().run(&cloud, false).unwrap();
+        let total = out.total_samples();
+        let narrow = |v: &[usize]| v.iter().map(|&i| i as u32).collect::<Vec<u32>>();
+        for (first_paint, chunk) in [(1, 1), (16, 16), (100, 230), (512, 512), (total + 7, 1)] {
+            let mut cursor = LodCursor::new(&out);
+            let (mut seq, mut hi) = (0u32, first_paint);
+            while seq == 0 || cursor.hi() < total {
+                let lo = cursor.hi();
+                cursor.advance(hi);
+                seq += 1;
+                let cache_hit = seq % 2 == 0;
+                let mut borrowed = Vec::new();
+                encode_stream_cut_into(seq, cache_hit, &cursor, &mut borrowed);
+
+                let slice = out.slice_level(lo, hi);
+                let owned = WireStreamChunk {
+                    seq,
+                    lo: slice.lo as u32,
+                    hi: slice.hi as u32,
+                    total: slice.total as u32,
+                    blocks: slice.blocks as u32,
+                    num: slice.num as u32,
+                    cache_hit,
+                    segments: slice
+                        .segments
+                        .iter()
+                        .map(|s| WireLodSegment {
+                            block: s.block as u32,
+                            sampled: narrow(&s.sampled),
+                            grouped: narrow(&s.grouped),
+                            found: narrow(&s.found),
+                        })
+                        .collect(),
+                };
+                assert_eq!(
+                    borrowed,
+                    encode_stream_chunk_payload(&owned),
+                    "chunk {seq} of ({first_paint}, {chunk}) diverged"
+                );
+                assert_eq!(decode_stream_chunk_payload(&borrowed).unwrap(), owned);
+                hi = cursor.hi() + chunk;
+            }
+            assert_eq!(cursor.hi(), total, "({first_paint}, {chunk}) must refine to full depth");
+        }
     }
 
     #[test]

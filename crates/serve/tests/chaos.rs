@@ -10,10 +10,10 @@ use fractalcloud_core::{
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::PointCloud;
-use fractalcloud_serve::protocol::status;
+use fractalcloud_serve::protocol::{self, status, WireResponse, WireStreamOpen};
 use fractalcloud_serve::{
-    BrownoutConfig, Engine, FaultKind, FaultPlan, FaultPoint, FrameResponse, Priority, ServeClient,
-    ServeConfig, TcpServer,
+    BrownoutConfig, ClientError, Engine, FaultKind, FaultPlan, FaultPoint, FrameResponse, Priority,
+    ServeClient, ServeConfig, TcpServer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -257,6 +257,99 @@ fn post_panic_responses_are_bit_identical_to_direct_calls() {
     }
     assert!(successes_after_panic >= 3, "storm never let a post-panic success through");
     assert!(engine.metrics().worker_panics >= 1);
+    engine.shutdown();
+}
+
+/// Streams under a seeded storm at every point a stream draws — `worker`
+/// and `block` on its one engine job, `net_write` on every chunk the
+/// connection writes, `credit_stall` on every credit wait: each stream
+/// either accumulates to the byte-identical direct response or ends in an
+/// error, never hangs, and the engine is clean afterwards.
+#[test]
+fn stream_chaos_every_stream_completes_exactly_or_errors() {
+    let plan = FaultPlan::parse(
+        "err@net_write:0.05,err@credit_stall:0.05,err@worker:0.05,delay@block:1ms:0.1;seed=1907",
+    )
+    .unwrap();
+    let engine = Arc::new(Engine::start(ServeConfig::default().workers(2).faults(plan)));
+    let mut server = TcpServer::bind("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let cfg = PipelineConfig::default();
+    let frames: Vec<PointCloud> = (0..4)
+        .map(|seed| scene_cloud(&SceneConfig::default(), 1500 + 300 * seed as usize, seed))
+        .collect();
+    let narrow = |v: &[usize]| v.iter().map(|&i| i as u32).collect::<Vec<u32>>();
+    let want: Vec<WireResponse> = frames
+        .iter()
+        .map(|cloud| {
+            let out = Pipeline::new(cfg).unwrap().run(cloud, false).unwrap();
+            WireResponse {
+                sampled_indices: narrow(&out.sampled.indices),
+                neighbor_indices: narrow(&out.grouped.indices),
+                found: narrow(&out.grouped.found),
+                num: out.grouped.num as u32,
+                blocks: out.blocks as u32,
+                cache_hit: false,
+                batch_size: 1,
+                degraded: false,
+                budget_served: 0,
+            }
+        })
+        .collect();
+
+    // One credit at a time, so every refinement is preceded by a wait.
+    let open = WireStreamOpen { first_paint: 64, chunk: 64, credits: 1 };
+    let (mut exact, mut errored) = (0, 0);
+    for i in 0..40 {
+        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        // A hang surfaces as a read timeout, which is the one outcome that
+        // fails the test.
+        client.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        match client.stream_frame(&frames[i % frames.len()], &cfg, Priority::Normal, 0, &open) {
+            Ok((mut resp, end)) => {
+                assert!(!end.cancelled);
+                assert_eq!(end.delivered as usize, resp.sampled_indices.len());
+                resp.cache_hit = false; // the one field a cold/warm stream may differ in
+                assert_eq!(
+                    protocol::encode_response_payload(&resp),
+                    protocol::encode_response_payload(&want[i % frames.len()]),
+                    "stream {i} survived the storm but diverged from the direct response"
+                );
+                exact += 1;
+            }
+            Err(ClientError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                panic!("stream {i} hung under chaos: {e}")
+            }
+            Err(_) => errored += 1,
+        }
+    }
+    assert!(exact > 0 && errored > 0, "the storm should split the streams: {exact} / {errored}");
+    let stalls = engine
+        .metrics_text()
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("fractalcloud_faults_injected_at_total{point=\"credit_stall\"} ")
+        })
+        .map(|v| v.parse::<f64>().unwrap());
+    assert!(stalls > Some(0.0), "no credit wait drew its fault point: {stalls:?}");
+
+    // Every stream closed its books (the last handler may still be leaving).
+    let settle = std::time::Instant::now() + Duration::from_secs(10);
+    while engine.health().streams_open > 0 {
+        assert!(std::time::Instant::now() < settle, "a stream never closed: {:?}", engine.health());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Faults are still armed, so retry through them: a plain frame succeeds.
+    let served = (0..50).any(|_| {
+        ServeClient::connect(server.local_addr())
+            .is_ok_and(|mut client| client.process(&frames[0], &cfg).is_ok())
+    });
+    assert!(served, "engine never served a plain frame after the stream storm");
+    server.shutdown();
     engine.shutdown();
 }
 

@@ -8,9 +8,10 @@ use fractalcloud_obs as obs;
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::PointCloud;
+use fractalcloud_serve::protocol::WireStreamOpen;
 use fractalcloud_serve::{
-    Aggregation, Engine, FrameResponse, InferRequest, ModelConfig, ServeClient, ServeConfig,
-    TcpServer,
+    Aggregation, Engine, FrameResponse, InferRequest, ModelConfig, Priority, ServeClient,
+    ServeConfig, TcpServer,
 };
 use proptest::{proptest, ProptestConfig};
 use std::sync::{Arc, Mutex};
@@ -145,6 +146,49 @@ fn trace_dump_opcode_drains_chrome_json() {
         !second.contains("\"queue_wait\""),
         "dump did not drain; second dump still has spans: {second}"
     );
+
+    obs::disable();
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A stream is one admission: its spans — the engine's for the first paint
+/// and the connection thread's for every refinement it cuts itself — all
+/// carry the first-paint job's request id, with one queue wait between them.
+#[test]
+fn stream_is_one_queue_wait_and_one_chunk_emit_per_chunk_under_one_request_id() {
+    let _guard = lock();
+    // 2048 like `health_reports_trace_status_and_uptime`, which asserts the
+    // capacity the recorder was first created with.
+    obs::enable(2048);
+    let engine = Arc::new(Engine::start(ServeConfig::default().workers(2)));
+    let mut server = TcpServer::bind("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let cloud = scene_cloud(&SceneConfig::default(), 4096, 19);
+    let cfg = PipelineConfig::default();
+    client.process(&cloud, &cfg).expect("warm-up frame");
+
+    // Request ids are minted at admission, in order, and the recorder lock
+    // keeps every other engine in this binary quiet: the stream's one job
+    // takes the next id.
+    let req = obs::next_request_id() + 1;
+    let open = WireStreamOpen { first_paint: 128, chunk: 128, credits: 2 };
+    let (resp, end) = client.stream_frame(&cloud, &cfg, Priority::Normal, 0, &open).unwrap();
+    assert_eq!((end.chunks, resp.sampled_indices.len()), (8, 1024), "an 8-chunk warm stream");
+
+    let spans = obs::spans_for(req);
+    let count = |kind: obs::SpanKind| spans.iter().filter(|s| s.kind == kind).count();
+    assert_eq!(count(obs::SpanKind::QueueWait), 1, "a stream queues once: {spans:?}");
+    assert_eq!(count(obs::SpanKind::ChunkEmit), 8, "one slice per chunk: {spans:?}");
+    assert_eq!(count(obs::SpanKind::WireEncode), 8);
+    assert_eq!(count(obs::SpanKind::WireWrite), 8);
+    // Nothing of the stream was recorded under a later id: it minted none.
+    assert_eq!(obs::next_request_id(), req + 1, "the refinements admitted nothing");
+    // Counted on two threads (the worker's first paint, the connection's
+    // refinements), still one per chunk.
+    let m = engine.metrics();
+    assert_eq!(m.stream_chunks_sent, u64::from(end.chunks));
+    assert_eq!((m.submitted, m.completed), (2, 2), "one job per stream, plus the warm-up");
 
     obs::disable();
     server.shutdown();

@@ -278,3 +278,107 @@ fn credit_starved_stream_resolves_at_the_deadline() {
     server.shutdown();
     engine.shutdown();
 }
+
+#[test]
+fn soft_drain_lets_an_open_stream_run_to_completion() {
+    // `Engine::drain` promises that open streams finish. A stream is one
+    // admission — its first paint — so a drain that starts after it refuses
+    // *new* streams (GOAWAY) while this one refines to full depth.
+    let (engine, mut server) = start(ServeConfig::default().workers(2));
+    let mut streamer = ServeClient::connect(server.local_addr()).unwrap();
+    let mut other = ServeClient::connect(server.local_addr()).unwrap();
+    let cloud = scene_cloud(&SceneConfig::default(), 3000, 23);
+    let cfg = PipelineConfig::default();
+    // Warm, so the stream and the direct response agree on `cache_hit`.
+    other.process(&cloud, &cfg).unwrap();
+    let direct = other.process(&cloud, &cfg).unwrap();
+
+    let open = WireStreamOpen { first_paint: 16, chunk: 64, credits: 1 };
+    streamer.stream_open(&cloud, &cfg, Priority::Normal, 0, &open).unwrap();
+    let mut acc = protocol::StreamAccumulator::new();
+    match streamer.stream_next().unwrap() {
+        StreamEvent::Chunk(first) => acc.push(&first).unwrap(),
+        StreamEvent::End(e) => panic!("stream ended before first paint: {e:?}"),
+    }
+
+    engine.drain();
+    other.stream_open(&cloud, &cfg, Priority::Normal, 0, &open).unwrap();
+    match other.stream_next() {
+        Err(fractalcloud_serve::ClientError::Server { code, .. }) => {
+            assert_eq!(code, protocol::status::GOAWAY, "a draining server refuses new streams");
+        }
+        other => panic!("expected GOAWAY, got {other:?}"),
+    }
+
+    // The open stream is credited chunk by chunk, all of it mid-drain.
+    let end = loop {
+        match streamer.stream_next().unwrap() {
+            StreamEvent::Chunk(chunk) => {
+                acc.push(&chunk).unwrap();
+                streamer.stream_credit().unwrap();
+            }
+            StreamEvent::End(end) => break end,
+        }
+    };
+    assert!(!end.cancelled);
+    assert_eq!(end.delivered, acc.total(), "the drained stream must still reach full depth");
+    assert!(end.chunks > 3, "the test needs refinements cut during the drain");
+    assert_eq!(
+        acc.response(),
+        direct,
+        "a stream finished mid-drain must equal the direct response"
+    );
+
+    engine.resume();
+    // The same connection serves again, which also orders this thread
+    // after the handler left the stream (its books are closed by now).
+    assert_eq!(streamer.process(&cloud, &cfg).unwrap(), direct);
+    let m = engine.metrics();
+    assert_eq!((m.streams_opened, m.streams_closed, m.streams_cancelled), (1, 1, 0));
+    assert_eq!(m.stream_chunks_sent, u64::from(end.chunks));
+    assert_eq!(m.goaway_sent, 1);
+    // One job per stream: two warm-ups, the first paint, the last frame.
+    assert_eq!((m.submitted, m.admitted, m.completed), (4, 4, 4));
+    assert_eq!(m.shed_total(), 0);
+    server.shutdown();
+    engine.shutdown();
+}
+
+#[test]
+fn shutdown_mid_stream_refuses_the_next_chunk() {
+    // A terminal shutdown is not a drain: the open stream's next chunk
+    // boundary answers SHUTTING_DOWN, exactly as its per-chunk admission
+    // used to.
+    let (engine, mut server) = start(ServeConfig::default().workers(2));
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let cloud = scene_cloud(&SceneConfig::default(), 3000, 29);
+    let cfg = PipelineConfig::default();
+
+    let open = WireStreamOpen { first_paint: 16, chunk: 16, credits: 1 };
+    client.stream_open(&cloud, &cfg, Priority::Normal, 0, &open).unwrap();
+    // First paint plus the one refinement the opening credit pays for;
+    // the server is then credit-starved.
+    for _ in 0..2 {
+        match client.stream_next().unwrap() {
+            StreamEvent::Chunk(c) => assert!(c.hi < c.total, "need refinements left"),
+            StreamEvent::End(e) => panic!("stream ended early: {e:?}"),
+        }
+    }
+    engine.shutdown();
+    client.stream_credit().unwrap();
+    match client.stream_next() {
+        Err(fractalcloud_serve::ClientError::Server { code, .. }) => {
+            assert_eq!(code, protocol::status::SHUTTING_DOWN);
+        }
+        other => panic!("expected SHUTTING_DOWN, got {other:?}"),
+    }
+    // HEALTH is answered inline even now, and only after the handler left
+    // the stream — so the books are closed when it returns.
+    let health = client.health().unwrap();
+    assert!(!health.live);
+    assert_eq!(health.streams_open, 0);
+    let m = engine.metrics();
+    assert_eq!(m.streams_opened, m.streams_closed);
+    assert_eq!(m.stream_chunks_sent, 2, "no chunk is cut after the shutdown");
+    server.shutdown();
+}
