@@ -7,9 +7,9 @@
 //! need — the gathered block SoA coordinates, the FPS running-distance
 //! array, candidate/query staging, the batched-selection scratch
 //! ([`SelectScratch`]), sample-count scratch, and the Fractal build's
-//! order/frontier buffers — and the `*_into` / `*_ws` entry points across
-//! `fractal`, `bppo` and `pipeline` reuse them across blocks *and* across
-//! frames.
+//! point slabs and order/frontier buffers — and the `*_into` / `*_ws` entry
+//! points across `fractal`, `bppo` and `pipeline` reuse them across blocks
+//! *and* across frames.
 //!
 //! # Ownership rules
 //!
@@ -70,7 +70,7 @@ pub struct Workspace {
     pub(crate) own: Vec<usize>,
     /// Sorted search-space membership scratch (gather locality).
     pub(crate) space: Vec<usize>,
-    /// Fractal build scratch (order buffer, active-node lists, split runs).
+    /// Fractal build scratch (point slabs, order buffer, active-node lists).
     pub(crate) build: BuildScratch,
     /// LOD schedule scratch: `(rank, count, block)` entries staged for the
     /// [`SampleOrder`](crate::lod::SampleOrder) interleave sort.
@@ -148,17 +148,43 @@ pub struct InferScratch {
     pub select: SelectScratch,
 }
 
-/// Scratch of the Fractal build: the global order buffer whose final state
-/// is the DFT layout, this iteration's and the next's active-node lists,
-/// the DFT leaf list, and the per-split left/right runs.
+/// Scratch of the Fractal build: two point slabs the iterations ping-pong
+/// between, the global order buffer whose final state is the DFT layout,
+/// this iteration's and the next's active-node lists, and the DFT leaf
+/// list.
 #[derive(Debug, Default)]
 pub(crate) struct BuildScratch {
+    pub slabs: [Slab; 2],
     pub order: Vec<usize>,
     pub active: Vec<usize>,
     pub next_active: Vec<usize>,
     pub leaves: Vec<usize>,
-    pub left: Vec<usize>,
-    pub right: Vec<usize>,
+}
+
+/// One side of the build's ping-pong: every node's points as contiguous
+/// SoA runs (`x`, `y`, `z` and the original index of each point), a node
+/// owning `[start, end)` of all four. An iteration reads each active
+/// node's run from one slab — count on the split axis, stable scatter,
+/// per-child extrema — and writes it, split, into the same range of the
+/// other, so every pass streams contiguous memory.
+#[derive(Debug, Default)]
+pub(crate) struct Slab {
+    pub x: Vec<f32>,
+    pub y: Vec<f32>,
+    pub z: Vec<f32>,
+    pub idx: Vec<u32>,
+}
+
+impl Slab {
+    /// Sizes all four arrays for an `n`-point build. What they hold is
+    /// whatever the last build left: a node's range is always written (by
+    /// the scatter that created the node) before it is read.
+    pub fn resize(&mut self, n: usize) {
+        self.x.resize(n, 0.0);
+        self.y.resize(n, 0.0);
+        self.z.resize(n, 0.0);
+        self.idx.resize(n, 0);
+    }
 }
 
 /// A free-list pool of `Default`-constructible values (workspaces, output

@@ -32,9 +32,18 @@ fn on_every_backend(mut f: impl FnMut(Backend)) {
 }
 
 /// A workspace deliberately left dirty by running unrelated work through
-/// it: different cloud, different threshold, different radii.
+/// it: different cloud, different threshold, different radii. The build's
+/// slabs and order buffer are first left by a cloud larger than any under
+/// test (so a later build reads ranges of longer, stale arrays), then by
+/// `seed_cloud` at yet another block count.
 fn dirty_workspace(seed_cloud: &PointCloud) -> Workspace {
     let mut ws = Workspace::new();
+    let larger = PointCloud::from_points(
+        (0..1500)
+            .map(|i| Point3::new((i % 31) as f32 * 3.1, (i % 13) as f32 * -7.3, i as f32 * 0.02))
+            .collect(),
+    );
+    Fractal::with_threshold(5).build_ws(&larger, &mut ws).unwrap();
     let pipe = Pipeline::new(PipelineConfig::new(13, 0.5, 0.9, 3)).unwrap();
     let built = pipe.partition_ws(seed_cloud, &mut ws).unwrap();
     let mut staging = PipelineOutput::default();

@@ -32,9 +32,11 @@ impl Aabb {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `min` exceeds `max` on any axis.
+    /// Panics in debug builds if `min` exceeds `max` on any axis. A NaN
+    /// corner exceeds nothing: the extrema of an all-NaN axis are NaN, and a
+    /// hostile cloud must build the same in every profile.
     pub fn new(min: Point3, max: Point3) -> Aabb {
-        debug_assert!(min.x <= max.x && min.y <= max.y && min.z <= max.z, "inverted aabb");
+        debug_assert!(!(min.x > max.x || min.y > max.y || min.z > max.z), "inverted aabb");
         Aabb { min, max }
     }
 

@@ -63,6 +63,21 @@ impl PointCloud {
         c
     }
 
+    /// Builds a cloud from its three coordinate arrays, taken as they are
+    /// (no copy, no transpose), with no features.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if the arrays differ in length.
+    pub fn from_soa(xs: Vec<f32>, ys: Vec<f32>, zs: Vec<f32>) -> Result<PointCloud> {
+        for other in [&ys, &zs] {
+            if other.len() != xs.len() {
+                return Err(Error::ShapeMismatch { expected: xs.len(), actual: other.len() });
+            }
+        }
+        Ok(PointCloud { xs, ys, zs, ..PointCloud::default() })
+    }
+
     /// Builds a cloud from points and a row-major feature matrix.
     ///
     /// # Errors
@@ -370,6 +385,18 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.point(1), Point3::new(1.0, 2.0, 3.0));
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn from_soa_takes_the_arrays_and_rejects_unequal_lengths() {
+        let c =
+            PointCloud::from_soa(vec![0.0, 1.0, -1.0], vec![0.0, 2.0, 0.5], vec![0.0, 3.0, 2.0]);
+        assert_eq!(c.unwrap(), sample());
+        assert_eq!(PointCloud::from_soa(vec![], vec![], vec![]).unwrap(), PointCloud::new());
+        let short_y = PointCloud::from_soa(vec![0.0; 3], vec![0.0; 2], vec![0.0; 3]);
+        assert_eq!(short_y, Err(Error::ShapeMismatch { expected: 3, actual: 2 }));
+        let long_z = PointCloud::from_soa(vec![0.0; 3], vec![0.0; 3], vec![0.0; 4]);
+        assert_eq!(long_z, Err(Error::ShapeMismatch { expected: 3, actual: 4 }));
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //!   row handed out by `chunks_exact(16)`, or a destination whose length is
 //!   checked to be 16 (a partial last panel goes through a stack row and a
 //!   bounds-checked copy).
+//! * The partition scatter ([`scatter_le`]) is the one kernel that stores
+//!   through raw pointers at data-dependent offsets: a left store covers
+//!   `[l, l + 8)` and a right store `[r, r + 8)`, and the vector body only
+//!   runs while `l + 8 <= l_len` and `r + 8 <= len`, with `l_len <= len`
+//!   and all eight slices of length `len` checked by the safe wrapper.
 //!
 //! # Exactness argument
 //!
@@ -39,6 +44,14 @@
 //!   `zero` for NaN and `-0.0`, the scalar `if acc > 0.0 { acc } else { 0.0 }`;
 //! * compares use `_CMP_LE_OQ` (ordered, non-signaling), so NaN distances
 //!   never count as radius hits — same as the scalar `d <= r_sq`;
+//! * the partition passes compare with the same `_CMP_LE_OQ` (a NaN key is
+//!   never `<= mid`, as in the scalar loops); the scatter's left-pack
+//!   permutations move lanes without touching their bits and keep source
+//!   order on both sides; the extrema's `_mm256_min_ps(v, acc)` /
+//!   `_mm256_max_ps(v, acc)` drop a NaN `v` like `f32::min`/`max`, and the
+//!   accumulator is seeded with a number, never a NaN, because these return
+//!   their second operand whenever either is NaN — a NaN seed would stick
+//!   where `f32::min` replaces it;
 //! * argmax/argmin reductions record the first chunk that *strictly*
 //!   improves the running extremum and then rescan that chunk for the first
 //!   occurrence of the extremal value, which is exact because distances are
@@ -47,11 +60,12 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256, __m256i, _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_castsi256_ps,
-    _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
-    _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_set1_epi32,
-    _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
-    _CMP_LE_OQ, _CMP_NGE_UQ,
+    __m256, __m256i, _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_castps_si256,
+    _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_loadu_si256,
+    _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps,
+    _mm256_mul_ps, _mm256_permutevar8x32_epi32, _mm256_permutevar8x32_ps, _mm256_set1_epi32,
+    _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps,
+    _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps, _CMP_LE_OQ, _CMP_NGE_UQ,
 };
 
 use super::{CHUNK, LINEAR_PANEL as PANEL};
@@ -673,4 +687,163 @@ unsafe fn ball_prefilter_tile_impl(
         }
         mins[qi] = min;
     }
+}
+
+/// AVX2 count of the coordinates `<= mid`; see
+/// [`kernels::count_le`](super::count_le). Each compare leaves `-1` in the
+/// lanes that count, subtracted into eight 32-bit counters (the caller
+/// bounds the run by `u32::MAX`, so no lane wraps).
+pub fn count_le(coords: &[f32], mid: f32) -> usize {
+    assert_avx2();
+    // SAFETY: AVX2 availability asserted above; every load is a full group
+    // at `i + 8 <= coords.len()`.
+    unsafe { count_le_impl(coords, mid) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn count_le_impl(coords: &[f32], mid: f32) -> usize {
+    let m = _mm256_set1_ps(mid);
+    let mut acc = _mm256_setzero_si256();
+    let mut i = 0;
+    while i + LANES <= coords.len() {
+        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_loadu_ps(coords.as_ptr().add(i)), m);
+        acc = _mm256_sub_epi32(acc, _mm256_castps_si256(le));
+        i += LANES;
+    }
+    let mut lanes = [0u32; LANES];
+    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
+    lanes.iter().sum::<u32>() as usize + super::scalar::count_le(&coords[i..], mid)
+}
+
+/// Left-pack permutations: entry `m` lists the set bits of `m` in ascending
+/// order — the `_mm256_permutevar8x32` control that moves the lanes selected
+/// by compare mask `m` to the front of a vector, in source order. The
+/// trailing entries (zero) select lanes the scatter overwrites later.
+static LEFT_PACK: [[u32; LANES]; 256] = {
+    let mut table = [[0u32; LANES]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut bit, mut at) = (0, 0);
+        while bit < LANES {
+            if m >> bit & 1 == 1 {
+                table[m][at] = bit as u32;
+                at += 1;
+            }
+            bit += 1;
+        }
+        m += 1;
+    }
+    table
+};
+
+/// AVX2 stable two-way scatter; see
+/// [`kernels::scatter_le`](super::scatter_le). Eight elements per step: one
+/// compare mask, its left-pack permutation and that of its complement, and
+/// per array one load, two permutes and two unaligned stores — the `<= mid`
+/// lanes packed at the left cursor, the rest at the right one. Each store
+/// writes all eight lanes; the lanes past the packed ones hold leftovers
+/// that the same side's later stores overwrite, which is why the vector
+/// body stops as soon as either side has fewer than eight slots left and
+/// the scalar loop finishes the run.
+pub fn scatter_le(
+    key: &[f32],
+    mid: f32,
+    l_len: usize,
+    src: [&[f32]; 3],
+    src_idx: &[u32],
+    dst: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    assert_avx2();
+    let n = key.len();
+    let same_len = src.iter().all(|s| s.len() == n) && dst.iter().all(|d| d.len() == n);
+    assert!(same_len && src_idx.len() == n && dst_idx.len() == n && l_len <= n);
+    // SAFETY: AVX2 availability asserted above; all nine slices have length
+    // `n` and `l_len <= n` (asserted above), which is what the body's
+    // bounds argument needs.
+    unsafe { scatter_le_impl(key, mid, l_len, src, src_idx, dst, dst_idx) }
+}
+
+/// # Safety
+///
+/// AVX2 must be available, every slice must have `key.len()` elements and
+/// `l_len` must not exceed it. Loads read `[k, k + 8)` of the sources with
+/// `k + 8 <= len`; stores write `[l, l + 8)` with `l + 8 <= l_len <= len`
+/// and `[r, r + 8)` with `r + 8 <= len`, all checked by the loop condition
+/// before each step.
+#[target_feature(enable = "avx2")]
+unsafe fn scatter_le_impl(
+    key: &[f32],
+    mid: f32,
+    l_len: usize,
+    [sx, sy, sz]: [&[f32]; 3],
+    src_idx: &[u32],
+    [dx, dy, dz]: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    let len = key.len();
+    let m = _mm256_set1_ps(mid);
+    let (mut k, mut l, mut r) = (0, 0, l_len);
+    while k + LANES <= len && l + LANES <= l_len && r + LANES <= len {
+        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_loadu_ps(key.as_ptr().add(k)), m);
+        let mask = _mm256_movemask_ps(le) as usize;
+        let left = _mm256_loadu_si256(LEFT_PACK[mask].as_ptr().cast());
+        let right = _mm256_loadu_si256(LEFT_PACK[!mask & 0xFF].as_ptr().cast());
+        for (s, d) in [(sx, &mut *dx), (sy, &mut *dy), (sz, &mut *dz)] {
+            let v = _mm256_loadu_ps(s.as_ptr().add(k));
+            _mm256_storeu_ps(d.as_mut_ptr().add(l), _mm256_permutevar8x32_ps(v, left));
+            _mm256_storeu_ps(d.as_mut_ptr().add(r), _mm256_permutevar8x32_ps(v, right));
+        }
+        let v = _mm256_loadu_si256(src_idx.as_ptr().add(k).cast());
+        let d = dst_idx.as_mut_ptr();
+        _mm256_storeu_si256(d.add(l).cast(), _mm256_permutevar8x32_epi32(v, left));
+        _mm256_storeu_si256(d.add(r).cast(), _mm256_permutevar8x32_epi32(v, right));
+        let lefts = mask.count_ones() as usize;
+        l += lefts;
+        r += LANES - lefts;
+        k += LANES;
+    }
+    super::scalar::scatter_le_from(
+        (k, l, r),
+        key,
+        mid,
+        [sx, sy, sz],
+        src_idx,
+        [dx, dy, dz],
+        dst_idx,
+    );
+}
+
+/// AVX2 `(min, max)` before the zero-tie rule; see
+/// [`kernels::extrema`](super::extrema). The accumulators are seeded with
+/// the run's first number (not its first element — see the module's
+/// exactness argument); an all-NaN run returns its first element.
+pub fn extrema(v: &[f32]) -> (f32, f32) {
+    assert_avx2();
+    let Some(&seed) = v.iter().find(|c| !c.is_nan()) else {
+        return (v[0], v[0]);
+    };
+    // SAFETY: AVX2 availability asserted above; every load is a full group
+    // at `i + 8 <= v.len()`.
+    unsafe { extrema_impl(v, seed) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn extrema_impl(v: &[f32], seed: f32) -> (f32, f32) {
+    let mut lo = _mm256_set1_ps(seed);
+    let mut hi = lo;
+    let mut i = 0;
+    while i + LANES <= v.len() {
+        let c = _mm256_loadu_ps(v.as_ptr().add(i));
+        lo = _mm256_min_ps(c, lo);
+        hi = _mm256_max_ps(c, hi);
+        i += LANES;
+    }
+    let (mut los, mut his) = ([0f32; LANES], [0f32; LANES]);
+    _mm256_storeu_ps(los.as_mut_ptr(), lo);
+    _mm256_storeu_ps(his.as_mut_ptr(), hi);
+    let tail = v[i..].iter();
+    let lo = los.iter().chain(tail.clone()).fold(seed, |m, &c| m.min(c));
+    let hi = his.iter().chain(tail).fold(seed, |m, &c| m.max(c));
+    (lo, hi)
 }

@@ -118,6 +118,17 @@
 //! `0.0`, and the signed-zero tie `f32::max` leaves unspecified resolved to
 //! `+0.0`.
 //!
+//! # Partition passes
+//!
+//! [`count_le`], [`scatter_le`] and [`extrema`] are the three passes the
+//! Fractal build makes over a node's contiguous runs (Alg. 1, Fig. 9(c)):
+//! count the points on the near side of the split plane, scatter the run
+//! into its two children (stable, so a child keeps source order), take each
+//! child's extrema per axis for the next plane. They carry no counters and
+//! no scratch. The backends agree bit for bit, NaN coordinates and signed
+//! zeros included; the one tie `f32::min`/`max` leave open is settled in
+//! [`extrema`] itself, outside the backends.
+//!
 //! # Caller-provided scratch (`*_into` variants)
 //!
 //! Every kernel that needs intermediate buffers has a form that writes into
@@ -563,6 +574,71 @@ pub fn linear_into(
         return;
     }
     dispatch!(backend, linear(packed, bias, cin, relu, input, out));
+}
+
+/// Pass 1 of a fractal split: how many coordinates of a run are `<= mid`,
+/// on the active backend. A NaN coordinate — or a NaN `mid` — never counts.
+///
+/// # Panics
+///
+/// Panics if the run holds more than `u32::MAX` elements (the backends
+/// count in 32-bit lanes).
+pub fn count_le(coords: &[f32], mid: f32) -> usize {
+    assert!(u32::try_from(coords.len()).is_ok(), "run too long for 32-bit lane counters");
+    dispatch!(active_backend(), count_le(coords, mid))
+}
+
+/// Pass 2 of a fractal split: the stable two-way scatter of a node's four
+/// parallel runs (three coordinate arrays and the points' original
+/// indices), on the active backend. The elements whose `key` is `<= mid`
+/// go to `dst[..l_len]`, the rest — NaN keys among them — to
+/// `dst[l_len..]`, both sides in source order. `key` is the run the split
+/// plane cuts (one of `src`, usually) and `l_len` must be
+/// [`count_le`]`(key, mid)`: with any other `l_len <= len` the call stays
+/// memory-safe but may panic, and leaves `dst` unspecified.
+///
+/// # Panics
+///
+/// Panics if the nine slices differ in length or `l_len` exceeds it.
+pub fn scatter_le(
+    key: &[f32],
+    mid: f32,
+    l_len: usize,
+    src: [&[f32]; 3],
+    src_idx: &[u32],
+    dst: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    let n = key.len();
+    assert!(src.iter().all(|s| s.len() == n) && src_idx.len() == n, "source length mismatch");
+    assert!(dst.iter().all(|d| d.len() == n) && dst_idx.len() == n, "destination length mismatch");
+    assert!(l_len <= n, "left population exceeds the run");
+    dispatch!(active_backend(), scatter_le(key, mid, l_len, src, src_idx, dst, dst_idx));
+}
+
+/// Pass 3 of a fractal split: `(min, max)` of a non-empty run, on the
+/// active backend — what folding `f32::min` / `f32::max` over the run from
+/// its first element gives, computed lane-wise, with the one thing that
+/// fold leaves open pinned down:
+///
+/// * a NaN is skipped; only a run of nothing but NaNs has NaN extrema
+///   (which of its NaNs is unspecified);
+/// * `f32::min`/`max` may return either zero of a `-0.0`/`+0.0` tie, so the
+///   sign of a zero extremum would depend on the fold order. It is defined
+///   instead, as `-0.0 < +0.0`: a zero minimum is `-0.0` if the run holds
+///   one, a zero maximum `+0.0` if the run holds one. The rule is applied
+///   here, after the backend's fold, so it cannot differ between backends.
+///
+/// # Panics
+///
+/// Panics if the run is empty.
+pub fn extrema(v: &[f32]) -> (f32, f32) {
+    assert!(!v.is_empty(), "extrema of an empty run");
+    let (lo, hi) = dispatch!(active_backend(), extrema(v));
+    let holds = |zero: f32| v.iter().fold(false, |s, c| s | (c.to_bits() == zero.to_bits()));
+    let lo = if lo == 0.0 { [0.0, -0.0][usize::from(holds(-0.0))] } else { lo };
+    let hi = if hi == 0.0 { [-0.0, 0.0][usize::from(holds(0.0))] } else { hi };
+    (lo, hi)
 }
 
 /// Gathers the coordinates at `indices` into local SoA buffers (cleared

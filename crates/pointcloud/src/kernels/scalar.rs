@@ -219,3 +219,58 @@ pub fn ball_prefilter_tile(
         mins[qi] = min;
     }
 }
+
+/// Counts the coordinates `<= mid`; see [`kernels::count_le`](super::count_le).
+/// The caller bounds the run by `u32::MAX`, so the 32-bit sum cannot wrap —
+/// and 32-bit lanes count twice as many elements per vector as `usize`
+/// ones once the compiler vectorizes the loop.
+pub fn count_le(coords: &[f32], mid: f32) -> usize {
+    coords.iter().map(|&c| u32::from(c <= mid)).sum::<u32>() as usize
+}
+
+/// Stable two-way scatter; see [`kernels::scatter_le`](super::scatter_le).
+pub fn scatter_le(
+    key: &[f32],
+    mid: f32,
+    l_len: usize,
+    src: [&[f32]; 3],
+    src_idx: &[u32],
+    dst: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    scatter_le_from((0, 0, l_len), key, mid, src, src_idx, dst, dst_idx);
+}
+
+/// [`scatter_le`] resumed at source element `k` with the left and right
+/// cursors at `l` and `r` — the whole scatter from `(0, 0, l_len)`, and the
+/// tail the AVX2 backend hands over after its last full vector. Branch-free
+/// per element: the destination slot is a select, the cursors advance by
+/// the compare. Every slice is cut to one length up front, so one bounds
+/// check covers an element's four stores.
+pub(super) fn scatter_le_from(
+    (k, mut l, mut r): (usize, usize, usize),
+    key: &[f32],
+    mid: f32,
+    [sx, sy, sz]: [&[f32]; 3],
+    src_idx: &[u32],
+    [dx, dy, dz]: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    let n = key.len();
+    let (sx, sy, sz, si) = (&sx[..n], &sy[..n], &sz[..n], &src_idx[..n]);
+    let (dx, dy, dz, di) = (&mut dx[..n], &mut dy[..n], &mut dz[..n], &mut dst_idx[..n]);
+    for k in k..n {
+        let le = key[k] <= mid;
+        let j = if le { l } else { r };
+        (dx[j], dy[j], dz[j], di[j]) = (sx[k], sy[k], sz[k], si[k]);
+        l += usize::from(le);
+        r += usize::from(!le);
+    }
+}
+
+/// `(min, max)` before the zero-tie rule; see
+/// [`kernels::extrema`](super::extrema). The sequential fold from the first
+/// element that the lane-wise backends reproduce.
+pub fn extrema(v: &[f32]) -> (f32, f32) {
+    v.iter().fold((v[0], v[0]), |(lo, hi), &c| (lo.min(c), hi.max(c)))
+}

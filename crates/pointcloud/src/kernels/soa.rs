@@ -9,6 +9,10 @@
 
 use super::{CHUNK, LINEAR_PANEL as PANEL};
 
+// The scalar backend's count is already a vectorizable one-axis reduction
+// and its scatter already branch-free; there is no chunked form to add.
+pub use super::scalar::{count_le, scatter_le};
+
 /// Chunked squared distances; see [`kernels::distances_sq`](super::distances_sq).
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {
     let n = xs.len();
@@ -365,4 +369,26 @@ pub fn ball_prefilter_tile(
         masks[qi] = mask;
         mins[qi] = min;
     }
+}
+
+/// `(min, max)` before the zero-tie rule; see
+/// [`kernels::extrema`](super::extrema). Sixteen independent lanes, every
+/// one seeded with `v[0]` and folded with `f32::min`/`max`, so the scalar
+/// fold's NaN rule (a NaN operand is dropped, a NaN first element replaced
+/// by the next number) holds in each lane and in the fold across lanes.
+pub fn extrema(v: &[f32]) -> (f32, f32) {
+    const LANES: usize = 16;
+    let mut lo = [v[0]; LANES];
+    let mut hi = lo;
+    let mut chunks = v.chunks_exact(LANES);
+    for c in chunks.by_ref() {
+        for k in 0..LANES {
+            lo[k] = lo[k].min(c[k]);
+            hi[k] = hi[k].max(c[k]);
+        }
+    }
+    let tail = chunks.remainder().iter();
+    let lo = lo.iter().chain(tail.clone()).fold(v[0], |m, &c| m.min(c));
+    let hi = hi.iter().chain(tail).fold(v[0], |m, &c| m.max(c));
+    (lo, hi)
 }

@@ -465,3 +465,128 @@ fn linear_relu_resolves_negative_zero_and_nan_to_positive_zero() {
         assert!(run(true, &nans).iter().all(|v| v.to_bits() == 0), "{b:?}");
     }
 }
+
+/// A run of `len` coordinates on a coarse grid — so values tie with one
+/// another and with the split plane — reshaped by `special`: NaNs (first
+/// element included), nothing but NaNs, infinities, zeros of both signs as
+/// the run's minimum or its maximum, values near `f32::MAX`.
+fn partition_run(len: usize, salt: usize, special: usize) -> Vec<f32> {
+    let hash =
+        |i: usize| (salt as u32 ^ (i as u32).wrapping_mul(0x9e37_79b9)).wrapping_mul(0x85eb_ca6b);
+    (0..len)
+        .map(|i| {
+            let h = hash(i) >> 8;
+            let grid = (h % 21) as f32 * 0.5 - 5.0;
+            match (special, h % 4) {
+                (1, 0) => f32::NAN,
+                (1, _) if i == 0 => f32::NAN,
+                (2, _) => f32::NAN,
+                (3, 0) => [f32::INFINITY, f32::NEG_INFINITY][(h / 4 % 2) as usize],
+                (4 | 5, 0 | 1) => [0.0, -0.0][(h / 4 % 2) as usize],
+                (4, _) => grid.abs(),
+                (5, _) => -grid.abs(),
+                (6, _) => f32::MAX * (0.5 + grid / 20.0),
+                _ => grid,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The three partition passes against plain oracles on every backend,
+    /// compared on bits: lengths on both sides of the 8- and 16-lane
+    /// widths, planes that tie with elements, put everything on one side,
+    /// or are NaN / infinite, and the runs of `partition_run`. The
+    /// destination runs sit between guard elements, so a vector store that
+    /// left its slice — the invariant the AVX2 scatter's `unsafe` rests on
+    /// — shows as a damaged guard (and a left store that reached right data
+    /// as a wrong element).
+    #[test]
+    fn partition_passes_match_their_oracles_on_every_backend(
+        len in 1usize..200,
+        salt in 0usize..100_000,
+        (plane, special, axis) in (0usize..12, 0usize..7, 0usize..3),
+    ) {
+        let mid = [
+            -3.0, -0.25, 0.0, -0.0, 0.25, 2.5, 5.0, -20.0,
+            f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX * 0.75,
+        ][plane];
+        let src = [0, 1, 2].map(|a| partition_run(len, salt + a, if a == axis { special } else { 0 }));
+        let src_idx: Vec<u32> = (0..len as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let key = &src[axis];
+
+        // Oracles: a filter count, a stable partition of the positions, and
+        // the total order (in which `-0.0 < +0.0`) over the non-NaN values.
+        let is_left = |k: usize| key[k] <= mid;
+        let order: Vec<usize> =
+            (0..len).filter(|&k| is_left(k)).chain((0..len).filter(|&k| !is_left(k))).collect();
+        let l_len = (0..len).filter(|&k| is_left(k)).count();
+        let numbers = || key.iter().copied().filter(|c| !c.is_nan());
+        let lo = numbers().min_by(f32::total_cmp);
+        let hi = numbers().max_by(f32::total_cmp);
+
+        const GUARD: usize = 16;
+        for b in Backend::ALL {
+            kernels::with_backend(b, || {
+                assert_eq!(kernels::count_le(key, mid), l_len, "{b:?} count");
+
+                let mut dst = [0, 1, 2].map(|_| vec![f32::from_bits(0x7fc0_dead); len + 2 * GUARD]);
+                let mut dst_idx = vec![0xdead_beef_u32; len + 2 * GUARD];
+                kernels::scatter_le(
+                    key,
+                    mid,
+                    l_len,
+                    [&src[0], &src[1], &src[2]],
+                    &src_idx,
+                    dst.each_mut().map(|d| &mut d[GUARD..GUARD + len]),
+                    &mut dst_idx[GUARD..GUARD + len],
+                );
+                for (a, d) in dst.iter().enumerate() {
+                    let got: Vec<u32> = d.iter().map(|c| c.to_bits()).collect();
+                    let want = order.iter().map(|&k| src[a][k].to_bits());
+                    let guard = std::iter::repeat_n(0x7fc0_dead, GUARD);
+                    let want: Vec<u32> = guard.clone().chain(want).chain(guard).collect();
+                    assert_eq!(got, want, "{b:?} scatter, array {a}");
+                }
+                let guard = std::iter::repeat_n(0xdead_beef, GUARD);
+                let want = order.iter().map(|&k| src_idx[k]);
+                let want: Vec<u32> = guard.clone().chain(want).chain(guard).collect();
+                assert_eq!(dst_idx, want, "{b:?} scatter, indices");
+
+                let (got_lo, got_hi) = kernels::extrema(key);
+                match (lo, hi) {
+                    (Some(lo), Some(hi)) => {
+                        assert_eq!((got_lo.to_bits(), got_hi.to_bits()), (lo.to_bits(), hi.to_bits()), "{b:?}");
+                    }
+                    _ => assert!(got_lo.is_nan() && got_hi.is_nan(), "{b:?} all-NaN run"),
+                }
+            });
+        }
+    }
+}
+
+/// The zero tie `f32::min`/`max` leave open, settled: `-0.0` is the
+/// minimum and `+0.0` the maximum wherever in the run — and in whichever
+/// lane — each sits, on every backend.
+#[test]
+fn extrema_put_negative_zero_below_positive_zero() {
+    let bits = |(lo, hi): (f32, f32)| (lo.to_bits(), hi.to_bits());
+    for b in Backend::ALL {
+        kernels::with_backend(b, || {
+            for len in [2usize, 9, 40] {
+                for at in 0..len {
+                    let mut v = vec![0.0f32; len];
+                    v[at] = -0.0;
+                    assert_eq!(bits(kernels::extrema(&v)), bits((-0.0, 0.0)), "{b:?} {len} {at}");
+                    let mut v = vec![-0.0f32; len];
+                    v[at] = 0.0;
+                    assert_eq!(bits(kernels::extrema(&v)), bits((-0.0, 0.0)), "{b:?} {len} {at}");
+                }
+            }
+            assert_eq!(bits(kernels::extrema(&[0.0, 0.0, 3.0])), bits((0.0, 3.0)), "{b:?}");
+            assert_eq!(bits(kernels::extrema(&[-2.0, -0.0, -0.0])), bits((-2.0, -0.0)), "{b:?}");
+        });
+    }
+}

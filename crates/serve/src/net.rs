@@ -954,21 +954,8 @@ fn write_ok(
     scratch: &mut WireScratch,
 ) -> io::Result<()> {
     let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
-    let wire = WireResponse {
-        sampled_indices: resp.sampled_indices.iter().map(|&i| i as u32).collect(),
-        neighbor_indices: resp.neighbor_indices.iter().map(|&i| i as u32).collect(),
-        found: resp.found.iter().map(|&i| i as u32).collect(),
-        num: resp.num as u32,
-        blocks: resp.blocks as u32,
-        cache_hit: resp.cache_hit,
-        batch_size: resp.batch_size as u32,
-        degraded: resp.degraded,
-        budget_served: resp.budget_served as u32,
-    };
-    scratch.payload.clear();
-    protocol::encode_response_payload_into(&wire, &mut scratch.payload);
     scratch.message.clear();
-    protocol::encode_message_into(status::OK, &scratch.payload, &mut scratch.message);
+    protocol::encode_frame_response_message_into(resp, &mut scratch.message);
     encode_span.done();
     let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
     stream.write_all(&scratch.message)
@@ -1569,8 +1556,12 @@ impl ServeClient {
             // refuse before allocating (the connection is desynced anyway).
             return Err(ClientError::Protocol(WireError("response payload exceeds sanity limit")));
         }
-        let mut payload = vec![0u8; payload_len];
-        self.stream.read_exact(&mut payload)?;
+        // Read straight into fresh capacity: no zero-fill pass per reply.
+        let mut payload = Vec::with_capacity(payload_len);
+        (&mut self.stream).take(payload_len as u64).read_to_end(&mut payload)?;
+        if payload.len() < payload_len {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
         Ok((code, payload))
     }
 }

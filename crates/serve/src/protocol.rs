@@ -102,9 +102,9 @@
 //! Non-degraded responses omit the field, staying byte-identical to
 //! pre-brown-out servers.
 
-use crate::engine::{EngineHealth, Priority};
+use crate::engine::{EngineHealth, FrameResponse, Priority};
 use fractalcloud_core::{LodCursor, PipelineConfig};
-use fractalcloud_pointcloud::{Point3, PointCloud};
+use fractalcloud_pointcloud::PointCloud;
 
 /// Frame magic: `"FCS1"` (FractalCloud Serve, version 1).
 pub const MAGIC: u32 = u32::from_le_bytes(*b"FCS1");
@@ -269,6 +269,24 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
     }
 
+    /// `n` consecutive `u32`s as one array: one length check, one
+    /// allocation, one pass. Callers bound `n` by [`Reader::remaining`]
+    /// first where they want their own error text.
+    fn u32s(&mut self, n: usize, what: &'static str) -> Result<Vec<u32>, WireError> {
+        let bytes = self.take(n.checked_mul(4).ok_or(WireError("length overflow"))?, what)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
+    }
+
+    /// The coordinate triplets of an `n`-point frame, still interleaved
+    /// (see [`cloud_from_triplets`]).
+    fn triplets(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let bytes = n.checked_mul(12).ok_or(WireError("point count overflow"))?;
+        self.take(bytes, "truncated coordinates")
+    }
+
     fn f32(&mut self, what: &'static str) -> Result<f32, WireError> {
         Ok(f32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
     }
@@ -298,6 +316,39 @@ impl<'a> Reader<'a> {
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a run of `u32`s: sized once, filled in place.
+fn put_u32s(buf: &mut Vec<u8>, run: impl ExactSizeIterator<Item = u32>) {
+    let at = buf.len();
+    buf.resize(at + 4 * run.len(), 0);
+    for (slot, v) in buf[at..].chunks_exact_mut(4).zip(run) {
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Deinterleaves wire coordinate triplets once, into the three arrays the
+/// cloud then owns.
+fn cloud_from_triplets(triplets: &[u8]) -> PointCloud {
+    let axis = |at: usize| -> Vec<f32> {
+        let coord = |t: &[u8]| f32::from_le_bytes(t[at..at + 4].try_into().expect("4 bytes"));
+        triplets.chunks_exact(12).map(coord).collect()
+    };
+    PointCloud::from_soa(axis(0), axis(4), axis(8)).expect("three arrays of one length")
+}
+
+/// Appends a cloud's `n_points:u32` and coordinate triplets, interleaved
+/// from its three arrays into a run sized once.
+fn put_cloud(buf: &mut Vec<u8>, cloud: &PointCloud) {
+    put_u32(buf, cloud.len() as u32);
+    let at = buf.len();
+    buf.resize(at + 12 * cloud.len(), 0);
+    let points = cloud.xs().iter().zip(cloud.ys()).zip(cloud.zs());
+    for (slot, ((x, y), z)) in buf[at..].chunks_exact_mut(12).zip(points) {
+        slot[0..4].copy_from_slice(&x.to_le_bytes());
+        slot[4..8].copy_from_slice(&y.to_le_bytes());
+        slot[8..12].copy_from_slice(&z.to_le_bytes());
+    }
 }
 
 /// Encodes a process-frame request payload (the part after the 9-byte
@@ -336,13 +387,7 @@ pub fn encode_request_payload_budget(
     buf.extend_from_slice(&config.sample_rate.to_le_bytes());
     buf.extend_from_slice(&config.radius.to_le_bytes());
     put_u32(&mut buf, config.neighbors as u32);
-    put_u32(&mut buf, cloud.len() as u32);
-    for i in 0..cloud.len() {
-        let p = cloud.point(i);
-        buf.extend_from_slice(&p.x.to_le_bytes());
-        buf.extend_from_slice(&p.y.to_le_bytes());
-        buf.extend_from_slice(&p.z.to_le_bytes());
-    }
+    put_cloud(&mut buf, cloud);
     if deadline_ms > 0 || budget > 0 {
         put_u32(&mut buf, deadline_ms);
     }
@@ -382,22 +427,8 @@ fn decode_frame_prefix(r: &mut Reader<'_>) -> Result<(PointCloud, PipelineConfig
     let radius = r.f32("truncated radius")?;
     let neighbors = r.u32("truncated neighbors")? as usize;
     let n = r.u32("truncated point count")? as usize;
-    let coords = r.take(
-        n.checked_mul(12).ok_or(WireError("point count overflow"))?,
-        "truncated coordinates",
-    )?;
-    let mut points = Vec::with_capacity(n);
-    for c in coords.chunks_exact(12) {
-        points.push(Point3::new(
-            f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-        ));
-    }
-    Ok((
-        PointCloud::from_points(points),
-        PipelineConfig::new(threshold, sample_rate, radius, neighbors),
-    ))
+    let cloud = cloud_from_triplets(r.triplets(n)?);
+    Ok((cloud, PipelineConfig::new(threshold, sample_rate, radius, neighbors)))
 }
 
 /// The streaming knobs that ride an [`OP_STREAM`] request after the frame.
@@ -487,13 +518,7 @@ pub fn encode_infer_request_payload(
     buf.push(req.aggregation);
     put_u32(&mut buf, req.notation.len() as u32);
     buf.extend_from_slice(req.notation.as_bytes());
-    put_u32(&mut buf, cloud.len() as u32);
-    for i in 0..cloud.len() {
-        let p = cloud.point(i);
-        buf.extend_from_slice(&p.x.to_le_bytes());
-        buf.extend_from_slice(&p.y.to_le_bytes());
-        buf.extend_from_slice(&p.z.to_le_bytes());
-    }
+    put_cloud(&mut buf, cloud);
     if deadline_ms > 0 {
         put_u32(&mut buf, deadline_ms);
     }
@@ -526,22 +551,11 @@ pub fn decode_infer_request_payload(
         .map_err(|_| WireError("notation is not UTF-8"))?
         .to_owned();
     let n = r.u32("truncated point count")? as usize;
-    let coords = r.take(
-        n.checked_mul(12).ok_or(WireError("point count overflow"))?,
-        "truncated coordinates",
-    )?;
+    let triplets = r.triplets(n)?;
     let deadline_ms = if r.remaining() > 0 { r.u32("truncated deadline")? } else { 0 };
     r.done()?;
-    let mut points = Vec::with_capacity(n);
-    for c in coords.chunks_exact(12) {
-        points.push(Point3::new(
-            f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-        ));
-    }
     Ok((
-        PointCloud::from_points(points),
+        cloud_from_triplets(triplets),
         WireInferRequest { threshold, seed, aggregation, notation },
         deadline_ms,
     ))
@@ -626,10 +640,7 @@ pub fn decode_infer_response_payload(payload: &[u8]) -> Result<WireInferResponse
     if rows.checked_add(cells).ok_or(WireError("logit count overflow"))? > r.remaining() / 4 {
         return Err(WireError("row counts exceed payload"));
     }
-    let mut row_index = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        row_index.push(r.u32("truncated row index")?);
-    }
+    let row_index = r.u32s(rows, "truncated row index")?;
     let mut logits = Vec::with_capacity(cells);
     for _ in 0..cells {
         logits.push(r.f32("truncated logits")?);
@@ -690,24 +701,61 @@ pub fn encode_response_payload(resp: &WireResponse) -> Vec<u8> {
 /// the wire path's per-connection scratch form (a warmed buffer encodes a
 /// steady-state response with zero heap allocation).
 pub fn encode_response_payload_into(resp: &WireResponse, buf: &mut Vec<u8>) {
-    put_u32(buf, resp.blocks);
-    buf.push(u8::from(resp.cache_hit));
-    put_u32(buf, resp.batch_size);
-    put_u32(buf, resp.sampled_indices.len() as u32);
-    for &v in &resp.sampled_indices {
-        put_u32(buf, v);
-    }
-    put_u32(buf, resp.found.len() as u32);
-    put_u32(buf, resp.num);
-    for &v in &resp.neighbor_indices {
-        put_u32(buf, v);
-    }
-    for &v in &resp.found {
-        put_u32(buf, v);
-    }
-    // Brown-out marker: presence of the trailer *is* the degraded flag.
-    if resp.degraded {
-        put_u32(buf, resp.budget_served);
+    let runs = [&resp.sampled_indices, &resp.neighbor_indices, &resp.found];
+    put_response(
+        buf,
+        [resp.blocks, resp.batch_size, resp.num],
+        resp.cache_hit,
+        runs.map(|v| v.iter().copied()),
+        resp.degraded.then_some(resp.budget_served),
+    );
+}
+
+/// Encodes a complete OK PROCESS_FRAME message — header and payload —
+/// straight from the in-process response's index arrays, narrowing as it
+/// writes: byte-identical to [`encode_message_into`] of
+/// [`encode_response_payload_into`] of the [`WireResponse`] with the same
+/// fields, with no owned copy and no payload staging in between.
+pub(crate) fn encode_frame_response_message_into(resp: &FrameResponse, buf: &mut Vec<u8>) {
+    let at = buf.len();
+    encode_message_into(status::OK, &[], buf);
+    let runs = [&resp.sampled_indices, &resp.neighbor_indices, &resp.found];
+    put_response(
+        buf,
+        [resp.blocks, resp.batch_size, resp.num].map(|v| v as u32),
+        resp.cache_hit,
+        runs.map(|v| v.iter().map(|&i| i as u32)),
+        resp.degraded.then_some(resp.budget_served as u32),
+    );
+    // The header went out with an empty payload; now the length is known.
+    let payload_len = (buf.len() - at - 9) as u32;
+    buf[at + 5..at + 9].copy_from_slice(&payload_len.to_le_bytes());
+}
+
+/// The one field-order body of an OK PROCESS_FRAME payload: the owned
+/// ([`encode_response_payload_into`]) and the borrowed
+/// ([`encode_frame_response_message_into`]) forms both write through it, so
+/// their bytes cannot diverge. `runs` is `[sampled, neighbors, found]`;
+/// `budget_served` is the brown-out trailer, whose presence *is* the
+/// degraded flag.
+fn put_response<I: ExactSizeIterator<Item = u32>>(
+    buf: &mut Vec<u8>,
+    [blocks, batch_size, num]: [u32; 3],
+    cache_hit: bool,
+    [sampled, neighbors, found]: [I; 3],
+    budget_served: Option<u32>,
+) {
+    put_u32(buf, blocks);
+    buf.push(u8::from(cache_hit));
+    put_u32(buf, batch_size);
+    put_u32(buf, sampled.len() as u32);
+    put_u32s(buf, sampled);
+    put_u32(buf, found.len() as u32);
+    put_u32(buf, num);
+    put_u32s(buf, neighbors);
+    put_u32s(buf, found);
+    if let Some(served) = budget_served {
+        put_u32(buf, served);
     }
 }
 
@@ -729,24 +777,15 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<WireResponse, WireError
     if n_sampled > r.remaining() / 4 {
         return Err(WireError("sample count exceeds payload"));
     }
-    let mut sampled_indices = Vec::with_capacity(n_sampled);
-    for _ in 0..n_sampled {
-        sampled_indices.push(r.u32("truncated samples")?);
-    }
+    let sampled_indices = r.u32s(n_sampled, "truncated samples")?;
     let n_centers = r.u32("truncated center count")? as usize;
     let num = r.u32("truncated num")?;
     let slots = n_centers.checked_mul(num as usize).ok_or(WireError("slot count overflow"))?;
     if slots.checked_add(n_centers).ok_or(WireError("slot count overflow"))? > r.remaining() / 4 {
         return Err(WireError("neighbor counts exceed payload"));
     }
-    let mut neighbor_indices = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        neighbor_indices.push(r.u32("truncated neighbors")?);
-    }
-    let mut found = Vec::with_capacity(n_centers);
-    for _ in 0..n_centers {
-        found.push(r.u32("truncated found")?);
-    }
+    let neighbor_indices = r.u32s(slots, "truncated neighbors")?;
+    let found = r.u32s(n_centers, "truncated found")?;
     // Optional brown-out trailer: present iff the server degraded the
     // request.
     let (degraded, budget_served) =
@@ -890,11 +929,7 @@ fn put_segment<I: ExactSizeIterator<Item = u32>>(buf: &mut Vec<u8>, block: u32, 
     put_u32(buf, block);
     put_u32(buf, runs[0].len() as u32);
     for run in runs {
-        let at = buf.len();
-        buf.resize(at + 4 * run.len(), 0);
-        for (slot, v) in buf[at..].chunks_exact_mut(4).zip(run) {
-            slot.copy_from_slice(&v.to_le_bytes());
-        }
+        put_u32s(buf, run);
     }
 }
 
@@ -964,18 +999,9 @@ pub fn decode_stream_chunk_payload(payload: &[u8]) -> Result<WireStreamChunk, Wi
         if cells > r.remaining() / 4 {
             return Err(WireError("segment length exceeds payload"));
         }
-        let mut sampled = Vec::with_capacity(count);
-        for _ in 0..count {
-            sampled.push(r.u32("truncated segment samples")?);
-        }
-        let mut grouped = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            grouped.push(r.u32("truncated segment neighbors")?);
-        }
-        let mut found = Vec::with_capacity(count);
-        for _ in 0..count {
-            found.push(r.u32("truncated segment found")?);
-        }
+        let sampled = r.u32s(count, "truncated segment samples")?;
+        let grouped = r.u32s(rows, "truncated segment neighbors")?;
+        let found = r.u32s(count, "truncated segment found")?;
         segments.push(WireLodSegment { block, sampled, grouped, found });
     }
     r.done()?;
@@ -1315,6 +1341,107 @@ mod tests {
         payload.extend_from_slice(&1000u32.to_le_bytes()); // n_centers
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // num
         assert!(decode_response_payload(&payload).is_err());
+        // Both at their maximum: the product overflows a 32-bit `usize`
+        // and exceeds any payload on a 64-bit one.
+        let at = payload.len() - 8;
+        payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_response_payload(&payload).is_err());
+    }
+
+    /// An in-process response with `centers` centres of `num` slots each,
+    /// and the wire struct holding the same fields narrowed.
+    fn frame_response(centers: usize, num: usize, degraded: bool) -> (FrameResponse, WireResponse) {
+        let resp = FrameResponse {
+            sampled_indices: (0..centers).map(|i| i * 4 + 1).collect(),
+            neighbor_indices: (0..centers * num).map(|i| (i * 7919) % 65_536).collect(),
+            found: (0..centers).map(|i| i % (num + 1)).collect(),
+            num,
+            blocks: 392,
+            cache_hit: centers % 2 == 1,
+            batch_size: 3,
+            degraded,
+            budget_served: if degraded { centers } else { 0 },
+            ..FrameResponse::default()
+        };
+        let narrow = |v: &[usize]| v.iter().map(|&i| i as u32).collect::<Vec<u32>>();
+        let wire = WireResponse {
+            sampled_indices: narrow(&resp.sampled_indices),
+            neighbor_indices: narrow(&resp.neighbor_indices),
+            found: narrow(&resp.found),
+            num: num as u32,
+            blocks: 392,
+            cache_hit: resp.cache_hit,
+            batch_size: 3,
+            degraded,
+            budget_served: resp.budget_served as u32,
+        };
+        (resp, wire)
+    }
+
+    #[test]
+    fn frame_response_message_equals_the_owned_encoding_byte_for_byte() {
+        for centers in [0usize, 1, 16_384] {
+            for num in [1usize, 16, 33] {
+                for degraded in [false, true] {
+                    let (resp, wire) = frame_response(centers, num, degraded);
+                    let owned = encode_message(status::OK, &encode_response_payload(&wire));
+                    // Appended behind bytes already in the buffer: the
+                    // length is patched at the message's own header.
+                    let mut buf = vec![0xAB; 5];
+                    encode_frame_response_message_into(&resp, &mut buf);
+                    assert_eq!(&buf[..5], &[0xAB; 5]);
+                    assert!(buf[5..] == owned[..], "centers {centers} num {num} {degraded}");
+                    assert_eq!(decode_response_payload(&buf[5 + 9..]).unwrap(), wire);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_a_trailing_byte_of_a_response_are_malformed() {
+        let (_, wire) = frame_response(5, 3, false);
+        let payload = encode_response_payload(&wire);
+        assert_eq!(payload.len(), 21 + 4 * (5 + 15 + 5));
+        for cut in 0..payload.len() {
+            assert!(decode_response_payload(&payload[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        // One byte past a plain response is a partial brown-out trailer;
+        // one byte past a degraded one is trailing garbage.
+        let mut long = payload.clone();
+        long.push(0);
+        assert_eq!(decode_response_payload(&long), Err(WireError("truncated budget_served")));
+        let (_, wire) = frame_response(5, 3, true);
+        let mut long = encode_response_payload(&wire);
+        long.push(0);
+        assert_eq!(decode_response_payload(&long), Err(WireError("trailing bytes")));
+    }
+
+    #[test]
+    fn decoded_request_coordinates_keep_every_bit() {
+        // NaNs with payloads and either sign, a signalling NaN, both zeros,
+        // infinities, a subnormal: the wire and the deinterleave move bits.
+        let odd = [0x7fc0_1234u32, 0xffc0_0001, 0x7f80_0001, 0x8000_0000, 0, 0x7f80_0000, 1];
+        let coord = |i: usize| f32::from_bits(odd[i % odd.len()]);
+        let n = 23;
+        let cloud = PointCloud::from_soa(
+            (0..n).map(coord).collect(),
+            (0..n).map(|i| coord(i + 2)).collect(),
+            (0..n).map(|i| coord(i * 3 + 1)).collect(),
+        )
+        .unwrap();
+        let bits = |c: &PointCloud| {
+            [c.xs(), c.ys(), c.zs()].map(|v| v.iter().map(|c| c.to_bits()).collect::<Vec<u32>>())
+        };
+        let frame = encode_request_payload(&cloud, &PipelineConfig::default());
+        assert_eq!(bits(&decode_request_payload(&frame).unwrap().0), bits(&cloud));
+        let req = WireInferRequest {
+            threshold: 64,
+            seed: 1,
+            aggregation: AGG_DELAYED,
+            notation: "PN++ (c)".to_owned(),
+        };
+        let infer = encode_infer_request_payload(&cloud, &req, 0);
+        assert_eq!(bits(&decode_infer_request_payload(&infer).unwrap().0), bits(&cloud));
     }
 
     #[test]
