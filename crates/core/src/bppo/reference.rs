@@ -6,9 +6,8 @@
 //! [`WindowCheck`](crate::WindowCheck) lowest-one detector candidate by
 //! candidate. It is kept as the equivalence and performance baseline for
 //! the chunked SoA path in [`sampling`](crate::bppo::sampling): property
-//! tests assert identical sampled indices and counters, and
-//! `perf_snapshot` / the criterion benches measure the kernel path against
-//! this one.
+//! tests assert identical sampled indices and counters, and the criterion
+//! benches measure the kernel path against this one.
 
 use crate::bppo::{block_sample_counts, BlockFpsResult, BppoConfig};
 use crate::window::WindowCheck;

@@ -32,7 +32,7 @@ pub mod chrome;
 pub mod expo;
 
 use std::cell::{Cell, OnceCell};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -131,7 +131,8 @@ pub struct SpanEvent {
     pub start_us: u64,
     /// Duration in microseconds (0 for instantaneous events).
     pub dur_us: u64,
-    /// Ordinal of the recording thread's ring (Chrome trace `tid`).
+    /// Id of the recording thread's ring (Chrome trace `tid`); unique for
+    /// the life of the process.
     pub thread: u64,
 }
 
@@ -241,21 +242,40 @@ impl Ring {
     }
 }
 
+/// Every ring a thread has registered and not yet retired. A ring is shared
+/// by its recording thread (the `RING` thread-local) and this registry; the
+/// thread-local lets go at thread exit, and the next [`drain`] retires the
+/// ring — so memory follows the threads alive now, not every thread that
+/// ever recorded a span.
+#[derive(Default)]
+struct Registry {
+    rings: Vec<Arc<Ring>>,
+    /// Next ring id; monotonic, so a retired ring's id is never reissued.
+    next_id: u64,
+    /// `dropped` counts carried over from retired rings.
+    retired_dropped: u64,
+}
+
 struct State {
     capacity: usize,
     epoch: Instant,
-    rings: Mutex<Vec<Arc<Ring>>>,
+    registry: Mutex<Registry>,
 }
 
 impl State {
     fn new(capacity: usize) -> State {
-        State { capacity: capacity.max(16), epoch: Instant::now(), rings: Mutex::new(Vec::new()) }
+        State {
+            capacity: capacity.max(16),
+            epoch: Instant::now(),
+            registry: Mutex::new(Registry::default()),
+        }
     }
 
     fn register(&self) -> Arc<Ring> {
-        let mut rings = self.rings.lock().unwrap();
-        let ring = Arc::new(Ring::new(rings.len() as u64, self.capacity));
-        rings.push(Arc::clone(&ring));
+        let mut registry = self.registry.lock().unwrap();
+        let ring = Arc::new(Ring::new(registry.next_id, self.capacity));
+        registry.next_id += 1;
+        registry.rings.push(Arc::clone(&ring));
         ring
     }
 }
@@ -418,16 +438,31 @@ pub fn record_span_at(
 
 /// Drain every thread's ring: returns all undrained events sorted by start
 /// time and advances the consumed watermark (folding wraparound losses into
-/// [`status`]'s `dropped`).
+/// [`status`]'s `dropped`). Rings whose thread has exited are retired once
+/// drained.
 pub fn drain() -> Vec<SpanEvent> {
     let Some(state) = STATE.get() else {
         return Vec::new();
     };
-    let rings = state.rings.lock().unwrap();
+    let mut registry = state.registry.lock().unwrap();
+    let Registry { rings, retired_dropped, .. } = &mut *registry;
     let mut out = Vec::new();
-    for ring in rings.iter() {
+    rings.retain(|ring| {
+        // A count of one means the registry is the only owner left: the
+        // thread-local handle was released at thread exit, so nothing can
+        // push to this ring again. (A live thread's handle was cloned under
+        // this lock in `register`, so its ring never reads as one.) Ask
+        // before draining, so a thread that exits mid-drain keeps its ring
+        // for the next one; the fence pairs with the release decrement of
+        // that handle's drop, making an exited thread's last pushes visible.
+        let live = Arc::strong_count(ring) > 1;
+        fence(Ordering::Acquire);
         ring.drain_into(&mut out);
-    }
+        if !live {
+            *retired_dropped += ring.dropped.load(Ordering::Relaxed);
+        }
+        live
+    });
     out.sort_by_key(|e| (e.start_us, e.request_id, e.thread));
     out
 }
@@ -439,9 +474,9 @@ pub fn spans_for(request_id: u64) -> Vec<SpanEvent> {
     let Some(state) = STATE.get() else {
         return Vec::new();
     };
-    let rings = state.rings.lock().unwrap();
+    let registry = state.registry.lock().unwrap();
     let mut out = Vec::new();
-    for ring in rings.iter() {
+    for ring in registry.rings.iter() {
         let (start, end) = ring.read_range();
         for seq in start..end {
             if let Some(event) = ring.read_slot(seq) {
@@ -472,9 +507,9 @@ pub fn status() -> TraceStatus {
     let Some(state) = STATE.get() else {
         return TraceStatus { enabled, capacity: 0, dropped: 0 };
     };
-    let rings = state.rings.lock().unwrap();
-    let mut dropped = 0;
-    for ring in rings.iter() {
+    let registry = state.registry.lock().unwrap();
+    let mut dropped = registry.retired_dropped;
+    for ring in registry.rings.iter() {
         dropped += ring.dropped.load(Ordering::Relaxed) + ring.pending_lost();
     }
     TraceStatus { enabled, capacity: state.capacity as u64, dropped }
@@ -565,6 +600,58 @@ mod tests {
         // The non-consuming scan left everything for drain().
         let drained: Vec<_> = drain().into_iter().filter(|e| e.request_id == req).collect();
         assert_eq!(drained.len(), 8);
+    }
+
+    #[test]
+    fn drain_retires_the_rings_of_exited_threads() {
+        let _guard = lock();
+        enable(64);
+        drain();
+        let registered = || -> Vec<u64> {
+            STATE.get().unwrap().registry.lock().unwrap().rings.iter().map(|r| r.id).collect()
+        };
+        let capacity = STATE.get().unwrap().capacity as u64;
+        let req = next_request_id();
+        let t = Instant::now();
+        // 64 short-lived threads, one span each; thread 0 also wraps its
+        // ring by 5 so there is a `dropped` count to carry past retirement.
+        for lane in 0..64u32 {
+            std::thread::spawn(move || {
+                if lane == 0 {
+                    for _ in 0..capacity + 5 {
+                        record_span_at(SpanKind::BlockGroup, 0, NO_CLASS, t, t, 0);
+                    }
+                }
+                record_span_at(SpanKind::BlockSample, req, 1, t, t, lane);
+            })
+            .join()
+            .unwrap();
+        }
+        // This thread records too, and outlives the drain.
+        record_span_at(SpanKind::BlockSample, req, 1, t, t, 64);
+        assert!(registered().len() >= 65, "every recording thread registered a ring");
+        let before = status().dropped;
+        assert!(before >= 5);
+
+        let mut events: Vec<_> = drain().into_iter().filter(|e| e.request_id == req).collect();
+        events.sort_unstable_by_key(|e| e.aux);
+        let lanes: Vec<u32> = events.iter().map(|e| e.aux).collect();
+        assert_eq!(lanes, (0..=64).collect::<Vec<_>>(), "one drain returns every thread's event");
+        let mine = events.pop().expect("lane 64 is this thread").thread;
+        let left = registered();
+        assert!(left.contains(&mine), "a live thread keeps its ring");
+        assert!(
+            events.iter().all(|e| !left.contains(&e.thread)),
+            "the 64 exited threads' rings are retired, {} rings left",
+            left.len()
+        );
+        assert_eq!(status().dropped, before, "a retired ring's drop count is kept");
+
+        // The surviving ring still records, under the id it always had.
+        record_span_at(SpanKind::BlockSample, req, 1, t, t, 65);
+        let again: Vec<_> = drain().into_iter().filter(|e| e.request_id == req).collect();
+        assert_eq!(again.len(), 1);
+        assert_eq!((again[0].aux, again[0].thread), (65, mine));
     }
 
     #[test]

@@ -77,6 +77,17 @@ fn set_budget(v: usize) -> BudgetGuard {
     BudgetGuard(BUDGET.with(|b| b.replace(Some(v))))
 }
 
+/// Runs `f` on the calling thread with `budget` (minimum 1) as its
+/// [`effective_budget`], so every `parallel = true` fan-out inside `f`
+/// shares exactly that allowance; the thread's previous allowance is
+/// restored when `f` returns or unwinds. This is how a caller that runs a
+/// lone job inline gives it the same allowance [`parallel_map_budget`]
+/// would give a one-item batch.
+pub fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
+    let _restore = set_budget(budget.max(1));
+    f()
+}
+
 /// Maps `f` over `items`, in parallel when `parallel` is true, returning
 /// results in item order.
 ///
@@ -322,6 +333,33 @@ mod tests {
         // A budget of 1 pins the subtree sequential.
         let seen = parallel_map_budget((0..3).collect::<Vec<_>>(), 1, |_, _| effective_budget());
         assert_eq!(seen, vec![1; 3]);
+    }
+
+    #[test]
+    fn with_budget_scopes_the_allowance_and_restores_it_on_unwind() {
+        // A fresh thread, so the ambient allowance is known to be unset.
+        std::thread::spawn(|| {
+            let ambient = workers();
+            assert_eq!(effective_budget(), ambient);
+            let inside = with_budget(3, || {
+                // Nests: the inner scope restores the outer one's value.
+                assert_eq!(with_budget(0, effective_budget), 1, "a budget of 0 means 1");
+                effective_budget()
+            });
+            assert_eq!(inside, 3);
+            assert_eq!(effective_budget(), ambient);
+
+            let unwound = std::panic::catch_unwind(|| {
+                with_budget(5, || {
+                    assert_eq!(effective_budget(), 5);
+                    panic!("injected panic inside a budget scope");
+                })
+            });
+            assert!(unwound.is_err());
+            assert_eq!(effective_budget(), ambient, "an unwinding scope still restores");
+        })
+        .join()
+        .expect("assertions on the probe thread hold");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! A counting global allocator for allocation-budget measurements.
 //!
 //! The workspace's zero-allocation claims (see the core crate's
-//! `workspace` module) are *measured*, not asserted: benchmark binaries
-//! install [`CountingAllocator`] as their `#[global_allocator]` and read
-//! [`allocation_count`] deltas around the hot path. The counter is a single
-//! relaxed atomic increment per `alloc`/`realloc`, cheap enough that the
-//! bench numbers stay representative; release builds that don't install
-//! the allocator pay nothing.
+//! `workspace` module) are *measured*: a binary installs
+//! [`CountingAllocator`] as its `#[global_allocator]` and reads
+//! [`allocation_count`] deltas around the hot path — the serve crate's
+//! `zero_alloc` test asserts the delta is 0, the `fcbench` benchmark
+//! reports it per request. The counter is a single relaxed atomic
+//! increment per `alloc`/`realloc`, cheap enough that the bench numbers
+//! stay representative; binaries that don't install the allocator pay
+//! nothing.
 //!
 //! ```ignore
 //! use fractalcloud_pointcloud::count_alloc::{allocation_count, CountingAllocator};
@@ -45,7 +47,7 @@ pub fn deallocation_count() -> u64 {
 }
 
 /// [`System`] with relaxed-atomic acquisition/release counters — install as
-/// `#[global_allocator]` in a bench binary to measure allocations per
+/// `#[global_allocator]` in a test or bench binary to measure allocations per
 /// operation (see the [module docs](self)).
 pub struct CountingAllocator;
 

@@ -1676,11 +1676,15 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
 
     if size == 1 {
         // Lone-job fast path, executed inline on this worker: no spawn, no
-        // per-batch result vector — with a warmed workspace and staging
-        // this path performs zero heap allocations.
+        // per-batch result vector. It runs under the configured budget, as
+        // a one-item fused batch would — with `thread_budget(1)`, a warmed
+        // workspace and staging it performs zero heap allocations
+        // (`tests/zero_alloc.rs`).
         let job = batch.pop().expect("size checked above");
         let mut ws = global_pool().checkout();
-        let outcome = run_job(shared, &job, size, &mut ws);
+        let outcome = fractalcloud_parallel::with_budget(shared.cfg.thread_budget, || {
+            run_job(shared, &job, size, &mut ws)
+        });
         job.ticket.finish(outcome);
         return;
     }

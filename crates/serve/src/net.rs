@@ -94,8 +94,7 @@ impl FairGate {
 /// Per-connection reusable wire buffers: the request-payload read buffer
 /// plus the response payload/message encode staging. A steady-state
 /// connection cycles the same three allocations for every frame instead of
-/// growing fresh ones per request — `loadgen`'s `wire-allocs/frame` line
-/// exists to watch exactly this stay flat.
+/// growing fresh ones per request.
 #[derive(Default)]
 struct WireScratch {
     /// Incoming request payload (sized to each request, capacity retained).
