@@ -1,6 +1,7 @@
 //! Block-wise gathering (BWGa): feature retrieval with locality accounting.
 
-use crate::bppo::{for_each_block_ws, BppoConfig};
+use crate::bppo::{for_each_block, BlockParts, BppoConfig};
+use crate::workspace::global_pool;
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
@@ -33,7 +34,7 @@ impl GatherLocality {
 }
 
 /// Output of [`block_gather`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockGatherResult {
     /// Row-major `(rows × num) × channels` gathered features, rows in block
     /// order.
@@ -46,6 +47,16 @@ pub struct BlockGatherResult {
     pub counters: OpCounters,
     /// Locality classification of every access.
     pub locality: GatherLocality,
+}
+
+impl BlockParts for BlockGatherResult {
+    fn absorb(&mut self, later: BlockGatherResult) {
+        self.data.extend_from_slice(&later.data);
+        self.counters.merge(&later.counters);
+        self.locality.own_block += later.locality.own_block;
+        self.locality.parent_space += later.locality.parent_space;
+        self.locality.remote += later.locality.remote;
+    }
 }
 
 /// Block-wise gathering: resolves `indices_per_block[b]` (row-major
@@ -94,7 +105,9 @@ pub fn block_gather(
     }
 
     let channels = cloud.channels();
-    let results = for_each_block_ws(partition.blocks.len(), config.parallel, |b, ws| {
+    let mut out = BlockGatherResult { channels, num, ..Default::default() };
+    let mut ws = global_pool().checkout();
+    for_each_block(partition.blocks.len(), config.parallel, &mut ws, &mut out, |b, ws, out| {
         // Membership scratch lives in the lane's workspace: sorted index
         // runs + binary search classify exactly like the tree sets they
         // replace, without per-block allocation.
@@ -106,38 +119,20 @@ pub fn block_gather(
             ws.space.extend_from_slice(&partition.blocks[g].indices);
         }
         ws.space.sort_unstable();
-        let mut counters = OpCounters::new();
-        let mut locality = GatherLocality::default();
-        let mut data = Vec::with_capacity(indices_per_block[b].len() * channels);
+        out.data.reserve(indices_per_block[b].len() * channels);
         for &i in &indices_per_block[b] {
-            counters.feature_reads += 1;
+            out.counters.feature_reads += 1;
             if ws.own.binary_search(&i).is_ok() {
-                locality.own_block += 1;
+                out.locality.own_block += 1;
             } else if ws.space.binary_search(&i).is_ok() {
-                locality.parent_space += 1;
+                out.locality.parent_space += 1;
             } else {
-                locality.remote += 1;
+                out.locality.remote += 1;
             }
-            data.extend_from_slice(cloud.feature(i));
-            counters.writes += 1;
+            out.data.extend_from_slice(cloud.feature(i));
+            out.counters.writes += 1;
         }
-        (data, counters, locality)
     });
-
-    let mut out = BlockGatherResult {
-        data: Vec::new(),
-        channels,
-        num,
-        counters: OpCounters::new(),
-        locality: GatherLocality::default(),
-    };
-    for (data, counters, locality) in results {
-        out.counters.merge(&counters);
-        out.locality.own_block += locality.own_block;
-        out.locality.parent_space += locality.parent_space;
-        out.locality.remote += locality.remote;
-        out.data.extend_from_slice(&data);
-    }
     Ok(out)
 }
 

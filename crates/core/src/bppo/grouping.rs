@@ -1,6 +1,6 @@
 //! Block-wise grouping (BWG): ball query with block-local search spaces.
 
-use crate::bppo::{for_each_block_ws, streaming, BppoConfig, ReuseStats};
+use crate::bppo::{for_each_block, merge_work, BlockParts, BppoConfig, ReuseStats};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::OpCounters;
@@ -27,6 +27,29 @@ pub struct BlockNeighborResult {
     pub critical_path: OpCounters,
     /// Intra-block data-reuse statistics (§V-C).
     pub reuse: ReuseStats,
+}
+
+impl BlockNeighborResult {
+    /// Adds one block's work (its rows are appended by the caller).
+    pub(crate) fn push(&mut self, work: OpCounters, reuse: ReuseStats) {
+        merge_work(&mut self.counters, &mut self.critical_path, &work, work);
+        self.reuse.merge(&reuse);
+    }
+}
+
+impl BlockParts for BlockNeighborResult {
+    fn absorb(&mut self, later: BlockNeighborResult) {
+        self.indices.extend_from_slice(&later.indices);
+        self.center_indices.extend_from_slice(&later.center_indices);
+        self.found.extend_from_slice(&later.found);
+        merge_work(
+            &mut self.counters,
+            &mut self.critical_path,
+            &later.counters,
+            later.critical_path,
+        );
+        self.reuse.merge(&later.reuse);
+    }
 }
 
 /// Block-wise ball query (§IV-B): for every block, its centers search only
@@ -70,10 +93,9 @@ pub fn block_ball_query(
 
 /// [`block_ball_query`] running inside a caller-provided [`Workspace`] and
 /// refilling a caller-provided result — the allocation-free steady state
-/// of the grouping stage. On a sequential lane every block streams through
-/// the workspace and appends directly to `out`; with real parallelism
-/// blocks fan out with one pooled workspace per lane. Results are
-/// bit-identical either way (and to a fresh allocation).
+/// of the grouping stage: `out` is fully reset and every block appends its
+/// rows under the block driver. Results are bit-identical at every lane
+/// count (and to a fresh allocation).
 ///
 /// # Errors
 ///
@@ -108,160 +130,37 @@ pub fn block_ball_query_into(
         return Err(Error::InvalidParameter { name: "num", message: "must be at least 1".into() });
     }
 
-    let blocks = partition.blocks.len();
-    if streaming(config.parallel) {
-        out.indices.clear();
-        out.center_indices.clear();
-        out.found.clear();
-        out.num = num;
-        out.counters = OpCounters::new();
-        out.critical_path = OpCounters::new();
-        out.reuse = ReuseStats::default();
-        for (b, centers) in centers_per_block.iter().enumerate() {
-            let (counters, reuse) = ball_query_block_core(
-                cloud,
-                partition,
-                b,
-                centers,
-                radius,
-                num,
-                config.parent_expansion,
-                ws,
-                &mut out.indices,
-                &mut out.center_indices,
-                &mut out.found,
-            );
-            out.counters.merge(&counters);
-            if counters.distance_evals >= out.critical_path.distance_evals {
-                out.critical_path = counters;
-            }
-            out.reuse.merge(&reuse);
-        }
-    } else {
-        let results = for_each_block_ws(blocks, true, |b, ws| {
-            ball_query_block_task_ws(
-                cloud,
-                partition,
-                b,
-                &centers_per_block[b],
-                radius,
-                num,
-                config.parent_expansion,
-                ws,
-            )
-        });
-        *out = assemble_block_neighbors(num, results);
-    }
+    out.indices.clear();
+    out.center_indices.clear();
+    out.found.clear();
+    out.num = num;
+    out.counters = OpCounters::new();
+    out.critical_path = OpCounters::new();
+    out.reuse = ReuseStats::default();
+    for_each_block(partition.blocks.len(), config.parallel, ws, out, |b, ws, out| {
+        let space = search_space(partition, &b, config.parent_expansion);
+        ball_query_block(cloud, partition, space, &centers_per_block[b], radius, num, ws, out);
+    });
     Ok(())
 }
 
-/// One block's share of a [`block_ball_query`] run, ready for reassembly
-/// with [`assemble_block_neighbors`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BlockNeighborTask {
-    /// `centers × num` neighbor indices for this block, row-major.
-    pub indices: Vec<usize>,
-    /// The block's center global indices, one per row.
-    pub center_indices: Vec<usize>,
-    /// In-radius hits per center before padding.
-    pub found: Vec<usize>,
-    /// This block's work counters.
-    pub counters: OpCounters,
-    /// This block's data-reuse statistics.
-    pub reuse: ReuseStats,
-}
-
-/// Ball query for a single block — the independent unit of work the
-/// parallel branch of [`block_ball_query_into`] fans out per block (one
-/// pooled [`Workspace`] per lane), reassembled with
-/// [`assemble_block_neighbors`]. Parameters are assumed validated
-/// (positive `radius`, `num ≥ 1`, `b` in range), exactly as inside
-/// [`block_ball_query`] after its own checks.
+/// One block's body under the block driver: runs the ball query of
+/// `centers` against the search space `space` (block indices) in `ws` and
+/// *appends* the neighbor rows, center indices, per-center hit counts and
+/// the block's work to `out`.
 #[allow(clippy::too_many_arguments)]
-pub fn ball_query_block_task_ws(
+fn ball_query_block(
     cloud: &PointCloud,
     partition: &Partition,
-    b: usize,
+    space: &[usize],
     centers: &[usize],
     radius: f32,
     num: usize,
-    parent_expansion: bool,
     ws: &mut Workspace,
-) -> BlockNeighborTask {
-    let mut task = BlockNeighborTask::default();
-    ball_query_block_task_into(
-        cloud,
-        partition,
-        b,
-        centers,
-        radius,
-        num,
-        parent_expansion,
-        ws,
-        &mut task,
-    );
-    task
-}
-
-/// [`ball_query_block_task_ws`] refilling a caller-provided task in place —
-/// the allocation-free per-block form: a warmed `task` + workspace pair
-/// performs no heap allocation, and a dirty pair yields bit-identical
-/// results to a fresh one.
-#[allow(clippy::too_many_arguments)]
-pub fn ball_query_block_task_into(
-    cloud: &PointCloud,
-    partition: &Partition,
-    b: usize,
-    centers: &[usize],
-    radius: f32,
-    num: usize,
-    parent_expansion: bool,
-    ws: &mut Workspace,
-    task: &mut BlockNeighborTask,
+    out: &mut BlockNeighborResult,
 ) {
-    task.indices.clear();
-    task.center_indices.clear();
-    task.found.clear();
-    let (counters, reuse) = ball_query_block_core(
-        cloud,
-        partition,
-        b,
-        centers,
-        radius,
-        num,
-        parent_expansion,
-        ws,
-        &mut task.indices,
-        &mut task.center_indices,
-        &mut task.found,
-    );
-    task.counters = counters;
-    task.reuse = reuse;
-}
-
-/// The shared body of every grouping path: runs block `b`'s ball query in
-/// `ws` and *appends* the neighbor rows, center indices and per-center hit
-/// counts to the provided buffers (so the streaming driver can write
-/// straight into the assembled result). Returns this block's counters and
-/// reuse statistics.
-#[allow(clippy::too_many_arguments)]
-fn ball_query_block_core(
-    cloud: &PointCloud,
-    partition: &Partition,
-    b: usize,
-    centers: &[usize],
-    radius: f32,
-    num: usize,
-    parent_expansion: bool,
-    ws: &mut Workspace,
-    indices: &mut Vec<usize>,
-    center_indices: &mut Vec<usize>,
-    found: &mut Vec<usize>,
-) -> (OpCounters, ReuseStats) {
     let r_sq = radius * radius;
-    let own_block = [b];
-    let space: &[usize] =
-        if parent_expansion { &partition.blocks[b].parent_group } else { &own_block };
+    let BlockNeighborResult { indices, center_indices, found, .. } = out;
     indices.reserve(centers.len() * num);
     found.reserve(centers.len());
     center_indices.extend_from_slice(centers);
@@ -325,7 +224,7 @@ fn ball_query_block_core(
             }
         },
     );
-    (counters, reuse)
+    out.push(counters, reuse);
 }
 
 /// Closed-form work model for one block's ball query: `candidates` search
@@ -335,7 +234,7 @@ fn ball_query_block_core(
 /// statistics (the candidate set is loaded on-chip once and shared by every
 /// center, versus one unshared load per center in the global formulation).
 ///
-/// Both the real kernel driver ([`block_ball_query`] via its block core)
+/// Both the real kernel driver ([`block_ball_query`] via its block body)
 /// and the prefix/LOD slicing views derive their accounting from this one
 /// function, so sliced outputs are bit-identical to smaller-budget runs.
 pub fn ball_query_block_model(
@@ -351,44 +250,17 @@ pub fn ball_query_block_model(
     (counters, reuse)
 }
 
-/// Reassembles per-block ball-query tasks (in block order) into a
-/// [`BlockNeighborResult`] — the aggregation half of the parallel branch
-/// of [`block_ball_query_into`], shared with the prefix/LOD views
-/// ([`crate::PipelineOutput::prefix`]) so a sliced view assembles exactly
-/// as a real run does.
-pub fn assemble_block_neighbors(
-    num: usize,
-    results: Vec<BlockNeighborTask>,
-) -> BlockNeighborResult {
-    let mut out = BlockNeighborResult {
-        indices: Vec::new(),
-        center_indices: Vec::new(),
-        found: Vec::new(),
-        num,
-        counters: OpCounters::new(),
-        critical_path: OpCounters::new(),
-        reuse: ReuseStats::default(),
-    };
-    for task in results {
-        out.counters.merge(&task.counters);
-        if task.counters.distance_evals >= out.critical_path.distance_evals {
-            out.critical_path = task.counters;
-        }
-        out.reuse.merge(&task.reuse);
-        out.indices.extend_from_slice(&task.indices);
-        out.center_indices.extend_from_slice(&task.center_indices);
-        out.found.extend_from_slice(&task.found);
-    }
-    out
-}
-
-/// Resolves the search space of block `b`: its `parent_group` when parent
-/// expansion is enabled, otherwise the block alone.
-pub(crate) fn search_space(partition: &Partition, b: usize, parent_expansion: bool) -> Vec<usize> {
+/// The search space of block `b`, as block indices: its `parent_group`
+/// when parent expansion is enabled, otherwise the block alone.
+pub(crate) fn search_space<'a>(
+    partition: &'a Partition,
+    b: &'a usize,
+    parent_expansion: bool,
+) -> &'a [usize] {
     if parent_expansion {
-        partition.blocks[b].parent_group.clone()
+        &partition.blocks[*b].parent_group
     } else {
-        vec![b]
+        std::slice::from_ref(b)
     }
 }
 

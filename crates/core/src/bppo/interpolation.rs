@@ -2,14 +2,15 @@
 //! search spaces.
 
 use crate::bppo::grouping::search_space;
-use crate::bppo::{for_each_block_ws, BppoConfig, ReuseStats};
+use crate::bppo::{for_each_block, merge_work, BlockParts, BppoConfig, ReuseStats};
+use crate::workspace::global_pool;
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 
 /// Output of [`block_interpolate`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockInterpolationResult {
     /// Row-major `targets × channels` interpolated features; target rows
     /// appear in block order, preserving each block's point order.
@@ -30,6 +31,21 @@ pub struct BlockInterpolationResult {
     pub critical_path: OpCounters,
     /// Intra-block reuse statistics.
     pub reuse: ReuseStats,
+}
+
+impl BlockParts for BlockInterpolationResult {
+    fn absorb(&mut self, later: BlockInterpolationResult) {
+        self.features.extend_from_slice(&later.features);
+        self.target_indices.extend_from_slice(&later.target_indices);
+        self.neighbor_indices.extend_from_slice(&later.neighbor_indices);
+        merge_work(
+            &mut self.counters,
+            &mut self.critical_path,
+            &later.counters,
+            later.critical_path,
+        );
+        self.reuse.merge(&later.reuse);
+    }
 }
 
 /// Block-wise inverse-distance-weighted KNN interpolation (§IV-B).
@@ -73,12 +89,13 @@ pub fn block_interpolate(
     }
 
     let channels = sources.channels();
-    let results = for_each_block_ws(partition.blocks.len(), config.parallel, |b, ws| {
-        let space = search_space(partition, b, config.parent_expansion);
+    let mut out = BlockInterpolationResult { k, channels, ..Default::default() };
+    let mut ws = global_pool().checkout();
+    for_each_block(partition.blocks.len(), config.parallel, &mut ws, &mut out, |b, ws, out| {
         // Candidate source rows: the sampled points of the search space,
         // staged in the lane's workspace.
         ws.candidates.clear();
-        for &g in &space {
+        for &g in search_space(partition, &b, config.parent_expansion) {
             ws.candidates.extend_from_slice(&sources_per_block[g]);
         }
         if ws.candidates.is_empty() {
@@ -86,11 +103,13 @@ pub fn block_interpolate(
             // sources so interpolation stays total.
             ws.candidates.extend(0..sources.len());
         }
-        let mut counters = OpCounters::new();
-        let mut reuse = ReuseStats::default();
+        // The targets are exactly the block's points.
         let targets = &partition.blocks[b].indices;
-        reuse.shared_loads += ws.candidates.len() as u64;
-        reuse.unshared_loads += (ws.candidates.len() * targets.len().max(1)) as u64;
+        let reuse = ReuseStats {
+            shared_loads: ws.candidates.len() as u64,
+            unshared_loads: (ws.candidates.len() * targets.len().max(1)) as u64,
+        };
+        let mut counters = OpCounters::new();
         counters.coord_reads += ws.candidates.len() as u64;
 
         // Shared candidate load: gather the search space's source
@@ -106,8 +125,11 @@ pub fn block_interpolate(
             &mut ws.sz,
         );
         let kk = k.min(ws.candidates.len());
-        let mut features = vec![0.0f32; targets.len() * channels];
-        let mut neighbors = Vec::with_capacity(targets.len() * k);
+        let BlockInterpolationResult { features, target_indices, neighbor_indices, .. } = out;
+        target_indices.extend_from_slice(targets);
+        let base = features.len();
+        features.resize(base + targets.len() * channels, 0.0);
+        neighbor_indices.reserve(targets.len() * k);
         // Batched top-k selection (the RSPU top-k unit) over the shared
         // local SoA: tiles of QUERY_TILE targets share every candidate
         // chunk load on the active kernel backend, with the top-k heaps
@@ -128,52 +150,30 @@ pub fn block_interpolate(
                 counters.distance_evals += candidates.len() as u64;
                 counters.comparisons += candidates.len() as u64;
                 const EPS: f32 = 1e-10;
-                let out = &mut features[t_row * channels..(t_row + 1) * channels];
+                let row = &mut features[base + t_row * channels..][..channels];
                 if best[0].0 <= EPS {
                     counters.feature_reads += 1;
-                    out.copy_from_slice(sources.feature(candidates[best[0].1]));
+                    row.copy_from_slice(sources.feature(candidates[best[0].1]));
                 } else {
                     let wsum: f32 = best.iter().map(|&(d, _)| 1.0 / (d + EPS)).sum();
                     for &(d, slot) in best {
                         counters.feature_reads += 1;
                         let w = (1.0 / (d + EPS)) / wsum;
-                        for (o, &f) in out.iter_mut().zip(sources.feature(candidates[slot])) {
+                        for (o, &f) in row.iter_mut().zip(sources.feature(candidates[slot])) {
                             *o += w * f;
                         }
                     }
                 }
                 counters.writes += 1;
                 for slot in 0..k {
-                    neighbors.push(candidates[best[slot.min(best.len() - 1)].1]);
+                    neighbor_indices.push(candidates[best[slot.min(best.len() - 1)].1]);
                 }
             },
             |_| {},
         );
-        (features, neighbors, counters, reuse)
-    });
-
-    let mut out = BlockInterpolationResult {
-        features: Vec::new(),
-        target_indices: Vec::new(),
-        neighbor_indices: Vec::new(),
-        k,
-        channels,
-        counters: OpCounters::new(),
-        critical_path: OpCounters::new(),
-        reuse: ReuseStats::default(),
-    };
-    for (b, (features, neighbors, counters, reuse)) in results.into_iter().enumerate() {
-        out.counters.merge(&counters);
-        if counters.distance_evals >= out.critical_path.distance_evals {
-            out.critical_path = counters;
-        }
+        merge_work(&mut out.counters, &mut out.critical_path, &counters, counters);
         out.reuse.merge(&reuse);
-        out.features.extend_from_slice(&features);
-        // The targets are exactly the block's points, borrowed from the
-        // partition instead of cloned per block.
-        out.target_indices.extend_from_slice(&partition.blocks[b].indices);
-        out.neighbor_indices.extend_from_slice(&neighbors);
-    }
+    });
     Ok(out)
 }
 

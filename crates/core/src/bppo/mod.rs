@@ -13,6 +13,12 @@
 //! * [`block_gather`] — block-wise gathering with per-block locality
 //!   accounting (on-chip vs DRAM).
 //!
+//! Each operation is a per-block body that *appends* one block's rows and
+//! work to a result; one driver decides how blocks reach lanes (one lane
+//! streaming every block through the caller's workspace, or contiguous runs
+//! of blocks claimed by the lanes of the thread budget) and one rule merges
+//! the work, so results are bit-identical at every lane count.
+//!
 //! All functions take a [`Partition`](fractalcloud_pointcloud::partition::Partition)
 //! — any partitioner works (the paper's
 //! fractal engine also supports uniform and KD-tree modes) — but only
@@ -27,18 +33,18 @@ mod sampling;
 
 pub use gathering::{block_gather, BlockGatherResult, GatherLocality};
 pub use grouping::{
-    assemble_block_neighbors, ball_query_block_model, ball_query_block_task_into,
-    ball_query_block_task_ws, block_ball_query, block_ball_query_into, BlockNeighborResult,
-    BlockNeighborTask,
+    ball_query_block_model, block_ball_query, block_ball_query_into, BlockNeighborResult,
 };
 pub use interpolation::{block_interpolate, BlockInterpolationResult};
 pub use sampling::{
-    assemble_block_fps, block_fps, block_fps_pinned, block_fps_with_counts,
-    block_fps_with_counts_into, block_sample_counts, block_sample_counts_into, equal_sample_counts,
-    fps_block_task_into, fps_block_task_pinned_into, fps_block_task_ws, BlockFpsResult,
+    block_fps, block_fps_with_counts, block_fps_with_counts_into, block_sample_counts,
+    block_sample_counts_into, equal_sample_counts, BlockFpsResult,
 };
 
+use crate::workspace::{global_pool, Workspace};
+use fractalcloud_pointcloud::ops::OpCounters;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Execution options shared by all block-parallel operations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,56 +104,170 @@ impl ReuseStats {
     }
 }
 
-/// Runs `f(block_index, workspace)` for every block, optionally on worker
-/// threads, and returns results in block order (deterministic regardless
-/// of scheduling).
-///
-/// Inter-block parallelism is delegated to
-/// [`fractalcloud_parallel::parallel_map_with`]. Each execution lane gets
-/// a pooled [`Workspace`](crate::Workspace) through the per-lane `make`
-/// hook — one checkout from
-/// [`global_pool`](crate::workspace::global_pool) per lane, so scoped
-/// threads never share scratch, and the inline path reuses a single
-/// checkout for every block.
-pub(crate) fn for_each_block_ws<T, F>(n_blocks: usize, parallel: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut crate::workspace::Workspace) -> T + Sync,
-{
-    fractalcloud_parallel::parallel_map_with(
-        vec![(); n_blocks],
-        parallel,
-        || crate::workspace::global_pool().checkout(),
-        |b, (), ws| f(b, ws),
-    )
+/// How a block op's result grows: each block *appends* its rows and adds
+/// its work through the type's `push`, and a result built from a later run
+/// of blocks is appended whole by [`BlockParts::absorb`]. `Default` is the
+/// empty part a fanned-out run starts from.
+pub(crate) trait BlockParts: Default + Send {
+    /// Appends `later` — the rows and work of the blocks that follow this
+    /// result's own, in block order.
+    fn absorb(&mut self, later: Self);
 }
 
-/// Whether block work should stream through one workspace on the calling
-/// lane: either the caller asked for sequential execution, or the lane's
-/// effective thread budget cannot fan out anyway (a budget-1 serve lane, a
-/// single-CPU host). The parallel drivers and this streaming path produce
-/// bit-identical results; streaming additionally performs zero heap
-/// allocation once warmed.
-pub(crate) fn streaming(parallel: bool) -> bool {
-    !parallel || fractalcloud_parallel::effective_budget() <= 1
+/// The one work-merge rule: `work` adds to the `total`, and the critical
+/// path is the largest single block by distance evaluations, ties to the
+/// later block. `peak` is `work` itself for one block, or a later part's
+/// own critical path.
+pub(crate) fn merge_work(
+    total: &mut OpCounters,
+    critical: &mut OpCounters,
+    work: &OpCounters,
+    peak: OpCounters,
+) {
+    total.merge(work);
+    if peak.distance_evals >= critical.distance_evals {
+        *critical = peak;
+    }
+}
+
+/// Contiguous runs per fanned-out lane. A lane that finishes early waits
+/// for about half a run, so fewer, longer runs cost wall time (2 lanes,
+/// 64k points, against one task per block: 4 runs per lane 3–8 % slower,
+/// 8 a tie, 16 2–5 % faster) while every run costs a fresh result part
+/// (16: 695 allocations per frame, one task per block: 1 717).
+const RUNS_PER_LANE: usize = 16;
+
+/// Cuts `0..blocks` into `lanes × RUNS_PER_LANE` contiguous, non-empty runs
+/// of near-equal length (fewer when blocks run short), in block order.
+fn block_runs(blocks: usize, lanes: usize) -> Vec<Range<usize>> {
+    let runs = (lanes * RUNS_PER_LANE).min(blocks);
+    (0..runs).map(|r| r * blocks / runs..(r + 1) * blocks / runs).collect()
+}
+
+/// The block driver behind every block-parallel operation: runs
+/// `body(b, workspace, result)` for every block, where `body` *appends*
+/// block `b`'s rows and work to the result it is handed.
+///
+/// With one lane — the caller asked for sequential execution, the thread
+/// budget in effect is 1, or there is at most one block — every block
+/// streams through the caller's `ws` straight into `out`: no allocation
+/// once both are warm. Otherwise `0..blocks` is cut into contiguous runs
+/// claimed through [`fractalcloud_parallel::parallel_map_with`]'s counter,
+/// each lane streaming its runs through one pooled [`Workspace`] into a
+/// fresh part per run, and the parts are absorbed into `out` in block
+/// order. The result is the same at every lane count.
+pub(crate) fn for_each_block<R, F>(
+    blocks: usize,
+    parallel: bool,
+    ws: &mut Workspace,
+    out: &mut R,
+    body: F,
+) where
+    R: BlockParts,
+    F: Fn(usize, &mut Workspace, &mut R) + Sync,
+{
+    let lanes = if parallel { fractalcloud_parallel::effective_budget().min(blocks) } else { 1 };
+    if lanes <= 1 {
+        (0..blocks).for_each(|b| body(b, ws, out));
+        return;
+    }
+    let parts = fractalcloud_parallel::parallel_map_with(
+        block_runs(blocks, lanes),
+        true,
+        || global_pool().checkout(),
+        |_, run, ws| {
+            let mut part = R::default();
+            run.for_each(|b| body(b, ws, &mut part));
+            part
+        },
+    );
+    parts.into_iter().for_each(|part| out.absorb(part));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A result that records what the driver did: ragged rows (some
+    /// blocks append nothing) and work whose distance evaluations tie, so
+    /// `writes` tells which block the tie rule kept.
+    #[derive(Debug, Default, PartialEq)]
+    struct Recorded {
+        rows: Vec<usize>,
+        counters: OpCounters,
+        critical_path: OpCounters,
+    }
+
+    impl BlockParts for Recorded {
+        fn absorb(&mut self, later: Recorded) {
+            self.rows.extend_from_slice(&later.rows);
+            merge_work(
+                &mut self.counters,
+                &mut self.critical_path,
+                &later.counters,
+                later.critical_path,
+            );
+        }
+    }
+
+    /// Runs the recording body over `blocks` blocks under a thread budget
+    /// and checks the result against the plain one-lane loop, and the runs
+    /// the budget cuts against `0..blocks`.
+    fn assert_matches_one_lane(blocks: usize, budget: usize, ragged: usize, ties: u64, salt: u64) {
+        let body = |b: usize, _: &mut Workspace, out: &mut Recorded| {
+            out.rows.extend(std::iter::repeat_n(b, b % ragged));
+            let work = OpCounters {
+                distance_evals: (b as u64 ^ salt) % ties,
+                writes: b as u64,
+                ..OpCounters::new()
+            };
+            merge_work(&mut out.counters, &mut out.critical_path, &work, work);
+        };
+        let mut want = Recorded::default();
+        (0..blocks).for_each(|b| body(b, &mut Workspace::new(), &mut want));
+        for parallel in [false, true] {
+            let mut got = Recorded::default();
+            fractalcloud_parallel::with_budget(budget, || {
+                for_each_block(blocks, parallel, &mut Workspace::new(), &mut got, body)
+            });
+            assert_eq!(got, want, "{blocks} blocks, budget {budget}, parallel {parallel}");
+        }
+
+        let runs = block_runs(blocks, budget.min(blocks));
+        assert!(runs.iter().all(|r| !r.is_empty()), "{runs:?}");
+        assert!(runs.len() <= budget * RUNS_PER_LANE);
+        assert_eq!(runs.into_iter().flatten().collect::<Vec<_>>(), (0..blocks).collect::<Vec<_>>());
+    }
+
     #[test]
     fn for_each_block_preserves_order() {
-        let seq = for_each_block_ws(100, false, |b, _ws| b * 2);
-        let par = for_each_block_ws(100, true, |b, _ws| b * 2);
-        assert_eq!(seq, par);
-        assert_eq!(seq[7], 14);
+        for blocks in [0, 1, 2, 7, 398] {
+            for budget in [1, 2, 3, 8] {
+                assert_matches_one_lane(blocks, budget, 3, 4, 0);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn for_each_block_matches_one_lane_at_any_shape(
+            blocks in 0usize..300,
+            budget in 1usize..9,
+            ragged in 1usize..6,
+            ties in 1u64..7,
+            salt in 0u64..1000,
+        ) {
+            assert_matches_one_lane(blocks, budget, ragged, ties, salt);
+        }
     }
 
     #[test]
     fn for_each_block_empty() {
-        let out: Vec<usize> = for_each_block_ws(0, true, |b, _ws| b);
-        assert!(out.is_empty());
+        let mut out = Recorded::default();
+        for_each_block(0, true, &mut Workspace::new(), &mut out, |_, _, _| unreachable!());
+        assert_eq!(out, Recorded::default());
     }
 
     #[test]

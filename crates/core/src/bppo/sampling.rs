@@ -1,6 +1,6 @@
 //! Block-wise sampling (BWS): farthest point sampling decomposed per block.
 
-use crate::bppo::{for_each_block_ws, streaming, BppoConfig};
+use crate::bppo::{for_each_block, merge_work, BlockParts, BppoConfig};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::OpCounters;
@@ -20,6 +20,27 @@ pub struct BlockFpsResult {
     /// Work of the *largest single block* — the critical path when blocks
     /// execute in parallel on multiple RSPUs.
     pub critical_path: OpCounters,
+}
+
+impl BlockFpsResult {
+    /// Adds one block's work (its samples are appended by the caller).
+    pub(crate) fn push(&mut self, work: OpCounters) {
+        merge_work(&mut self.counters, &mut self.critical_path, &work, work);
+    }
+}
+
+impl BlockParts for BlockFpsResult {
+    /// A part carries `indices` and work only: `per_block` is cut from the
+    /// assembled `indices` once, on the caller's recycled rows.
+    fn absorb(&mut self, later: BlockFpsResult) {
+        self.indices.extend_from_slice(&later.indices);
+        merge_work(
+            &mut self.counters,
+            &mut self.critical_path,
+            &later.counters,
+            later.critical_path,
+        );
+    }
 }
 
 /// Computes per-block sample counts for a fixed sampling `rate`, with
@@ -187,11 +208,8 @@ pub fn block_fps_with_counts(
 /// and refilling a caller-provided result — the allocation-free steady
 /// state of the sampling stage. `out` is fully reset (its buffers,
 /// including the recycled `per_block` rows, keep their capacity), so a
-/// dirty result from any earlier frame yields bit-identical output.
-///
-/// When the effective thread budget allows real parallelism, blocks fan
-/// out with one pooled workspace per lane instead (trading a few result
-/// allocations for cores); results are bit-identical either way.
+/// dirty result from any earlier frame yields bit-identical output, at
+/// every lane count of the block driver.
 ///
 /// # Errors
 ///
@@ -213,89 +231,32 @@ pub fn block_fps_with_counts_into(
             actual: counts.len(),
         });
     }
-    let blocks = partition.blocks.len();
-    if streaming(config.parallel) {
-        // Sequential lane: stream every block through this lane's
-        // workspace, assembling in place — no per-block result buffers.
-        out.indices.clear();
-        out.counters = OpCounters::new();
-        out.critical_path = OpCounters::new();
-        for (b, &count) in counts.iter().enumerate() {
-            let row = recycled_row(&mut out.per_block, b);
-            let c = fps_block_task_into(
-                cloud,
-                &partition.blocks[b].indices,
-                count,
-                config.window_check,
-                ws,
-                row,
-            );
-            out.counters.merge(&c);
-            if c.distance_evals >= out.critical_path.distance_evals {
-                out.critical_path = c;
-            }
-        }
-        out.per_block.truncate(blocks);
-        // Concatenate after the rows settle (same values as assembling
-        // per-block results in block order).
-        for row in &out.per_block {
-            out.indices.extend_from_slice(row);
-        }
-    } else {
-        // Parallel lanes: per-lane pooled workspaces, per-block owned
-        // results, the shared assembly.
-        let results = for_each_block_ws(blocks, true, |b, ws| {
-            fps_block_task_ws(
-                cloud,
-                &partition.blocks[b].indices,
-                counts[b],
-                config.window_check,
-                ws,
-            )
-        });
-        *out = assemble_block_fps(results);
+    let blocks = &partition.blocks;
+    out.indices.clear();
+    out.counters = OpCounters::new();
+    out.critical_path = OpCounters::new();
+    for_each_block(blocks.len(), config.parallel, ws, out, |b, ws, out| {
+        fps_block(cloud, &blocks[b].indices, counts[b], config.window_check, ws, out)
+    });
+    // Block b's row is its `min(count, population)` samples of the
+    // concatenation, copied into a recycled row: rows keep their capacity
+    // across frames, so a warmed result allocates nothing while the block
+    // count is stable.
+    out.per_block.resize_with(blocks.len(), Vec::new);
+    let mut start = 0usize;
+    for (b, row) in out.per_block.iter_mut().enumerate() {
+        let end = start + counts[b].min(blocks[b].len());
+        row.clear();
+        row.extend_from_slice(&out.indices[start..end]);
+        start = end;
     }
     Ok(())
 }
 
-/// Clears and returns row `b` of `rows`, growing the list when needed —
-/// rows keep their capacity across frames, so a warmed result performs no
-/// allocation while the block count is stable.
-fn recycled_row(rows: &mut Vec<Vec<usize>>, b: usize) -> &mut Vec<usize> {
-    if b < rows.len() {
-        rows[b].clear();
-    } else {
-        rows.push(Vec::new());
-    }
-    &mut rows[b]
-}
-
-/// Reassembles per-block FPS task outputs (in block order) into a
-/// [`BlockFpsResult`] — the aggregation half of the parallel branch of
-/// [`block_fps_with_counts_into`], shared with the prefix/LOD views
-/// ([`crate::PipelineOutput::prefix`]) so a sliced view assembles exactly
-/// as a real run does.
-pub fn assemble_block_fps(results: Vec<(Vec<usize>, OpCounters)>) -> BlockFpsResult {
-    let mut indices = Vec::new();
-    let mut per_block = Vec::with_capacity(results.len());
-    let mut counters = OpCounters::new();
-    let mut critical_path = OpCounters::new();
-    for (block_indices, c) in results {
-        counters.merge(&c);
-        if c.distance_evals >= critical_path.distance_evals {
-            critical_path = c;
-        }
-        indices.extend_from_slice(&block_indices);
-        per_block.push(block_indices);
-    }
-    BlockFpsResult { indices, per_block, counters, critical_path }
-}
-
-/// FPS restricted to `block` (global indices), selecting `m` points — the
-/// independent unit of work the parallel branch of
-/// [`block_fps_with_counts_into`] fans out per block (one pooled
-/// [`Workspace`] per lane), reassembled with [`assemble_block_fps`].
-/// Returns global indices plus work counters.
+/// FPS restricted to `block` (global indices), selecting `m` points — one
+/// block's body under the block driver: the selected global indices and
+/// the block's work are *appended* to `out`. A warmed workspace + result
+/// performs no heap allocation.
 ///
 /// The block's coordinates are gathered into local SoA buffers once — the
 /// software analogue of loading the block into SRAM — and every iteration
@@ -307,42 +268,23 @@ pub fn assemble_block_fps(results: Vec<(Vec<usize>, OpCounters)>) -> BlockFpsRes
 /// window-check mask excludes them from the scan: the selected indices are
 /// identical with and without the mask.
 ///
-/// Counters are accumulated analytically per scan and model the *hardware*
-/// work, matching the seed's per-element accounting exactly: with the
-/// window check, iteration `s` (with `s` points already sampled) visits the
-/// `n − s` valid candidates and skips `s`; without it, all `n` candidates
-/// are visited. Two comparisons (relax + argmax) per visited candidate.
-pub fn fps_block_task_ws(
+/// Counters come from the shared closed-form model
+/// ([`OpCounters::block_fps_model`], the *hardware* work: with the window
+/// check, iteration `s` visits the `n − s` valid candidates and skips `s`;
+/// without it, all `n`), so prefix/LOD views report bit-identical work
+/// without re-running the scans.
+fn fps_block(
     cloud: &PointCloud,
     block: &[usize],
     m: usize,
     window_check: bool,
     ws: &mut Workspace,
-) -> (Vec<usize>, OpCounters) {
-    let mut selected = Vec::new();
-    let counters = fps_block_task_into(cloud, block, m, window_check, ws, &mut selected);
-    (selected, counters)
-}
-
-/// The allocation-free core of [`fps_block_task_ws`]: block coordinates and
-/// the running-distance array live in `ws`, and the selected indices are
-/// *appended* to `selected` (callers clear or recycle the row). A warmed
-/// workspace + row performs no heap allocation.
-pub fn fps_block_task_into(
-    cloud: &PointCloud,
-    block: &[usize],
-    m: usize,
-    window_check: bool,
-    ws: &mut Workspace,
-    selected: &mut Vec<usize>,
-) -> OpCounters {
+    out: &mut BlockFpsResult,
+) {
     let n = block.len();
-    // Counters come from the shared closed-form model
-    // ([`OpCounters::block_fps_model`]) so prefix/LOD views can report
-    // bit-identical work without re-running the scans.
-    let counters = OpCounters::block_fps_model(n, m, window_check);
+    out.push(OpCounters::block_fps_model(n, m, window_check));
     if m == 0 || n == 0 {
-        return counters;
+        return;
     }
     let m = m.min(n);
 
@@ -361,6 +303,7 @@ pub fn fps_block_task_into(
     ws.dist.clear();
     ws.dist.resize(n, f32::INFINITY);
     let dist = &mut ws.dist[..];
+    let selected = &mut out.indices;
     selected.reserve(m);
 
     // Deterministic start: the block's first point in layout order (the
@@ -376,129 +319,6 @@ pub fn fps_block_task_into(
         selected.push(block[current]);
         dist[current] = f32::NEG_INFINITY;
     }
-    counters
-}
-
-/// Block-wise *ball-pinned* FPS: like [`block_fps`], but every selected
-/// sample additionally *pins* all block points within `pin_radius` of it —
-/// they are excluded from future selection in the same fused kernel scan
-/// ([`kernels::fps_relax_argmax_pin`], one pass instead of
-/// distance-then-mask, bit-identical across backends). A block stops early
-/// once every point is pinned, so blocks may contribute fewer than their
-/// budgeted samples.
-///
-/// The selected set is a Poisson-disk-style cover: samples are pairwise
-/// farther than `pin_radius` apart, and when a block exhausts early, every
-/// unselected point lies within `pin_radius` of a sample. This is the
-/// sampling mode a serving layer uses for guaranteed-coverage
-/// downsampling at a density cap.
-///
-/// Counters model the fused hardware pass: every scan visits all `n` block
-/// candidates with one distance evaluation and *three* comparisons (relax,
-/// pin, argmax) each.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyCloud`] for an empty cloud, or
-/// [`Error::InvalidParameter`] for a rate outside `(0, 1]` or a
-/// non-positive (or NaN) `pin_radius`.
-pub fn block_fps_pinned(
-    cloud: &PointCloud,
-    partition: &Partition,
-    rate: f64,
-    pin_radius: f32,
-    config: &BppoConfig,
-) -> Result<BlockFpsResult> {
-    if cloud.is_empty() {
-        return Err(Error::EmptyCloud);
-    }
-    if !(rate > 0.0 && rate <= 1.0) {
-        return Err(Error::InvalidParameter {
-            name: "rate",
-            message: format!("sampling rate must be in (0, 1], got {rate}"),
-        });
-    }
-    // `!(pin_radius > 0.0)` deliberately rejects NaN alongside
-    // non-positive radii.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(pin_radius > 0.0) {
-        return Err(Error::InvalidParameter {
-            name: "pin_radius",
-            message: format!("must be positive, got {pin_radius}"),
-        });
-    }
-    let sizes: Vec<usize> = partition.blocks.iter().map(|b| b.len()).collect();
-    let counts = block_sample_counts(&sizes, rate);
-    let r_sq = pin_radius * pin_radius;
-    let results = for_each_block_ws(partition.blocks.len(), config.parallel, |b, ws| {
-        let mut selected = Vec::new();
-        let counters = fps_block_task_pinned_into(
-            cloud,
-            &partition.blocks[b].indices,
-            counts[b],
-            r_sq,
-            ws,
-            &mut selected,
-        );
-        (selected, counters)
-    });
-    Ok(assemble_block_fps(results))
-}
-
-/// One block's share of [`block_fps_pinned`]: appends up to `m` samples to
-/// `selected`, stopping early when every candidate is pinned. `r_sq` is the
-/// squared pinning radius.
-pub fn fps_block_task_pinned_into(
-    cloud: &PointCloud,
-    block: &[usize],
-    m: usize,
-    r_sq: f32,
-    ws: &mut Workspace,
-    selected: &mut Vec<usize>,
-) -> OpCounters {
-    let n = block.len();
-    let mut counters = OpCounters::new();
-    if m == 0 || n == 0 {
-        return counters;
-    }
-    let m = m.min(n);
-
-    kernels::gather_coords(
-        cloud.xs(),
-        cloud.ys(),
-        cloud.zs(),
-        block,
-        &mut ws.sx,
-        &mut ws.sy,
-        &mut ws.sz,
-    );
-    let (bx, by, bz) = (&ws.sx[..], &ws.sy[..], &ws.sz[..]);
-    ws.dist.clear();
-    ws.dist.resize(n, f32::INFINITY);
-    let dist = &mut ws.dist[..];
-    selected.reserve(m);
-
-    let mut current = 0usize;
-    selected.push(block[current]);
-    dist[current] = f32::NEG_INFINITY;
-    counters.writes += 1;
-
-    for _ in 1..m {
-        let q = [bx[current], by[current], bz[current]];
-        // One fused scan: relax + pin (<= r²) + argmax.
-        current = kernels::fps_relax_argmax_pin(bx, by, bz, q, r_sq, dist);
-        counters.coord_reads += n as u64;
-        counters.distance_evals += n as u64;
-        counters.comparisons += 3 * n as u64;
-        if dist[current] == f32::NEG_INFINITY {
-            // Every candidate is pinned: the block is fully covered.
-            break;
-        }
-        selected.push(block[current]);
-        dist[current] = f32::NEG_INFINITY;
-        counters.writes += 1;
-    }
-    counters
 }
 
 #[cfg(test)]
@@ -632,86 +452,6 @@ mod tests {
         let (cloud, part) = setup(256, 64, 8);
         assert!(block_fps(&cloud, &part, 0.0, &BppoConfig::default()).is_err());
         assert!(block_fps(&cloud, &part, 1.5, &BppoConfig::default()).is_err());
-    }
-
-    #[test]
-    fn pinned_fps_samples_are_pairwise_farther_than_the_pin_radius() {
-        let (cloud, part) = setup(2048, 256, 11);
-        let radius = 0.35f32;
-        let r = block_fps_pinned(&cloud, &part, 1.0, radius, &BppoConfig::sequential()).unwrap();
-        assert!(!r.indices.is_empty());
-        for samples in &r.per_block {
-            for (i, &a) in samples.iter().enumerate() {
-                for &b in &samples[i + 1..] {
-                    let d = cloud.point(a).distance(cloud.point(b));
-                    assert!(d > radius, "samples {a},{b} only {d} apart (pin radius {radius})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_fps_at_full_rate_covers_every_block_point() {
-        // rate 1.0: blocks stop only when exhausted, so every unselected
-        // point must lie within the pin radius of a selected sample of its
-        // own block.
-        let (cloud, part) = setup(1024, 128, 12);
-        let radius = 0.4f32;
-        let r = block_fps_pinned(&cloud, &part, 1.0, radius, &BppoConfig::sequential()).unwrap();
-        for (b, samples) in r.per_block.iter().enumerate() {
-            for &p in &part.blocks[b].indices {
-                if samples.contains(&p) {
-                    continue;
-                }
-                let covered = samples
-                    .iter()
-                    .any(|&s| cloud.point(p).distance_sq(cloud.point(s)) <= radius * radius);
-                assert!(covered, "point {p} of block {b} is neither selected nor covered");
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_fps_with_tiny_radius_matches_plain_block_fps() {
-        // A radius far below the minimum point spacing never pins anything
-        // beyond the selected samples themselves, so the pinned driver must
-        // reproduce plain block FPS indices exactly.
-        let (cloud, part) = setup(1024, 128, 13);
-        let plain = block_fps(&cloud, &part, 0.25, &BppoConfig::sequential()).unwrap();
-        let pinned =
-            block_fps_pinned(&cloud, &part, 0.25, 1e-12, &BppoConfig::sequential()).unwrap();
-        assert_eq!(pinned.indices, plain.indices);
-        assert_eq!(pinned.per_block, plain.per_block);
-    }
-
-    #[test]
-    fn pinned_fps_is_bit_identical_across_backends_and_scheduling() {
-        use fractalcloud_pointcloud::kernels::{self, Backend};
-        let (cloud, part) = setup(2048, 128, 14);
-        let reference =
-            block_fps_pinned(&cloud, &part, 0.5, 0.3, &BppoConfig::sequential()).unwrap();
-        let par = block_fps_pinned(&cloud, &part, 0.5, 0.3, &BppoConfig::default()).unwrap();
-        assert_eq!(par, reference, "scheduling must not change pinned samples");
-        for backend in Backend::ALL {
-            if !backend.is_available() {
-                continue;
-            }
-            let got = kernels::with_backend(backend, || {
-                block_fps_pinned(&cloud, &part, 0.5, 0.3, &BppoConfig::sequential()).unwrap()
-            });
-            assert_eq!(got, reference, "backend {} diverged", backend.name());
-        }
-    }
-
-    #[test]
-    fn pinned_fps_validates_parameters() {
-        let (cloud, part) = setup(256, 64, 15);
-        let cfg = BppoConfig::default();
-        assert!(block_fps_pinned(&cloud, &part, 0.0, 0.3, &cfg).is_err());
-        assert!(block_fps_pinned(&cloud, &part, 0.25, 0.0, &cfg).is_err());
-        assert!(block_fps_pinned(&cloud, &part, 0.25, -1.0, &cfg).is_err());
-        assert!(block_fps_pinned(&cloud, &part, 0.25, f32::NAN, &cfg).is_err());
-        assert!(block_fps_pinned(&PointCloud::new(), &part, 0.25, 0.3, &cfg).is_err());
     }
 
     #[test]

@@ -52,12 +52,10 @@ pub mod workspace;
 
 pub use bppo::interpolation::BlockInterpolationResult;
 pub use bppo::{
-    assemble_block_fps, assemble_block_neighbors, ball_query_block_model,
-    ball_query_block_task_into, ball_query_block_task_ws, block_ball_query, block_ball_query_into,
-    block_fps, block_fps_pinned, block_fps_with_counts, block_fps_with_counts_into, block_gather,
-    block_interpolate, block_sample_counts, equal_sample_counts, fps_block_task_into,
-    fps_block_task_ws, BlockFpsResult, BlockGatherResult, BlockNeighborResult, BlockNeighborTask,
-    BppoConfig, GatherLocality, ReuseStats,
+    ball_query_block_model, block_ball_query, block_ball_query_into, block_fps,
+    block_fps_with_counts, block_fps_with_counts_into, block_gather, block_interpolate,
+    block_sample_counts, equal_sample_counts, BlockFpsResult, BlockGatherResult,
+    BlockNeighborResult, BppoConfig, GatherLocality, ReuseStats,
 };
 pub use fractal::{Fractal, FractalConfig, FractalResult};
 pub use lod::{LodCursor, LodSegment, LodSegmentRef, LodSlice, SampleOrder};

@@ -23,12 +23,12 @@
 //!
 //! Counters in sliced views come from the same closed-form models the real
 //! kernel drivers use ([`OpCounters::block_fps_model`],
-//! [`ball_query_block_model`]), and assembly goes through the same
-//! [`assemble_block_fps`] / [`assemble_block_neighbors`] seams, so
-//! `prefix(k)` is bit-identical — indices, distances, counters, reuse,
-//! critical path — to actually running the pipeline at budget `k`.
+//! [`ball_query_block_model`]) and are merged by the same per-block rule
+//! the block driver applies, so `prefix(k)` is bit-identical — indices,
+//! distances, counters, reuse, critical path — to actually running the
+//! pipeline at budget `k`.
 
-use crate::bppo::{assemble_block_fps, assemble_block_neighbors, ball_query_block_model};
+use crate::bppo::{ball_query_block_model, BlockFpsResult, BlockNeighborResult};
 use crate::pipeline::PipelineOutput;
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::partition::Partition;
@@ -194,10 +194,8 @@ impl PipelineOutput {
     ///
     /// Pure slicing: per-block sample rows and neighbor rows are prefixes
     /// of the full ones (FPS is greedy, grouping is per-center), work
-    /// counters come from the shared closed-form models, and assembly runs
-    /// through the same [`assemble_block_fps`] /
-    /// [`assemble_block_neighbors`] seams as a real run. `k` beyond the
-    /// total clamps.
+    /// counters come from the shared closed-form models and merge by the
+    /// rule a real run's block driver applies. `k` beyond the total clamps.
     ///
     /// # Panics
     ///
@@ -213,32 +211,22 @@ impl PipelineOutput {
         let counts_k = self.order.prefix_counts(k);
         let num = self.grouped.num;
 
-        let mut sampled_tasks = Vec::with_capacity(counts_k.len());
-        let mut grouped_tasks = Vec::with_capacity(counts_k.len());
+        let mut sampled = BlockFpsResult::default();
+        let mut grouped = BlockNeighborResult { num, ..Default::default() };
         let mut row = 0usize; // full-output center-row offset of block b
         for (b, &ck) in counts_k.iter().enumerate() {
             let full = &self.sampled.per_block[b];
-            sampled_tasks.push((
-                full[..ck].to_vec(),
-                OpCounters::block_fps_model(self.order.block_sizes[b], ck, true),
-            ));
+            sampled.indices.extend_from_slice(&full[..ck]);
+            sampled.per_block.push(full[..ck].to_vec());
+            sampled.push(OpCounters::block_fps_model(self.order.block_sizes[b], ck, true));
+            grouped.indices.extend_from_slice(&self.grouped.indices[row * num..(row + ck) * num]);
+            grouped.center_indices.extend_from_slice(&self.grouped.center_indices[row..row + ck]);
+            grouped.found.extend_from_slice(&self.grouped.found[row..row + ck]);
             let (counters, reuse) = ball_query_block_model(self.order.cand_sizes[b], ck, num);
-            grouped_tasks.push(crate::bppo::BlockNeighborTask {
-                indices: self.grouped.indices[row * num..(row + ck) * num].to_vec(),
-                center_indices: self.grouped.center_indices[row..row + ck].to_vec(),
-                found: self.grouped.found[row..row + ck].to_vec(),
-                counters,
-                reuse,
-            });
+            grouped.push(counters, reuse);
             row += full.len();
         }
-
-        PipelineOutput {
-            sampled: assemble_block_fps(sampled_tasks),
-            grouped: assemble_block_neighbors(num, grouped_tasks),
-            blocks: self.blocks,
-            order: self.order.prefix(k),
-        }
+        PipelineOutput { sampled, grouped, blocks: self.blocks, order: self.order.prefix(k) }
     }
 
     /// The refinement delta between depths `lo` and `hi` (both clamped to

@@ -17,10 +17,10 @@
 //!   nothing in it survives as a result — every operation fully resets the
 //!   portions it reads, so a *dirty* workspace is bit-identical to a fresh
 //!   one (property-tested in `tests/workspace_reuse.rs`).
-//! * Parallel fan-outs never share scratch: per-lane workspaces are handed
-//!   out by [`fractalcloud_parallel::parallel_map_budget_with`], which
-//!   calls the checkout hook once per execution lane (scoped threads each
-//!   get their own).
+//! * Fanned-out lanes never share scratch: the block driver streams every
+//!   block through the caller's workspace when it runs one lane, and
+//!   otherwise checks one workspace out of the [`global_pool`] per lane
+//!   (the `make` hook of [`fractalcloud_parallel::parallel_map_with`]).
 //! * The no-workspace entry points (`block_fps`, `Fractal::build`,
 //!   `Pipeline::run_with_partition`, …) are thin wrappers that check a
 //!   workspace out of the process-wide [`global_pool`] — so even legacy

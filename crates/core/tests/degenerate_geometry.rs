@@ -1,8 +1,9 @@
 //! Degenerate geometry through `Fractal::build → block_fps →
-//! block_ball_query`: all points identical, collinear points, and one- and
-//! two-point clouds. Every distance in an all-identical cloud ties, so the
-//! selection order is decided by candidate position alone — rows must be
-//! the first `num` candidates of the center's search space.
+//! block_ball_query`: all points identical, collinear points, one- and
+//! two-point clouds, and NaN / infinite / near-`f32::MAX` coordinates.
+//! Every distance in an all-identical cloud ties, so the selection order
+//! is decided by candidate position alone — rows must be the first `num`
+//! candidates of the center's search space.
 
 use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal, FractalResult};
 use fractalcloud_pointcloud::kernels::{with_backend, Backend};
@@ -175,4 +176,70 @@ fn a_line_near_f32_max_splits_to_the_threshold() {
     let built = build_twice(pts, 64);
     assert!(built.partition.blocks.iter().all(|b| b.len() <= 64));
     assert!(built.tree.nodes().iter().filter_map(|n| n.split).all(|(_, mid)| mid.is_finite()));
+}
+
+/// Hostile coordinates through `block_fps → block_ball_query`: runs both
+/// stages one-lane and fanned out (a budget of 4, whatever the host has)
+/// on every backend and checks what holds whatever the coordinates are —
+/// nothing panics, every schedule and backend returns the same result, the
+/// sample budget is met with distinct points, and every neighbor row is
+/// full and stays inside the cloud.
+fn sample_and_group_everywhere(points: Vec<Point3>, threshold: usize) {
+    let cloud = PointCloud::from_points(points);
+    let part = Fractal::with_threshold(threshold).build(&cloud).unwrap().partition;
+    let num = 8;
+    let mut results = Vec::new();
+    for backend in Backend::ALL {
+        for cfg in [BppoConfig::sequential(), BppoConfig::default()] {
+            results.push(with_backend(backend, || {
+                fractalcloud_parallel::with_budget(4, || {
+                    let fps = block_fps(&cloud, &part, 0.5, &cfg).unwrap();
+                    let bq = block_ball_query(&cloud, &part, &fps.per_block, 0.6, num, &cfg);
+                    (fps, bq.unwrap())
+                })
+            }));
+        }
+    }
+    assert!(results.iter().all(|r| r == &results[0]), "schedules or backends diverged");
+    let (fps, bq) = &results[0];
+    assert_eq!(fps.indices.len(), (cloud.len() as f64 * 0.5).round() as usize);
+    let distinct: std::collections::BTreeSet<_> = fps.indices.iter().collect();
+    assert_eq!(distinct.len(), fps.indices.len());
+    assert_eq!(bq.center_indices, fps.indices);
+    assert_eq!(bq.indices.len(), fps.indices.len() * num);
+    assert!(bq.indices.iter().all(|&i| i < cloud.len()));
+    assert!(bq.found.iter().all(|&f| f <= num));
+}
+
+#[test]
+fn nan_points_sample_and_group_the_same_on_every_schedule() {
+    let nan = Point3::splat(f32::NAN);
+    for at in [0, 100, 199] {
+        let mut pts = line(200);
+        pts[at] = nan;
+        sample_and_group_everywhere(pts, 16);
+    }
+    let mut pts = line(300);
+    (0..300).step_by(3).for_each(|i| pts[i] = nan);
+    sample_and_group_everywhere(pts, 16);
+    sample_and_group_everywhere(vec![nan; 100], 16);
+}
+
+#[test]
+fn infinite_coordinates_sample_and_group_the_same_on_every_schedule() {
+    let mut pts = line(200);
+    pts[7].x = f32::INFINITY;
+    sample_and_group_everywhere(pts, 16);
+    let mut pts: Vec<Point3> =
+        (0..200).map(|i| Point3::new((i % 10) as f32, (i / 10) as f32, 0.5)).collect();
+    pts[7].x = f32::INFINITY;
+    pts[8].x = f32::NEG_INFINITY;
+    sample_and_group_everywhere(pts, 16);
+}
+
+#[test]
+fn a_line_near_f32_max_samples_and_groups_the_same_on_every_schedule() {
+    // Squared distances between neighbours overflow to +inf.
+    let coords = (0..1000).map(|i| i as f32 / 999.0 * f32::MAX);
+    sample_and_group_everywhere(coords.map(|c| Point3::new(c, -c, 0.0)).collect(), 64);
 }

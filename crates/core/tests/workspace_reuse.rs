@@ -9,8 +9,8 @@
 
 use fractalcloud_core::workspace::Workspace;
 use fractalcloud_core::{
-    ball_query_block_task_ws, block_ball_query, block_fps, block_fps_pinned, fps_block_task_ws,
-    BppoConfig, Fractal, Pipeline, PipelineConfig, PipelineOutput,
+    block_ball_query, block_ball_query_into, block_fps_with_counts_into, BlockFpsResult,
+    BlockNeighborResult, BppoConfig, Fractal, Pipeline, PipelineConfig, PipelineOutput,
 };
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::{Point3, PointCloud};
@@ -99,10 +99,10 @@ proptest! {
         }
     }
 
-    /// Per-block task entry points (the owned-result wrappers the parallel
-    /// branch of `block_*_into` fans out): on a dirty workspace they equal
-    /// the same call on a fresh one, block by block (ragged blocks included
-    /// by construction — Fractal leaves are unevenly sized).
+    /// The workspace-taking block ops on their own (explicit per-block
+    /// counts, not the pipeline's rate): a dirty workspace + dirty result
+    /// equal a fresh pair, block rows included (ragged blocks by
+    /// construction — Fractal leaves are unevenly sized).
     #[test]
     fn dirty_workspace_block_tasks_match_wrappers(
         (cloud, th) in (arb_cloud(300), 4usize..48),
@@ -110,25 +110,28 @@ proptest! {
         radius in 0.3f32..3.0,
         num in 1usize..8,
     ) {
-        let built = Fractal::with_threshold(th).build(&cloud).unwrap();
+        let part = Fractal::with_threshold(th).build(&cloud).unwrap().partition;
         let seed = PointCloud::from_points(
             (0..61).map(|i| Point3::new(-(i as f32) * 0.7, (i % 5) as f32 * 1.3, 0.2)).collect(),
         );
+        let cfg = BppoConfig::sequential();
+        let counts = vec![count; part.blocks.len()];
+        let sample_group = |ws: &mut Workspace, fps: &mut BlockFpsResult, bq: &mut BlockNeighborResult| {
+            block_fps_with_counts_into(&cloud, &part, &counts, &cfg, ws, fps).unwrap();
+            block_ball_query_into(&cloud, &part, &fps.per_block, radius, num, &cfg, ws, bq).unwrap();
+        };
+        let (mut fresh_fps, mut fresh_bq) = Default::default();
+        sample_group(&mut Workspace::new(), &mut fresh_fps, &mut fresh_bq);
+        // Dirty results: a run at other counts and another neighbor width.
         let mut ws = dirty_workspace(&seed);
-        for b in 0..built.partition.blocks.len() {
-            let block = &built.partition.blocks[b].indices;
-            let plain = fps_block_task_ws(&cloud, block, count, true, &mut Workspace::new());
-            let via_ws = fps_block_task_ws(&cloud, block, count, true, &mut ws);
-            prop_assert_eq!(&plain, &via_ws);
-            let centers = &plain.0;
-            let plain_bq = ball_query_block_task_ws(
-                &cloud, &built.partition, b, centers, radius, num, true, &mut Workspace::new(),
-            );
-            let ws_bq = ball_query_block_task_ws(
-                &cloud, &built.partition, b, centers, radius, num, true, &mut ws,
-            );
-            prop_assert_eq!(&plain_bq, &ws_bq);
-        }
+        let (mut fps, mut bq) = Default::default();
+        let other = vec![count / 2 + 3; part.blocks.len()];
+        block_fps_with_counts_into(&cloud, &part, &other, &cfg, &mut ws, &mut fps).unwrap();
+        block_ball_query_into(&cloud, &part, &fps.per_block, 1.7, num + 2, &cfg, &mut ws, &mut bq)
+            .unwrap();
+        sample_group(&mut ws, &mut fps, &mut bq);
+        prop_assert_eq!(&fps, &fresh_fps);
+        prop_assert_eq!(&bq, &fresh_bq);
     }
 
     /// Repeating the same frame through one workspace (the cache-hit serve
@@ -147,34 +150,6 @@ proptest! {
             pipe.run_with_partition_into(&cloud, &built, false, &mut ws, &mut staging).unwrap();
             prop_assert_eq!(&staging, &first);
         }
-    }
-
-    /// Pinned block FPS through a dirty workspace equals a fresh run on
-    /// every backend (the fused pin-mask kernel shares the workspace SoA
-    /// staging with plain FPS).
-    #[test]
-    fn dirty_workspace_pinned_fps_is_stable(
-        (cloud, th) in (arb_cloud(250), 8usize..64),
-        radius in 0.2f32..2.0,
-    ) {
-        let part = Fractal::with_threshold(th).build(&cloud).unwrap().partition;
-        let fresh = block_fps_pinned(&cloud, &part, 0.5, radius, &BppoConfig::sequential()).unwrap();
-        on_every_backend(|backend| {
-            kernels::with_backend(backend, || {
-                let again =
-                    block_fps_pinned(&cloud, &part, 0.5, radius, &BppoConfig::sequential()).unwrap();
-                if backend == kernels::active_backend() {
-                    assert_eq!(again, fresh);
-                }
-            });
-        });
-        // Plain and pinned runs interleaved through the shared global pool
-        // must not disturb one another.
-        let plain = block_fps(&cloud, &part, 0.5, &BppoConfig::sequential()).unwrap();
-        let pinned2 = block_fps_pinned(&cloud, &part, 0.5, radius, &BppoConfig::sequential()).unwrap();
-        let plain2 = block_fps(&cloud, &part, 0.5, &BppoConfig::sequential()).unwrap();
-        prop_assert_eq!(pinned2, fresh);
-        prop_assert_eq!(plain2, plain);
     }
 }
 

@@ -296,101 +296,6 @@ unsafe fn fps_relax_argmax_impl(
     best
 }
 
-/// AVX2 fused relax + pin + argmax; see
-/// [`kernels::fps_relax_argmax_pin`](super::fps_relax_argmax_pin).
-pub fn fps_relax_argmax_pin(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    dist: &mut [f32],
-) -> usize {
-    assert_avx2();
-    // SAFETY: AVX2 availability asserted above; all accesses stay in bounds.
-    unsafe { fps_relax_argmax_pin_impl(xs, ys, zs, q, r_sq, dist) }
-}
-
-/// [`fps_relax_argmax_impl`] widened with the fused pin mask: one
-/// `_CMP_LE_OQ` compare of the fresh distances against `r_sq` selects the
-/// lanes to pin, and a blend forces those lanes of the relaxed vector to
-/// `-∞` before the store and the argmax accumulation — one pass instead of
-/// distance-then-mask. `_CMP_LE_OQ` is ordered, so NaN distances neither
-/// relax (the `min` keeps `cur`) nor pin, exactly like the scalar backend's
-/// `nd <= r_sq`. The argmax selection is unchanged; an all-pinned input
-/// reduces to a `-∞` maximum whose first-chunk rescan lands on index 0,
-/// matching the scalar strict-`>` scan.
-#[target_feature(enable = "avx2")]
-unsafe fn fps_relax_argmax_pin_impl(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    dist: &mut [f32],
-) -> usize {
-    let n = xs.len();
-    let qx = _mm256_set1_ps(q[0]);
-    let qy = _mm256_set1_ps(q[1]);
-    let qz = _mm256_set1_ps(q[2]);
-    let rv = _mm256_set1_ps(r_sq);
-    let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
-    let mut cmax = f32::NEG_INFINITY;
-    let mut cmax_chunk_base = 0usize;
-    let mut base = 0usize;
-    while base < n {
-        let end = (base + CHUNK).min(n);
-        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
-        let mut i = base;
-        while i + LANES <= end {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let y = _mm256_loadu_ps(ys.as_ptr().add(i));
-            let z = _mm256_loadu_ps(zs.as_ptr().add(i));
-            let nd = dist8(x, y, z, qx, qy, qz);
-            let cur = _mm256_loadu_ps(dist.as_ptr().add(i));
-            // min(nd, cur): keeps `cur` when `nd` is NaN — the relax idiom.
-            let v = _mm256_min_ps(nd, cur);
-            // Pin in the same pass: lanes with nd <= r² go to -∞ (ordered
-            // compare, so NaN lanes never pin).
-            let le = _mm256_cmp_ps::<_CMP_LE_OQ>(nd, rv);
-            let v = _mm256_blendv_ps(v, neg_inf, le);
-            _mm256_storeu_ps(dist.as_mut_ptr().add(i), v);
-            // max(v, acc): NaN `v` never overwrites the accumulator.
-            acc = _mm256_max_ps(v, acc);
-            i += LANES;
-        }
-        // Scalar tail (same code as the SoA backend's remainder loop).
-        let mut cm = f32::NEG_INFINITY;
-        for j in i..end {
-            let dx = xs[j] - q[0];
-            let dy = ys[j] - q[1];
-            let dz = zs[j] - q[2];
-            let nd = dx * dx + dy * dy + dz * dz;
-            let cur = dist[j];
-            let v = if nd < cur { nd } else { cur };
-            let v = if nd <= r_sq { f32::NEG_INFINITY } else { v };
-            dist[j] = v;
-            cm = if v > cm { v } else { cm };
-        }
-        // Horizontal fold of the lane maxima (never NaN, see above).
-        let mut lanes = [0.0f32; LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for &m in &lanes {
-            cm = if m > cm { m } else { cm };
-        }
-        if cm > cmax {
-            cmax = cm;
-            cmax_chunk_base = base;
-        }
-        base = end;
-    }
-    let mut best = cmax_chunk_base;
-    while dist[best] != cmax {
-        best += 1;
-    }
-    best
-}
-
 /// AVX2 segmented max-aggregation over neighbor index lists; see
 /// [`kernels::segmented_max_into`](super::segmented_max_into) for the
 /// contract. Per segment, each 8-channel group's accumulator stays in a

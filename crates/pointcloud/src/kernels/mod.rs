@@ -380,57 +380,6 @@ pub fn fps_relax_argmax_with(
     dispatch!(backend, fps_relax_argmax(xs, ys, zs, q, dist))
 }
 
-/// One *ball-pinned* FPS iteration, fused: like [`fps_relax_argmax`], but
-/// every candidate whose distance to the newest sample `q` is `<= r_sq` is
-/// *pinned* — its running distance is set to `f32::NEG_INFINITY` in the
-/// same pass, so it can never be selected again. One fused scan replaces
-/// the distance-then-mask two-pass formulation, on the active backend.
-///
-/// Pinning is monotone: an already-pinned entry stays pinned (`min` against
-/// `-∞` keeps `-∞`, and a fresh in-radius hit re-pins it). NaN distances
-/// neither relax nor pin, exactly as in [`fps_relax_argmax`]. The returned
-/// index is the first maximum of the post-pin distances; when *every*
-/// candidate is pinned the maximum is `-∞` and index 0 is returned — the
-/// caller detects exhaustion by checking `dist[best].is_finite()` (or
-/// `== f32::NEG_INFINITY`), which all backends report identically.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, `dist.len() != xs.len()`, or the
-/// candidate set is empty.
-pub fn fps_relax_argmax_pin(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    dist: &mut [f32],
-) -> usize {
-    fps_relax_argmax_pin_with(active_backend(), xs, ys, zs, q, r_sq, dist)
-}
-
-/// [`fps_relax_argmax_pin`] on an explicit backend (unavailable backends
-/// fall back to [`Backend::Soa`]).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, `dist.len() != xs.len()`, or the
-/// candidate set is empty.
-pub fn fps_relax_argmax_pin_with(
-    backend: Backend,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    dist: &mut [f32],
-) -> usize {
-    assert_soa(xs, ys, zs);
-    assert_eq!(dist.len(), xs.len(), "dist length mismatch");
-    assert!(!xs.is_empty(), "fps_relax_argmax_pin needs at least one candidate");
-    dispatch!(backend, fps_relax_argmax_pin(xs, ys, zs, q, r_sq, dist))
-}
-
 /// Segmented max-aggregation over neighbor index lists, on the active
 /// backend — the delayed-aggregation (Mesorasi) primitive: instead of
 /// materializing a duplicated `segments × num × channels` grouped feature
@@ -1381,92 +1330,6 @@ mod tests {
             fps_relax_argmax_with(b, &xs, &ys, &zs, [0.0, 0.0, 0.0], &mut dist);
             assert_eq!(dist[0], 7.0, "NaN candidate must not lower dist ({})", b.name());
             assert_eq!(dist[1], 1.0);
-        }
-    }
-
-    #[test]
-    fn pinned_relax_excludes_in_radius_candidates() {
-        // Points at x = 0, 0.5, 2, 5; query at origin, pin radius 1 (r² = 1):
-        // 0 and 0.5 pin; the argmax over {4, 25} is index 3.
-        let (xs, ys, zs) =
-            soa_of(&[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0], [5.0, 0.0, 0.0]]);
-        for b in available() {
-            let mut dist = vec![f32::INFINITY; 4];
-            let best = fps_relax_argmax_pin_with(b, &xs, &ys, &zs, [0.0; 3], 1.0, &mut dist);
-            assert_eq!(best, 3, "farthest unpinned wins ({})", b.name());
-            assert_eq!(dist[0], f32::NEG_INFINITY, "in-radius candidate pinned ({})", b.name());
-            assert_eq!(dist[1], f32::NEG_INFINITY);
-            assert_eq!(dist[2], 4.0);
-            // Pinning is monotone: a later scan from far away never unpins.
-            let best = fps_relax_argmax_pin_with(b, &xs, &ys, &zs, [5.0, 0.0, 0.0], 1.0, &mut dist);
-            assert_eq!(dist[0], f32::NEG_INFINITY, "pinned stays pinned ({})", b.name());
-            assert_eq!(best, 2, "index 2 is the only live candidate left");
-        }
-    }
-
-    #[test]
-    fn pinned_relax_all_pinned_returns_index_zero() {
-        let (xs, ys, zs) = soa_of(&[[0.1, 0.0, 0.0], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]]);
-        for b in available() {
-            let mut dist = vec![f32::INFINITY; 3];
-            let best = fps_relax_argmax_pin_with(b, &xs, &ys, &zs, [0.0; 3], 100.0, &mut dist);
-            assert_eq!(best, 0, "exhausted block reports index 0 ({})", b.name());
-            assert!(dist.iter().all(|&d| d == f32::NEG_INFINITY));
-        }
-    }
-
-    #[test]
-    fn pinned_relax_with_negative_radius_matches_unpinned() {
-        // r² < 0 never pins (distances are non-negative), so the fused
-        // kernel must agree with plain fps_relax_argmax bit-for-bit.
-        let pts: Vec<[f32; 3]> = (0..CHUNK * 2 + 9)
-            .map(|i| [(i as f32 * 0.37).sin() * 4.0, (i % 5) as f32, -(i as f32) * 0.1])
-            .collect();
-        let (xs, ys, zs) = soa_of(&pts);
-        for b in available() {
-            let mut plain = vec![f32::INFINITY; pts.len()];
-            let mut pinned = plain.clone();
-            let bp = fps_relax_argmax_with(b, &xs, &ys, &zs, [0.2, 0.3, 0.4], &mut plain);
-            let bq =
-                fps_relax_argmax_pin_with(b, &xs, &ys, &zs, [0.2, 0.3, 0.4], -1.0, &mut pinned);
-            assert_eq!(bp, bq, "never-pinning radius must not change the argmax ({})", b.name());
-            assert_eq!(plain, pinned);
-        }
-    }
-
-    #[test]
-    fn pinned_relax_nan_candidates_neither_relax_nor_pin() {
-        let (xs, ys, zs) = soa_of(&[[f32::NAN, 0.0, 0.0], [3.0, 0.0, 0.0]]);
-        for b in available() {
-            let mut dist = vec![7.0f32, f32::INFINITY];
-            let best = fps_relax_argmax_pin_with(b, &xs, &ys, &zs, [0.0; 3], 1e30, &mut dist);
-            assert_eq!(dist[0], 7.0, "NaN distance must not pin or relax ({})", b.name());
-            assert_eq!(dist[1], f32::NEG_INFINITY, "finite in-radius candidate pins");
-            assert_eq!(best, 0);
-        }
-    }
-
-    #[test]
-    fn pinned_relax_is_bit_identical_across_backends() {
-        let pts: Vec<[f32; 3]> = (0..CHUNK * 3 + 17)
-            .map(|i| [((i * 31) % 23) as f32 * 0.21, ((i * 7) % 13) as f32 * 0.33, (i % 4) as f32])
-            .collect();
-        let (xs, ys, zs) = soa_of(&pts);
-        let backends = available();
-        for r_sq in [0.0f32, 0.05, 0.5, 4.0] {
-            let mut reference: Option<(usize, Vec<f32>)> = None;
-            for &b in &backends {
-                let mut dist = vec![f32::INFINITY; pts.len()];
-                let best =
-                    fps_relax_argmax_pin_with(b, &xs, &ys, &zs, [1.0, 1.0, 1.0], r_sq, &mut dist);
-                match &reference {
-                    None => reference = Some((best, dist)),
-                    Some((rb, rd)) => {
-                        assert_eq!(best, *rb, "argmax diverged at r²={r_sq} on {}", b.name());
-                        assert_eq!(&dist, rd, "dist diverged at r²={r_sq} on {}", b.name());
-                    }
-                }
-            }
         }
     }
 

@@ -84,40 +84,6 @@ pub fn fps_relax_argmax(
     best
 }
 
-/// Fused relax + pin + argmax; see
-/// [`kernels::fps_relax_argmax_pin`](super::fps_relax_argmax_pin).
-///
-/// Identical to [`fps_relax_argmax`] except that candidates within the
-/// pinning radius of the newest sample (`nd <= r_sq`) have their running
-/// distance forced to `-∞` in the same pass, excluding them from this and
-/// every future argmax. NaN distances neither relax nor pin.
-pub fn fps_relax_argmax_pin(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    dist: &mut [f32],
-) -> usize {
-    let mut best = 0usize;
-    let mut best_v = f32::NEG_INFINITY;
-    for i in 0..xs.len() {
-        let dx = xs[i] - q[0];
-        let dy = ys[i] - q[1];
-        let dz = zs[i] - q[2];
-        let nd = dx * dx + dy * dy + dz * dz;
-        let cur = dist[i];
-        let v = if nd < cur { nd } else { cur };
-        let v = if nd <= r_sq { f32::NEG_INFINITY } else { v };
-        dist[i] = v;
-        if v > best_v {
-            best_v = v;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Segmented max-aggregation over neighbor index lists; see
 /// [`kernels::segmented_max_into`](super::segmented_max_into) for the
 /// contract. Straight per-segment loops with the branchy `if v > acc`

@@ -153,83 +153,6 @@ pub fn fps_relax_argmax(
     best
 }
 
-/// Fused chunked relax + pin + argmax; see
-/// [`kernels::fps_relax_argmax_pin`](super::fps_relax_argmax_pin).
-///
-/// The chunk structure is exactly [`fps_relax_argmax`]'s, with one extra
-/// select per lane: `if nd <= r_sq { -∞ } else { v }` pins in-radius
-/// candidates in the same branch-free stream (the compiler lowers it to a
-/// vector compare + blend). The argmax machinery is unchanged; when every
-/// candidate ends pinned the global maximum is `-∞` and the first-chunk
-/// rescan lands on index 0, matching the scalar backend's strict-`>` scan.
-pub fn fps_relax_argmax_pin(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    r_sq: f32,
-    dist: &mut [f32],
-) -> usize {
-    let n = xs.len();
-    const LANES: usize = 8;
-    let mut cmax = f32::NEG_INFINITY;
-    let mut cmax_chunk_base = 0usize;
-    let mut base = 0usize;
-    while base < n {
-        let end = (base + CHUNK).min(n);
-        let (xb, yb, zb) = (&xs[base..end], &ys[base..end], &zs[base..end]);
-        let db = &mut dist[base..end];
-        let mut acc = [f32::NEG_INFINITY; LANES];
-        let mut d_it = db.chunks_exact_mut(LANES);
-        let mut x_it = xb.chunks_exact(LANES);
-        let mut y_it = yb.chunks_exact(LANES);
-        let mut z_it = zb.chunks_exact(LANES);
-        for d8 in d_it.by_ref() {
-            let d8: &mut [f32; LANES] = d8.try_into().expect("exact chunk");
-            let x8: &[f32; LANES] = x_it.next().expect("same length").try_into().unwrap();
-            let y8: &[f32; LANES] = y_it.next().expect("same length").try_into().unwrap();
-            let z8: &[f32; LANES] = z_it.next().expect("same length").try_into().unwrap();
-            for l in 0..LANES {
-                let dx = x8[l] - q[0];
-                let dy = y8[l] - q[1];
-                let dz = z8[l] - q[2];
-                let nd = dx * dx + dy * dy + dz * dz;
-                let cur = d8[l];
-                let v = if nd < cur { nd } else { cur };
-                let v = if nd <= r_sq { f32::NEG_INFINITY } else { v };
-                d8[l] = v;
-                acc[l] = if v > acc[l] { v } else { acc[l] };
-            }
-        }
-        let mut cm = f32::NEG_INFINITY;
-        let tail = d_it.into_remainder();
-        let (xt, yt, zt) = (x_it.remainder(), y_it.remainder(), z_it.remainder());
-        for (l, cur) in tail.iter_mut().enumerate() {
-            let dx = xt[l] - q[0];
-            let dy = yt[l] - q[1];
-            let dz = zt[l] - q[2];
-            let nd = dx * dx + dy * dy + dz * dz;
-            let v = if nd < *cur { nd } else { *cur };
-            let v = if nd <= r_sq { f32::NEG_INFINITY } else { v };
-            *cur = v;
-            cm = if v > cm { v } else { cm };
-        }
-        for &m in &acc {
-            cm = if m > cm { m } else { cm };
-        }
-        if cm > cmax {
-            cmax = cm;
-            cmax_chunk_base = base;
-        }
-        base = end;
-    }
-    let mut best = cmax_chunk_base;
-    while dist[best] != cmax {
-        best += 1;
-    }
-    best
-}
-
 /// Segmented max-aggregation over neighbor index lists; see
 /// [`kernels::segmented_max_into`](super::segmented_max_into) for the
 /// contract. The accumulator row stays hot while each neighbor's feature

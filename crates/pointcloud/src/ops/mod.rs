@@ -91,7 +91,7 @@ impl OpCounters {
 
     /// Closed-form work model for block FPS: selecting `m` samples out of an
     /// `n`-point block. This is the single source of truth shared by the real
-    /// kernel driver (`fps_block_task_into`) and the prefix/LOD views, so a
+    /// block FPS body in `fractalcloud-core` and the prefix/LOD views, so a
     /// sliced `PipelineOutput::prefix(k)` reports bit-identical counters to a
     /// pipeline actually run at the smaller budget.
     ///
@@ -121,7 +121,7 @@ impl OpCounters {
 
     /// Closed-form work model for block ball query: `centers` query rows over
     /// a shared `candidates`-point search space, each row padded to `num`
-    /// slots. Shared with the real kernel driver (`ball_query_block_core`)
+    /// slots. Shared with the block ball-query body in `fractalcloud-core`
     /// and the prefix/LOD views — see [`OpCounters::block_fps_model`].
     ///
     /// The candidate coordinates are read once per block (even when the block

@@ -38,6 +38,18 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
     }
     assert_eq!(allocation_count() - before, 0, "core hot path, {FRAMES} warmed frames");
 
+    // A one-block cloud has nothing to fan out: `parallel = true` takes the
+    // same one-lane path at any thread budget.
+    let small = scene_cloud(&SceneConfig::default(), 200, 0);
+    let built = pipe.partition_ws(&small, &mut ws).expect("partition");
+    assert_eq!(built.partition.blocks.len(), 1);
+    pipe.run_with_partition_into(&small, &built, true, &mut ws, &mut staging).expect("warm-up");
+    let before = allocation_count();
+    for _ in 0..FRAMES {
+        pipe.run_with_partition_into(&small, &built, true, &mut ws, &mut staging).expect("frame");
+    }
+    assert_eq!(allocation_count() - before, 0, "one block, parallel = true, {FRAMES} frames");
+
     // Serve, cache-hit shape: the cloud is shared (no per-submit clone),
     // slots / workspaces / staging come from their pools, and `recycle`
     // hands the response's vectors back for the next frame.
