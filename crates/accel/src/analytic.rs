@@ -2,12 +2,17 @@
 //! real `O(n²)` reference is infeasible (the paper evaluates up to 289K and
 //! 1M points).
 //!
-//! Every closed form here is cross-validated against the *measured*
-//! counters of the executable implementations at small scales by the tests
-//! at the bottom of this file — the same methodology as calibrating a fast
-//! model against a cycle-accurate one.
+//! Nothing is derived here: the per-operation closed forms are the ones the
+//! executable operations report ([`OpCounters::fps_model`],
+//! [`OpCounters::neighbor_model`], [`OpCounters::shared_neighbor_model`]),
+//! per-block sample counts come from the allocator block FPS runs
+//! ([`block_sample_counts`]), and blocks are combined by the block driver's
+//! own rule ([`merge_work`]). The tests at the bottom of this file assert
+//! equality — every counter field and the critical path — with the measured
+//! counters of `core::block_fps` / `block_ball_query` on the same partition.
 
-use fractalcloud_pointcloud::ops::OpCounters;
+use fractalcloud_core::block_sample_counts;
+use fractalcloud_pointcloud::ops::{merge_work, OpCounters};
 
 /// Bytes per point record at FP16 (x, y, z).
 pub const COORD_BYTES: u64 = 6;
@@ -23,35 +28,13 @@ pub fn global_fps(n: usize, m: usize) -> OpCounters {
 /// Global FPS with an optional window-check skip: iteration `k` visits only
 /// the `n − k` still-unsampled candidates instead of all `n` (Fig. 11(c)).
 pub fn global_fps_with_window(n: usize, m: usize, window_check: bool) -> OpCounters {
-    let iters = m.saturating_sub(1) as u64;
-    let n64 = n as u64;
-    let (evals, skipped) = if window_check {
-        let saved = iters * (iters + 1) / 2;
-        (iters * n64 - saved, saved)
-    } else {
-        (iters * n64, 0)
-    };
-    OpCounters {
-        distance_evals: evals,
-        comparisons: 2 * evals,
-        coord_reads: evals,
-        writes: m as u64,
-        skipped,
-        ..Default::default()
-    }
+    OpCounters::fps_model(n, m, window_check)
 }
 
 /// Counters of a global ball query / KNN: every center scans every
 /// candidate.
 pub fn global_neighbor(centers: usize, candidates: usize, num: usize) -> OpCounters {
-    let evals = centers as u64 * candidates as u64;
-    OpCounters {
-        distance_evals: evals,
-        comparisons: evals,
-        coord_reads: evals,
-        writes: (centers * num) as u64,
-        ..Default::default()
-    }
+    OpCounters::neighbor_model(candidates, centers, num)
 }
 
 /// Counters of a gather resolving `rows × num` indices.
@@ -63,82 +46,64 @@ pub fn gather(rows: usize, num: usize) -> OpCounters {
     }
 }
 
+/// `(total, critical_block, per_block_evals)` of per-block work, combined
+/// by the block driver's rule.
+fn combine(blocks: impl Iterator<Item = OpCounters>) -> (OpCounters, OpCounters, Vec<u64>) {
+    let mut total = OpCounters::new();
+    let mut critical = OpCounters::new();
+    let per_block = blocks
+        .map(|work| {
+            merge_work(&mut total, &mut critical, &work, work);
+            work.distance_evals
+        })
+        .collect();
+    (total, critical, per_block)
+}
+
 /// Per-block work of block-wise FPS at a fixed `rate`, with or without the
-/// window-check skip.
-///
-/// Without skip, block `b` costs `(m_b − 1) · n_b` evals. With skip,
-/// iteration `k` visits only the `n_b − k` unsampled candidates:
-/// `Σ_{k=1}^{m_b−1} (n_b − k)`.
+/// window-check skip: block `b` selects its [`block_sample_counts`] share
+/// `m_b` of its `n_b` points.
 ///
 /// Returns `(total, critical_block, per_block_evals)`.
+///
+/// # Panics
+///
+/// Panics if `rate` is not within `0.0..=1.0`.
 pub fn block_fps(
     block_sizes: &[usize],
     rate: f64,
     window_check: bool,
 ) -> (OpCounters, OpCounters, Vec<u64>) {
-    let mut total = OpCounters::new();
-    let mut critical = OpCounters::new();
-    let mut per_block = Vec::with_capacity(block_sizes.len());
-    for &n_b in block_sizes {
-        let m_b = ((n_b as f64) * rate).round() as u64;
-        let n_b = n_b as u64;
-        let iters = m_b.saturating_sub(1);
-        let evals = if window_check {
-            // Σ_{k=1}^{iters} (n_b − k)
-            iters * n_b - iters * (iters + 1) / 2
-        } else {
-            iters * n_b
-        };
-        let skipped = if window_check { iters * (iters + 1) / 2 } else { 0 };
-        let c = OpCounters {
-            distance_evals: evals,
-            comparisons: 2 * evals,
-            coord_reads: evals,
-            writes: m_b,
-            skipped,
-            ..Default::default()
-        };
-        per_block.push(evals);
-        total.merge(&c);
-        if c.distance_evals >= critical.distance_evals {
-            critical = c;
-        }
-    }
-    (total, critical, per_block)
+    let counts = block_sample_counts(block_sizes, rate);
+    combine(
+        block_sizes
+            .iter()
+            .zip(counts)
+            .map(|(&n_b, m_b)| OpCounters::fps_model(n_b, m_b, window_check)),
+    )
 }
 
-/// Per-block work of block-wise neighbor search: block `b` has
-/// `centers_rate · n_b` centers, each scanning `search_factor · n_b`
-/// candidates (`search_factor` ≈ 2 with parent expansion, 1 without).
+/// Per-block work of block-wise neighbor search: block `b` has its
+/// [`block_sample_counts`] share of centers at `centers_rate`, each scanning
+/// the `search_factor · n_b` candidates the block loads once
+/// (`search_factor` ≈ 2 with parent expansion, 1 without).
 ///
 /// Returns `(total, critical_block, per_block_evals)`.
+///
+/// # Panics
+///
+/// Panics if `centers_rate` is not within `0.0..=1.0`.
 pub fn block_neighbor(
     block_sizes: &[usize],
     centers_rate: f64,
     search_factor: f64,
     num: usize,
 ) -> (OpCounters, OpCounters, Vec<u64>) {
-    let mut total = OpCounters::new();
-    let mut critical = OpCounters::new();
-    let mut per_block = Vec::with_capacity(block_sizes.len());
-    for &n_b in block_sizes {
-        let centers = ((n_b as f64) * centers_rate).round() as u64;
-        let candidates = ((n_b as f64) * search_factor).round() as u64;
-        let evals = centers * candidates;
-        let c = OpCounters {
-            distance_evals: evals,
-            comparisons: evals,
-            coord_reads: evals,
-            writes: centers * num as u64,
-            ..Default::default()
-        };
-        per_block.push(evals);
-        total.merge(&c);
-        if c.distance_evals >= critical.distance_evals {
-            critical = c;
-        }
-    }
-    (total, critical, per_block)
+    let centers = block_sample_counts(block_sizes, centers_rate);
+    combine(block_sizes.iter().zip(centers).map(|(&n_b, centers)| {
+        let candidates = ((n_b as f64) * search_factor).round() as usize;
+        OpCounters::shared_neighbor_model(candidates, centers, num)
+    }))
 }
 
 /// Block sizes after `stage` rounds of 1/4 sampling: the samples of a block
@@ -152,9 +117,11 @@ pub fn stage_block_sizes(base: &[usize], rate: f64, stage: u32) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractalcloud_core::{block_fps as run_block_fps, BppoConfig, Fractal};
+    use fractalcloud_core::{block_ball_query, block_fps as run_block_fps, BppoConfig, Fractal};
     use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
     use fractalcloud_pointcloud::ops::farthest_point_sample;
+    use fractalcloud_pointcloud::partition::Partition;
+    use fractalcloud_pointcloud::PointCloud;
 
     /// The analytic global-FPS counters must match the implementation
     /// exactly.
@@ -162,24 +129,45 @@ mod tests {
     fn global_fps_matches_measured() {
         let cloud = scene_cloud(&SceneConfig::default(), 1500, 1);
         let measured = farthest_point_sample(&cloud, 300, 0).unwrap().counters;
-        let analytic = global_fps(1500, 300);
-        assert_eq!(analytic.distance_evals, measured.distance_evals);
-        assert_eq!(analytic.coord_reads, measured.coord_reads);
-        assert_eq!(analytic.writes, measured.writes);
+        assert_eq!(global_fps(1500, 300), measured);
     }
 
-    /// The analytic block-FPS counters must track the measured ones within
-    /// a few percent (rounding of per-block sample counts differs).
-    #[test]
-    fn block_fps_matches_measured() {
+    /// A 4 096-point scene, its partition and the block sizes the models
+    /// take.
+    fn partitioned() -> (PointCloud, Partition, Vec<usize>) {
         let cloud = scene_cloud(&SceneConfig::default(), 4096, 2);
         let part = Fractal::with_threshold(256).build(&cloud).unwrap().partition;
-        let sizes: Vec<usize> = part.blocks.iter().map(|b| b.len()).collect();
-        let measured =
-            run_block_fps(&cloud, &part, 0.25, &BppoConfig::sequential()).unwrap().counters;
-        let (analytic, _, _) = block_fps(&sizes, 0.25, true);
-        let ratio = analytic.distance_evals as f64 / measured.distance_evals as f64;
-        assert!((0.95..=1.05).contains(&ratio), "block FPS ratio {ratio}");
+        let sizes = part.blocks.iter().map(|b| b.len()).collect();
+        (cloud, part, sizes)
+    }
+
+    /// Two derivations, one number: on the same partition the analytic
+    /// block-FPS model equals the measured counters of the executable
+    /// operation — every field, and the critical path.
+    #[test]
+    fn block_fps_matches_measured() {
+        let (cloud, part, sizes) = partitioned();
+        for window_check in [true, false] {
+            let config = BppoConfig { window_check, ..BppoConfig::sequential() };
+            let measured = run_block_fps(&cloud, &part, 0.25, &config).unwrap();
+            let (total, critical, _) = block_fps(&sizes, 0.25, window_check);
+            assert_eq!(total, measured.counters, "window check {window_check}");
+            assert_eq!(critical, measured.critical_path, "window check {window_check}");
+        }
+    }
+
+    /// The same for the neighbor model, on own-block search spaces — the
+    /// case its `search_factor` states exactly (1.0); an expanded space is
+    /// the partition's own factor, block by block.
+    #[test]
+    fn block_neighbor_matches_measured() {
+        let (cloud, part, sizes) = partitioned();
+        let config = BppoConfig { parent_expansion: false, ..BppoConfig::sequential() };
+        let centers = run_block_fps(&cloud, &part, 0.25, &config).unwrap().per_block;
+        let measured = block_ball_query(&cloud, &part, &centers, 0.4, 16, &config).unwrap();
+        let (total, critical, _) = block_neighbor(&sizes, 0.25, 1.0, 16);
+        assert_eq!(total, measured.counters);
+        assert_eq!(critical, measured.critical_path);
     }
 
     #[test]

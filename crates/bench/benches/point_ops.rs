@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fractalcloud_core::bppo::reference as bppo_reference;
 use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
-use fractalcloud_pointcloud::kernels::{self, Backend};
+use fractalcloud_pointcloud::kernels::{self, Backend, SelectScratch};
 use fractalcloud_pointcloud::ops::{
     ball_query, farthest_point_sample, k_nearest_neighbors, reference,
 };
@@ -99,16 +99,19 @@ fn bench_batched_selection(c: &mut Criterion) {
             continue;
         }
         let name = backend.name();
+        // One warmed scratch for every row, as a serving lane holds it.
+        let mut scratch = SelectScratch::new();
         group.bench_function(format!("knn-batched-{name}"), |b| {
             b.iter(|| {
                 let mut rows = 0usize;
-                kernels::knn_select_batch_with(
+                kernels::knn_select_batch_into(
                     backend,
                     xs,
                     ys,
                     zs,
                     &queries,
                     k,
+                    &mut scratch,
                     |_, best| rows += best.len(),
                     |_| {},
                 );
@@ -119,13 +122,14 @@ fn bench_batched_selection(c: &mut Criterion) {
             b.iter(|| {
                 let mut rows = 0usize;
                 for q in &queries {
-                    kernels::knn_select_batch_with(
+                    kernels::knn_select_batch_into(
                         backend,
                         xs,
                         ys,
                         zs,
                         std::slice::from_ref(q),
                         k,
+                        &mut scratch,
                         |_, best| rows += best.len(),
                         |_| {},
                     );
@@ -143,7 +147,7 @@ fn bench_batched_selection(c: &mut Criterion) {
             group.bench_function(format!("{row}-{name}"), |b| {
                 b.iter(|| {
                     let mut hits = 0usize;
-                    kernels::ball_select_batch_with(
+                    kernels::ball_select_batch_into(
                         backend,
                         xs,
                         ys,
@@ -151,6 +155,7 @@ fn bench_batched_selection(c: &mut Criterion) {
                         &queries,
                         r_sq,
                         num,
+                        &mut scratch,
                         |_, best, _| hits += best.len(),
                     );
                     hits
@@ -161,7 +166,7 @@ fn bench_batched_selection(c: &mut Criterion) {
             b.iter(|| {
                 let mut hits = 0usize;
                 for q in &queries {
-                    kernels::ball_select_batch_with(
+                    kernels::ball_select_batch_into(
                         backend,
                         xs,
                         ys,
@@ -169,6 +174,7 @@ fn bench_batched_selection(c: &mut Criterion) {
                         std::slice::from_ref(q),
                         r_sq,
                         num,
+                        &mut scratch,
                         |_, best, _| hits += best.len(),
                     );
                 }

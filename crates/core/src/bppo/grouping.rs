@@ -1,9 +1,9 @@
 //! Block-wise grouping (BWG): ball query with block-local search spaces.
 
-use crate::bppo::{for_each_block, merge_work, BlockParts, BppoConfig, ReuseStats};
+use crate::bppo::{for_each_block, BlockParts, BppoConfig, ReuseStats};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
-use fractalcloud_pointcloud::ops::OpCounters;
+use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 
@@ -57,12 +57,14 @@ impl BlockParts for BlockNeighborResult {
 /// whole cloud.
 ///
 /// `centers_per_block[b]` holds the global indices of block `b`'s center
-/// points (typically the block's block-FPS samples). Neighbor slots follow
-/// the same nearest-`num`-within-radius semantics as the global
-/// [`ball_query`](fractalcloud_pointcloud::ops::ball_query); candidates are
-/// streamed in search-space layout order (own block first at depth ≤ 1, else
-/// the parent's blocks in DFT order), mirroring the hardware's streamed
-/// block reads.
+/// points (typically the block's block-FPS samples). Neighbor rows are
+/// built by the body the global
+/// [`ball_query`](fractalcloud_pointcloud::ops::ball_query) runs
+/// ([`ops::ball_query_into`]), so they differ from a global search only
+/// through the restricted search space; candidates are streamed in
+/// search-space layout order (own block first at depth ≤ 1, else the
+/// parent's blocks in DFT order), mirroring the hardware's streamed block
+/// reads.
 ///
 /// # Errors
 ///
@@ -117,18 +119,7 @@ pub fn block_ball_query_into(
             actual: centers_per_block.len(),
         });
     }
-    // `!(radius > 0.0)` deliberately rejects NaN radii alongside
-    // non-positive ones.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(radius > 0.0) {
-        return Err(Error::InvalidParameter {
-            name: "radius",
-            message: format!("must be positive, got {radius}"),
-        });
-    }
-    if num == 0 {
-        return Err(Error::InvalidParameter { name: "num", message: "must be at least 1".into() });
-    }
+    ops::check_ball_query(radius, num)?;
 
     out.indices.clear();
     out.center_indices.clear();
@@ -144,10 +135,13 @@ pub fn block_ball_query_into(
     Ok(())
 }
 
-/// One block's body under the block driver: runs the ball query of
-/// `centers` against the search space `space` (block indices) in `ws` and
+/// One block's body under the block driver: gathers the search space
+/// `space` (block indices) into the workspace's local SoA buffers — the
+/// candidate set is loaded on-chip once and shared by every center of the
+/// block (§V-C) — runs [`ops::ball_query_into`] for `centers` against it and
 /// *appends* the neighbor rows, center indices, per-center hit counts and
-/// the block's work to `out`.
+/// the block's work to `out`. A center with no candidate at a finite
+/// distance falls back to itself: its own block is always in the space.
 #[allow(clippy::too_many_arguments)]
 fn ball_query_block(
     cloud: &PointCloud,
@@ -159,24 +153,10 @@ fn ball_query_block(
     ws: &mut Workspace,
     out: &mut BlockNeighborResult,
 ) {
-    let r_sq = radius * radius;
-    let BlockNeighborResult { indices, center_indices, found, .. } = out;
-    indices.reserve(centers.len() * num);
-    found.reserve(centers.len());
-    center_indices.extend_from_slice(centers);
-
-    // Intra-block reuse: the candidate set is loaded on-chip once —
-    // gathered into the workspace's local SoA buffers — and shared by
-    // every center of this block.
     ws.candidates.clear();
     for &g in space {
         ws.candidates.extend_from_slice(&partition.blocks[g].indices);
     }
-    // Counters and reuse statistics come from the shared closed-form model
-    // so prefix/LOD views report bit-identical work without re-running the
-    // fused scan.
-    let (counters, reuse) = ball_query_block_model(ws.candidates.len(), centers.len(), num);
-
     kernels::gather_coords(
         cloud.xs(),
         cloud.ys(),
@@ -186,51 +166,32 @@ fn ball_query_block(
         &mut ws.sy,
         &mut ws.sz,
     );
-    // Batched fused scan over the shared local SoA: tiles of
-    // QUERY_TILE centers share every candidate chunk load, and the
-    // nearest-`num`-within-radius selection keeps the same canonical
-    // semantics as the global ball query, so results differ only
-    // through the restricted search space.
     ws.queries.clear();
     ws.queries.extend(centers.iter().map(|&ci| [cloud.xs()[ci], cloud.ys()[ci], cloud.zs()[ci]]));
+    out.center_indices.extend_from_slice(centers);
     let candidates = &ws.candidates;
-    kernels::ball_select_batch_into(
+    ops::ball_query_into(
         kernels::active_backend(),
         &ws.sx,
         &ws.sy,
         &ws.sz,
         &ws.queries,
-        r_sq,
+        radius,
         num,
         &mut ws.select,
-        |c_row, best, nearest| {
-            found.push(best.len());
-            let row_start = indices.len();
-            indices.extend(best.iter().map(|&(_, slot)| candidates[slot]));
-            if best.is_empty() {
-                // Fallback: nearest candidate in the search space (never
-                // empty: the center's own block is always included), or the
-                // center itself in the degenerate no-finite-distance case —
-                // the same initial value the scalar formulation uses.
-                indices.push(if nearest.1 == usize::MAX {
-                    centers[c_row]
-                } else {
-                    candidates[nearest.1]
-                });
-            }
-            let first = indices[row_start];
-            while indices.len() - row_start < num {
-                indices.push(first);
-            }
-        },
+        &mut out.indices,
+        &mut out.found,
+        |slot| candidates[slot],
+        |row| centers[row],
     );
+    let (counters, reuse) = ball_query_block_model(candidates.len(), centers.len(), num);
     out.push(counters, reuse);
 }
 
 /// Closed-form work model for one block's ball query: `candidates` search
 /// points shared by `centers` query rows, each padded to `num` slots. The
 /// [`OpCounters`] half lives on `OpCounters` itself
-/// ([`OpCounters::ball_query_model`]); this wrapper adds the reuse
+/// ([`OpCounters::shared_neighbor_model`]); this wrapper adds the reuse
 /// statistics (the candidate set is loaded on-chip once and shared by every
 /// center, versus one unshared load per center in the global formulation).
 ///
@@ -242,7 +203,7 @@ pub fn ball_query_block_model(
     centers: usize,
     num: usize,
 ) -> (OpCounters, ReuseStats) {
-    let counters = OpCounters::ball_query_model(candidates, centers, num);
+    let counters = OpCounters::shared_neighbor_model(candidates, centers, num);
     let reuse = ReuseStats {
         shared_loads: candidates as u64,
         unshared_loads: (candidates * centers.max(1)) as u64,

@@ -2,10 +2,10 @@
 //! search spaces.
 
 use crate::bppo::grouping::search_space;
-use crate::bppo::{for_each_block, merge_work, BlockParts, BppoConfig, ReuseStats};
+use crate::bppo::{for_each_block, BlockParts, BppoConfig, ReuseStats};
 use crate::workspace::global_pool;
 use fractalcloud_pointcloud::kernels;
-use fractalcloud_pointcloud::ops::OpCounters;
+use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 
@@ -103,15 +103,6 @@ pub fn block_interpolate(
             // sources so interpolation stays total.
             ws.candidates.extend(0..sources.len());
         }
-        // The targets are exactly the block's points.
-        let targets = &partition.blocks[b].indices;
-        let reuse = ReuseStats {
-            shared_loads: ws.candidates.len() as u64,
-            unshared_loads: (ws.candidates.len() * targets.len().max(1)) as u64,
-        };
-        let mut counters = OpCounters::new();
-        counters.coord_reads += ws.candidates.len() as u64;
-
         // Shared candidate load: gather the search space's source
         // coordinates into the workspace's local SoA buffers once per
         // block.
@@ -124,55 +115,38 @@ pub fn block_interpolate(
             &mut ws.sy,
             &mut ws.sz,
         );
-        let kk = k.min(ws.candidates.len());
+        // The targets are exactly the block's points.
+        let targets = &partition.blocks[b].indices;
+        ws.queries.clear();
+        ws.queries
+            .extend(targets.iter().map(|&ti| [cloud.xs()[ti], cloud.ys()[ti], cloud.zs()[ti]]));
+        let candidates = &ws.candidates;
         let BlockInterpolationResult { features, target_indices, neighbor_indices, .. } = out;
         target_indices.extend_from_slice(targets);
         let base = features.len();
         features.resize(base + targets.len() * channels, 0.0);
         neighbor_indices.reserve(targets.len() * k);
-        // Batched top-k selection (the RSPU top-k unit) over the shared
-        // local SoA: tiles of QUERY_TILE targets share every candidate
-        // chunk load on the active kernel backend, with the top-k heaps
-        // and distance tiles living in the lane's workspace.
-        ws.queries.clear();
-        ws.queries
-            .extend(targets.iter().map(|&ti| [cloud.xs()[ti], cloud.ys()[ti], cloud.zs()[ti]]));
-        let candidates = &ws.candidates;
-        kernels::knn_select_batch_into(
+        // One row written per target.
+        let mut counters = OpCounters::shared_neighbor_model(candidates.len(), targets.len(), 1);
+        counters.feature_reads = ops::interpolate_into(
             kernels::active_backend(),
             &ws.sx,
             &ws.sy,
             &ws.sz,
             &ws.queries,
-            kk,
+            k,
             &mut ws.select,
-            |t_row, best| {
-                counters.distance_evals += candidates.len() as u64;
-                counters.comparisons += candidates.len() as u64;
-                const EPS: f32 = 1e-10;
-                let row = &mut features[base + t_row * channels..][..channels];
-                if best[0].0 <= EPS {
-                    counters.feature_reads += 1;
-                    row.copy_from_slice(sources.feature(candidates[best[0].1]));
-                } else {
-                    let wsum: f32 = best.iter().map(|&(d, _)| 1.0 / (d + EPS)).sum();
-                    for &(d, slot) in best {
-                        counters.feature_reads += 1;
-                        let w = (1.0 / (d + EPS)) / wsum;
-                        for (o, &f) in row.iter_mut().zip(sources.feature(candidates[slot])) {
-                            *o += w * f;
-                        }
-                    }
-                }
-                counters.writes += 1;
-                for slot in 0..k {
-                    neighbor_indices.push(candidates[best[slot.min(best.len() - 1)].1]);
-                }
-            },
+            |slot| sources.feature(candidates[slot]),
+            &mut features[base..],
+            channels,
+            |slot| neighbor_indices.push(candidates[slot]),
             |_| {},
         );
         merge_work(&mut out.counters, &mut out.critical_path, &counters, counters);
-        out.reuse.merge(&reuse);
+        out.reuse.merge(&ReuseStats {
+            shared_loads: candidates.len() as u64,
+            unshared_loads: (candidates.len() * targets.len().max(1)) as u64,
+        });
     });
     Ok(out)
 }

@@ -13,11 +13,15 @@
 //! * [`block_gather`] — block-wise gathering with per-block locality
 //!   accounting (on-chip vs DRAM).
 //!
-//! Each operation is a per-block body that *appends* one block's rows and
-//! work to a result; one driver decides how blocks reach lanes (one lane
-//! streaming every block through the caller's workspace, or contiguous runs
-//! of blocks claimed by the lanes of the thread budget) and one rule merges
-//! the work, so results are bit-identical at every lane count.
+//! Each operation is a per-block body that gathers the block's resident
+//! points, runs the *same* slice-level operation the global form runs
+//! ([`fractalcloud_pointcloud::ops`]: `fps_into`, `ball_query_into`,
+//! `interpolate_into`) and *appends* the block's rows and work to a result;
+//! one driver decides how blocks reach lanes (one lane streaming every block
+//! through the caller's workspace, or contiguous runs of blocks claimed by
+//! the lanes of the thread budget) and one rule
+//! ([`merge_work`](fractalcloud_pointcloud::ops::merge_work)) merges the
+//! work, so results are bit-identical at every lane count.
 //!
 //! All functions take a [`Partition`](fractalcloud_pointcloud::partition::Partition)
 //! — any partitioner works (the paper's
@@ -42,7 +46,6 @@ pub use sampling::{
 };
 
 use crate::workspace::{global_pool, Workspace};
-use fractalcloud_pointcloud::ops::OpCounters;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -114,22 +117,6 @@ pub(crate) trait BlockParts: Default + Send {
     fn absorb(&mut self, later: Self);
 }
 
-/// The one work-merge rule: `work` adds to the `total`, and the critical
-/// path is the largest single block by distance evaluations, ties to the
-/// later block. `peak` is `work` itself for one block, or a later part's
-/// own critical path.
-pub(crate) fn merge_work(
-    total: &mut OpCounters,
-    critical: &mut OpCounters,
-    work: &OpCounters,
-    peak: OpCounters,
-) {
-    total.merge(work);
-    if peak.distance_evals >= critical.distance_evals {
-        *critical = peak;
-    }
-}
-
 /// Contiguous runs per fanned-out lane. A lane that finishes early waits
 /// for about half a run, so fewer, longer runs cost wall time (2 lanes,
 /// 64k points, against one task per block: 4 runs per lane 3–8 % slower,
@@ -187,6 +174,7 @@ pub(crate) fn for_each_block<R, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fractalcloud_pointcloud::ops::{merge_work, OpCounters};
 
     /// A result that records what the driver did: ragged rows (some
     /// blocks append nothing) and work whose distance evaluations tie, so

@@ -1,9 +1,9 @@
 //! Block-wise sampling (BWS): farthest point sampling decomposed per block.
 
-use crate::bppo::{for_each_block, merge_work, BlockParts, BppoConfig};
+use crate::bppo::{for_each_block, BlockParts, BppoConfig};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
-use fractalcloud_pointcloud::ops::OpCounters;
+use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 
@@ -144,9 +144,9 @@ pub fn equal_sample_counts(block_sizes: &[usize], target: usize) -> Vec<usize> {
 /// every block (the search space is the block, never the whole cloud), and
 /// the per-block results are concatenated in block (DFT) order.
 ///
-/// With `config.window_check`, already-sampled points are skipped by the
-/// [`WindowCheck`] lowest-one detector instead of being re-scanned, and the
-/// skipped visits are recorded in `counters.skipped`.
+/// `config.window_check` changes the work reported, never the samples: with
+/// it, visits to already-sampled points are counted in `counters.skipped`
+/// (the RSPU's window-check mask, Fig. 11(c)) instead of as scans.
 ///
 /// # Errors
 ///
@@ -254,25 +254,18 @@ pub fn block_fps_with_counts_into(
 }
 
 /// FPS restricted to `block` (global indices), selecting `m` points — one
-/// block's body under the block driver: the selected global indices and
-/// the block's work are *appended* to `out`. A warmed workspace + result
-/// performs no heap allocation.
+/// block's body under the block driver: the block's coordinates are
+/// gathered into local SoA buffers once (the software analogue of loading
+/// the block into SRAM, §V-C), [`ops::fps_into`] runs over them from the
+/// block's first point in layout order (the hardware uses the first
+/// streamed point), and the selected global indices and the block's work
+/// are *appended* to `out`. A warmed workspace + result performs no heap
+/// allocation.
 ///
-/// The block's coordinates are gathered into local SoA buffers once — the
-/// software analogue of loading the block into SRAM — and every iteration
-/// then runs the fused [`kernels::fps_relax_argmax`] scan over them, on
-/// whichever kernel backend dispatch selected (scalar, chunked SoA, or
-/// AVX2 — the results are bit-identical across backends).
-/// Already-sampled candidates are pinned to `-∞` in the running-distance
-/// array, which excludes them from the argmax exactly as the RSPU's
-/// window-check mask excludes them from the scan: the selected indices are
-/// identical with and without the mask.
-///
-/// Counters come from the shared closed-form model
-/// ([`OpCounters::block_fps_model`], the *hardware* work: with the window
-/// check, iteration `s` visits the `n − s` valid candidates and skips `s`;
-/// without it, all `n`), so prefix/LOD views report bit-identical work
-/// without re-running the scans.
+/// The work is [`OpCounters::fps_model`] — the *hardware* work: with the
+/// window check, iteration `s` visits the `n − s` valid candidates and
+/// skips `s`; without it, all `n`. The mask changes the count, never the
+/// selection: the shared loop pins every pick either way.
 fn fps_block(
     cloud: &PointCloud,
     block: &[usize],
@@ -281,14 +274,10 @@ fn fps_block(
     ws: &mut Workspace,
     out: &mut BlockFpsResult,
 ) {
-    let n = block.len();
-    out.push(OpCounters::block_fps_model(n, m, window_check));
-    if m == 0 || n == 0 {
+    out.push(OpCounters::fps_model(block.len(), m, window_check));
+    if m == 0 {
         return;
     }
-    let m = m.min(n);
-
-    // Local SoA gather: one block load, reused by every scan (§V-C).
     kernels::gather_coords(
         cloud.xs(),
         cloud.ys(),
@@ -298,27 +287,17 @@ fn fps_block(
         &mut ws.sy,
         &mut ws.sz,
     );
-    let (bx, by, bz) = (&ws.sx[..], &ws.sy[..], &ws.sz[..]);
-
-    ws.dist.clear();
-    ws.dist.resize(n, f32::INFINITY);
-    let dist = &mut ws.dist[..];
-    let selected = &mut out.indices;
-    selected.reserve(m);
-
-    // Deterministic start: the block's first point in layout order (the
-    // hardware uses the first streamed point; randomness is irrelevant to
-    // FPS quality for n >> 1).
-    let mut current = 0usize;
-    selected.push(block[current]);
-    dist[current] = f32::NEG_INFINITY; // pinned: sampled points never win
-
-    for _sampled in 1..m {
-        let q = [bx[current], by[current], bz[current]];
-        current = kernels::fps_relax_argmax(bx, by, bz, q, dist);
-        selected.push(block[current]);
-        dist[current] = f32::NEG_INFINITY;
-    }
+    ops::fps_into(
+        kernels::active_backend(),
+        &ws.sx,
+        &ws.sy,
+        &ws.sz,
+        m,
+        0,
+        &mut ws.dist,
+        &mut out.indices,
+        |slot| block[slot],
+    );
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! ([`Pipeline::run_with_partition_budget`](crate::Pipeline::run_with_partition_budget)).
 //!
 //! Counters in sliced views come from the same closed-form models the real
-//! kernel drivers use ([`OpCounters::block_fps_model`],
+//! kernel drivers use ([`OpCounters::fps_model`],
 //! [`ball_query_block_model`]) and are merged by the same per-block rule
 //! the block driver applies, so `prefix(k)` is bit-identical — indices,
 //! distances, counters, reuse, critical path — to actually running the
@@ -218,7 +218,7 @@ impl PipelineOutput {
             let full = &self.sampled.per_block[b];
             sampled.indices.extend_from_slice(&full[..ck]);
             sampled.per_block.push(full[..ck].to_vec());
-            sampled.push(OpCounters::block_fps_model(self.order.block_sizes[b], ck, true));
+            sampled.push(OpCounters::fps_model(self.order.block_sizes[b], ck, true));
             grouped.indices.extend_from_slice(&self.grouped.indices[row * num..(row + ck) * num]);
             grouped.center_indices.extend_from_slice(&self.grouped.center_indices[row..row + ck]);
             grouped.found.extend_from_slice(&self.grouped.found[row..row + ck]);

@@ -30,7 +30,7 @@ use crate::layers::Linear;
 use crate::zoo::ModelConfig;
 use fractalcloud_core::{InferScratch, LevelMeta, PipelineOutput, Workspace};
 use fractalcloud_pointcloud::kernels;
-use fractalcloud_pointcloud::ops::OpCounters;
+use fractalcloud_pointcloud::ops::{self, OpCounters};
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 
 /// Aggregation schedule of the set-abstraction stages.
@@ -426,22 +426,10 @@ impl NetworkExecutor {
                             fractalcloud_obs::SpanKind::BlockSample,
                             u32::MAX,
                         );
-                        dist.clear();
-                        dist.resize(n_in, f32::INFINITY);
                         centers.clear();
-                        let mut current = 0usize;
-                        centers.push(current);
-                        for _ in 1..m_samp {
-                            let q = [xs[current], ys[current], zs[current]];
-                            current = kernels::fps_relax_argmax_with(backend, xs, ys, zs, q, dist);
-                            centers.push(current);
-                        }
+                        ops::fps_into(backend, xs, ys, zs, m_samp, 0, dist, centers, |i| i);
                         span.done();
-                        counters.writes += m_samp as u64;
-                        let scans = (m_samp - 1) as u64;
-                        counters.coord_reads += scans * n_in as u64;
-                        counters.distance_evals += scans * n_in as u64;
-                        counters.comparisons += 2 * scans * n_in as u64;
+                        counters.merge(&OpCounters::fps_model(n_in, m_samp, false));
 
                         let span = fractalcloud_obs::span(
                             fractalcloud_obs::SpanKind::BlockGroup,
@@ -449,38 +437,32 @@ impl NetworkExecutor {
                         );
                         queries.clear();
                         queries.extend(centers.iter().map(|&i| [xs[i], ys[i], zs[i]]));
-                        let r_sq = sa.radius * sa.radius;
-                        let nsample = sa.nsample;
                         neighbors.clear();
-                        kernels::ball_select_batch_into(
+                        // The hit counts land in `counts` and are overwritten
+                        // below: pooling reads the padded rows. A center with
+                        // no candidate at a finite distance (NaN or infinite
+                        // coordinates) groups itself.
+                        counts.clear();
+                        ops::ball_query_into(
                             backend,
                             xs,
                             ys,
                             zs,
                             queries,
-                            r_sq,
-                            nsample,
+                            sa.radius,
+                            sa.nsample,
                             select,
-                            |_, best, nearest| {
-                                let start = neighbors.len();
-                                neighbors.extend(best.iter().map(|&(_, i)| i));
-                                if neighbors.len() == start {
-                                    // Empty ball: fall back to the globally
-                                    // nearest candidate.
-                                    neighbors.push(nearest.1);
-                                }
-                                let first = neighbors[start];
-                                while neighbors.len() < start + nsample {
-                                    neighbors.push(first);
-                                }
-                            },
+                            neighbors,
+                            counts,
+                            |i| i,
+                            |row| centers[row],
                         );
                         span.done();
-                        let scans = centers.len() as u64 * n_in as u64;
-                        counters.coord_reads += scans;
-                        counters.distance_evals += scans;
-                        counters.comparisons += scans;
-                        counters.writes += (centers.len() * nsample) as u64;
+                        counters.merge(&OpCounters::neighbor_model(
+                            n_in,
+                            centers.len(),
+                            sa.nsample,
+                        ));
                     }
                 }
                 c_cnt = centers.len();
@@ -594,7 +576,6 @@ impl NetworkExecutor {
         let has_prop = model.task.has_propagation();
         let mut cur_ch = lvl_meta.last().expect("level 0 exists").channels;
         if has_prop {
-            const EPS: f32 = 1e-10;
             for (i, (fp, pw)) in model.propagation.iter().zip(&self.props).enumerate() {
                 let src = lvl_meta[s_cnt - i];
                 let tgt = lvl_meta[s_cnt - 1 - i];
@@ -603,7 +584,6 @@ impl NetworkExecutor {
                 let szs = &lvl_zs[src.coord_off..src.coord_off + src.len];
                 let t_ch = tgt.channels;
                 let merged = cur_ch + t_ch;
-                let k = fp.k.min(src.len).max(1);
 
                 queries.clear();
                 for t in tgt.coord_off..tgt.coord_off + tgt.len {
@@ -614,46 +594,28 @@ impl NetworkExecutor {
                 // the source features, then the skip level's own features.
                 rows.clear();
                 rows.resize(tgt.len * merged, 0.0);
-                {
-                    let src_feat: &Vec<f32> = pooled;
-                    let src_ch = cur_ch;
-                    kernels::knn_select_batch_into(
-                        backend,
-                        sxs,
-                        sys,
-                        szs,
-                        queries,
-                        k,
-                        select,
-                        |t, best| {
-                            let orow = &mut rows[t * merged..t * merged + src_ch];
-                            if best[0].0 <= EPS {
-                                let i = best[0].1;
-                                orow.copy_from_slice(&src_feat[i * src_ch..(i + 1) * src_ch]);
-                            } else {
-                                let wsum: f32 = best.iter().map(|&(d, _)| 1.0 / (d + EPS)).sum();
-                                for &(d, i) in best {
-                                    let wn = (1.0 / (d + EPS)) / wsum;
-                                    let frow = &src_feat[i * src_ch..(i + 1) * src_ch];
-                                    for (o, &fv) in orow.iter_mut().zip(frow) {
-                                        *o += wn * fv;
-                                    }
-                                }
-                            }
-                        },
-                        |_| {},
-                    );
-                }
+                let src_feat: &[f32] = pooled;
+                // One interpolated row written per target.
+                counters.merge(&OpCounters::neighbor_model(src.len, tgt.len, 1));
+                counters.feature_reads += ops::interpolate_into(
+                    backend,
+                    sxs,
+                    sys,
+                    szs,
+                    queries,
+                    fp.k.max(1),
+                    select,
+                    |i| &src_feat[i * cur_ch..(i + 1) * cur_ch],
+                    rows,
+                    merged,
+                    |_| {},
+                    |_| {},
+                );
                 let tfeats = &lvl_feat[tgt.feat_off..tgt.feat_off + tgt.len * t_ch];
                 for t in 0..tgt.len {
                     rows[t * merged + cur_ch..(t + 1) * merged]
                         .copy_from_slice(&tfeats[t * t_ch..(t + 1) * t_ch]);
                 }
-                let scans = tgt.len as u64 * src.len as u64;
-                counters.coord_reads += scans;
-                counters.distance_evals += scans;
-                counters.feature_reads += (k * tgt.len) as u64;
-                counters.writes += tgt.len as u64;
 
                 let span = mlp_span(s_cnt);
                 mlp_chain(pw, rows, feat_a);

@@ -1,6 +1,7 @@
 //! Operation traces: the shape-level IR accelerator models execute.
 
 use crate::zoo::{ModelConfig, Task};
+use fractalcloud_pointcloud::ops::OpCounters;
 use serde::{Deserialize, Serialize};
 
 /// How an MLP's rows relate to the point structure — accelerator models use
@@ -239,22 +240,24 @@ impl OpTrace {
     }
 
     /// The analytic distance-evaluation count of all *global-search* point
-    /// operations (what PointAcc/Mesorasi/GPU execute): FPS is
-    /// `(n_out − 1) · n_in`, grouping `centers · candidates`, interpolation
-    /// `targets · sources` — the `O(n²)` terms of §II-B.
+    /// operations (what PointAcc/Mesorasi/GPU execute) — the `O(n²)` terms of
+    /// §II-B, from the closed forms the executable operations report
+    /// ([`OpCounters::fps_model`], [`OpCounters::neighbor_model`]): what
+    /// [`NetworkExecutor::run`](crate::NetworkExecutor::run) counts, exactly.
     pub fn global_distance_evals(&self) -> u64 {
         self.ops
             .iter()
-            .map(|op| match op {
-                PnnOp::Sample { n_in, n_out } => (n_out.saturating_sub(1) as u64) * (*n_in as u64),
-                PnnOp::Group { centers, candidates, .. } => {
-                    (*centers as u64) * (*candidates as u64)
+            .map(|op| match *op {
+                PnnOp::Sample { n_in, n_out } => OpCounters::fps_model(n_in, n_out, false),
+                PnnOp::Group { centers, candidates, nsample, .. } => {
+                    OpCounters::neighbor_model(candidates, centers, nsample)
                 }
-                PnnOp::Interpolate { targets, sources, .. } => {
-                    (*targets as u64) * (*sources as u64)
+                PnnOp::Interpolate { targets, sources, k, .. } => {
+                    OpCounters::neighbor_model(sources, targets, k)
                 }
-                _ => 0,
+                _ => OpCounters::new(),
             })
+            .map(|work| work.distance_evals)
             .sum()
     }
 }
@@ -337,6 +340,29 @@ mod tests {
             (10.0..=20.0).contains(&ratio),
             "4× points should cost ≈16× global search, got {ratio}"
         );
+    }
+
+    /// Two derivations, one number: the trace's analytic global-search
+    /// count is what the executor counts while running the same model.
+    #[test]
+    fn global_distance_evals_equal_the_executors_count() {
+        use crate::{Aggregation, InferenceConfig, NetworkExecutor};
+        use fractalcloud_pointcloud::generate::uniform_cube;
+        for model in ModelConfig::table1() {
+            let executor = NetworkExecutor::new(InferenceConfig {
+                aggregation: Aggregation::Delayed,
+                ..InferenceConfig::new(model.clone(), 3)
+            });
+            for n in [1024, 1500] {
+                let run = executor.run(&uniform_cube(n, 5), &mut Default::default()).unwrap();
+                assert_eq!(
+                    OpTrace::build(&model, n).global_distance_evals(),
+                    run.counters.distance_evals,
+                    "{} at {n} points",
+                    model.notation
+                );
+            }
+        }
     }
 
     #[test]

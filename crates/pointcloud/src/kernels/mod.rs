@@ -18,7 +18,8 @@
 //! # Backends
 //!
 //! Every kernel exists in three interchangeable implementations, selected
-//! once per process (and overridable per call via the `*_with` variants):
+//! once per process (and overridable per call via the `*_with` variants or
+//! the `backend` argument of the `*_into` drivers):
 //!
 //! * [`Backend::Scalar`] — straight per-point loops ([`scalar`]); the
 //!   portable floor and the `FRACTALCLOUD_KERNEL=scalar` debugging target.
@@ -62,8 +63,8 @@
 //! # Batched-query selection
 //!
 //! The KNN/ball-query selection scans are dominated by re-streaming the
-//! candidate coordinates once per query. [`knn_select_batch`] and
-//! [`ball_select_batch`] instead process a tile of [`QUERY_TILE`] queries
+//! candidate coordinates once per query. [`knn_select_batch_into`] and
+//! [`ball_select_batch_into`] instead process a tile of [`QUERY_TILE`] queries
 //! per pass: each [`CHUNK`]-sized candidate chunk is loaded once and scored
 //! against every query of the tile while it is hot in L1 (the software
 //! analogue of the RSPU's intra-block candidate reuse, §V-C). Selection per
@@ -129,18 +130,14 @@
 //! zeros included; the one tie `f32::min`/`max` leave open is settled in
 //! [`extrema`] itself, outside the backends.
 //!
-//! # Caller-provided scratch (`*_into` variants)
+//! # Caller-provided scratch
 //!
-//! Every kernel that needs intermediate buffers has a form that writes into
-//! caller-provided storage instead of allocating: [`distances_sq`] has
-//! always taken its output slice, [`gather_coords`] reuses the caller's SoA
-//! vectors, and the batched selection drivers come as
-//! [`knn_select_batch_into`] / [`ball_select_batch_into`], which keep their
-//! top-k heaps, distance tiles and key rows inside a caller-owned
-//! [`SelectScratch`]. A warmed scratch makes the drivers allocation-free;
-//! the no-scratch entry points are thin wrappers that allocate a transient
-//! [`SelectScratch`], so both paths run the same code and return bit-equal
-//! results.
+//! No kernel allocates for itself: [`distances_sq`] takes its output slice,
+//! [`gather_coords`] reuses the caller's SoA vectors, and the batched
+//! selection drivers [`knn_select_batch_into`] / [`ball_select_batch_into`]
+//! keep their top-k heaps, distance tiles and key rows inside a caller-owned
+//! [`SelectScratch`]. A warmed scratch makes the drivers allocation-free,
+//! and a dirty one gives the same results as a fresh one.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -310,26 +307,9 @@ fn assert_soa(xs: &[f32], ys: &[f32], zs: &[f32]) {
 ///
 /// Panics if the slice lengths differ.
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {
-    distances_sq_with(active_backend(), xs, ys, zs, q, out);
-}
-
-/// [`distances_sq`] on an explicit backend (unavailable backends fall back
-/// to [`Backend::Soa`]).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn distances_sq_with(
-    backend: Backend,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    q: [f32; 3],
-    out: &mut [f32],
-) {
     assert_soa(xs, ys, zs);
     assert_eq!(out.len(), xs.len(), "out length mismatch");
-    dispatch!(backend, distances_sq(xs, ys, zs, q, out));
+    dispatch!(active_backend(), distances_sq(xs, ys, zs, q, out));
 }
 
 /// One FPS iteration, fused: relaxes the running nearest-sample distances
@@ -830,20 +810,6 @@ impl SelectScratch {
     }
 }
 
-/// Batched KNN selection on the active backend; see
-/// [`knn_select_batch_with`].
-pub fn knn_select_batch(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    queries: &[[f32; 3]],
-    k: usize,
-    emit: impl FnMut(usize, &[(f32, usize)]),
-    on_insert: impl FnMut(usize),
-) {
-    knn_select_batch_with(active_backend(), xs, ys, zs, queries, k, emit, on_insert);
-}
-
 /// Batched KNN selection: the `k` nearest candidates for every query, with
 /// tiles of [`QUERY_TILE`] queries sharing each pass over the candidate
 /// chunks.
@@ -855,30 +821,10 @@ pub fn knn_select_batch(
 /// per-query call sequences are identical to unbatched scans (tiling only
 /// interleaves them between queries).
 ///
-/// # Panics
-///
-/// Panics if the slice lengths differ or `k` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn knn_select_batch_with(
-    backend: Backend,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    queries: &[[f32; 3]],
-    k: usize,
-    emit: impl FnMut(usize, &[(f32, usize)]),
-    on_insert: impl FnMut(usize),
-) {
-    let mut scratch = SelectScratch::new();
-    knn_select_batch_into(backend, xs, ys, zs, queries, k, &mut scratch, emit, on_insert);
-}
-
-/// [`knn_select_batch_with`] running entirely inside a caller-owned
-/// [`SelectScratch`]: the per-tile [`TopK`] heaps and the tile distance
-/// rows live in `scratch` and are reused across calls (and across queries
-/// of any batch size), so a warmed scratch performs no heap allocation.
-/// Results are bit-identical to the allocating wrappers — they call this
-/// function with a transient scratch.
+/// The per-tile [`TopK`] heaps and the tile distance rows live in the
+/// caller-owned [`SelectScratch`] and are reused across calls (and across
+/// queries of any batch size), so a warmed scratch performs no heap
+/// allocation; a dirty scratch gives the same results as a fresh one.
 ///
 /// # Panics
 ///
@@ -956,20 +902,6 @@ pub fn knn_select_batch_into(
     }
 }
 
-/// Batched ball-query selection on the active backend; see
-/// [`ball_select_batch_with`].
-pub fn ball_select_batch(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    queries: &[[f32; 3]],
-    r_sq: f32,
-    num: usize,
-    emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
-) {
-    ball_select_batch_with(active_backend(), xs, ys, zs, queries, r_sq, num, emit);
-}
-
 /// Batched ball-query selection: the `num` nearest candidates within
 /// `sqrt(r_sq)` for every query, with tiles of [`QUERY_TILE`] queries
 /// sharing each pass over the candidate chunks.
@@ -991,31 +923,10 @@ pub fn ball_select_batch(
 /// distance was strictly below `+∞`, e.g. for an empty candidate set) for
 /// the empty-ball fallback.
 ///
-/// # Panics
-///
-/// Panics if the slice lengths differ, `num` is zero, or there are more
-/// than `u32::MAX` candidates (a hit's slot is the low half of its key).
-#[allow(clippy::too_many_arguments)]
-pub fn ball_select_batch_with(
-    backend: Backend,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    queries: &[[f32; 3]],
-    r_sq: f32,
-    num: usize,
-    emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
-) {
-    let mut scratch = SelectScratch::new();
-    ball_select_batch_into(backend, xs, ys, zs, queries, r_sq, num, &mut scratch, emit);
-}
-
-/// [`ball_select_batch_with`] running entirely inside a caller-owned
-/// [`SelectScratch`]: the per-tile key rows, the unpacked hit row and the
-/// nearest-candidate trackers live in `scratch` and are reused across calls,
-/// so a warmed scratch performs no heap allocation. Results are
-/// bit-identical to the allocating wrappers — they call this function with
-/// a transient scratch.
+/// The per-tile key rows, the unpacked hit row and the nearest-candidate
+/// trackers live in the caller-owned [`SelectScratch`] and are reused
+/// across calls, so a warmed scratch performs no heap allocation; a dirty
+/// scratch gives the same results as a fresh one.
 ///
 /// # Panics
 ///
@@ -1266,7 +1177,7 @@ mod tests {
         let q = [1.5f32, 2.0, -3.0];
         for b in available() {
             let mut out = vec![0.0; pts.len()];
-            distances_sq_with(b, &xs, &ys, &zs, q, &mut out);
+            with_backend(b, || distances_sq(&xs, &ys, &zs, q, &mut out));
             for (i, p) in pts.iter().enumerate() {
                 let expect = (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2);
                 assert_eq!(out[i], expect, "lane {i} on {}", b.name());
@@ -1368,13 +1279,14 @@ mod tests {
                 |_| {},
             );
             let mut fresh: Vec<Vec<(f32, usize)>> = Vec::new();
-            knn_select_batch_with(
+            knn_select_batch_into(
                 b,
                 &xs,
                 &ys,
                 &zs,
                 &queries,
                 5,
+                &mut SelectScratch::new(),
                 |_, p| fresh.push(p.to_vec()),
                 |_| {},
             );
@@ -1386,9 +1298,19 @@ mod tests {
                 ball_scratch.push((best.to_vec(), n));
             });
             let mut ball_fresh: Vec<BallRow> = Vec::new();
-            ball_select_batch_with(b, &xs, &ys, &zs, &queries, 0.5, 4, |_, best, n| {
-                ball_fresh.push((best.to_vec(), n));
-            });
+            ball_select_batch_into(
+                b,
+                &xs,
+                &ys,
+                &zs,
+                &queries,
+                0.5,
+                4,
+                &mut SelectScratch::new(),
+                |_, best, n| {
+                    ball_fresh.push((best.to_vec(), n));
+                },
+            );
             assert_eq!(ball_scratch, ball_fresh, "dirty ball scratch diverged on {}", b.name());
         }
     }
@@ -1503,14 +1425,34 @@ mod tests {
         let (xs, ys, zs) = soa_of(&pts);
         let (nx, ny, nz) = soa_of(&[[f32::NAN, 0.0, 0.0], [f32::INFINITY, 0.0, 0.0]]);
         for b in available() {
-            ball_select_batch_with(b, &xs, &ys, &zs, &[[0.0; 3]], 0.01, 3, |_, best, nearest| {
-                assert!(best.is_empty());
-                assert_eq!(nearest, (1.0, 1), "{}", b.name());
-            });
-            ball_select_batch_with(b, &nx, &ny, &nz, &[[0.0; 3]], 1e30, 3, |_, best, nearest| {
-                assert!(best.is_empty());
-                assert_eq!(nearest, (f32::INFINITY, usize::MAX), "{}", b.name());
-            });
+            ball_select_batch_into(
+                b,
+                &xs,
+                &ys,
+                &zs,
+                &[[0.0; 3]],
+                0.01,
+                3,
+                &mut SelectScratch::new(),
+                |_, best, nearest| {
+                    assert!(best.is_empty());
+                    assert_eq!(nearest, (1.0, 1), "{}", b.name());
+                },
+            );
+            ball_select_batch_into(
+                b,
+                &nx,
+                &ny,
+                &nz,
+                &[[0.0; 3]],
+                1e30,
+                3,
+                &mut SelectScratch::new(),
+                |_, best, nearest| {
+                    assert!(best.is_empty());
+                    assert_eq!(nearest, (f32::INFINITY, usize::MAX), "{}", b.name());
+                },
+            );
         }
     }
 
@@ -1525,13 +1467,14 @@ mod tests {
         for b in available() {
             let mut batched: Vec<Vec<(f32, usize)>> = Vec::new();
             let mut batched_inserts = 0u64;
-            knn_select_batch_with(
+            knn_select_batch_into(
                 b,
                 &xs,
                 &ys,
                 &zs,
                 &queries,
                 k,
+                &mut SelectScratch::new(),
                 |qi, pairs| {
                     assert_eq!(qi, batched.len(), "emit must be in query order");
                     batched.push(pairs.to_vec());
@@ -1541,7 +1484,7 @@ mod tests {
             let mut single_inserts = 0u64;
             for (qi, q) in queries.iter().enumerate() {
                 let mut dbuf = vec![0.0f32; pts.len()];
-                distances_sq_with(b, &xs, &ys, &zs, *q, &mut dbuf);
+                with_backend(b, || distances_sq(&xs, &ys, &zs, *q, &mut dbuf));
                 let mut topk = TopK::new(k);
                 topk.select(&dbuf, |_| single_inserts += 1);
                 assert_eq!(batched[qi], topk.as_slice(), "query {qi} on {}", b.name());
@@ -1553,12 +1496,14 @@ mod tests {
     #[test]
     fn knn_batch_k_larger_than_candidates_emits_all() {
         let (xs, ys, zs) = soa_of(&[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]);
-        knn_select_batch(
+        knn_select_batch_into(
+            active_backend(),
             &xs,
             &ys,
             &zs,
             &[[0.0; 3]],
             5,
+            &mut SelectScratch::new(),
             |_, pairs| assert_eq!(pairs.len(), 2),
             |_| {},
         );
@@ -1575,9 +1520,19 @@ mod tests {
         for b in available() {
             type BallResult = (Vec<(f32, usize)>, (f32, usize));
             let mut got: Vec<BallResult> = Vec::new();
-            ball_select_batch_with(b, &xs, &ys, &zs, &queries, r_sq, num, |_, best, nearest| {
-                got.push((best.to_vec(), nearest));
-            });
+            ball_select_batch_into(
+                b,
+                &xs,
+                &ys,
+                &zs,
+                &queries,
+                r_sq,
+                num,
+                &mut SelectScratch::new(),
+                |_, best, nearest| {
+                    got.push((best.to_vec(), nearest));
+                },
+            );
             for (qi, q) in queries.iter().enumerate() {
                 // Scalar reference formulation.
                 let mut best: Vec<(f32, usize)> = Vec::new();
@@ -1604,7 +1559,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "num must be at least 1")]
     fn ball_batch_rejects_zero_num() {
-        ball_select_batch(&[0.0], &[0.0], &[0.0], &[[0.0; 3]], 1.0, 0, |_, _, _| {});
+        ball_select_batch_into(
+            active_backend(),
+            &[0.0],
+            &[0.0],
+            &[0.0],
+            &[[0.0; 3]],
+            1.0,
+            0,
+            &mut SelectScratch::new(),
+            |_, _, _| {},
+        );
     }
 
     #[test]
@@ -1616,7 +1581,7 @@ mod tests {
         let (xs, ys, zs) = soa_of(&[[1.9e19, 0.0, 0.0], [1.0, 0.0, 0.0]]);
         for b in available() {
             let mut got: Vec<Vec<(f32, usize)>> = Vec::new();
-            ball_select_batch_with(
+            ball_select_batch_into(
                 b,
                 &xs,
                 &ys,
@@ -1624,6 +1589,7 @@ mod tests {
                 &[[-1.9e19, 0.0, 0.0]],
                 f32::INFINITY,
                 4,
+                &mut SelectScratch::new(),
                 |_, best, _| got.push(best.to_vec()),
             );
             // Both squared distances overflow to +inf; both are hits under
@@ -1712,9 +1678,19 @@ mod tests {
     #[test]
     fn ball_batch_empty_candidates_reports_sentinel() {
         let empty: [f32; 0] = [];
-        ball_select_batch(&empty, &empty, &empty, &[[0.0; 3]], 1.0, 3, |_, best, nearest| {
-            assert!(best.is_empty());
-            assert_eq!(nearest, (f32::INFINITY, usize::MAX));
-        });
+        ball_select_batch_into(
+            active_backend(),
+            &empty,
+            &empty,
+            &empty,
+            &[[0.0; 3]],
+            1.0,
+            3,
+            &mut SelectScratch::new(),
+            |_, best, nearest| {
+                assert!(best.is_empty());
+                assert_eq!(nearest, (f32::INFINITY, usize::MAX));
+            },
+        );
     }
 }

@@ -1,8 +1,9 @@
-//! Global ball query (radius-bounded neighbor search).
+//! Ball query (radius-bounded neighbor search): the one row rule, and the
+//! global operation.
 
 use crate::cloud::PointCloud;
 use crate::error::{Error, Result};
-use crate::kernels;
+use crate::kernels::{self, Backend, SelectScratch};
 use crate::ops::OpCounters;
 use crate::point::Point3;
 
@@ -12,7 +13,8 @@ pub struct BallQueryResult {
     /// `centers × num` neighbor indices, row-major, nearest first. Rows with
     /// fewer than `num` in-radius candidates are padded by repeating the
     /// nearest neighbor; rows with none fall back to the globally nearest
-    /// candidate (`usize::MAX` if the candidate set is empty).
+    /// candidate, or to candidate `0` when no candidate is at a finite
+    /// distance (`usize::MAX` if the candidate set is empty).
     pub indices: Vec<usize>,
     /// Neighbors found per center before padding.
     pub found: Vec<usize>,
@@ -34,8 +36,98 @@ impl BallQueryResult {
     }
 }
 
+/// The ball-query row rule over the resident candidates `xs`/`ys`/`zs`: for
+/// every query, the `num` nearest candidates within `radius` (ascending,
+/// equal distances in scan order), selected by the batched fused kernel
+/// [`kernels::ball_select_batch_into`] on `backend`. One `num`-slot row per
+/// query is appended to `indices` as `index(slot)`, and the number of
+/// in-radius hits (before padding) to `found`:
+///
+/// * hits come first, nearest first;
+/// * a row with no hit holds the nearest candidate instead, so downstream
+///   gathers stay well-formed;
+/// * a row with no hit and no candidate at a finite distance — a NaN or
+///   infinite coordinate on either side, an overflowing difference, an empty
+///   candidate set — holds `fallback(row)`, which the caller keeps in range
+///   (it is *not* passed through `index`);
+/// * short rows are padded by repeating their first entry.
+///
+/// The work is [`OpCounters::neighbor_model`] (or its shared-load flavour for
+/// a block); the caller records it.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ, `num` is zero, or there are more
+/// than `u32::MAX` candidates.
+#[allow(clippy::too_many_arguments)]
+pub fn ball_query_into(
+    backend: Backend,
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    queries: &[[f32; 3]],
+    radius: f32,
+    num: usize,
+    select: &mut SelectScratch,
+    indices: &mut Vec<usize>,
+    found: &mut Vec<usize>,
+    index: impl Fn(usize) -> usize,
+    fallback: impl Fn(usize) -> usize,
+) {
+    indices.reserve(queries.len() * num);
+    found.reserve(queries.len());
+    let r_sq = radius * radius;
+    kernels::ball_select_batch_into(
+        backend,
+        xs,
+        ys,
+        zs,
+        queries,
+        r_sq,
+        num,
+        select,
+        |row, best, nearest| {
+            found.push(best.len());
+            let row_start = indices.len();
+            indices.extend(best.iter().map(|&(_, slot)| index(slot)));
+            if best.is_empty() {
+                indices.push(if nearest.1 == usize::MAX {
+                    fallback(row)
+                } else {
+                    index(nearest.1)
+                });
+            }
+            let first = indices[row_start];
+            indices.resize(row_start + num, first);
+        },
+    );
+}
+
+/// The parameter contract of every ball query, global or block-wise.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidParameter`] for a non-positive or NaN `radius`
+/// and for zero `num`.
+pub fn check_ball_query(radius: f32, num: usize) -> Result<()> {
+    // `!(radius > 0.0)` deliberately rejects NaN radii alongside
+    // non-positive ones.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !(radius > 0.0) {
+        return Err(Error::InvalidParameter {
+            name: "radius",
+            message: format!("must be positive, got {radius}"),
+        });
+    }
+    if num == 0 {
+        return Err(Error::InvalidParameter { name: "num", message: "must be at least 1".into() });
+    }
+    Ok(())
+}
+
 /// Global ball query (Fig. 2(b)): for every center, select up to `num`
-/// candidates within `radius`.
+/// candidates within `radius` — [`ball_query_into`] over the whole
+/// candidate cloud on the active [`kernels::Backend`].
 ///
 /// This implementation returns the `num` *nearest* in-radius candidates
 /// (canonical, scan-order-independent semantics). PointNet++'s CUDA kernel
@@ -45,20 +137,15 @@ impl BallQueryResult {
 /// accuracy-proxy metrics rely on. The cost model is unchanged: hardware
 /// scans every candidate either way.
 ///
-/// The scan runs on the batched fused kernel
-/// [`kernels::ball_select_batch`]: tiles of [`kernels::QUERY_TILE`] centers
-/// share every pass over the candidate chunks on the active
-/// [`kernels::Backend`], each chunk's distance + radius-compare pass
-/// produces a hit bitmask plus the chunk minimum (for the nearest-neighbor
-/// fallback), and only hit lanes reach the packed-key top-`num` selection.
-/// Counters are accumulated analytically per scan and match the scalar
-/// reference ([`reference::ball_query`](crate::ops::reference::ball_query))
-/// exactly.
+/// A center with no candidate at a finite distance (a NaN or infinite
+/// coordinate, say) gets a row of candidate `0`: every index of a non-empty
+/// candidate set is in range. Counters are [`OpCounters::neighbor_model`]
+/// and match the scalar reference
+/// ([`reference::ball_query`](crate::ops::reference::ball_query)) exactly.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidParameter`] for non-positive `radius` or zero
-/// `num`.
+/// As [`check_ball_query`].
 ///
 /// # Examples
 ///
@@ -81,54 +168,25 @@ pub fn ball_query(
     radius: f32,
     num: usize,
 ) -> Result<BallQueryResult> {
-    // `!(radius > 0.0)` deliberately rejects NaN radii alongside
-    // non-positive ones.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(radius > 0.0) {
-        return Err(Error::InvalidParameter {
-            name: "radius",
-            message: format!("must be positive, got {radius}"),
-        });
-    }
-    if num == 0 {
-        return Err(Error::InvalidParameter { name: "num", message: "must be at least 1".into() });
-    }
-
-    let r_sq = radius * radius;
+    check_ball_query(radius, num)?;
     let n = candidates.len();
-    let (xs, ys, zs) = (candidates.xs(), candidates.ys(), candidates.zs());
-    let mut counters = OpCounters::new();
-    let mut indices = Vec::with_capacity(centers.len() * num);
-    let mut found = Vec::with_capacity(centers.len());
-
-    // Batched fused scan: tiles of QUERY_TILE centers share every candidate
-    // chunk load; the per-chunk hit mask keeps the radius branch out of the
-    // distance loop, and the chunk minima feed the nearest fallback.
     let queries: Vec<[f32; 3]> = centers.iter().map(|c| [c.x, c.y, c.z]).collect();
-    let mut writes = 0u64;
-    kernels::ball_select_batch(xs, ys, zs, &queries, r_sq, num, |_, best, nearest| {
-        found.push(best.len());
-        let mut row: Vec<usize> = best.iter().map(|&(_, i)| i).collect();
-        if row.is_empty() {
-            // No candidate in radius: fall back to the globally nearest
-            // candidate so downstream gathers stay well-formed.
-            row.push(nearest.1);
-        }
-        let first = row[0];
-        while row.len() < num {
-            row.push(first);
-        }
-        writes += num as u64;
-        indices.extend_from_slice(&row);
-    });
-    counters.writes += writes;
-
-    // Analytic scan counters: one coordinate read, one distance evaluation
-    // and one radius comparison per candidate per center.
-    counters.coord_reads += (centers.len() * n) as u64;
-    counters.distance_evals += (centers.len() * n) as u64;
-    counters.comparisons += (centers.len() * n) as u64;
-
+    let (mut indices, mut found) = (Vec::new(), Vec::new());
+    ball_query_into(
+        kernels::active_backend(),
+        candidates.xs(),
+        candidates.ys(),
+        candidates.zs(),
+        &queries,
+        radius,
+        num,
+        &mut SelectScratch::new(),
+        &mut indices,
+        &mut found,
+        |slot| slot,
+        |_| if n == 0 { usize::MAX } else { 0 },
+    );
+    let counters = OpCounters::neighbor_model(n, centers.len(), num);
     Ok(BallQueryResult { indices, found, num, counters })
 }
 

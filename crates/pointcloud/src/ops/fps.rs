@@ -1,8 +1,8 @@
-//! Global Farthest Point Sampling (FPS).
+//! Farthest point sampling (FPS): the one loop, and the global operation.
 
 use crate::cloud::PointCloud;
 use crate::error::{Error, Result};
-use crate::kernels;
+use crate::kernels::{self, Backend};
 use crate::ops::OpCounters;
 
 /// Output of [`farthest_point_sample`].
@@ -14,24 +14,85 @@ pub struct FpsResult {
     pub counters: OpCounters,
 }
 
+/// The FPS loop over the resident points `xs`/`ys`/`zs`: seeds with slot
+/// `start`, then `min(m, n) - 1` times relaxes the running nearest-sample
+/// distances in `dist` against the newest pick and takes the farthest point
+/// ([`kernels::fps_relax_argmax_with`] on `backend`, first maximum on
+/// ties). Every pick is appended to `out` as `index(slot)` and **pinned** —
+/// its running distance becomes `-∞`, which the strict argmax never selects
+/// — so no point is sampled twice, coincident points included, as the RSPU's
+/// window-check mask excludes it from the scan.
+///
+/// `dist` is scratch, fully reset here. The work is
+/// [`OpCounters::fps_model`]; the caller records it.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ or `start` is out of range while
+/// there is something to select.
+#[allow(clippy::too_many_arguments)]
+pub fn fps_into(
+    backend: Backend,
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    m: usize,
+    start: usize,
+    dist: &mut Vec<f32>,
+    out: &mut Vec<usize>,
+    index: impl Fn(usize) -> usize,
+) {
+    let n = xs.len();
+    let m = m.min(n);
+    if m == 0 {
+        return;
+    }
+    dist.clear();
+    dist.resize(n, f32::INFINITY);
+    out.reserve(m);
+    let mut current = start;
+    for picked in 0..m {
+        if picked > 0 {
+            let q = [xs[current], ys[current], zs[current]];
+            current = kernels::fps_relax_argmax_with(backend, xs, ys, zs, q, dist);
+        }
+        out.push(index(current));
+        dist[current] = f32::NEG_INFINITY;
+    }
+}
+
+/// The parameter contract of global FPS: a non-empty cloud, `m <= n` and
+/// `start < n`.
+pub(crate) fn check_fps(n: usize, m: usize, start: usize) -> Result<()> {
+    if n == 0 {
+        return Err(Error::EmptyCloud);
+    }
+    if m > n {
+        return Err(Error::InvalidParameter {
+            name: "m",
+            message: format!("cannot sample {m} points from a cloud of {n}"),
+        });
+    }
+    if start >= n {
+        return Err(Error::IndexOutOfBounds { index: start, len: n });
+    }
+    Ok(())
+}
+
 /// Global farthest point sampling (Fig. 2(a)).
 ///
 /// Starting from `start` (the paper uses a randomly selected initial point;
 /// passing an explicit index keeps runs reproducible), each iteration selects
 /// the point with the maximum distance to the already-sampled set, using the
-/// standard `O(n·m)` running-minimum formulation: a per-point cache of the
-/// distance to the nearest sampled point is updated against the newest sample
-/// only.
+/// standard `O(n·m)` running-minimum formulation — [`fps_into`] over the
+/// whole cloud on the active [`kernels::Backend`]. The `m` indices are
+/// distinct on any cloud, coincident points included.
 ///
-/// The inner loop runs on the fused kernel [`kernels::fps_relax_argmax`],
-/// dispatched to the active [`kernels::Backend`] (scalar, chunked SoA, or
-/// AVX2): distance evaluation streams the
-/// `xs`/`ys`/`zs` slices directly, and counters are accumulated analytically
-/// per scan (every iteration reads all `n` candidates, evaluates `n`
-/// distances, and performs `2n` comparisons — identical totals to the
-/// retained scalar reference in
-/// [`reference::farthest_point_sample`](crate::ops::reference::farthest_point_sample),
-/// which also returns bit-identical indices).
+/// Every one of the `m - 1` iterations is a full global traversal — the
+/// O(n·m) memory traffic the paper attributes to original FPS — so the
+/// counters are [`OpCounters::fps_model`] without the window check; indices
+/// and counters are identical to the retained scalar reference
+/// ([`reference::farthest_point_sample`](crate::ops::reference::farthest_point_sample)).
 ///
 /// # Errors
 ///
@@ -55,50 +116,11 @@ pub struct FpsResult {
 /// ```
 pub fn farthest_point_sample(cloud: &PointCloud, m: usize, start: usize) -> Result<FpsResult> {
     let n = cloud.len();
-    if n == 0 {
-        return Err(Error::EmptyCloud);
-    }
-    if m > n {
-        return Err(Error::InvalidParameter {
-            name: "m",
-            message: format!("cannot sample {m} points from a cloud of {n}"),
-        });
-    }
-    if start >= n {
-        return Err(Error::IndexOutOfBounds { index: start, len: n });
-    }
-
-    let mut counters = OpCounters::new();
-    let mut indices = Vec::with_capacity(m);
-    if m == 0 {
-        return Ok(FpsResult { indices, counters });
-    }
-
-    // dist[i] = squared distance from point i to the nearest sampled point.
-    let mut dist = vec![f32::INFINITY; n];
+    check_fps(n, m, start)?;
+    let mut indices = Vec::new();
     let (xs, ys, zs) = (cloud.xs(), cloud.ys(), cloud.zs());
-    let mut current = start;
-    indices.push(current);
-    counters.writes += 1;
-
-    for _ in 1..m {
-        let q = [xs[current], ys[current], zs[current]];
-        current = kernels::fps_relax_argmax(xs, ys, zs, q, &mut dist);
-        indices.push(current);
-        counters.writes += 1;
-    }
-
-    // Analytic counters for the scan phase: every one of the `m - 1`
-    // iterations is a full global traversal — the O(n·m) memory traffic the
-    // paper attributes to original FPS — with one distance evaluation and
-    // two comparisons (relax + argmax) per candidate, exactly the
-    // per-element totals of the scalar reference.
-    let scans = (m - 1) as u64;
-    counters.coord_reads += scans * n as u64;
-    counters.distance_evals += scans * n as u64;
-    counters.comparisons += 2 * scans * n as u64;
-
-    Ok(FpsResult { indices, counters })
+    fps_into(kernels::active_backend(), xs, ys, zs, m, start, &mut Vec::new(), &mut indices, |i| i);
+    Ok(FpsResult { indices, counters: OpCounters::fps_model(n, m, false) })
 }
 
 #[cfg(test)]

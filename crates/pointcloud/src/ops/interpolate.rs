@@ -1,8 +1,11 @@
-//! Feature interpolation (the propagation-stage operation).
+//! Feature interpolation (the propagation-stage operation): the one K-NN
+//! scan + inverse-distance blend, and the global operation.
 
 use crate::cloud::PointCloud;
 use crate::error::{Error, Result};
-use crate::ops::{k_nearest_neighbors, OpCounters};
+use crate::kernels::{self, Backend, SelectScratch};
+use crate::ops::knn::{check_k, insertion_cost};
+use crate::ops::OpCounters;
 use crate::point::Point3;
 
 /// Output of [`interpolate_features`].
@@ -23,25 +26,95 @@ impl InterpolationResult {
     }
 }
 
+/// Inverse-distance-weighted K-NN interpolation over the resident sources
+/// `xs`/`ys`/`zs`: every query selects its `min(k, n)` nearest sources
+/// ([`kernels::knn_select_batch_into`] on `backend`) and *adds* the
+/// standard PointNet++ `three_interpolate` blend of their feature rows —
+/// weights `wᵢ = (1/(dᵢ² + ε)) / Σⱼ 1/(dⱼ² + ε)` — into its output row,
+/// `out[t * stride..][..channels]`, which the caller hands over zeroed. A
+/// query within `ε` of its nearest source copies that source's row instead.
+/// `feature(slot)` is the source's feature row; its length is the channel
+/// count.
+///
+/// After each blend, `neighbor(slot)` receives the query's `k` neighbor
+/// slots, nearest first, the farthest repeated when fewer than `k` sources
+/// exist. `on_insert(len_before)` is forwarded from the top-k buffers for
+/// insertion-cost accounting. Returns the number of feature rows read (one
+/// for an exact hit, `min(k, n)` otherwise); the scan itself is
+/// [`OpCounters::neighbor_model`] or its shared-load flavour, and the
+/// caller records both.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ, `k` is zero, there are no sources,
+/// or `out` is too short.
+#[allow(clippy::too_many_arguments)]
+pub fn interpolate_into<'f>(
+    backend: Backend,
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    queries: &[[f32; 3]],
+    k: usize,
+    select: &mut SelectScratch,
+    feature: impl Fn(usize) -> &'f [f32],
+    out: &mut [f32],
+    stride: usize,
+    mut neighbor: impl FnMut(usize),
+    on_insert: impl FnMut(usize),
+) -> u64 {
+    const EPS: f32 = 1e-10;
+    let mut feature_reads = 0u64;
+    kernels::knn_select_batch_into(
+        backend,
+        xs,
+        ys,
+        zs,
+        queries,
+        k.min(xs.len()),
+        select,
+        |t, best| {
+            let (d0, nearest) = best[0];
+            let row = &mut out[t * stride..][..feature(nearest).len()];
+            if d0 <= EPS {
+                feature_reads += 1;
+                row.copy_from_slice(feature(nearest));
+            } else {
+                feature_reads += best.len() as u64;
+                let wsum: f32 = best.iter().map(|&(d, _)| 1.0 / (d + EPS)).sum();
+                for &(d, slot) in best {
+                    let w = (1.0 / (d + EPS)) / wsum;
+                    for (o, &f) in row.iter_mut().zip(feature(slot)) {
+                        *o += w * f;
+                    }
+                }
+            }
+            (0..k).for_each(|j| neighbor(best[j.min(best.len() - 1)].1));
+        },
+        on_insert,
+    );
+    feature_reads
+}
+
 /// Inverse-distance-weighted K-NN interpolation (Fig. 2(c)), the standard
 /// PointNet++ `three_interpolate`: each target point receives the
 /// distance-weighted average of the features of its `k` nearest source
-/// points, with weights `wᵢ = (1/dᵢ²) / Σⱼ 1/dⱼ²`.
+/// points, with weights `wᵢ = (1/dᵢ²) / Σⱼ 1/dⱼ²` — [`interpolate_into`]
+/// over the whole source cloud on the active
+/// [`kernels::Backend`](crate::kernels::Backend).
 ///
 /// A target coincident with a source (d = 0) copies that source's features
 /// exactly.
 ///
-/// The embedded neighbor search runs on the batched KNN kernel (dispatched
-/// to the active [`kernels::Backend`](crate::kernels::Backend)); the
-/// weighting stage reuses one weight buffer across targets instead of
-/// allocating per target. Results and counters are identical to the scalar
-/// reference
+/// Results and counters (the embedded KNN's included) are identical to the
+/// scalar reference
 /// ([`reference::interpolate_features`](crate::ops::reference::interpolate_features)).
 ///
 /// # Errors
 ///
-/// Propagates KNN parameter errors; see
-/// [`k_nearest_neighbors`].
+/// Returns [`Error::InvalidParameter`] for an unfeatured source cloud, and
+/// the KNN parameter errors of
+/// [`k_nearest_neighbors`](crate::ops::k_nearest_neighbors).
 ///
 /// # Examples
 ///
@@ -62,44 +135,37 @@ pub fn interpolate_features(
     targets: &[Point3],
     k: usize,
 ) -> Result<InterpolationResult> {
-    if sources.channels() == 0 {
+    let channels = sources.channels();
+    if channels == 0 {
         return Err(Error::InvalidParameter {
             name: "sources",
             message: "source cloud must carry features to interpolate".into(),
         });
     }
-    let knn = k_nearest_neighbors(sources, targets, k)?;
-    let channels = sources.channels();
-    let mut counters = knn.counters;
+    let n = sources.len();
+    check_k(n, k)?;
+    let queries: Vec<[f32; 3]> = targets.iter().map(|c| [c.x, c.y, c.z]).collect();
     let mut features = vec![0.0f32; targets.len() * channels];
-
-    const EPS: f32 = 1e-10;
-    let mut weights: Vec<f32> = Vec::with_capacity(k);
-    for t in 0..targets.len() {
-        let idx_row = knn.row(t);
-        let d_row = knn.distance_row(t);
-        // Exact hit: copy features directly.
-        if d_row[0] <= EPS {
-            counters.feature_reads += 1;
-            features[t * channels..(t + 1) * channels].copy_from_slice(sources.feature(idx_row[0]));
-            counters.writes += 1;
-            continue;
-        }
-        weights.clear();
-        weights.extend(d_row.iter().map(|&d| 1.0 / (d + EPS)));
-        let wsum: f32 = weights.iter().sum();
-        let out = &mut features[t * channels..(t + 1) * channels];
-        for (&i, &w) in idx_row.iter().zip(&weights) {
-            counters.feature_reads += 1;
-            let f = sources.feature(i);
-            let wn = w / wsum;
-            for (o, &fv) in out.iter_mut().zip(f) {
-                *o += wn * fv;
-            }
-        }
-        counters.writes += 1;
-    }
-
+    // The embedded KNN writes its `k` neighbors per target, the blend one
+    // feature row.
+    let mut counters = OpCounters::neighbor_model(n, targets.len(), k);
+    counters.writes += targets.len() as u64;
+    let mut insertions = 0u64;
+    counters.feature_reads = interpolate_into(
+        kernels::active_backend(),
+        sources.xs(),
+        sources.ys(),
+        sources.zs(),
+        &queries,
+        k,
+        &mut SelectScratch::new(),
+        |i| sources.feature(i),
+        &mut features,
+        channels,
+        |_| {},
+        |len_before| insertions += insertion_cost(len_before),
+    );
+    counters.comparisons += insertions;
     Ok(InterpolationResult { features, channels, counters })
 }
 

@@ -2,7 +2,7 @@
 
 use crate::cloud::PointCloud;
 use crate::error::{Error, Result};
-use crate::kernels;
+use crate::kernels::{self, SelectScratch};
 use crate::ops::OpCounters;
 use crate::point::Point3;
 
@@ -37,19 +37,39 @@ impl KnnResult {
     }
 }
 
+/// The comparisons one accepted candidate costs the top-k insertion buffer
+/// holding `len_before` entries: log₂ of the occupancy, at least 1 — the
+/// scalar reference's insertion-cost model.
+pub(crate) fn insertion_cost(len_before: usize) -> u64 {
+    (len_before as f64).log2().max(1.0) as u64
+}
+
+/// The parameter contract of every global K-NN search: a non-empty
+/// candidate set and `1 <= k <= n`.
+pub(crate) fn check_k(n: usize, k: usize) -> Result<()> {
+    if n == 0 {
+        return Err(Error::EmptyCloud);
+    }
+    if k == 0 || k > n {
+        return Err(Error::InvalidParameter {
+            name: "k",
+            message: format!("k={k} must be in 1..={n}"),
+        });
+    }
+    Ok(())
+}
+
 /// Exact brute-force KNN (Fig. 2(c)): for every center, the `k` closest
 /// candidates without radius constraint, searching the entire candidate set.
 ///
 /// Implemented with the top-k running-insertion structure the RSPU's merge
 /// sorter realizes in hardware: a size-`k` sorted buffer per center, fed by
-/// the batched selection kernel [`kernels::knn_select_batch`] — tiles of
-/// [`kernels::QUERY_TILE`] centers share every pass over the candidate
-/// chunks on the active [`kernels::Backend`], and the branchy top-k
-/// selection consumes each chunk's distances while they are hot in L1.
-/// Scan-phase counters are accumulated analytically and match the scalar
-/// reference
+/// the batched selection kernel [`kernels::knn_select_batch_into`] on the
+/// active [`kernels::Backend`]. Counters are
+/// [`OpCounters::neighbor_model`] plus the data-dependent insertion costs,
+/// and match the scalar reference
 /// ([`reference::k_nearest_neighbors`](crate::ops::reference::k_nearest_neighbors))
-/// exactly, insertion costs included.
+/// exactly.
 ///
 /// # Errors
 ///
@@ -75,54 +95,28 @@ pub fn k_nearest_neighbors(
     centers: &[Point3],
     k: usize,
 ) -> Result<KnnResult> {
-    if candidates.is_empty() {
-        return Err(Error::EmptyCloud);
-    }
-    if k == 0 || k > candidates.len() {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            message: format!("k={k} must be in 1..={}", candidates.len()),
-        });
-    }
-
     let n = candidates.len();
-    let (xs, ys, zs) = (candidates.xs(), candidates.ys(), candidates.zs());
-    let mut counters = OpCounters::new();
+    check_k(n, k)?;
     let mut indices = Vec::with_capacity(centers.len() * k);
     let mut distances = Vec::with_capacity(centers.len() * k);
-
-    // Batched selection: tiles of QUERY_TILE centers share every candidate
-    // chunk load; per-center results and insertion sequences are identical
-    // to one-center-at-a-time scans.
     let queries: Vec<[f32; 3]> = centers.iter().map(|c| [c.x, c.y, c.z]).collect();
-    let mut insert_comparisons = 0u64;
-    let mut writes = 0u64;
-    kernels::knn_select_batch(
-        xs,
-        ys,
-        zs,
+    let mut counters = OpCounters::neighbor_model(n, centers.len(), k);
+    kernels::knn_select_batch_into(
+        kernels::active_backend(),
+        candidates.xs(),
+        candidates.ys(),
+        candidates.zs(),
         &queries,
         k,
+        &mut SelectScratch::new(),
         |_, best| {
             for &(d, i) in best {
                 indices.push(i);
                 distances.push(d);
-                writes += 1;
             }
         },
-        // Same insertion-cost model as the scalar reference: log₂ of the
-        // buffer occupancy (min 1) per accepted candidate.
-        |len_before| insert_comparisons += (len_before as f64).log2().max(1.0) as u64,
+        |len_before| counters.comparisons += insertion_cost(len_before),
     );
-    counters.writes += writes;
-
-    // Analytic scan counters: every center reads and evaluates all `n`
-    // candidates and performs one threshold comparison each, plus the
-    // data-dependent insertion costs tallied above.
-    counters.coord_reads += (centers.len() * n) as u64;
-    counters.distance_evals += (centers.len() * n) as u64;
-    counters.comparisons += (centers.len() * n) as u64 + insert_comparisons;
-
     Ok(KnnResult { indices, distances_sq: distances, k, counters })
 }
 

@@ -1,21 +1,28 @@
-//! Reference (global-search) point operations.
+//! Point operations (§II-B): farthest point sampling, ball query, KNN,
+//! gather and K-NN interpolation.
 //!
-//! These are the *original* point operations of §II-B: iterative global FPS,
-//! global ball query, global KNN, gather, and 3-NN interpolation. They are
-//! exact, `O(n²)`-style implementations used as (a) the functional baseline
-//! the block-parallel versions are validated against, and (b) the source of
-//! operation counts consumed by the PointAcc/Mesorasi/GPU cost models.
+//! The paper runs all of them on one datapath (RSPU, §V-C); a *global* and
+//! a *block-wise* operation differ only in which points are resident
+//! (§IV-B). So each operation has one slice-level body here — [`fps_into`],
+//! [`ball_query_into`], [`interpolate_into`] — over SoA coordinate slices:
+//! the caller resolves the kernel backend once, passes scratch in, and gets
+//! results appended to its buffers through a `slot → index` map. A global
+//! operation hands a body the whole cloud and the identity map, a block body
+//! in `fractalcloud-core` a gathered search space and `candidates[slot]`,
+//! the inference executor one pyramid level. The functions taking a
+//! [`PointCloud`](crate::PointCloud) and returning an owned result are the
+//! one allocating convenience layer over the bodies.
 //!
-//! Every operation fills an [`OpCounters`] record with the number of distance
-//! evaluations, comparisons, and element-granularity memory touches it
-//! performed, so architecture models can be driven by *measured* work rather
-//! than closed-form guesses.
+//! A body does no accounting. Every closed form lives on [`OpCounters`]
+//! ([`fps_model`](OpCounters::fps_model),
+//! [`neighbor_model`](OpCounters::neighbor_model) and its shared-load
+//! flavour) beside [`merge_work`], the one rule for combining per-block
+//! work; only data-dependent terms (top-k insertion costs, feature rows
+//! read) are counted where they happen.
 //!
-//! The hot loops run on the chunked SoA kernels of
-//! [`kernels`](crate::kernels); counters are accumulated per scan
-//! (analytically) instead of per element, with totals identical to the
-//! retained scalar baselines in [`reference`]. Property tests assert
-//! index/distance/counter equality between the two paths.
+//! [`mod@reference`] keeps the seed's per-point formulations as the oracle:
+//! property tests assert index, distance and counter equality against them
+//! on every kernel backend.
 
 mod ball_query;
 mod fps;
@@ -24,10 +31,10 @@ mod interpolate;
 mod knn;
 pub mod reference;
 
-pub use ball_query::{ball_query, BallQueryResult};
-pub use fps::{farthest_point_sample, FpsResult};
+pub use ball_query::{ball_query, ball_query_into, check_ball_query, BallQueryResult};
+pub use fps::{farthest_point_sample, fps_into, FpsResult};
 pub use gather::{gather_features, group_points, GroupedFeatures};
-pub use interpolate::{interpolate_features, InterpolationResult};
+pub use interpolate::{interpolate_features, interpolate_into, InterpolationResult};
 pub use knn::{k_nearest_neighbors, KnnResult};
 
 use serde::{Deserialize, Serialize};
@@ -89,18 +96,19 @@ impl OpCounters {
         self.coord_reads + self.feature_reads + self.writes
     }
 
-    /// Closed-form work model for block FPS: selecting `m` samples out of an
-    /// `n`-point block. This is the single source of truth shared by the real
-    /// block FPS body in `fractalcloud-core` and the prefix/LOD views, so a
-    /// sliced `PipelineOutput::prefix(k)` reports bit-identical counters to a
-    /// pipeline actually run at the smaller budget.
+    /// Closed-form work of FPS selecting `m` of `n` resident points — the
+    /// whole cloud for a global operation, one block for a block-wise one.
+    /// The one source of truth for the executable operations, the
+    /// prefix/LOD views (a sliced `PipelineOutput::prefix(k)` reports
+    /// bit-identical counters to a pipeline run at the smaller budget) and
+    /// the analytic accelerator models.
     ///
     /// Scan `s` (for `s` in `1..m`) visits `n - s` candidates under the
     /// window check (already-sampled points are skipped) or all `n` without
     /// it; every visit costs one coordinate read, one distance evaluation,
     /// and two comparisons (distance merge + argmax). Each selection —
     /// including the seed — is one write.
-    pub fn block_fps_model(n: usize, m: usize, window_check: bool) -> OpCounters {
+    pub fn fps_model(n: usize, m: usize, window_check: bool) -> OpCounters {
         let mut counters = OpCounters::new();
         if m == 0 || n == 0 {
             return counters;
@@ -119,21 +127,48 @@ impl OpCounters {
         counters
     }
 
-    /// Closed-form work model for block ball query: `centers` query rows over
-    /// a shared `candidates`-point search space, each row padded to `num`
-    /// slots. Shared with the block ball-query body in `fractalcloud-core`
-    /// and the prefix/LOD views — see [`OpCounters::block_fps_model`].
-    ///
-    /// The candidate coordinates are read once per block (even when the block
-    /// contributes zero centers); each center evaluates every candidate
-    /// (one distance, one comparison) and writes `num` neighbor slots.
-    pub fn ball_query_model(candidates: usize, centers: usize, num: usize) -> OpCounters {
-        let mut counters = OpCounters::new();
-        counters.coord_reads = candidates as u64;
-        counters.distance_evals = (centers * candidates) as u64;
-        counters.comparisons = (centers * candidates) as u64;
-        counters.writes = (centers * num) as u64;
-        counters
+    /// Closed-form work of a neighbour search (ball query or KNN scan) in
+    /// which every one of `centers` query rows loads every one of
+    /// `candidates` points itself — the global formulation: one coordinate
+    /// read, one distance evaluation and one comparison per pair, and `num`
+    /// result records written per row.
+    pub fn neighbor_model(candidates: usize, centers: usize, num: usize) -> OpCounters {
+        let pairs = centers as u64 * candidates as u64;
+        OpCounters {
+            coord_reads: pairs,
+            distance_evals: pairs,
+            comparisons: pairs,
+            writes: centers as u64 * num as u64,
+            ..OpCounters::new()
+        }
+    }
+
+    /// [`OpCounters::neighbor_model`] for a block whose candidates are
+    /// loaded on-chip once and shared by all its query rows (§V-C): the
+    /// coordinate reads are `candidates`, even when the block contributes
+    /// zero rows; everything else is unchanged.
+    pub fn shared_neighbor_model(candidates: usize, centers: usize, num: usize) -> OpCounters {
+        OpCounters {
+            coord_reads: candidates as u64,
+            ..OpCounters::neighbor_model(candidates, centers, num)
+        }
+    }
+}
+
+/// The one rule for combining per-block work: `work` adds to the `total`,
+/// and the critical path — what bounds the makespan when blocks run on
+/// parallel RSPUs — is the largest single block by distance evaluations,
+/// ties to the later block. `peak` is `work` itself for one block, or the
+/// critical path of a run of later blocks.
+pub fn merge_work(
+    total: &mut OpCounters,
+    critical: &mut OpCounters,
+    work: &OpCounters,
+    peak: OpCounters,
+) {
+    total.merge(work);
+    if peak.distance_evals >= critical.distance_evals {
+        *critical = peak;
     }
 }
 

@@ -11,14 +11,17 @@
 //! counterpart in [`ops`](crate::ops).
 
 // The seed's formulations are preserved verbatim — equivalence against them
-// is the whole point — so style lints on the loop shapes are silenced, and
-// `!(radius > 0.0)` is the deliberate NaN-rejecting validation.
+// is the whole point — so style lints on the loop shapes are silenced. Only
+// the parameter contracts are shared with the optimized operations.
 #![allow(clippy::needless_range_loop)]
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 use crate::cloud::PointCloud;
 use crate::error::{Error, Result};
-use crate::ops::{BallQueryResult, FpsResult, InterpolationResult, KnnResult, OpCounters};
+use crate::ops::fps::check_fps;
+use crate::ops::knn::check_k;
+use crate::ops::{
+    check_ball_query, BallQueryResult, FpsResult, InterpolationResult, KnnResult, OpCounters,
+};
 use crate::point::Point3;
 
 /// Scalar global farthest point sampling; see
@@ -29,18 +32,7 @@ use crate::point::Point3;
 /// Same contract as the optimized operation.
 pub fn farthest_point_sample(cloud: &PointCloud, m: usize, start: usize) -> Result<FpsResult> {
     let n = cloud.len();
-    if n == 0 {
-        return Err(Error::EmptyCloud);
-    }
-    if m > n {
-        return Err(Error::InvalidParameter {
-            name: "m",
-            message: format!("cannot sample {m} points from a cloud of {n}"),
-        });
-    }
-    if start >= n {
-        return Err(Error::IndexOutOfBounds { index: start, len: n });
-    }
+    check_fps(n, m, start)?;
 
     let mut counters = OpCounters::new();
     let mut indices = Vec::with_capacity(m);
@@ -55,6 +47,7 @@ pub fn farthest_point_sample(cloud: &PointCloud, m: usize, start: usize) -> Resu
     counters.writes += 1;
 
     for _ in 1..m {
+        dist[current] = f32::NEG_INFINITY; // pinned: a sampled point never wins again
         let latest = cloud.point(current);
         let mut best = 0usize;
         let mut best_d = f32::NEG_INFINITY;
@@ -93,15 +86,7 @@ pub fn k_nearest_neighbors(
     centers: &[Point3],
     k: usize,
 ) -> Result<KnnResult> {
-    if candidates.is_empty() {
-        return Err(Error::EmptyCloud);
-    }
-    if k == 0 || k > candidates.len() {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            message: format!("k={k} must be in 1..={}", candidates.len()),
-        });
-    }
+    check_k(candidates.len(), k)?;
 
     let mut counters = OpCounters::new();
     let mut indices = Vec::with_capacity(centers.len() * k);
@@ -147,15 +132,7 @@ pub fn ball_query(
     radius: f32,
     num: usize,
 ) -> Result<BallQueryResult> {
-    if !(radius > 0.0) {
-        return Err(Error::InvalidParameter {
-            name: "radius",
-            message: format!("must be positive, got {radius}"),
-        });
-    }
-    if num == 0 {
-        return Err(Error::InvalidParameter { name: "num", message: "must be at least 1".into() });
-    }
+    check_ball_query(radius, num)?;
 
     let r_sq = radius * radius;
     let mut counters = OpCounters::new();
@@ -187,8 +164,9 @@ pub fn ball_query(
         let mut row: Vec<usize> = best.iter().map(|&(_, i)| i).collect();
         if row.is_empty() {
             // No candidate in radius: fall back to the globally nearest
-            // candidate so downstream gathers stay well-formed.
-            row.push(nearest.1);
+            // candidate, or candidate 0 when none is at a finite distance, so
+            // downstream gathers stay well-formed.
+            row.push(if nearest.1 == usize::MAX && !candidates.is_empty() { 0 } else { nearest.1 });
         }
         let first = row[0];
         while row.len() < num {

@@ -9,7 +9,8 @@
 
 use fractalcloud_pointcloud::kernels::{self, Backend, SelectScratch, CHUNK, QUERY_TILE};
 use fractalcloud_pointcloud::ops::{
-    ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors, reference,
+    ball_query, ball_query_into, farthest_point_sample, interpolate_features, k_nearest_neighbors,
+    reference,
 };
 use fractalcloud_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;
@@ -139,37 +140,31 @@ fn arb_ball_cloud() -> impl Strategy<Value = Vec<Point3>> {
     })
 }
 
-/// The padded rows and hit counts `ops::ball_query` would build, straight
-/// off the `_into` driver on `backend` with the caller's scratch.
+/// The padded rows and hit counts `ops::ball_query` builds, from the same
+/// slice-level body on `backend` with the caller's scratch.
 fn select_rows(
     backend: Backend,
     cloud: &PointCloud,
     centers: &[Point3],
-    r_sq: f32,
+    radius: f32,
     num: usize,
     scratch: &mut SelectScratch,
 ) -> (Vec<usize>, Vec<usize>) {
     let queries: Vec<[f32; 3]> = centers.iter().map(|c| [c.x, c.y, c.z]).collect();
     let (mut indices, mut found) = (Vec::new(), Vec::new());
-    kernels::ball_select_batch_into(
+    ball_query_into(
         backend,
         cloud.xs(),
         cloud.ys(),
         cloud.zs(),
         &queries,
-        r_sq,
+        radius,
         num,
         scratch,
-        |_, best, nearest| {
-            found.push(best.len());
-            let start = indices.len();
-            indices.extend(best.iter().map(|&(_, i)| i));
-            if best.is_empty() {
-                indices.push(nearest.1);
-            }
-            let first = indices[start];
-            indices.resize(start + num, first);
-        },
+        &mut indices,
+        &mut found,
+        |slot| slot,
+        |_| if cloud.is_empty() { usize::MAX } else { 0 },
     );
     (indices, found)
 }
@@ -209,10 +204,12 @@ proptest! {
         prop_assert_eq!(&kernel.indices, &scalar.indices);
         prop_assert_eq!(&kernel.found, &scalar.found);
         prop_assert_eq!(kernel.counters, scalar.counters);
+        // NaN and infinite centers included: a row never leaves the cloud.
+        prop_assert!(cloud.is_empty() || kernel.indices.iter().all(|&i| i < cloud.len()));
         let mut scratch = SelectScratch::new();
         for b in Backend::ALL {
-            select_rows(b, &cloud, &centers, radius * radius, dirty_num, &mut scratch);
-            let (indices, found) = select_rows(b, &cloud, &centers, radius * radius, num, &mut scratch);
+            select_rows(b, &cloud, &centers, radius, dirty_num, &mut scratch);
+            let (indices, found) = select_rows(b, &cloud, &centers, radius, num, &mut scratch);
             prop_assert_eq!(&indices, &scalar.indices);
             prop_assert_eq!(&found, &scalar.found);
         }
@@ -240,6 +237,45 @@ fn ball_query_empty_cloud_reports_sentinel_rows() {
         let got = kernels::with_backend(b, || ball_query(&empty, &centers, 1.0, 3).unwrap());
         assert_eq!(got.indices, vec![usize::MAX; 6], "backend {}", b.name());
         assert_eq!(got.found, vec![0, 0]);
+    }
+}
+
+#[test]
+fn ball_query_non_finite_center_rows_stay_in_range() {
+    // No candidate is at a finite distance from such a center: the row
+    // falls back to candidate 0 instead of the kernel's `usize::MAX`.
+    let cloud = fractalcloud_pointcloud::generate::uniform_cube(70, 5);
+    let centers = [
+        Point3::new(f32::NAN, 0.0, 0.0),
+        Point3::new(0.0, f32::INFINITY, 0.0),
+        Point3::splat(f32::MAX),
+        cloud.point(3),
+    ];
+    let scalar = reference::ball_query(&cloud, &centers, 0.3, 4).unwrap();
+    assert_eq!(scalar.indices[..12], [0; 12]);
+    assert_eq!(scalar.indices[12], 3);
+    for b in Backend::ALL {
+        let got = kernels::with_backend(b, || ball_query(&cloud, &centers, 0.3, 4).unwrap());
+        assert_eq!(got, scalar, "backend {}", b.name());
+    }
+}
+
+#[test]
+fn fps_on_coincident_points_returns_distinct_indices() {
+    // A sampled point is pinned: its coincident twin can still be picked,
+    // the point itself never again.
+    let (a, b, c) = (Point3::ORIGIN, Point3::new(1.0, 0.0, 0.0), Point3::new(0.0, 3.0, 0.0));
+    for pts in [vec![a, b, b, a, c], vec![b; 4]] {
+        let cloud = PointCloud::from_points(pts);
+        let n = cloud.len();
+        let scalar = reference::farthest_point_sample(&cloud, n, 0).unwrap();
+        let mut sorted = scalar.indices.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+        for b in Backend::ALL {
+            let got = kernels::with_backend(b, || farthest_point_sample(&cloud, n, 0).unwrap());
+            assert_eq!(got, scalar, "backend {}", b.name());
+        }
     }
 }
 

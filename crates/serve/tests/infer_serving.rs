@@ -126,3 +126,34 @@ fn server_default_byte_resolves_to_a_concrete_schedule() {
     server.shutdown();
     engine.shutdown();
 }
+
+/// One NaN coordinate is a defined result, not a dead worker: in-process
+/// and over TCP the reply carries in-range rows (the NaN reaches the
+/// logits, bit-identically on both paths) and no worker panics.
+#[test]
+fn one_nan_coordinate_is_a_reply_not_a_worker_panic() {
+    let (mut server, engine) = serve();
+    let mut points: Vec<_> = uniform_cube(1024, 29).iter().collect();
+    points[500].x = f32::NAN;
+    let cloud = fractalcloud_pointcloud::PointCloud::from_points(points);
+
+    let direct = engine
+        .process_infer(
+            Arc::new(cloud.clone()),
+            InferRequest {
+                aggregation: Some(Aggregation::Delayed),
+                ..InferRequest::new(zoo_model())
+            },
+        )
+        .expect("in-process infer");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let wire = client.infer(&cloud, &wire_request(AGG_DELAYED)).expect("tcp infer");
+
+    assert!(direct.output.row_index.iter().all(|&i| i < cloud.len()));
+    assert_eq!(direct.output.logits.len(), direct.output.row_index.len() * direct.output.classes);
+    assert_eq!(bits(&wire.logits), bits(&direct.output.logits));
+    assert_eq!(engine.metrics().worker_panics, 0);
+
+    server.shutdown();
+    engine.shutdown();
+}
