@@ -7,7 +7,7 @@ use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud_pointcloud::kernels::{self, Backend, SelectScratch};
 use fractalcloud_pointcloud::ops::{
-    ball_query, farthest_point_sample, k_nearest_neighbors, reference,
+    ball_query, ball_query_into, farthest_point_sample, k_nearest_neighbors, reference,
 };
 use fractalcloud_pointcloud::Point3;
 
@@ -37,6 +37,76 @@ fn bench_point_ops(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    group.finish();
+}
+
+/// Grouping at scene scale, where it dominates a cold frame: sequential
+/// block-wise ball query over a 64k room at threshold 256, and one real
+/// parent search space through the row rule with the scan starting at slot
+/// 0 vs at its centers' own block (the block with the most centers among
+/// those not first in their space). Whole search spaces, unlike fcbench's one-leaf
+/// `ball_select_ns_per_pair`, so the scan start shows.
+fn bench_point_ops_64k(c: &mut Criterion) {
+    let cloud = scene_cloud(&SceneConfig::default(), 65_536, 42);
+    let part = Fractal::with_threshold(256).build(&cloud).unwrap().partition;
+    let fps = block_fps(&cloud, &part, 0.25, &BppoConfig::sequential()).unwrap();
+
+    let mut group = c.benchmark_group("point_ops_64k");
+    group.bench_function("ballquery-block-sequential", |b| {
+        b.iter(|| {
+            block_ball_query(&cloud, &part, &fps.per_block, 0.4, 16, &BppoConfig::sequential())
+                .unwrap()
+        })
+    });
+
+    let own_offset = |b: usize| -> usize {
+        let space = &part.blocks[b].parent_group;
+        space.iter().take_while(|&&g| g != b).map(|&g| part.blocks[g].len()).sum()
+    };
+    let block = (0..part.blocks.len())
+        .filter(|&b| own_offset(b) > 0)
+        .max_by_key(|&b| fps.per_block[b].len())
+        .unwrap();
+    let space: Vec<usize> = part.blocks[block]
+        .parent_group
+        .iter()
+        .flat_map(|&g| part.blocks[g].indices.iter().copied())
+        .collect();
+    let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
+    kernels::gather_coords(cloud.xs(), cloud.ys(), cloud.zs(), &space, &mut xs, &mut ys, &mut zs);
+    let queries: Vec<[f32; 3]> = fps.per_block[block]
+        .iter()
+        .map(|&i| {
+            let p = cloud.point(i);
+            [p.x, p.y, p.z]
+        })
+        .collect();
+    let mut scratch = SelectScratch::new();
+    let (mut indices, mut found) = (Vec::new(), Vec::new());
+    for (row, first) in [("searchspace-first-0", 0), ("searchspace-first-own", own_offset(block))] {
+        group.bench_function(row, |b| {
+            b.iter(|| {
+                indices.clear();
+                found.clear();
+                ball_query_into(
+                    kernels::active_backend(),
+                    &xs,
+                    &ys,
+                    &zs,
+                    &queries,
+                    0.4,
+                    16,
+                    first,
+                    &mut scratch,
+                    &mut indices,
+                    &mut found,
+                    |slot| slot,
+                    |_| 0,
+                );
+                found.len()
+            })
+        });
+    }
     group.finish();
 }
 
@@ -214,6 +284,7 @@ fn bench_linear_gemm(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_point_ops,
+    bench_point_ops_64k,
     bench_scalar_vs_kernel,
     bench_batched_selection,
     bench_linear_gemm

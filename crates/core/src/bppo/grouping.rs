@@ -61,10 +61,10 @@ impl BlockParts for BlockNeighborResult {
 /// built by the body the global
 /// [`ball_query`](fractalcloud_pointcloud::ops::ball_query) runs
 /// ([`ops::ball_query_into`]), so they differ from a global search only
-/// through the restricted search space; candidates are streamed in
-/// search-space layout order (own block first at depth ≤ 1, else the
-/// parent's blocks in DFT order), mirroring the hardware's streamed block
-/// reads.
+/// through the restricted search space; candidates are slotted in
+/// search-space layout order (the parent's blocks in DFT order) and
+/// streamed from the center's own block onwards, wrapping around —
+/// mirroring the hardware's streamed block reads.
 ///
 /// # Errors
 ///
@@ -130,7 +130,7 @@ pub fn block_ball_query_into(
     out.reuse = ReuseStats::default();
     for_each_block(partition.blocks.len(), config.parallel, ws, out, |b, ws, out| {
         let space = search_space(partition, &b, config.parent_expansion);
-        ball_query_block(cloud, partition, space, &centers_per_block[b], radius, num, ws, out);
+        ball_query_block(cloud, partition, space, b, &centers_per_block[b], radius, num, ws, out);
     });
     Ok(())
 }
@@ -138,15 +138,18 @@ pub fn block_ball_query_into(
 /// One block's body under the block driver: gathers the search space
 /// `space` (block indices) into the workspace's local SoA buffers — the
 /// candidate set is loaded on-chip once and shared by every center of the
-/// block (§V-C) — runs [`ops::ball_query_into`] for `centers` against it and
-/// *appends* the neighbor rows, center indices, per-center hit counts and
-/// the block's work to `out`. A center with no candidate at a finite
-/// distance falls back to itself: its own block is always in the space.
+/// block (§V-C) — runs [`ops::ball_query_into`] for `centers` against it,
+/// scanning from block `own`'s offset in the space (its centers' nearest
+/// candidates; rows are unchanged by where the scan starts), and *appends*
+/// the neighbor rows, center indices, per-center hit counts and the block's
+/// work to `out`. A center with no candidate at a finite distance falls
+/// back to itself: its own block is always in the space.
 #[allow(clippy::too_many_arguments)]
 fn ball_query_block(
     cloud: &PointCloud,
     partition: &Partition,
     space: &[usize],
+    own: usize,
     centers: &[usize],
     radius: f32,
     num: usize,
@@ -154,7 +157,11 @@ fn ball_query_block(
     out: &mut BlockNeighborResult,
 ) {
     ws.candidates.clear();
+    let mut first = 0;
     for &g in space {
+        if g == own {
+            first = ws.candidates.len();
+        }
         ws.candidates.extend_from_slice(&partition.blocks[g].indices);
     }
     kernels::gather_coords(
@@ -178,6 +185,7 @@ fn ball_query_block(
         &ws.queries,
         radius,
         num,
+        first,
         &mut ws.select,
         &mut out.indices,
         &mut out.found,

@@ -451,6 +451,7 @@ impl NetworkExecutor {
                             queries,
                             sa.radius,
                             sa.nsample,
+                            0,
                             select,
                             neighbors,
                             counts,

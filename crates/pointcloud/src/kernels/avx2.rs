@@ -27,6 +27,9 @@
 //!   `[l, l + 8)` and a right store `[r, r + 8)`, and the vector body only
 //!   runs while `l + 8 <= l_len` and `r + 8 <= len`, with `l_len <= len`
 //!   and all eight slices of length `len` checked by the safe wrapper.
+//! * The key-row insertion ([`ball_insert_hits`]) loads and stores the
+//!   `W / 4` whole vectors of a `&mut [u64; W]`, with `W` 8 or 16 checked
+//!   at compile time; distances are read through safe indexing.
 //!
 //! # Exactness argument
 //!
@@ -52,6 +55,10 @@
 //!   accumulator is seeded with a number, never a NaN, because these return
 //!   their second operand whenever either is NaN — a NaN seed would stick
 //!   where `f32::min` replaces it;
+//! * the key-row insertion compares keys as `i64` (AVX2 has no unsigned
+//!   64-bit compare); hit keys and the empty-slot sentinel `i64::MAX` all
+//!   have the top bit clear, where signed and unsigned order agree, and the
+//!   slot left of slot 0 reads `i64::MIN`, below every key;
 //! * argmax/argmin reductions record the first chunk that *strictly*
 //!   improves the running extremum and then rescan that chunk for the first
 //!   occurrence of the extremal value, which is exact because distances are
@@ -60,12 +67,14 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256, __m256i, _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_castps_si256,
-    _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_loadu_si256,
-    _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps,
-    _mm256_mul_ps, _mm256_permutevar8x32_epi32, _mm256_permutevar8x32_ps, _mm256_set1_epi32,
-    _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps,
-    _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps, _CMP_LE_OQ, _CMP_NGE_UQ,
+    __m256, __m256i, _mm256_add_ps, _mm256_and_ps, _mm256_blend_epi32, _mm256_blendv_epi8,
+    _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
+    _mm256_cmpgt_epi64, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+    _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps,
+    _mm256_permute4x64_epi64, _mm256_permutevar8x32_epi32, _mm256_permutevar8x32_ps,
+    _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
+    _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps,
+    _CMP_LE_OQ, _CMP_NGE_UQ,
 };
 
 use super::{CHUNK, LINEAR_PANEL as PANEL};
@@ -591,6 +600,51 @@ unsafe fn ball_prefilter_tile_impl(
             }
         }
         mins[qi] = min;
+    }
+}
+
+/// AVX2 insertion of one chunk's hit lanes into a query's key row; see
+/// [`kernels::ball_insert_hits`](super::ball_insert_hits). The row lives in
+/// `W / 4` registers from the first lane to the last: per lane every slot
+/// becomes `max(prev, min(row, key))`, where `prev` is the row shifted up
+/// one slot (`permute4x64` rotates each register, `blend_epi32` carries
+/// slot 3 of the register below into slot 0, and slot 0 of the row gets
+/// `i64::MIN`), each min/max a `cmpgt_epi64` + `blendv_epi8`.
+pub fn ball_insert_hits<const W: usize>(row: &mut [u64; W], dists: &[f32], mask: u64, base: usize) {
+    assert_avx2();
+    // SAFETY: AVX2 availability asserted above; the body's only raw
+    // accesses are the `W / 4` whole-vector loads and stores of `row`, and
+    // `W` is 8 or 16 (checked at compile time there), so each covers
+    // `[4j, 4j + 4)` with `4j + 4 <= W`.
+    unsafe { ball_insert_hits_impl(row, dists, mask, base) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn ball_insert_hits_impl<const W: usize>(
+    row: &mut [u64; W],
+    dists: &[f32],
+    mask: u64,
+    base: usize,
+) {
+    const { assert!(W == 8 || W == 16, "key rows are 8 or 16 keys wide") };
+    let mut r = [_mm256_setzero_si256(); 4];
+    for (j, v) in r.iter_mut().take(W / 4).enumerate() {
+        *v = _mm256_loadu_si256(row.as_ptr().add(4 * j).cast());
+    }
+    let below = _mm256_set1_epi64x(i64::MIN);
+    for l in super::mask_lanes(mask) {
+        let key = _mm256_set1_epi64x(super::pack_hit(dists[l], base + l) as i64);
+        let mut carry = below;
+        for v in r.iter_mut().take(W / 4) {
+            let rot = _mm256_permute4x64_epi64::<0x93>(*v);
+            let prev = _mm256_blend_epi32::<0b11>(rot, carry);
+            carry = rot;
+            let min = _mm256_blendv_epi8(*v, key, _mm256_cmpgt_epi64(*v, key));
+            *v = _mm256_blendv_epi8(min, prev, _mm256_cmpgt_epi64(prev, min));
+        }
+    }
+    for (j, v) in r.iter().take(W / 4).enumerate() {
+        _mm256_storeu_si256(row.as_mut_ptr().add(4 * j).cast(), *v);
     }
 }
 

@@ -67,9 +67,10 @@
 //! [`ball_select_batch_into`] instead process a tile of [`QUERY_TILE`] queries
 //! per pass: each [`CHUNK`]-sized candidate chunk is loaded once and scored
 //! against every query of the tile while it is hot in L1 (the software
-//! analogue of the RSPU's intra-block candidate reuse, §V-C). Selection per
-//! query still consumes chunks in ascending scan order, so results are
-//! identical to the one-query-at-a-time formulation.
+//! analogue of the RSPU's intra-block candidate reuse, §V-C). KNN selection
+//! per query still consumes chunks in ascending scan order, so its results
+//! (and insertion accounting) are identical to the one-query-at-a-time
+//! formulation; ball selection may start at any chunk, see below.
 //!
 //! The two drivers select differently. KNN keeps a [`TopK`] per query: every
 //! candidate competes, accepted ones are rare once the buffer has converged,
@@ -79,20 +80,30 @@
 //! key, `distance bits << 32 | candidate slot`. A hit's distance satisfies
 //! `+0.0 <= d <= r_sq` — never NaN, never `-0.0` — and on that range `f32`
 //! bit patterns order like the values, so integer order on keys *is* the
-//! canonical `(distance, scan order)` order and the "a tie with the current
-//! worst is rejected" rule is the same single compare (a later candidate
-//! has a larger slot). Each query owns one ascending row of keys, empty
-//! slots holding an all-ones sentinel: there is no separate filling phase,
-//! the hit count is the number of non-sentinel keys among the first `num`,
-//! and the prefilter threshold is the distance half of slot `num - 1` (the
-//! sentinel's reads as NaN, the prefilter's keep-everything value). For
+//! canonical `(distance, slot)` order. Each query owns one ascending row of
+//! keys, empty slots holding the sentinel `i64::MAX as u64`, whose distance
+//! half `0x7FFF_FFFF` is a NaN — above every hit distance (`<= 0x7F80_0000`),
+//! so the sentinel orders last as `u64` and as `i64`, and read as a
+//! prefilter threshold it keeps everything. There is no filling phase: the
+//! hit count is the number of non-sentinel keys among the first `num`. For
 //! `num <= 16` the row is 8 or 16 keys wide, a compile-time constant, and a
 //! hit is inserted by rewriting every slot as
-//! `max(row[i - 1], min(row[i], key))` — straight-line compare/select code,
-//! no data-dependent branch. That costs O(width) per hit; above 16 the row
-//! is `num` wide and a hit is a branch-free count of the keys below it plus
-//! one `copy_within`. Keys are unpacked into `(distance, slot)` pairs only
-//! when a query's row is emitted.
+//! `max(row[i - 1], min(row[i], key))` — no data-dependent branch. One
+//! chunk's surviving lanes go in through a dispatched kernel,
+//! [`ball_insert_hits`]: the portable form rewrites the row in memory per
+//! lane, the AVX2 form holds it in two or four registers for the whole
+//! chunk (signed 64-bit compares, hence the sentinel) and stores it once.
+//! Above 16 the row is `num` wide and a hit is a branch-free count of the
+//! keys below it plus one `copy_within`, on every backend.
+//!
+//! The scan may start at any chunk and wrap around
+//! ([`ball_select_rotated_into`]; a block's centres start at their own
+//! block, whose near hits tighten the prefilter early) without changing the
+//! result, because slots keep numbering candidates in the caller's order.
+//! The selection is the `num` smallest of unique, totally ordered keys —
+//! the prefilter admits a tie with the worst distance, since after the
+//! wrap a tying candidate has the lower slot and wins — and the empty-ball
+//! fallback is the least `(distance, slot)` pair below `+∞`.
 //!
 //! Callers that operate on an indexed subset (block-local operations) first
 //! gather the subset into local SoA buffers with [`gather_coords`] — the
@@ -764,10 +775,7 @@ impl TopK {
         base: usize,
         mut on_insert: impl FnMut(usize),
     ) {
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for l in mask_lanes(mask) {
             let d = distances[l];
             if self.buf.len() == self.k && d >= self.buf[self.k - 1].0 {
                 continue;
@@ -907,8 +915,8 @@ pub fn knn_select_batch_into(
 /// sharing each pass over the candidate chunks.
 ///
 /// Per chunk the fused distance + compare kernel produces a hit bitmask
-/// (`d <= r_sq`, and below the query's current worst once it has `num`
-/// hits) and the chunk's minimum. Each hit lane is packed into a `u64` key
+/// (`d <= r_sq`, and at most the query's current worst distance once it
+/// has `num` hits) and the chunk's minimum. Each hit lane is packed into a `u64` key
 /// — distance bits above the candidate slot, whose integer order is the
 /// canonical `(distance, scan order)` order — and inserted into the
 /// query's ascending key row (branch-free up to `num` 16); see the
@@ -944,63 +952,80 @@ pub fn ball_select_batch_into(
     scratch: &mut SelectScratch,
     emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
 ) {
-    assert_soa(xs, ys, zs);
-    assert!(num > 0, "num must be at least 1");
-    assert!(xs.len() <= u32::MAX as usize, "candidate slots must fit the key's low 32 bits");
-    macro_rules! tiles {
-        ($width:expr, $insert:expr) => {
-            ball_select_tiles(
-                backend, xs, ys, zs, queries, r_sq, num, $width, scratch, emit, $insert,
-            )
-        };
-    }
-    // The full-pass update needs its row width at compile time (it unrolls
-    // into straight-line compare/select code) and costs O(width) per hit: it
-    // measured 1.5× faster than count + shift at `num` 16; a 32-wide pass
-    // was 1.05× faster at `num` 32 and 1.09× slower at 17, so rows stop at 16.
-    match num {
-        ..=8 => tiles!(8, insert_key_pass::<8>),
-        9..=16 => tiles!(16, insert_key_pass::<16>),
-        _ => tiles!(num, insert_key_shift),
+    ball_select_rotated_into(backend, xs, ys, zs, queries, r_sq, num, 0, scratch, emit);
+}
+
+/// Inserts the hit lanes `mask` of one chunk's distance row `dists` (lane
+/// `l` is candidate slot `base + l`) into one query's ascending key row —
+/// packed hit keys, then `i64::MAX as u64` sentinels — on `backend`: ball
+/// selection's per-(query, chunk) step for `num <= 16` (see the
+/// [module docs](self#batched-query-selection)). Every backend leaves the
+/// same row.
+///
+/// # Panics
+///
+/// Panics if `row` is not 8 or 16 keys wide or a lane of `mask` is not
+/// below `dists.len()`.
+pub fn ball_insert_hits(backend: Backend, row: &mut [u64], dists: &[f32], mask: u64, base: usize) {
+    if let Ok(row) = <&mut [u64; 8]>::try_from(&mut *row) {
+        dispatch!(backend, ball_insert_hits(row, dists, mask, base))
+    } else {
+        let row: &mut [u64; 16] = row.try_into().expect("key rows are 8 or 16 keys wide");
+        dispatch!(backend, ball_insert_hits(row, dists, mask, base))
     }
 }
 
-/// Key of an unoccupied selection slot. Its distance half is a NaN bit
-/// pattern, which no hit carries, so it orders after every real key — and
-/// read back as a threshold it is the prefilter's keep-everything sentinel.
-const EMPTY_KEY: u64 = u64::MAX;
+/// Key of an unoccupied selection slot: it orders after every hit key as
+/// `u64` and as `i64` (the AVX2 row compares are signed), and its distance
+/// half is a NaN; see the [module docs](self#batched-query-selection).
+const EMPTY_KEY: u64 = i64::MAX as u64;
 
 /// Packs a hit into its selection key: squared-distance bits above the
 /// candidate slot. A hit satisfies `+0.0 <= d <= r_sq` — a sum of squares is
 /// never `-0.0`, and the ordered radius compare rejects NaN — and on that
 /// range `f32` bit patterns order like the values (`+∞` included), so `u64`
-/// order on keys is `(distance, scan order)` order.
+/// order on keys is `(distance, slot)` order.
 #[inline]
 fn pack_hit(d: f32, slot: usize) -> u64 {
     (u64::from(d.to_bits()) << 32) | slot as u64
 }
 
-/// The distance half of a key — also the prefilter threshold a row's worst
-/// key implies (NaN for [`EMPTY_KEY`]).
-#[inline]
-fn key_distance(key: u64) -> f32 {
-    f32::from_bits((key >> 32) as u32)
-}
-
 /// The `(distance, slot)` pair [`pack_hit`] packed.
 #[inline]
 fn unpack_hit(key: u64) -> (f32, usize) {
-    (key_distance(key), key as u32 as usize)
+    (f32::from_bits((key >> 32) as u32), key as u32 as usize)
 }
 
-/// Inserts `key` into the ascending row `a` (exactly `W` keys), dropping the
-/// largest: every slot becomes `max(a[i - 1], min(a[i], key))` — `a[i]`
-/// where it is below the key, the key where it lands, the left neighbour
-/// after it. No compare feeds a branch and no slot depends on another's new
-/// value.
+/// The prefilter threshold (a lane survives iff `!(d >= thr)`) a row's
+/// worst key implies: the next `f32` above its distance, so a tie — which
+/// a lower slot wins after the scan wraps — survives; NaN, which keeps
+/// every lane, for [`EMPTY_KEY`] and a `+∞` worst.
 #[inline]
-fn insert_key_pass<const W: usize>(a: &mut [u64], key: u64) {
-    let a: &mut [u64; W] = a.try_into().expect("row is W keys wide");
+fn key_threshold(key: u64) -> f32 {
+    let bits = (key >> 32) as u32;
+    if bits < f32::INFINITY.to_bits() {
+        f32::from_bits(bits + 1)
+    } else {
+        f32::NAN
+    }
+}
+
+/// The set bits of `mask`, ascending.
+#[inline]
+fn mask_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (l < 64).then_some(l)
+    })
+}
+
+/// Inserts `key` into the ascending row `a`, dropping the largest: every
+/// slot becomes `max(a[i - 1], min(a[i], key))` — `a[i]` where it is below
+/// the key, the key where it lands, the left neighbour after it. No compare
+/// feeds a branch and no slot depends on another's new value.
+#[inline]
+fn insert_key_pass<const W: usize>(a: &mut [u64; W], key: u64) {
     for i in (1..W).rev() {
         a[i] = a[i - 1].max(a[i].min(key));
     }
@@ -1018,12 +1043,20 @@ fn insert_key_shift(a: &mut [u64], key: u64) {
     }
 }
 
-/// The body of [`ball_select_batch_into`] over key rows of `width >= num`
-/// slots, with `insert` the sorted insertion for that width. Slots past
-/// `num` only ever hold keys above `row[num - 1]`: acceptance, the hit
-/// count and the emitted row all read the first `num`.
+/// [`ball_select_batch_into`] with the scan of every query starting at the
+/// chunk that holds candidate slot `first` and wrapping around (from chunk
+/// 0 when `first` is past the candidates). Slots still number the
+/// candidates in slice order, and every emitted row and nearest candidate
+/// equals the `first = 0` result: see the
+/// [module docs](self#batched-query-selection). A block's queries pass the
+/// offset of their own block in the search space, whose near hits then
+/// fill the rows first and let the prefilter drop more of the rest.
+///
+/// # Panics
+///
+/// As [`ball_select_batch_into`].
 #[allow(clippy::too_many_arguments)]
-fn ball_select_tiles(
+pub fn ball_select_rotated_into(
     backend: Backend,
     xs: &[f32],
     ys: &[f32],
@@ -1031,12 +1064,26 @@ fn ball_select_tiles(
     queries: &[[f32; 3]],
     r_sq: f32,
     num: usize,
-    width: usize,
+    first: usize,
     scratch: &mut SelectScratch,
     mut emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
-    insert: impl Fn(&mut [u64], u64),
 ) {
+    assert_soa(xs, ys, zs);
+    assert!(num > 0, "num must be at least 1");
+    assert!(xs.len() <= u32::MAX as usize, "candidate slots must fit the key's low 32 bits");
+    // The full-pass update needs its row width at compile time (it unrolls
+    // into straight-line compare/select code) and costs O(width) per hit: it
+    // measured 1.5× faster than count + shift at `num` 16; a 32-wide pass
+    // was 1.05× faster at `num` 32 and 1.09× slower at 17, so rows stop at 16.
+    // Slots past `num` only ever hold keys above `row[num - 1]`: acceptance,
+    // the hit count and the emitted row all read the first `num`.
+    let width = match num {
+        ..=8 => 8,
+        9..=16 => 16,
+        _ => num,
+    };
     let n = xs.len();
+    let start = if first < n { first - first % CHUNK } else { 0 };
     let tile_cap = QUERY_TILE.min(queries.len().max(1));
     if scratch.keys.len() < tile_cap * width {
         scratch.keys.resize(tile_cap * width, EMPTY_KEY);
@@ -1057,21 +1104,20 @@ fn ball_select_tiles(
         let mut thresholds = [0.0f32; QUERY_TILE];
         let mut masks = [0u64; QUERY_TILE];
         let mut mins = [f32::INFINITY; QUERY_TILE];
-        let mut base = 0;
-        while base < n {
+        for base in (start..n).step_by(CHUNK).chain((0..start).step_by(CHUNK)) {
             let len = CHUNK.min(n - base);
             let (xc, yc, zc) =
                 (&xs[base..base + len], &ys[base..base + len], &zs[base..base + len]);
             // Acceptance prefilter thresholds: once a query's first `num`
-            // slots are occupied, only hits strictly below its current
-            // worst can be accepted — the fused tile kernel drops the rest
-            // before selection ever sees them (bit-identical results; the
-            // threshold only tightens within the chunk). While slot
-            // `num - 1` is empty its distance half reads as NaN, and
-            // `!(d >= NaN)` keeps every in-radius lane (+inf distances
-            // included), exactly like the knn prefilter's filling sentinel.
+            // slots are occupied, only hits at or below its current worst
+            // distance can be accepted — the fused tile kernel drops the
+            // rest before selection ever sees them (bit-identical results;
+            // the threshold only tightens within the chunk). While slot
+            // `num - 1` is empty the threshold is NaN, and `!(d >= NaN)`
+            // keeps every in-radius lane (+inf distances included), exactly
+            // like the knn prefilter's filling sentinel.
             for (thr, row) in thresholds.iter_mut().zip(keys.chunks_exact(width)) {
-                *thr = key_distance(row[num - 1]);
+                *thr = key_threshold(row[num - 1]);
             }
             // One fused dispatched call scores the whole tile against this
             // chunk (the AVX2 path keeps the coordinate vectors in
@@ -1094,7 +1140,13 @@ fn ball_select_tiles(
             for (qi, krow) in keys.chunks_exact_mut(width).take(tile.len()).enumerate() {
                 let row = &dbuf[qi * CHUNK..qi * CHUNK + len];
                 let cmin = mins[qi];
-                if cmin < nearests[qi].0 {
+                let (near, near_slot) = nearests[qi];
+                // The running nearest is the least `(distance, slot)` seen
+                // so far. A chunk improves it with a smaller minimum, or with
+                // an equal finite one at lower slots (after the wrap). `+∞`
+                // never rescans: an all-NaN chunk's minimum is `+∞` with no
+                // lane holding it.
+                if cmin < near || (cmin == near && cmin < f32::INFINITY && base < near_slot) {
                     // Lazy first-occurrence rescan: only chunks that improve
                     // the running nearest pay it (the first chunk or two of
                     // a scan), and the stored row makes it backend-neutral —
@@ -1109,14 +1161,14 @@ fn ball_select_tiles(
                 // Every surviving lane is inserted unconditionally: one
                 // that the tightened threshold would now reject lands past
                 // slot `num - 1` or falls off the row.
-                let mut m = masks[qi];
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    insert(krow, pack_hit(row[l], base + l));
+                if width <= 16 {
+                    ball_insert_hits(backend, krow, row, masks[qi], base);
+                } else {
+                    for l in mask_lanes(masks[qi]) {
+                        insert_key_shift(krow, pack_hit(row[l], base + l));
+                    }
                 }
             }
-            base += len;
         }
         for (qi, krow) in keys.chunks_exact(width).take(tile.len()).enumerate() {
             hits.clear();
@@ -1454,6 +1506,78 @@ mod tests {
                 },
             );
         }
+    }
+
+    #[test]
+    fn rotated_ball_batch_nearest_is_the_first_occurrence_of_the_minimum() {
+        // The minimum 1.0 ties at slots 1 and 2 (chunk 0), CHUNK + 1 and
+        // 2 * CHUNK + 3: wherever the scan starts, the fallback is slot 1
+        // and, with radius 1, the two hits kept are slots 1 and 2 — reached
+        // last when the scan starts past them, tying the row's worst.
+        let mut pts = vec![[3.0f32, 0.0, 0.0]; 3 * CHUNK + 5];
+        pts[1] = [1.0, 0.0, 0.0];
+        pts[2] = [-1.0, 0.0, 0.0];
+        pts[CHUNK + 1] = [0.0, 1.0, 0.0];
+        pts[2 * CHUNK + 3] = [0.0, 0.0, -1.0];
+        let (xs, ys, zs) = soa_of(&pts);
+        for b in available() {
+            for first in [0, 2, CHUNK, CHUNK + 7, 2 * CHUNK + 3, 3 * CHUNK + 4, 10_000] {
+                let mut got = Vec::new();
+                for r_sq in [0.01, 1.0] {
+                    ball_select_rotated_into(
+                        b,
+                        &xs,
+                        &ys,
+                        &zs,
+                        &[[0.0; 3]],
+                        r_sq,
+                        2,
+                        first,
+                        &mut SelectScratch::new(),
+                        |_, best, nearest| got.push((best.to_vec(), nearest)),
+                    );
+                }
+                let want = [(vec![], (1.0, 1)), (vec![(1.0, 1), (1.0, 2)], (1.0, 1))];
+                assert_eq!(got, want, "first {first} on {}", b.name());
+            }
+        }
+    }
+
+    #[test]
+    fn rotated_ball_batch_scanning_an_all_nan_chunk_first_reports_the_sentinel() {
+        // The NaN chunk's minimum is +∞ with no lane holding it, and it is
+        // scanned while the running nearest is still +∞: it must not be
+        // rescanned. The +∞-distance chunk after it cannot improve either.
+        let mut pts = vec![[f32::INFINITY, 0.0, 0.0]; CHUNK + 5];
+        pts[CHUNK..].fill([f32::NAN, 0.0, 0.0]);
+        let (xs, ys, zs) = soa_of(&pts);
+        for b in available() {
+            ball_select_rotated_into(
+                b,
+                &xs,
+                &ys,
+                &zs,
+                &[[0.0; 3]],
+                1e30,
+                3,
+                CHUNK,
+                &mut SelectScratch::new(),
+                |_, best, nearest| {
+                    assert!(best.is_empty());
+                    assert_eq!(nearest, (f32::INFINITY, usize::MAX), "{}", b.name());
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn empty_key_orders_after_every_hit_key_signed_and_unsigned() {
+        for d in [0.0f32, 0.16, f32::INFINITY] {
+            let key = pack_hit(d, u32::MAX as usize);
+            assert!(EMPTY_KEY > key, "u64, d = {d}");
+            assert!(EMPTY_KEY as i64 > key as i64, "i64, d = {d}");
+        }
+        assert!(key_threshold(EMPTY_KEY).is_nan(), "an empty slot keeps every lane");
     }
 
     #[test]

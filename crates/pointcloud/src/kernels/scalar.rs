@@ -186,6 +186,15 @@ pub fn ball_prefilter_tile(
     }
 }
 
+/// One chunk's hit lanes into a query's key row, one
+/// [`insert_key_pass`](super::insert_key_pass) per lane on the row in
+/// memory; see [`kernels::ball_insert_hits`](super::ball_insert_hits).
+pub fn ball_insert_hits<const W: usize>(row: &mut [u64; W], dists: &[f32], mask: u64, base: usize) {
+    for l in super::mask_lanes(mask) {
+        super::insert_key_pass(row, super::pack_hit(dists[l], base + l));
+    }
+}
+
 /// Counts the coordinates `<= mid`; see [`kernels::count_le`](super::count_le).
 /// The caller bounds the run by `u32::MAX`, so the 32-bit sum cannot wrap —
 /// and 32-bit lanes count twice as many elements per vector as `usize`

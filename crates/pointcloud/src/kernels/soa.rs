@@ -9,9 +9,10 @@
 
 use super::{CHUNK, LINEAR_PANEL as PANEL};
 
-// The scalar backend's count is already a vectorizable one-axis reduction
-// and its scatter already branch-free; there is no chunked form to add.
-pub use super::scalar::{count_le, scatter_le};
+// The scalar backend's count is already a vectorizable one-axis reduction,
+// its scatter already branch-free and its key-row pass already straight-line
+// compare/select code; there is no chunked form to add.
+pub use super::scalar::{ball_insert_hits, count_le, scatter_le};
 
 /// Chunked squared distances; see [`kernels::distances_sq`](super::distances_sq).
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {

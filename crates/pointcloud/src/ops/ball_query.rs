@@ -52,6 +52,13 @@ impl BallQueryResult {
 ///   (it is *not* passed through `index`);
 /// * short rows are padded by repeating their first entry.
 ///
+/// `first` is the slot where the scan starts, a hint that never changes a
+/// row: the kernel scans from the chunk holding slot `first`, wraps around
+/// ([`kernels::ball_select_rotated_into`]), and still numbers and ranks
+/// candidates by slot. A block passes the offset of the queries' own block
+/// in its search space, so the nearest candidates come first and the
+/// prefilter drops more of the rest; `0` is the plain ascending scan.
+///
 /// The work is [`OpCounters::neighbor_model`] (or its shared-load flavour for
 /// a block); the caller records it.
 ///
@@ -68,6 +75,7 @@ pub fn ball_query_into(
     queries: &[[f32; 3]],
     radius: f32,
     num: usize,
+    first: usize,
     select: &mut SelectScratch,
     indices: &mut Vec<usize>,
     found: &mut Vec<usize>,
@@ -77,7 +85,7 @@ pub fn ball_query_into(
     indices.reserve(queries.len() * num);
     found.reserve(queries.len());
     let r_sq = radius * radius;
-    kernels::ball_select_batch_into(
+    kernels::ball_select_rotated_into(
         backend,
         xs,
         ys,
@@ -85,6 +93,7 @@ pub fn ball_query_into(
         queries,
         r_sq,
         num,
+        first,
         select,
         |row, best, nearest| {
             found.push(best.len());
@@ -180,6 +189,7 @@ pub fn ball_query(
         &queries,
         radius,
         num,
+        0,
         &mut SelectScratch::new(),
         &mut indices,
         &mut found,

@@ -160,6 +160,7 @@ fn select_rows(
         &queries,
         radius,
         num,
+        0,
         scratch,
         &mut indices,
         &mut found,
@@ -212,6 +213,137 @@ proptest! {
             let (indices, found) = select_rows(b, &cloud, &centers, radius, num, &mut scratch);
             prop_assert_eq!(&indices, &scalar.indices);
             prop_assert_eq!(&found, &scalar.found);
+        }
+    }
+}
+
+/// `num` values of the scan-order proptest: both sides of each row width
+/// (8, 16) and the wide path.
+const ROTATION_NUMS: [usize; 7] = [1, 5, 8, 9, 16, 17, 40];
+
+/// Candidates for the scan-order proptest: up to five chunks of a dense
+/// room (the last one usually partial), on a coarse grid when `grid` is
+/// set (distances tie without points coinciding); every third point from
+/// `dup` on repeats the point `dup` slots earlier, so equal distances sit
+/// on both sides of any rotation point; `special` sprinkles NaN and ±inf
+/// coordinates.
+fn arb_rotation_cloud() -> impl Strategy<Value = Vec<Point3>> {
+    let coords = proptest::collection::vec((0.0f32..2.0, 0.0f32..2.0, 0.0f32..1.0), 1..5 * CHUNK);
+    (coords, 1usize..3 * CHUNK, any::<bool>(), 0usize..3).prop_map(
+        |(coords, dup, grid, special)| {
+            let snap = |v: f32| if grid { (v * 8.0).round() / 8.0 } else { v };
+            let mut pts: Vec<Point3> = coords
+                .into_iter()
+                .map(|(x, y, z)| Point3::new(snap(x), snap(y), snap(z)))
+                .collect();
+            for i in (dup..pts.len()).filter(|i| i % 3 == 0) {
+                pts[i] = pts[i - dup];
+            }
+            for (i, p) in pts.iter_mut().enumerate() {
+                match (special, i % 13) {
+                    (1, 5) => p.x = f32::NAN,
+                    (2, 2) => p.y = f32::INFINITY,
+                    (2, 9) => p.z = f32::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+            pts
+        },
+    )
+}
+
+/// Key of an empty selection slot, as `kernels::ball_insert_hits` documents.
+const EMPTY_KEY: u64 = i64::MAX as u64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Scan order never shows: every backend, starting the scan at any
+    /// chunk (`first` up to 64 past the end, which starts at chunk 0),
+    /// selects the same hits and the same nearest fallback per query as
+    /// the scalar ascending scan — over [`arb_rotation_cloud`]'s ties, NaN
+    /// and ±inf candidates, radii that leave balls empty, full or
+    /// unbounded, and queries on points, beside them, far away and NaN.
+    #[test]
+    fn ball_selection_is_independent_of_the_scan_start(
+        pts in arb_rotation_cloud(),
+        r in 0usize..3,
+        num in 0usize..ROTATION_NUMS.len(),
+        first in 0usize..5 * CHUNK + 64,
+        centers_n in 1usize..(2 * QUERY_TILE + 3),
+    ) {
+        let (r_sq, num) = ([0.01, 0.16, f32::INFINITY][r], ROTATION_NUMS[num]);
+        let n = pts.len();
+        let queries: Vec<[f32; 3]> = (0..centers_n)
+            .map(|i| {
+                let p = pts[(i * 7) % n];
+                match i % 6 {
+                    1 | 4 => [p.x + 0.1, p.y, p.z],
+                    2 => [10.0, 10.0, 10.0],
+                    5 => [f32::NAN, p.y, p.z],
+                    _ => [p.x, p.y, p.z],
+                }
+            })
+            .collect();
+        let cloud = PointCloud::from_points(pts);
+        let run = |b: Backend, first: usize| {
+            let mut rows = Vec::new();
+            kernels::ball_select_rotated_into(
+                b,
+                cloud.xs(),
+                cloud.ys(),
+                cloud.zs(),
+                &queries,
+                r_sq,
+                num,
+                first % (n + 64),
+                &mut SelectScratch::new(),
+                |_, hits, nearest| rows.push((hits.to_vec(), nearest)),
+            );
+            rows
+        };
+        let expect = run(Backend::Scalar, 0);
+        for b in Backend::ALL {
+            let got = run(b, first);
+            prop_assert!(got == expect, "backend {} first {}: {:?} != {:?}", b.name(), first % (n + 64), got, expect);
+        }
+    }
+
+    /// The AVX2 key-row kernel (the row in registers) leaves exactly the
+    /// row the portable per-lane pass leaves, on rows empty, partly filled
+    /// and full, 8 and 16 wide, with any mask (bit 63 forced on half the
+    /// time) over hit distances from `+0.0` to `+∞`. The row sits between
+    /// guard keys, so a store outside it fails the comparison.
+    #[test]
+    fn ball_insert_hits_matches_the_portable_pass_on_every_backend(
+        wide in any::<bool>(),
+        filled in 0usize..17,
+        row_keys in proptest::collection::vec((0u32..=0x7F80_0000, 0u32..=u32::MAX), 16),
+        dists in proptest::collection::vec(0u32..=0x7F80_0000, CHUNK),
+        (mask, top) in (0u64..=u64::MAX, any::<bool>()),
+        base in 0usize..(u32::MAX as usize - CHUNK),
+    ) {
+        const GUARD: usize = 4;
+        const GUARD_KEY: u64 = 0xdead_beef_dead_beef;
+        let width = if wide { 16 } else { 8 };
+        let mut keys: Vec<u64> =
+            row_keys[..width].iter().map(|&(d, s)| (u64::from(d) << 32) | u64::from(s)).collect();
+        keys.sort_unstable();
+        keys[filled.min(width)..].fill(EMPTY_KEY);
+        let mask = if top { mask | 1 << 63 } else { mask };
+        let dists: Vec<f32> = dists.into_iter().map(f32::from_bits).collect();
+        let run = |b: Backend| {
+            let mut buf = vec![GUARD_KEY; width + 2 * GUARD];
+            buf[GUARD..GUARD + width].copy_from_slice(&keys);
+            kernels::ball_insert_hits(b, &mut buf[GUARD..GUARD + width], &dists, mask, base);
+            buf
+        };
+        let expect = run(Backend::Scalar);
+        prop_assert!(expect[..GUARD].iter().chain(&expect[GUARD + width..]).all(|&k| k == GUARD_KEY));
+        prop_assert!(expect[GUARD..GUARD + width].windows(2).all(|w| w[0] <= w[1]), "row stays ascending");
+        for b in [Backend::Soa, Backend::Avx2] {
+            let got = run(b);
+            prop_assert!(got == expect, "backend {}: {:x?} != {:x?}", b.name(), got, expect);
         }
     }
 }
