@@ -1,12 +1,14 @@
 //! Fig. 14: network-accuracy comparison across designs.
 //!
-//! We cannot retrain networks (no datasets/GPUs here); instead the harness
-//! reports the paper's published accuracies alongside our *accuracy-proxy*
-//! estimates (neighbor recall / sampling coverage → estimated loss, see
-//! DESIGN.md §3). The proxy is computed for the designs whose loss comes
-//! from partition-induced search changes (PNNPU, FractalCloud); Mesorasi's
-//! and Crescent's losses stem from delayed aggregation and approximation,
-//! which are orthogonal to partitioning and quoted from the paper.
+//! Networks are not retrained (no dataset or trained weights ship with this
+//! repository); instead the harness reports the paper's published
+//! accuracies alongside our *accuracy-proxy* estimates (neighbor recall /
+//! sampling coverage → estimated loss, mapped by
+//! `AccuracyProxy::estimated_accuracy_loss_pp`). The proxy is computed for
+//! the designs whose loss comes from partition-induced search changes
+//! (PNNPU, FractalCloud); Mesorasi's and Crescent's losses stem from
+//! delayed aggregation and approximation, which are orthogonal to
+//! partitioning and quoted from the paper.
 
 use fractalcloud_bench::{format_value, header, row_str, SEED};
 use fractalcloud_core::{evaluate_quality, Fractal, QualityConfig};
@@ -76,4 +78,6 @@ fn main() {
     println!("Paper (PointNeXt (s), mIoU): original 62.6, PNNPU 53.8 (−8.8pp),");
     println!("FractalCloud 62.0 (−0.6pp). Expected shape: FractalCloud proxy");
     println!("loss ≪ PNNPU proxy loss, both ordered as in the paper.");
+    println!("The proxy measures the numerical difference §VI-B names as the");
+    println!("loss mechanism (changed samples and neighbours), not mIoU.");
 }

@@ -33,7 +33,8 @@ fn main() {
         );
     }
     println!();
-    println!("Datasets are synthetic equivalents (see DESIGN.md §3): objects");
-    println!("with surface-sampled points, indoor rooms with coplanar structure,");
-    println!("dense clusters, and 0.5-2.5% outliers.");
+    println!("Datasets are synthetic equivalents (ModelNet40, ShapeNet and S3DIS");
+    println!("do not ship with this repository): objects with surface-sampled");
+    println!("points, indoor rooms with coplanar structure, dense clusters, and");
+    println!("0.5-2.5% outliers.");
 }

@@ -2,7 +2,10 @@
 //!
 //! Runs the three point operations both ways on the same cloud and reports
 //! the [`AccuracyProxy`] metrics that stand in for retrained network
-//! accuracy (see DESIGN.md §3 for the substitution rationale).
+//! accuracy. The paper retrains on ModelNet40 / ShapeNet / S3DIS; neither
+//! those datasets nor trained weights ship with this repository, so the
+//! proxy measures how far block-parallel search moves each op's output
+//! away from global search — the loss mechanism §VI-B names.
 
 use crate::bppo::{
     block_ball_query, block_fps_with_counts, block_interpolate, block_sample_counts,

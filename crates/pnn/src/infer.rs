@@ -21,10 +21,13 @@
 //! lists, delayed over the real neighbor lists), so their logits are
 //! **bit-identical** on every kernel backend — asserted by the tests below.
 //!
-//! Unlike [`ReferenceExecutor`](crate::ReferenceExecutor) (which allocates
-//! freely and uses centroid-relative coordinates), this executor runs
-//! entirely inside [`Workspace::infer`] scratch: a warmed workspace executes
-//! a whole forward pass without heap allocation.
+//! The executor runs entirely inside [`Workspace::infer`] scratch: a warmed
+//! workspace executes a whole forward pass without heap allocation.
+//!
+//! It is also the paper's accuracy check (§VI-B): the same weights run with
+//! global search ([`NetworkExecutor::run`]) and with a block-parallel first
+//! stage ([`NetworkExecutor::run_with_stage1`], what `INFER` serves), and
+//! the tests below compare the two predictions point by point.
 
 use crate::layers::Linear;
 use crate::zoo::ModelConfig;
@@ -78,7 +81,8 @@ impl Aggregation {
 pub struct InferenceConfig {
     /// The network to execute.
     pub model: ModelConfig,
-    /// Weight seed (same derivation chain as the reference executor).
+    /// Weight seed; [`NetworkExecutor::new`] derives every layer's seed
+    /// from it.
     pub seed: u64,
     /// Aggregation schedule of the set-abstraction stages.
     pub aggregation: Aggregation,
@@ -129,9 +133,9 @@ struct StageWeights {
 /// Runnable network executor with pre-materialized weights and a
 /// selectable aggregation schedule.
 ///
-/// Weights follow the exact seed-derivation chain of
-/// [`ReferenceExecutor`](crate::ReferenceExecutor), so a given
-/// `(model, seed)` pair always denotes the same network.
+/// Every layer's weights come from one seed chain in
+/// [`NetworkExecutor::new`], so a given `(model, seed)` pair always denotes
+/// the same network.
 #[derive(Debug, Clone)]
 pub struct NetworkExecutor {
     config: InferenceConfig,
@@ -214,8 +218,7 @@ impl NetworkExecutor {
 
     /// Runs inference with global-search sampling and grouping at every
     /// stage (input features are the coordinates, zero-padded to the
-    /// model's input channel count — same convention as the reference
-    /// executor).
+    /// model's input channel count).
     ///
     /// # Errors
     ///
@@ -701,6 +704,91 @@ mod tests {
         exec(model, agg).run(cloud, &mut ws).unwrap()
     }
 
+    fn seeded(model: ModelConfig, seed: u64) -> NetworkExecutor {
+        NetworkExecutor::new(InferenceConfig::new(model, seed))
+    }
+
+    fn run_global(ex: &NetworkExecutor, cloud: &PointCloud) -> InferOutput {
+        ex.run(cloud, &mut Workspace::default()).unwrap()
+    }
+
+    /// Block mode as `INFER` serves it: a block-parallel first stage with the
+    /// model's first set-abstraction parameters, global deeper stages.
+    fn run_block(ex: &NetworkExecutor, cloud: &PointCloud, threshold: usize) -> InferOutput {
+        let sa = &ex.config().model.stages[0];
+        let cfg = PipelineConfig::new(threshold, sa.sample_ratio, sa.radius, sa.nsample);
+        let po = Pipeline::new(cfg).unwrap().run(cloud, false).unwrap();
+        ex.run_with_stage1(cloud, &po, &mut Workspace::default()).unwrap()
+    }
+
+    #[test]
+    fn classification_produces_one_logit_row() {
+        let ex = seeded(ModelConfig::pointnetpp_classification(), 42);
+        let out = run_global(&ex, &object_cloud(ObjectKind::Chair, 512, 1));
+        assert_eq!(out.logits.len(), 40);
+        assert_eq!(out.row_index, [0]);
+        assert!(out.logits.iter().all(|v| v.is_finite()));
+        assert!(out.predicted_class(0) < 40);
+    }
+
+    #[test]
+    fn segmentation_produces_per_point_logits() {
+        let ex = seeded(ModelConfig::pointnext_segmentation(), 7);
+        let out = run_global(&ex, &scene_cloud(&SceneConfig::default(), 1024, 2));
+        assert_eq!(out.logits.len(), 1024 * 13);
+        assert_eq!(out.row_index.len(), 1024);
+        assert!(out.logits.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn block_mode_runs_and_matches_shapes() {
+        let ex = seeded(ModelConfig::pointnext_segmentation(), 7);
+        let out = run_block(&ex, &scene_cloud(&SceneConfig::default(), 1024, 3), 128);
+        assert_eq!(out.logits.len(), 1024 * 13);
+        // Every original point appears exactly once.
+        let mut seen = out.row_index.clone();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 1024);
+    }
+
+    #[test]
+    fn block_and_global_agree_on_most_predictions() {
+        // The accuracy argument (§VI-B): identical weights, block vs global
+        // search — predictions agree for the large majority of points (the
+        // paper reports < 0.7 pp accuracy change after retraining; without
+        // retraining the margin is wider).
+        let ex = seeded(ModelConfig::pointnetpp_segmentation(), 11);
+        let cloud = scene_cloud(&SceneConfig::default(), 768, 5);
+        let g = run_global(&ex, &cloud);
+        let b = run_block(&ex, &cloud, 256);
+        // Align rows through the original-cloud indices.
+        let mut g_pred = vec![0usize; 768];
+        for (r, &oi) in g.row_index.iter().enumerate() {
+            g_pred[oi] = g.predicted_class(r);
+        }
+        let agree =
+            b.row_index.iter().enumerate().filter(|&(r, &oi)| b.predicted_class(r) == g_pred[oi]);
+        let frac = agree.count() as f64 / 768.0;
+        assert!(frac > 0.7, "agreement {frac} too low");
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let cloud = object_cloud(ObjectKind::Sphere, 256, 9);
+        let a = run_global(&seeded(ModelConfig::pointnetpp_classification(), 3), &cloud);
+        let b = run_global(&seeded(ModelConfig::pointnetpp_classification(), 3), &cloud);
+        assert_eq!(a.logits, b.logits);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let cloud = object_cloud(ObjectKind::Sphere, 256, 9);
+        let a = run_global(&seeded(ModelConfig::pointnetpp_classification(), 1), &cloud);
+        let b = run_global(&seeded(ModelConfig::pointnetpp_classification(), 2), &cloud);
+        assert_ne!(a.logits, b.logits);
+    }
+
     #[test]
     fn eager_and_delayed_are_bit_identical_classification() {
         let cloud = object_cloud(ObjectKind::Chair, 512, 1);
@@ -810,6 +898,17 @@ mod tests {
         let ex = exec(ModelConfig::pointnetpp_classification(), Aggregation::Delayed);
         let mut ws = Workspace::default();
         assert!(ex.run(&PointCloud::new(), &mut ws).is_err());
+    }
+
+    #[test]
+    fn empty_cloud_errors_in_both_modes() {
+        let ex = seeded(ModelConfig::pointnetpp_classification(), 0);
+        let empty = PointCloud::new();
+        assert!(ex.run(&empty, &mut Workspace::default()).is_err());
+        // Block mode fails at its block-parallel first stage.
+        let sa = &ex.config().model.stages[0];
+        let cfg = PipelineConfig::new(256, sa.sample_ratio, sa.radius, sa.nsample);
+        assert!(Pipeline::new(cfg).unwrap().run(&empty, false).is_err());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Minimal real-arithmetic neural layers for the CPU reference executor.
+//! The dense layer [`NetworkExecutor`](crate::NetworkExecutor) runs: seeded
+//! weights, packed once, applied by the dispatched linear kernel.
 
 use fractalcloud_pointcloud::kernels;
 use rand::rngs::StdRng;
@@ -33,22 +34,9 @@ impl Linear {
         Linear { cin, cout, packed, bias, relu }
     }
 
-    /// Applies the layer to a row-major `rows × cin` matrix, producing
-    /// `rows × cout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` is not a multiple of `cin`.
-    pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    /// [`Linear::forward`] writing into a caller-owned buffer (cleared and
-    /// resized to `rows × cout`), so a warmed buffer performs no heap
-    /// allocation. Results are bit-identical to [`Linear::forward`] — the
-    /// allocating form calls this one.
+    /// Applies the layer to a row-major `rows × cin` matrix, writing
+    /// `rows × cout` into a caller-owned buffer (cleared and resized), so a
+    /// warmed buffer performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -74,86 +62,39 @@ impl Linear {
     }
 }
 
-/// Max-pools a row-major `(groups × size) × channels` tensor over the
-/// `size` axis, producing `groups × channels`.
-///
-/// # Panics
-///
-/// Panics if the buffer does not match `groups × size × channels`.
-pub fn max_pool(input: &[f32], groups: usize, size: usize, channels: usize) -> Vec<f32> {
-    assert_eq!(input.len(), groups * size * channels, "pool shape mismatch");
-    let mut out = vec![f32::NEG_INFINITY; groups * channels];
-    for g in 0..groups {
-        for s in 0..size {
-            let row = &input[(g * size + s) * channels..(g * size + s + 1) * channels];
-            let o = &mut out[g * channels..(g + 1) * channels];
-            for (ov, rv) in o.iter_mut().zip(row) {
-                *ov = ov.max(*rv);
-            }
-        }
-    }
-    out
-}
-
-/// Concatenates two row-major matrices with equal row counts along the
-/// channel axis.
-///
-/// # Panics
-///
-/// Panics if row counts disagree.
-pub fn concat_channels(a: &[f32], ca: usize, b: &[f32], cb: usize) -> Vec<f32> {
-    let rows = a.len().checked_div(ca).unwrap_or(b.len() / cb.max(1));
-    assert_eq!(rows * ca, a.len(), "lhs shape mismatch");
-    assert_eq!(rows * cb, b.len(), "rhs shape mismatch");
-    let mut out = Vec::with_capacity(rows * (ca + cb));
-    for r in 0..rows {
-        out.extend_from_slice(&a[r * ca..(r + 1) * ca]);
-        out.extend_from_slice(&b[r * cb..(r + 1) * cb]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn forward(l: &Linear, input: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        l.forward_into(input, &mut out);
+        out
+    }
+
     #[test]
     fn linear_shapes_and_determinism() {
         let l = Linear::seeded(4, 8, 1, true);
-        let out = l.forward(&[0.5; 12]);
+        let out = forward(&l, &[0.5; 12]);
         assert_eq!(out.len(), 3 * 8);
         let l2 = Linear::seeded(4, 8, 1, true);
-        assert_eq!(l.forward(&[0.5; 12]), l2.forward(&[0.5; 12]));
+        assert_eq!(out, forward(&l2, &[0.5; 12]));
     }
 
     #[test]
     fn relu_clamps_negatives() {
         let l = Linear::seeded(2, 4, 3, true);
-        let out = l.forward(&[-10.0, -10.0]);
+        let out = forward(&l, &[-10.0, -10.0]);
         assert!(out.iter().all(|&v| v >= 0.0));
         let l = Linear::seeded(2, 4, 3, false);
-        let out = l.forward(&[-10.0, -10.0]);
+        let out = forward(&l, &[-10.0, -10.0]);
         assert!(out.iter().any(|&v| v < 0.0));
-    }
-
-    #[test]
-    fn max_pool_picks_maxima() {
-        // 1 group, 3 elements, 2 channels.
-        let input = [1.0, 5.0, 3.0, 2.0, -1.0, 9.0];
-        assert_eq!(max_pool(&input, 1, 3, 2), vec![3.0, 9.0]);
-    }
-
-    #[test]
-    fn concat_interleaves_rows() {
-        let a = [1.0, 2.0, 3.0, 4.0]; // 2×2
-        let b = [9.0, 8.0]; // 2×1
-        assert_eq!(concat_channels(&a, 2, &b, 1), vec![1.0, 2.0, 9.0, 3.0, 4.0, 8.0]);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn linear_checks_width() {
         let l = Linear::seeded(3, 2, 0, true);
-        let _ = l.forward(&[1.0; 4]);
+        let _ = forward(&l, &[1.0; 4]);
     }
 }

@@ -1,5 +1,5 @@
-//! Point-based neural network (PNN) model zoo, operation traces, and a CPU
-//! reference executor.
+//! Point-based neural network (PNN) model zoo, operation traces, and the
+//! CPU executor that serves them.
 //!
 //! This crate provides the workload side of the FractalCloud evaluation:
 //!
@@ -7,9 +7,9 @@
 //!   PointVector) across classification / part-segmentation / segmentation;
 //! * [`OpTrace`] — shape-level operation traces that accelerator models
 //!   cost (sampling, grouping, gather, MLP, pooling, interpolation);
-//! * [`ReferenceExecutor`] — real-arithmetic end-to-end inference in global
-//!   or block-parallel mode, the functional-correctness anchor;
-//! * [`NetworkExecutor`] — the serving executor: workspace-backed,
+//! * [`NetworkExecutor`] — real-arithmetic end-to-end inference, global
+//!   search ([`NetworkExecutor::run`]) or a block-parallel first stage
+//!   ([`NetworkExecutor::run_with_stage1`]); workspace-backed,
 //!   allocation-free when warm, with selectable eager vs Mesorasi delayed
 //!   [`Aggregation`] (bit-identical outputs, `FRACTALCLOUD_AGGREGATION`
 //!   selects the schedule).
@@ -29,11 +29,9 @@
 
 mod infer;
 pub mod layers;
-mod reference;
 mod trace;
 mod zoo;
 
 pub use infer::{Aggregation, InferOutput, InferenceConfig, NetworkExecutor};
-pub use reference::{ExecMode, Inference, ReferenceExecutor};
 pub use trace::{MlpKind, OpTrace, PnnOp};
 pub use zoo::{FeaturePropagation, ModelConfig, SetAbstraction, Task};

@@ -134,8 +134,9 @@ impl AccuracyProxy {
     ///   (coverage ratio ≈ 1.5–1.8 — degraded sampling *cannot* be
     ///   retrained away) → ≈ 9 pp (paper: 8.8 pp).
     ///
-    /// The mapping is a documented *proxy*, not a retrained measurement; see
-    /// DESIGN.md §3.
+    /// The mapping is a documented *proxy*, not a retrained measurement: no
+    /// dataset or trained weights ship with this repository, so the paper's
+    /// anchors above are its only calibration.
     pub fn estimated_accuracy_loss_pp(&self) -> f64 {
         let recall_term =
             (1.0 - self.grouping_recall) * 4.0 + (1.0 - self.interpolation_recall) * 2.0;

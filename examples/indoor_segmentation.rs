@@ -1,14 +1,16 @@
 //! End-to-end semantic segmentation of an indoor scene: runs PointNeXt (s)
-//! functionally (real arithmetic) in both global-search and block-parallel
-//! modes, compares predictions, then costs the same workload on the
-//! FractalCloud accelerator model versus the GPU.
+//! functionally (real arithmetic) with global search and with the
+//! block-parallel first stage the serving engine runs, compares
+//! predictions, then costs the same workload on the FractalCloud
+//! accelerator model versus the GPU.
 //!
 //! ```text
 //! cargo run --release --example indoor_segmentation
 //! ```
 
 use fractalcloud::accel::{Accelerator, DesignModel, DesignParams, GpuModel, Workload};
-use fractalcloud::pnn::{ExecMode, ModelConfig, ReferenceExecutor};
+use fractalcloud::core::{Pipeline, PipelineConfig, Workspace};
+use fractalcloud::pnn::{InferenceConfig, ModelConfig, NetworkExecutor};
 use fractalcloud::pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud::pointcloud::Error;
 
@@ -18,9 +20,13 @@ fn main() -> Result<(), Error> {
 
     // --- Functional inference on a small scene (real matmuls) ---
     let cloud = scene_cloud(&SceneConfig::default(), 2048, 7);
-    let exec = ReferenceExecutor::new(model.clone(), 1234);
-    let global = exec.run(&cloud, ExecMode::Global)?;
-    let block = exec.run(&cloud, ExecMode::Block { threshold: 256 })?;
+    let sa = &model.stages[0];
+    let stage1 = Pipeline::new(PipelineConfig::new(256, sa.sample_ratio, sa.radius, sa.nsample))?
+        .run(&cloud, false)?;
+    let exec = NetworkExecutor::new(InferenceConfig::new(model.clone(), 1234));
+    let mut ws = Workspace::default();
+    let global = exec.run(&cloud, &mut ws)?;
+    let block = exec.run_with_stage1(&cloud, &stage1, &mut ws)?;
 
     let mut global_pred = vec![0usize; cloud.len()];
     for (row, &oi) in global.row_index.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! operations, a cycle-level model of the accelerator and its baselines
 //! (PointAcc, Crescent, Mesorasi, PNNPU, GPU), and every substrate they
 //! need — point-cloud geometry, synthetic datasets, a DDR4 model, on-chip
-//! unit models, an RV32IM control core, and a PNN model zoo.
+//! unit models, and a PNN model zoo with its serving executor.
 //!
 //! This facade crate re-exports the whole workspace under one name:
 //!
@@ -16,8 +16,8 @@
 //!   ([`fractalcloud_core`]);
 //! * [`dram`] — the DDR4-2133 model ([`fractalcloud_dram`]);
 //! * [`sim`] — on-chip unit models ([`fractalcloud_sim`]);
-//! * [`riscv`] — the RV32IM control plane ([`fractalcloud_riscv`]);
-//! * [`pnn`] — networks and traces ([`fractalcloud_pnn`]);
+//! * [`pnn`] — networks, traces and the serving executor
+//!   ([`fractalcloud_pnn`]);
 //! * [`accel`] — accelerator cost models ([`fractalcloud_accel`]);
 //! * [`parallel`] — the scoped-thread worker pool
 //!   ([`fractalcloud_parallel`]);
@@ -52,6 +52,5 @@ pub use fractalcloud_dram as dram;
 pub use fractalcloud_parallel as parallel;
 pub use fractalcloud_pnn as pnn;
 pub use fractalcloud_pointcloud as pointcloud;
-pub use fractalcloud_riscv as riscv;
 pub use fractalcloud_serve as serve;
 pub use fractalcloud_sim as sim;

@@ -2,8 +2,8 @@
 //! accelerator reports.
 
 use fractalcloud::accel::{Accelerator, DesignModel, DesignParams, GpuModel, Segments, Workload};
-use fractalcloud::core::{block_fps, BppoConfig, Fractal};
-use fractalcloud::pnn::{ExecMode, ModelConfig, OpTrace, ReferenceExecutor};
+use fractalcloud::core::{block_fps, BppoConfig, Fractal, Pipeline, PipelineConfig, Workspace};
+use fractalcloud::pnn::{InferenceConfig, ModelConfig, NetworkExecutor, OpTrace};
 use fractalcloud::pointcloud::generate::{scene_cloud, SceneConfig};
 
 #[test]
@@ -84,22 +84,30 @@ fn functional_and_architectural_paths_share_the_partition_structure() {
 }
 
 #[test]
-fn reference_executor_runs_all_models_both_modes() {
-    let cloud = scene_cloud(&SceneConfig::default(), 512, 5);
-    for model in [
-        ModelConfig::pointnetpp_classification(),
-        ModelConfig::pointnetpp_segmentation(),
-        ModelConfig::pointnext_segmentation(),
-    ] {
+fn network_executor_runs_every_table1_model_both_modes() {
+    // Global search at every stage (`run`), and the block-parallel first
+    // stage `INFER` serves (`run_with_stage1`).
+    let n = 512;
+    let cloud = scene_cloud(&SceneConfig::default(), n, 5);
+    let mut ws = Workspace::default();
+    for model in ModelConfig::table1() {
+        let name = model.notation.clone();
+        let rows = if model.task.has_propagation() { n } else { 1 };
         let classes = model.classes;
-        let has_prop = model.task.has_propagation();
-        let exec = ReferenceExecutor::new(model, 77);
-        for mode in [ExecMode::Global, ExecMode::Block { threshold: 128 }] {
-            let out = exec.run(&cloud, mode).unwrap();
-            let expected_rows = if has_prop { 512 } else { 1 };
-            assert_eq!(out.logits.len(), expected_rows * classes);
-            assert!(out.logits.iter().all(|v| v.is_finite()));
+        let sa = &model.stages[0];
+        let pipe = Pipeline::new(PipelineConfig::new(128, sa.sample_ratio, sa.radius, sa.nsample))
+            .unwrap();
+        let exec = NetworkExecutor::new(InferenceConfig::new(model, 77));
+        let global = exec.run(&cloud, &mut ws).unwrap();
+        let stage1 = pipe.run(&cloud, false).unwrap();
+        let block = exec.run_with_stage1(&cloud, &stage1, &mut ws).unwrap();
+        for out in [&global, &block] {
+            assert_eq!(out.logits.len(), rows * classes, "{name}");
+            assert!(out.logits.iter().all(|v| v.is_finite()), "{name}");
         }
+        let mut seen = block.row_index.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..rows).collect::<Vec<_>>(), "{name}");
     }
 }
 

@@ -7,7 +7,6 @@ use fractalcloud::pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
 };
 use fractalcloud::pointcloud::{Point3, PointCloud};
-use fractalcloud::riscv::{assemble, decode};
 use proptest::prelude::*;
 
 fn arb_cloud(max_n: usize) -> impl Strategy<Value = PointCloud> {
@@ -148,28 +147,5 @@ proptest! {
         prop_assert!(r.cycles > 0);
         let classified = r.row_hits + r.row_misses + r.row_conflicts;
         prop_assert_eq!(classified, reqs.len() as u64);
-    }
-
-    /// Round trip: assembling an `addi/add/mul` program and decoding it
-    /// recovers the operands.
-    #[test]
-    fn riscv_assemble_decode_round_trip(
-        rd in 1u8..32, rs1 in 0u8..32, rs2 in 0u8..32, imm in -2048i64..2048,
-    ) {
-        let src = format!(
-            "addi x{rd}, x{rs1}, {imm}\nadd x{rd}, x{rs1}, x{rs2}\nmul x{rd}, x{rs1}, x{rs2}"
-        );
-        let code = assemble(&src).unwrap();
-        let words: Vec<u32> = code
-            .chunks(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        use fractalcloud::riscv::Instr;
-        prop_assert_eq!(
-            decode(words[0]).unwrap(),
-            Instr::Addi { rd, rs1, imm: imm as i32 }
-        );
-        prop_assert_eq!(decode(words[1]).unwrap(), Instr::Add { rd, rs1, rs2 });
-        prop_assert_eq!(decode(words[2]).unwrap(), Instr::Mul { rd, rs1, rs2 });
     }
 }
