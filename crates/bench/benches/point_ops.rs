@@ -60,18 +60,16 @@ fn bench_point_ops_64k(c: &mut Criterion) {
     });
 
     let own_offset = |b: usize| -> usize {
-        let space = &part.blocks[b].parent_group;
-        space.iter().take_while(|&&g| g != b).map(|&g| part.blocks[g].len()).sum()
+        let first = part.blocks[b].search.0;
+        part.blocks[first..b].iter().map(|g| g.len()).sum()
     };
     let block = (0..part.blocks.len())
         .filter(|&b| own_offset(b) > 0)
         .max_by_key(|&b| fps.per_block[b].len())
         .unwrap();
-    let space: Vec<usize> = part.blocks[block]
-        .parent_group
-        .iter()
-        .flat_map(|&g| part.blocks[g].indices.iter().copied())
-        .collect();
+    let (first, end) = part.blocks[block].search;
+    let space: Vec<usize> =
+        part.blocks[first..end].iter().flat_map(|g| g.indices.iter().copied()).collect();
     let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
     kernels::gather_coords(cloud.xs(), cloud.ys(), cloud.zs(), &space, &mut xs, &mut ys, &mut zs);
     let queries: Vec<[f32; 3]> = fps.per_block[block]

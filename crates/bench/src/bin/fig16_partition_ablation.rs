@@ -17,7 +17,8 @@ use fractalcloud_sim::{EnergyTable, FractalEngine, FractalEngineConfig, Rspu, Rs
 fn search_factor(p: &Partition) -> f64 {
     let mut acc = 0.0;
     for b in &p.blocks {
-        let space: usize = b.parent_group.iter().map(|&g| p.blocks[g].len()).sum();
+        let (first, end) = b.search;
+        let space: usize = p.blocks[first..end].iter().map(|g| g.len()).sum();
         acc += space as f64 / b.len().max(1) as f64;
     }
     acc / p.blocks.len().max(1) as f64

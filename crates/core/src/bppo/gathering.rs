@@ -115,8 +115,9 @@ pub fn block_gather(
         ws.own.extend_from_slice(&partition.blocks[b].indices);
         ws.own.sort_unstable();
         ws.space.clear();
-        for &g in &partition.blocks[b].parent_group {
-            ws.space.extend_from_slice(&partition.blocks[g].indices);
+        let (first, end) = partition.blocks[b].search;
+        for block in &partition.blocks[first..end] {
+            ws.space.extend_from_slice(&block.indices);
         }
         ws.space.sort_unstable();
         out.data.reserve(indices_per_block[b].len() * channels);

@@ -1,6 +1,6 @@
 //! Block-wise grouping (BWG): ball query with block-local search spaces.
 
-use crate::bppo::{for_each_block, BlockParts, BppoConfig, ReuseStats};
+use crate::bppo::{for_each_block, with_layout, BlockParts, BppoConfig, Layout, ReuseStats};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
@@ -53,8 +53,8 @@ impl BlockParts for BlockNeighborResult {
 }
 
 /// Block-wise ball query (§IV-B): for every block, its centers search only
-/// the block's *parent search space* (`Block::parent_group`) instead of the
-/// whole cloud.
+/// the block's *parent search space* (`Block::search`) instead of the whole
+/// cloud.
 ///
 /// `centers_per_block[b]` holds the global indices of block `b`'s center
 /// points (typically the block's block-FPS samples). Neighbor rows are
@@ -120,7 +120,38 @@ pub fn block_ball_query_into(
         });
     }
     ops::check_ball_query(radius, num)?;
+    with_layout(ws, cloud, partition, |layout, ws| {
+        ball_query_blocks(
+            cloud,
+            layout,
+            partition,
+            centers_per_block,
+            radius,
+            num,
+            config,
+            ws,
+            out,
+        );
+        Ok(())
+    })
+}
 
+/// Block ball query over an already filled [`Layout`] of `cloud` under
+/// `partition` — the body of [`block_ball_query_into`], which the pipeline
+/// calls on the layout it shares with sampling. The caller has checked the
+/// arguments.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ball_query_blocks(
+    cloud: &PointCloud,
+    layout: &Layout,
+    partition: &Partition,
+    centers_per_block: &[Vec<usize>],
+    radius: f32,
+    num: usize,
+    config: &BppoConfig,
+    ws: &mut Workspace,
+    out: &mut BlockNeighborResult,
+) {
     out.indices.clear();
     out.center_indices.clear();
     out.found.clear();
@@ -129,26 +160,25 @@ pub fn block_ball_query_into(
     out.critical_path = OpCounters::new();
     out.reuse = ReuseStats::default();
     for_each_block(partition.blocks.len(), config.parallel, ws, out, |b, ws, out| {
-        let space = search_space(partition, &b, config.parent_expansion);
-        ball_query_block(cloud, partition, space, b, &centers_per_block[b], radius, num, ws, out);
+        let search = search_run(partition, b, config.parent_expansion);
+        ball_query_block(cloud, layout, search, b, &centers_per_block[b], radius, num, ws, out);
     });
-    Ok(())
 }
 
-/// One block's body under the block driver: gathers the search space
-/// `space` (block indices) into the workspace's local SoA buffers — the
-/// candidate set is loaded on-chip once and shared by every center of the
-/// block (§V-C) — runs [`ops::ball_query_into`] for `centers` against it,
-/// scanning from block `own`'s offset in the space (its centers' nearest
-/// candidates; rows are unchanged by where the scan starts), and *appends*
-/// the neighbor rows, center indices, per-center hit counts and the block's
-/// work to `out`. A center with no candidate at a finite distance falls
-/// back to itself: its own block is always in the space.
+/// One block's body under the block driver: runs [`ops::ball_query_into`]
+/// for `centers` against the search space — the run of blocks `search`,
+/// one contiguous slice of the layout read in place, loaded on-chip once
+/// and shared by every center of the block (§V-C) — scanning from block
+/// `own`'s offset in the space (its centers' nearest candidates; rows are
+/// unchanged by where the scan starts), and *appends* the neighbor rows,
+/// center indices, per-center hit counts and the block's work to `out`. A
+/// center with no candidate at a finite distance falls back to itself: its
+/// own block is always in the space.
 #[allow(clippy::too_many_arguments)]
 fn ball_query_block(
     cloud: &PointCloud,
-    partition: &Partition,
-    space: &[usize],
+    layout: &Layout,
+    search: (usize, usize),
     own: usize,
     centers: &[usize],
     radius: f32,
@@ -156,32 +186,17 @@ fn ball_query_block(
     ws: &mut Workspace,
     out: &mut BlockNeighborResult,
 ) {
-    ws.candidates.clear();
-    let mut first = 0;
-    for &g in space {
-        if g == own {
-            first = ws.candidates.len();
-        }
-        ws.candidates.extend_from_slice(&partition.blocks[g].indices);
-    }
-    kernels::gather_coords(
-        cloud.xs(),
-        cloud.ys(),
-        cloud.zs(),
-        &ws.candidates,
-        &mut ws.sx,
-        &mut ws.sy,
-        &mut ws.sz,
-    );
+    debug_assert!((search.0..search.1).contains(&own), "a block searches its own points");
+    let (xs, ys, zs, order) = layout.run(search);
+    let first = layout.span((search.0, own)).len();
     ws.queries.clear();
     ws.queries.extend(centers.iter().map(|&ci| [cloud.xs()[ci], cloud.ys()[ci], cloud.zs()[ci]]));
     out.center_indices.extend_from_slice(centers);
-    let candidates = &ws.candidates;
     ops::ball_query_into(
         kernels::active_backend(),
-        &ws.sx,
-        &ws.sy,
-        &ws.sz,
+        xs,
+        ys,
+        zs,
         &ws.queries,
         radius,
         num,
@@ -189,10 +204,10 @@ fn ball_query_block(
         &mut ws.select,
         &mut out.indices,
         &mut out.found,
-        |slot| candidates[slot],
+        |slot| order[slot] as usize,
         |row| centers[row],
     );
-    let (counters, reuse) = ball_query_block_model(candidates.len(), centers.len(), num);
+    let (counters, reuse) = ball_query_block_model(xs.len(), centers.len(), num);
     out.push(counters, reuse);
 }
 
@@ -219,17 +234,17 @@ pub fn ball_query_block_model(
     (counters, reuse)
 }
 
-/// The search space of block `b`, as block indices: its `parent_group`
-/// when parent expansion is enabled, otherwise the block alone.
-pub(crate) fn search_space<'a>(
-    partition: &'a Partition,
-    b: &'a usize,
+/// The search space of block `b`, as a run of block indices: its `search`
+/// run when parent expansion is enabled, otherwise the block alone.
+pub(crate) fn search_run(
+    partition: &Partition,
+    b: usize,
     parent_expansion: bool,
-) -> &'a [usize] {
+) -> (usize, usize) {
     if parent_expansion {
-        &partition.blocks[*b].parent_group
+        partition.blocks[b].search
     } else {
-        std::slice::from_ref(b)
+        (b, b + 1)
     }
 }
 
@@ -257,11 +272,9 @@ mod tests {
             block_ball_query(&cloud, &part, &centers, 0.6, 16, &BppoConfig::sequential()).unwrap();
         let mut row = 0usize;
         for (b, c_list) in centers.iter().enumerate() {
-            let allowed: std::collections::BTreeSet<usize> = part.blocks[b]
-                .parent_group
-                .iter()
-                .flat_map(|&g| part.blocks[g].indices.iter().copied())
-                .collect();
+            let (first, end) = part.blocks[b].search;
+            let allowed: std::collections::BTreeSet<usize> =
+                part.blocks[first..end].iter().flat_map(|g| g.indices.iter().copied()).collect();
             for _ in c_list {
                 for &n in &r.indices[row * 16..(row + 1) * 16] {
                     assert!(allowed.contains(&n), "neighbor {n} outside search space");

@@ -1,7 +1,7 @@
 //! Block-wise interpolation (BWI): KNN feature propagation with block-local
 //! search spaces.
 
-use crate::bppo::grouping::search_space;
+use crate::bppo::grouping::search_run;
 use crate::bppo::{for_each_block, BlockParts, BppoConfig, ReuseStats};
 use crate::workspace::global_pool;
 use fractalcloud_pointcloud::kernels;
@@ -95,8 +95,9 @@ pub fn block_interpolate(
         // Candidate source rows: the sampled points of the search space,
         // staged in the lane's workspace.
         ws.candidates.clear();
-        for &g in search_space(partition, &b, config.parent_expansion) {
-            ws.candidates.extend_from_slice(&sources_per_block[g]);
+        let (first, end) = search_run(partition, b, config.parent_expansion);
+        for rows in &sources_per_block[first..end] {
+            ws.candidates.extend_from_slice(rows);
         }
         if ws.candidates.is_empty() {
             // Degenerate: no samples in the search space; widen to all

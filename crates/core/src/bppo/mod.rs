@@ -13,20 +13,23 @@
 //! * [`block_gather`] — block-wise gathering with per-block locality
 //!   accounting (on-chip vs DRAM).
 //!
-//! Each operation is a per-block body that gathers the block's resident
-//! points, runs the *same* slice-level operation the global form runs
-//! ([`fractalcloud_pointcloud::ops`]: `fps_into`, `ball_query_into`,
-//! `interpolate_into`) and *appends* the block's rows and work to a result;
+//! Each operation is a per-block body that runs the *same* slice-level
+//! operation the global form runs ([`fractalcloud_pointcloud::ops`]:
+//! `fps_into`, `ball_query_into`, `interpolate_into`) over the block's
+//! resident points and *appends* the block's rows and work to a result;
 //! one driver decides how blocks reach lanes (one lane streaming every block
 //! through the caller's workspace, or contiguous runs of blocks claimed by
 //! the lanes of the thread budget) and one rule
 //! ([`merge_work`](fractalcloud_pointcloud::ops::merge_work)) merges the
-//! work, so results are bit-identical at every lane count.
+//! work, so results are bit-identical at every lane count. Sampling and
+//! grouping read their points in place from one block-order copy of the
+//! cloud ([`Layout`]), laid out once per frame; interpolation gathers its
+//! sources, which are not the laid-out cloud.
 //!
 //! All functions take a [`Partition`](fractalcloud_pointcloud::partition::Partition)
 //! — any partitioner works (the paper's
 //! fractal engine also supports uniform and KD-tree modes) — but only
-//! partitions whose `parent_group`s derive from a fractal/KD tree give the
+//! partitions whose `search` runs derive from a fractal/KD tree give the
 //! paper's accuracy-preserving expanded search spaces.
 
 mod gathering;
@@ -36,16 +39,20 @@ pub mod reference;
 mod sampling;
 
 pub use gathering::{block_gather, BlockGatherResult, GatherLocality};
+pub(crate) use grouping::ball_query_blocks;
 pub use grouping::{
     ball_query_block_model, block_ball_query, block_ball_query_into, BlockNeighborResult,
 };
 pub use interpolation::{block_interpolate, BlockInterpolationResult};
+pub(crate) use sampling::fps_blocks;
 pub use sampling::{
     block_fps, block_fps_with_counts, block_fps_with_counts_into, block_sample_counts,
     block_sample_counts_into, equal_sample_counts, BlockFpsResult,
 };
 
-use crate::workspace::{global_pool, Workspace};
+use crate::workspace::{global_pool, Slab, Workspace};
+use fractalcloud_pointcloud::partition::Partition;
+use fractalcloud_pointcloud::{Error, PointCloud, Result};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -169,6 +176,106 @@ pub(crate) fn for_each_block<R, F>(
         },
     );
     parts.into_iter().for_each(|part| out.absorb(part));
+}
+
+/// The cloud laid out in block order — what the sampling and grouping
+/// bodies read in place. Block `b`'s points are positions `span((b, b + 1))`
+/// of the four arrays of `points` (`x`, `y`, `z` and each point's index in
+/// the cloud). A search space is a run of consecutive blocks
+/// (`Block::search`), so its points are one contiguous slice too: the
+/// software form of streaming a block's parent node from the DFT layout in
+/// one read (§IV-A, Fig. 9(c)).
+///
+/// Filled by one pass over the partition's index lists, then shared
+/// read-only by every lane of the block driver; see [`with_layout`] for
+/// where its buffers live.
+pub(crate) struct Layout {
+    points: Slab,
+    /// Position of each block's first point, then the total: one entry
+    /// more than there are blocks.
+    start: Vec<usize>,
+}
+
+impl Layout {
+    /// Lays `cloud` out in `partition`'s block order, replacing whatever the
+    /// buffers held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for a cloud whose point count
+    /// does not fit the `u32` indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block holds an index outside the cloud.
+    fn fill(&mut self, cloud: &PointCloud, partition: &Partition) -> Result<()> {
+        let n = cloud.len();
+        if u32::try_from(n).is_err() {
+            return Err(Error::InvalidParameter {
+                name: "cloud",
+                message: format!("{n} points do not fit a u32 index"),
+            });
+        }
+        let Slab { x, y, z, idx } = &mut self.points;
+        x.clear();
+        y.clear();
+        z.clear();
+        idx.clear();
+        self.start.clear();
+        let (cx, cy, cz) = (cloud.xs(), cloud.ys(), cloud.zs());
+        for block in &partition.blocks {
+            self.start.push(idx.len());
+            let members = &block.indices;
+            idx.extend(members.iter().map(|&i| i as u32));
+            x.extend(members.iter().map(|&i| cx[i]));
+            y.extend(members.iter().map(|&i| cy[i]));
+            z.extend(members.iter().map(|&i| cz[i]));
+        }
+        self.start.push(idx.len());
+        Ok(())
+    }
+
+    /// Number of laid-out blocks.
+    pub fn blocks(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The positions of the points of blocks `first..end`.
+    pub fn span(&self, blocks: (usize, usize)) -> Range<usize> {
+        self.start[blocks.0]..self.start[blocks.1]
+    }
+
+    /// The points of blocks `first..end`, in place: `x`, `y`, `z` and each
+    /// point's index in the cloud.
+    pub fn run(&self, blocks: (usize, usize)) -> (&[f32], &[f32], &[f32], &[u32]) {
+        let s = self.span(blocks);
+        let p = &self.points;
+        (&p.x[s.clone()], &p.y[s.clone()], &p.z[s.clone()], &p.idx[s])
+    }
+}
+
+/// Lays `cloud` out in `partition`'s block order in `ws` and runs `f` on the
+/// layout. The point arrays are the Fractal build's first slab: a build is
+/// over before any block op runs and reads nothing a previous user of its
+/// slabs left there, so a workspace that builds a frame's partition and
+/// then samples it holds one `n`-point copy of the cloud, not two. They are
+/// moved out of the workspace while `f` runs — the block driver lends the
+/// workspace to one lane while every lane reads the layout — and moved back
+/// whatever `f` returns, so their capacity survives.
+pub(crate) fn with_layout<T>(
+    ws: &mut Workspace,
+    cloud: &PointCloud,
+    partition: &Partition,
+    f: impl FnOnce(&Layout, &mut Workspace) -> Result<T>,
+) -> Result<T> {
+    let mut layout = Layout {
+        points: std::mem::take(&mut ws.build.slabs[0]),
+        start: std::mem::take(&mut ws.block_starts),
+    };
+    let run = layout.fill(cloud, partition).and_then(|()| f(&layout, ws));
+    ws.build.slabs[0] = layout.points;
+    ws.block_starts = layout.start;
+    run
 }
 
 #[cfg(test)]

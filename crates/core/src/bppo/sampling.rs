@@ -1,6 +1,6 @@
 //! Block-wise sampling (BWS): farthest point sampling decomposed per block.
 
-use crate::bppo::{for_each_block, BlockParts, BppoConfig};
+use crate::bppo::{for_each_block, with_layout, BlockParts, BppoConfig, Layout};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
@@ -231,72 +231,77 @@ pub fn block_fps_with_counts_into(
             actual: counts.len(),
         });
     }
-    let blocks = &partition.blocks;
+    with_layout(ws, cloud, partition, |layout, ws| {
+        fps_blocks(layout, counts, config, ws, out);
+        Ok(())
+    })
+}
+
+/// Block FPS over an already filled [`Layout`] — the body of
+/// [`block_fps_with_counts_into`], which the pipeline calls on the layout
+/// it shares with grouping. `counts` has one entry per laid-out block.
+pub(crate) fn fps_blocks(
+    layout: &Layout,
+    counts: &[usize],
+    config: &BppoConfig,
+    ws: &mut Workspace,
+    out: &mut BlockFpsResult,
+) {
     out.indices.clear();
     out.counters = OpCounters::new();
     out.critical_path = OpCounters::new();
-    for_each_block(blocks.len(), config.parallel, ws, out, |b, ws, out| {
-        fps_block(cloud, &blocks[b].indices, counts[b], config.window_check, ws, out)
+    for_each_block(layout.blocks(), config.parallel, ws, out, |b, ws, out| {
+        fps_block(layout, b, counts[b], config.window_check, ws, out)
     });
     // Block b's row is its `min(count, population)` samples of the
     // concatenation, copied into a recycled row: rows keep their capacity
     // across frames, so a warmed result allocates nothing while the block
     // count is stable.
-    out.per_block.resize_with(blocks.len(), Vec::new);
+    out.per_block.resize_with(layout.blocks(), Vec::new);
     let mut start = 0usize;
     for (b, row) in out.per_block.iter_mut().enumerate() {
-        let end = start + counts[b].min(blocks[b].len());
+        let end = start + counts[b].min(layout.span((b, b + 1)).len());
         row.clear();
         row.extend_from_slice(&out.indices[start..end]);
         start = end;
     }
-    Ok(())
 }
 
-/// FPS restricted to `block` (global indices), selecting `m` points — one
-/// block's body under the block driver: the block's coordinates are
-/// gathered into local SoA buffers once (the software analogue of loading
-/// the block into SRAM, §V-C), [`ops::fps_into`] runs over them from the
-/// block's first point in layout order (the hardware uses the first
-/// streamed point), and the selected global indices and the block's work
-/// are *appended* to `out`. A warmed workspace + result performs no heap
-/// allocation.
+/// FPS restricted to block `b`, selecting `m` points — one block's body
+/// under the block driver: [`ops::fps_into`] runs over the block's run of
+/// the layout in place (the software analogue of streaming the block into
+/// SRAM, §V-C) from its first point in layout order (the hardware uses the
+/// first streamed point), and the selected global indices and the block's
+/// work are *appended* to `out`. A warmed workspace + result performs no
+/// heap allocation.
 ///
 /// The work is [`OpCounters::fps_model`] — the *hardware* work: with the
 /// window check, iteration `s` visits the `n − s` valid candidates and
 /// skips `s`; without it, all `n`. The mask changes the count, never the
 /// selection: the shared loop pins every pick either way.
 fn fps_block(
-    cloud: &PointCloud,
-    block: &[usize],
+    layout: &Layout,
+    b: usize,
     m: usize,
     window_check: bool,
     ws: &mut Workspace,
     out: &mut BlockFpsResult,
 ) {
-    out.push(OpCounters::fps_model(block.len(), m, window_check));
+    let (xs, ys, zs, order) = layout.run((b, b + 1));
+    out.push(OpCounters::fps_model(xs.len(), m, window_check));
     if m == 0 {
         return;
     }
-    kernels::gather_coords(
-        cloud.xs(),
-        cloud.ys(),
-        cloud.zs(),
-        block,
-        &mut ws.sx,
-        &mut ws.sy,
-        &mut ws.sz,
-    );
     ops::fps_into(
         kernels::active_backend(),
-        &ws.sx,
-        &ws.sy,
-        &ws.sz,
+        xs,
+        ys,
+        zs,
         m,
         0,
         &mut ws.dist,
         &mut out.indices,
-        |slot| block[slot],
+        |slot| order[slot] as usize,
     );
 }
 

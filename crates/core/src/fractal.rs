@@ -251,8 +251,8 @@ impl Fractal {
 
 /// Turns the finished node list and order buffer into the returned
 /// artifacts: leaves in DFT order (into the reusable buffer), blocks cut
-/// out of the order buffer, search spaces, the tree. Only the returned
-/// artifacts allocate.
+/// out of the order buffer, search spaces (each leaf's parent's leaf run),
+/// the tree. Only the returned artifacts allocate.
 fn assemble(
     mut nodes: Vec<FractalNode>,
     order: &[usize],
@@ -262,21 +262,23 @@ fn assemble(
 ) -> FractalResult {
     leaves.clear();
     collect_leaves_dft(&nodes, 0, leaves);
-    let mut blocks = Vec::with_capacity(leaves.len());
     for (bi, &lid) in leaves.iter().enumerate() {
         nodes[lid].leaf_block = Some(bi);
-        let (s, e) = nodes[lid].range;
-        blocks.push(Block {
-            indices: order[s..e].to_vec(),
-            aabb: nodes[lid].aabb,
-            depth: nodes[lid].depth,
-            parent_group: Vec::new(),
-        });
     }
     let tree = FractalTree::from_parts(nodes, leaves.clone());
-    for (block, &lid) in blocks.iter_mut().zip(leaves.iter()) {
-        block.parent_group = tree.search_space_blocks(lid);
-    }
+    let blocks = leaves
+        .iter()
+        .map(|&lid| {
+            let node = tree.node(lid);
+            let (s, e) = node.range;
+            Block {
+                indices: order[s..e].to_vec(),
+                aabb: node.aabb,
+                depth: node.depth,
+                search: tree.search_run(lid),
+            }
+        })
+        .collect();
 
     let max_depth = tree.max_depth();
     let partition = Partition { blocks, cost, max_depth, method: "fractal" };
@@ -584,8 +586,9 @@ mod tests {
             w.extend(b.indices.iter().map(|&i| i as u64));
             w.extend(aabb_words(&b.aabb));
             w.push(b.depth as u64);
-            w.push(b.parent_group.len() as u64);
-            w.extend(b.parent_group.iter().map(|&g| g as u64));
+            let (first, end) = b.search;
+            w.push((end - first) as u64);
+            w.extend((first..end).map(|g| g as u64));
         }
         w.push(r.tree.nodes().len() as u64);
         for n in r.tree.nodes() {

@@ -77,7 +77,8 @@ impl SampleOrder {
         self.block_sizes.extend(partition.blocks.iter().map(|b| b.indices.len()));
         self.cand_sizes.clear();
         self.cand_sizes.extend(partition.blocks.iter().map(|b| {
-            b.parent_group.iter().map(|&g| partition.blocks[g].indices.len()).sum::<usize>()
+            let (first, end) = b.search;
+            partition.blocks[first..end].iter().map(|g| g.indices.len()).sum::<usize>()
         }));
 
         // Interleave blocks by budget fraction: block b's j-th sample (of

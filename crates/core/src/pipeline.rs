@@ -17,8 +17,8 @@
 //! guarantee the underlying operations make).
 
 use crate::bppo::{
-    block_ball_query_into, block_fps_with_counts_into, block_sample_counts,
-    block_sample_counts_into, BlockFpsResult, BlockNeighborResult, BppoConfig,
+    ball_query_blocks, block_sample_counts, block_sample_counts_into, fps_blocks, with_layout,
+    BlockFpsResult, BlockNeighborResult, BppoConfig,
 };
 use crate::fractal::{Fractal, FractalResult};
 use crate::lod::SampleOrder;
@@ -377,37 +377,40 @@ impl Pipeline {
                 ws.counts[b as usize] += 1;
             }
         }
-        // Move the counts out for the duration of the sampling call (the
-        // sampler needs the whole workspace mutably); moved back after.
-        let counts = std::mem::take(&mut ws.counts);
-        let sample_span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockSample, u32::MAX);
-        let sampled = block_fps_with_counts_into(
-            cloud,
-            &built.partition,
-            &counts,
-            &bppo,
-            ws,
-            &mut out.sampled,
-        );
-        sample_span.done();
-        ws.counts = counts;
-        sampled?;
-        if let Some(c) = cancel {
-            c.check()?;
+        if cloud.is_empty() {
+            return Err(Error::EmptyCloud);
         }
+        // Move the counts out for the duration of both stages (the block
+        // bodies need the whole workspace mutably); moved back after. The
+        // cloud is laid out in block order once, inside the sampling span,
+        // and both stages read it in place.
+        let counts = std::mem::take(&mut ws.counts);
         let PipelineOutput { sampled, grouped, blocks, order: _ } = out;
-        let group_span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockGroup, u32::MAX);
-        block_ball_query_into(
-            cloud,
-            &built.partition,
-            &sampled.per_block,
-            self.config.radius,
-            self.config.neighbors,
-            &bppo,
-            ws,
-            grouped,
-        )?;
-        group_span.done();
+        let sample_span = fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockSample, u32::MAX);
+        let run = with_layout(ws, cloud, &built.partition, |layout, ws| {
+            fps_blocks(layout, &counts, &bppo, ws, sampled);
+            sample_span.done();
+            if let Some(c) = cancel {
+                c.check()?;
+            }
+            let group_span =
+                fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockGroup, u32::MAX);
+            ball_query_blocks(
+                cloud,
+                layout,
+                &built.partition,
+                &sampled.per_block,
+                self.config.radius,
+                self.config.neighbors,
+                &bppo,
+                ws,
+                grouped,
+            );
+            group_span.done();
+            Ok(())
+        });
+        ws.counts = counts;
+        run?;
         *blocks = built.partition.blocks.len();
         Ok(())
     }

@@ -14,7 +14,7 @@ use crate::bppo::{
 use fractalcloud_pointcloud::metrics::{mean_sample_distance, neighbor_recall, AccuracyProxy};
 use fractalcloud_pointcloud::ops::{ball_query, farthest_point_sample, k_nearest_neighbors};
 use fractalcloud_pointcloud::partition::Partition;
-use fractalcloud_pointcloud::{Point3, PointCloud, Result};
+use fractalcloud_pointcloud::{Error, Point3, PointCloud, Result};
 
 /// Parameters of a quality evaluation; defaults match a PointNeXt-style
 /// set-abstraction + propagation stage.
@@ -68,8 +68,9 @@ pub struct QualityReport {
 ///
 /// # Errors
 ///
-/// Propagates errors from the underlying operations (empty cloud, invalid
-/// parameters).
+/// Returns [`Error::InvalidParameter`] when the sampling budget rounds to
+/// no sample at all (a one-point cloud at rate 1/4), and propagates errors
+/// from the underlying operations (empty cloud, invalid parameters).
 pub fn evaluate_quality(
     cloud: &PointCloud,
     partition: &Partition,
@@ -86,8 +87,17 @@ pub fn evaluate_quality(
         block_sample_counts(&sizes, config.sampling_rate)
     };
     let block = block_fps_with_counts(cloud, partition, &counts, &bppo)?;
-    let m = block.indices.len().max(1);
-    let global = farthest_point_sample(cloud, m, block.indices[0])?;
+    let Some(&start) = block.indices.first() else {
+        return Err(Error::InvalidParameter {
+            name: "sampling_rate",
+            message: format!(
+                "the sample set is empty: rate {} samples no point of a {}-point cloud",
+                config.sampling_rate,
+                cloud.len()
+            ),
+        });
+    };
+    let global = farthest_point_sample(cloud, block.indices.len(), start)?;
     let block_sample_distance = mean_sample_distance(cloud, &block.indices);
     let global_sample_distance = mean_sample_distance(cloud, &global.indices);
     let sampling_coverage_ratio = if global_sample_distance > 0.0 {

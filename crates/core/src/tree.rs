@@ -100,34 +100,30 @@ impl FractalTree {
         Some(if l == id { r } else { l })
     }
 
-    /// All leaf block indices under node `id`, in DFT order.
-    pub fn leaf_blocks_under(&self, id: NodeId) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            match node.children {
-                None => out.push(node.leaf_block.expect("leaf has block")),
-                Some((l, r)) => {
-                    // push right first so left is visited first (DFT).
-                    stack.push(r);
-                    stack.push(l);
-                }
+    /// The leaf blocks under node `id` as the half-open run of block indices
+    /// they occupy — contiguous, because leaves are numbered in DFT order:
+    /// from the block of the leftmost leaf below `id` to the block after the
+    /// rightmost. `O(depth)`, no allocation.
+    pub(crate) fn leaf_run(&self, id: NodeId) -> (usize, usize) {
+        let block = |side: fn((NodeId, NodeId)) -> NodeId| {
+            let mut n = id;
+            while let Some(children) = self.nodes[n].children {
+                n = side(children);
             }
-        }
-        out
+            self.nodes[n].leaf_block.expect("leaf has block")
+        };
+        (block(|(l, _)| l), block(|(_, r)| r) + 1)
     }
 
     /// The *search space* of leaf `id` for block-wise neighbor operations
-    /// (§IV-B): the leaf itself at depth ≤ 1, otherwise every leaf block
-    /// under its immediate parent.
-    pub fn search_space_blocks(&self, id: NodeId) -> Vec<usize> {
+    /// (§IV-B), as a run of block indices: the leaf itself at depth ≤ 1,
+    /// otherwise every leaf block under its immediate parent.
+    pub(crate) fn search_run(&self, id: NodeId) -> (usize, usize) {
         let node = &self.nodes[id];
         debug_assert!(node.is_leaf(), "search space is defined for leaves");
-        if node.depth <= 1 {
-            vec![node.leaf_block.expect("leaf has block")]
-        } else {
-            self.leaf_blocks_under(node.parent.expect("depth ≥ 2 has a parent"))
+        match node.parent {
+            Some(parent) if node.depth > 1 => self.leaf_run(parent),
+            _ => self.leaf_run(id),
         }
     }
 
@@ -241,17 +237,23 @@ mod tests {
     #[test]
     fn leaf_blocks_under_subtree_in_dft_order() {
         let t = fig6_tree();
-        assert_eq!(t.leaf_blocks_under(0), vec![0, 1, 2, 3]);
-        assert_eq!(t.leaf_blocks_under(1), vec![0, 1]);
-        assert_eq!(t.leaf_blocks_under(5), vec![2]);
+        assert_eq!(t.leaf_run(0), (0, 4));
+        assert_eq!(t.leaf_run(1), (0, 2));
+        assert_eq!(t.leaf_run(2), (2, 4));
+        assert_eq!(t.leaf_run(5), (2, 3));
     }
 
     #[test]
     fn search_space_follows_depth_rule() {
         let t = fig6_tree();
         // Depth-2 leaves search their parent: B3 searches {B3, B4} = B1.
-        assert_eq!(t.search_space_blocks(3), vec![0, 1]);
-        assert_eq!(t.search_space_blocks(6), vec![2, 3]);
+        assert_eq!(t.search_run(3), (0, 2));
+        assert_eq!(t.search_run(6), (2, 4));
+        // B1 collapsed into a depth-1 leaf searches itself alone.
+        let mut t = t;
+        t.nodes[1].children = None;
+        t.nodes[1].leaf_block = Some(0);
+        assert_eq!(t.search_run(1), (0, 1));
     }
 
     #[test]

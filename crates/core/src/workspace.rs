@@ -4,8 +4,9 @@
 //! touches DRAM once per block; the software analogue of that discipline is
 //! to stop asking the heap for fresh intermediate buffers on every block of
 //! every frame. A [`Workspace`] owns every scratch buffer the hot paths
-//! need — the gathered block SoA coordinates, the FPS running-distance
-//! array, candidate/query staging, the batched-selection scratch
+//! need — the block-order copy of the cloud that sampling and grouping read
+//! in place (in the build's first slab), the FPS running-distance array,
+//! interpolation's gathered candidates, query staging, the batched-selection scratch
 //! ([`SelectScratch`]), sample-count scratch, and the Fractal build's
 //! point slabs and order/frontier buffers — and the `*_into` / `*_ws` entry
 //! points across `fractal`, `bppo` and `pipeline` reuse them across blocks
@@ -46,7 +47,7 @@ use std::sync::Mutex;
 /// results between operations.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Gathered SoA x coordinates of the current block / candidate set.
+    /// Gathered SoA x coordinates of an interpolation candidate set.
     pub(crate) sx: Vec<f32>,
     /// Gathered SoA y coordinates.
     pub(crate) sy: Vec<f32>,
@@ -54,7 +55,11 @@ pub struct Workspace {
     pub(crate) sz: Vec<f32>,
     /// FPS running nearest-sample distances (one entry per block point).
     pub(crate) dist: Vec<f32>,
-    /// Flattened candidate indices of a search space.
+    /// Block start offsets of the frame's block-order layout, which sampling
+    /// and grouping read in place; its points live in the build's first
+    /// slab (see `bppo::with_layout`).
+    pub(crate) block_starts: Vec<usize>,
+    /// Flattened candidate source rows of an interpolation search space.
     pub(crate) candidates: Vec<usize>,
     /// Query coordinates staged for batched selection.
     pub(crate) queries: Vec<[f32; 3]>,
@@ -149,9 +154,9 @@ pub struct InferScratch {
 }
 
 /// Scratch of the Fractal build: two point slabs the iterations ping-pong
-/// between, the global order buffer whose final state is the DFT layout,
-/// this iteration's and the next's active-node lists, and the DFT leaf
-/// list.
+/// between (between builds the first holds the block ops' layout), the
+/// global order buffer whose final state is the DFT layout, this
+/// iteration's and the next's active-node lists, and the DFT leaf list.
 #[derive(Debug, Default)]
 pub(crate) struct BuildScratch {
     pub slabs: [Slab; 2],
@@ -177,8 +182,8 @@ pub(crate) struct Slab {
 
 impl Slab {
     /// Sizes all four arrays for an `n`-point build. What they hold is
-    /// whatever the last build left: a node's range is always written (by
-    /// the scatter that created the node) before it is read.
+    /// whatever the last build or layout left: a node's range is always
+    /// written (by the scatter that created the node) before it is read.
     pub fn resize(&mut self, n: usize) {
         self.x.resize(n, 0.0);
         self.y.resize(n, 0.0);

@@ -1,11 +1,15 @@
 //! Degenerate geometry through `Fractal::build → block_fps →
-//! block_ball_query`: all points identical, collinear points, one- and
-//! two-point clouds, and NaN / infinite / near-`f32::MAX` coordinates.
+//! block_ball_query` (and `evaluate_quality`): all points identical,
+//! collinear points, one- to three-point clouds, and NaN / infinite /
+//! near-`f32::MAX` coordinates.
 //! Every distance in an all-identical cloud ties, so the selection order
 //! is decided by candidate position alone — rows must be the first `num`
 //! candidates of the center's search space.
 
-use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal, FractalResult};
+use fractalcloud_core::{
+    block_ball_query, block_fps, evaluate_quality, BppoConfig, Fractal, FractalResult,
+    QualityConfig,
+};
 use fractalcloud_pointcloud::kernels::{with_backend, Backend};
 use fractalcloud_pointcloud::{Error, Point3, PointCloud};
 
@@ -30,10 +34,10 @@ fn grouped_rows(
             assert_eq!(bq.indices.len(), bq.center_indices.len() * num);
             let mut rows = Vec::new();
             for (b, centers) in fps.per_block.iter().enumerate() {
-                let space: Vec<usize> = part.blocks[b]
-                    .parent_group
+                let (first, end) = part.blocks[b].search;
+                let space: Vec<usize> = part.blocks[first..end]
                     .iter()
-                    .flat_map(|&g| part.blocks[g].indices.iter().copied())
+                    .flat_map(|g| g.indices.iter().copied())
                     .collect();
                 for &c in centers {
                     let row = &bq.indices[rows.len() * num..(rows.len() + 1) * num];
@@ -235,6 +239,35 @@ fn infinite_coordinates_sample_and_group_the_same_on_every_schedule() {
     pts[7].x = f32::INFINITY;
     pts[8].x = f32::NEG_INFINITY;
     sample_and_group_everywhere(pts, 16);
+}
+
+#[test]
+fn quality_of_one_to_three_points_is_a_report_or_a_named_refusal() {
+    // At rate 1/4 one point rounds to no sample at all; two and three
+    // points round to one. Both allocations, one block and one per point.
+    for n in [1, 2, 3] {
+        let cloud = PointCloud::from_points(line(n));
+        for threshold in [1, 16] {
+            let part = Fractal::with_threshold(threshold).build(&cloud).unwrap().partition;
+            for equal_allocation in [false, true] {
+                let config = QualityConfig { equal_allocation, ..QualityConfig::default() };
+                let got = evaluate_quality(&cloud, &part, &config);
+                let case = format!("n {n}, th {threshold}, equal {equal_allocation}");
+                if n == 1 {
+                    let Err(Error::InvalidParameter { name, message }) = got else {
+                        panic!("{case}: expected a refusal, got {got:?}");
+                    };
+                    assert_eq!(name, "sampling_rate", "{case}");
+                    assert!(message.contains("sample set is empty"), "{case}: {message}");
+                } else {
+                    let proxy = got.unwrap_or_else(|e| panic!("{case}: {e}")).proxy;
+                    let recalls = [proxy.grouping_recall, proxy.interpolation_recall];
+                    assert!(recalls.iter().all(|r| (0.0..=1.0).contains(r)), "{case}: {proxy:?}");
+                    assert!(proxy.sampling_coverage_ratio.is_finite(), "{case}: {proxy:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

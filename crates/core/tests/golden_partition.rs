@@ -29,8 +29,11 @@ fn digest(r: &FractalResult) -> u64 {
         b.indices.iter().for_each(|&i| put(i as u64));
         aabb_words(&b.aabb).into_iter().for_each(&mut put);
         put(b.depth as u64);
-        put(b.parent_group.len() as u64);
-        b.parent_group.iter().for_each(|&g| put(g as u64));
+        // The search space as the block list it was recorded as: the run's
+        // length, then every block in it.
+        let (first, end) = b.search;
+        put((end - first) as u64);
+        (first..end).for_each(|g| put(g as u64));
     }
 
     put(r.tree.nodes().len() as u64);

@@ -2,7 +2,14 @@
 
 use fractalcloud_core::bppo::reference as bppo_reference;
 use fractalcloud_core::{
-    block_ball_query, block_fps, block_gather, block_interpolate, BppoConfig, Fractal,
+    block_ball_query, block_fps, block_gather, block_interpolate, BppoConfig, Fractal, FractalTree,
+    NodeId,
+};
+use fractalcloud_pointcloud::generate::{
+    object_cloud, scene_cloud, uniform_cube, ObjectKind, SceneConfig,
+};
+use fractalcloud_pointcloud::partition::{
+    KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
 };
 use fractalcloud_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;
@@ -11,6 +18,37 @@ fn arb_cloud(max_n: usize) -> impl Strategy<Value = PointCloud> {
     proptest::collection::vec((-50.0f32..50.0, -50.0f32..50.0, -20.0f32..20.0), 4..max_n).prop_map(
         |v| PointCloud::from_points(v.into_iter().map(|(x, y, z)| Point3::new(x, y, z)).collect()),
     )
+}
+
+/// A generated scene (`kind` 0), object (1) or cube (2) of `n` points; with
+/// `hostile` 1 every third point collapses onto the first, with 2 every
+/// fifth is NaN.
+fn generated_cloud(kind: usize, n: usize, seed: u64, hostile: usize) -> PointCloud {
+    let cloud = match kind {
+        0 => scene_cloud(&SceneConfig::default(), n, seed),
+        1 => object_cloud(ObjectKind::Chair, n, seed),
+        _ => uniform_cube(n, seed),
+    };
+    let mut pts: Vec<Point3> = cloud.iter().collect();
+    match hostile {
+        1 => (0..n).step_by(3).for_each(|i| pts[i] = pts[0]),
+        2 => (0..n).step_by(5).for_each(|i| pts[i] = Point3::splat(f32::NAN)),
+        _ => {}
+    }
+    PointCloud::from_points(pts)
+}
+
+/// Whether node `id` is `ancestor` or lies below it.
+fn descends_from(tree: &FractalTree, mut id: NodeId, ancestor: NodeId) -> bool {
+    loop {
+        if id == ancestor {
+            return true;
+        }
+        match tree.node(id).parent {
+            Some(parent) => id = parent,
+            None => return false,
+        }
+    }
 }
 
 proptest! {
@@ -37,10 +75,52 @@ proptest! {
     fn search_spaces_contain_self((cloud, th) in (arb_cloud(250), 4usize..48)) {
         let r = Fractal::with_threshold(th).build(&cloud).unwrap();
         for (b, block) in r.partition.blocks.iter().enumerate() {
-            prop_assert!(block.parent_group.contains(&b));
-            let space: usize =
-                block.parent_group.iter().map(|&g| r.partition.blocks[g].len()).sum();
+            let (first, end) = block.search;
+            prop_assert!((first..end).contains(&b));
+            let space: usize = r.partition.blocks[first..end].iter().map(|g| g.len()).sum();
             prop_assert!(space >= block.len());
+        }
+    }
+
+    /// Every partitioner's search spaces are runs of blocks that hold the
+    /// block itself, on generated scenes, objects and cubes, with
+    /// duplicated or NaN points mixed in. Fractal's run is exactly the
+    /// leaves under the leaf's parent (depth ≥ 2) or the block alone
+    /// (depth ≤ 1): every block of the run descends from that node, and
+    /// together they hold all of its points.
+    #[test]
+    fn search_runs_hold_their_block_on_every_partitioner(
+        (kind, n, seed) in (0usize..3, 1usize..1200, 0u64..1 << 32),
+        (th, hostile) in (1usize..200, 0usize..3),
+    ) {
+        let cloud = generated_cloud(kind, n, seed, hostile);
+        let built = Fractal::with_threshold(th).build(&cloud).unwrap();
+        let (tree, blocks) = (&built.tree, &built.partition.blocks);
+        for (&leaf, block) in tree.leaves().iter().zip(blocks) {
+            let node = tree.node(leaf);
+            let top = match node.parent {
+                Some(parent) if node.depth >= 2 => parent,
+                _ => leaf,
+            };
+            let (first, end) = block.search;
+            for &other in &tree.leaves()[first..end] {
+                prop_assert!(descends_from(tree, other, top), "leaf {leaf}: run {first}..{end}");
+            }
+            let points: usize = blocks[first..end].iter().map(|g| g.len()).sum();
+            prop_assert!(points == tree.node(top).count, "leaf {leaf}: run {first}..{end}");
+        }
+
+        let baselines = [
+            KdTreePartitioner::new(th).partition(&cloud).unwrap(),
+            OctreePartitioner::new(th).partition(&cloud).unwrap(),
+            UniformPartitioner::with_target_block_size(th).partition(&cloud).unwrap(),
+        ];
+        for p in std::iter::once(&built.partition).chain(&baselines) {
+            for (b, block) in p.blocks.iter().enumerate() {
+                let (first, end) = block.search;
+                prop_assert!(first < end && end <= p.blocks.len(), "{}: {first}..{end}", p.method);
+                prop_assert!((first..end).contains(&b), "{} block {b}: {first}..{end}", p.method);
+            }
         }
     }
 
@@ -81,10 +161,10 @@ proptest! {
         prop_assert_eq!(bq.indices.len(), bq.center_indices.len() * num);
         let mut row = 0usize;
         for (b, centers) in fps.per_block.iter().enumerate() {
-            let allowed: std::collections::BTreeSet<usize> = part.blocks[b]
-                .parent_group
+            let (first, end) = part.blocks[b].search;
+            let allowed: std::collections::BTreeSet<usize> = part.blocks[first..end]
                 .iter()
-                .flat_map(|&g| part.blocks[g].indices.iter().copied())
+                .flat_map(|g| g.indices.iter().copied())
                 .collect();
             for _ in centers {
                 for &nb in &bq.indices[row * num..(row + 1) * num] {

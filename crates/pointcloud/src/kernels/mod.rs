@@ -105,10 +105,12 @@
 //! wrap a tying candidate has the lower slot and wins — and the empty-ball
 //! fallback is the least `(distance, slot)` pair below `+∞`.
 //!
-//! Callers that operate on an indexed subset (block-local operations) first
-//! gather the subset into local SoA buffers with [`gather_coords`] — the
-//! software analogue of loading a block into SRAM once and reusing it for
-//! every query (§V-C intra-block reuse).
+//! The kernels read contiguous SoA slices. Block sampling and grouping pass
+//! runs of a block-order copy of the cloud, laid out once per frame; a
+//! caller whose subset is scattered (block interpolation's sources) first
+//! gathers it into local SoA buffers with [`gather_coords`]. Either way a
+//! block is loaded once and reused for every query — the software analogue
+//! of §V-C's intra-block reuse.
 //!
 //! # Dense layers
 //!

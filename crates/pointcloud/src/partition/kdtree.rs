@@ -88,15 +88,18 @@ struct KdBuild<'a> {
 }
 
 impl KdBuild<'_> {
-    /// Recursively splits `indices`; returns the leaf ids created under this
-    /// node so parents can form sibling search-space groups.
-    fn build(&mut self, indices: Vec<usize>, depth: usize) -> Vec<usize> {
+    /// Recursively splits `indices`; returns the run of leaf ids created
+    /// under this node (leaves are pushed depth first, so it is contiguous)
+    /// so parents can form sibling search-space groups.
+    fn build(&mut self, indices: Vec<usize>, depth: usize) -> (usize, usize) {
         self.max_depth = self.max_depth.max(depth);
         if indices.len() <= self.block_size {
             let aabb = Aabb::from_points(indices.iter().map(|&i| self.cloud.point(i)))
                 .expect("non-empty leaf");
-            self.blocks.push(Block { indices, aabb, depth, parent_group: Vec::new() });
-            return vec![self.blocks.len() - 1];
+            // A leaf without a sibling group searches itself only.
+            let id = self.blocks.len();
+            self.blocks.push(Block { indices, aabb, depth, search: (id, id + 1) });
+            return (id, id + 1);
         }
 
         let aabb = Aabb::from_points(indices.iter().map(|&i| self.cloud.point(i)))
@@ -110,7 +113,12 @@ impl KdBuild<'_> {
         // hardware sort the paper identifies as Crescent's bottleneck.
         let mut keyed: Vec<(f32, usize)> =
             indices.iter().map(|&i| (self.cloud.point(i).coord(axis), i)).collect();
-        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        // NaN coordinates sort last, tied with each other: a total order (the
+        // sort panics on one that is not), and every other pair compares as
+        // `partial_cmp` does.
+        keyed.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0).unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan()))
+        });
         self.cost.sort_invocations += 1;
         self.cost.sorted_elements += keyed.len() as u64;
         self.cost.compare_ops += PartitionCost::sort_compare_cost(keyed.len());
@@ -119,18 +127,18 @@ impl KdBuild<'_> {
         let left: Vec<usize> = keyed[..mid].iter().map(|&(_, i)| i).collect();
         let right: Vec<usize> = keyed[mid..].iter().map(|&(_, i)| i).collect();
 
-        let mut leaf_ids = self.build(left, depth + 1);
-        leaf_ids.extend(self.build(right, depth + 1));
+        let (first, _) = self.build(left, depth + 1);
+        let (_, end) = self.build(right, depth + 1);
 
         // Immediate-parent search space: children leaves directly under this
         // node of the final subdivision share a group when this node is the
         // parent (i.e. both children are leaves).
-        if leaf_ids.len() == 2 {
-            for &id in &leaf_ids {
-                self.blocks[id].parent_group = leaf_ids.clone();
+        if end - first == 2 {
+            for id in first..end {
+                self.blocks[id].search = (first, end);
             }
         }
-        leaf_ids
+        (first, end)
     }
 }
 
@@ -152,12 +160,6 @@ impl Partitioner for KdTreePartitioner {
             max_depth: 0,
         };
         b.build((0..cloud.len()).collect(), 0);
-        // Any leaf without a sibling group searches itself only.
-        for i in 0..b.blocks.len() {
-            if b.blocks[i].parent_group.is_empty() {
-                b.blocks[i].parent_group = vec![i];
-            }
-        }
         Ok(Partition {
             blocks: b.blocks,
             cost: b.cost,
@@ -221,8 +223,9 @@ mod tests {
         let cloud = uniform_cube(256, 6);
         let p = KdTreePartitioner::new(64).partition(&cloud).unwrap();
         for (i, b) in p.blocks.iter().enumerate() {
-            assert!(b.parent_group.contains(&i));
-            assert!(b.parent_group.len() <= 2);
+            let (first, end) = b.search;
+            assert!((first..end).contains(&i));
+            assert!(end - first <= 2);
         }
     }
 
@@ -239,7 +242,7 @@ mod tests {
         let p = KdTreePartitioner::new(64).partition(&cloud).unwrap();
         assert_eq!(p.blocks.len(), 1);
         assert_eq!(p.cost.sort_invocations, 0);
-        assert_eq!(p.blocks[0].parent_group, vec![0]);
+        assert_eq!(p.blocks[0].search, (0, 1));
     }
 
     #[test]

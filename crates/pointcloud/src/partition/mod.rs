@@ -31,11 +31,14 @@ pub struct Block {
     pub aabb: Aabb,
     /// Tree depth at which the block became a leaf (0 = root/whole cloud).
     pub depth: usize,
-    /// Leaf ids (positions in `Partition::blocks`, including this block)
-    /// whose union forms this block's *parent search space* for block-wise
-    /// neighbor operations (§IV-B: leaves deeper than 1 expand the search to
-    /// their immediate parent node).
-    pub parent_group: Vec<usize>,
+    /// The half-open run `(first, end)` of block ids (positions in
+    /// `Partition::blocks`, this block included) whose union forms this
+    /// block's *parent search space* for block-wise neighbor operations
+    /// (§IV-B: leaves deeper than 1 expand the search to their immediate
+    /// parent node). A run, because every partitioner here lays a tree
+    /// node's leaves out consecutively: the search space is one contiguous
+    /// stretch of the block-order layout.
+    pub search: (usize, usize),
 }
 
 impl Block {
@@ -114,19 +117,6 @@ impl Partition {
         perm
     }
 
-    /// Byte offset ranges of each block in the laid-out coordinate storage
-    /// (`bytes_per_point` = 3 scalars × precision).
-    pub fn block_byte_ranges(&self, bytes_per_point: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.blocks.len());
-        let mut off = 0usize;
-        for b in &self.blocks {
-            let len = b.len() * bytes_per_point;
-            out.push((off, off + len));
-            off += len;
-        }
-        out
-    }
-
     /// Balance statistics over block sizes.
     pub fn balance(&self) -> BalanceStats {
         BalanceStats::from_sizes(self.blocks.iter().map(Block::len))
@@ -176,13 +166,13 @@ mod tests {
                     indices: vec![2, 0],
                     aabb: Aabb::new(Point3::ORIGIN, Point3::splat(1.0)),
                     depth: 1,
-                    parent_group: vec![0, 1],
+                    search: (0, 2),
                 },
                 Block {
                     indices: vec![1],
                     aabb: Aabb::new(Point3::splat(1.0), Point3::splat(2.0)),
                     depth: 1,
-                    parent_group: vec![0, 1],
+                    search: (0, 2),
                 },
             ],
             cost: PartitionCost::default(),
@@ -204,13 +194,6 @@ mod tests {
         let mut bad = p.clone();
         bad.blocks[1].indices = vec![0];
         assert!(!bad.is_exact_partition_of(3));
-    }
-
-    #[test]
-    fn block_byte_ranges_are_contiguous() {
-        let p = tiny_partition();
-        let ranges = p.block_byte_ranges(6);
-        assert_eq!(ranges, vec![(0, 12), (12, 18)]);
     }
 
     #[test]

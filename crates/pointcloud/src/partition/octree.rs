@@ -56,13 +56,17 @@ struct OctBuild<'a> {
 }
 
 impl OctBuild<'_> {
-    fn build(&mut self, indices: Vec<usize>, cell: Aabb, depth: usize) -> Vec<usize> {
+    /// Recursively subdivides `indices`; returns the run of leaf ids created
+    /// under this node (leaves are pushed depth first, so it is contiguous).
+    fn build(&mut self, indices: Vec<usize>, cell: Aabb, depth: usize) -> (usize, usize) {
         self.max_depth = self.max_depth.max(depth);
+        let first = self.blocks.len();
         if indices.len() <= self.block_size || depth >= self.depth_cap {
             let aabb = Aabb::from_points(indices.iter().map(|&i| self.cloud.point(i)))
                 .expect("non-empty leaf");
-            self.blocks.push(Block { indices, aabb, depth, parent_group: Vec::new() });
-            return vec![self.blocks.len() - 1];
+            // A leaf without a sibling group searches itself only.
+            self.blocks.push(Block { indices, aabb, depth, search: (first, first + 1) });
+            return (first, first + 1);
         }
 
         // One traversal pass distributes points into 8 children by
@@ -80,22 +84,22 @@ impl OctBuild<'_> {
             children[octant].push(i);
         }
 
-        let mut leaf_ids = Vec::new();
         for (octant, child) in children.into_iter().enumerate() {
             if child.is_empty() {
                 continue;
             }
             let child_cell = octant_cell(&cell, c, octant);
-            leaf_ids.extend(self.build(child, child_cell, depth + 1));
+            self.build(child, child_cell, depth + 1);
         }
         // Sibling leaves directly under this node share a search group when
         // all children are leaves (mirrors the binary-tree parent rule).
-        if leaf_ids.iter().all(|&id| self.blocks[id].depth == depth + 1) {
-            for &id in &leaf_ids {
-                self.blocks[id].parent_group = leaf_ids.clone();
+        let end = self.blocks.len();
+        if self.blocks[first..end].iter().all(|b| b.depth == depth + 1) {
+            for block in &mut self.blocks[first..end] {
+                block.search = (first, end);
             }
         }
-        leaf_ids
+        (first, end)
     }
 }
 
@@ -127,11 +131,6 @@ impl Partitioner for OctreePartitioner {
             max_depth: 0,
         };
         b.build((0..cloud.len()).collect(), bounds, 0);
-        for i in 0..b.blocks.len() {
-            if b.blocks[i].parent_group.is_empty() {
-                b.blocks[i].parent_group = vec![i];
-            }
-        }
         Ok(Partition {
             blocks: b.blocks,
             cost: b.cost,

@@ -100,17 +100,18 @@ impl Partitioner for UniformPartitioner {
             cells[cell_of(cloud.point(i))].push(i);
         }
 
-        let mut blocks = Vec::new();
-        for indices in cells.into_iter().filter(|c| !c.is_empty()) {
-            let aabb = Aabb::from_points(indices.iter().map(|&i| cloud.point(i)))
-                .expect("non-empty block");
-            blocks.push(Block { indices, aabb, depth: 1, parent_group: Vec::new() });
-        }
         // PNNPU processes blocks independently; a block's search space is
         // itself (self-only parent group).
-        for (i, block) in blocks.iter_mut().enumerate() {
-            block.parent_group = vec![i];
-        }
+        let blocks = cells
+            .into_iter()
+            .filter(|c| !c.is_empty())
+            .enumerate()
+            .map(|(i, indices)| {
+                let aabb = Aabb::from_points(indices.iter().map(|&i| cloud.point(i)))
+                    .expect("non-empty block");
+                Block { indices, aabb, depth: 1, search: (i, i + 1) }
+            })
+            .collect();
 
         Ok(Partition { blocks, cost, max_depth: 1, method: self.name() })
     }
@@ -170,7 +171,7 @@ mod tests {
         let cloud = uniform_cube(100, 9);
         let p = UniformPartitioner::new(2, 2, 2).partition(&cloud).unwrap();
         for (i, b) in p.blocks.iter().enumerate() {
-            assert_eq!(b.parent_group, vec![i]);
+            assert_eq!(b.search, (i, i + 1));
         }
     }
 
