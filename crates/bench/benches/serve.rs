@@ -5,11 +5,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fractalcloud_core::{Pipeline, PipelineConfig};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
-use fractalcloud_serve::{Engine, ServeConfig};
+use fractalcloud_serve::{Engine, Priority, ServeConfig};
+use std::sync::Arc;
 
 fn bench_serve_roundtrip(c: &mut Criterion) {
     let n = 4096;
-    let cloud = scene_cloud(&SceneConfig::default(), n, 42);
+    let cloud = Arc::new(scene_cloud(&SceneConfig::default(), n, 42));
     let cfg = PipelineConfig::default();
     let pipeline = Pipeline::new(cfg).unwrap();
 
@@ -19,16 +20,16 @@ fn bench_serve_roundtrip(c: &mut Criterion) {
     // Cache disabled: every round-trip pays queueing + partition + BPPO.
     let cold = Engine::start(ServeConfig::default().cache_capacity(0));
     group.bench_function("engine-process-cold", |b| {
-        b.iter(|| cold.process(cloud.clone(), cfg).unwrap())
+        b.iter(|| cold.process_shared(Arc::clone(&cloud), cfg).unwrap())
     });
     cold.shutdown();
 
     // Cache enabled: identical frame bytes reuse the partition.
     let warm = Engine::start(ServeConfig::default());
-    warm.process(cloud.clone(), cfg).unwrap(); // prime the LRU
+    warm.process_shared(Arc::clone(&cloud), cfg).unwrap(); // prime the LRU
     group.bench_function("engine-process-cached", |b| {
         b.iter(|| {
-            let r = warm.process(cloud.clone(), cfg).unwrap();
+            let r = warm.process_shared(Arc::clone(&cloud), cfg).unwrap();
             assert!(r.cache_hit);
             r
         })
@@ -38,7 +39,8 @@ fn bench_serve_roundtrip(c: &mut Criterion) {
 }
 
 fn bench_serve_batching(c: &mut Criterion) {
-    let frames: Vec<_> = (0..8).map(|s| scene_cloud(&SceneConfig::default(), 1024, s)).collect();
+    let frames: Vec<_> =
+        (0..8).map(|s| Arc::new(scene_cloud(&SceneConfig::default(), 1024, s))).collect();
     let cfg = PipelineConfig::default();
 
     let mut group = c.benchmark_group("serve_batching_1k");
@@ -50,8 +52,14 @@ fn bench_serve_batching(c: &mut Criterion) {
         Engine::start(ServeConfig::default().cache_capacity(0).max_batch(8).thread_budget(budget));
     group.bench_function("submit-8-compatible-frames", |b| {
         b.iter(|| {
-            let tickets: Vec<_> =
-                frames.iter().map(|f| engine.submit(f.clone(), cfg).unwrap()).collect();
+            let tickets: Vec<_> = frames
+                .iter()
+                .map(|f| {
+                    engine
+                        .submit_shared_with_options(Arc::clone(f), cfg, Priority::Normal, None)
+                        .unwrap()
+                })
+                .collect();
             tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>().len()
         })
     });
@@ -61,7 +69,6 @@ fn bench_serve_batching(c: &mut Criterion) {
 
 fn bench_serve_inference(c: &mut Criterion) {
     use fractalcloud_serve::{Aggregation, InferRequest, ModelConfig};
-    use std::sync::Arc;
     let cloud = Arc::new(scene_cloud(&SceneConfig::default(), 1024, 42));
 
     let mut group = c.benchmark_group("serve_infer_1k");

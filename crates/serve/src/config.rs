@@ -1,13 +1,13 @@
-//! Serving-engine configuration and its environment-variable knobs.
+//! Serving-engine configuration.
 
 use crate::faults::FaultPlan;
 use crate::overload::BrownoutConfig;
 
-/// Tunables for [`Engine`](crate::Engine) and the TCP front-end.
-///
-/// Every knob has a `FRACTALCLOUD_SERVE_*` environment override (see
-/// [`ServeConfig::from_env`]); programmatic configuration wins when both are
-/// used, since `from_env` is just a constructor.
+/// Tunables for [`Engine`](crate::Engine) and the TCP front-end, set
+/// through the builder methods on [`ServeConfig::default`]. The one
+/// environment input is the fault plan (`FRACTALCLOUD_FAULTS`, see
+/// [`FaultPlan::parse`]); the worker count and thread budget default to
+/// the process-wide pool (`FRACTALCLOUD_THREADS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum queued (admitted but not yet started) requests. Admission
@@ -42,10 +42,10 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
     /// Streaming first-paint depth in samples: how much of the quality
     /// ordering the first chunk of an [`OP_STREAM`](crate::protocol) frame
-    /// carries. The first chunk runs at the requester's priority (it is the
-    /// time-to-first-point the viewer sees); refinement chunks are demoted
-    /// to [`Priority::Bulk`](crate::Priority). A wire value of 0 selects
-    /// this default.
+    /// carries. The first chunk is the stream's one engine job, at the
+    /// requester's priority (it is the time-to-first-point the viewer
+    /// sees); refinement chunks are cut from its output on the connection
+    /// thread. A wire value of 0 selects this default.
     pub stream_first_paint: usize,
     /// Streaming refinement-chunk size in samples (wire value 0 selects
     /// this default).
@@ -58,9 +58,7 @@ pub struct ServeConfig {
     /// testing; the `FRACTALCLOUD_FAULTS` environment plan by default, so
     /// an exported spec soaks everything built on [`ServeConfig`]).
     pub faults: FaultPlan,
-    /// Adaptive brown-out controller tunables (see
-    /// [`BrownoutConfig`]); overridable via `FRACTALCLOUD_SERVE_BROWNOUT`
-    /// (`off` | `on` | `force:N` | `adaptive:esc_us,relax_us,dwell_ms`).
+    /// Adaptive brown-out controller tunables (see [`BrownoutConfig`]).
     pub brownout: BrownoutConfig,
     /// Per-connection socket read/write timeout in milliseconds (slow-peer
     /// defense: a slow-loris writer or a peer that stops reading trips the
@@ -69,59 +67,6 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builds a configuration from the environment, falling back to
-    /// defaults:
-    ///
-    /// | variable | default |
-    /// |---|---|
-    /// | `FRACTALCLOUD_SERVE_QUEUE` | 64 |
-    /// | `FRACTALCLOUD_SERVE_WORKERS` | [`fractalcloud_parallel::workers`] |
-    /// | `FRACTALCLOUD_SERVE_BATCH` | 8 |
-    /// | `FRACTALCLOUD_SERVE_MAX_POINTS` | 1_048_576 |
-    /// | `FRACTALCLOUD_SERVE_CACHE` | 32 |
-    /// | `FRACTALCLOUD_SERVE_CONNS` | 64 |
-    /// | `FRACTALCLOUD_SERVE_DEADLINE_MS` | 0 (no default deadline) |
-    /// | `FRACTALCLOUD_SERVE_STREAM_FIRST_PAINT` | 512 |
-    /// | `FRACTALCLOUD_SERVE_STREAM_CHUNK` | 4096 |
-    /// | `FRACTALCLOUD_SERVE_STREAM_CREDITS` | 4 |
-    /// | `FRACTALCLOUD_SERVE_BROWNOUT` | on (adaptive; see [`BrownoutConfig::parse`]) |
-    /// | `FRACTALCLOUD_SERVE_IDLE_TIMEOUT_MS` | 30_000 (0 = no socket timeouts) |
-    /// | `FRACTALCLOUD_FAULTS` | off (see [`FaultPlan::parse`]) |
-    ///
-    /// The thread budget always follows the process-wide worker pool
-    /// (`FRACTALCLOUD_THREADS`-overridable), keeping one knob for "how much
-    /// CPU may point-cloud work use".
-    pub fn from_env() -> ServeConfig {
-        let def = ServeConfig::default();
-        ServeConfig {
-            queue_capacity: env_usize("FRACTALCLOUD_SERVE_QUEUE").unwrap_or(def.queue_capacity),
-            workers: env_usize("FRACTALCLOUD_SERVE_WORKERS").unwrap_or(def.workers).max(1),
-            max_batch: env_usize("FRACTALCLOUD_SERVE_BATCH").unwrap_or(def.max_batch).max(1),
-            max_points: env_usize("FRACTALCLOUD_SERVE_MAX_POINTS").unwrap_or(def.max_points),
-            cache_capacity: env_usize("FRACTALCLOUD_SERVE_CACHE").unwrap_or(def.cache_capacity),
-            thread_budget: def.thread_budget,
-            max_connections: env_usize("FRACTALCLOUD_SERVE_CONNS")
-                .unwrap_or(def.max_connections)
-                .max(1),
-            deadline_ms: env_usize("FRACTALCLOUD_SERVE_DEADLINE_MS")
-                .map_or(def.deadline_ms, |v| v as u64),
-            stream_first_paint: env_usize("FRACTALCLOUD_SERVE_STREAM_FIRST_PAINT")
-                .unwrap_or(def.stream_first_paint)
-                .max(1),
-            stream_chunk: env_usize("FRACTALCLOUD_SERVE_STREAM_CHUNK")
-                .unwrap_or(def.stream_chunk)
-                .max(1),
-            stream_credits: env_usize("FRACTALCLOUD_SERVE_STREAM_CREDITS")
-                .unwrap_or(def.stream_credits)
-                .max(1),
-            faults: def.faults,
-            brownout: std::env::var("FRACTALCLOUD_SERVE_BROWNOUT")
-                .map_or(def.brownout, |s| BrownoutConfig::parse(&s, def.brownout)),
-            idle_timeout_ms: env_usize("FRACTALCLOUD_SERVE_IDLE_TIMEOUT_MS")
-                .map_or(def.idle_timeout_ms, |v| v as u64),
-        }
-    }
-
     /// Returns `self` with the given admission-queue capacity.
     pub fn queue_capacity(mut self, capacity: usize) -> ServeConfig {
         self.queue_capacity = capacity;
@@ -240,10 +185,6 @@ impl Default for ServeConfig {
             idle_timeout_ms: 30_000,
         }
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]

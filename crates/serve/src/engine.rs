@@ -724,10 +724,11 @@ struct Shared {
 /// use fractalcloud_serve::{Engine, ServeConfig};
 /// use fractalcloud_core::PipelineConfig;
 /// use fractalcloud_pointcloud::generate::uniform_cube;
+/// use std::sync::Arc;
 ///
 /// let engine = Engine::start(ServeConfig::default().workers(2));
-/// let frame = uniform_cube(2048, 7);
-/// let response = engine.process(frame, PipelineConfig::default()).unwrap();
+/// let frame = Arc::new(uniform_cube(2048, 7));
+/// let response = engine.process_shared(frame, PipelineConfig::default()).unwrap();
 /// assert_eq!(response.sampled_indices.len(), 512);
 /// engine.shutdown();
 /// ```
@@ -770,18 +771,25 @@ impl Engine {
         self.shared.cfg
     }
 
-    /// Validates and admits one [`Priority::Normal`] frame, returning a
-    /// [`Ticket`] to wait on.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn submit(&self, cloud: PointCloud, config: PipelineConfig) -> Result<Ticket, ServeError> {
-        self.submit_with_priority(cloud, config, Priority::Normal)
-    }
-
     /// Validates and admits one frame at the given [`Priority`], returning
-    /// a [`Ticket`] to wait on.
+    /// a [`Ticket`] to wait on. The engine borrows the caller's
+    /// `Arc<PointCloud>` for the job's lifetime — a refcount bump, not a
+    /// frame copy, which is what keeps a warmed serving loop
+    /// allocation-free.
+    ///
+    /// A non-zero `budget` answers with only the first `budget` samples of
+    /// the frame's quality ordering (and their neighbor rows) —
+    /// bit-identical to the prefix of the full response, computed at
+    /// proportionally lower cost. 0 = full depth. Budgeted jobs carry a
+    /// budget-specific batch-compat key, so they fuse only with jobs of the
+    /// same budget.
+    ///
+    /// `deadline` is measured from admission; `None` falls back to the
+    /// configured default ([`ServeConfig::deadline_ms`], 0 = unbounded). A
+    /// job whose deadline passes before execution is shed with the
+    /// retryable [`ShedReason::DeadlineExceeded`]; one that expires mid-run
+    /// is cancelled at the next pipeline stage seam and resolves the same
+    /// way.
     ///
     /// At the queue bound an arrival may displace a queued job of strictly
     /// lower class (Bulk first); the displaced job's ticket then resolves
@@ -794,79 +802,6 @@ impl Engine {
     /// [`ServeError::Shed`] when admission declines the request (queue
     /// full with nothing lower-class to displace, oversized frame,
     /// shutdown in progress).
-    pub fn submit_with_priority(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-        priority: Priority,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_with_options(cloud, config, priority, None)
-    }
-
-    /// [`Engine::submit_with_priority`] with an explicit per-request
-    /// deadline, measured from admission. `None` falls back to the
-    /// configured default ([`ServeConfig::deadline_ms`], 0 = unbounded).
-    /// A job whose deadline passes before execution is shed with the
-    /// retryable [`ShedReason::DeadlineExceeded`]; one that expires
-    /// mid-run is cancelled at the next pipeline stage seam and resolves
-    /// the same way.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn submit_with_options(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_shared_with_options(Arc::new(cloud), config, priority, deadline)
-    }
-
-    /// [`Engine::submit`] without copying the frame: the engine borrows the
-    /// caller's `Arc<PointCloud>` for the job's lifetime. The shared-cloud
-    /// entry points are what keep a warmed serving loop allocation-free —
-    /// an `Arc` clone is a refcount bump, not a frame copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit`].
-    pub fn submit_shared(
-        &self,
-        cloud: Arc<PointCloud>,
-        config: PipelineConfig,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_shared_with_options(cloud, config, Priority::Normal, None)
-    }
-
-    /// [`Engine::submit_with_options`] over a shared frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn submit_shared_with_options(
-        &self,
-        cloud: Arc<PointCloud>,
-        config: PipelineConfig,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_shared_budget(cloud, config, 0, priority, deadline)
-    }
-
-    /// [`Engine::submit_shared_with_options`] with a sample budget: a
-    /// non-zero `budget` answers with only the first `budget` samples of
-    /// the frame's quality ordering (and their neighbor rows) —
-    /// bit-identical to the prefix of the full response, computed at
-    /// proportionally lower cost. 0 = full depth.
-    ///
-    /// Budgeted jobs carry a budget-specific batch-compat key, so they
-    /// fuse only with jobs of the same budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
     pub fn submit_shared_budget(
         &self,
         cloud: Arc<PointCloud>,
@@ -877,6 +812,21 @@ impl Engine {
     ) -> Result<Ticket, ServeError> {
         let kind = WorkKind::Frame { budget };
         self.admit(cloud, config, kind, priority, deadline, EngineResponse::frame)
+    }
+
+    /// [`Engine::submit_shared_budget`] at full depth.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::submit_shared_budget`].
+    pub fn submit_shared_with_options(
+        &self,
+        cloud: Arc<PointCloud>,
+        config: PipelineConfig,
+        priority: Priority,
+        deadline: Option<Duration>,
+    ) -> Result<Ticket, ServeError> {
+        self.submit_shared_budget(cloud, config, 0, priority, deadline)
     }
 
     /// Admits one progressive-LOD chunk job: samples `lo..hi` of the
@@ -890,7 +840,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`Engine::submit_with_priority`].
+    /// As [`Engine::submit_shared_budget`].
     pub fn submit_stream_chunk(
         &self,
         cloud: Arc<PointCloud>,
@@ -916,7 +866,7 @@ impl Engine {
     ///
     /// [`ServeError::Invalid`] for empty frames, models without a
     /// set-abstraction stage, or bad derived parameters;
-    /// [`ServeError::Shed`] exactly as [`Engine::submit_with_priority`].
+    /// [`ServeError::Shed`] exactly as [`Engine::submit_shared_budget`].
     pub fn submit_infer(
         &self,
         cloud: Arc<PointCloud>,
@@ -1085,33 +1035,20 @@ impl Engine {
         Ok(Ticket { slot: Some(slot), stash: Arc::clone(&self.shared.slots), req, open })
     }
 
-    /// Submits a frame and blocks for its response — the in-process client
-    /// call ([`Priority::Normal`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit`].
-    pub fn process(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-    ) -> Result<FrameResponse, ServeError> {
-        self.submit(cloud, config)?.wait()
-    }
-
-    /// [`Engine::process`] over a shared frame — with
+    /// Submits a [`Priority::Normal`] frame at full depth and blocks for
+    /// its response — the in-process client call. With
     /// [`Engine::recycle`], the warmed cache-hit serving loop this enables
     /// performs zero heap allocations per frame.
     ///
     /// # Errors
     ///
-    /// As [`Engine::submit`].
+    /// As [`Engine::submit_shared_budget`].
     pub fn process_shared(
         &self,
         cloud: Arc<PointCloud>,
         config: PipelineConfig,
     ) -> Result<FrameResponse, ServeError> {
-        self.submit_shared(cloud, config)?.wait()
+        self.submit_shared_budget(cloud, config, 0, Priority::Normal, None)?.wait()
     }
 
     /// Submits an inference request and blocks for its response.
@@ -1140,21 +1077,6 @@ impl Engine {
     /// [`Engine::recycle`] for inference responses.
     pub fn recycle_infer(&self, response: InferResponse) {
         self.shared.infer_outputs.put(response.output);
-    }
-
-    /// Submits a frame at the given [`Priority`] and blocks for its
-    /// response.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn process_with_priority(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-        priority: Priority,
-    ) -> Result<FrameResponse, ServeError> {
-        self.submit_with_priority(cloud, config, priority)?.wait()
     }
 
     /// A point-in-time copy of every serving metric. `faults_injected`
@@ -1950,7 +1872,7 @@ mod tests {
     fn process_round_trips_a_frame() {
         let engine = small_engine();
         let cloud = uniform_cube(1024, 3);
-        let r = engine.process(cloud, PipelineConfig::default()).unwrap();
+        let r = engine.process_shared(Arc::new(cloud), PipelineConfig::default()).unwrap();
         assert_eq!(r.sampled_indices.len(), 256);
         assert_eq!(r.found.len(), 256);
         assert_eq!(r.neighbor_indices.len(), 256 * r.num);
@@ -1962,8 +1884,8 @@ mod tests {
     fn repeated_frame_hits_partition_cache_with_identical_results() {
         let engine = small_engine();
         let cloud = scene_cloud(&SceneConfig::default(), 2048, 5);
-        let a = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
-        let b = engine.process(cloud, PipelineConfig::default()).unwrap();
+        let a = engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
+        let b = engine.process_shared(Arc::new(cloud), PipelineConfig::default()).unwrap();
         assert!(!a.cache_hit);
         assert!(b.cache_hit);
         assert_eq!(a.sampled_indices, b.sampled_indices);
@@ -1977,10 +1899,12 @@ mod tests {
     #[test]
     fn invalid_requests_are_rejected_not_shed() {
         let engine = small_engine();
-        let empty = engine.process(PointCloud::new(), PipelineConfig::default());
+        let empty = engine.process_shared(Arc::new(PointCloud::new()), PipelineConfig::default());
         assert_eq!(empty, Err(ServeError::Invalid(Error::EmptyCloud)));
-        let bad = engine
-            .process(uniform_cube(64, 1), PipelineConfig { neighbors: 0, ..Default::default() });
+        let bad = engine.process_shared(
+            Arc::new(uniform_cube(64, 1)),
+            PipelineConfig { neighbors: 0, ..Default::default() },
+        );
         assert!(matches!(bad, Err(ServeError::Invalid(Error::InvalidParameter { .. }))));
         assert_eq!(engine.metrics().rejected_invalid, 2);
         assert_eq!(engine.metrics().shed_total(), 0);
@@ -1991,10 +1915,18 @@ mod tests {
     fn priority_classes_round_trip_with_identical_results() {
         let engine = small_engine();
         let cloud = uniform_cube(1024, 17);
-        let normal = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
+        let normal =
+            engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
         for p in Priority::ALL {
-            let r =
-                engine.process_with_priority(cloud.clone(), PipelineConfig::default(), p).unwrap();
+            let r = engine
+                .submit_shared_with_options(
+                    Arc::new(cloud.clone()),
+                    PipelineConfig::default(),
+                    p,
+                    None,
+                )
+                .and_then(|t| t.wait())
+                .unwrap();
             assert_eq!(r.sampled_indices, normal.sampled_indices, "priority changed results");
             assert_eq!(r.neighbor_indices, normal.neighbor_indices);
         }
@@ -2092,7 +2024,12 @@ mod tests {
     fn submit_after_shutdown_sheds() {
         let engine = small_engine();
         engine.shutdown();
-        let r = engine.submit(uniform_cube(64, 1), PipelineConfig::default());
+        let r = engine.submit_shared_with_options(
+            Arc::new(uniform_cube(64, 1)),
+            PipelineConfig::default(),
+            Priority::Normal,
+            None,
+        );
         assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::ShuttingDown));
         assert_eq!(engine.metrics().shed_shutdown, 1);
     }
@@ -2151,8 +2088,8 @@ mod tests {
     fn zero_deadline_requests_shed_as_deadline_exceeded() {
         let engine = small_engine();
         let r = engine
-            .submit_with_options(
-                uniform_cube(1024, 3),
+            .submit_shared_with_options(
+                Arc::new(uniform_cube(1024, 3)),
                 PipelineConfig::default(),
                 Priority::Normal,
                 Some(Duration::ZERO),
@@ -2164,7 +2101,9 @@ mod tests {
         assert_eq!(m.shed_deadline, 1);
         assert!(m.shed_total() >= 1);
         // The engine is unharmed: the next unbounded request completes.
-        assert!(engine.process(uniform_cube(1024, 3), PipelineConfig::default()).is_ok());
+        assert!(engine
+            .process_shared(Arc::new(uniform_cube(1024, 3)), PipelineConfig::default())
+            .is_ok());
         engine.shutdown();
     }
 
@@ -2174,7 +2113,8 @@ mod tests {
             FaultPlan::OFF.with_fault(FaultKind::Panic, FaultPoint::Worker, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
         for _ in 0..3 {
-            let r = engine.process(uniform_cube(256, 5), PipelineConfig::default());
+            let r =
+                engine.process_shared(Arc::new(uniform_cube(256, 5)), PipelineConfig::default());
             assert_eq!(r, Err(ServeError::Internal));
         }
         // The ticket resolves during the unwind, *before* the supervisor
@@ -2201,7 +2141,7 @@ mod tests {
     fn injected_worker_errors_resolve_internal_without_panicking() {
         let plan = FaultPlan::OFF.with_fault(FaultKind::Err, FaultPoint::Worker, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
-        let r = engine.process(uniform_cube(256, 5), PipelineConfig::default());
+        let r = engine.process_shared(Arc::new(uniform_cube(256, 5)), PipelineConfig::default());
         assert_eq!(r, Err(ServeError::Internal));
         let m = engine.metrics();
         assert_eq!(m.worker_panics, 0);
@@ -2213,7 +2153,7 @@ mod tests {
     fn injected_block_errors_resolve_internal() {
         let plan = FaultPlan::OFF.with_fault(FaultKind::Err, FaultPoint::Block, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
-        let r = engine.process(uniform_cube(256, 5), PipelineConfig::default());
+        let r = engine.process_shared(Arc::new(uniform_cube(256, 5)), PipelineConfig::default());
         assert_eq!(r, Err(ServeError::Internal));
         assert_eq!(engine.metrics().worker_panics, 0);
         engine.shutdown();
@@ -2225,8 +2165,8 @@ mod tests {
             FaultPlan::OFF.with_fault(FaultKind::Err, FaultPoint::CacheInsert, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
         let cloud = uniform_cube(1024, 9);
-        let a = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
-        let b = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
+        let a = engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
+        let b = engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
         // The insert was dropped both times, so the repeat still misses …
         assert!(!a.cache_hit);
         assert!(!b.cache_hit);
@@ -2236,7 +2176,7 @@ mod tests {
         engine.shutdown();
 
         let clean = Engine::start(ServeConfig::default().workers(1));
-        let c = clean.process(cloud, PipelineConfig::default()).unwrap();
+        let c = clean.process_shared(Arc::new(cloud), PipelineConfig::default()).unwrap();
         assert_eq!(c.sampled_indices, a.sampled_indices);
         clean.shutdown();
     }
@@ -2249,7 +2189,7 @@ mod tests {
         assert_eq!(before.workers_alive, 2);
         assert_eq!(before.workers_configured, 2);
         assert_eq!(before.queued_by_class, [0, 0, 0]);
-        engine.process(uniform_cube(512, 3), PipelineConfig::default()).unwrap();
+        engine.process_shared(Arc::new(uniform_cube(512, 3)), PipelineConfig::default()).unwrap();
         let after = engine.health();
         assert_eq!(after.worker_panics, 0);
         assert_eq!(after.workers_respawned, 0);
@@ -2277,7 +2217,16 @@ mod tests {
         for _window in 0..6 {
             let tickets: Vec<Ticket> = clouds
                 .iter()
-                .map(|c| engine.submit_shared(Arc::clone(c), PipelineConfig::default()).unwrap())
+                .map(|c| {
+                    engine
+                        .submit_shared_with_options(
+                            Arc::clone(c),
+                            PipelineConfig::default(),
+                            Priority::Normal,
+                            None,
+                        )
+                        .unwrap()
+                })
                 .collect();
             for ticket in tickets {
                 let r = ticket.wait().unwrap();
@@ -2352,7 +2301,12 @@ mod tests {
         let engine = small_engine();
         let cloud = Arc::new(uniform_cube(1024, 9));
         let frame = engine
-            .submit_shared(Arc::clone(&cloud), PipelineConfig::default())
+            .submit_shared_with_options(
+                Arc::clone(&cloud),
+                PipelineConfig::default(),
+                Priority::Normal,
+                None,
+            )
             .expect("frame admitted");
         let infer = engine
             .submit_infer(Arc::clone(&cloud), infer_request(Aggregation::Delayed))

@@ -9,7 +9,7 @@
 //!
 //! The moving parts, one module each:
 //!
-//! * [`ServeConfig`] — tunables with `FRACTALCLOUD_SERVE_*` env overrides;
+//! * [`ServeConfig`] — tunables, set through its builder methods;
 //! * [`Engine`] — bounded admission queue with [`Priority`] classes
 //!   (weighted dequeue, Bulk-sheds-first displacement at the bound) and
 //!   counted load-shedding (never unbounded growth), an adaptive batcher

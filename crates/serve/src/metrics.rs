@@ -84,7 +84,8 @@ impl LatencyHistogram {
 /// All counters the engine and TCP front-end maintain.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Requests offered to [`Engine::submit`](crate::Engine::submit). A
+    /// Requests offered to the engine's `submit_*` entry points, plus wire
+    /// INFER requests naming a model the server does not serve. A
     /// progressive-LOD stream over TCP is **one** request here (its first
     /// paint) however many chunks it refines to — and so one in `admitted`,
     /// `completed` and the latency / queue-wait histograms.
@@ -97,7 +98,8 @@ pub struct Metrics {
     pub shed_oversized: AtomicU64,
     /// Requests shed: engine shutting down.
     pub shed_shutdown: AtomicU64,
-    /// Requests rejected before queueing: invalid parameters / empty frame.
+    /// Requests rejected before queueing: invalid parameters / empty frame
+    /// / unknown model.
     pub rejected_invalid: AtomicU64,
     /// Requests completed (response delivered).
     pub completed: AtomicU64,
@@ -343,7 +345,7 @@ pub struct MetricsSnapshot {
     pub shed_oversized: u64,
     /// Shed: shutting down.
     pub shed_shutdown: u64,
-    /// Rejected: invalid parameters / empty frame.
+    /// Rejected: invalid parameters / empty frame / unknown model.
     pub rejected_invalid: u64,
     /// Responses delivered.
     pub completed: u64,

@@ -31,7 +31,7 @@
 
 use crate::engine::{
     aggregation_wire, Engine, EngineHealth, FrameResponse, InferRequest, InferResponse, Priority,
-    ServeError, ShedReason,
+    ServeError, ShedReason, Ticket,
 };
 use crate::faults::{self, FaultLayer, FaultPoint};
 use crate::protocol::{
@@ -39,12 +39,12 @@ use crate::protocol::{
     WireStreamEnd, WireStreamOpen, AGG_DELAYED, AGG_EAGER, MAGIC, OP_HEALTH, OP_INFER, OP_METRICS,
     OP_PROCESS_FRAME, OP_STREAM, OP_STREAM_CANCEL, OP_STREAM_CREDIT, OP_TRACE_DUMP,
 };
-use fractalcloud_core::{LodCursor, PipelineConfig};
+use fractalcloud_core::LodCursor;
 use fractalcloud_obs as obs;
 use fractalcloud_pnn::{Aggregation, ModelConfig};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -274,49 +274,94 @@ fn configure_accepted(stream: &TcpStream, idle_ms: u64) -> io::Result<()> {
     Ok(())
 }
 
+/// How one request left the connection.
+enum Flow {
+    /// Answered; the connection may serve further requests.
+    Continue,
+    /// The peer is gone without an error to count: a clean EOF (between
+    /// requests, or a viewer closing its tab mid-stream), an idle reap, or
+    /// a framing error already answered.
+    CloseQuiet,
+    /// Transport failure (real or injected); counted as a disconnect.
+    CloseError,
+}
+
+/// A write's outcome as the connection's next step.
+fn flow(written: io::Result<()>) -> Flow {
+    match written {
+        Ok(()) => Flow::Continue,
+        Err(_) => Flow::CloseError,
+    }
+}
+
+/// One accepted connection: its socket and wire scratch, plus the shared
+/// engine, fairness gate and fault layer every request on it goes through.
+struct Connection<'a> {
+    stream: TcpStream,
+    engine: &'a Arc<Engine>,
+    metrics: &'a crate::metrics::Metrics,
+    gate: &'a FairGate,
+    faults: Option<Arc<FaultLayer>>,
+    scratch: WireScratch,
+    /// Told to go away at least once: counted as drained when it closes,
+    /// however it closes.
+    told_goaway: bool,
+}
+
+impl Drop for Connection<'_> {
+    fn drop(&mut self) {
+        if self.told_goaway {
+            self.metrics.connections_drained.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Serves one connection: a loop of request → response frames. Returns (and
 /// closes the stream) on EOF, protocol violation, or I/O error.
-fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGate) {
+fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, gate: &FairGate) {
     if configure_accepted(&stream, engine.config().idle_timeout_ms).is_err() {
         return;
     }
-    let metrics = engine.metrics_registry();
-    // Counts this connection as drained (when it eventually closes) once
-    // it has been told to go away at least once.
-    struct DrainTally<'a> {
-        m: &'a crate::metrics::Metrics,
-        sent: bool,
-    }
-    impl Drop for DrainTally<'_> {
-        fn drop(&mut self) {
-            if self.sent {
-                self.m.connections_drained.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    let mut drain_tally = DrainTally { m: metrics, sent: false };
-    let faults: Option<Arc<FaultLayer>> = engine.fault_layer().clone();
-    let mut scratch = WireScratch::default();
+    let mut conn = Connection {
+        stream,
+        engine,
+        metrics: engine.metrics_registry(),
+        gate,
+        faults: engine.fault_layer().clone(),
+        scratch: WireScratch::default(),
+        told_goaway: false,
+    };
     loop {
-        let mut header = [0u8; 9];
-        match read_exact_or_eof(&mut stream, &mut header) {
-            Ok(ReadOutcome::Eof) => return, // clean close between requests
-            Ok(ReadOutcome::Full) => {}
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                // Idle past the timeout between requests: reaped quietly,
-                // not counted as a disconnect error.
-                return;
-            }
-            Err(_) => {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
+        match conn.serve_request() {
+            Flow::Continue => {}
+            Flow::CloseQuiet => return,
+            Flow::CloseError => {
+                conn.metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
-        if faults::fire(&faults, FaultPoint::NetRead) {
+    }
+}
+
+impl Connection<'_> {
+    /// Reads one request and answers it.
+    fn serve_request(&mut self) -> Flow {
+        let m = self.metrics;
+        let mut header = [0u8; 9];
+        match read_exact_or_eof(&mut self.stream, &mut header) {
+            Ok(ReadOutcome::Eof) => return Flow::CloseQuiet, // clean close between requests
+            Ok(ReadOutcome::Full) => {}
+            // Idle past the timeout between requests: reaped quietly, not
+            // counted as a disconnect error.
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                return Flow::CloseQuiet;
+            }
+            Err(_) => return Flow::CloseError,
+        }
+        if faults::fire(&self.faults, FaultPoint::NetRead) {
             // Injected read failure: indistinguishable (to the client) from
             // the peer dying mid-request — the connection just drops.
-            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-            return;
+            return Flow::CloseError;
         }
         let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         let (opcode, prio_nibble) = protocol::split_kind(header[4]);
@@ -337,97 +382,50 @@ fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGat
         {
             // The stream cannot be resynchronized after a framing error:
             // answer malformed and drop the connection.
-            metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(&mut stream, status::MALFORMED, "bad magic or opcode");
-            return;
+            m.net_malformed.fetch_add(1, Ordering::Relaxed);
+            let _ = write_error(&mut self.stream, status::MALFORMED, "bad magic or opcode");
+            return Flow::CloseQuiet;
         }
-        if matches!(opcode, OP_HEALTH | OP_METRICS | OP_TRACE_DUMP) {
-            // Answered inline — a health probe or metrics scrape must work
-            // even when every worker is wedged, so these never touch the
-            // queue.
-            if payload_len != 0 {
-                metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                if drain(&mut stream, payload_len).is_err()
-                    || write_error(&mut stream, status::MALFORMED, "opcode takes no payload")
-                        .is_err()
-                {
-                    metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                continue;
-            }
-            let payload = match opcode {
-                OP_METRICS => engine.metrics_text().into_bytes(),
-                OP_TRACE_DUMP => obs::chrome::trace_json(&obs::drain()).into_bytes(),
-                _ => protocol::encode_health_payload(&engine.health()),
-            };
-            if faults::fire(&faults, FaultPoint::NetWrite)
-                || stream.write_all(&protocol::encode_message(status::OK, &payload)).is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+        let header_only = matches!(
+            opcode,
+            OP_HEALTH | OP_METRICS | OP_TRACE_DUMP | OP_STREAM_CREDIT | OP_STREAM_CANCEL
+        );
+        if header_only && payload_len != 0 {
+            let why = "opcode takes no payload";
+            return self.refuse(&[&m.net_malformed], payload_len, status::MALFORMED, why);
         }
-        if matches!(opcode, OP_STREAM_CREDIT | OP_STREAM_CANCEL) {
+        match opcode {
+            OP_HEALTH | OP_METRICS | OP_TRACE_DUMP => return self.answer_probe(opcode),
             // Stream-control frames are only meaningful inside an open
-            // stream (consumed by [`serve_stream`]'s control reads). One
-            // landing here is the tail of an inherent race — a client
-            // replenishing credits just as the stream completed, or
+            // stream (consumed by [`Connection::serve_stream`]'s control
+            // reads). One landing here is the tail of an inherent race — a
+            // client replenishing credits just as the stream completed, or
             // cancelling a stream that ended naturally — so it is silently
             // ignored rather than rejected.
-            if payload_len != 0 {
-                metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                if drain(&mut stream, payload_len).is_err()
-                    || write_error(&mut stream, status::MALFORMED, "opcode takes no payload")
-                        .is_err()
-                {
-                    metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            continue;
+            OP_STREAM_CREDIT | OP_STREAM_CANCEL => return Flow::Continue,
+            _ => {}
         }
         // Old clients leave the high nibble zero → Normal; nibbles beyond
         // the known classes are a caller bug, not a framing error, so the
         // connection stays usable.
         let Some(priority) = Priority::from_wire(prio_nibble) else {
-            metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-            if drain(&mut stream, payload_len).is_err()
-                || write_error(&mut stream, status::MALFORMED, "unknown priority class").is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+            let why = "unknown priority class";
+            return self.refuse(&[&m.net_malformed], payload_len, status::MALFORMED, why);
         };
-        if payload_len > engine.config().max_payload_bytes() {
-            // Refuse to buffer the payload: drain it through a small
-            // scratch (bounded memory regardless of the declared size),
-            // reply OVERSIZED, and keep the connection usable.
-            metrics.shed_oversized.fetch_add(1, Ordering::Relaxed);
-            if drain(&mut stream, payload_len).is_err()
-                || write_error(
-                    &mut stream,
-                    status::OVERSIZED,
-                    &format!("payload of {payload_len} bytes exceeds the server limit"),
-                )
-                .is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+        if payload_len > self.engine.config().max_payload_bytes() {
+            // Refuse to buffer the payload: `refuse` drains it through a
+            // small scratch (bounded memory regardless of the declared
+            // size) and the connection stays usable.
+            let why = format!("payload of {payload_len} bytes exceeds the server limit");
+            return self.refuse(&[&m.shed_oversized], payload_len, status::OVERSIZED, &why);
         }
 
         // Reused per-connection read buffer: resized to each request,
         // capacity retained across the connection's lifetime.
-        scratch.request.clear();
-        scratch.request.resize(payload_len, 0);
-        if stream.read_exact(&mut scratch.request).is_err() {
-            // Disconnect (or stall) mid-request.
-            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-            return;
+        self.scratch.request.clear();
+        self.scratch.request.resize(payload_len, 0);
+        if self.stream.read_exact(&mut self.scratch.request).is_err() {
+            return Flow::CloseError; // disconnect (or stall) mid-request
         }
 
         // Zero-downtime drain: while the engine is soft-draining, work
@@ -435,165 +433,303 @@ fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGat
         // elsewhere or retries after the maintenance window) instead of
         // queued. Health and metrics probes above stay answered inline so
         // orchestrators can watch the drain progress.
-        if engine.is_draining() {
-            metrics.goaway_sent.fetch_add(1, Ordering::Relaxed);
-            drain_tally.sent = true;
-            if write_error(&mut stream, status::GOAWAY, "server draining, reconnect later").is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+        if self.engine.is_draining() {
+            self.told_goaway = true;
+            let why = "server draining, reconnect later";
+            return self.refuse(&[&m.goaway_sent], 0, status::GOAWAY, why);
         }
-
-        if opcode == OP_STREAM {
-            match protocol::decode_stream_request_payload(&scratch.request) {
-                Err(WireError(what)) => {
-                    metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                    if write_error(&mut stream, status::MALFORMED, what).is_err() {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                Ok((cloud, config, deadline_ms, open)) => {
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    match serve_stream(
-                        &mut stream,
-                        engine,
-                        gate,
-                        &faults,
-                        cloud,
-                        config,
-                        priority,
-                        deadline,
-                        &open,
-                        &mut scratch,
-                    ) {
-                        StreamExit::Continue => {}
-                        StreamExit::CloseQuiet => return,
-                        StreamExit::CloseError => {
-                            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        let reply = if opcode == OP_INFER {
-            match protocol::decode_infer_request_payload(&scratch.request) {
-                Err(WireError(what)) => {
-                    metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                    let r = write_error(&mut stream, status::MALFORMED, what);
-                    if r.is_err() {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    // Framing was intact — the connection may continue.
-                    continue;
-                }
-                Ok((cloud, wire_req, deadline_ms)) => {
-                    // Resolve the notation against the server-side zoo; an
-                    // unknown notation is a caller bug, not a framing error.
-                    let Some(model) =
-                        ModelConfig::table1().into_iter().find(|m| m.notation == wire_req.notation)
-                    else {
-                        let r = write_error(
-                            &mut stream,
-                            status::INVALID,
-                            &format!("unknown model notation {:?}", wire_req.notation),
-                        );
-                        if r.is_err() {
-                            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        continue;
-                    };
-                    // The decoder already rejected bytes past AGG_DELAYED,
-                    // so the only remaining value is the server default.
-                    let aggregation = match wire_req.aggregation {
-                        AGG_EAGER => Some(Aggregation::Eager),
-                        AGG_DELAYED => Some(Aggregation::Delayed),
-                        _ => None,
-                    };
-                    let req = InferRequest {
-                        model,
-                        seed: wire_req.seed,
-                        threshold: wire_req.threshold as usize,
-                        aggregation,
-                        priority,
-                        deadline: (deadline_ms > 0)
-                            .then(|| Duration::from_millis(u64::from(deadline_ms))),
-                    };
-                    let (trace_req, outcome) =
-                        match gate.admit(|| engine.submit_infer(Arc::new(cloud), req)) {
-                            Ok(ticket) => (ticket.request_id(), ticket.wait()),
-                            Err(e) => (0, Err(e)),
-                        };
-                    if faults::fire(&faults, FaultPoint::NetWrite) {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    let _trace = obs::scoped_context(trace_req, priority.index() as u8);
-                    match outcome {
-                        Ok(resp) => write_infer_ok(&mut stream, &resp, &mut scratch),
-                        Err(e) => write_error(&mut stream, error_status(&e), &e.to_string()),
-                    }
-                }
-            }
-        } else {
-            match protocol::decode_request_payload(&scratch.request) {
-                Err(WireError(what)) => {
-                    metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                    let r = write_error(&mut stream, status::MALFORMED, what);
-                    if r.is_err() {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    // Framing was intact — the connection may continue.
-                    continue;
-                }
-                Ok((cloud, config, deadline_ms, budget)) => {
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    // Round-robin admission: the submission (queue push) takes
-                    // its fairness turn; the wait for the response happens
-                    // outside the gate so slow frames don't block other
-                    // connections' admissions. A non-zero wire budget runs
-                    // the truncated (prefix-identical) frame.
-                    let (trace_req, outcome) = match gate.admit(|| {
-                        engine.submit_shared_budget(
-                            Arc::new(cloud),
-                            config,
-                            budget as usize,
-                            priority,
-                            deadline,
-                        )
-                    }) {
-                        Ok(ticket) => (ticket.request_id(), ticket.wait()),
-                        Err(e) => (0, Err(e)),
-                    };
-                    if faults::fire(&faults, FaultPoint::NetWrite) {
-                        // Injected write failure: the response is computed but
-                        // lost on the wire; the client sees the connection die.
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    let _trace = obs::scoped_context(trace_req, priority.index() as u8);
-                    match outcome {
-                        Ok(resp) => write_ok(&mut stream, &resp, &mut scratch),
-                        Err(e) => write_error(&mut stream, error_status(&e), &e.to_string()),
-                    }
-                }
-            }
-        };
-        if reply.is_err() {
-            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-            return;
+        match opcode {
+            OP_STREAM => self.serve_stream(priority),
+            OP_INFER => self.serve_infer(priority),
+            _ => self.serve_frame(priority),
         }
     }
+
+    /// The one refusal: counts the request under `counters`, drains the
+    /// `unread` payload bytes it will not buffer, and answers `code`. The
+    /// framing is intact, so the connection stays usable.
+    fn refuse(&mut self, counters: &[&AtomicU64], unread: usize, code: u8, message: &str) -> Flow {
+        for counter in counters {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        flow(
+            drain(&mut self.stream, unread)
+                .and_then(|()| write_error(&mut self.stream, code, message)),
+        )
+    }
+
+    /// HEALTH / METRICS / TRACE_DUMP, answered inline — a health probe or
+    /// metrics scrape must work even when every worker is wedged, so these
+    /// never touch the queue.
+    fn answer_probe(&mut self, opcode: u8) -> Flow {
+        let payload = match opcode {
+            OP_METRICS => self.engine.metrics_text().into_bytes(),
+            OP_TRACE_DUMP => obs::chrome::trace_json(&obs::drain()).into_bytes(),
+            _ => protocol::encode_health_payload(&self.engine.health()),
+        };
+        if faults::fire(&self.faults, FaultPoint::NetWrite) {
+            return Flow::CloseError;
+        }
+        flow(self.stream.write_all(&protocol::encode_message(status::OK, &payload)))
+    }
+
+    /// The one admit → wait → answer sequence of every engine job a
+    /// connection submits (PROCESS_FRAME, INFER, a stream's first paint).
+    /// Round-robin admission: `submit` (validation plus a queue push) takes
+    /// its fairness turn at the gate, and the wait for the response happens
+    /// outside it, so slow frames don't block other connections'
+    /// admissions. An engine error is answered with its status; a response
+    /// goes to `reply`. Either answer runs inside the job's trace context,
+    /// so every span this thread records for the request — a stream's
+    /// refinements included — carries the job's request id.
+    fn run_job<T>(
+        &mut self,
+        priority: Priority,
+        submit: impl FnOnce() -> Result<Ticket<T>, ServeError>,
+        reply: impl FnOnce(&mut Self, T) -> Flow,
+    ) -> Flow {
+        let (trace_req, outcome) = match self.gate.admit(submit) {
+            Ok(ticket) => (ticket.request_id(), ticket.wait()),
+            Err(e) => (0, Err(e)),
+        };
+        if faults::fire(&self.faults, FaultPoint::NetWrite) {
+            // Injected write failure: the response is computed but lost on
+            // the wire; the client sees the connection die.
+            return Flow::CloseError;
+        }
+        let _trace = obs::scoped_context(trace_req, priority.index() as u8);
+        match outcome {
+            Ok(resp) => reply(self, resp),
+            Err(e) => flow(write_error(&mut self.stream, error_status(&e), &e.to_string())),
+        }
+    }
+
+    /// PROCESS_FRAME. A non-zero wire budget runs the truncated
+    /// (prefix-identical) frame.
+    fn serve_frame(&mut self, priority: Priority) -> Flow {
+        let m = self.metrics;
+        let (cloud, config, deadline_ms, budget) =
+            match protocol::decode_request_payload(&self.scratch.request) {
+                Ok(request) => request,
+                // Framing was intact — the connection may continue.
+                Err(WireError(what)) => {
+                    return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
+                }
+            };
+        let (engine, budget, deadline) = (self.engine, budget as usize, wire_deadline(deadline_ms));
+        let submit =
+            || engine.submit_shared_budget(Arc::new(cloud), config, budget, priority, deadline);
+        self.run_job(priority, submit, |conn, resp| {
+            flow(write_ok(&mut conn.stream, &resp, &mut conn.scratch))
+        })
+    }
+
+    /// INFER: the notation resolves against the server-side zoo.
+    fn serve_infer(&mut self, priority: Priority) -> Flow {
+        let m = self.metrics;
+        let (cloud, wire_req, deadline_ms) =
+            match protocol::decode_infer_request_payload(&self.scratch.request) {
+                Ok(request) => request,
+                Err(WireError(what)) => {
+                    return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
+                }
+            };
+        // An unknown notation is a caller bug, not a framing error: counted
+        // as the engine counts a model it cannot serve.
+        let Some(model) =
+            ModelConfig::table1().into_iter().find(|m| m.notation == wire_req.notation)
+        else {
+            let why = format!("unknown model notation {:?}", wire_req.notation);
+            return self.refuse(&[&m.submitted, &m.rejected_invalid], 0, status::INVALID, &why);
+        };
+        // The decoder already rejected bytes past AGG_DELAYED, so the only
+        // remaining value is the server default.
+        let aggregation = match wire_req.aggregation {
+            AGG_EAGER => Some(Aggregation::Eager),
+            AGG_DELAYED => Some(Aggregation::Delayed),
+            _ => None,
+        };
+        let req = InferRequest {
+            model,
+            seed: wire_req.seed,
+            threshold: wire_req.threshold as usize,
+            aggregation,
+            priority,
+            deadline: wire_deadline(deadline_ms),
+        };
+        let engine = self.engine;
+        self.run_job(
+            priority,
+            || engine.submit_infer(Arc::new(cloud), req),
+            |conn, resp| flow(write_infer_ok(&mut conn.stream, &resp, &mut conn.scratch)),
+        )
+    }
+
+    /// Drives one progressive-LOD stream. Admission is per stream, not per
+    /// chunk: the first paint is the stream's one engine job (validated,
+    /// queued, prioritised, deadlined and fault-drawn like any request; a
+    /// cold ordering is computed on a worker and cached) and hands back the
+    /// frame's full-depth output. Every credit-gated refinement after it is
+    /// cut from that output on this thread — a [`LodCursor`] step over the
+    /// new ranks, encoded straight from the borrowed rows — so a viewer's
+    /// deep tail holds no worker or queue slot and can never displace
+    /// another viewer's first paint. Refinements therefore do not count in
+    /// `submitted/completed`, the latency / queue-wait histograms or the
+    /// overload controller, cannot be shed at the queue bound and draw no
+    /// `worker`/`block` faults. A cancel still lands at chunk granularity
+    /// (`stream_chunks_sent` stops advancing: the server stopped *working*,
+    /// not just talking), a terminal [`Engine::shutdown`] answers
+    /// `SHUTTING_DOWN` at the next chunk boundary, and a soft
+    /// [`Engine::drain`] lets the open stream finish.
+    fn serve_stream(&mut self, priority: Priority) -> Flow {
+        let m = self.metrics;
+        let (cloud, config, deadline_ms, open) =
+            match protocol::decode_stream_request_payload(&self.scratch.request) {
+                Ok(request) => request,
+                Err(WireError(what)) => {
+                    return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
+                }
+            };
+        let deadline = wire_deadline(deadline_ms);
+        m.streams_opened.fetch_add(1, Ordering::Relaxed);
+        // Every exit path balances the open/closed pair through this guard
+        // — `opened − closed` staying above zero with no client connected
+        // is the hung-stream signal CI greps for. STREAM_END is written
+        // only after the books close: a client that read it never finds
+        // its stream open.
+        struct CloseGuard<'a>(&'a crate::metrics::Metrics);
+        impl Drop for CloseGuard<'_> {
+            fn drop(&mut self) {
+                self.0.streams_closed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let close = CloseGuard(m);
+
+        let cfg = self.engine.config();
+        let pick = |wire: u32, default: usize| if wire == 0 { default } else { wire as usize };
+        let first_paint = pick(open.first_paint, cfg.stream_first_paint);
+        let chunk_size = pick(open.chunk, cfg.stream_chunk);
+        let mut credits = pick(open.credits, cfg.stream_credits);
+        let idle = (cfg.idle_timeout_ms > 0).then(|| Duration::from_millis(cfg.idle_timeout_ms));
+
+        // The stream's wall-clock deadline (explicit, or the server
+        // default) also bounds credit waits: a viewer that stops sending
+        // credits used to pin this handler in an unbounded blocking read,
+        // leaking the stream (`opened − closed` never rebalanced). Now the
+        // wait resolves DEADLINE_EXCEEDED at the deadline and the guard
+        // above closes the stream. With no deadline configured anywhere the
+        // wait stays unbounded by contract.
+        let wait_deadline = deadline
+            .or((cfg.deadline_ms > 0).then(|| Duration::from_millis(cfg.deadline_ms)))
+            .map(|d| std::time::Instant::now() + d);
+
+        // First paint: admitted at the requester's priority — it is the
+        // time-to-first-point the viewer sees — and never credit-gated.
+        let engine = self.engine;
+        let submit = || {
+            engine.submit_stream_chunk(Arc::new(cloud), config, 0, first_paint, priority, deadline)
+        };
+        self.run_job(priority, submit, move |conn, first| {
+            // The first paint goes out through the same borrowed cut as
+            // every refinement: the cursor must count its ranks to stand
+            // there anyway.
+            let mut cursor = LodCursor::new(&first.output);
+            cursor.advance(first.slice.hi);
+            let mut seq = 1u32;
+            if conn.write_chunk(seq, first.cache_hit, &cursor).is_err() {
+                return Flow::CloseError;
+            }
+
+            while cursor.hi() < first.slice.total {
+                // Consume queued control frames before each refinement —
+                // waiting (deadline-bounded) only when out of credits, so a
+                // cancel takes effect even while credits remain.
+                loop {
+                    let verdict = if credits == 0 {
+                        wait_for_credit(&mut conn.stream, &conn.faults, wait_deadline, idle)
+                    } else {
+                        poll_control(&mut conn.stream)
+                    };
+                    match verdict {
+                        // Deadline expired while credit-starved: the stream
+                        // resolves instead of hanging the handler forever.
+                        ControlRead::None if credits == 0 => {
+                            let why = "stream deadline expired waiting for credits";
+                            return flow(write_error(
+                                &mut conn.stream,
+                                status::DEADLINE_EXCEEDED,
+                                why,
+                            ));
+                        }
+                        ControlRead::None => break,
+                        ControlRead::Credit => credits += 1,
+                        ControlRead::Cancel => {
+                            m.streams_cancelled.fetch_add(1, Ordering::Relaxed);
+                            drop(close);
+                            return conn.finish_stream(seq, cursor.hi(), true);
+                        }
+                        ControlRead::Eof => return Flow::CloseQuiet,
+                        ControlRead::Bad => return Flow::CloseError,
+                    }
+                }
+                credits -= 1;
+                // A stream outlives a soft drain, not a terminal shutdown:
+                // that refuses the next chunk boundary.
+                if conn.engine.is_shutting_down() {
+                    let reason = ServeError::Shed(ShedReason::ShuttingDown);
+                    let code = error_status(&reason);
+                    return flow(write_error(&mut conn.stream, code, &reason.to_string()));
+                }
+                let hi = cursor.hi() + chunk_size;
+                let emit_span =
+                    obs::span(obs::SpanKind::ChunkEmit, hi.min(u32::MAX as usize) as u32);
+                cursor.advance(hi);
+                emit_span.done();
+                m.stream_chunks_sent.fetch_add(1, Ordering::Relaxed);
+                seq += 1;
+                if faults::fire(&conn.faults, FaultPoint::NetWrite)
+                    || conn.write_chunk(seq, first.cache_hit, &cursor).is_err()
+                {
+                    return Flow::CloseError;
+                }
+            }
+            drop(close);
+            conn.finish_stream(seq, cursor.hi(), false)
+        })
+    }
+
+    /// Encodes the cut `cursor` stands on as a [`status::CHUNK`] frame
+    /// through the connection's scratch buffers and writes it.
+    fn write_chunk(&mut self, seq: u32, cache_hit: bool, cursor: &LodCursor<'_>) -> io::Result<()> {
+        let scratch = &mut self.scratch;
+        let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
+        scratch.payload.clear();
+        protocol::encode_stream_cut_into(seq, cache_hit, cursor, &mut scratch.payload);
+        scratch.message.clear();
+        protocol::encode_message_into(status::CHUNK, &scratch.payload, &mut scratch.message);
+        encode_span.done();
+        let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
+        self.stream.write_all(&scratch.message)
+    }
+
+    /// Terminates a stream with its [`status::STREAM_END`] summary frame.
+    fn finish_stream(&mut self, chunks: u32, delivered: usize, cancelled: bool) -> Flow {
+        let end = WireStreamEnd { chunks, delivered: delivered as u32, cancelled };
+        let scratch = &mut self.scratch;
+        scratch.payload.clear();
+        protocol::encode_stream_end_into(&end, &mut scratch.payload);
+        scratch.message.clear();
+        protocol::encode_message_into(status::STREAM_END, &scratch.payload, &mut scratch.message);
+        if faults::fire(&self.faults, FaultPoint::NetWrite) {
+            return Flow::CloseError;
+        }
+        flow(self.stream.write_all(&scratch.message))
+    }
+}
+
+/// A wire deadline in milliseconds (0 = the server's default).
+fn wire_deadline(ms: u32) -> Option<Duration> {
+    (ms > 0).then(|| Duration::from_millis(u64::from(ms)))
 }
 
 /// Reads and discards `n` bytes through a fixed-size scratch buffer.
@@ -629,18 +765,6 @@ fn read_exact_or_eof(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<ReadO
     Ok(ReadOutcome::Full)
 }
 
-/// How [`serve_stream`] left the connection.
-enum StreamExit {
-    /// The stream ended (completed or cancelled); the connection may serve
-    /// further requests.
-    Continue,
-    /// The peer went away cleanly mid-stream (EOF on a control read) — a
-    /// viewer closing its tab, not an error.
-    CloseQuiet,
-    /// Transport or framing failure; the caller counts a disconnect.
-    CloseError,
-}
-
 /// One stream-control read's verdict.
 #[derive(Debug, PartialEq)]
 enum ControlRead {
@@ -654,196 +778,6 @@ enum ControlRead {
     Eof,
     /// Framing violation or transport error.
     Bad,
-}
-
-/// Drives one progressive-LOD stream. Admission is per stream, not per
-/// chunk: the first paint is the stream's one engine job (validated,
-/// queued, prioritised, deadlined and fault-drawn like any request; a cold
-/// ordering is computed on a worker and cached) and hands back the frame's
-/// full-depth output. Every credit-gated refinement after it is cut from
-/// that output on this thread — a [`LodCursor`] step over the new ranks,
-/// encoded straight from the borrowed rows — so a viewer's deep tail holds
-/// no worker or queue slot and can never displace another viewer's first
-/// paint. Refinements therefore do not count in `submitted/completed`, the
-/// latency / queue-wait histograms or the overload controller, cannot be
-/// shed at the queue bound and draw no `worker`/`block` faults. A cancel
-/// still lands at chunk granularity (`stream_chunks_sent` stops advancing:
-/// the server stopped *working*, not just talking), a terminal
-/// [`Engine::shutdown`] answers `SHUTTING_DOWN` at the next chunk boundary,
-/// and a soft [`Engine::drain`] lets the open stream finish.
-#[allow(clippy::too_many_arguments)]
-fn serve_stream(
-    stream: &mut TcpStream,
-    engine: &Arc<Engine>,
-    gate: &FairGate,
-    faults: &Option<Arc<FaultLayer>>,
-    cloud: fractalcloud_pointcloud::PointCloud,
-    config: PipelineConfig,
-    priority: Priority,
-    deadline: Option<Duration>,
-    open: &WireStreamOpen,
-    scratch: &mut WireScratch,
-) -> StreamExit {
-    let metrics = engine.metrics_registry();
-    metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
-    // Every exit path balances the open/closed pair through this guard —
-    // `opened − closed` staying above zero with no client connected is the
-    // hung-stream signal CI greps for. STREAM_END is written only after
-    // the books close: a client that read it never finds its stream open.
-    struct CloseGuard<'a>(&'a crate::metrics::Metrics);
-    impl Drop for CloseGuard<'_> {
-        fn drop(&mut self) {
-            self.0.streams_closed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    let close = CloseGuard(metrics);
-
-    let cfg = engine.config();
-    let pick = |wire: u32, default: usize| if wire == 0 { default } else { wire as usize };
-    let first_paint = pick(open.first_paint, cfg.stream_first_paint);
-    let chunk_size = pick(open.chunk, cfg.stream_chunk);
-    let mut credits = pick(open.credits, cfg.stream_credits);
-    let idle = (cfg.idle_timeout_ms > 0).then(|| Duration::from_millis(cfg.idle_timeout_ms));
-
-    // The stream's wall-clock deadline (explicit, or the server default)
-    // also bounds credit waits: a viewer that stops sending credits used
-    // to pin this handler in an unbounded blocking read, leaking the
-    // stream (`opened − closed` never rebalanced). Now the wait resolves
-    // DEADLINE_EXCEEDED at the deadline and the guard above closes the
-    // stream. With no deadline configured anywhere the wait stays
-    // unbounded by contract.
-    let wait_deadline = deadline
-        .or((cfg.deadline_ms > 0).then(|| Duration::from_millis(cfg.deadline_ms)))
-        .map(|d| std::time::Instant::now() + d);
-
-    // First paint: admitted at the requester's priority — it is the
-    // time-to-first-point the viewer sees — and never credit-gated.
-    let (trace_req, outcome) = match gate.admit(|| {
-        engine.submit_stream_chunk(Arc::new(cloud), config, 0, first_paint, priority, deadline)
-    }) {
-        Ok(ticket) => (ticket.request_id(), ticket.wait()),
-        Err(e) => (0, Err(e)),
-    };
-    if faults::fire(faults, FaultPoint::NetWrite) {
-        return StreamExit::CloseError;
-    }
-    // Every span this thread records for the stream — the refinements'
-    // `ChunkEmit`s included — carries the first-paint job's request id.
-    let _trace = obs::scoped_context(trace_req, priority.index() as u8);
-    let first = match outcome {
-        Ok(first) => first,
-        Err(e) => return refuse_stream(stream, error_status(&e), &e.to_string()),
-    };
-    // The first paint goes out through the same borrowed cut as every
-    // refinement: the cursor must count its ranks to stand there anyway.
-    let mut cursor = LodCursor::new(&first.output);
-    cursor.advance(first.slice.hi);
-    let mut seq = 1u32;
-    if write_chunk(stream, seq, first.cache_hit, &cursor, scratch).is_err() {
-        return StreamExit::CloseError;
-    }
-
-    while cursor.hi() < first.slice.total {
-        // Consume queued control frames before each refinement — waiting
-        // (deadline-bounded) only when out of credits, so a cancel takes
-        // effect even while credits remain.
-        loop {
-            let verdict = if credits == 0 {
-                wait_for_credit(stream, faults, wait_deadline, idle)
-            } else {
-                poll_control(stream)
-            };
-            match verdict {
-                // Deadline expired while credit-starved: the stream
-                // resolves instead of hanging the handler forever.
-                ControlRead::None if credits == 0 => {
-                    return refuse_stream(
-                        stream,
-                        status::DEADLINE_EXCEEDED,
-                        "stream deadline expired waiting for credits",
-                    );
-                }
-                ControlRead::None => break,
-                ControlRead::Credit => credits += 1,
-                ControlRead::Cancel => {
-                    metrics.streams_cancelled.fetch_add(1, Ordering::Relaxed);
-                    drop(close);
-                    return finish_stream(stream, faults, seq, cursor.hi(), true, scratch);
-                }
-                ControlRead::Eof => return StreamExit::CloseQuiet,
-                ControlRead::Bad => return StreamExit::CloseError,
-            }
-        }
-        credits -= 1;
-        // A stream outlives a soft drain, not a terminal shutdown: that
-        // refuses the next chunk boundary.
-        if engine.is_shutting_down() {
-            let reason = ServeError::Shed(ShedReason::ShuttingDown);
-            return refuse_stream(stream, error_status(&reason), &reason.to_string());
-        }
-        let hi = cursor.hi() + chunk_size;
-        let emit_span = obs::span(obs::SpanKind::ChunkEmit, hi.min(u32::MAX as usize) as u32);
-        cursor.advance(hi);
-        emit_span.done();
-        metrics.stream_chunks_sent.fetch_add(1, Ordering::Relaxed);
-        seq += 1;
-        if faults::fire(faults, FaultPoint::NetWrite)
-            || write_chunk(stream, seq, first.cache_hit, &cursor, scratch).is_err()
-        {
-            return StreamExit::CloseError;
-        }
-    }
-    drop(close);
-    finish_stream(stream, faults, seq, cursor.hi(), false, scratch)
-}
-
-/// Ends a stream with an error frame; the connection survives if the frame
-/// could be written.
-fn refuse_stream(stream: &mut TcpStream, code: u8, message: &str) -> StreamExit {
-    match write_error(stream, code, message) {
-        Ok(()) => StreamExit::Continue,
-        Err(_) => StreamExit::CloseError,
-    }
-}
-
-/// Encodes the cut `cursor` stands on as a [`status::CHUNK`] frame through
-/// the connection's scratch buffers and writes it.
-fn write_chunk(
-    stream: &mut TcpStream,
-    seq: u32,
-    cache_hit: bool,
-    cursor: &LodCursor<'_>,
-    scratch: &mut WireScratch,
-) -> io::Result<()> {
-    let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
-    scratch.payload.clear();
-    protocol::encode_stream_cut_into(seq, cache_hit, cursor, &mut scratch.payload);
-    scratch.message.clear();
-    protocol::encode_message_into(status::CHUNK, &scratch.payload, &mut scratch.message);
-    encode_span.done();
-    let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
-    stream.write_all(&scratch.message)
-}
-
-/// Terminates a stream with its [`status::STREAM_END`] summary frame.
-fn finish_stream(
-    stream: &mut TcpStream,
-    faults: &Option<Arc<FaultLayer>>,
-    chunks: u32,
-    delivered: usize,
-    cancelled: bool,
-    scratch: &mut WireScratch,
-) -> StreamExit {
-    let end = WireStreamEnd { chunks, delivered: delivered as u32, cancelled };
-    scratch.payload.clear();
-    protocol::encode_stream_end_into(&end, &mut scratch.payload);
-    scratch.message.clear();
-    protocol::encode_message_into(status::STREAM_END, &scratch.payload, &mut scratch.message);
-    if faults::fire(faults, FaultPoint::NetWrite) || stream.write_all(&scratch.message).is_err() {
-        StreamExit::CloseError
-    } else {
-        StreamExit::Continue
-    }
 }
 
 /// How often a credit-starved wait wakes to check the stream's deadline.
@@ -1044,6 +978,11 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+/// A non-OK reply as [`ClientError::Server`], its payload the reason.
+fn server_error(code: u8, payload: &[u8]) -> ClientError {
+    ClientError::Server { code, message: String::from_utf8_lossy(payload).into_owned() }
+}
+
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> ClientError {
         ClientError::Io(e)
@@ -1081,16 +1020,6 @@ impl RetryPolicy {
             cap: Duration::from_secs(1),
             state: seed,
         }
-    }
-
-    /// Reads `FRACTALCLOUD_CLIENT_RETRIES` for the retry budget (default
-    /// 3 when unset or unparseable), jittered from `seed`.
-    pub fn from_env(seed: u64) -> RetryPolicy {
-        let max = std::env::var("FRACTALCLOUD_CLIENT_RETRIES")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(3);
-        RetryPolicy::new(max, seed)
     }
 
     /// Returns `self` with the given base (first-retry) delay.
@@ -1191,6 +1120,23 @@ impl ServeClient {
         Ok(())
     }
 
+    /// Writes one request message.
+    fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
+        self.stream.write_all(&protocol::encode_message(kind, payload))?;
+        Ok(())
+    }
+
+    /// The one request/reply exchange: sends `kind` + `payload` and
+    /// returns the OK reply's payload; any other status comes back as
+    /// [`ClientError::Server`].
+    fn call(&mut self, kind: u8, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
+        self.send(kind, payload)?;
+        match self.read_reply()? {
+            (status::OK, payload) => Ok(payload),
+            (code, payload) => Err(server_error(code, &payload)),
+        }
+    }
+
     /// Requests the server's [`EngineHealth`] snapshot ([`OP_HEALTH`]).
     ///
     /// # Errors
@@ -1198,15 +1144,7 @@ impl ServeClient {
     /// [`ClientError::Io`]/[`ClientError::Protocol`] for transport and
     /// framing failures; [`ClientError::Server`] for non-OK statuses.
     pub fn health(&mut self) -> Result<EngineHealth, ClientError> {
-        self.stream.write_all(&protocol::encode_message(OP_HEALTH, &[]))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_health_payload(&payload).map_err(ClientError::Protocol)
+        protocol::decode_health_payload(&self.call(OP_HEALTH, &[])?).map_err(ClientError::Protocol)
     }
 
     /// Requests the server's Prometheus-style metrics exposition
@@ -1232,15 +1170,7 @@ impl ServeClient {
     }
 
     fn text_request(&mut self, opcode: u8) -> Result<String, ClientError> {
-        self.stream.write_all(&protocol::encode_message(opcode, &[]))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        String::from_utf8(payload)
+        String::from_utf8(self.call(opcode, &[])?)
             .map_err(|_| ClientError::Protocol(WireError("response body is not UTF-8")))
     }
 
@@ -1248,72 +1178,27 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// As [`ServeClient::process_with_priority`].
+    /// As [`ServeClient::process_budget`].
     pub fn process(
         &mut self,
         cloud: &fractalcloud_pointcloud::PointCloud,
         config: &fractalcloud_core::PipelineConfig,
     ) -> Result<WireResponse, ClientError> {
-        self.process_with_priority(cloud, config, Priority::Normal)
+        self.process_budget(cloud, config, Priority::Normal, 0, 0)
     }
 
-    /// Sends one frame at the given [`Priority`] (encoded in the kind
-    /// byte's high nibble) and blocks for its result.
+    /// [`ServeClient::process_budget`] at full depth, wrapped in the
+    /// self-healing retry loop: shed statuses (including
+    /// [`status::GOAWAY`]) and transport failures are retried on
+    /// `policy`'s backoff schedule — reconnecting and replaying the request
+    /// when the connection died or the server said go away — and never
+    /// past the request's own deadline. Non-retryable rejections
+    /// ([`status::INVALID`], [`status::MALFORMED`],
+    /// [`status::INTERNAL_ERROR`]) surface immediately.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] for shed/rejected requests,
-    /// [`ClientError::Io`]/[`ClientError::Protocol`] for transport and
-    /// framing failures.
-    pub fn process_with_priority(
-        &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-        priority: Priority,
-    ) -> Result<WireResponse, ClientError> {
-        self.process_with_options(cloud, config, priority, 0)
-    }
-
-    /// [`ServeClient::process_with_priority`] with a per-request deadline
-    /// in milliseconds (0 = use the server's default). A non-zero deadline
-    /// rides the optional payload trailer; an expired request comes back as
-    /// the retryable [`status::DEADLINE_EXCEEDED`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeClient::process_with_priority`].
-    pub fn process_with_options(
-        &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-        priority: Priority,
-        deadline_ms: u32,
-    ) -> Result<WireResponse, ClientError> {
-        let payload = protocol::encode_request_payload_deadline(cloud, config, deadline_ms);
-        self.stream
-            .write_all(&protocol::encode_message(protocol::request_kind(priority), &payload))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_response_payload(&payload).map_err(ClientError::Protocol)
-    }
-
-    /// [`ServeClient::process_with_options`] wrapped in the self-healing
-    /// retry loop: shed statuses (including [`status::GOAWAY`]) and
-    /// transport failures are retried on `policy`'s backoff schedule —
-    /// reconnecting and replaying the request when the connection died or
-    /// the server said go away — and never past the request's own
-    /// deadline. Non-retryable rejections ([`status::INVALID`],
-    /// [`status::MALFORMED`], [`status::INTERNAL_ERROR`]) surface
-    /// immediately.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error, as [`ServeClient::process_with_options`].
+    /// The final attempt's error, as [`ServeClient::process_budget`].
     pub fn process_retry(
         &mut self,
         cloud: &fractalcloud_pointcloud::PointCloud,
@@ -1326,7 +1211,7 @@ impl ServeClient {
             .then(|| std::time::Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
         let mut attempt = 0u32;
         loop {
-            let err = match self.process_with_options(cloud, config, priority, deadline_ms) {
+            let err = match self.process_budget(cloud, config, priority, deadline_ms, 0) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => e,
             };
@@ -1352,15 +1237,20 @@ impl ServeClient {
         }
     }
 
-    /// [`ServeClient::process_with_options`] with a sample budget: a
-    /// non-zero `budget` asks the server to answer with only the first
-    /// `budget` samples of the frame's coarse-to-fine quality ordering —
-    /// byte-identical to the prefix of the full response, at
-    /// proportionally lower cost (0 = full depth).
+    /// Sends one frame at the given [`Priority`] (encoded in the kind
+    /// byte's high nibble) and blocks for its result. A non-zero
+    /// `deadline_ms` rides the optional payload trailer (0 = use the
+    /// server's default); an expired request comes back as the retryable
+    /// [`status::DEADLINE_EXCEEDED`]. A non-zero `budget` asks the server
+    /// to answer with only the first `budget` samples of the frame's
+    /// coarse-to-fine quality ordering — byte-identical to the prefix of
+    /// the full response, at proportionally lower cost (0 = full depth).
     ///
     /// # Errors
     ///
-    /// As [`ServeClient::process_with_priority`].
+    /// [`ClientError::Server`] for shed/rejected requests,
+    /// [`ClientError::Io`]/[`ClientError::Protocol`] for transport and
+    /// framing failures.
     pub fn process_budget(
         &mut self,
         cloud: &fractalcloud_pointcloud::PointCloud,
@@ -1370,16 +1260,8 @@ impl ServeClient {
         budget: u32,
     ) -> Result<WireResponse, ClientError> {
         let payload = protocol::encode_request_payload_budget(cloud, config, deadline_ms, budget);
-        self.stream
-            .write_all(&protocol::encode_message(protocol::request_kind(priority), &payload))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_response_payload(&payload).map_err(ClientError::Protocol)
+        let reply = self.call(protocol::request_kind(priority), &payload)?;
+        protocol::decode_response_payload(&reply).map_err(ClientError::Protocol)
     }
 
     /// Opens a progressive-LOD stream ([`OP_STREAM`]) for one frame. The
@@ -1404,11 +1286,7 @@ impl ServeClient {
         open: &WireStreamOpen,
     ) -> Result<(), ClientError> {
         let payload = protocol::encode_stream_request_payload(cloud, config, deadline_ms, open);
-        self.stream.write_all(&protocol::encode_message(
-            protocol::stream_request_kind(priority),
-            &payload,
-        ))?;
-        Ok(())
+        self.send(protocol::stream_request_kind(priority), &payload)
     }
 
     /// Reads the next frame of the open stream.
@@ -1427,10 +1305,7 @@ impl ServeClient {
             status::STREAM_END => protocol::decode_stream_end_payload(&payload)
                 .map(StreamEvent::End)
                 .map_err(ClientError::Protocol),
-            code => Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            }),
+            code => Err(server_error(code, &payload)),
         }
     }
 
@@ -1440,8 +1315,7 @@ impl ServeClient {
     ///
     /// [`ClientError::Io`] for transport failures.
     pub fn stream_credit(&mut self) -> Result<(), ClientError> {
-        self.stream.write_all(&protocol::encode_message(OP_STREAM_CREDIT, &[]))?;
-        Ok(())
+        self.send(OP_STREAM_CREDIT, &[])
     }
 
     /// Asks the server to stop refining the open stream
@@ -1455,8 +1329,7 @@ impl ServeClient {
     ///
     /// [`ClientError::Io`] for transport failures.
     pub fn cancel(&mut self) -> Result<(), ClientError> {
-        self.stream.write_all(&protocol::encode_message(OP_STREAM_CANCEL, &[]))?;
-        Ok(())
+        self.send(OP_STREAM_CANCEL, &[])
     }
 
     /// Drives one frame's stream to completion: opens it, folds every
@@ -1526,18 +1399,8 @@ impl ServeClient {
         deadline_ms: u32,
     ) -> Result<WireInferResponse, ClientError> {
         let payload = protocol::encode_infer_request_payload(cloud, req, deadline_ms);
-        self.stream.write_all(&protocol::encode_message(
-            protocol::infer_request_kind(priority),
-            &payload,
-        ))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_infer_response_payload(&payload).map_err(ClientError::Protocol)
+        let reply = self.call(protocol::infer_request_kind(priority), &payload)?;
+        protocol::decode_infer_response_payload(&reply).map_err(ClientError::Protocol)
     }
 
     /// Reads one response frame: `(status, payload)`.

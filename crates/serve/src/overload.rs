@@ -93,8 +93,7 @@ pub struct BrownoutConfig {
     /// admission-path load still costs one relaxed atomic read).
     pub enabled: bool,
     /// Pin the controller at this level (0–4) regardless of observations —
-    /// the test/chaos hook behind `FRACTALCLOUD_SERVE_BROWNOUT=force:N`.
-    /// `None` = adaptive.
+    /// the test/chaos hook. `None` = adaptive.
     pub forced: Option<u8>,
     /// Queue-wait observation (µs) above which pressure is "over": a run
     /// of `escalate_after` consecutive over-observations escalates one
@@ -129,51 +128,6 @@ impl Default for BrownoutConfig {
             relax_after: 8,
             dwell_ms: 250,
         }
-    }
-}
-
-impl BrownoutConfig {
-    /// Parses the `FRACTALCLOUD_SERVE_BROWNOUT` grammar:
-    /// `off` | `0` disables, `on` | `1` | `adaptive` enables the defaults,
-    /// `force:N` pins level `N` (0–4), and
-    /// `adaptive:escalate_us,relax_us,dwell_ms` tunes the thresholds.
-    /// Anything unparseable falls back to `def`.
-    pub fn parse(spec: &str, def: BrownoutConfig) -> BrownoutConfig {
-        let spec = spec.trim();
-        match spec {
-            "off" | "0" => return BrownoutConfig { enabled: false, ..def },
-            "on" | "1" | "adaptive" => {
-                return BrownoutConfig { enabled: true, forced: None, ..def }
-            }
-            _ => {}
-        }
-        if let Some(level) = spec.strip_prefix("force:") {
-            if let Ok(level) = level.trim().parse::<u8>() {
-                return BrownoutConfig {
-                    enabled: true,
-                    forced: Some(level.min(SHED_LEVEL)),
-                    ..def
-                };
-            }
-        }
-        if let Some(rest) = spec.strip_prefix("adaptive:") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if let [esc, rel, dwell] = parts[..] {
-                if let (Ok(esc), Ok(rel), Ok(dwell)) =
-                    (esc.parse::<u64>(), rel.parse::<u64>(), dwell.parse::<u64>())
-                {
-                    return BrownoutConfig {
-                        enabled: true,
-                        forced: None,
-                        escalate_wait_us: esc.max(1),
-                        relax_wait_us: rel.min(esc.saturating_sub(1)),
-                        dwell_ms: dwell,
-                        ..def
-                    };
-                }
-            }
-        }
-        def
     }
 }
 
@@ -412,20 +366,5 @@ mod tests {
             assert_eq!(OverloadLevel::from_u8(v).as_u8(), v);
         }
         assert_eq!(OverloadLevel::from_u8(200), OverloadLevel::Shed);
-    }
-
-    #[test]
-    fn parse_grammar() {
-        let def = BrownoutConfig::default();
-        assert!(!BrownoutConfig::parse("off", def).enabled);
-        assert!(!BrownoutConfig::parse("0", def).enabled);
-        assert!(BrownoutConfig::parse("on", def).enabled);
-        assert_eq!(BrownoutConfig::parse("force:2", def).forced, Some(2));
-        assert_eq!(BrownoutConfig::parse("force:99", def).forced, Some(SHED_LEVEL));
-        let tuned = BrownoutConfig::parse("adaptive:2000,300,50", def);
-        assert_eq!(tuned.escalate_wait_us, 2000);
-        assert_eq!(tuned.relax_wait_us, 300);
-        assert_eq!(tuned.dwell_ms, 50);
-        assert_eq!(BrownoutConfig::parse("gibberish", def), def);
     }
 }

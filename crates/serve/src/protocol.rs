@@ -355,27 +355,19 @@ fn put_cloud(buf: &mut Vec<u8>, cloud: &PointCloud) {
 /// header) with no wire deadline — byte-identical to what pre-deadline
 /// clients send.
 pub fn encode_request_payload(cloud: &PointCloud, config: &PipelineConfig) -> Vec<u8> {
-    encode_request_payload_deadline(cloud, config, 0)
+    encode_request_payload_budget(cloud, config, 0, 0)
 }
 
-/// [`encode_request_payload`] with a per-request deadline in milliseconds.
-/// A non-zero deadline rides as the optional trailing `deadline_ms:u32`;
-/// zero ("use the server default") omits the field entirely, so unbounded
-/// requests stay parseable by pre-deadline servers.
-pub fn encode_request_payload_deadline(
-    cloud: &PointCloud,
-    config: &PipelineConfig,
-    deadline_ms: u32,
-) -> Vec<u8> {
-    encode_request_payload_budget(cloud, config, deadline_ms, 0)
-}
-
-/// [`encode_request_payload_deadline`] with an explicit sample budget: the
-/// server runs the pipeline at `n_samples = budget` (the first `budget`
-/// ranks of the frame's coarse-to-fine ordering) instead of the full
-/// `sample_rate` allocation. Zero means "full budget" and omits the field;
-/// a non-zero budget forces the deadline field so the trailer stays
-/// positionally unambiguous (`[deadline_ms [budget]]`).
+/// [`encode_request_payload`] with a per-request deadline in milliseconds
+/// and a sample budget. A non-zero deadline rides as the optional trailing
+/// `deadline_ms:u32`; zero ("use the server default") omits the field
+/// entirely, so unbounded requests stay parseable by pre-deadline servers.
+/// A non-zero budget has the server run the pipeline at
+/// `n_samples = budget` (the first `budget` ranks of the frame's
+/// coarse-to-fine ordering) instead of the full `sample_rate` allocation.
+/// Zero means "full budget" and omits the field; a non-zero budget forces
+/// the deadline field so the trailer stays positionally unambiguous
+/// (`[deadline_ms [budget]]`).
 pub fn encode_request_payload_budget(
     cloud: &PointCloud,
     config: &PipelineConfig,
@@ -588,15 +580,7 @@ pub struct WireInferResponse {
     pub logits: Vec<f32>,
 }
 
-/// Encodes an OK [`OP_INFER`] response payload.
-pub fn encode_infer_response_payload(resp: &WireInferResponse) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(4 + 1 + 4 + 1 + 24 + 4 + 4 * (resp.row_index.len() + resp.logits.len()));
-    encode_infer_response_payload_into(resp, &mut buf);
-    buf
-}
-
-/// [`encode_infer_response_payload`] appending into a caller-provided
+/// Encodes an OK [`OP_INFER`] response payload into a caller-provided
 /// buffer (the wire path's per-connection scratch form).
 pub fn encode_infer_response_payload_into(resp: &WireInferResponse, buf: &mut Vec<u8>) {
     put_u32(buf, resp.classes);
@@ -959,13 +943,6 @@ pub fn encode_stream_cut_into(seq: u32, cache_hit: bool, cut: &LodCursor<'_>, bu
     }
 }
 
-/// Encodes a [`status::CHUNK`] payload.
-pub fn encode_stream_chunk_payload(chunk: &WireStreamChunk) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_stream_chunk_into(chunk, &mut buf);
-    buf
-}
-
 /// Decodes a [`status::CHUNK`] payload.
 ///
 /// # Errors
@@ -1198,11 +1175,11 @@ mod tests {
         let cfg = PipelineConfig::default();
         // Zero deadline encodes byte-identically to the legacy payload …
         assert_eq!(
-            encode_request_payload_deadline(&cloud, &cfg, 0),
+            encode_request_payload_budget(&cloud, &cfg, 0, 0),
             encode_request_payload(&cloud, &cfg)
         );
         // … while a non-zero one appends exactly 4 bytes and round-trips.
-        let with = encode_request_payload_deadline(&cloud, &cfg, 250);
+        let with = encode_request_payload_budget(&cloud, &cfg, 250, 0);
         assert_eq!(with.len(), encode_request_payload(&cloud, &cfg).len() + 4);
         let (cloud2, cfg2, deadline_ms, budget) = decode_request_payload(&with).unwrap();
         assert_eq!(cloud, cloud2);
@@ -1525,7 +1502,8 @@ mod tests {
             row_index: vec![7, 0, 31],
             logits: vec![f32::NAN, -0.0, 1.5e-42, -3.25, 0.0, f32::INFINITY, 1.0, 2.0, 3.0],
         };
-        let payload = encode_infer_response_payload(&resp);
+        let mut payload = Vec::new();
+        encode_infer_response_payload_into(&resp, &mut payload);
         let back = decode_infer_response_payload(&payload).unwrap();
         assert_eq!(back.row_index, resp.row_index);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1616,7 +1594,8 @@ mod tests {
                 WireLodSegment { block: 3, sampled: vec![40], grouped: vec![9, 9], found: vec![0] },
             ],
         };
-        let payload = encode_stream_chunk_payload(&chunk);
+        let mut payload = Vec::new();
+        encode_stream_chunk_into(&chunk, &mut payload);
         assert_eq!(decode_stream_chunk_payload(&payload).unwrap(), chunk);
         for cut in 0..payload.len() {
             assert!(decode_stream_chunk_payload(&payload[..cut]).is_err());
@@ -1672,9 +1651,10 @@ mod tests {
                         })
                         .collect(),
                 };
+                let mut owned_bytes = Vec::new();
+                encode_stream_chunk_into(&owned, &mut owned_bytes);
                 assert_eq!(
-                    borrowed,
-                    encode_stream_chunk_payload(&owned),
+                    borrowed, owned_bytes,
                     "chunk {seq} of ({first_paint}, {chunk}) diverged"
                 );
                 assert_eq!(decode_stream_chunk_payload(&borrowed).unwrap(), owned);

@@ -61,7 +61,16 @@ fn chaos_soak_every_request_resolves_exactly_once() {
     let mut submitted = 0u64;
     for wave in 0..400 {
         let tickets: Vec<_> = (0..16)
-            .map(|i| engine.submit(frames[(wave + i) % frames.len()].clone(), cfg).unwrap())
+            .map(|i| {
+                engine
+                    .submit_shared_with_options(
+                        Arc::new(frames[(wave + i) % frames.len()].clone()),
+                        cfg,
+                        Priority::Normal,
+                        None,
+                    )
+                    .unwrap()
+            })
             .collect();
         submitted += tickets.len() as u64;
         for t in tickets {
@@ -121,7 +130,7 @@ fn chaos_soak_every_request_resolves_exactly_once() {
     for _attempt in 0..50 {
         // Faults are still armed, so retry through injected failures; a
         // success must be bit-identical to the direct computation.
-        if let Ok(r) = engine.process(clean.clone(), cfg) {
+        if let Ok(r) = engine.process_shared(Arc::new(clean.clone()), cfg) {
             assert_eq!(shape(&r), direct(&clean, &cfg), "post-storm response diverged");
             engine.shutdown();
             return;
@@ -197,7 +206,14 @@ fn deadline_expired_in_queue_is_shed_retryable_on_the_wire() {
 
     // Plug the single worker with a fat frame so the deadlined request
     // genuinely waits in the queue past its budget.
-    let plug = engine.submit(uniform_cube(32_768, 5), PipelineConfig::default()).unwrap();
+    let plug = engine
+        .submit_shared_with_options(
+            Arc::new(uniform_cube(32_768, 5)),
+            PipelineConfig::default(),
+            Priority::Normal,
+            None,
+        )
+        .unwrap();
     for _ in 0..2000 {
         let m = engine.metrics();
         if m.queue_depth == 0 && m.batches >= 1 {
@@ -207,12 +223,7 @@ fn deadline_expired_in_queue_is_shed_retryable_on_the_wire() {
     }
 
     let err = client
-        .process_with_options(
-            &uniform_cube(200, 6),
-            &PipelineConfig::default(),
-            Priority::Normal,
-            1,
-        )
+        .process_budget(&uniform_cube(200, 6), &PipelineConfig::default(), Priority::Normal, 1, 0)
         .expect_err("a 1ms deadline behind a fat plug frame must expire in queue");
     match &err {
         fractalcloud_serve::ClientError::Server { code, .. } => {
@@ -245,7 +256,7 @@ fn post_panic_responses_are_bit_identical_to_direct_calls() {
 
     let mut successes_after_panic = 0;
     for _ in 0..200 {
-        if let Ok(r) = engine.process(cloud.clone(), cfg) {
+        if let Ok(r) = engine.process_shared(Arc::new(cloud.clone()), cfg) {
             if engine.metrics().worker_panics >= 1 {
                 assert_eq!(shape(&r), want, "post-panic response diverged from direct calls");
                 successes_after_panic += 1;
@@ -377,8 +388,8 @@ fn delay_only_faults_never_change_results() {
             let via = kernels::with_backend(backend, || direct(&cloud, &cfg));
             assert_eq!(via, want, "backend {backend:?} diverged on direct calls");
         }
-        let a = clean.process(cloud.clone(), cfg).unwrap();
-        let b = faulted.process(cloud, cfg).unwrap();
+        let a = clean.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
+        let b = faulted.process_shared(Arc::new(cloud), cfg).unwrap();
         assert_eq!(shape(&a), want);
         assert_eq!(shape(&b), want, "a delay fault changed results");
     }
@@ -399,8 +410,8 @@ fn off_plan_is_zero_cost_and_identical_to_default() {
     let default = Engine::start(ServeConfig::default().workers(1));
     let cfg = PipelineConfig::default();
     let cloud = scene_cloud(&SceneConfig::default(), 1000, 8);
-    let a = explicit.process(cloud.clone(), cfg).unwrap();
-    let b = default.process(cloud.clone(), cfg).unwrap();
+    let a = explicit.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
+    let b = default.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
     assert_eq!(shape(&a), shape(&b));
     assert_eq!(shape(&a), direct(&cloud, &cfg));
     assert_eq!(explicit.metrics().faults_injected, 0);
@@ -473,7 +484,9 @@ fn brownout_chaos_storm_degrades_without_corruption() {
             .map(|i| {
                 let idx = (wave + i) % frames.len();
                 let priority = if i % 3 == 0 { Priority::High } else { Priority::Normal };
-                let t = engine.submit_with_priority(frames[idx].clone(), cfg, priority).unwrap();
+                let t = engine
+                    .submit_shared_with_options(Arc::new(frames[idx].clone()), cfg, priority, None)
+                    .unwrap();
                 (idx, priority, t)
             })
             .collect();

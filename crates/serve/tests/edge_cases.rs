@@ -4,7 +4,9 @@
 
 use fractalcloud_core::PipelineConfig;
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
-use fractalcloud_serve::protocol::{self, status, OP_PROCESS_FRAME};
+use fractalcloud_serve::protocol::{
+    self, status, OP_HEALTH, OP_INFER, OP_PROCESS_FRAME, OP_STREAM, OP_STREAM_CREDIT,
+};
 use fractalcloud_serve::{
     ClientError, Engine, Priority, ServeClient, ServeConfig, ServeError, ShedReason, TcpServer,
 };
@@ -21,7 +23,12 @@ fn frame(n: usize, seed: u64) -> fractalcloud_pointcloud::PointCloud {
 fn zero_capacity_queue_sheds_everything() {
     let engine = Engine::start(ServeConfig::default().workers(1).queue_capacity(0));
     for seed in 0..4 {
-        let r = engine.submit(uniform_cube(256, seed), PipelineConfig::default());
+        let r = engine.submit_shared_with_options(
+            Arc::new(uniform_cube(256, seed)),
+            PipelineConfig::default(),
+            Priority::Normal,
+            None,
+        );
         assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::QueueFull));
     }
     let m = engine.metrics();
@@ -36,7 +43,7 @@ fn oversized_frames_shed_in_process_and_over_tcp() {
     let engine = Arc::new(Engine::start(ServeConfig::default().workers(1).max_points(512)));
     let big = uniform_cube(1000, 1);
 
-    let r = engine.process(big.clone(), PipelineConfig::default());
+    let r = engine.process_shared(Arc::new(big.clone()), PipelineConfig::default());
     assert_eq!(
         r.unwrap_err(),
         ServeError::Shed(ShedReason::Oversized { points: 1000, max_points: 512 })
@@ -93,9 +100,42 @@ fn malformed_frames_reject_but_do_not_kill_the_server() {
         assert_eq!(header[4], status::OK);
     }
 
-    assert!(engine.metrics().net_malformed >= 2);
+    // Every other refusal with intact framing: each is answered MALFORMED
+    // (its payload drained when the server will not read it), and the same
+    // connection then serves a valid request.
+    {
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let payload =
+            protocol::encode_request_payload(&uniform_cube(256, 5), &PipelineConfig::default());
+        let valid = protocol::encode_message(OP_PROCESS_FRAME, &payload);
+        let refused: [(u8, &[u8], &str); 5] = [
+            (OP_INFER, &[1, 2, 3], "malformed INFER payload"),
+            (OP_STREAM, &[1, 2, 3], "malformed STREAM payload"),
+            (OP_PROCESS_FRAME | 0xF0, &payload, "unknown priority nibble"),
+            (OP_HEALTH, &[0; 4], "payload on HEALTH"),
+            (OP_STREAM_CREDIT, &[0; 4], "payload on STREAM_CREDIT"),
+        ];
+        for (kind, body, case) in refused {
+            raw.write_all(&protocol::encode_message(kind, body)).unwrap();
+            assert_eq!(read_reply(&mut raw), status::MALFORMED, "{case}");
+            raw.write_all(&valid).unwrap();
+            assert_eq!(read_reply(&mut raw), status::OK, "valid request after {case}");
+        }
+    }
+
+    assert_eq!(engine.metrics().net_malformed, 7);
     server.shutdown();
     engine.shutdown();
+}
+
+/// Reads one whole reply off a raw connection and returns its status.
+fn read_reply(raw: &mut TcpStream) -> u8 {
+    use std::io::Read;
+    let mut header = [0u8; 9];
+    raw.read_exact(&mut header).unwrap();
+    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
+    raw.read_exact(&mut vec![0u8; len]).unwrap();
+    header[4]
 }
 
 #[test]
@@ -139,7 +179,16 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
 fn graceful_shutdown_drains_in_flight_batches() {
     let engine = Engine::start(ServeConfig::default().workers(2).queue_capacity(64));
     let tickets: Vec<_> = (0..12)
-        .map(|seed| engine.submit(frame(2048, seed), PipelineConfig::default()).unwrap())
+        .map(|seed| {
+            engine
+                .submit_shared_with_options(
+                    Arc::new(frame(2048, seed)),
+                    PipelineConfig::default(),
+                    Priority::Normal,
+                    None,
+                )
+                .unwrap()
+        })
         .collect();
 
     engine.shutdown(); // must block until every admitted job completed
@@ -153,7 +202,12 @@ fn graceful_shutdown_drains_in_flight_batches() {
     assert_eq!(m.queue_depth, 0);
 
     // And new work is refused with the dedicated reason.
-    let r = engine.submit(frame(512, 99), PipelineConfig::default());
+    let r = engine.submit_shared_with_options(
+        Arc::new(frame(512, 99)),
+        PipelineConfig::default(),
+        Priority::Normal,
+        None,
+    );
     assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::ShuttingDown));
 }
 
@@ -169,7 +223,12 @@ fn overload_sheds_with_counted_rejections_and_bounded_queue() {
     let mut shed = 0u64;
     let mut tickets = Vec::new();
     for seed in 0..offered {
-        match engine.submit(frame(4096, seed), PipelineConfig::default()) {
+        match engine.submit_shared_with_options(
+            Arc::new(frame(4096, seed)),
+            PipelineConfig::default(),
+            Priority::Normal,
+            None,
+        ) {
             Ok(t) => tickets.push(t),
             Err(ServeError::Shed(ShedReason::QueueFull)) => shed += 1,
             Err(other) => panic!("unexpected error under overload: {other:?}"),
@@ -204,7 +263,14 @@ fn compatible_frames_are_batched_incompatible_are_not_mixed() {
     let tickets: Vec<_> = (0..16)
         .map(|seed| {
             let cfg = if seed % 2 == 0 { a } else { b };
-            engine.submit(frame(2048, seed), cfg).unwrap()
+            engine
+                .submit_shared_with_options(
+                    Arc::new(frame(2048, seed)),
+                    cfg,
+                    Priority::Normal,
+                    None,
+                )
+                .unwrap()
         })
         .collect();
     let responses: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
@@ -250,18 +316,43 @@ fn high_completes_first_under_overload_and_bulk_sheds_first_at_the_bound() {
 
     // Occupy the worker with a fat plug frame so the real submissions all
     // queue behind it.
-    let plug = engine.submit(frame(32_768, 1), PipelineConfig::default()).unwrap();
+    let plug = engine
+        .submit_shared_with_options(
+            Arc::new(frame(32_768, 1)),
+            PipelineConfig::default(),
+            Priority::Normal,
+            None,
+        )
+        .unwrap();
     wait_for_drain_start(&engine, 1);
 
     // Overload: Bulk arrives *before* High, yet High must complete first
     // (the weighted schedule prefers the High lane 4:1).
     let bulk_tickets: Vec<_> = bulk_frames
         .into_iter()
-        .map(|f| engine.submit_with_priority(f, PipelineConfig::default(), Priority::Bulk).unwrap())
+        .map(|f| {
+            engine
+                .submit_shared_with_options(
+                    Arc::new(f),
+                    PipelineConfig::default(),
+                    Priority::Bulk,
+                    None,
+                )
+                .unwrap()
+        })
         .collect();
     let high_tickets: Vec<_> = high_frames
         .into_iter()
-        .map(|f| engine.submit_with_priority(f, PipelineConfig::default(), Priority::High).unwrap())
+        .map(|f| {
+            engine
+                .submit_shared_with_options(
+                    Arc::new(f),
+                    PipelineConfig::default(),
+                    Priority::High,
+                    None,
+                )
+                .unwrap()
+        })
         .collect();
 
     plug.wait().unwrap();
@@ -295,15 +386,28 @@ fn bulk_is_displaced_at_the_queue_bound_and_high_is_never_displaced() {
     ));
     let frames: Vec<_> = (30..35).map(|s| frame(512, s)).collect();
     let [f30, f31, f32, f33, f34] = <[_; 5]>::try_from(frames).unwrap();
-    let plug = engine.submit(frame(32_768, 2), PipelineConfig::default()).unwrap();
+    let plug = engine
+        .submit_shared_with_options(
+            Arc::new(frame(32_768, 2)),
+            PipelineConfig::default(),
+            Priority::Normal,
+            None,
+        )
+        .unwrap();
     wait_for_drain_start(&engine, 1);
 
     // Fill the bound with Bulk work.
-    let b1 = engine.submit_with_priority(f30, PipelineConfig::default(), Priority::Bulk).unwrap();
-    let b2 = engine.submit_with_priority(f31, PipelineConfig::default(), Priority::Bulk).unwrap();
+    let b1 = engine
+        .submit_shared_with_options(Arc::new(f30), PipelineConfig::default(), Priority::Bulk, None)
+        .unwrap();
+    let b2 = engine
+        .submit_shared_with_options(Arc::new(f31), PipelineConfig::default(), Priority::Bulk, None)
+        .unwrap();
 
     // A High arrival at the bound displaces the *youngest* Bulk job...
-    let h = engine.submit_with_priority(f32, PipelineConfig::default(), Priority::High).unwrap();
+    let h = engine
+        .submit_shared_with_options(Arc::new(f32), PipelineConfig::default(), Priority::High, None)
+        .unwrap();
     assert_eq!(
         b2.wait().unwrap_err(),
         ServeError::Shed(ShedReason::QueueFull),
@@ -311,12 +415,19 @@ fn bulk_is_displaced_at_the_queue_bound_and_high_is_never_displaced() {
     );
 
     // ...a further Bulk arrival has nothing below it and sheds itself...
-    let r = engine.submit_with_priority(f33, PipelineConfig::default(), Priority::Bulk);
+    let r = engine.submit_shared_with_options(
+        Arc::new(f33),
+        PipelineConfig::default(),
+        Priority::Bulk,
+        None,
+    );
     assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::QueueFull));
 
     // ...and a second High arrival cannot displace the queued High (only
     // classes strictly below it), so it displaces the remaining Bulk job.
-    let h2 = engine.submit_with_priority(f34, PipelineConfig::default(), Priority::High).unwrap();
+    let h2 = engine
+        .submit_shared_with_options(Arc::new(f34), PipelineConfig::default(), Priority::High, None)
+        .unwrap();
     assert_eq!(b1.wait().unwrap_err(), ServeError::Shed(ShedReason::QueueFull));
 
     let m = engine.metrics();
@@ -379,7 +490,7 @@ fn responses_over_tcp_match_in_process_results() {
     let cloud = frame(3000, 11);
     let cfg = PipelineConfig::default();
     let wire = client.process(&cloud, &cfg).unwrap();
-    let local = engine.process(cloud, cfg).unwrap();
+    let local = engine.process_shared(Arc::new(cloud), cfg).unwrap();
 
     let as_u32 = |v: &[usize]| v.iter().map(|&i| i as u32).collect::<Vec<u32>>();
     assert_eq!(wire.sampled_indices, as_u32(&local.sampled_indices));

@@ -71,9 +71,9 @@ fn server_responses_are_bit_identical_to_direct_calls_on_every_backend() {
         }
 
         // In-process serving: cold, then cache-hit.
-        let cold = engine.process(cloud.clone(), *cfg).unwrap();
+        let cold = engine.process_shared(Arc::new(cloud.clone()), *cfg).unwrap();
         assert_eq!(shape(&cold), expected, "served response diverged from direct calls");
-        let warm = engine.process(cloud.clone(), *cfg).unwrap();
+        let warm = engine.process_shared(Arc::new(cloud.clone()), *cfg).unwrap();
         assert!(warm.cache_hit, "identical frame bytes must hit the partition cache");
         assert_eq!(shape(&warm), expected, "cache-hit response diverged");
 
@@ -105,7 +105,14 @@ fn batched_execution_matches_direct_calls_for_every_member() {
     let cfg = PipelineConfig::default();
     let clouds: Vec<PointCloud> =
         (0..24).map(|seed| scene_cloud(&SceneConfig::default(), 1500, seed)).collect();
-    let tickets: Vec<_> = clouds.iter().map(|c| engine.submit(c.clone(), cfg).unwrap()).collect();
+    let tickets: Vec<_> = clouds
+        .iter()
+        .map(|c| {
+            engine
+                .submit_shared_with_options(Arc::new(c.clone()), cfg, Priority::Normal, None)
+                .unwrap()
+        })
+        .collect();
     for (cloud, ticket) in clouds.iter().zip(tickets) {
         let r = ticket.wait().unwrap();
         assert_eq!(shape(&r), direct(cloud, &cfg), "a batched frame diverged");
@@ -160,7 +167,7 @@ fn fused_ragged_batches_are_bit_identical_to_per_frame_execution() {
         .enumerate()
         .map(|(i, c)| {
             engine
-                .submit_with_priority(c.clone(), cfg, Priority::ALL[i % 3])
+                .submit_shared_with_options(Arc::new(c.clone()), cfg, Priority::ALL[i % 3], None)
                 .expect("queue sized for the whole batch")
         })
         .collect();
@@ -201,7 +208,7 @@ fn warmed_worker_workspaces_never_leak_state_between_frames() {
     for round in 0..2 {
         for ((n, seed), cfg) in shapes.iter().zip(configs.iter()) {
             let cloud = scene_cloud(&SceneConfig::default(), *n, *seed);
-            let served = engine.process(cloud.clone(), *cfg).unwrap();
+            let served = engine.process_shared(Arc::new(cloud.clone()), *cfg).unwrap();
             assert_eq!(
                 shape(&served),
                 direct(&cloud, cfg),
@@ -223,8 +230,8 @@ fn sequential_and_parallel_serving_configurations_agree() {
 
     let seq_engine = Engine::start(ServeConfig::default().workers(1).thread_budget(1));
     let par_engine = Engine::start(ServeConfig::default().workers(2).thread_budget(8));
-    let a = seq_engine.process(cloud.clone(), cfg).unwrap();
-    let b = par_engine.process(cloud, cfg).unwrap();
+    let a = seq_engine.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
+    let b = par_engine.process_shared(Arc::new(cloud), cfg).unwrap();
     assert_eq!(shape(&a), shape(&b));
     seq_engine.shutdown();
     par_engine.shutdown();

@@ -100,6 +100,9 @@ fn unknown_notation_rejected_connection_survives() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, status::INVALID),
         other => panic!("expected INVALID, got {other:?}"),
     }
+    // Counted as the engine counts a model it cannot serve.
+    let m = engine.metrics();
+    assert_eq!((m.submitted, m.rejected_invalid), (1, 1), "the rejection must be counted");
 
     let ok = client.infer(&cloud, &wire_request(AGG_DELAYED)).expect("connection reusable");
     assert!(!ok.logits.is_empty());

@@ -43,7 +43,8 @@ fn serve_once(
     cloud: &PointCloud,
 ) -> ((Vec<usize>, Vec<usize>, Vec<usize>, usize, usize), Vec<u32>, Vec<usize>) {
     let engine = Engine::start(ServeConfig::default().workers(2).max_batch(4));
-    let frame = engine.process(cloud.clone(), PipelineConfig::default()).expect("frame");
+    let frame =
+        engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).expect("frame");
     let infer = engine
         .process_infer(
             Arc::new(cloud.clone()),

@@ -32,14 +32,17 @@ fn brownout_serves_bit_identical_budget_prefixes() {
     let served = (full.sampled.indices.len() >> 2).max(1);
     let want = pipe.run_budget(&cloud, served, false).unwrap();
 
-    let resp = engine.process(cloud.clone(), cfg).unwrap();
+    let resp = engine.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
     assert!(resp.degraded, "a forced brown-out must mark the response degraded");
     assert_eq!(resp.budget_served, served);
     assert_eq!(resp.sampled_indices, want.sampled.indices, "degraded response is not the prefix");
     assert_eq!(resp.neighbor_indices, want.grouped.indices);
 
     // High priority rides through untouched, at full depth.
-    let high = engine.process_with_priority(cloud.clone(), cfg, Priority::High).unwrap();
+    let high = engine
+        .submit_shared_with_options(Arc::new(cloud.clone()), cfg, Priority::High, None)
+        .and_then(|t| t.wait())
+        .unwrap();
     assert!(!high.degraded, "High priority must never be degraded");
     assert_eq!(high.budget_served, 0);
     assert_eq!(high.sampled_indices, full.sampled.indices);
@@ -63,10 +66,15 @@ fn shed_level_sheds_normal_but_never_high() {
     let cloud = uniform_cube(600, 3);
     let cfg = PipelineConfig::default();
 
-    let err = engine.process(cloud.clone(), cfg).expect_err("Normal must shed at level 4");
+    let err = engine
+        .process_shared(Arc::new(cloud.clone()), cfg)
+        .expect_err("Normal must shed at level 4");
     assert!(matches!(err, ServeError::Shed(ShedReason::QueueFull)), "shed reason: {err:?}");
 
-    let high = engine.process_with_priority(cloud.clone(), cfg, Priority::High).unwrap();
+    let high = engine
+        .submit_shared_with_options(Arc::new(cloud.clone()), cfg, Priority::High, None)
+        .and_then(|t| t.wait())
+        .unwrap();
     assert!(!high.degraded);
     let pipe = Pipeline::new(cfg).unwrap();
     assert_eq!(high.sampled_indices, pipe.run(&cloud, false).unwrap().sampled.indices);
@@ -98,7 +106,7 @@ fn brownout_marker_and_level_cross_the_wire() {
     let sampled: Vec<usize> = resp.sampled_indices.iter().map(|&i| i as usize).collect();
     assert_eq!(sampled, want.sampled.indices);
 
-    let high = client.process_with_priority(&cloud, &cfg, Priority::High).unwrap();
+    let high = client.process_budget(&cloud, &cfg, Priority::High, 0, 0).unwrap();
     assert!(!high.degraded, "High priority must cross the wire undegraded");
     assert_eq!(high.budget_served, 0);
 
@@ -135,13 +143,17 @@ fn drain_answers_goaway_and_resume_rearms() {
     client.process(&cloud, &cfg).unwrap();
 
     // In-flight work admitted before the drain still completes.
-    let inflight = engine.submit(uniform_cube(20_000, 9), cfg).unwrap();
+    let inflight = engine
+        .submit_shared_with_options(Arc::new(uniform_cube(20_000, 9)), cfg, Priority::Normal, None)
+        .unwrap();
     engine.drain();
     assert!(engine.is_draining());
     inflight.wait().expect("work admitted before the drain must finish");
 
     // New in-process submits shed retryably; new wire work gets GOAWAY.
-    let err = engine.submit(cloud.clone(), cfg).expect_err("draining engine must not admit");
+    let err = engine
+        .submit_shared_with_options(Arc::new(cloud.clone()), cfg, Priority::Normal, None)
+        .expect_err("draining engine must not admit");
     assert!(matches!(err, ServeError::Shed(ShedReason::ShuttingDown)));
     let err = client.process(&cloud, &cfg).expect_err("draining server must answer GOAWAY");
     match &err {
@@ -174,7 +186,11 @@ fn drain_answers_goaway_and_resume_rearms() {
     let h = client.health().unwrap();
     assert!(h.live && !h.draining);
     client.process(&cloud, &cfg).unwrap();
-    engine.submit(cloud.clone(), cfg).unwrap().wait().unwrap();
+    engine
+        .submit_shared_with_options(Arc::new(cloud.clone()), cfg, Priority::Normal, None)
+        .unwrap()
+        .wait()
+        .unwrap();
 
     server.shutdown();
     engine.shutdown();
@@ -267,8 +283,18 @@ fn adaptive_controller_escalates_and_recovers() {
     let cfg = PipelineConfig::default();
 
     // Pile up work behind a single worker so jobs genuinely wait.
-    let tickets: Vec<_> =
-        (0..12).map(|s| engine.submit(uniform_cube(4096, s), cfg).unwrap()).collect();
+    let tickets: Vec<_> = (0..12)
+        .map(|s| {
+            engine
+                .submit_shared_with_options(
+                    Arc::new(uniform_cube(4096, s)),
+                    cfg,
+                    Priority::Normal,
+                    None,
+                )
+                .unwrap()
+        })
+        .collect();
     for t in tickets {
         let _ = t.wait();
     }
