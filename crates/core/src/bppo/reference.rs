@@ -4,10 +4,9 @@
 //! [`Point3`](fractalcloud_pointcloud::Point3) per candidate, bumps
 //! counters inside the inner loop, and walks the
 //! [`WindowCheck`](crate::WindowCheck) lowest-one detector candidate by
-//! candidate. It is kept as the equivalence and performance baseline for
-//! the chunked SoA path in [`sampling`](crate::bppo::sampling): property
-//! tests assert identical sampled indices and counters, and the criterion
-//! benches measure the kernel path against this one.
+//! candidate. It is kept as the equivalence oracle for the chunked SoA
+//! path in [`sampling`](crate::bppo::sampling): property tests assert
+//! identical sampled indices and counters.
 
 use crate::bppo::{block_sample_counts, BlockFpsResult, BppoConfig};
 use crate::window::WindowCheck;

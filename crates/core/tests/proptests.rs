@@ -252,13 +252,13 @@ proptest! {
 
 /// Runs `f` once per kernel backend (sequential block scheduling, so the
 /// thread-local override reaches the block loops) and asserts every result
-/// equals the scalar backend's.
+/// equals the soa backend's.
 fn assert_all_backends_equal<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
     use fractalcloud_pointcloud::kernels::{with_backend, Backend};
-    let baseline = with_backend(Backend::Scalar, &f);
+    let baseline = with_backend(Backend::Soa, &f);
     for b in [Backend::Soa, Backend::Avx2] {
         let got = with_backend(b, &f);
-        assert_eq!(got, baseline, "backend {} diverged from scalar", b.name());
+        assert_eq!(got, baseline, "backend {} diverged from soa", b.name());
     }
 }
 

@@ -64,16 +64,6 @@ impl Aggregation {
             _ => None,
         }
     }
-
-    /// Resolves the schedule from `FRACTALCLOUD_AGGREGATION` (unset or
-    /// unrecognized values fall back to [`Aggregation::Delayed`], the
-    /// optimized path).
-    pub fn from_env() -> Aggregation {
-        match std::env::var("FRACTALCLOUD_AGGREGATION") {
-            Ok(v) => Aggregation::from_name(&v).unwrap_or(Aggregation::Delayed),
-            Err(_) => Aggregation::Delayed,
-        }
-    }
 }
 
 /// Configuration of a [`NetworkExecutor`].
@@ -89,10 +79,10 @@ pub struct InferenceConfig {
 }
 
 impl InferenceConfig {
-    /// Creates a config with the schedule taken from
-    /// [`Aggregation::from_env`].
+    /// Creates a config on the [`Aggregation::Delayed`] schedule, the
+    /// optimized path.
     pub fn new(model: ModelConfig, seed: u64) -> InferenceConfig {
-        InferenceConfig { model, seed, aggregation: Aggregation::from_env() }
+        InferenceConfig { model, seed, aggregation: Aggregation::Delayed }
     }
 }
 
@@ -817,7 +807,7 @@ mod tests {
     fn outputs_are_bit_identical_across_backends() {
         let cloud = scene_cloud(&SceneConfig::default(), 512, 3);
         let model = ModelConfig::pointnetpp_segmentation;
-        let base = with_backend(Backend::Scalar, || run_agg(model(), Aggregation::Delayed, &cloud));
+        let base = with_backend(Backend::Soa, || run_agg(model(), Aggregation::Delayed, &cloud));
         for b in [Backend::Soa, Backend::Avx2] {
             for agg in [Aggregation::Eager, Aggregation::Delayed] {
                 let got = with_backend(b, || run_agg(model(), agg, &cloud));

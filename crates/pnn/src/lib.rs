@@ -11,8 +11,7 @@
 //!   search ([`NetworkExecutor::run`]) or a block-parallel first stage
 //!   ([`NetworkExecutor::run_with_stage1`]); workspace-backed,
 //!   allocation-free when warm, with selectable eager vs Mesorasi delayed
-//!   [`Aggregation`] (bit-identical outputs, `FRACTALCLOUD_AGGREGATION`
-//!   selects the schedule).
+//!   [`Aggregation`] (bit-identical outputs; delayed is the default).
 //!
 //! # Example
 //!

@@ -16,7 +16,7 @@ use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::{Point3, PointCloud};
 
 /// Points per cloud: one full kernel chunk and a ragged one, small enough
-/// that 7 models × 2 schedules × 3 backends × 8 clouds stay affordable
+/// that 7 models × 2 schedules × 2 backends × 8 clouds stay affordable
 /// unoptimised (an eager stage pays `nsample` rows per center however few
 /// points there are).
 const N: usize = 70;

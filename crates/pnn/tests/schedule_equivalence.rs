@@ -51,12 +51,12 @@ proptest! {
     }
 
     /// The schedule equivalence holds per kernel backend, and each
-    /// backend's delayed logits are bit-identical to the scalar backend's
+    /// backend's delayed logits are bit-identical to the soa backend's
     /// — the segmented-max and MLP paths introduce no backend drift.
     #[test]
     fn schedules_agree_on_every_backend(pts in arb_points(96), seed in 0u64..1_000) {
         let cloud = PointCloud::from_points(pts);
-        let scalar_delayed = kernels::with_backend(Backend::Scalar, || {
+        let soa_delayed = kernels::with_backend(Backend::Soa, || {
             run_schedule(&cloud, seed, Aggregation::Delayed)
         });
         for b in Backend::ALL {
@@ -65,8 +65,8 @@ proptest! {
                  run_schedule(&cloud, seed, Aggregation::Delayed))
             });
             prop_assert_eq!(bits(&eager.logits), bits(&delayed.logits));
-            prop_assert_eq!(bits(&delayed.logits), bits(&scalar_delayed.logits));
-            prop_assert_eq!(&delayed.row_index, &scalar_delayed.row_index);
+            prop_assert_eq!(bits(&delayed.logits), bits(&soa_delayed.logits));
+            prop_assert_eq!(&delayed.row_index, &soa_delayed.row_index);
         }
     }
 }

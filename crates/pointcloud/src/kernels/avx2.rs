@@ -33,7 +33,7 @@
 //!
 //! # Exactness argument
 //!
-//! Results are bit-identical to the scalar/SoA backends:
+//! Results are bit-identical to the SoA backend:
 //!
 //! * distances use `sub`/`mul`/`add` in the same association as
 //!   `dx*dx + dy*dy + dz*dz` — intrinsics are never contracted to FMA;
@@ -310,7 +310,7 @@ unsafe fn fps_relax_argmax_impl(
 /// contract. Per segment, each 8-channel group's accumulator stays in a
 /// register while the neighbors' feature rows stream through
 /// `_mm256_max_ps(v, acc)` — which returns `acc` when `v` is NaN and on
-/// `±0.0` ties, exactly the scalar backend's strict-`>` update.
+/// `±0.0` ties, exactly the SoA backend's strict-`>` update.
 pub fn segmented_max(
     features: &[f32],
     channels: usize,
@@ -375,7 +375,7 @@ unsafe fn segmented_max_impl(
 /// 2 × 8 lanes of accumulators in eight registers (initialised to the bias)
 /// for the whole walk over `cin`, with a 1-row tail and ReLU fused into the
 /// store. Lanes run across the panel's output columns, so per element this
-/// is the scalar backend's `bias + Σᵢ w·x` in ascending `i` with a separate
+/// is the triple loop's `bias + Σᵢ w·x` in ascending `i` with a separate
 /// `mul` and `add` (never FMA); `_mm256_max_ps(acc, zero)` returns `zero`
 /// for a NaN or `-0.0` accumulator — the scalar select idiom.
 pub fn linear(
@@ -517,7 +517,7 @@ pub fn ball_prefilter_tile(
     unsafe { ball_prefilter_tile_impl(xs, ys, zs, queries, r_sq, thresholds, out, masks, mins) }
 }
 
-/// Per query this computes what the scalar backend's per-lane loop computes
+/// Per query this computes what the SoA backend's per-lane loop computes
 /// — the same distance expression, the same ordered `<= r²` and
 /// unordered-true `!(d >= thr)` compares, a NaN-free vector minimum fold —
 /// so results are bit-identical; only the loop nest differs (coordinates
@@ -558,7 +558,7 @@ unsafe fn ball_prefilter_tile_impl(
             let le = _mm256_cmp_ps::<_CMP_LE_OQ>(nd, rv);
             // Unordered-true `!(d >= thr)`: the NaN filling sentinel keeps
             // every in-radius lane (+inf distances included), matching the
-            // scalar backend bit for bit.
+            // SoA backend bit for bit.
             let lt = _mm256_cmp_ps::<_CMP_NGE_UQ>(nd, _mm256_set1_ps(thresholds[qi]));
             let keep = _mm256_and_ps(le, lt);
             masks[qi] |= u64::from(_mm256_movemask_ps(keep) as u8) << i;
@@ -671,7 +671,7 @@ unsafe fn count_le_impl(coords: &[f32], mid: f32) -> usize {
     }
     let mut lanes = [0u32; LANES];
     _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-    lanes.iter().sum::<u32>() as usize + super::scalar::count_le(&coords[i..], mid)
+    lanes.iter().sum::<u32>() as usize + super::soa::count_le(&coords[i..], mid)
 }
 
 /// Left-pack permutations: entry `m` lists the set bits of `m` in ascending
@@ -762,15 +762,7 @@ unsafe fn scatter_le_impl(
         r += LANES - lefts;
         k += LANES;
     }
-    super::scalar::scatter_le_from(
-        (k, l, r),
-        key,
-        mid,
-        [sx, sy, sz],
-        src_idx,
-        [dx, dy, dz],
-        dst_idx,
-    );
+    super::soa::scatter_le_from((k, l, r), key, mid, [sx, sy, sz], src_idx, [dx, dy, dz], dst_idx);
 }
 
 /// AVX2 `(min, max)` before the zero-tie rule; see

@@ -4,7 +4,7 @@
 //!
 //! The paper's thesis is that point operations (FPS, KNN, ball query,
 //! aggregation) are *memory-bound* and benefit from streaming one axis at a
-//! time over blocked data. The scalar reference operations in
+//! time over blocked data. The per-point reference operations in
 //! [`ops::reference`](crate::ops::reference) negate that on real CPUs: they
 //! materialize a [`Point3`](crate::Point3) per candidate and bump
 //! [`OpCounters`](crate::ops::OpCounters) fields inside every inner loop,
@@ -17,21 +17,21 @@
 //!
 //! # Backends
 //!
-//! Every kernel exists in three interchangeable implementations, selected
+//! Every kernel exists in two interchangeable implementations, selected
 //! once per process (and overridable per call via the `*_with` variants or
 //! the `backend` argument of the `*_into` drivers):
 //!
-//! * [`Backend::Scalar`] — straight per-point loops ([`scalar`]); the
-//!   portable floor and the `FRACTALCLOUD_KERNEL=scalar` debugging target.
 //! * [`Backend::Soa`] — chunked, auto-vectorizable loops ([`soa`]) built
 //!   from select idioms the compiler lowers to vector min/max; the portable
-//!   fast path and the fallback on non-x86 hosts.
+//!   path, and the fallback on every host without AVX2.
+//!   The per-point oracle is not a backend: it is
+//!   [`ops::reference`](crate::ops::reference).
 //! * [`Backend::Avx2`] — explicit 8-lane `core::arch::x86_64` intrinsics
 //!   ([`avx2`]), used when `is_x86_feature_detected!("avx2")` holds. All
 //!   SIMD `unsafe` is confined to that one module behind safe wrappers.
 //!
 //! The active backend is chosen on first use: the `FRACTALCLOUD_KERNEL`
-//! environment variable (`scalar` | `soa` | `avx2`) wins when it names an
+//! environment variable (`soa` | `avx2`) wins when it names an
 //! available backend, otherwise the best available backend is used (AVX2 on
 //! capable x86-64 hosts, SoA elsewhere). [`with_backend`] installs a
 //! thread-local override for tests and benchmarks.
@@ -44,7 +44,7 @@
 //! degrade the same way (vector `min`/`max` operand order matches the
 //! reference's `if d < dist` select idiom). Property tests in
 //! `tests/backend_equivalence.rs` assert equality of indices, distances,
-//! *and* counters across all three backends and against the retained scalar
+//! *and* counters across both backends and against the retained per-point
 //! reference implementations.
 //!
 //! # The SoA chunking contract
@@ -154,7 +154,6 @@
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-mod scalar;
 mod soa;
 
 use std::cell::Cell;
@@ -182,8 +181,6 @@ pub const LINEAR_PANEL: usize = 16;
 /// A kernel implementation, selectable at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Straight per-point scalar loops (portable floor).
-    Scalar,
     /// Chunked auto-vectorizable SoA loops (portable fast path).
     Soa,
     /// Explicit AVX2 intrinsics (x86-64 with runtime feature detection).
@@ -192,12 +189,11 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in increasing order of specialization.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Soa, Backend::Avx2];
+    pub const ALL: [Backend; 2] = [Backend::Soa, Backend::Avx2];
 
     /// The backend's `FRACTALCLOUD_KERNEL` name.
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Scalar => "scalar",
             Backend::Soa => "soa",
             Backend::Avx2 => "avx2",
         }
@@ -206,7 +202,6 @@ impl Backend {
     /// Parses a `FRACTALCLOUD_KERNEL` value (case-insensitive).
     pub fn from_name(name: &str) -> Option<Backend> {
         match name.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Backend::Scalar),
             "soa" => Some(Backend::Soa),
             "avx2" => Some(Backend::Avx2),
             _ => None,
@@ -215,11 +210,11 @@ impl Backend {
 
     /// Whether this backend can run on the current host.
     ///
-    /// `Scalar` and `Soa` are always available; `Avx2` requires an x86-64
+    /// `Soa` is always available; `Avx2` requires an x86-64
     /// host whose CPU reports AVX2 support at runtime.
     pub fn is_available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Soa => true,
+            Backend::Soa => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -295,7 +290,6 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
 macro_rules! dispatch {
     ($backend:expr, $name:ident($($arg:expr),* $(,)?)) => {
         match resolve($backend) {
-            Backend::Scalar => scalar::$name($($arg),*),
             Backend::Soa => soa::$name($($arg),*),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => avx2::$name($($arg),*),
@@ -367,8 +361,8 @@ pub fn fps_relax_argmax_with(
 ) -> usize {
     assert_soa(xs, ys, zs);
     assert_eq!(dist.len(), xs.len(), "dist length mismatch");
-    // Checked here so every backend fails identically instead of the
-    // scalar path returning 0 while the chunked paths index out of bounds.
+    // Checked here so every backend fails identically: an empty set has
+    // no argmax, and the chunked paths would index out of bounds.
     assert!(!xs.is_empty(), "fps_relax_argmax needs at least one candidate");
     dispatch!(backend, fps_relax_argmax(xs, ys, zs, q, dist))
 }
@@ -617,13 +611,14 @@ pub fn gather_coords(
 /// `select` scans `(distance, payload)` pairs in order, maintaining the `k`
 /// smallest in ascending order with the reference's exact semantics:
 /// candidates tying the current worst are rejected (`>=`), equal distances
-/// keep scan order, and `on_insert(len_before)` is invoked for every
-/// accepted candidate so callers can replicate the reference's
-/// insertion-cost accounting.
+/// keep scan order, a NaN distance is never selected (ball selection's
+/// rule: it has no place in an ascending row), and `on_insert(len_before)`
+/// is invoked for every accepted candidate so callers can replicate the
+/// reference's insertion-cost accounting.
 ///
 /// Internally the scan is two-phase: once the buffer holds `k` entries, a
 /// branch-reduced prefilter compacts the lanes that can still be accepted
-/// (`!(d >= worst)`, a single vectorizable compare per lane) and only the
+/// (`d < worst`, a single vectorizable compare per lane) and only the
 /// survivors reach the branchy sorted insertion. The threshold only
 /// tightens as survivors insert, and every survivor is re-checked against
 /// the current worst, so the accepted set — and therefore the `on_insert`
@@ -689,18 +684,15 @@ impl TopK {
         base: usize,
         mut on_insert: impl FnMut(usize),
     ) {
-        // Phase 1: unconditional sorted insertion until the buffer holds k.
+        // Phase 1: sorted insertion of every number until the buffer holds k.
         let mut i = 0;
         while self.buf.len() < self.k && i < distances.len() {
-            let d = distances[i];
-            let pos = self.buf.partition_point(|&(bd, _)| bd <= d);
-            on_insert(self.buf.len());
-            self.buf.insert(pos, (d, base + i));
+            self.insert(distances[i], base + i, &mut on_insert);
             i += 1;
         }
         // Phase 2: branch-reduced threshold prefilter, then insert only the
-        // survivors. `!(d >= worst)` (not `d < worst`) keeps NaN candidates
-        // on the insert path exactly like the reference's `>=`-skip.
+        // survivors. The worst is a number (NaN is never inserted), so
+        // `d < worst` rejects NaN candidates too.
         let mut lanes = [0u8; PREFILTER];
         while i < distances.len() {
             let len = PREFILTER.min(distances.len() - i);
@@ -709,9 +701,8 @@ impl TopK {
             // Whole-chunk reject test first: a branch-free 0/1 sum the
             // compiler vectorizes. Once the buffer has converged, almost
             // every chunk is fully rejected here and never reaches the
-            // serial compaction. `d >= worst` is false for NaN, so a NaN
-            // lane keeps the chunk alive exactly like the reference's
-            // `>=`-skip.
+            // serial compaction (a NaN lane keeps its chunk alive, and the
+            // compaction then drops it).
             let mut rejects = 0usize;
             for &d in sub {
                 rejects += usize::from(d >= worst);
@@ -723,26 +714,13 @@ impl TopK {
             let mut m = 0usize;
             for (j, &d) in sub.iter().enumerate() {
                 lanes[m] = j as u8;
-                // `!(d >= worst)` deliberately differs from `d < worst`:
-                // NaN must survive the prefilter to reach the insert path.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                {
-                    m += usize::from(!(d >= worst));
-                }
+                m += usize::from(d < worst);
             }
             for &l in &lanes[..m] {
-                let d = sub[l as usize];
-                // Re-check against the *current* worst: it only tightens, so
-                // lanes dropped by the prefilter could never be accepted.
-                if d >= self.buf[self.k - 1].0 {
-                    continue;
-                }
-                let pos = self.buf.partition_point(|&(bd, _)| bd <= d);
-                on_insert(self.buf.len());
-                self.buf.insert(pos, (d, base + i + l as usize));
-                if self.buf.len() > self.k {
-                    self.buf.pop();
-                }
+                // `insert` re-checks against the *current* worst: it only
+                // tightens, so lanes dropped by the prefilter could never be
+                // accepted.
+                self.insert(sub[l as usize], base + i + l as usize, &mut on_insert);
             }
             i += len;
         }
@@ -750,6 +728,33 @@ impl TopK {
 
     /// The selected `(distance, index)` pairs, ascending.
     pub fn as_slice(&self) -> &[(f32, usize)] {
+        &self.buf
+    }
+
+    /// Inserts `(d, index)` in ascending place if the buffer accepts it:
+    /// any number while it is filling, one strictly below the worst once it
+    /// is full, never a NaN.
+    #[inline]
+    fn insert(&mut self, d: f32, index: usize, on_insert: &mut impl FnMut(usize)) {
+        let accept = if self.buf.len() < self.k { !d.is_nan() } else { d < self.buf[self.k - 1].0 };
+        if !accept {
+            return;
+        }
+        let pos = self.buf.partition_point(|&(bd, _)| bd <= d);
+        on_insert(self.buf.len());
+        self.buf.insert(pos, (d, index));
+        if self.buf.len() > self.k {
+            self.buf.pop();
+        }
+    }
+
+    /// The selection as a row of exactly `len` pairs (`len` at least the
+    /// selected count, at most `k`): a row short of it — its NaN candidates
+    /// were never selected — repeats its last pair, and an empty one is
+    /// candidate 0 at `+∞`.
+    fn padded(&mut self, len: usize) -> &[(f32, usize)] {
+        let last = self.buf.last().copied().unwrap_or((f32::INFINITY, 0));
+        self.buf.resize(len, last);
         &self.buf
     }
 
@@ -778,16 +783,7 @@ impl TopK {
         mut on_insert: impl FnMut(usize),
     ) {
         for l in mask_lanes(mask) {
-            let d = distances[l];
-            if self.buf.len() == self.k && d >= self.buf[self.k - 1].0 {
-                continue;
-            }
-            let pos = self.buf.partition_point(|&(bd, _)| bd <= d);
-            on_insert(self.buf.len());
-            self.buf.insert(pos, (d, base + l));
-            if self.buf.len() > self.k {
-                self.buf.pop();
-            }
+            self.insert(distances[l], base + l, &mut on_insert);
         }
     }
 }
@@ -825,8 +821,10 @@ impl SelectScratch {
 /// chunks.
 ///
 /// `emit(query, pairs)` is called once per query, in query order, with the
-/// ascending `(distance_sq, candidate_index)` pairs (fewer than `k` when
-/// `k` exceeds the candidate count). `on_insert(len_before)` is forwarded
+/// ascending `(distance_sq, candidate_index)` pairs, `min(k, n)` of them. A
+/// NaN distance is never selected: a row it leaves short repeats its last
+/// pair, and a row with none selected is candidate 0 at `+∞` (a NaN query,
+/// an all-NaN candidate set). `on_insert(len_before)` is forwarded
 /// from the per-query [`TopK`] buffers for insertion-cost accounting; the
 /// per-query call sequences are identical to unbatched scans (tiling only
 /// interleaves them between queries).
@@ -906,8 +904,8 @@ pub fn knn_select_batch_into(
             }
             base += len;
         }
-        for (qi, topk) in topks[..tile.len()].iter().enumerate() {
-            emit(tile_idx * QUERY_TILE + qi, topk.as_slice());
+        for (qi, topk) in topks[..tile.len()].iter_mut().enumerate() {
+            emit(tile_idx * QUERY_TILE + qi, topk.padded(k.min(n)));
         }
     }
 }
@@ -1215,10 +1213,11 @@ mod tests {
     #[test]
     fn with_backend_overrides_and_restores() {
         let outer = active_backend();
-        with_backend(Backend::Scalar, || {
-            assert_eq!(active_backend(), Backend::Scalar);
+        let avx2 = resolve(Backend::Avx2);
+        with_backend(Backend::Avx2, || {
+            assert_eq!(active_backend(), avx2);
             with_backend(Backend::Soa, || assert_eq!(active_backend(), Backend::Soa));
-            assert_eq!(active_backend(), Backend::Scalar);
+            assert_eq!(active_backend(), avx2);
         });
         assert_eq!(active_backend(), outer);
     }

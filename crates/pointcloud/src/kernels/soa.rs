@@ -6,13 +6,10 @@
 //! evaluation is a straight-line loop over the slices built from select
 //! idioms (`if a < b { a } else { b }`) the compiler lowers to vector
 //! min/max. Branchy selection consumes the chunk's results afterwards.
+//! The partition count and scatter and the key-row insertion are already
+//! branch-free straight-line loops, so they have no chunked form.
 
 use super::{CHUNK, LINEAR_PANEL as PANEL};
-
-// The scalar backend's count is already a vectorizable one-axis reduction,
-// its scatter already branch-free and its key-row pass already straight-line
-// compare/select code; there is no chunked form to add.
-pub use super::scalar::{ball_insert_hits, count_le, scatter_le};
 
 /// Chunked squared distances; see [`kernels::distances_sq`](super::distances_sq).
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {
@@ -159,8 +156,8 @@ pub fn fps_relax_argmax(
 /// contract. The accumulator row stays hot while each neighbor's feature
 /// row streams through the select idiom `if v > acc { v } else { acc }`,
 /// which the compiler lowers to vector max (NaN feature values never
-/// overwrite the accumulator, matching the scalar backend's strict-`>`
-/// update bit for bit).
+/// overwrite the accumulator, `-0.0`/`0.0` ties keep it: a strict-`>`
+/// update).
 pub fn segmented_max(
     features: &[f32],
     channels: usize,
@@ -186,7 +183,7 @@ pub fn segmented_max(
 /// Panel-outer / row-tile-inner: each `cin × 16` panel is walked once per
 /// tile of [`ROW_TILE`] input rows, the tile's accumulators (lanes across
 /// the panel's 16 output columns) living in a fixed-size array the compiler
-/// keeps in vector registers. Per lane this is the scalar backend's
+/// keeps in vector registers. Per lane this is the triple loop's
 /// `bias + Σᵢ w·x` in ascending `i`, multiply and add kept separate.
 pub fn linear(
     packed: &[f32],
@@ -295,10 +292,68 @@ pub fn ball_prefilter_tile(
     }
 }
 
+/// One chunk's hit lanes into a query's key row, one
+/// [`insert_key_pass`](super::insert_key_pass) per lane on the row in
+/// memory — already straight-line compare/select code; see
+/// [`kernels::ball_insert_hits`](super::ball_insert_hits).
+pub fn ball_insert_hits<const W: usize>(row: &mut [u64; W], dists: &[f32], mask: u64, base: usize) {
+    for l in super::mask_lanes(mask) {
+        super::insert_key_pass(row, super::pack_hit(dists[l], base + l));
+    }
+}
+
+/// Counts the coordinates `<= mid`; see [`kernels::count_le`](super::count_le).
+/// A one-axis reduction the compiler vectorizes as written. The caller
+/// bounds the run by `u32::MAX`, so the 32-bit sum cannot wrap — and 32-bit
+/// lanes count twice as many elements per vector as `usize` ones.
+pub fn count_le(coords: &[f32], mid: f32) -> usize {
+    coords.iter().map(|&c| u32::from(c <= mid)).sum::<u32>() as usize
+}
+
+/// Stable two-way scatter; see [`kernels::scatter_le`](super::scatter_le).
+pub fn scatter_le(
+    key: &[f32],
+    mid: f32,
+    l_len: usize,
+    src: [&[f32]; 3],
+    src_idx: &[u32],
+    dst: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    scatter_le_from((0, 0, l_len), key, mid, src, src_idx, dst, dst_idx);
+}
+
+/// [`scatter_le`] resumed at source element `k` with the left and right
+/// cursors at `l` and `r` — the whole scatter from `(0, 0, l_len)`, and the
+/// tail the AVX2 backend hands over after its last full vector. Branch-free
+/// per element: the destination slot is a select, the cursors advance by
+/// the compare. Every slice is cut to one length up front, so one bounds
+/// check covers an element's four stores.
+pub(super) fn scatter_le_from(
+    (k, mut l, mut r): (usize, usize, usize),
+    key: &[f32],
+    mid: f32,
+    [sx, sy, sz]: [&[f32]; 3],
+    src_idx: &[u32],
+    [dx, dy, dz]: [&mut [f32]; 3],
+    dst_idx: &mut [u32],
+) {
+    let n = key.len();
+    let (sx, sy, sz, si) = (&sx[..n], &sy[..n], &sz[..n], &src_idx[..n]);
+    let (dx, dy, dz, di) = (&mut dx[..n], &mut dy[..n], &mut dz[..n], &mut dst_idx[..n]);
+    for k in k..n {
+        let le = key[k] <= mid;
+        let j = if le { l } else { r };
+        (dx[j], dy[j], dz[j], di[j]) = (sx[k], sy[k], sz[k], si[k]);
+        l += usize::from(le);
+        r += usize::from(!le);
+    }
+}
+
 /// `(min, max)` before the zero-tie rule; see
 /// [`kernels::extrema`](super::extrema). Sixteen independent lanes, every
-/// one seeded with `v[0]` and folded with `f32::min`/`max`, so the scalar
-/// fold's NaN rule (a NaN operand is dropped, a NaN first element replaced
+/// one seeded with `v[0]` and folded with `f32::min`/`max`, so the
+/// sequential fold's NaN rule (a NaN operand is dropped, a NaN first element replaced
 /// by the next number) holds in each lane and in the fold across lanes.
 pub fn extrema(v: &[f32]) -> (f32, f32) {
     const LANES: usize = 16;

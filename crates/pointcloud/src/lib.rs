@@ -9,12 +9,12 @@
 //!   ShapeNet- and S3DIS-like statistics;
 //! * [`ops`] — exact global point operations (FPS, ball query, KNN, gather,
 //!   interpolation) with hardware-relevant work counters, built on the
-//!   runtime-dispatched kernels of [`kernels`] (the original scalar
+//!   runtime-dispatched kernels of [`kernels`] (the original per-point
 //!   formulations are retained in [`ops::reference`] as equivalence
-//!   baselines);
+//!   oracles);
 //! * [`kernels`] — runtime-dispatched distance/argmax/top-k backends
-//!   (scalar, chunked SoA, explicit AVX2 behind feature detection; all
-//!   bit-identical, `FRACTALCLOUD_KERNEL` overrides the selection) with
+//!   (chunked SoA, explicit AVX2 behind feature detection; bit-identical,
+//!   `FRACTALCLOUD_KERNEL` overrides the selection) with
 //!   batched-query KNN/ball-query selection, operating directly on the SoA
 //!   coordinate slices;
 //! * [`partition`] — baseline partitioners (uniform grid, KD-tree, octree)

@@ -69,7 +69,9 @@ pub(crate) fn check_k(n: usize, k: usize) -> Result<()> {
 /// [`OpCounters::neighbor_model`] plus the data-dependent insertion costs,
 /// and match the scalar reference
 /// ([`reference::k_nearest_neighbors`](crate::ops::reference::k_nearest_neighbors))
-/// exactly.
+/// exactly. A candidate at a NaN distance is never a neighbour: a row it
+/// leaves short repeats its last entry, and a row with none (a NaN center)
+/// is candidate 0 at `+∞`.
 ///
 /// # Errors
 ///

@@ -101,7 +101,8 @@ pub fn k_nearest_neighbors(
             let d = candidates.point(i).distance_sq(c);
             counters.distance_evals += 1;
             counters.comparisons += 1;
-            if best.len() == k && d >= best[k - 1].0 {
+            // A NaN distance is never selected.
+            if d.is_nan() || (best.len() == k && d >= best[k - 1].0) {
                 continue;
             }
             let pos = best.partition_point(|&(bd, _)| bd <= d);
@@ -111,6 +112,10 @@ pub fn k_nearest_neighbors(
                 best.pop();
             }
         }
+        // A row left short by NaN distances repeats its last entry; an
+        // empty one is candidate 0 at +inf.
+        let last = best.last().copied().unwrap_or((f32::INFINITY, 0));
+        best.resize(k, last);
         for &(d, i) in &best {
             indices.push(i);
             distances.push(d);

@@ -1,5 +1,5 @@
-//! Cross-backend equivalence: every kernel backend (`Scalar`, `Soa`,
-//! `Avx2`) must produce bit-identical indices, distances, features, and
+//! Cross-backend equivalence: every kernel backend (`Soa`, `Avx2`) must
+//! produce bit-identical indices, distances, features, and
 //! `OpCounters` for fps/knn/ball-query/interpolate — including the
 //! batched-query tiling edge cases (query counts not divisible by the
 //! tile, `k` exceeding the candidate count, empty balls, empty clouds).
@@ -21,12 +21,12 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point3>> {
 }
 
 /// Runs `f` once per backend and asserts every result equals the first
-/// (scalar) run's.
+/// (soa) run's.
 fn assert_all_backends_equal<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
-    let baseline = kernels::with_backend(Backend::Scalar, &f);
+    let baseline = kernels::with_backend(Backend::Soa, &f);
     for b in [Backend::Soa, Backend::Avx2] {
         let got = kernels::with_backend(b, &f);
-        assert_eq!(got, baseline, "backend {} diverged from scalar", b.name());
+        assert_eq!(got, baseline, "backend {} diverged from soa", b.name());
     }
 }
 
@@ -302,7 +302,7 @@ proptest! {
             );
             rows
         };
-        let expect = run(Backend::Scalar, 0);
+        let expect = run(Backend::Soa, 0);
         for b in Backend::ALL {
             let got = run(b, first);
             prop_assert!(got == expect, "backend {} first {}: {:?} != {:?}", b.name(), first % (n + 64), got, expect);
@@ -338,7 +338,7 @@ proptest! {
             kernels::ball_insert_hits(b, &mut buf[GUARD..GUARD + width], &dists, mask, base);
             buf
         };
-        let expect = run(Backend::Scalar);
+        let expect = run(Backend::Soa);
         prop_assert!(expect[..GUARD].iter().chain(&expect[GUARD + width..]).all(|&k| k == GUARD_KEY));
         prop_assert!(expect[GUARD..GUARD + width].windows(2).all(|w| w[0] <= w[1]), "row stays ascending");
         for b in [Backend::Soa, Backend::Avx2] {
@@ -425,10 +425,58 @@ fn knn_k_equals_candidate_count() {
 }
 
 #[test]
+fn knn_and_interpolation_never_select_a_nan_candidate() {
+    // One NaN point among 200: no row may hold it, so every row is the
+    // three nearest numbers, ascending, and every blend stays finite.
+    const NAN_AT: usize = 57;
+    let cube = fractalcloud_pointcloud::generate::uniform_cube(200, 13);
+    let mut pts: Vec<Point3> = (0..cube.len()).map(|i| cube.point(i)).collect();
+    pts[NAN_AT] = Point3::new(f32::NAN, 0.5, 0.5);
+    let feats: Vec<f32> = (0..pts.len() * 2).map(|i| (i % 7) as f32 - 3.0).collect();
+    let cloud = PointCloud::from_points_features(pts.clone(), feats, 2).unwrap();
+    let targets: Vec<Point3> = (0..20).map(|i| pts[i * 9 + 1] + Point3::splat(0.01)).collect();
+    let k = 3;
+    let knn_ref = reference::k_nearest_neighbors(&cloud, &targets, k).unwrap();
+    let interp_ref = reference::interpolate_features(&cloud, &targets, k).unwrap();
+    for (t, &q) in targets.iter().enumerate() {
+        let mut all: Vec<(f32, usize)> =
+            (0..pts.len()).filter(|&i| i != NAN_AT).map(|i| (pts[i].distance_sq(q), i)).collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let want: Vec<usize> = all[..k].iter().map(|&(_, i)| i).collect();
+        assert_eq!(knn_ref.row(t), &want[..], "reference row {t}");
+    }
+    assert!(interp_ref.features.iter().all(|v| v.is_finite()));
+    for b in Backend::ALL {
+        let knn = kernels::with_backend(b, || k_nearest_neighbors(&cloud, &targets, k).unwrap());
+        assert_eq!(knn, knn_ref, "backend {}", b.name());
+        let interp =
+            kernels::with_backend(b, || interpolate_features(&cloud, &targets, k).unwrap());
+        assert_eq!(interp, interp_ref, "backend {}", b.name());
+    }
+
+    // Fewer numbers than k: the row repeats its last entry. A NaN query
+    // selects nothing: its row is candidate 0 at +inf.
+    let few = PointCloud::from_points(vec![
+        Point3::new(f32::NAN, 0.0, 0.0),
+        Point3::new(2.0, 0.0, 0.0),
+        Point3::new(0.0, f32::NAN, 0.0),
+        Point3::new(1.0, 0.0, 0.0),
+    ]);
+    let centers = [Point3::ORIGIN, Point3::new(f32::NAN, 0.0, 0.0)];
+    let want = reference::k_nearest_neighbors(&few, &centers, 3).unwrap();
+    assert_eq!(want.indices, [3, 1, 1, 0, 0, 0]);
+    assert_eq!(want.distances_sq, [1.0, 4.0, 4.0, f32::INFINITY, f32::INFINITY, f32::INFINITY]);
+    for b in Backend::ALL {
+        let got = kernels::with_backend(b, || k_nearest_neighbors(&few, &centers, 3).unwrap());
+        assert_eq!(got, want, "backend {}", b.name());
+    }
+}
+
+#[test]
 fn env_override_names_resolve() {
     // The env var itself is read once per process (and may already be
     // cached), so only validate the parsing layer here.
-    assert_eq!(Backend::from_name("scalar"), Some(Backend::Scalar));
+    assert_eq!(Backend::from_name("scalar"), None);
     assert_eq!(Backend::from_name("SoA"), Some(Backend::Soa));
     assert_eq!(Backend::from_name("avx2"), Some(Backend::Avx2));
     assert_eq!(Backend::from_name("avx512"), None);

@@ -883,7 +883,7 @@ impl Engine {
             }));
         };
         let config = PipelineConfig::new(threshold, sa.sample_ratio, sa.radius, sa.nsample);
-        let aggregation = aggregation.unwrap_or_else(Aggregation::from_env);
+        let aggregation = aggregation.unwrap_or(Aggregation::Delayed);
         let kind = WorkKind::Infer { executor: self.executor_for(model, seed, aggregation) };
         self.admit(cloud, config, kind, priority, deadline, EngineResponse::infer)
     }
@@ -1306,8 +1306,8 @@ pub struct InferRequest {
     /// stage-1 geometry comes from the model's first set-abstraction
     /// stage).
     pub threshold: usize,
-    /// Aggregation schedule; `None` uses the server's
-    /// `FRACTALCLOUD_AGGREGATION` default.
+    /// Aggregation schedule; `None` is the server default,
+    /// [`Aggregation::Delayed`].
     pub aggregation: Option<Aggregation>,
     /// Queue class, exactly as for frame requests.
     pub priority: Priority,

@@ -473,8 +473,7 @@ pub fn decode_stream_request_payload(
     Ok((cloud, config, deadline_ms, open))
 }
 
-/// Wire aggregation byte: use the server's configured default
-/// (`FRACTALCLOUD_AGGREGATION`).
+/// Wire aggregation byte: use the server's default schedule (delayed).
 pub const AGG_SERVER_DEFAULT: u8 = 0;
 /// Wire aggregation byte: force the eager (gather-then-MLP) schedule.
 pub const AGG_EAGER: u8 = 1;

@@ -111,8 +111,8 @@ fn unknown_notation_rejected_connection_survives() {
     engine.shutdown();
 }
 
-/// The `AGG_SERVER_DEFAULT` byte defers to the server's environment-chosen
-/// schedule, and the reply names the schedule that actually ran.
+/// The `AGG_SERVER_DEFAULT` byte defers to the server's default schedule,
+/// delayed, and the reply names the schedule that actually ran.
 #[test]
 fn server_default_byte_resolves_to_a_concrete_schedule() {
     let (mut server, engine) = serve();
@@ -120,11 +120,7 @@ fn server_default_byte_resolves_to_a_concrete_schedule() {
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let resp = client.infer(&cloud, &wire_request(0)).expect("infer");
-    let expected = match Aggregation::from_env() {
-        Aggregation::Eager => AGG_EAGER,
-        Aggregation::Delayed => AGG_DELAYED,
-    };
-    assert_eq!(resp.aggregation, expected);
+    assert_eq!(resp.aggregation, AGG_DELAYED);
 
     server.shutdown();
     engine.shutdown();
