@@ -1,25 +1,34 @@
-//! Scoped-thread data parallelism for the FractalCloud hot paths.
+//! Pooled-thread data parallelism for the FractalCloud hot paths.
 //!
 //! The crates.io registry is unreachable in this build environment, so
 //! instead of `rayon` this small crate provides the one primitive the
-//! workspace needs, built on `std::thread::scope` (no `unsafe`, no global
-//! pool): [`parallel_map`] — map a function over owned items, returning
-//! results in item order regardless of scheduling (work distributed by an
-//! atomic counter so imbalanced items still load-balance). It falls back
-//! to sequential execution for trivially small inputs or when only one
-//! worker is available, and is deterministic in its *results* by
-//! construction: scheduling affects only wall-clock time.
-//! [`parallel_map_budget`] is the same primitive with an explicit worker
-//! budget, so layers that multiplex many independent requests (the serving
-//! engine) can hand each one a bounded sub-pool. The `*_with` variants
-//! ([`parallel_map_with`], [`parallel_map_budget_with`]) additionally hand
-//! every execution lane a private scratch value (`make` is called once per
-//! lane) — the hook the workspace layer uses to give each lane a reusable
-//! arena without any cross-thread sharing.
+//! workspace needs: [`parallel_map`] — map a function over owned items,
+//! returning results in item order regardless of scheduling (work
+//! distributed by an atomic counter so imbalanced items still
+//! load-balance). It falls back to sequential execution for trivially
+//! small inputs or when only one worker is available, and is deterministic
+//! in its *results* by construction: scheduling affects only wall-clock
+//! time. [`parallel_map_budget`] is the same primitive with an explicit
+//! worker budget, so layers that multiplex many independent requests (the
+//! serving engine) can hand each one a bounded sub-pool. The `*_with`
+//! variants ([`parallel_map_with`], [`parallel_map_budget_with`])
+//! additionally hand every execution lane a private scratch value (`make`
+//! is called once per lane that claims an item) — the hook the workspace
+//! layer uses to give each lane a reusable arena without any cross-thread
+//! sharing.
+//!
+//! No fan-out spawns its lanes. The calling thread runs a fan-out's first
+//! lane itself and offers the others to one process-wide pool of at most
+//! [`workers`] − 1 persistent helper threads, spawned on first need and
+//! parked between fan-outs. Admission caps the whole process: a helper
+//! starts a lane only while fewer than [`workers`] threads are running
+//! lanes, callers included, so concurrent fan-outs share the cores instead
+//! of oversubscribing them, and a lane no helper picks up costs nothing.
+//! The pool's one `unsafe` block and its invariant are in `pool.rs`.
 //!
 //! The worker count is `std::thread::available_parallelism`, overridable
 //! with the `FRACTALCLOUD_THREADS` environment variable (set to `1` to
-//! force sequential execution everywhere).
+//! force sequential execution everywhere: the pool then has no helpers).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,6 +36,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+mod pool;
 
 /// Number of worker threads parallel operations will use.
 ///
@@ -109,15 +120,16 @@ where
     parallel_map_with(items, parallel, || (), |i, item, ()| f(i, item))
 }
 
-/// [`parallel_map`] with per-lane scratch state: every execution lane calls
-/// `make` exactly once and hands the resulting scratch, by `&mut`, to each
-/// `f` invocation it claims — so scoped worker threads never share scratch
-/// and the scratch is reused across all the items a lane processes.
+/// [`parallel_map`] with per-lane scratch state: every execution lane that
+/// claims an item calls `make` exactly once and hands the resulting
+/// scratch, by `&mut`, to each `f` invocation it claims — so lanes never
+/// share scratch and the scratch is reused across all the items a lane
+/// processes.
 ///
 /// The inline path (`parallel = false`, or a budget/item count of one)
 /// also calls `make` exactly once, so callers that hand out pooled
-/// workspaces see identical checkout behavior whether or not threads were
-/// spawned. Results are identical to [`parallel_map`] for any `make`.
+/// workspaces see identical checkout behavior whether or not helpers
+/// joined. Results are identical to [`parallel_map`] for any `make`.
 pub fn parallel_map_with<I, T, S, M, F>(items: Vec<I>, parallel: bool, make: M, f: F) -> Vec<T>
 where
     I: Send,
@@ -138,8 +150,8 @@ where
 /// serving layer, where concurrent requests each get a bounded sub-pool
 /// rather than all contending for every core.
 ///
-/// The budget caps the whole subtree, not just this level: each spawned
-/// lane inherits a share of the budget as its own [`effective_budget`], so
+/// The budget caps the whole subtree, not just this level: each lane
+/// inherits a share of the budget as its own [`effective_budget`], so
 /// nested [`parallel_map`] calls keep the total number of active workers
 /// within the budget — *exactly*, not up to rounding. The remainder rule:
 /// with `lanes = min(budget, items)`, every lane gets `budget / lanes`
@@ -147,8 +159,10 @@ where
 /// allowances always sum to precisely `budget` (a budget of 7 over 4 lanes
 /// grants 2+2+2+1, not 1+1+1+1). A `budget` of 0 or 1 runs sequentially
 /// and pins nested fan-outs to 1; a single item keeps the entire budget.
-/// Budgets above [`workers`] are honored as given (the caller owns
-/// oversubscription decisions). Results are identical for every budget.
+/// The calling thread runs the first lane; the others run only as pool
+/// helpers are admitted, so a budget — including one above [`workers`] —
+/// is capped by admission: no more than [`workers`] threads run lanes
+/// process-wide. Results are identical for every budget.
 pub fn parallel_map_budget<I, T, F>(items: Vec<I>, budget: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -159,11 +173,11 @@ where
 }
 
 /// [`parallel_map_budget`] with per-lane scratch state (see
-/// [`parallel_map_with`]): each lane — spawned or inline — calls `make`
-/// once and reuses the scratch across every item it claims. This is how
-/// higher layers hand out one workspace per lane: the budget split decides
-/// how many lanes exist, and each lane's scratch is private to it for the
-/// whole call.
+/// [`parallel_map_with`]): each lane — the caller's, a helper's or the
+/// inline one — calls `make` once and reuses the scratch across every item
+/// it claims. This is how higher layers hand out one workspace per lane:
+/// the budget split decides how many lanes exist, and each lane's scratch
+/// is private to it for the whole call.
 pub fn parallel_map_budget_with<I, T, S, M, F>(
     items: Vec<I>,
     budget: usize,
@@ -178,71 +192,48 @@ where
 {
     let n = items.len();
     let budget = budget.max(1);
-    let threads = budget.min(n);
-    if threads <= 1 || n <= 1 {
+    let lanes = budget.min(n);
+    if lanes <= 1 {
         // A lone item keeps the whole budget; a budget of 1 pins the
         // subtree sequential.
         let _inline = set_budget(if n <= 1 { budget } else { 1 });
         let mut scratch = make();
         return items.into_iter().enumerate().map(|(i, item)| f(i, item, &mut scratch)).collect();
     }
-    // Remainder rule: every lane gets `budget / threads`, and the first
-    // `budget % threads` lanes get one extra worker, so the per-lane
-    // allowances sum to exactly `budget` (a budget of 7 over 4 lanes is
-    // 2+2+2+1, never 1+1+1+1 with three workers lost to truncation).
-    let sub_budget = budget / threads;
-    let extra_lanes = budget % threads;
-
-    // Each slot is locked exactly once by the worker that claims its index,
-    // so the mutexes are uncontended; they exist to move `I` out safely.
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    // Each slot is locked by the lane that claims its index to take the
+    // item and again to store the result, so the mutexes are uncontended;
+    // they exist to move `I` and `T` between threads safely.
+    let slots: Vec<Mutex<(Option<I>, Option<T>)>> =
+        items.into_iter().map(|i| Mutex::new((Some(i), None))).collect();
     let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let (slots, next, make, f) = (&slots, &next, &make, &f);
-        let mut handles = Vec::with_capacity(threads);
-        for lane in 0..threads {
-            let lane_budget = sub_budget + usize::from(lane < extra_lanes);
-            handles.push(scope.spawn(move || {
-                let _lane = set_budget(lane_budget);
-                let mut scratch = make();
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item =
-                        slots[i].lock().expect("slot lock").take().expect("item claimed once");
-                    local.push((i, f(i, item, &mut scratch)));
-                }
-                local
-            }));
+    pool::run(lanes, &|lane| {
+        // Claim before `make`, so a lane that starts after the work is
+        // gone checks out no scratch.
+        let mut i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
         }
-        // Join every lane before reacting to a panic, then re-raise the
-        // first panic payload on the calling thread. `resume_unwind` (rather
-        // than `expect`) keeps a lane panic an ordinary unwind that callers
-        // may `catch_unwind` — the serving engine's panic isolation depends
-        // on this — instead of a double-panic abort inside the scope.
-        let mut panic_payload = None;
-        for h in handles {
-            match h.join() {
-                Ok(local) => {
-                    for (i, v) in local {
-                        out[i] = Some(v);
-                    }
-                }
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
+        let _lane = set_budget(lane_budget(budget, lanes, lane));
+        let mut scratch = make();
+        while i < n {
+            let item = slots[i].lock().expect("slot lock").0.take().expect("item claimed once");
+            let out = f(i, item, &mut scratch);
+            slots[i].lock().expect("slot lock").1 = Some(out);
+            i = next.fetch_add(1, Ordering::Relaxed);
         }
     });
-    out.into_iter().map(|o| o.expect("every item computed")).collect()
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot lock").1.expect("every item computed"))
+        .collect()
+}
+
+/// The remainder rule: of `budget` workers split over `lanes` lanes, every
+/// lane gets `budget / lanes` and the first `budget % lanes` lanes one
+/// extra, so the allowances sum to exactly `budget` (7 over 4 lanes is
+/// 2+2+2+1, never 1+1+1+1 with three workers lost to truncation).
+fn lane_budget(budget: usize, lanes: usize, lane: usize) -> usize {
+    budget / lanes + usize::from(lane < budget % lanes)
 }
 
 #[cfg(test)]
@@ -364,28 +355,22 @@ mod tests {
 
     #[test]
     fn remainder_budget_lanes_sum_to_budget_exactly() {
-        use std::sync::Barrier;
-        // A barrier inside `f` forces every lane to claim exactly one item,
-        // so the observed allowances are the exact per-lane grants.
-        let barrier = Barrier::new(4);
-        let seen = parallel_map_budget((0..4).collect::<Vec<usize>>(), 7, |_, _| {
-            barrier.wait();
-            effective_budget()
-        });
-        let mut lanes = seen;
-        lanes.sort_unstable();
         // Budget 7 over 4 lanes: 2+2+2+1, never 1+1+1+1 (3 workers lost).
-        assert_eq!(lanes, vec![1, 2, 2, 2]);
-        assert_eq!(lanes.iter().sum::<usize>(), 7, "lane allowances must sum to the budget");
+        let grants: Vec<usize> = (0..4).map(|lane| lane_budget(7, 4, lane)).collect();
+        assert_eq!(grants, vec![2, 2, 2, 1]);
+        assert_eq!(grants.iter().sum::<usize>(), 7, "lane allowances must sum to the budget");
+        // Which lane claims which item is scheduling; every item must still
+        // see one of the grants.
+        let seen =
+            parallel_map_budget((0..4).collect::<Vec<usize>>(), 7, |_, _| effective_budget());
+        assert!(seen.iter().all(|b| grants.contains(b)), "{seen:?} against {grants:?}");
 
-        let barrier = Barrier::new(4);
-        let mut lanes = parallel_map_budget((0..4).collect::<Vec<usize>>(), 11, |_, _| {
-            barrier.wait();
-            effective_budget()
-        });
-        lanes.sort_unstable();
-        assert_eq!(lanes, vec![2, 3, 3, 3]);
-        assert!(lanes.iter().sum::<usize>() <= 11);
+        let grants: Vec<usize> = (0..4).map(|lane| lane_budget(11, 4, lane)).collect();
+        assert_eq!(grants, vec![3, 3, 3, 2]);
+        assert!(grants.iter().sum::<usize>() <= 11);
+        let seen =
+            parallel_map_budget((0..4).collect::<Vec<usize>>(), 11, |_, _| effective_budget());
+        assert!(seen.iter().all(|b| grants.contains(b)), "{seen:?} against {grants:?}");
     }
 
     #[test]

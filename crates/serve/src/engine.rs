@@ -23,7 +23,12 @@
 //!    ([`fractalcloud_parallel::effective_budget`]) — the paper's
 //!    block-parallel point operations spread one frame's independent blocks
 //!    over whatever the lane was granted — so the batch's total worker
-//!    count stays within the configured budget. Every lane runs the same
+//!    count stays within the configured budget. No fan-out spawns a
+//!    thread: the worker runs a fan-out's first lane itself and the
+//!    parallel crate's parked helpers take the others, each only while
+//!    fewer than [`fractalcloud_parallel::workers`] threads run lanes
+//!    process-wide, so when every engine worker is busy its fan-outs run
+//!    inline instead of oversubscribing the cores. Every lane runs the same
 //!    staged executor (`run_job`): deadline and fault checks, partition
 //!    (cached or built), stage 1 (sampling + grouping at the job's sample
 //!    budget, in the lane's workspace and pooled staging), then the kind's
@@ -1597,8 +1602,8 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
     }
 
     if size == 1 {
-        // Lone-job fast path, executed inline on this worker: no spawn, no
-        // per-batch result vector. It runs under the configured budget, as
+        // Lone-job fast path, executed inline on this worker: no per-batch
+        // result vector. It runs under the configured budget, as
         // a one-item fused batch would — with `thread_budget(1)`, a warmed
         // workspace and staging it performs zero heap allocations
         // (`tests/zero_alloc.rs`).

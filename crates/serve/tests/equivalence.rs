@@ -126,9 +126,8 @@ fn fused_ragged_batches_are_bit_identical_to_per_frame_execution() {
     // running on its share of the thread budget — must answer
     // byte-for-byte what per-frame sequential execution answers, on every
     // kernel backend (this test runs under whichever backend dispatch
-    // selected; CI repeats the suite with FRACTALCLOUD_KERNEL=scalar and
-    // soa), for *ragged* batches whose frames have wildly different block
-    // counts.
+    // selected; CI repeats the suite with FRACTALCLOUD_KERNEL=soa), for
+    // *ragged* batches whose frames have wildly different block counts.
     let cfg = PipelineConfig::default();
     let clouds: Vec<PointCloud> = vec![
         // First frame is the largest so the remaining submissions queue up

@@ -19,7 +19,7 @@
 //! * [`pnn`] — networks, traces and the serving executor
 //!   ([`fractalcloud_pnn`]);
 //! * [`accel`] — accelerator cost models ([`fractalcloud_accel`]);
-//! * [`parallel`] — the scoped-thread worker pool
+//! * [`parallel`] — the persistent worker pool
 //!   ([`fractalcloud_parallel`]);
 //! * [`serve`] — the batched request-serving engine and TCP front-end
 //!   ([`fractalcloud_serve`]).
