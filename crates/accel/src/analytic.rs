@@ -2,12 +2,13 @@
 //! real `O(n²)` reference is infeasible (the paper evaluates up to 289K and
 //! 1M points).
 //!
-//! Nothing is derived here: the per-operation closed forms are the ones the
-//! executable operations report ([`OpCounters::fps_model`],
-//! [`OpCounters::neighbor_model`], [`OpCounters::shared_neighbor_model`]),
-//! per-block sample counts come from the allocator block FPS runs
-//! ([`block_sample_counts`]), and blocks are combined by the block driver's
-//! own rule ([`merge_work`]). The tests at the bottom of this file assert
+//! Nothing is derived here. A global operation is charged straight from the
+//! closed form the executable operation reports ([`OpCounters::fps_model`],
+//! [`OpCounters::neighbor_model`]). The block-wise models below run
+//! [`OpCounters::fps_model`] / [`OpCounters::shared_neighbor_model`] per
+//! block, take per-block sample counts from the allocator block FPS runs
+//! ([`block_sample_counts`]), and combine blocks by the block driver's own
+//! rule ([`merge_work`]). The tests at the bottom of this file assert
 //! equality — every counter field and the critical path — with the measured
 //! counters of `core::block_fps` / `block_ball_query` on the same partition.
 
@@ -19,61 +20,27 @@ pub const COORD_BYTES: u64 = 6;
 /// Bytes per feature scalar at FP16.
 pub const SCALAR_BYTES: u64 = 2;
 
-/// Counters of a *global* FPS selecting `m` of `n` points (§II-B: `m − 1`
-/// iterations, each an all-candidate traversal).
-pub fn global_fps(n: usize, m: usize) -> OpCounters {
-    global_fps_with_window(n, m, false)
-}
-
-/// Global FPS with an optional window-check skip: iteration `k` visits only
-/// the `n − k` still-unsampled candidates instead of all `n` (Fig. 11(c)).
-pub fn global_fps_with_window(n: usize, m: usize, window_check: bool) -> OpCounters {
-    OpCounters::fps_model(n, m, window_check)
-}
-
-/// Counters of a global ball query / KNN: every center scans every
-/// candidate.
-pub fn global_neighbor(centers: usize, candidates: usize, num: usize) -> OpCounters {
-    OpCounters::neighbor_model(candidates, centers, num)
-}
-
-/// Counters of a gather resolving `rows × num` indices.
-pub fn gather(rows: usize, num: usize) -> OpCounters {
-    OpCounters {
-        feature_reads: (rows * num) as u64,
-        writes: (rows * num) as u64,
-        ..Default::default()
-    }
-}
-
-/// `(total, critical_block, per_block_evals)` of per-block work, combined
-/// by the block driver's rule.
-fn combine(blocks: impl Iterator<Item = OpCounters>) -> (OpCounters, OpCounters, Vec<u64>) {
+/// `(total, critical_block)` of per-block work, combined by the block
+/// driver's rule.
+fn combine(blocks: impl Iterator<Item = OpCounters>) -> (OpCounters, OpCounters) {
     let mut total = OpCounters::new();
     let mut critical = OpCounters::new();
-    let per_block = blocks
-        .map(|work| {
-            merge_work(&mut total, &mut critical, &work, work);
-            work.distance_evals
-        })
-        .collect();
-    (total, critical, per_block)
+    for work in blocks {
+        merge_work(&mut total, &mut critical, &work, work);
+    }
+    (total, critical)
 }
 
 /// Per-block work of block-wise FPS at a fixed `rate`, with or without the
 /// window-check skip: block `b` selects its [`block_sample_counts`] share
 /// `m_b` of its `n_b` points.
 ///
-/// Returns `(total, critical_block, per_block_evals)`.
+/// Returns `(total, critical_block)`.
 ///
 /// # Panics
 ///
 /// Panics if `rate` is not within `0.0..=1.0`.
-pub fn block_fps(
-    block_sizes: &[usize],
-    rate: f64,
-    window_check: bool,
-) -> (OpCounters, OpCounters, Vec<u64>) {
+pub fn block_fps(block_sizes: &[usize], rate: f64, window_check: bool) -> (OpCounters, OpCounters) {
     let counts = block_sample_counts(block_sizes, rate);
     combine(
         block_sizes
@@ -88,7 +55,7 @@ pub fn block_fps(
 /// the `search_factor · n_b` candidates the block loads once
 /// (`search_factor` ≈ 2 with parent expansion, 1 without).
 ///
-/// Returns `(total, critical_block, per_block_evals)`.
+/// Returns `(total, critical_block)`.
 ///
 /// # Panics
 ///
@@ -98,7 +65,7 @@ pub fn block_neighbor(
     centers_rate: f64,
     search_factor: f64,
     num: usize,
-) -> (OpCounters, OpCounters, Vec<u64>) {
+) -> (OpCounters, OpCounters) {
     let centers = block_sample_counts(block_sizes, centers_rate);
     combine(block_sizes.iter().zip(centers).map(|(&n_b, centers)| {
         let candidates = ((n_b as f64) * search_factor).round() as usize;
@@ -123,13 +90,13 @@ mod tests {
     use fractalcloud_pointcloud::partition::Partition;
     use fractalcloud_pointcloud::PointCloud;
 
-    /// The analytic global-FPS counters must match the implementation
-    /// exactly.
+    /// The analytic global-FPS counters the models charge must match the
+    /// implementation exactly.
     #[test]
     fn global_fps_matches_measured() {
         let cloud = scene_cloud(&SceneConfig::default(), 1500, 1);
         let measured = farthest_point_sample(&cloud, 300, 0).unwrap().counters;
-        assert_eq!(global_fps(1500, 300), measured);
+        assert_eq!(OpCounters::fps_model(1500, 300, false), measured);
     }
 
     /// A 4 096-point scene, its partition and the block sizes the models
@@ -150,7 +117,7 @@ mod tests {
         for window_check in [true, false] {
             let config = BppoConfig { window_check, ..BppoConfig::sequential() };
             let measured = run_block_fps(&cloud, &part, 0.25, &config).unwrap();
-            let (total, critical, _) = block_fps(&sizes, 0.25, window_check);
+            let (total, critical) = block_fps(&sizes, 0.25, window_check);
             assert_eq!(total, measured.counters, "window check {window_check}");
             assert_eq!(critical, measured.critical_path, "window check {window_check}");
         }
@@ -165,7 +132,7 @@ mod tests {
         let config = BppoConfig { parent_expansion: false, ..BppoConfig::sequential() };
         let centers = run_block_fps(&cloud, &part, 0.25, &config).unwrap().per_block;
         let measured = block_ball_query(&cloud, &part, &centers, 0.4, 16, &config).unwrap();
-        let (total, critical, _) = block_neighbor(&sizes, 0.25, 1.0, 16);
+        let (total, critical) = block_neighbor(&sizes, 0.25, 1.0, 16);
         assert_eq!(total, measured.counters);
         assert_eq!(critical, measured.critical_path);
     }
@@ -173,8 +140,8 @@ mod tests {
     #[test]
     fn window_check_saves_triangular_work() {
         let sizes = vec![256usize; 16];
-        let (with, _, _) = block_fps(&sizes, 0.25, true);
-        let (without, _, _) = block_fps(&sizes, 0.25, false);
+        let (with, _) = block_fps(&sizes, 0.25, true);
+        let (without, _) = block_fps(&sizes, 0.25, false);
         assert!(with.distance_evals < without.distance_evals);
         assert_eq!(
             without.distance_evals - with.distance_evals,
@@ -186,8 +153,8 @@ mod tests {
     #[test]
     fn block_neighbor_scales_with_parent_factor() {
         let sizes = vec![256usize; 8];
-        let (own, _, _) = block_neighbor(&sizes, 0.25, 1.0, 16);
-        let (parent, _, _) = block_neighbor(&sizes, 0.25, 2.0, 16);
+        let (own, _) = block_neighbor(&sizes, 0.25, 1.0, 16);
+        let (parent, _) = block_neighbor(&sizes, 0.25, 2.0, 16);
         assert_eq!(parent.distance_evals, 2 * own.distance_evals);
     }
 
@@ -208,8 +175,8 @@ mod tests {
         let th = 256usize;
         for &n in &[16_384usize, 65_536, 262_144] {
             let blocks = vec![th; n / th];
-            let (block, _, _) = block_fps(&blocks, 0.25, true);
-            let global = global_fps(n, n / 4);
+            let (block, _) = block_fps(&blocks, 0.25, true);
+            let global = OpCounters::fps_model(n, n / 4, false);
             let speedup = global.distance_evals as f64 / block.distance_evals as f64;
             let expected = n as f64 / th as f64; // ≈ n/th
             assert!(
@@ -217,11 +184,5 @@ mod tests {
                 "n={n}: speedup {speedup}, expected ≈{expected}"
             );
         }
-    }
-
-    #[test]
-    fn gather_counts_rows() {
-        let g = gather(1000, 16);
-        assert_eq!(g.feature_reads, 16_000);
     }
 }

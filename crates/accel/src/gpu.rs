@@ -14,8 +14,8 @@
 //!    peak bandwidth.
 
 use crate::device::{Accelerator, ExecutionReport};
-use crate::segment::{MlpShape, Segments};
 use crate::workload::Workload;
+use fractalcloud_pnn::MlpShape;
 use fractalcloud_sim::{EnergyBreakdown, EnergyCategory, Phase, PhaseClass, Timeline};
 
 /// TITAN RTX-class GPU parameters.
@@ -161,7 +161,7 @@ impl Accelerator for GpuModel {
     }
 
     fn execute(&self, w: &Workload) -> ExecutionReport {
-        let segs = Segments::parse(&w.trace);
+        let segs = &w.plan;
         let mut timeline = Timeline::new();
 
         for (i, &shape) in segs.stem.iter().enumerate() {
@@ -175,11 +175,9 @@ impl Accelerator for GpuModel {
             timeline.push(self.phase(format!("sa{s}-group"), PhaseClass::PointOp, t, u));
             let (t, u) = self.gather_s((sa.n_out * sa.nsample) as u64, (sa.cin * 4) as u64);
             timeline.push(self.phase(format!("sa{s}-gather"), PhaseClass::PointOp, t, u));
-            let mut cin = sa.cin;
-            for (l, &cout) in sa.mlp.iter().enumerate() {
-                let (t, u) = self.mlp_s(MlpShape { rows: sa.n_out * sa.nsample, cin, cout });
+            for (l, shape) in sa.grouped_mlp(sa.n_out * sa.nsample).enumerate() {
+                let (t, u) = self.mlp_s(shape);
                 timeline.push(self.phase(format!("sa{s}-mlp{l}"), PhaseClass::Mlp, t, u));
-                cin = cout;
             }
             for (l, &shape) in sa.blocks.iter().enumerate() {
                 let (t, u) = self.mlp_s(shape);

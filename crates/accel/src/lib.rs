@@ -2,9 +2,11 @@
 //!
 //! Builds the Table II designs — FractalCloud, PointAcc, Crescent, Mesorasi
 //! — plus PNNPU and a TITAN RTX-class GPU baseline, all as cost models over
-//! the `fractalcloud-sim` unit library, driven by measured partition
-//! structure and analytic point-operation work (cross-validated against the
-//! executable implementations).
+//! the `fractalcloud-sim` unit library. A [`Workload`] carries the network's
+//! shape plan ([`fractalcloud_pnn::Segments`], the same plan the executor
+//! builds its layers from) and the measured partition structure; every
+//! model walks the plan stage by stage and charges analytic point-operation
+//! work (cross-validated against the executable implementations).
 //!
 //! # Example
 //!
@@ -26,12 +28,10 @@ mod config;
 mod device;
 mod gpu;
 mod models;
-mod segment;
 mod workload;
 
 pub use config::{AcceleratorConfig, ChipSpec};
 pub use device::{Accelerator, ExecutionReport};
 pub use gpu::{GpuConfig, GpuModel};
 pub use models::{DesignModel, DesignParams, PartitionKind};
-pub use segment::{FpSegment, MlpShape, SaSegment, Segments};
 pub use workload::{cloud_for_task, Workload};

@@ -9,9 +9,10 @@
 
 use crate::analytic::{self, COORD_BYTES, SCALAR_BYTES};
 use crate::device::{Accelerator, ExecutionReport};
-use crate::segment::{MlpShape, Segments};
 use crate::workload::Workload;
 use fractalcloud_dram::AccessPattern;
+use fractalcloud_pnn::MlpShape;
+use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_sim::{
     Dma, DmaCost, EnergyBreakdown, EnergyCategory, EnergyTable, FractalEngine, FractalEngineConfig,
     Phase, PhaseClass, Rspu, RspuConfig, Sram, SramConfig, SramPattern, Systolic, SystolicConfig,
@@ -348,7 +349,7 @@ impl Accelerator for DesignModel {
 
     fn execute(&self, w: &Workload) -> ExecutionReport {
         let p = &self.params;
-        let segs = Segments::parse(&w.trace);
+        let segs = &w.plan;
         let mut timeline = Timeline::new();
         let mut dram_total = 0u64;
         let avail = self.sram_avail();
@@ -372,12 +373,12 @@ impl Accelerator for DesignModel {
 
             // -- Sampling --
             let (cost, sram_bytes, pattern, dram) = if p.block_sampling && have_blocks {
-                let (total, critical, _) = analytic::block_fps(&sizes, rate, p.window_check);
+                let (total, critical) = analytic::block_fps(&sizes, rate, p.window_check);
                 let cost = self.rspu.block_parallel_from_aggregate(&total, &critical);
                 let dram = self.dma.read(coord_working, self.seq_pattern());
                 (cost, total.distance_evals * COORD_BYTES, SramPattern::BankAligned, dram)
             } else {
-                let counters = analytic::global_fps_with_window(sa.n_in, sa.n_out, p.window_check);
+                let counters = OpCounters::fps_model(sa.n_in, sa.n_out, p.window_check);
                 let cost = self.rspu.global_op(&counters);
                 // When the working set exceeds the buffer, every FPS
                 // iteration re-streams the non-resident fraction — the
@@ -405,8 +406,7 @@ impl Accelerator for DesignModel {
             // -- Grouping --
             let (cost, sram_bytes, pattern, dram) = if p.block_grouping && have_blocks {
                 let factor = if p.parent_expansion { 2.0 } else { 1.0 };
-                let (total, critical, _) =
-                    analytic::block_neighbor(&sizes, rate, factor, sa.nsample);
+                let (total, critical) = analytic::block_neighbor(&sizes, rate, factor, sa.nsample);
                 let cost = self.rspu.block_parallel_from_aggregate(&total, &critical);
                 let sram_bytes = if p.intra_block_reuse {
                     // Candidates loaded once per block, shared by centers.
@@ -417,7 +417,7 @@ impl Accelerator for DesignModel {
                 let dram = self.dma.read(coord_working, self.seq_pattern());
                 (cost, sram_bytes, SramPattern::BankAligned, dram)
             } else {
-                let counters = analytic::global_neighbor(sa.n_out, sa.n_in, sa.nsample);
+                let counters = OpCounters::neighbor_model(sa.n_in, sa.n_out, sa.nsample);
                 let cost = self.rspu.global_op(&counters);
                 let spill = coord_working.saturating_sub(avail);
                 let tiles = (sa.n_out as u64).div_ceil(4096).saturating_sub(1);
@@ -442,15 +442,8 @@ impl Accelerator for DesignModel {
             // -- MLP + gather (+ pool), order set by delayed aggregation --
             let gather_channels = if p.delayed_aggregation { sa.cout() } else { sa.cin };
             if p.delayed_aggregation {
-                let mut cin = sa.cin;
-                for (l, &cout) in sa.mlp.iter().enumerate() {
-                    timeline.push(
-                        self.mlp_phase(
-                            format!("sa{s}-mlp{l}"),
-                            MlpShape { rows: sa.n_in, cin, cout },
-                        ),
-                    );
-                    cin = cout;
+                for (l, shape) in sa.grouped_mlp(sa.n_in).enumerate() {
+                    timeline.push(self.mlp_phase(format!("sa{s}-mlp{l}"), shape));
                 }
             }
             // Gather.
@@ -486,13 +479,8 @@ impl Accelerator for DesignModel {
                 PhaseClass::PointOp,
             ));
             if !p.delayed_aggregation {
-                let mut cin = sa.cin;
-                for (l, &cout) in sa.mlp.iter().enumerate() {
-                    timeline.push(self.mlp_phase(
-                        format!("sa{s}-mlp{l}"),
-                        MlpShape { rows: sa.n_out * sa.nsample, cin, cout },
-                    ));
-                    cin = cout;
+                for (l, shape) in sa.grouped_mlp(sa.n_out * sa.nsample).enumerate() {
+                    timeline.push(self.mlp_phase(format!("sa{s}-mlp{l}"), shape));
                 }
             }
             // Pool.
@@ -526,7 +514,7 @@ impl Accelerator for DesignModel {
             let (cost, sram_bytes, pattern, dram) = if p.block_interpolation && have_blocks {
                 let src_frac = fp.sources as f64 / fp.targets as f64;
                 let factor = if p.parent_expansion { 2.0 * src_frac } else { src_frac };
-                let (total, critical, _) =
+                let (total, critical) =
                     analytic::block_neighbor(&sizes, 1.0, factor.max(1e-6), fp.k);
                 let cost = self.rspu.block_parallel_from_aggregate(&total, &critical);
                 let sram_bytes = if p.intra_block_reuse {
@@ -537,7 +525,7 @@ impl Accelerator for DesignModel {
                 let dram = self.dma.read(coord_working, self.seq_pattern());
                 (cost, sram_bytes, SramPattern::BankAligned, dram)
             } else {
-                let counters = analytic::global_neighbor(fp.targets, fp.sources, fp.k);
+                let counters = OpCounters::neighbor_model(fp.sources, fp.targets, fp.k);
                 let cost = self.rspu.global_op(&counters);
                 let src_bytes = fp.sources as u64 * COORD_BYTES;
                 let spill = src_bytes.saturating_sub(avail);

@@ -1,23 +1,22 @@
-//! Workload preparation: clouds, traces, and measured partition structure.
+//! Workload preparation: clouds, shape plans, and measured partition
+//! structure.
 
 use fractalcloud_core::{Fractal, FractalConfig};
-use fractalcloud_pnn::{ModelConfig, OpTrace, Task};
+use fractalcloud_pnn::{ModelConfig, Segments, Task};
 use fractalcloud_pointcloud::generate::{object_cloud, scene_cloud, ObjectKind, SceneConfig};
 use fractalcloud_pointcloud::partition::{
     KdTreePartitioner, PartitionCost, Partitioner, UniformPartitioner,
 };
 use fractalcloud_pointcloud::PointCloud;
 
-/// A fully-prepared workload: the network trace plus the *measured*
+/// A fully-prepared workload: the network's shape plan plus the *measured*
 /// partition structure of a representative input cloud. Accelerator models
 /// consume block-size distributions and partition costs, never re-running
 /// `O(n²)` reference code.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// The network.
-    pub model: ModelConfig,
-    /// Its shape-level trace at `n` points.
-    pub trace: OpTrace,
+    /// The network's shape plan at `n` points.
+    pub plan: Segments,
     /// Input size.
     pub n: usize,
     /// Fractal threshold used (64 for classification, 256 for segmentation,
@@ -42,7 +41,7 @@ pub struct Workload {
 impl Workload {
     /// Prepares the workload for `model` on `n` points: generates a cloud
     /// matched to the task's dataset (Table I), partitions it three ways,
-    /// and builds the trace.
+    /// and builds the shape plan.
     pub fn prepare(model: &ModelConfig, n: usize, seed: u64) -> Workload {
         let cloud = cloud_for_task(model.task, n, seed);
         let threshold = match model.task {
@@ -60,7 +59,7 @@ impl Workload {
         threshold: usize,
     ) -> Workload {
         let n = cloud.len();
-        let trace = OpTrace::build(model, n);
+        let plan = Segments::new(model, n).expect("a well-formed model on a non-empty cloud");
 
         let fractal =
             Fractal::new(FractalConfig::new(threshold)).build(cloud).expect("non-empty cloud");
@@ -70,8 +69,7 @@ impl Workload {
             .expect("non-empty cloud");
 
         Workload {
-            model: model.clone(),
-            trace,
+            plan,
             n,
             threshold,
             fractal_blocks: fractal.partition.blocks.iter().map(|b| b.len()).collect(),

@@ -46,7 +46,7 @@ fn main() {
     // fractal blocks versus a hypothetical strictly balanced partition of
     // the same block count.
     let work = |sizes: &[usize]| -> u64 {
-        let (total, critical, _) = fractalcloud_accel::analytic::block_fps(sizes, 0.25, true);
+        let (total, critical) = fractalcloud_accel::analytic::block_fps(sizes, 0.25, true);
         rspu.block_parallel_from_aggregate(&total, &critical).cycles
     };
     let real = work(&sizes);

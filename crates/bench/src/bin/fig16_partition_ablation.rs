@@ -30,8 +30,8 @@ fn search_factor(p: &Partition) -> f64 {
 fn point_op_cycles(p: &Partition, rspu: &Rspu) -> u64 {
     let sizes: Vec<usize> = p.blocks.iter().map(|b| b.len()).collect();
     let factor = search_factor(p);
-    let (fps_t, fps_c, _) = analytic::block_fps(&sizes, 0.25, true);
-    let (bq_t, bq_c, _) = analytic::block_neighbor(&sizes, 0.25, factor, 32);
+    let (fps_t, fps_c) = analytic::block_fps(&sizes, 0.25, true);
+    let (bq_t, bq_c) = analytic::block_neighbor(&sizes, 0.25, factor, 32);
     rspu.block_parallel_from_aggregate(&fps_t, &fps_c).cycles
         + rspu.block_parallel_from_aggregate(&bq_t, &bq_c).cycles
 }

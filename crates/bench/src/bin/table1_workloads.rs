@@ -1,7 +1,7 @@
 //! Table I: the evaluated networks and datasets.
 
 use fractalcloud_bench::header;
-use fractalcloud_pnn::{ModelConfig, OpTrace, Task};
+use fractalcloud_pnn::{ModelConfig, Segments, Task};
 
 fn main() {
     header("Table I", "evaluated networks and datasets");
@@ -20,7 +20,7 @@ fn main() {
             Task::PartSegmentation => "part segment.",
             Task::Segmentation => "segmentation",
         };
-        let trace = OpTrace::build(&m, 4096);
+        let plan = Segments::new(&m, 4096).expect("Table I models are well-formed");
         println!(
             "{:<14} {:<10} {:<18} {:<12} {:<8} {:>11}M {:>10}",
             m.family,
@@ -28,8 +28,8 @@ fn main() {
             task,
             dataset,
             scene,
-            trace.total_macs() / 1_000_000,
-            trace.point_ops()
+            plan.total_macs() / 1_000_000,
+            plan.point_ops()
         );
     }
     println!();

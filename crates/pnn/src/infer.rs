@@ -30,6 +30,7 @@
 //! the tests below compare the two predictions point by point.
 
 use crate::layers::Linear;
+use crate::segment::{MlpShape, Segments};
 use crate::zoo::ModelConfig;
 use fractalcloud_core::{InferScratch, LevelMeta, PipelineOutput, Workspace};
 use fractalcloud_pointcloud::kernels;
@@ -137,66 +138,43 @@ pub struct NetworkExecutor {
 }
 
 impl NetworkExecutor {
-    /// Materializes all layer weights for `config`.
+    /// Materializes all layer weights for `config`, walking the model's
+    /// [`Segments`] plan in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is malformed ([`Segments::new`] refuses it).
     pub fn new(config: InferenceConfig) -> NetworkExecutor {
+        // Widths do not depend on the input size: any `n` walks one chain.
+        let plan = Segments::new(&config.model, 1).expect("a well-formed model");
         let mut layer_seed = config.seed;
-        let mut next = |cin: usize, cout: usize, relu: bool| {
+        let mut next = |shape: &MlpShape, relu: bool| {
             layer_seed =
                 layer_seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            Linear::seeded(cin, cout, layer_seed, relu)
+            Linear::seeded(shape.cin, shape.cout, layer_seed, relu)
         };
 
-        let model = &config.model;
-        let mut ch = model.in_channels;
-        let stem = if model.stem_width > 0 {
-            let l = next(ch, model.stem_width, true);
-            ch = model.stem_width;
-            Some(l)
-        } else {
-            None
-        };
-
-        let mut stages = Vec::with_capacity(model.stages.len());
-        let mut skip_ch = Vec::with_capacity(model.stages.len());
-        for sa in &model.stages {
-            skip_ch.push(ch);
-            let mut cin = ch + 3;
-            let mut mlp = Vec::with_capacity(sa.mlp.len());
-            for &cout in &sa.mlp {
-                mlp.push(next(cin, cout, true));
-                cin = cout;
-            }
-            ch = cin;
-            let mut blocks = Vec::with_capacity(sa.blocks);
-            for _ in 0..sa.blocks {
-                let up = next(ch, ch * 4, true);
-                let down = next(ch * 4, ch, false);
-                blocks.push((up, down));
-            }
-            stages.push(StageWeights { mlp, blocks });
-        }
-
-        let mut props = Vec::new();
-        if model.task.has_propagation() {
-            for fp in &model.propagation {
-                let t_ch = skip_ch.pop().expect("skip per FP stage");
-                let mut cin = ch + t_ch;
-                let mut mlp = Vec::with_capacity(fp.mlp.len());
-                for &cout in &fp.mlp {
-                    mlp.push(next(cin, cout, true));
-                    cin = cout;
-                }
-                ch = cin;
-                props.push(mlp);
-            }
-        }
-
-        let mut head = Vec::with_capacity(model.head.len());
-        for &cout in &model.head {
-            head.push(next(ch, cout, true));
-            ch = cout;
-        }
-        let out = next(ch, model.classes, false);
+        let stem = plan.stem.map(|shape| next(&shape, true));
+        let stages = plan
+            .abstraction
+            .iter()
+            .map(|sa| StageWeights {
+                mlp: sa.grouped_mlp(1).map(|shape| next(&shape, true)).collect(),
+                blocks: sa
+                    .blocks
+                    .chunks_exact(2)
+                    .map(|pair| (next(&pair[0], true), next(&pair[1], false)))
+                    .collect(),
+            })
+            .collect();
+        let props = plan
+            .propagation
+            .iter()
+            .map(|fp| fp.mlp.iter().map(|shape| next(shape, true)).collect())
+            .collect();
+        let (classifier, hidden) = plan.head.split_last().expect("the plan ends in a classifier");
+        let head = hidden.iter().map(|shape| next(shape, true)).collect();
+        let out = next(classifier, false);
 
         NetworkExecutor { config, stem, stages, props, head, out }
     }
@@ -279,10 +257,8 @@ impl NetworkExecutor {
     }
 
     fn validate_stage1(&self, cloud: &PointCloud, po: &PipelineOutput) -> Result<()> {
-        let sa = self.config.model.stages.first().ok_or(Error::InvalidParameter {
-            name: "stage1",
-            message: "model has no set-abstraction stage to feed".into(),
-        })?;
+        // `new` refused a model without a set-abstraction stage.
+        let sa = &self.config.model.stages[0];
         if po.grouped.num != sa.nsample {
             return Err(Error::InvalidParameter {
                 name: "stage1",
@@ -644,7 +620,7 @@ impl NetworkExecutor {
         out.classes = model.classes;
         out.row_index.clear();
         if has_prop {
-            let cur = lvl_meta[s_cnt - model.propagation.len().min(s_cnt)];
+            let cur = lvl_meta[s_cnt - self.props.len()];
             out.row_index.extend_from_slice(&lvl_origin[cur.coord_off..cur.coord_off + cur.len]);
         } else {
             out.row_index.push(0);

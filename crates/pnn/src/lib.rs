@@ -1,12 +1,14 @@
-//! Point-based neural network (PNN) model zoo, operation traces, and the
+//! Point-based neural network (PNN) model zoo, its shape plans, and the
 //! CPU executor that serves them.
 //!
 //! This crate provides the workload side of the FractalCloud evaluation:
 //!
 //! * [`ModelConfig`] — the Table I networks (PointNet++, PointNeXt,
 //!   PointVector) across classification / part-segmentation / segmentation;
-//! * [`OpTrace`] — shape-level operation traces that accelerator models
-//!   cost (sampling, grouping, gather, MLP, pooling, interpolation);
+//! * [`Segments`] — a network's shape plan at a given input size: stem,
+//!   set-abstraction stages (sample → group → gather → MLP → pool),
+//!   feature-propagation stages and head, worked out once. The executor
+//!   builds its layers from it and accelerator models cost it;
 //! * [`NetworkExecutor`] — real-arithmetic end-to-end inference, global
 //!   search ([`NetworkExecutor::run`]) or a block-parallel first stage
 //!   ([`NetworkExecutor::run_with_stage1`]); workspace-backed,
@@ -16,11 +18,13 @@
 //! # Example
 //!
 //! ```
-//! use fractalcloud_pnn::{ModelConfig, OpTrace};
+//! use fractalcloud_pnn::{ModelConfig, Segments};
 //!
 //! let model = ModelConfig::pointnext_segmentation();
-//! let trace = OpTrace::build(&model, 16384);
-//! assert!(trace.global_distance_evals() > trace.total_macs() / 10);
+//! let plan = Segments::new(&model, 16384)?;
+//! assert_eq!(plan.abstraction[0].n_out, 4096);
+//! assert!(plan.global_distance_evals() > plan.total_macs() / 10);
+//! # Ok::<(), fractalcloud_pointcloud::Error>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -28,9 +32,9 @@
 
 mod infer;
 pub mod layers;
-mod trace;
+mod segment;
 mod zoo;
 
 pub use infer::{Aggregation, InferOutput, InferenceConfig, NetworkExecutor};
-pub use trace::{MlpKind, OpTrace, PnnOp};
+pub use segment::{FpSegment, MlpShape, SaSegment, Segments};
 pub use zoo::{FeaturePropagation, ModelConfig, SetAbstraction, Task};

@@ -84,7 +84,9 @@ use fractalcloud_core::{
     FNV1A64_SEED,
 };
 use fractalcloud_obs as obs;
-use fractalcloud_pnn::{Aggregation, InferOutput, InferenceConfig, ModelConfig, NetworkExecutor};
+use fractalcloud_pnn::{
+    Aggregation, InferOutput, InferenceConfig, ModelConfig, NetworkExecutor, Segments,
+};
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::{Error, PointCloud};
 use std::collections::{HashMap, VecDeque};
@@ -869,8 +871,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Invalid`] for empty frames, models without a
-    /// set-abstraction stage, or bad derived parameters;
+    /// [`ServeError::Invalid`] for empty frames, models the shape plan
+    /// refuses ([`Segments::new`]), or bad derived parameters;
     /// [`ServeError::Shed`] exactly as [`Engine::submit_shared_budget`].
     pub fn submit_infer(
         &self,
@@ -878,40 +880,44 @@ impl Engine {
         req: InferRequest,
     ) -> Result<InferTicket, ServeError> {
         let InferRequest { model, seed, threshold, aggregation, priority, deadline } = req;
-        let Some(sa) = model.stages.first() else {
-            let m = &self.shared.metrics;
-            m.submitted.fetch_add(1, Ordering::Relaxed);
-            m.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Invalid(Error::InvalidParameter {
-                name: "model",
-                message: "model has no set-abstraction stage to serve".into(),
-            }));
-        };
-        let config = PipelineConfig::new(threshold, sa.sample_ratio, sa.radius, sa.nsample);
         let aggregation = aggregation.unwrap_or(Aggregation::Delayed);
-        let kind = WorkKind::Infer { executor: self.executor_for(model, seed, aggregation) };
+        let executor = match self.executor_for(model, seed, aggregation) {
+            Ok(executor) => executor,
+            Err(e) => {
+                let m = &self.shared.metrics;
+                m.submitted.fetch_add(1, Ordering::Relaxed);
+                m.rejected_invalid.fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::Invalid(e));
+            }
+        };
+        let sa = &executor.config().model.stages[0];
+        let config = PipelineConfig::new(threshold, sa.sample_ratio, sa.radius, sa.nsample);
+        let kind = WorkKind::Infer { executor };
         self.admit(cloud, config, kind, priority, deadline, EngineResponse::infer)
     }
 
     /// The cached executor for `(model, seed, aggregation)`, materializing
-    /// weights on first use. Holding the registry lock through a build
-    /// serializes concurrent first requests for the same network — by
-    /// design: weight generation is the expensive part, and building it
-    /// twice to race an insert would waste more than the wait.
+    /// weights on first use. Only a model the shape plan accepts
+    /// ([`Segments::new`]) is built, so a cached executor is well-formed.
+    /// Holding the registry lock through a build serializes concurrent
+    /// first requests for the same network — by design: weight generation
+    /// is the expensive part, and building it twice to race an insert would
+    /// waste more than the wait.
     fn executor_for(
         &self,
         model: ModelConfig,
         seed: u64,
         aggregation: Aggregation,
-    ) -> Arc<NetworkExecutor> {
+    ) -> Result<Arc<NetworkExecutor>, Error> {
         let key = (model_fingerprint(&model), seed, aggregation_wire(aggregation));
         let mut map = lock_unpoisoned(&self.shared.executors);
         if let Some(ex) = map.get(&key) {
-            return Arc::clone(ex);
+            return Ok(Arc::clone(ex));
         }
+        Segments::new(&model, 1)?;
         let ex = Arc::new(NetworkExecutor::new(InferenceConfig { model, seed, aggregation }));
         map.insert(key, Arc::clone(&ex));
-        ex
+        Ok(ex)
     }
 
     /// The shared admission path: validate, then queue under the bound (or

@@ -1,14 +1,15 @@
 //! End-to-end inference serving: an `INFER` request over TCP must produce
 //! logits bit-identical to [`Engine::submit_infer`] in-process, cold or
 //! cache-hit, under either aggregation schedule; bad requests are rejected
-//! without killing the connection.
+//! without killing the connection, and a malformed model is refused before
+//! any worker sees it.
 
 use fractalcloud_core::PipelineConfig;
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_serve::protocol::{status, WireInferRequest, AGG_DELAYED, AGG_EAGER};
 use fractalcloud_serve::{
     Aggregation, ClientError, Engine, InferRequest, ModelConfig, ServeClient, ServeConfig,
-    TcpServer,
+    ServeError, TcpServer,
 };
 use std::sync::Arc;
 
@@ -155,4 +156,34 @@ fn one_nan_coordinate_is_a_reply_not_a_worker_panic() {
 
     server.shutdown();
     engine.shutdown();
+}
+
+/// Submits `model` in-process and asserts a counted [`ServeError::Invalid`]
+/// refusal on the caller's thread: nothing is queued, no worker panics.
+fn assert_refused_in_process(model: ModelConfig) {
+    let engine = Engine::start(ServeConfig::default().workers(2));
+    let out = engine.process_infer(Arc::new(uniform_cube(1024, 31)), InferRequest::new(model));
+    assert!(matches!(out, Err(ServeError::Invalid(_))), "got {out:?}");
+    let m = engine.metrics();
+    assert_eq!((m.submitted, m.rejected_invalid), (1, 1), "the refusal must be counted");
+    assert_eq!((m.worker_panics, m.failed_internal), (0, 0));
+    engine.shutdown();
+}
+
+/// A propagating model with one more feature-propagation stage than it has
+/// abstraction levels to skip-connect to is refused at submission.
+#[test]
+fn more_propagation_than_abstraction_stages_is_refused() {
+    let mut model = ModelConfig::pointnetpp_segmentation();
+    model.propagation.push(model.propagation[0].clone());
+    assert_refused_in_process(model);
+}
+
+/// A stage that groups zero neighbors is refused at submission, not
+/// discovered by a worker mid-inference.
+#[test]
+fn zero_neighbors_in_a_deeper_stage_is_refused() {
+    let mut model = ModelConfig::pointnetpp_segmentation();
+    model.stages[1].nsample = 0;
+    assert_refused_in_process(model);
 }

@@ -7,10 +7,11 @@
 //! * [`Sorter`] — the merge-sort unit (KD-tree mode, PointAcc top-k);
 //! * [`Rspu`] — the reuse-and-skip point units with block scheduling;
 //! * [`FractalEngine`] — the partition datapath (fractal/uniform/KD modes);
-//! * [`Dma`] / [`Noc`] — memory-interface models over `fractalcloud-dram`;
+//! * [`Dma`] — the memory-interface model over `fractalcloud-dram`;
 //! * [`Timeline`] — phase composition with double-buffered overlap;
 //! * [`EnergyTable`] / [`EnergyBreakdown`] — 28 nm per-event energy
-//!   accounting.
+//!   accounting (on-chip network energy is a per-byte-hop rate that
+//!   `fractalcloud-accel` charges on point-operation DMA traffic).
 //!
 //! Accelerator-level models (FractalCloud, PointAcc, Crescent, …) live in
 //! `fractalcloud-accel` and are built by composing these units.
@@ -32,7 +33,6 @@ mod dma;
 mod energy;
 mod fractal_engine;
 mod kernel;
-mod noc;
 mod rspu;
 mod sorter;
 mod sram;
@@ -42,7 +42,6 @@ pub use dma::{Dma, DmaCost};
 pub use energy::{EnergyBreakdown, EnergyCategory, EnergyTable};
 pub use fractal_engine::{FractalEngine, FractalEngineConfig, PartitionEngineCost};
 pub use kernel::{Phase, PhaseClass, Timeline};
-pub use noc::{Noc, NocConfig, NocCost};
 pub use rspu::{Rspu, RspuConfig, RspuCost};
 pub use sorter::{SortCost, Sorter, SorterConfig};
 pub use sram::{Sram, SramAccess, SramConfig, SramPattern};

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the full pipeline from synthetic cloud to
 //! accelerator reports.
 
-use fractalcloud::accel::{Accelerator, DesignModel, DesignParams, GpuModel, Segments, Workload};
+use fractalcloud::accel::{Accelerator, DesignModel, DesignParams, GpuModel, Workload};
 use fractalcloud::core::{block_fps, BppoConfig, Fractal, Pipeline, PipelineConfig, Workspace};
-use fractalcloud::pnn::{InferenceConfig, ModelConfig, NetworkExecutor, OpTrace};
+use fractalcloud::pnn::{InferenceConfig, ModelConfig, NetworkExecutor};
 use fractalcloud::pointcloud::generate::{scene_cloud, SceneConfig};
 
 #[test]
@@ -32,39 +32,6 @@ fn full_stack_pipeline_produces_consistent_reports() {
     // watts or more.
     assert!(fc.avg_power_w() < 3.0, "FC power {}", fc.avg_power_w());
     assert!(gpu.avg_power_w() > 10.0, "GPU power {}", gpu.avg_power_w());
-}
-
-#[test]
-fn trace_and_segments_agree_on_structure() {
-    for model in ModelConfig::table1() {
-        let trace = OpTrace::build(&model, 4096);
-        let segs = Segments::parse(&trace);
-        assert_eq!(segs.abstraction.len(), model.stages.len(), "{}", model.notation);
-        assert_eq!(segs.propagation.len(), model.propagation.len(), "{}", model.notation);
-        // The segmented MACs must equal the trace MACs (nothing lost).
-        let seg_macs: u64 = segs
-            .stem
-            .iter()
-            .chain(segs.head.iter())
-            .chain(segs.abstraction.iter().flat_map(|sa| sa.blocks.iter()))
-            .chain(segs.propagation.iter().flat_map(|fp| fp.mlp.iter()))
-            .map(|s| (s.rows * s.cin * s.cout) as u64)
-            .sum::<u64>()
-            + segs
-                .abstraction
-                .iter()
-                .map(|sa| {
-                    let mut macs = 0u64;
-                    let mut cin = sa.cin as u64;
-                    for &cout in &sa.mlp {
-                        macs += (sa.n_out * sa.nsample) as u64 * cin * cout as u64;
-                        cin = cout as u64;
-                    }
-                    macs
-                })
-                .sum::<u64>();
-        assert_eq!(seg_macs, trace.total_macs(), "{}", model.notation);
-    }
 }
 
 #[test]
