@@ -1,10 +1,8 @@
 //! Table II accelerator configurations and the FractalCloud chip summary
 //! (Fig. 12).
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware configuration of one accelerator (one column of Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Design name.
     pub name: &'static str,
@@ -99,7 +97,7 @@ impl AcceleratorConfig {
 }
 
 /// The FractalCloud chip summary of Fig. 12.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
     /// Die area in mm².
     pub die_area_mm2: f64,

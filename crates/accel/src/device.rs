@@ -2,7 +2,6 @@
 
 use crate::workload::Workload;
 use fractalcloud_sim::{EnergyBreakdown, PhaseClass, Timeline};
-use serde::{Deserialize, Serialize};
 
 /// An accelerator (or GPU) model that can execute a workload.
 pub trait Accelerator {
@@ -14,7 +13,7 @@ pub trait Accelerator {
 }
 
 /// The result of executing a workload on a device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Device name.
     pub accelerator: String,

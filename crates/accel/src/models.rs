@@ -302,8 +302,8 @@ impl DesignModel {
             }
             PartitionKind::KdTree => {
                 // The merge-network model (serial sorts, utilization decay
-                // on the final passes) — kd_tree_from_cost underestimates
-                // because measured compare counts assume full lanes.
+                // on the final passes), not the measured compare count,
+                // which would assume every lane busy.
                 let c = self.engine.kd_tree_partition(w.n as u64, w.threshold as u64);
                 // Every sort pass streams keys + payload; off-chip once the
                 // working set outgrows the buffer.

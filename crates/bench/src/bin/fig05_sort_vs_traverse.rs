@@ -6,7 +6,6 @@ use fractalcloud_bench::{header, row_str, SEED};
 use fractalcloud_core::Fractal;
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_pointcloud::partition::{KdTreePartitioner, Partitioner};
-use fractalcloud_sim::Sorter;
 
 fn main() {
     header("Fig. 5", "KD-tree sorts vs Fractal traversals");
@@ -31,7 +30,7 @@ fn main() {
         "BS=256, 289K points",
         &[
             "2047".into(),
-            Sorter::kd_tree_sorts(289_000, 256).to_string(),
+            KdTreePartitioner::expected_sorts(289_000, 256).to_string(),
             "11".into(),
             fr_big.iterations.to_string(),
         ],

@@ -9,7 +9,7 @@ use fractalcloud_pointcloud::{Error, PointCloud, Result};
 /// Locality classification of gather accesses (§IV-B, Block-Wise Gathering):
 /// with Fractal, a block's gather touches only its search-space blocks, all
 /// of which fit on-chip; conventional gathering touches arbitrary addresses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatherLocality {
     /// Accesses resolved inside the block's own points.
     pub own_block: u64,

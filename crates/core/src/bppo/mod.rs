@@ -53,11 +53,10 @@ pub use sampling::{
 use crate::workspace::{global_pool, Slab, Workspace};
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Execution options shared by all block-parallel operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BppoConfig {
     /// Run blocks on worker threads (inter-block parallelism). Results are
     /// identical either way; this only affects wall-clock time.
@@ -87,7 +86,7 @@ impl BppoConfig {
 /// Data-reuse statistics for neighbor operations (the RSPU intra-block reuse
 /// of §V-C: candidate data is loaded once per block and shared across all
 /// the block's center points).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseStats {
     /// Candidate-point loads with per-block sharing (one load per candidate
     /// per block).
@@ -149,7 +148,8 @@ fn block_runs(blocks: usize, lanes: usize) -> Vec<Range<usize>> {
 /// budget in effect is 1, or there is at most one block — every block
 /// streams through the caller's `ws` straight into `out`: no allocation
 /// once both are warm. Otherwise `0..blocks` is cut into contiguous runs
-/// claimed through [`fractalcloud_parallel::parallel_map_with`]'s counter,
+/// claimed through [`fractalcloud_parallel::parallel_map_budget_with`]'s
+/// counter at that budget ([`fractalcloud_parallel::effective_budget`]),
 /// each lane streaming its runs through one pooled [`Workspace`] into a
 /// fresh part per run, and the parts are absorbed into `out` in block
 /// order. The result is the same at every lane count.
@@ -163,14 +163,15 @@ pub(crate) fn for_each_block<R, F>(
     R: BlockParts,
     F: Fn(usize, &mut Workspace, &mut R) + Sync,
 {
-    let lanes = if parallel { fractalcloud_parallel::effective_budget().min(blocks) } else { 1 };
+    let budget = if parallel { fractalcloud_parallel::effective_budget() } else { 1 };
+    let lanes = budget.min(blocks);
     if lanes <= 1 {
         (0..blocks).for_each(|b| body(b, ws, out));
         return;
     }
-    let parts = fractalcloud_parallel::parallel_map_with(
+    let parts = fractalcloud_parallel::parallel_map_budget_with(
         block_runs(blocks, lanes),
-        true,
+        budget,
         || global_pool().checkout(),
         |_, run, ws| {
             let mut part = R::default();

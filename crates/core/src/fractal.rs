@@ -5,10 +5,9 @@ use crate::workspace::{BuildScratch, Slab, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::partition::{Block, Partition, PartitionCost, Partitioner};
 use fractalcloud_pointcloud::{Aabb, Axis, Error, Point3, PointCloud, Result};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Fractal`] partitioning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FractalConfig {
     /// Maximum points per block (`th` in Alg. 1). The paper uses 64 for
     /// classification workloads and 256 for segmentation (§VI-B).

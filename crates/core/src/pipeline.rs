@@ -24,9 +24,6 @@ use crate::fractal::{Fractal, FractalResult};
 use crate::lod::SampleOrder;
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The 64-bit FNV offset basis — the seed for [`fnv1a64`] chains.
@@ -50,7 +47,7 @@ pub fn fnv1a64(h: u64, word: u64) -> u64 {
 /// (and a cached partition, when the frame bytes also match). Equality is
 /// exact — `f32`/`f64` parameters compare bitwise via [`PartialEq`] — and
 /// [`PipelineConfig::compat_key`] hashes the same bits for cheap grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Fractal block threshold (`th` in Alg. 1).
     pub threshold: usize,
@@ -135,59 +132,13 @@ impl Default for PipelineConfig {
     }
 }
 
-/// A cooperative cancellation token checked at the pipeline's stage seams.
-///
-/// Cancellation is *cooperative*: a running stage finishes its current unit
-/// of work, and the pipeline returns [`Error::Cancelled`] at the next seam
-/// (entry → after sample counts → between sampling and grouping). A token
-/// trips either explicitly ([`CancelToken::cancel`], from any thread — all
-/// clones share one flag) or implicitly when its optional deadline passes.
-/// The serving layer hands each frame a deadline token so a doomed request
-/// stops burning its thread budget instead of computing a response nobody
-/// is waiting for.
-///
-/// Output staging passed to a run that returned [`Error::Cancelled`] holds
-/// garbage from the aborted stages; reusing the buffers for the next frame
-/// is fine (every stage overwrites from scratch), reading them is not.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-}
-
-impl CancelToken {
-    /// A token that only trips on an explicit [`CancelToken::cancel`].
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// A token that trips automatically once `deadline` passes (and still
-    /// honours explicit cancellation before then).
-    pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Some(deadline) }
-    }
-
-    /// Trips the token; every clone observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has tripped (explicitly or by deadline).
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Returns [`Error::Cancelled`] when the token has tripped.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Cancelled`] once [`CancelToken::is_cancelled`] is true.
-    pub fn check(&self) -> Result<()> {
-        if self.is_cancelled() {
-            Err(Error::Cancelled)
-        } else {
-            Ok(())
-        }
+/// Returns [`Error::Cancelled`] once `deadline` has passed — the check
+/// [`Pipeline::run_with_partition_into_cancel`] makes at each stage seam.
+fn check_deadline(deadline: Option<Instant>) -> Result<()> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        Err(Error::Cancelled)
+    } else {
+        Ok(())
     }
 }
 
@@ -331,16 +282,18 @@ impl Pipeline {
     /// point: [`Pipeline::run_with_partition_into`] at a sample budget
     /// (clamped to the run's total, so `usize::MAX` is full depth; see
     /// [`Pipeline::run_with_partition_budget`]) and with an optional
-    /// cooperative [`CancelToken`] checked at the stage seams (entry, after
-    /// sample counts, between sampling and grouping), so a frame whose
-    /// deadline already passed stops burning its thread budget mid-run.
+    /// `deadline` checked at the stage seams (entry, after sample counts,
+    /// between sampling and grouping). Cancellation is cooperative: a
+    /// running stage finishes, and the run returns [`Error::Cancelled`] at
+    /// the next seam, so a frame whose deadline already passed stops
+    /// burning its thread budget mid-run.
     ///
     /// After an `Err(Error::Cancelled)` return, `out` holds garbage from
     /// the aborted stages — reuse the buffers, never the contents.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Cancelled`] when `cancel` trips, or
+    /// Returns [`Error::Cancelled`] once `deadline` has passed, or
     /// [`Error::EmptyCloud`] for an empty cloud.
     #[allow(clippy::too_many_arguments)]
     pub fn run_with_partition_into_cancel(
@@ -351,19 +304,15 @@ impl Pipeline {
         parallel: bool,
         ws: &mut Workspace,
         out: &mut PipelineOutput,
-        cancel: Option<&CancelToken>,
+        deadline: Option<Instant>,
     ) -> Result<()> {
-        if let Some(c) = cancel {
-            c.check()?;
-        }
+        check_deadline(deadline)?;
         let bppo = if parallel { BppoConfig::default() } else { BppoConfig::sequential() };
         // Per-block sample counts, staged in the workspace.
         ws.sizes.clear();
         ws.sizes.extend(built.partition.blocks.iter().map(|b| b.len()));
         block_sample_counts_into(&ws.sizes, self.config.sample_rate, &mut ws.counts, &mut ws.rems);
-        if let Some(c) = cancel {
-            c.check()?;
-        }
+        check_deadline(deadline)?;
         // The coarse-to-fine ordering block FPS is about to compute: the
         // interleave schedule over the *full* per-block budgets, staged in
         // the workspace so the warm path stays allocation-free.
@@ -390,9 +339,7 @@ impl Pipeline {
         let run = with_layout(ws, cloud, &built.partition, |layout, ws| {
             fps_blocks(layout, &counts, &bppo, ws, sampled);
             sample_span.done();
-            if let Some(c) = cancel {
-                c.check()?;
-            }
+            check_deadline(deadline)?;
             let group_span =
                 fractalcloud_obs::span(fractalcloud_obs::SpanKind::BlockGroup, u32::MAX);
             ball_query_blocks(
@@ -541,23 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_trips_on_cancel_and_on_deadline() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        let shared = t.clone();
-        shared.cancel();
-        assert!(t.is_cancelled(), "clones share one flag");
-        assert_eq!(t.check(), Err(Error::Cancelled));
-
-        let expired =
-            CancelToken::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        assert!(expired.is_cancelled());
-        let live =
-            CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(3600));
-        assert!(!live.is_cancelled());
-    }
-
-    #[test]
     fn cancelled_run_aborts_and_staging_is_reusable_afterwards() {
         let cloud = scene_cloud(&SceneConfig::default(), 2048, 21);
         let pipe = Pipeline::new(PipelineConfig::default()).unwrap();
@@ -566,8 +496,7 @@ mod tests {
 
         let mut ws = Workspace::new();
         let mut out = PipelineOutput::default();
-        let tripped = CancelToken::new();
-        tripped.cancel();
+        let passed = Instant::now() - std::time::Duration::from_millis(1);
         let full = usize::MAX;
         assert_eq!(
             pipe.run_with_partition_into_cancel(
@@ -577,14 +506,13 @@ mod tests {
                 false,
                 &mut ws,
                 &mut out,
-                Some(&tripped)
+                Some(passed)
             ),
             Err(Error::Cancelled)
         );
         // The aborted staging is garbage but reusable: the next clean run
         // through the same buffers must be bit-identical to a fresh one.
-        let live =
-            CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(3600));
+        let live = Instant::now() + std::time::Duration::from_secs(3600);
         pipe.run_with_partition_into_cancel(
             &cloud,
             &built,
@@ -592,7 +520,7 @@ mod tests {
             false,
             &mut ws,
             &mut out,
-            Some(&live),
+            Some(live),
         )
         .unwrap();
         assert_eq!(out, expected);

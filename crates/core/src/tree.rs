@@ -1,7 +1,6 @@
 //! The fractal binary tree produced by partitioning.
 
 use fractalcloud_pointcloud::{Aabb, Axis};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within a [`FractalTree`].
 pub type NodeId = usize;
@@ -10,7 +9,7 @@ pub type NodeId = usize;
 ///
 /// Internal nodes record the split plane; leaf nodes reference the final
 /// block (the unit of block-parallel execution).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FractalNode {
     /// Tight bounding box of the node's points.
     pub aabb: Aabb,
@@ -42,7 +41,7 @@ impl FractalNode {
 /// Node 0 is always the root. Leaves appear in `leaves` in depth-first
 /// (left-to-right) order, which is also their memory-layout order — the
 /// property that makes neighbor-block access a *sequential* read (§IV-A).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FractalTree {
     nodes: Vec<FractalNode>,
     leaves: Vec<NodeId>,

@@ -10,8 +10,6 @@
 //! the windowed access pattern (the mask is consulted `window` bits at a
 //! time, matching the hardware's mask-window register width).
 
-use serde::{Deserialize, Serialize};
-
 /// Functional model of the RSPU window-check unit.
 ///
 /// Bit `i` is **1 while point `i` is still a valid candidate** (unsampled),
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let visited: Vec<usize> = wc.iter_valid().collect();
 /// assert_eq!(visited, vec![2, 3, 4, 5, 6, 7]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowCheck {
     words: Vec<u64>,
     len: usize,

@@ -21,7 +21,8 @@
 //! * Fanned-out lanes never share scratch: the block driver streams every
 //!   block through the caller's workspace when it runs one lane, and
 //!   otherwise checks one workspace out of the [`global_pool`] per lane
-//!   (the `make` hook of [`fractalcloud_parallel::parallel_map_with`]).
+//!   (the `make` hook of
+//!   [`fractalcloud_parallel::parallel_map_budget_with`]).
 //! * The no-workspace entry points (`block_fps`, `Fractal::build`,
 //!   `Pipeline::run_with_partition`, …) are thin wrappers that check a
 //!   workspace out of the process-wide [`global_pool`] — so even legacy

@@ -1,10 +1,9 @@
 //! Per-bank state machine enforcing DDR4 timing constraints.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// The DRAM commands a bank accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// Open (activate) a row.
     Activate,
@@ -17,7 +16,7 @@ pub enum Command {
 }
 
 /// Row-buffer state of one bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankState {
     /// No row open (precharged).
     Closed,
@@ -31,7 +30,7 @@ pub enum BankState {
 /// Timing enforced: tRCD (ACT→column), tRP (PRE→ACT), tRAS (ACT→PRE),
 /// tRC (ACT→ACT), CL/CWL + burst (column→column data bus), tWR (write
 /// recovery before PRE).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bank {
     state: BankState,
     /// Earliest cycle an ACT may issue.

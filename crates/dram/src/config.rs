@@ -1,14 +1,12 @@
 //! DDR4 device configuration: organization, timing, and energy parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// DDR4 organization and timing parameters, in memory-clock cycles.
 ///
 /// Defaults model the paper's evaluation memory, **DDR4-2133 with a 64-bit
 /// channel (17 GB/s peak)**, with JEDEC-typical grade timings (CL15). The
 /// energy constants follow the DRAMsim3 methodology (IDD-derived per-command
 /// energies) collapsed to per-event picojoules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     // ---- organization ----
     /// Independent channels (each with its own controller).

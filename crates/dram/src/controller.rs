@@ -2,11 +2,10 @@
 
 use crate::bank::{Bank, BankState, Command};
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One memory request (a 64-byte burst).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Byte address.
     pub addr: u64,
@@ -40,7 +39,7 @@ pub struct Decoded {
 }
 
 /// Aggregate results of running a request trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceResult {
     /// Cycle at which the last request's data completed.
     pub cycles: u64,

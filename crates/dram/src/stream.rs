@@ -8,10 +8,9 @@
 //! this file, so the two stay consistent by construction.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// Access-pattern classes the accelerator models emit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Long unit-stride bursts (post-Fractal DFT streams, weight streams).
     Sequential,
@@ -27,7 +26,7 @@ pub enum AccessPattern {
 }
 
 /// Result of an analytic transfer estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamEstimate {
     /// DRAM-clock cycles occupied.
     pub cycles: u64,

@@ -2,20 +2,19 @@
 //!
 //! The crates.io registry is unreachable in this build environment, so
 //! instead of `rayon` this small crate provides the one primitive the
-//! workspace needs: [`parallel_map`] — map a function over owned items,
-//! returning results in item order regardless of scheduling (work
-//! distributed by an atomic counter so imbalanced items still
-//! load-balance). It falls back to sequential execution for trivially
-//! small inputs or when only one worker is available, and is deterministic
-//! in its *results* by construction: scheduling affects only wall-clock
-//! time. [`parallel_map_budget`] is the same primitive with an explicit
-//! worker budget, so layers that multiplex many independent requests (the
-//! serving engine) can hand each one a bounded sub-pool. The `*_with`
-//! variants ([`parallel_map_with`], [`parallel_map_budget_with`])
-//! additionally hand every execution lane a private scratch value (`make`
-//! is called once per lane that claims an item) — the hook the workspace
-//! layer uses to give each lane a reusable arena without any cross-thread
-//! sharing.
+//! workspace needs: [`parallel_map_budget`] — map a function over owned
+//! items with an explicit worker budget, returning results in item order
+//! regardless of scheduling (work distributed by an atomic counter so
+//! imbalanced items still load-balance). It runs sequentially for a budget
+//! or item count of one, and is deterministic in its *results* by
+//! construction: scheduling affects only wall-clock time. The budget lets
+//! layers that multiplex many independent requests (the serving engine)
+//! hand each one a bounded sub-pool; a caller that wants whatever its
+//! enclosing region allows passes [`effective_budget`].
+//! [`parallel_map_budget_with`] additionally hands every execution lane a
+//! private scratch value (`make` is called once per lane that claims an
+//! item) — the hook the workspace layer uses to give each lane a reusable
+//! arena without any cross-thread sharing.
 //!
 //! No fan-out spawns its lanes. The calling thread runs a fan-out's first
 //! lane itself and offers the others to one process-wide pool of at most
@@ -43,8 +42,8 @@ mod pool;
 ///
 /// Honors `FRACTALCLOUD_THREADS` when set (minimum 1), otherwise
 /// `available_parallelism`, otherwise 4. Resolved once per process: this
-/// is called on every `parallel_map` (per block fan-out of every frame),
-/// so the env lookup is cached.
+/// is called on every block fan-out of every frame (through
+/// [`effective_budget`]), so the env lookup is cached.
 pub fn workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -67,9 +66,9 @@ thread_local! {
 /// [`parallel_map_budget`] region's per-lane allowance, or [`workers`] when
 /// no budgeted region is active.
 ///
-/// This is what [`parallel_map`]'s `parallel = true` resolves to, so a
-/// fan-out nested inside a budgeted lane transparently respects the lane's
-/// allowance instead of grabbing the whole pool.
+/// A fan-out that passes this as its budget (the block ops do) therefore
+/// respects the allowance of the budgeted lane it is nested in instead of
+/// grabbing the whole pool.
 pub fn effective_budget() -> usize {
     BUDGET.with(|b| b.get()).unwrap_or_else(workers)
 }
@@ -89,80 +88,40 @@ fn set_budget(v: usize) -> BudgetGuard {
 }
 
 /// Runs `f` on the calling thread with `budget` (minimum 1) as its
-/// [`effective_budget`], so every `parallel = true` fan-out inside `f`
-/// shares exactly that allowance; the thread's previous allowance is
-/// restored when `f` returns or unwinds. This is how a caller that runs a
-/// lone job inline gives it the same allowance [`parallel_map_budget`]
-/// would give a one-item batch.
+/// [`effective_budget`], so every fan-out inside `f` that passes
+/// [`effective_budget`] shares exactly that allowance; the thread's
+/// previous allowance is restored when `f` returns or unwinds. This is how
+/// a caller that runs a lone job inline gives it the same allowance
+/// [`parallel_map_budget`] would give a one-item batch.
 pub fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     let _restore = set_budget(budget.max(1));
     f()
 }
 
-/// Maps `f` over `items`, in parallel when `parallel` is true, returning
-/// results in item order.
+/// Maps `f` over `items` with at most `budget` workers, returning results
+/// in item order.
 ///
 /// `f` receives the item index and the owned item. Items are claimed one at
 /// a time through an atomic counter, so heterogeneous item costs still
 /// balance across workers. Results are identical to the sequential order
-/// regardless of scheduling.
-///
-/// `parallel = true` uses [`effective_budget`] workers (the enclosing
-/// budget region's allowance, or the global pool); `parallel = false` runs
-/// inline without touching the budget context — it skips parallelism at
-/// *this* level only, so nested fan-outs keep their allowance.
-pub fn parallel_map<I, T, F>(items: Vec<I>, parallel: bool, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    parallel_map_with(items, parallel, || (), |i, item, ()| f(i, item))
-}
-
-/// [`parallel_map`] with per-lane scratch state: every execution lane that
-/// claims an item calls `make` exactly once and hands the resulting
-/// scratch, by `&mut`, to each `f` invocation it claims — so lanes never
-/// share scratch and the scratch is reused across all the items a lane
-/// processes.
-///
-/// The inline path (`parallel = false`, or a budget/item count of one)
-/// also calls `make` exactly once, so callers that hand out pooled
-/// workspaces see identical checkout behavior whether or not helpers
-/// joined. Results are identical to [`parallel_map`] for any `make`.
-pub fn parallel_map_with<I, T, S, M, F>(items: Vec<I>, parallel: bool, make: M, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, I, &mut S) -> T + Sync,
-{
-    if parallel {
-        parallel_map_budget_with(items, effective_budget(), make, f)
-    } else {
-        let mut scratch = make();
-        items.into_iter().enumerate().map(|(i, item)| f(i, item, &mut scratch)).collect()
-    }
-}
-
-/// [`parallel_map`] with an explicit worker budget instead of the global
-/// pool size — the primitive behind per-request thread budgets in the
-/// serving layer, where concurrent requests each get a bounded sub-pool
-/// rather than all contending for every core.
+/// regardless of scheduling. The explicit budget is the primitive behind
+/// per-request thread budgets in the serving layer, where concurrent
+/// requests each get a bounded sub-pool rather than all contending for
+/// every core.
 ///
 /// The budget caps the whole subtree, not just this level: each lane
 /// inherits a share of the budget as its own [`effective_budget`], so
-/// nested [`parallel_map`] calls keep the total number of active workers
-/// within the budget — *exactly*, not up to rounding. The remainder rule:
-/// with `lanes = min(budget, items)`, every lane gets `budget / lanes`
-/// workers and the first `budget % lanes` lanes get one extra, so the lane
-/// allowances always sum to precisely `budget` (a budget of 7 over 4 lanes
-/// grants 2+2+2+1, not 1+1+1+1). A `budget` of 0 or 1 runs sequentially
-/// and pins nested fan-outs to 1; a single item keeps the entire budget.
-/// The calling thread runs the first lane; the others run only as pool
-/// helpers are admitted, so a budget — including one above [`workers`] —
-/// is capped by admission: no more than [`workers`] threads run lanes
-/// process-wide. Results are identical for every budget.
+/// nested fan-outs at [`effective_budget`] keep the total number of active
+/// workers within the budget — *exactly*, not up to rounding. The
+/// remainder rule: with `lanes = min(budget, items)`, every lane gets
+/// `budget / lanes` workers and the first `budget % lanes` lanes get one
+/// extra, so the lane allowances always sum to precisely `budget` (a budget
+/// of 7 over 4 lanes grants 2+2+2+1, not 1+1+1+1). A `budget` of 0 or 1
+/// runs sequentially and pins nested fan-outs to 1; a single item keeps the
+/// entire budget. The calling thread runs the first lane; the others run
+/// only as pool helpers are admitted, so a budget — including one above
+/// [`workers`] — is capped by admission: no more than [`workers`] threads
+/// run lanes process-wide. Results are identical for every budget.
 pub fn parallel_map_budget<I, T, F>(items: Vec<I>, budget: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -172,12 +131,16 @@ where
     parallel_map_budget_with(items, budget, || (), |i, item, ()| f(i, item))
 }
 
-/// [`parallel_map_budget`] with per-lane scratch state (see
-/// [`parallel_map_with`]): each lane — the caller's, a helper's or the
-/// inline one — calls `make` once and reuses the scratch across every item
-/// it claims. This is how higher layers hand out one workspace per lane:
-/// the budget split decides how many lanes exist, and each lane's scratch
-/// is private to it for the whole call.
+/// [`parallel_map_budget`] with per-lane scratch state: each lane — the
+/// caller's, a helper's or the inline one — that claims an item calls
+/// `make` exactly once and hands the scratch, by `&mut`, to every `f`
+/// invocation it claims, so lanes never share scratch and a lane reuses
+/// its scratch across all its items. This is how higher layers hand out
+/// one workspace per lane: the budget split decides how many lanes exist,
+/// and each lane's scratch is private to it for the whole call. The inline
+/// path (a budget or item count of one) also calls `make` once, so callers
+/// that hand out pooled workspaces see identical checkout behavior whether
+/// or not helpers joined. Results are identical for any `make`.
 pub fn parallel_map_budget_with<I, T, S, M, F>(
     items: Vec<I>,
     budget: usize,
@@ -259,24 +222,24 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
-        let seq = parallel_map(items.clone(), false, |i, v| i * 31 + v);
-        let par = parallel_map(items, true, |i, v| i * 31 + v);
+        let seq = parallel_map_budget(items.clone(), 1, |i, v| i * 31 + v);
+        let par = parallel_map_budget(items, effective_budget(), |i, v| i * 31 + v);
         assert_eq!(seq, par);
         assert_eq!(seq[7], 7 * 31 + 7);
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u32> = parallel_map(Vec::<u32>::new(), true, |_, v| v);
+        let empty: Vec<u32> = parallel_map_budget(Vec::<u32>::new(), effective_budget(), |_, v| v);
         assert!(empty.is_empty());
-        let one = parallel_map(vec![9usize], true, |i, v| v + i);
+        let one = parallel_map_budget(vec![9usize], effective_budget(), |i, v| v + i);
         assert_eq!(one, vec![9]);
     }
 
     #[test]
     fn parallel_map_moves_non_clone_items() {
         let items: Vec<Vec<usize>> = (0..64).map(|i| vec![i; i % 5]).collect();
-        let lens = parallel_map(items, true, |_, v| v.len());
+        let lens = parallel_map_budget(items, effective_budget(), |_, v| v.len());
         assert_eq!(lens[4], 4);
     }
 
@@ -284,7 +247,8 @@ mod tests {
     fn parallel_map_with_borrowed_environment() {
         let base: Vec<usize> = (0..1000).collect();
         let ranges: Vec<std::ops::Range<usize>> = vec![0..250, 250..700, 700..1000];
-        let sums = parallel_map(ranges, true, |_, r| base[r].iter().sum::<usize>());
+        let sums =
+            parallel_map_budget(ranges, effective_budget(), |_, r| base[r].iter().sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), 1000 * 999 / 2);
     }
 
@@ -405,9 +369,9 @@ mod tests {
     fn scratch_make_called_once_on_inline_path() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let makes = AtomicUsize::new(0);
-        let out = parallel_map_with(
+        let out = parallel_map_budget_with(
             (0..10).collect::<Vec<usize>>(),
-            false,
+            1,
             || {
                 makes.fetch_add(1, Ordering::Relaxed);
                 0usize
@@ -426,15 +390,5 @@ mod tests {
         let outer = effective_budget();
         let _ = parallel_map_budget(vec![1u32], 5, |_, v| v);
         assert_eq!(effective_budget(), outer, "inline region must restore the caller's budget");
-    }
-
-    #[test]
-    fn sequential_bool_map_is_transparent_to_the_budget() {
-        // parallel = false skips parallelism at this level only: a nested
-        // parallel map inside still sees the enclosing allowance.
-        let seen = parallel_map_budget(vec![()], 4, |_, ()| {
-            parallel_map(vec![()], false, |_, ()| effective_budget())
-        });
-        assert_eq!(seen, vec![vec![4]]);
     }
 }

@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-use fractalcloud_parallel::{parallel_map, parallel_map_budget_with, parallel_map_with};
+use fractalcloud_parallel::{effective_budget, parallel_map_budget, parallel_map_budget_with};
 
 const CALLERS: u64 = 4;
 const CASES_PER_CALLER: usize = 300;
@@ -61,17 +61,17 @@ impl Case {
         Case { items, budget, inner, panic_at }
     }
 
-    /// Maps the case's items, fanned out at the case's budget or (with
-    /// `parallel = false`) sequentially at both levels; the injected panic
-    /// fires only with `inject`.
-    fn run(&self, parallel: bool, inject: bool) -> Vec<u64> {
+    /// Maps the case's items at `budget`, each nested fan-out at the
+    /// allowance its lane inherits (a budget of 1 is the sequential map at
+    /// both levels); the injected panic fires only with `inject`.
+    fn run(&self, budget: usize, inject: bool) -> Vec<u64> {
         let panic_at = self.panic_at.filter(|_| inject);
         let f = |i: usize, v: u64, seen: &mut usize| {
             if panic_at == Some((i, None)) {
                 panic!("injected outer lane panic");
             }
             let inner: Vec<u64> = (0..self.inner as u64).map(|j| v ^ j).collect();
-            let nested = parallel_map(inner, parallel, |j, w| {
+            let nested = parallel_map_budget(inner, effective_budget(), |j, w| {
                 if panic_at == Some((i, Some(j))) {
                     panic!("injected nested lane panic");
                 }
@@ -80,11 +80,7 @@ impl Case {
             *seen += 1;
             nested.iter().fold(value(i, v), |acc, x| acc.wrapping_add(*x))
         };
-        if parallel {
-            parallel_map_budget_with(self.items.clone(), self.budget, || 0usize, f)
-        } else {
-            parallel_map_with(self.items.clone(), false, || 0usize, f)
-        }
+        parallel_map_budget_with(self.items.clone(), budget, || 0usize, f)
     }
 }
 
@@ -108,8 +104,8 @@ fn concurrent_nested_fan_outs_equal_the_sequential_map_or_unwind() {
                 let mut unwound = 0;
                 for _ in 0..CASES_PER_CALLER {
                     let case = Case::draw(&mut rng);
-                    let want = case.run(false, false);
-                    match catch_unwind(AssertUnwindSafe(|| case.run(true, true))) {
+                    let want = case.run(1, false);
+                    match catch_unwind(AssertUnwindSafe(|| case.run(case.budget, true))) {
                         Ok(got) => {
                             assert_eq!(case.panic_at, None, "an injected panic was lost");
                             assert_eq!(got, want, "budget {}, {} items", case.budget, want.len());

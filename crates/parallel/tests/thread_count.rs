@@ -2,7 +2,7 @@
 //! binary, so no other test's threads move the count it reads.
 #![cfg(target_os = "linux")]
 
-use fractalcloud_parallel::{parallel_map, parallel_map_budget, workers};
+use fractalcloud_parallel::{effective_budget, parallel_map_budget, workers};
 
 /// The process's thread count, from `/proc/self/status`.
 fn threads() -> usize {
@@ -16,7 +16,9 @@ fn threads() -> usize {
 
 fn fan_out(budget: usize, items: usize) -> usize {
     let sums = parallel_map_budget((0..items).collect(), budget, |_, v: usize| {
-        parallel_map((0..4).collect(), true, |_, w: usize| v * w).iter().sum::<usize>()
+        parallel_map_budget((0..4).collect(), effective_budget(), |_, w: usize| v * w)
+            .iter()
+            .sum::<usize>()
     });
     sums.iter().sum()
 }

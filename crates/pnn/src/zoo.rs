@@ -5,10 +5,8 @@
 //! with *sampling ratios* rather than absolute point counts so each network
 //! scales from 1K to 289K inputs the way the paper's Fig. 4/13 sweeps do.
 
-use serde::{Deserialize, Serialize};
-
 /// The task a network instance performs (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Task {
     /// Object classification (ModelNet40).
     Classification,
@@ -35,7 +33,7 @@ impl Task {
 }
 
 /// One set-abstraction stage: sample → group → gather → MLP → pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAbstraction {
     /// Fraction of incoming points kept by FPS (1/4 in all Table I nets).
     pub sample_ratio: f64,
@@ -51,7 +49,7 @@ pub struct SetAbstraction {
 }
 
 /// One feature-propagation stage: interpolate → concat skip → MLP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeaturePropagation {
     /// Neighbors used by inverse-distance interpolation (always 3).
     pub k: usize,
@@ -60,7 +58,7 @@ pub struct FeaturePropagation {
 }
 
 /// A full network architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Family name ("PointNet++", "PointNeXt", "PointVector").
     pub family: &'static str,

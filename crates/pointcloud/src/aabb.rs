@@ -1,7 +1,6 @@
 //! Axis-aligned bounding boxes.
 
 use crate::point::{Axis, Point3};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.midpoint(Axis::Y), 2.0);
 /// assert_eq!(b.longest_axis(), Axis::Z);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     min: Point3,
     max: Point3,

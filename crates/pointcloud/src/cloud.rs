@@ -4,7 +4,6 @@
 use crate::aabb::Aabb;
 use crate::error::{Error, Result};
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 
 /// A point cloud: `n` spatial coordinates and, optionally, `n × c` features.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cloud.len(), 2);
 /// assert_eq!(cloud.point(1).x, 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointCloud {
     xs: Vec<f32>,
     ys: Vec<f32>,

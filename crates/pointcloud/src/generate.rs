@@ -20,10 +20,9 @@ use crate::cloud::PointCloud;
 use crate::point::Point3;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which synthetic dataset family to mimic (Table I of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// ModelNet40-like single objects, ~1K–4K points, classification.
     ModelNet,
@@ -54,7 +53,7 @@ impl DatasetKind {
 }
 
 /// Primitive object shapes used for ModelNet-like clouds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// Unit-ish sphere surface.
     Sphere,
@@ -285,7 +284,7 @@ pub fn part_object(n: usize, seed: u64) -> PartObject {
 }
 
 /// Configuration for S3DIS-like indoor scene generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
     /// Room extent in metres `(x, y, z)`.
     pub room: Point3,

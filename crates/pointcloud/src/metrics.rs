@@ -18,7 +18,6 @@
 
 use crate::cloud::PointCloud;
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of reference neighbors recovered by an approximate search.
 ///
@@ -102,7 +101,7 @@ pub fn feature_rmse(reference: &[f32], approx: &[f32]) -> f64 {
 }
 
 /// The accuracy-proxy record reported by the figure harnesses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyProxy {
     /// Grouping neighbor recall in `[0, 1]`.
     pub grouping_recall: f64,

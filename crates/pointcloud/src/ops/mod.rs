@@ -37,14 +37,12 @@ pub use gather::{gather_features, group_points, GroupedFeatures};
 pub use interpolate::{interpolate_features, interpolate_into, InterpolationResult};
 pub use knn::{k_nearest_neighbors, KnnResult};
 
-use serde::{Deserialize, Serialize};
-
 /// Work counters shared by all point operations.
 ///
 /// Counters are element-granularity: one "memory touch" is one point record
 /// (coordinates) or one feature row read or written. The simulator converts
 /// touches into bytes with the configured precision.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     /// Euclidean distance evaluations (the RSPU distance-unit workload).
     pub distance_evals: u64,

@@ -4,16 +4,6 @@ use crate::aabb::Aabb;
 use crate::cloud::PointCloud;
 use crate::error::{Error, Result};
 use crate::partition::{Block, Partition, PartitionCost, Partitioner};
-use crate::point::Axis;
-
-/// How the KD-tree picks its split axis at each node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitAxisRule {
-    /// Widest extent of the node's bounding box (classic KD-tree).
-    Widest,
-    /// Cycle x → y → z by depth (matches the fractal engine's KD-tree mode).
-    Cycle,
-}
 
 /// Density-aware KD-tree partitioning (Fig. 3(c), Crescent \[29\]): recursive
 /// *median* splits produce strictly balanced blocks, at the cost of a full
@@ -39,30 +29,18 @@ pub enum SplitAxisRule {
 pub struct KdTreePartitioner {
     /// Maximum points per leaf block (the paper's block size `BS`).
     pub block_size: usize,
-    /// Split-axis selection rule.
-    pub axis_rule: SplitAxisRule,
 }
 
 impl KdTreePartitioner {
-    /// Creates a KD-tree partitioner with leaf capacity `block_size` and the
-    /// widest-axis rule.
+    /// Creates a KD-tree partitioner with leaf capacity `block_size`; every
+    /// node splits its widest axis.
     ///
     /// # Panics
     ///
     /// Panics if `block_size` is zero.
     pub fn new(block_size: usize) -> KdTreePartitioner {
         assert!(block_size > 0, "block_size must be positive");
-        KdTreePartitioner { block_size, axis_rule: SplitAxisRule::Widest }
-    }
-
-    /// Same, with axis cycling instead of widest-extent selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    pub fn with_cycling_axes(block_size: usize) -> KdTreePartitioner {
-        assert!(block_size > 0, "block_size must be positive");
-        KdTreePartitioner { block_size, axis_rule: SplitAxisRule::Cycle }
+        KdTreePartitioner { block_size }
     }
 
     /// Number of sort invocations a KD-tree needs for `n` points at leaf
@@ -81,7 +59,6 @@ impl KdTreePartitioner {
 struct KdBuild<'a> {
     cloud: &'a PointCloud,
     block_size: usize,
-    axis_rule: SplitAxisRule,
     cost: PartitionCost,
     blocks: Vec<Block>,
     max_depth: usize,
@@ -104,10 +81,7 @@ impl KdBuild<'_> {
 
         let aabb = Aabb::from_points(indices.iter().map(|&i| self.cloud.point(i)))
             .expect("non-empty node");
-        let axis = match self.axis_rule {
-            SplitAxisRule::Widest => aabb.longest_axis(),
-            SplitAxisRule::Cycle => Axis::from_depth(depth),
-        };
+        let axis = aabb.longest_axis();
 
         // Median selection by full sort — the exclusive, non-decomposable
         // hardware sort the paper identifies as Crescent's bottleneck.
@@ -154,7 +128,6 @@ impl Partitioner for KdTreePartitioner {
         let mut b = KdBuild {
             cloud,
             block_size: self.block_size,
-            axis_rule: self.axis_rule,
             cost: PartitionCost::default(),
             blocks: Vec::new(),
             max_depth: 0,
@@ -227,13 +200,6 @@ mod tests {
             assert!((first..end).contains(&i));
             assert!(end - first <= 2);
         }
-    }
-
-    #[test]
-    fn cycling_axes_rule_works() {
-        let cloud = uniform_cube(512, 8);
-        let p = KdTreePartitioner::with_cycling_axes(64).partition(&cloud).unwrap();
-        assert!(p.is_exact_partition_of(512));
     }
 
     #[test]

@@ -19,10 +19,9 @@ pub use uniform::UniformPartitioner;
 use crate::aabb::Aabb;
 use crate::cloud::PointCloud;
 use crate::error::Result;
-use serde::{Deserialize, Serialize};
 
 /// One output block of a partitioning strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Original-cloud indices of the points in this block.
     pub indices: Vec<usize>,
@@ -58,7 +57,7 @@ impl Block {
 /// The fractal engine model converts these counts into cycles: traversal
 /// passes map onto the pipelined partition/midpoint units, sorts map onto
 /// the merge-sort unit (Fig. 9(a)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionCost {
     /// Full linear passes over (a subset of) the data, in elements touched.
     pub traversal_elements: u64,
@@ -85,7 +84,7 @@ impl PartitionCost {
 }
 
 /// The result of partitioning a cloud.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// Leaf blocks in memory-layout order (DFT order for tree methods).
     pub blocks: Vec<Block>,

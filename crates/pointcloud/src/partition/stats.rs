@@ -1,13 +1,11 @@
 //! Balance statistics over partition block sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of block populations.
 ///
 /// The paper's discussion (§VI-D) centers on *imbalance*: both latency and
 /// memory load are dominated by the largest block, so
 /// [`BalanceStats::imbalance`] (max / mean) is the figure of merit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalanceStats {
     /// Number of blocks.
     pub blocks: usize,

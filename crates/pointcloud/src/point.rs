@@ -1,6 +1,5 @@
 //! Basic 3D point and axis types used throughout the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Index, Mul, Sub};
 
@@ -19,7 +18,7 @@ use std::ops::{Add, Div, Index, Mul, Sub};
 /// assert_eq!(Axis::Z.next(), Axis::X);
 /// assert_eq!(Axis::from_depth(4), Axis::Y);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Axis {
     /// The x axis (index 0).
     X,
@@ -121,7 +120,7 @@ impl std::error::Error for InvalidAxisError {}
 /// assert_eq!(a.distance(b), 5.0);
 /// assert_eq!(a.distance_sq(b), 25.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point3 {
     /// x coordinate.
     pub x: f32,

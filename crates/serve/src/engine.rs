@@ -68,7 +68,8 @@
 //! * Deadlines are cooperative: expired-in-queue jobs shed with the
 //!   retryable [`ShedReason::DeadlineExceeded`], the batcher excludes
 //!   expired frames from fusion, and mid-run expiry cancels at the
-//!   pipeline stage seams ([`CancelToken`]).
+//!   pipeline stage seams
+//!   ([`Pipeline::run_with_partition_into_cancel`]).
 //! * The seeded fault layer ([`crate::faults`]) injects panics, delays and
 //!   errors at fixed points for chaos testing; it is off by default and
 //!   its disabled cost is one `Option` check per site.
@@ -80,8 +81,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::overload::{OverloadController, OverloadLevel, MAX_BROWNOUT, SHED_LEVEL};
 use fractalcloud_core::workspace::{global_pool, Pool};
 use fractalcloud_core::{
-    fnv1a64, CancelToken, LodSlice, Pipeline, PipelineConfig, PipelineOutput, Workspace,
-    FNV1A64_SEED,
+    fnv1a64, LodSlice, Pipeline, PipelineConfig, PipelineOutput, Workspace, FNV1A64_SEED,
 };
 use fractalcloud_obs as obs;
 use fractalcloud_pnn::{
@@ -91,7 +91,7 @@ use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::{Error, PointCloud};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -366,22 +366,25 @@ const SOFT_DRAINING: u8 = 3;
 struct Slot {
     result: Mutex<Option<Result<EngineResponse, ServeError>>>,
     ready: Condvar,
+    /// Set by the first of the slot's two ends to release it.
+    released: AtomicBool,
 }
 
 /// A free-list of completion slots. A request needs one `Arc<Slot>` per
 /// submission; recycling them (instead of `Arc::new` per request) removes
 /// the last steady-state allocation from the warmed serving path.
 ///
-/// A slot is released by whichever end — the waiter's [`Ticket`] or the
-/// engine's [`TicketGuard`] — drops its `Arc` *last*: each release attempt
-/// checks `Arc::strong_count == 1` (plus no weak refs), i.e. "I hold the
-/// only handle". Both ends racing see a count of 2 and neither pools (the
-/// slot just deallocates — safe, merely one allocation next time); the
-/// count reaching 1 for exactly one of them is what makes double-pooling
-/// impossible. Observing the other side's decrement also orders its final
-/// mutex accesses before the reset here, and the reset-then-push happens
-/// while no other handle exists, so a recycled slot is always `None` and
-/// unobserved.
+/// A slot has two ends — the waiter's [`Ticket`] and the engine's
+/// [`TicketGuard`] — and whichever releases it *second* pools it: each
+/// release swaps the slot's `released` flag, and only the swap that finds
+/// it already set resets and pushes the slot. Exactly one of two racing
+/// swaps finds it set, so a slot is pooled once, never twice and never
+/// zero times. The first end touches nothing but its `Arc` count after its
+/// swap (`AcqRel`), and the second end's swap acquires it, ordering the
+/// first end's mutex accesses before the reset; the reset flag and result
+/// reach the slot's next owner through the stash mutex. So a recycled slot
+/// is always unset, `None` and unobserved. A slot whose admission failed
+/// has one end and is simply dropped.
 #[derive(Debug, Default)]
 struct SlotStash {
     slots: Mutex<Vec<Arc<Slot>>>,
@@ -393,7 +396,8 @@ impl SlotStash {
     }
 
     fn release(&self, slot: Arc<Slot>) {
-        if Arc::strong_count(&slot) == 1 && Arc::weak_count(&slot) == 0 {
+        if slot.released.swap(true, Ordering::AcqRel) {
+            slot.released.store(false, Ordering::Relaxed);
             *lock_unpoisoned(&slot.result) = None;
             lock_unpoisoned(&self.slots).push(slot);
         }
@@ -1787,11 +1791,10 @@ fn run_job(
 
 /// Stage 1 of a job — block sampling + grouping of its frame at `depth`
 /// samples (clamped to the frame's total) into `out` — and the one place a
-/// job's deadline becomes a [`CancelToken`] and a run cancelled at a stage
-/// seam becomes the retryable [`ShedReason::DeadlineExceeded`].
-/// Deadline-free requests arm no token (no `Arc` allocation — preserving
-/// the zero-alloc warmed steady state). The block fan-out is always
-/// allowed: whether it happens is the lane budget's decision.
+/// job's deadline reaches the pipeline's stage seams and a run cancelled at
+/// one becomes the retryable [`ShedReason::DeadlineExceeded`]. The block
+/// fan-out is always allowed: whether it happens is the lane budget's
+/// decision.
 fn stage1(
     job: &Job,
     pipeline: &Pipeline,
@@ -1800,9 +1803,8 @@ fn stage1(
     ws: &mut Workspace,
     out: &mut PipelineOutput,
 ) -> Result<(), ServeError> {
-    let cancel = job.deadline.map(CancelToken::with_deadline);
     pipeline
-        .run_with_partition_into_cancel(&job.cloud, built, depth, true, ws, out, cancel.as_ref())
+        .run_with_partition_into_cancel(&job.cloud, built, depth, true, ws, out, job.deadline)
         .map_err(|e| match e {
             Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
             other => ServeError::Invalid(other),

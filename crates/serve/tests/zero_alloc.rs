@@ -1,9 +1,9 @@
 //! The steady-state allocation contract: once its buffers have grown, a
 //! cache-hit frame touches the heap zero times — in the core hot path and
-//! through the serving engine's recycling loop — whatever
-//! `FRACTALCLOUD_THREADS` says, because a sequential lane is something the
-//! caller configures (`parallel = false`, `thread_budget(1)`), not
-//! something the host happens to provide.
+//! through the serving engine's recycling loop, with or without a request
+//! deadline — whatever `FRACTALCLOUD_THREADS` says, because a sequential
+//! lane is something the caller configures (`parallel = false`,
+//! `thread_budget(1)`), not something the host happens to provide.
 //!
 //! The counter is process-wide, so this binary holds exactly one test:
 //! nothing else may allocate while a window is open.
@@ -11,6 +11,7 @@
 use fractalcloud_core::{Pipeline, PipelineConfig, PipelineOutput, Workspace};
 use fractalcloud_pointcloud::count_alloc::{allocation_count, CountingAllocator};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
+use fractalcloud_pointcloud::PointCloud;
 use fractalcloud_serve::{Engine, ServeConfig};
 use std::sync::Arc;
 
@@ -18,6 +19,26 @@ use std::sync::Arc;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 const FRAMES: u64 = 16;
+
+/// Heap allocations over `FRAMES` cache-hit frames through an engine
+/// started with `config`, after 32 warm-up frames; every response is
+/// recycled.
+fn serve_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> u64 {
+    let cfg = PipelineConfig::default();
+    let engine = Engine::start(config);
+    for _ in 0..32 {
+        let r = engine.process_shared(Arc::clone(cloud), cfg).expect("serve warm-up");
+        engine.recycle(r);
+    }
+    let before = allocation_count();
+    for _ in 0..FRAMES {
+        let r = engine.process_shared(Arc::clone(cloud), cfg).expect("serve frame");
+        engine.recycle(r);
+    }
+    let allocations = allocation_count() - before;
+    engine.shutdown();
+    allocations
+}
 
 #[test]
 fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
@@ -53,17 +74,18 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
     // Serve, cache-hit shape: the cloud is shared (no per-submit clone),
     // slots / workspaces / staging come from their pools, and `recycle`
     // hands the response's vectors back for the next frame.
-    let engine = Engine::start(ServeConfig::default().workers(1).thread_budget(1));
+    let serial = ServeConfig::default().workers(1).thread_budget(1);
     let shared = Arc::new(cloud);
-    for _ in 0..32 {
-        let r = engine.process_shared(Arc::clone(&shared), cfg).expect("serve warm-up");
-        engine.recycle(r);
-    }
-    let before = allocation_count();
-    for _ in 0..FRAMES {
-        let r = engine.process_shared(Arc::clone(&shared), cfg).expect("serve frame");
-        engine.recycle(r);
-    }
-    assert_eq!(allocation_count() - before, 0, "serve loop, {FRAMES} warmed cache-hit frames");
-    engine.shutdown();
+    assert_eq!(
+        serve_loop_allocations(serial, &shared),
+        0,
+        "serve loop, {FRAMES} warmed cache-hit frames"
+    );
+    // A request deadline reaches the pipeline's stage seams as a plain
+    // `Instant`: checking it allocates nothing either.
+    assert_eq!(
+        serve_loop_allocations(serial.deadline_ms(60_000), &shared),
+        0,
+        "serve loop with a deadline, {FRAMES} warmed cache-hit frames"
+    );
 }

@@ -1,11 +1,10 @@
 //! DMA engine: DRAM ↔ global-buffer transfers in core-clock cycles.
 
 use fractalcloud_dram::{AccessPattern, DramConfig, StreamEstimate, StreamModel};
-use serde::{Deserialize, Serialize};
 
 /// A DMA transfer cost in *core* cycles (the accelerators run at 1 GHz; the
 /// DDR4-2133 memory clock is 1.0665 GHz, so cycles must be converted).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaCost {
     /// Core-clock cycles the transfer occupies.
     pub core_cycles: u64,

@@ -7,10 +7,8 @@
 //! DRAM are what drive every conclusion, and those are well established:
 //! `DRAM ≫ large SRAM > small SRAM ≫ 16-bit MAC`.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy cost table (picojoules per event) at 28 nm, 0.9 V.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTable {
     /// One FP16 multiply-accumulate (PE array datapath + pipeline regs).
     pub mac_fp16_pj: f64,
@@ -52,7 +50,7 @@ impl Default for EnergyTable {
 }
 
 /// Energy categories reported in the paper's Fig. 15(b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyCategory {
     /// Datapath compute (PE array, RSPUs, fractal engine, pooling).
     Compute,
@@ -78,7 +76,7 @@ impl EnergyCategory {
 }
 
 /// Accumulates energy by category.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Compute energy, pJ.
     pub compute_pj: f64,

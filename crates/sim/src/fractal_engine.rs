@@ -4,10 +4,9 @@
 use crate::energy::EnergyTable;
 use crate::sorter::{Sorter, SorterConfig};
 use fractalcloud_pointcloud::partition::PartitionCost;
-use serde::{Deserialize, Serialize};
 
 /// Fractal engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FractalEngineConfig {
     /// Parallel comparator lanes in the partition unit (points per cycle).
     pub partition_lanes: usize,
@@ -24,7 +23,7 @@ impl FractalEngineConfig {
 }
 
 /// Cost of building a partition on the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionEngineCost {
     /// Total cycles.
     pub cycles: u64,
@@ -98,17 +97,6 @@ impl FractalEngine {
         // Post-sort scatter of each level is hidden behind the next sort.
         PartitionEngineCost { cycles: sort.cycles, energy_pj: sort.energy_pj }
     }
-
-    /// Costs a KD-tree partition from a *measured* cost record (sorted
-    /// element counts from the software KD partitioner).
-    pub fn kd_tree_from_cost(&self, cost: &PartitionCost) -> PartitionEngineCost {
-        // Serial sorts: each sorted_elements total streams through the
-        // 16-lane merger once per merge pass; reuse measured compare count.
-        let lanes = self.config.partition_lanes as u64;
-        let cycles = cost.compare_ops.div_ceil(lanes)
-            + cost.sort_invocations * self.config.iteration_overhead;
-        PartitionEngineCost { cycles, energy_pj: cost.compare_ops as f64 * self.energy.alu_fp16_pj }
-    }
 }
 
 #[cfg(test)]
@@ -146,19 +134,6 @@ mod tests {
         let kd = e.kd_tree_partition(289_000, 256);
         let ratio = kd.cycles as f64 / fractal.cycles as f64;
         assert!(ratio > 30.0, "kd/fractal ratio {ratio}");
-    }
-
-    #[test]
-    fn kd_from_measured_cost_tracks_compares() {
-        let e = engine();
-        let cost = PartitionCost {
-            sort_invocations: 15,
-            sorted_elements: 4096,
-            compare_ops: 40_960,
-            ..Default::default()
-        };
-        let c = e.kd_tree_from_cost(&cost);
-        assert_eq!(c.cycles, 40_960 / 16 + 15 * 8);
     }
 
     #[test]

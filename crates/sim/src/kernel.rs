@@ -1,11 +1,10 @@
 //! Phase/timeline accounting: composing unit costs into end-to-end runs.
 
 use crate::energy::EnergyBreakdown;
-use serde::{Deserialize, Serialize};
 
 /// The latency-reporting category of a phase (Fig. 15(a) groups latency
 /// into point operations, MLPs, and others).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseClass {
     /// Partitioning (fractal / KD-tree / grid build).
     Partition,
@@ -19,7 +18,7 @@ pub enum PhaseClass {
 
 /// One phase of an accelerator run: a compute component and a memory
 /// component that may overlap (double buffering).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Human-readable name ("fractal", "fps", "mlp-sa1", …).
     pub name: String,
@@ -48,7 +47,7 @@ impl Phase {
 }
 
 /// An ordered sequence of phases = one inference run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     phases: Vec<Phase>,
 }

@@ -2,10 +2,9 @@
 
 use crate::energy::EnergyTable;
 use fractalcloud_pointcloud::ops::OpCounters;
-use serde::{Deserialize, Serialize};
 
 /// RSPU array configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RspuConfig {
     /// Number of RSPU cores (inter-block parallelism width).
     pub cores: usize,
@@ -28,7 +27,7 @@ impl RspuConfig {
 }
 
 /// Cost of a point-operation kernel on the RSPU array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RspuCost {
     /// Makespan cycles across the cores.
     pub cycles: u64,

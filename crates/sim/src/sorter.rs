@@ -2,10 +2,9 @@
 //! partitioning and top-k selection in the baselines).
 
 use crate::energy::EnergyTable;
-use serde::{Deserialize, Serialize};
 
 /// Merge-sort unit configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SorterConfig {
     /// Elements the comparator network consumes per cycle.
     pub throughput: usize,
@@ -19,7 +18,7 @@ impl SorterConfig {
 }
 
 /// Cost of one sort invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SortCost {
     /// Cycles for the full sort.
     pub cycles: u64,
@@ -112,18 +111,6 @@ impl Sorter {
         }
         total
     }
-
-    /// Number of sort invocations [`Sorter::kd_tree_build`] performs
-    /// (Fig. 5: 1K pts @ BS 64 → 15; 289K pts @ BS 256 → 2047-ish).
-    pub fn kd_tree_sorts(n: u64, bs: u64) -> u64 {
-        let mut nodes = 1u64;
-        let mut sorts = 0u64;
-        while n / nodes > bs {
-            sorts += nodes;
-            nodes *= 2;
-        }
-        sorts
-    }
 }
 
 #[cfg(test)]
@@ -185,13 +172,6 @@ mod tests {
         let coarse = s.kd_tree_build(65536, 1024);
         let fine = s.kd_tree_build(65536, 64);
         assert!(fine.cycles > coarse.cycles);
-    }
-
-    #[test]
-    fn kd_sort_counts_match_fig5() {
-        assert_eq!(Sorter::kd_tree_sorts(1024, 64), 15);
-        // 289K @ BS 256: Fig. 5 reports 2047 serial sorts.
-        assert_eq!(Sorter::kd_tree_sorts(289_000, 256), 2047);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Multi-banked on-chip SRAM model.
 
 use crate::energy::EnergyTable;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a multi-banked scratchpad (the paper's 274 KB global
 /// buffer follows PointAcc's organization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SramConfig {
     /// Total capacity in bytes.
     pub bytes: usize,
@@ -54,7 +53,7 @@ impl SramConfig {
 }
 
 /// How concurrent accessors hit the banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SramPattern {
     /// Each accessor streams its own bank (post-Fractal block-per-bank
     /// layout, §IV-A): zero conflicts.
@@ -67,7 +66,7 @@ pub enum SramPattern {
 }
 
 /// Result of an SRAM access batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramAccess {
     /// Cycles to satisfy the batch.
     pub cycles: u64,

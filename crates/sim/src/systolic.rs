@@ -1,11 +1,10 @@
 //! 16×16 output-stationary systolic array model (the MLP engine).
 
 use crate::energy::EnergyTable;
-use serde::{Deserialize, Serialize};
 
 /// Systolic array configuration. All Table II accelerators use 16×16 PEs at
 /// 1 GHz → 256 MACs/cycle → 512 GOPS (2 ops per MAC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicConfig {
     /// PE rows.
     pub rows: usize,
@@ -31,7 +30,7 @@ impl SystolicConfig {
 }
 
 /// Result of a GEMM on the array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GemmCost {
     /// Cycles including tile fill/drain.
     pub cycles: u64,

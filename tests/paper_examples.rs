@@ -5,7 +5,6 @@ use fractalcloud::core::Fractal;
 use fractalcloud::pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud::pointcloud::partition::{KdTreePartitioner, Partitioner};
 use fractalcloud::pointcloud::{Point3, PointCloud};
-use fractalcloud::sim::Sorter;
 
 /// Fig. 6's 80-point example: th = 24 must produce the 43/37 →
 /// (19,24)/(17,20) split structure with two iterations.
@@ -42,7 +41,7 @@ fn fig5_sort_and_traversal_counts() {
     let kd = KdTreePartitioner::new(64).partition(&cloud).unwrap();
     assert_eq!(kd.cost.sort_invocations, 15);
     // 289K points, BS 256 → 2047 sorts (analytic, matches the figure).
-    assert_eq!(Sorter::kd_tree_sorts(289_000, 256), 2047);
+    assert_eq!(KdTreePartitioner::expected_sorts(289_000, 256), 2047);
     // Fractal bound: ceil(log2(n/BS)).
     assert_eq!(Fractal::expected_iterations(1024, 64), 4);
     assert_eq!(Fractal::expected_iterations(289_000, 256), 11);
