@@ -9,9 +9,7 @@
 //!   the block's parent search space (intra-block parallelism with shared
 //!   candidate data, Alg. 2 rows 5–8);
 //! * [`block_interpolate`] — block-wise interpolation with the same
-//!   search-space rule;
-//! * [`block_gather`] — block-wise gathering with per-block locality
-//!   accounting (on-chip vs DRAM).
+//!   search-space rule.
 //!
 //! Each operation is a per-block body that runs the *same* slice-level
 //! operation the global form runs ([`fractalcloud_pointcloud::ops`]:
@@ -32,13 +30,11 @@
 //! partitions whose `search` runs derive from a fractal/KD tree give the
 //! paper's accuracy-preserving expanded search spaces.
 
-mod gathering;
 mod grouping;
 pub mod interpolation;
 pub mod reference;
 mod sampling;
 
-pub use gathering::{block_gather, BlockGatherResult, GatherLocality};
 pub(crate) use grouping::ball_query_blocks;
 pub use grouping::{
     ball_query_block_model, block_ball_query, block_ball_query_into, BlockNeighborResult,

@@ -10,8 +10,8 @@
 //! * [`FractalTree`] — the binary tree over blocks, with the parent
 //!   search-space rule for neighbor operations;
 //! * [`bppo`] — Block-Parallel Point Operations: block-wise sampling
-//!   ([`block_fps`]), grouping ([`block_ball_query`]), interpolation
-//!   ([`block_interpolate`]) and gathering ([`block_gather`]);
+//!   ([`block_fps`]), grouping ([`block_ball_query`]) and interpolation
+//!   ([`block_interpolate`]);
 //! * [`Pipeline`] — a validated, reusable partition + BPPO pipeline (the
 //!   seam the `fractalcloud-serve` request engine is built on);
 //! * [`WindowCheck`] — the RSPU redundancy-skipping mask (Fig. 11(c));
@@ -53,9 +53,8 @@ pub mod workspace;
 pub use bppo::interpolation::BlockInterpolationResult;
 pub use bppo::{
     ball_query_block_model, block_ball_query, block_ball_query_into, block_fps,
-    block_fps_with_counts, block_fps_with_counts_into, block_gather, block_interpolate,
-    block_sample_counts, equal_sample_counts, BlockFpsResult, BlockGatherResult,
-    BlockNeighborResult, BppoConfig, GatherLocality, ReuseStats,
+    block_fps_with_counts, block_fps_with_counts_into, block_interpolate, block_sample_counts,
+    equal_sample_counts, BlockFpsResult, BlockNeighborResult, BppoConfig, ReuseStats,
 };
 pub use fractal::{Fractal, FractalConfig, FractalResult};
 pub use lod::{LodCursor, LodSegment, LodSegmentRef, LodSlice, SampleOrder};

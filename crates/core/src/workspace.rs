@@ -72,10 +72,6 @@ pub struct Workspace {
     pub(crate) counts: Vec<usize>,
     /// Largest-remainder scratch of the sample-count allocation.
     pub(crate) rems: Vec<(f64, usize)>,
-    /// Sorted own-block membership scratch (gather locality).
-    pub(crate) own: Vec<usize>,
-    /// Sorted search-space membership scratch (gather locality).
-    pub(crate) space: Vec<usize>,
     /// Fractal build scratch (point slabs, order buffer, active-node lists).
     pub(crate) build: BuildScratch,
     /// LOD schedule scratch: `(rank, count, block)` entries staged for the

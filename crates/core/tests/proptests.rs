@@ -2,8 +2,7 @@
 
 use fractalcloud_core::bppo::reference as bppo_reference;
 use fractalcloud_core::{
-    block_ball_query, block_fps, block_gather, block_interpolate, BppoConfig, Fractal, FractalTree,
-    NodeId,
+    block_ball_query, block_fps, block_interpolate, BppoConfig, Fractal, FractalTree, NodeId,
 };
 use fractalcloud_pointcloud::generate::{
     object_cloud, scene_cloud, uniform_cube, ObjectKind, SceneConfig,
@@ -173,30 +172,6 @@ proptest! {
                 row += 1;
             }
         }
-    }
-
-    /// Block gather of block-generated indices is always fully on-chip and
-    /// bit-identical to the global gather.
-    #[test]
-    fn block_gather_matches_global((cloud, th) in (arb_cloud(200), 8usize..48)) {
-        use fractalcloud_pointcloud::generate::with_random_features;
-        use fractalcloud_pointcloud::ops::gather_features;
-        let cloud = with_random_features(cloud, 4, 1);
-        let part = Fractal::with_threshold(th).build(&cloud).unwrap().partition;
-        let fps = block_fps(&cloud, &part, 0.25, &BppoConfig::sequential()).unwrap();
-        let num = 4;
-        let bq = block_ball_query(&cloud, &part, &fps.per_block, 5.0, num,
-                                  &BppoConfig::sequential()).unwrap();
-        let mut per_block = Vec::new();
-        let mut row = 0usize;
-        for centers in &fps.per_block {
-            per_block.push(bq.indices[row * num..(row + centers.len()) * num].to_vec());
-            row += centers.len();
-        }
-        let bg = block_gather(&cloud, &part, &per_block, num, &BppoConfig::sequential()).unwrap();
-        prop_assert_eq!(bg.locality.remote, 0);
-        let global = gather_features(&cloud, &bq.indices, num).unwrap();
-        prop_assert_eq!(bg.data, global.data);
     }
 
     /// Block interpolation always produces finite features for every

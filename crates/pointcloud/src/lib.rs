@@ -7,7 +7,7 @@
 //!   (structure-of-arrays, optional dense features);
 //! * [`generate`] — deterministic synthetic datasets with ModelNet40-,
 //!   ShapeNet- and S3DIS-like statistics;
-//! * [`ops`] — exact global point operations (FPS, ball query, KNN, gather,
+//! * [`ops`] — exact global point operations (FPS, ball query, KNN,
 //!   interpolation) with hardware-relevant work counters, built on the
 //!   runtime-dispatched kernels of [`kernels`] (the original per-point
 //!   formulations are retained in [`ops::reference`] as equivalence

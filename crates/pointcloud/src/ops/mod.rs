@@ -1,5 +1,5 @@
-//! Point operations (§II-B): farthest point sampling, ball query, KNN,
-//! gather and K-NN interpolation.
+//! Point operations (§II-B): farthest point sampling, ball query, KNN and
+//! K-NN interpolation.
 //!
 //! The paper runs all of them on one datapath (RSPU, §V-C); a *global* and
 //! a *block-wise* operation differ only in which points are resident
@@ -26,14 +26,12 @@
 
 mod ball_query;
 mod fps;
-mod gather;
 mod interpolate;
 mod knn;
 pub mod reference;
 
 pub use ball_query::{ball_query, ball_query_into, check_ball_query, BallQueryResult};
 pub use fps::{farthest_point_sample, fps_into, FpsResult};
-pub use gather::{gather_features, group_points, GroupedFeatures};
 pub use interpolate::{interpolate_features, interpolate_into, InterpolationResult};
 pub use knn::{k_nearest_neighbors, KnnResult};
 

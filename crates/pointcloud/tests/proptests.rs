@@ -1,9 +1,8 @@
 //! Property-based tests for the point-cloud substrate.
 
-use fractalcloud_pointcloud::metrics::{covering_radius, feature_rmse, neighbor_recall};
+use fractalcloud_pointcloud::metrics::{covering_radius, neighbor_recall};
 use fractalcloud_pointcloud::ops::{
-    ball_query, farthest_point_sample, gather_features, interpolate_features, k_nearest_neighbors,
-    reference,
+    ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors, reference,
 };
 use fractalcloud_pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
@@ -76,17 +75,6 @@ proptest! {
         let knn = k_nearest_neighbors(&cloud, &centers, k).unwrap();
         // Same neighbor sets (order may differ on exact ties).
         prop_assert_eq!(neighbor_recall(&knn.indices, &bq.indices, k), 1.0);
-    }
-
-    /// Gathering with identity indices reproduces the feature matrix.
-    #[test]
-    fn gather_identity_round_trip(pts in arb_points(50), c in 1usize..6) {
-        let n = pts.len();
-        let feats: Vec<f32> = (0..n * c).map(|i| i as f32).collect();
-        let cloud = PointCloud::from_points_features(pts, feats.clone(), c).unwrap();
-        let idx: Vec<usize> = (0..n).collect();
-        let g = gather_features(&cloud, &idx, 1).unwrap();
-        prop_assert_eq!(feature_rmse(&g.data, &feats), 0.0);
     }
 
     /// Interpolation output is a convex combination of source features.
