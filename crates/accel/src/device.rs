@@ -21,7 +21,9 @@ pub struct ExecutionReport {
     pub timeline: Timeline,
     /// Clock frequency in GHz (converts cycles → time).
     pub freq_ghz: f64,
-    /// Total DRAM traffic in bytes.
+    /// DRAM traffic of the point operations and the partition, in bytes
+    /// (0 for the GPU baseline). MLP weight and activation DMA is charged in
+    /// the energy breakdown but not counted here.
     pub dram_bytes: u64,
 }
 

@@ -279,8 +279,8 @@ impl DesignModel {
         }
     }
 
-    /// Partition phase for this design's strategy.
-    fn partition_phase(&self, w: &Workload) -> Option<Phase> {
+    /// Partition phase for this design's strategy, with its DMA bytes.
+    fn partition_phase(&self, w: &Workload) -> Option<(Phase, u64)> {
         let p = &self.params;
         let working = w.n as u64 * COORD_BYTES;
         let (name, cycles, pj, dram_bytes) = match p.partition {
@@ -321,7 +321,7 @@ impl DesignModel {
             _ => working,
         };
         let dram = self.dma.read(dram_bytes, self.seq_pattern());
-        Some(self.point_phase(
+        let phase = self.point_phase(
             name,
             cycles,
             pj,
@@ -329,7 +329,8 @@ impl DesignModel {
             SramPattern::Sequential,
             dram,
             PhaseClass::Partition,
-        ))
+        );
+        Some((phase, dram.bytes))
     }
 
     fn base_blocks<'w>(&self, w: &'w Workload) -> &'w [usize] {
@@ -354,8 +355,8 @@ impl Accelerator for DesignModel {
         let mut dram_total = 0u64;
         let avail = self.sram_avail();
 
-        if let Some(phase) = self.partition_phase(w) {
-            dram_total += phase.dram_cycles; // placeholder corrected below
+        if let Some((phase, bytes)) = self.partition_phase(w) {
+            dram_total += bytes;
             timeline.push(phase);
         }
 
@@ -454,13 +455,7 @@ impl Accelerator for DesignModel {
             let (g_pattern, g_dram) = if p.block_gathering && have_blocks {
                 // Block-wise gathering: blocks in their own banks, one
                 // streamed feature pass off-chip.
-                (
-                    SramPattern::BankAligned,
-                    self.dma.read(
-                        feature_table.min(gather_bytes.max(feature_table)),
-                        self.seq_pattern(),
-                    ),
-                )
+                (SramPattern::BankAligned, self.dma.read(feature_table, self.seq_pattern()))
             } else if feature_table > avail {
                 // Conventional gathering: random 64 B bursts per access.
                 (SramPattern::Random, self.dma.read(accesses * 64, AccessPattern::Random))
@@ -660,6 +655,19 @@ mod tests {
         let cr = DesignModel::new(DesignParams::crescent()).execute(&w);
         let gap = fc.speedup_over(&cr);
         assert!((1.0..4.0).contains(&gap), "small-scale Crescent gap should be modest, got {gap}×");
+    }
+
+    #[test]
+    fn partition_dram_bytes_are_the_streamed_cloud_when_it_fits() {
+        let w = Workload::prepare(&ModelConfig::pointnetpp_classification(), 1024, 2);
+        for params in
+            [DesignParams::fractalcloud(), DesignParams::crescent(), DesignParams::pnnpu()]
+        {
+            let name = params.name.clone();
+            let (_, bytes) = DesignModel::new(params).partition_phase(&w).unwrap();
+            assert_eq!(bytes, 1024 * COORD_BYTES, "{name}");
+        }
+        assert!(DesignModel::new(DesignParams::pointacc()).partition_phase(&w).is_none());
     }
 
     #[test]
