@@ -89,11 +89,8 @@ impl std::fmt::Display for OverloadLevel {
 /// [`ServeConfig::brownout`](crate::ServeConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrownoutConfig {
-    /// Master switch: disabled pins the level at `Normal` forever (and the
-    /// admission-path load still costs one relaxed atomic read).
-    pub enabled: bool,
     /// Pin the controller at this level (0–4) regardless of observations —
-    /// the test/chaos hook. `None` = adaptive.
+    /// the test/chaos hook; `Some(0)` turns brown-out off. `None` = adaptive.
     pub forced: Option<u8>,
     /// Queue-wait observation (µs) above which pressure is "over": a run
     /// of `escalate_after` consecutive over-observations escalates one
@@ -117,7 +114,6 @@ pub struct BrownoutConfig {
 impl Default for BrownoutConfig {
     fn default() -> BrownoutConfig {
         BrownoutConfig {
-            enabled: true,
             forced: None,
             // Defaults are deliberately conservative: a request sitting
             // 250 ms in queue is far outside any healthy steady state, so
@@ -184,7 +180,7 @@ impl OverloadController {
     /// started). Called by workers once per batch with the batch's worst
     /// wait; applies the hysteresis rules.
     pub(crate) fn observe_wait_us(&self, wait_us: u64) {
-        if !self.cfg.enabled || self.cfg.forced.is_some() {
+        if self.cfg.forced.is_some() {
             return;
         }
         let now = self.now_ms();
@@ -243,7 +239,7 @@ impl OverloadController {
     /// where recovery matters: an orchestrator polling HEALTH sees the
     /// ladder walk back to `Normal` even in total silence.
     fn decay_idle(&self) {
-        if !self.cfg.enabled || self.cfg.forced.is_some() {
+        if self.cfg.forced.is_some() {
             return;
         }
         if self.level.load(Ordering::Relaxed) == 0 {
@@ -265,7 +261,6 @@ mod tests {
 
     fn quick_cfg() -> BrownoutConfig {
         BrownoutConfig {
-            enabled: true,
             forced: None,
             escalate_wait_us: 1000,
             relax_wait_us: 100,
@@ -335,7 +330,7 @@ mod tests {
 
     #[test]
     fn disabled_controller_stays_normal() {
-        let cfg = BrownoutConfig { enabled: false, ..quick_cfg() };
+        let cfg = BrownoutConfig { forced: Some(0), ..quick_cfg() };
         let c = OverloadController::new(cfg, Instant::now());
         for _ in 0..20 {
             c.observe_wait_us(u64::MAX);

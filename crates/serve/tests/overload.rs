@@ -267,7 +267,6 @@ fn idle_reaped_connection_heals_via_retry() {
 #[test]
 fn adaptive_controller_escalates_and_recovers() {
     let tuned = BrownoutConfig {
-        enabled: true,
         forced: None,
         // Any measurable queue wait counts as pressure; relaxing via
         // traffic is effectively disabled so only idle decay recovers.
