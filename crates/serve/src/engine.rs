@@ -599,8 +599,7 @@ impl WorkKind {
             WorkKind::Frame { budget } => fnv1a64(fnv1a64(key, 0x4c4f_4442), *budget as u64),
             WorkKind::Stream { .. } => fnv1a64(key, 0x5354_524d),
             WorkKind::Infer { executor } => {
-                let h = (0x1f3a_9e44_0b1d_77c5u64 ^ key).wrapping_mul(0x100_0000_01b3);
-                (h ^ Arc::as_ptr(executor) as usize as u64).wrapping_mul(0x100_0000_01b3)
+                fnv1a64(fnv1a64(0x1f3a_9e44_0b1d_77c5, key), Arc::as_ptr(executor) as usize as u64)
             }
         }
     }
@@ -1350,54 +1349,38 @@ impl InferRequest {
 /// same notation string. Length-prefixed fields keep the encoding
 /// prefix-free, so distinct configs cannot collide by concatenation.
 fn model_fingerprint(m: &ModelConfig) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, b: &[u8]) {
-            for &x in b {
-                self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn word(&mut self, v: u64) {
-            self.bytes(&v.to_le_bytes());
-        }
+    let mut h = FNV1A64_SEED;
+    let mut put = |w: u64| h = fnv1a64(h, w);
+    for text in [m.family, m.notation.as_str()] {
+        put(text.len() as u64);
+        text.bytes().for_each(|b| put(u64::from(b)));
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.word(m.family.len() as u64);
-    h.bytes(m.family.as_bytes());
-    h.word(m.notation.len() as u64);
-    h.bytes(m.notation.as_bytes());
-    h.word(match m.task {
+    put(match m.task {
         fractalcloud_pnn::Task::Classification => 0,
         fractalcloud_pnn::Task::PartSegmentation => 1,
         fractalcloud_pnn::Task::Segmentation => 2,
     });
-    h.word(m.in_channels as u64);
-    h.word(m.stem_width as u64);
-    h.word(m.classes as u64);
-    h.word(m.stages.len() as u64);
+    put(m.in_channels as u64);
+    put(m.stem_width as u64);
+    put(m.classes as u64);
+    put(m.stages.len() as u64);
     for sa in &m.stages {
-        h.word(sa.sample_ratio.to_bits());
-        h.word(u64::from(sa.radius.to_bits()));
-        h.word(sa.nsample as u64);
-        h.word(sa.blocks as u64);
-        h.word(sa.mlp.len() as u64);
-        for &w in &sa.mlp {
-            h.word(w as u64);
-        }
+        put(sa.sample_ratio.to_bits());
+        put(u64::from(sa.radius.to_bits()));
+        put(sa.nsample as u64);
+        put(sa.blocks as u64);
+        put(sa.mlp.len() as u64);
+        sa.mlp.iter().for_each(|&w| put(w as u64));
     }
-    h.word(m.propagation.len() as u64);
+    put(m.propagation.len() as u64);
     for fp in &m.propagation {
-        h.word(fp.k as u64);
-        h.word(fp.mlp.len() as u64);
-        for &w in &fp.mlp {
-            h.word(w as u64);
-        }
+        put(fp.k as u64);
+        put(fp.mlp.len() as u64);
+        fp.mlp.iter().for_each(|&w| put(w as u64));
     }
-    h.word(m.head.len() as u64);
-    for &w in &m.head {
-        h.word(w as u64);
-    }
-    h.0
+    put(m.head.len() as u64);
+    m.head.iter().for_each(|&w| put(w as u64));
+    h
 }
 
 /// The schedule's wire/cache byte (`protocol::AGG_EAGER` / `AGG_DELAYED`).
