@@ -34,11 +34,6 @@ impl FractalConfig {
     pub fn large_scale() -> FractalConfig {
         FractalConfig::new(256)
     }
-
-    /// The paper's classification (small-scale) setting, `th = 64`.
-    pub fn small_scale() -> FractalConfig {
-        FractalConfig::new(64)
-    }
 }
 
 impl Default for FractalConfig {

@@ -71,11 +71,6 @@ impl Aabb {
         self.max = self.max.max(p);
     }
 
-    /// Returns the union of two boxes.
-    pub fn union(&self, other: &Aabb) -> Aabb {
-        Aabb { min: self.min.min(other.min), max: self.max.max(other.max) }
-    }
-
     /// True if `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Point3) -> bool {
@@ -85,16 +80,6 @@ impl Aabb {
             && p.y <= self.max.y
             && p.z >= self.min.z
             && p.z <= self.max.z
-    }
-
-    /// True if the two boxes overlap (closed intervals).
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
     }
 
     /// Extent (max − min) along `axis`.
@@ -141,31 +126,6 @@ impl Aabb {
         } else {
             Axis::Z
         }
-    }
-
-    /// Squared distance from `p` to the closest point of the box (0 inside).
-    pub fn distance_sq_to(&self, p: Point3) -> f32 {
-        let mut d = 0.0f32;
-        for axis in Axis::ALL {
-            let v = p.coord(axis);
-            let lo = self.min.coord(axis);
-            let hi = self.max.coord(axis);
-            let delta = if v < lo {
-                lo - v
-            } else if v > hi {
-                v - hi
-            } else {
-                0.0
-            };
-            d += delta * delta;
-        }
-        d
-    }
-
-    /// Surface area of the box.
-    pub fn surface_area(&self) -> f32 {
-        let [ex, ey, ez] = self.extents();
-        2.0 * (ex * ey + ey * ez + ez * ex)
     }
 
     /// Volume of the box.
@@ -268,36 +228,8 @@ mod tests {
     }
 
     #[test]
-    fn distance_sq_inside_is_zero() {
-        let b = unit_box();
-        assert_eq!(b.distance_sq_to(Point3::splat(0.5)), 0.0);
-        assert_eq!(b.distance_sq_to(Point3::new(2.0, 0.5, 0.5)), 1.0);
-        assert_eq!(b.distance_sq_to(Point3::new(2.0, 2.0, 0.5)), 2.0);
-    }
-
-    #[test]
-    fn union_contains_both() {
-        let a = unit_box();
-        let b = Aabb::new(Point3::splat(2.0), Point3::splat(3.0));
-        let u = a.union(&b);
-        assert!(u.contains(Point3::ORIGIN));
-        assert!(u.contains(Point3::splat(3.0)));
-    }
-
-    #[test]
-    fn intersects_is_symmetric_and_touching_counts() {
-        let a = unit_box();
-        let touching = Aabb::new(Point3::new(1.0, 0.0, 0.0), Point3::new(2.0, 1.0, 1.0));
-        let apart = Aabb::new(Point3::splat(5.0), Point3::splat(6.0));
-        assert!(a.intersects(&touching));
-        assert!(touching.intersects(&a));
-        assert!(!a.intersects(&apart));
-    }
-
-    #[test]
     fn surface_area_and_volume() {
         let b = Aabb::new(Point3::ORIGIN, Point3::new(1.0, 2.0, 3.0));
         assert_eq!(b.volume(), 6.0);
-        assert_eq!(b.surface_area(), 22.0);
     }
 }

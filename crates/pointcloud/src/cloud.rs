@@ -177,16 +177,6 @@ impl PointCloud {
         &self.features[i * c..(i + 1) * c]
     }
 
-    /// Mutable feature row of point `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn feature_mut(&mut self, i: usize) -> &mut [f32] {
-        let c = self.channels;
-        &mut self.features[i * c..(i + 1) * c]
-    }
-
     /// Raw x coordinates (one entry per point).
     #[inline]
     pub fn xs(&self) -> &[f32] {
@@ -304,16 +294,6 @@ impl PointCloud {
         self.features = features;
         self.channels = channels;
         Ok(())
-    }
-
-    /// Bytes needed to store the coordinates at `bytes_per_scalar` precision.
-    pub fn coord_bytes(&self, bytes_per_scalar: usize) -> usize {
-        self.len() * 3 * bytes_per_scalar
-    }
-
-    /// Bytes needed to store the features at `bytes_per_scalar` precision.
-    pub fn feature_bytes(&self, bytes_per_scalar: usize) -> usize {
-        self.len() * self.channels * bytes_per_scalar
     }
 }
 
@@ -490,15 +470,6 @@ mod tests {
     fn collect_from_iterator() {
         let c: PointCloud = (0..4).map(|i| Point3::splat(i as f32)).collect();
         assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn byte_sizing_matches_fp16_layout() {
-        let c = sample();
-        assert_eq!(c.coord_bytes(2), 3 * 3 * 2);
-        let mut c = c;
-        c.set_features(vec![0.0; 3 * 8], 8).unwrap();
-        assert_eq!(c.feature_bytes(2), 3 * 8 * 2);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl OpCounters {
         self.gather_bytes += other.gather_bytes;
     }
 
-    /// Total memory touches (reads + writes), in records.
-    pub fn memory_touches(&self) -> u64 {
-        self.coord_reads + self.feature_reads + self.writes
-    }
-
     /// Closed-form work of FPS selecting `m` of `n` resident points — the
     /// whole cloud for a global operation, one block for a block-wise one.
     /// The one source of truth for the executable operations, the
@@ -190,8 +185,8 @@ mod tests {
         let c = a + b;
         assert_eq!(c.distance_evals, 11);
         assert_eq!(c.comparisons, 2);
+        assert_eq!(c.coord_reads, 3);
         assert_eq!(c.writes, 5);
-        assert_eq!(c.memory_touches(), 3 + 5);
     }
 
     #[test]
@@ -202,6 +197,10 @@ mod tests {
         assert_eq!(c.macs_moved, 10);
         assert_eq!(c.macs_saved, 100);
         assert_eq!(c.gather_bytes, 64);
-        assert_eq!(c.memory_touches(), 0, "MAC/gather counters are not memory touches");
+        assert_eq!(
+            (c.coord_reads, c.feature_reads, c.writes),
+            (0, 0, 0),
+            "MAC/gather counters are not memory touches"
+        );
     }
 }

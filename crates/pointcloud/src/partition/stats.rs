@@ -44,15 +44,6 @@ impl BalanceStats {
             self.max as f64 / self.mean
         }
     }
-
-    /// Coefficient of variation `σ / mean`.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +54,6 @@ mod tests {
     fn balanced_sizes_have_unit_imbalance() {
         let s = BalanceStats::from_sizes([20, 20, 20, 20]);
         assert_eq!(s.imbalance(), 1.0);
-        assert_eq!(s.cv(), 0.0);
         assert_eq!(s.blocks, 4);
     }
 
@@ -75,7 +65,6 @@ mod tests {
         assert_eq!(s.max, 28);
         assert!((s.mean - 20.0).abs() < 1e-9);
         assert!((s.imbalance() - 1.4).abs() < 1e-9);
-        assert!(s.cv() > 0.3);
     }
 
     #[test]

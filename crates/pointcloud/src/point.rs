@@ -16,7 +16,6 @@ use std::ops::{Add, Div, Index, Mul, Sub};
 ///
 /// assert_eq!(Axis::X.next(), Axis::Y);
 /// assert_eq!(Axis::Z.next(), Axis::X);
-/// assert_eq!(Axis::from_depth(4), Axis::Y);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Axis {
@@ -39,16 +38,6 @@ impl Axis {
             Axis::X => Axis::Y,
             Axis::Y => Axis::Z,
             Axis::Z => Axis::X,
-        }
-    }
-
-    /// Returns the axis used at recursion depth `depth` when cycling from x.
-    #[inline]
-    pub fn from_depth(depth: usize) -> Axis {
-        match depth % 3 {
-            0 => Axis::X,
-            1 => Axis::Y,
-            _ => Axis::Z,
         }
     }
 
@@ -292,15 +281,6 @@ mod tests {
         assert_eq!(Axis::X.next(), Axis::Y);
         assert_eq!(Axis::Y.next(), Axis::Z);
         assert_eq!(Axis::Z.next(), Axis::X);
-    }
-
-    #[test]
-    fn axis_from_depth_matches_mod3_rule() {
-        // Alg. 1 row 4: dim <- d mod 3.
-        for d in 0..12 {
-            let expected = [Axis::X, Axis::Y, Axis::Z][d % 3];
-            assert_eq!(Axis::from_depth(d), expected);
-        }
     }
 
     #[test]

@@ -1006,31 +1006,22 @@ pub enum StreamEvent {
 pub struct RetryPolicy {
     max_retries: u32,
     base: Duration,
-    cap: Duration,
     state: u64,
 }
+
+/// The longest backoff a [`RetryPolicy`] waits before one retry.
+const RETRY_CAP: Duration = Duration::from_secs(1);
 
 impl RetryPolicy {
     /// A policy allowing `max_retries` retries, jittered from `seed`
     /// (base delay 10 ms, cap 1 s).
     pub fn new(max_retries: u32, seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            base: Duration::from_millis(10),
-            cap: Duration::from_secs(1),
-            state: seed,
-        }
+        RetryPolicy { max_retries, base: Duration::from_millis(10), state: seed }
     }
 
     /// Returns `self` with the given base (first-retry) delay.
     pub fn base_delay(mut self, base: Duration) -> RetryPolicy {
         self.base = base;
-        self
-    }
-
-    /// Returns `self` with the given backoff cap.
-    pub fn max_delay(mut self, cap: Duration) -> RetryPolicy {
-        self.cap = cap;
         self
     }
 
@@ -1051,7 +1042,7 @@ impl RetryPolicy {
         if attempt >= self.max_retries {
             return None;
         }
-        let exp = self.base.saturating_mul(1 << attempt.min(16)).min(self.cap);
+        let exp = self.base.saturating_mul(1 << attempt.min(16)).min(RETRY_CAP);
         // Decorrelated jitter over [exp/2, exp): enough spread to break up
         // synchronized client stampedes, deterministic per seed.
         let span = (exp.as_micros() / 2).max(1) as u64;
