@@ -21,11 +21,10 @@
 //! ([`merge_work`](fractalcloud_pointcloud::ops::merge_work)) merges the
 //! work, so results are bit-identical at every lane count. Sampling and
 //! grouping read their points in place from one block-order copy of the
-//! cloud ([`Layout`]), laid out once per frame; interpolation gathers its
+//! cloud (`Layout`), laid out once per frame; interpolation gathers its
 //! sources, which are not the laid-out cloud.
 //!
-//! All functions take a [`Partition`](fractalcloud_pointcloud::partition::Partition)
-//! — any partitioner works (the paper's
+//! All functions take a [`Partition`] — any partitioner works (the paper's
 //! fractal engine also supports uniform and KD-tree modes) — but only
 //! partitions whose `search` runs derive from a fractal/KD tree give the
 //! paper's accuracy-preserving expanded search spaces.

@@ -2,10 +2,9 @@
 //!
 //! This is the seed's original per-point formulation: it materializes a
 //! [`Point3`](fractalcloud_pointcloud::Point3) per candidate, bumps
-//! counters inside the inner loop, and walks the
-//! [`WindowCheck`](crate::WindowCheck) lowest-one detector candidate by
-//! candidate. It is kept as the equivalence oracle for the chunked SoA
-//! path in [`sampling`](crate::bppo::sampling): property tests assert
+//! counters inside the inner loop, and walks the [`WindowCheck`] lowest-one
+//! detector candidate by candidate. It is kept as the equivalence oracle
+//! for the chunked SoA path in `bppo::sampling`: property tests assert
 //! identical sampled indices and counters.
 
 use crate::bppo::{block_sample_counts, BlockFpsResult, BppoConfig};

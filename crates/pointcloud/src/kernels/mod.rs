@@ -21,13 +21,13 @@
 //! once per process (and overridable per call via the `*_with` variants or
 //! the `backend` argument of the `*_into` drivers):
 //!
-//! * [`Backend::Soa`] — chunked, auto-vectorizable loops ([`soa`]) built
+//! * [`Backend::Soa`] — chunked, auto-vectorizable loops (module `soa`) built
 //!   from select idioms the compiler lowers to vector min/max; the portable
 //!   path, and the fallback on every host without AVX2.
 //!   The per-point oracle is not a backend: it is
 //!   [`ops::reference`](crate::ops::reference).
 //! * [`Backend::Avx2`] — explicit 8-lane `core::arch::x86_64` intrinsics
-//!   ([`avx2`]), used when `is_x86_feature_detected!("avx2")` holds. All
+//!   (module `avx2`), used when `is_x86_feature_detected!("avx2")` holds. All
 //!   SIMD `unsafe` is confined to that one module behind safe wrappers.
 //!
 //! The active backend is chosen on first use: the `FRACTALCLOUD_KERNEL`

@@ -3,9 +3,9 @@
 //! Streaming workloads re-send frames: static scenes between keyframes,
 //! retries, multi-query analysis of the same scan. The partition is the
 //! expensive, *deterministic* half of a pipeline run — identical coordinate
-//! bytes and threshold always produce the identical
-//! [`FractalResult`](fractalcloud_core::FractalResult) — so cached entries
-//! are shared by `Arc` and reused without any equivalence risk.
+//! bytes and threshold always produce the identical [`FractalResult`] — so
+//! cached entries are shared by `Arc` and reused without any equivalence
+//! risk.
 
 use fractalcloud_core::{fnv1a64, FractalResult, PipelineOutput, FNV1A64_SEED};
 use fractalcloud_pointcloud::PointCloud;

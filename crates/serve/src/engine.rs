@@ -725,8 +725,9 @@ struct Shared {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// The serving engine. See the [module docs](self) for the request
-/// lifecycle; construct with [`Engine::start`].
+/// The serving engine: validation, bounded admission, batching and
+/// execution over the core pipeline (the `engine` module's source docs walk
+/// a request's lifecycle). Construct with [`Engine::start`].
 ///
 /// # Examples
 ///

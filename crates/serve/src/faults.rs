@@ -43,7 +43,8 @@ pub enum FaultPoint {
     /// [`FaultPoint::CacheInsert`] when cold) once — for its first paint,
     /// the stream's only engine job — never for a refinement.
     Worker,
-    /// One per-block task (sampling + grouping of a single block).
+    /// One job's block work (partition, sampling + grouping), drawn once
+    /// per job as its lane starts it — not once per block.
     Block,
     /// A partition-cache insert (an injected `err` drops the insert —
     /// correctness is unaffected, the next request just misses).

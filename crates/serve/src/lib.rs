@@ -3,7 +3,7 @@
 //! The front door the ROADMAP's "millions of users" north star needs: a
 //! request/response engine that turns the FractalCloud library into a
 //! service. A *frame* (one LiDAR-scale point cloud plus a
-//! [`PipelineConfig`]) goes in; the block-FPS samples and ball-query groups
+//! [`PipelineConfig`](fractalcloud_core::PipelineConfig)) goes in; the block-FPS samples and ball-query groups
 //! — bit-identical to direct [`fractalcloud_core`] calls on every kernel
 //! backend — come out.
 //!

@@ -85,7 +85,7 @@ impl std::fmt::Display for OverloadLevel {
     }
 }
 
-/// Tunables of the [`OverloadController`], carried in
+/// Tunables of the engine's brown-out controller, carried in
 /// [`ServeConfig::brownout`](crate::ServeConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrownoutConfig {

@@ -643,8 +643,8 @@ pub fn decode_infer_response_payload(payload: &[u8]) -> Result<WireInferResponse
 }
 
 /// The response fields that cross the wire (the in-process
-/// [`FrameResponse`](crate::FrameResponse) minus the op counters, which are
-/// observability data, not results).
+/// [`FrameResponse`] minus the op counters, which are observability data,
+/// not results).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireResponse {
     /// Sampled global indices in block order.
