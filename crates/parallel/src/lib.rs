@@ -14,7 +14,10 @@
 //! [`parallel_map_budget_with`] additionally hands every execution lane a
 //! private scratch value (`make` is called once per lane that claims an
 //! item) — the hook the workspace layer uses to give each lane a reusable
-//! arena without any cross-thread sharing.
+//! arena without any cross-thread sharing. [`for_each_budget`] is the
+//! allocation-free form for work that writes in place: it runs a function
+//! on every item of an iterator of disjoint pieces (row ranges of one
+//! output, say) and returns nothing.
 //!
 //! No fan-out spawns its lanes. The calling thread runs a fan-out's first
 //! lane itself and offers the others to one process-wide pool of at most
@@ -23,6 +26,8 @@
 //! starts a lane only while fewer than [`workers`] threads are running
 //! lanes, callers included, so concurrent fan-outs share the cores instead
 //! of oversubscribing them, and a lane no helper picks up costs nothing.
+//! A thread that is busy without fanning out (a serving engine's worker
+//! executing a batch) counts too while it runs inside [`hold_lane`].
 //! The pool's one `unsafe` block and its invariant are in `pool.rs`.
 //!
 //! The worker count is `std::thread::available_parallelism`, overridable
@@ -191,6 +196,53 @@ where
         .collect()
 }
 
+/// Runs `f` on every item of `items` with at most `budget` lanes, in no
+/// particular order, and allocates nothing: lanes take the next item
+/// through one lock around the iterator. Meant for items that are disjoint
+/// pieces of one piece of work (`chunks_mut` of an output, say), so `f`
+/// writes its results in place.
+///
+/// Lanes and their allowances follow [`parallel_map_budget`]: `min(budget,
+/// items)` lanes (the item count is the iterator's upper size bound), each
+/// with its share of `budget` as its [`effective_budget`], the caller
+/// running the first and helpers admitted for the rest. A budget of 0 or 1
+/// runs every item in order on the caller.
+pub fn for_each_budget<I, F>(items: I, budget: usize, f: F)
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    F: Fn(I::Item) + Sync,
+{
+    let items = items.into_iter();
+    let n = items.size_hint().1.unwrap_or(usize::MAX);
+    let budget = budget.max(1);
+    let lanes = budget.min(n);
+    if lanes <= 1 {
+        let _inline = set_budget(if n <= 1 { budget } else { 1 });
+        return items.for_each(f);
+    }
+    let items = Mutex::new(items);
+    // The guard drops inside `next`, so no lane holds the lock while `f` runs.
+    let next = || items.lock().expect("item lock").next();
+    pool::run(lanes, &|lane| {
+        let _lane = set_budget(lane_budget(budget, lanes, lane));
+        while let Some(item) = next() {
+            f(item);
+        }
+    });
+}
+
+/// Runs `f` with the calling thread counted as a running lane against the
+/// pool's admission, from entry until `f` returns or unwinds; a thread that
+/// already counts (a helper, or a caller inside a fan-out or another hold)
+/// is counted once however deeply holds and fan-outs nest. A helper then
+/// starts a lane only on a core that no holding thread occupies, so a
+/// thread that keeps a core busy — a serving engine's worker executing a
+/// batch — makes concurrent fan-outs run inline rather than oversubscribe.
+pub fn hold_lane<R>(f: impl FnOnce() -> R) -> R {
+    pool::hold(f)
+}
+
 /// The remainder rule: of `budget` workers split over `lanes` lanes, every
 /// lane gets `budget / lanes` and the first `budget % lanes` lanes one
 /// extra, so the allowances sum to exactly `budget` (7 over 4 lanes is
@@ -205,6 +257,7 @@ mod tests {
 
     #[test]
     fn lane_panics_propagate_as_a_catchable_unwind() {
+        let _serial = crate::pool::tests::serial();
         // A panic on a spawned lane must surface as an ordinary unwind on
         // the calling thread (resume_unwind), not a double-panic abort —
         // the serving engine catches these to isolate request failures.
@@ -221,6 +274,7 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
+        let _serial = crate::pool::tests::serial();
         let items: Vec<usize> = (0..257).collect();
         let seq = parallel_map_budget(items.clone(), 1, |i, v| i * 31 + v);
         let par = parallel_map_budget(items, effective_budget(), |i, v| i * 31 + v);
@@ -238,6 +292,7 @@ mod tests {
 
     #[test]
     fn parallel_map_moves_non_clone_items() {
+        let _serial = crate::pool::tests::serial();
         let items: Vec<Vec<usize>> = (0..64).map(|i| vec![i; i % 5]).collect();
         let lens = parallel_map_budget(items, effective_budget(), |_, v| v.len());
         assert_eq!(lens[4], 4);
@@ -245,6 +300,7 @@ mod tests {
 
     #[test]
     fn parallel_map_with_borrowed_environment() {
+        let _serial = crate::pool::tests::serial();
         let base: Vec<usize> = (0..1000).collect();
         let ranges: Vec<std::ops::Range<usize>> = vec![0..250, 250..700, 700..1000];
         let sums =
@@ -259,6 +315,7 @@ mod tests {
 
     #[test]
     fn budgeted_map_matches_sequential_for_every_budget() {
+        let _serial = crate::pool::tests::serial();
         let items: Vec<usize> = (0..123).collect();
         let seq = parallel_map_budget(items.clone(), 1, |i, v| i * 7 + v);
         for budget in [0usize, 2, 3, 8, 64] {
@@ -269,6 +326,7 @@ mod tests {
 
     #[test]
     fn budgeted_map_caps_threads_at_item_count() {
+        let _serial = crate::pool::tests::serial();
         // 2 items with a budget of 16 must still complete (threads min n).
         let out = parallel_map_budget(vec![10usize, 20], 16, |_, v| v * 2);
         assert_eq!(out, vec![20, 40]);
@@ -276,6 +334,7 @@ mod tests {
 
     #[test]
     fn nested_fan_outs_inherit_divided_budgets() {
+        let _serial = crate::pool::tests::serial();
         // 4 lanes sharing a budget of 4: one worker each.
         let seen = parallel_map_budget((0..4).collect::<Vec<_>>(), 4, |_, _| effective_budget());
         assert_eq!(seen, vec![1; 4]);
@@ -319,6 +378,7 @@ mod tests {
 
     #[test]
     fn remainder_budget_lanes_sum_to_budget_exactly() {
+        let _serial = crate::pool::tests::serial();
         // Budget 7 over 4 lanes: 2+2+2+1, never 1+1+1+1 (3 workers lost).
         let grants: Vec<usize> = (0..4).map(|lane| lane_budget(7, 4, lane)).collect();
         assert_eq!(grants, vec![2, 2, 2, 1]);
@@ -339,6 +399,7 @@ mod tests {
 
     #[test]
     fn scratch_is_per_lane_and_reused_across_items() {
+        let _serial = crate::pool::tests::serial();
         use std::collections::BTreeSet;
         use std::sync::Mutex;
         // Each lane's scratch accumulates the items it processed; lanes
@@ -383,6 +444,27 @@ mod tests {
         );
         assert_eq!(makes.load(Ordering::Relaxed), 1, "inline path shares one scratch");
         assert_eq!(out[9], 9 + 10, "scratch persisted across all inline items");
+    }
+
+    #[test]
+    fn for_each_budget_writes_every_piece_once_at_every_budget() {
+        let _serial = crate::pool::tests::serial();
+        let want: Vec<usize> = (0..1000).map(|i| i * 3 + 1).collect();
+        for budget in [0usize, 1, 2, 3, 8, 64] {
+            for piece in [1usize, 7, 1000] {
+                let mut out = vec![0usize; 1000];
+                for_each_budget(out.chunks_mut(piece).enumerate(), budget, |(p, chunk)| {
+                    for (j, v) in chunk.iter_mut().enumerate() {
+                        *v += (p * piece + j) * 3 + 1;
+                    }
+                });
+                assert_eq!(out, want, "budget {budget}, pieces of {piece}");
+            }
+        }
+        // Each lane carries its share of the budget, as in the map.
+        let seen = Mutex::new(Vec::new());
+        for_each_budget(0..4, 6, |_| seen.lock().expect("seen").push(effective_budget()));
+        assert!(seen.into_inner().expect("seen").iter().all(|&b| b == 2 || b == 1));
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! **Admission.** A helper starts a lane only while fewer than
 //! [`crate::workers`] threads run lanes process-wide. A caller counts from
 //! its offer until lane 0 is done (once, however deeply its fan-outs
-//! nest), a helper while it runs a lane. A budget is therefore a cap, not a
-//! promise: when every core already runs a lane, fan-outs run inline on
-//! their callers instead of oversubscribing the host.
+//! nest), a helper while it runs a lane, and a thread inside [`hold`] for
+//! as long as it holds. The serving engine's workers hold for the whole of
+//! every batch they execute, so a fan-out only gets a helper from a core no
+//! engine job is using. A budget is therefore a cap, not a promise: when
+//! every core already runs a lane, fan-outs run inline on their callers
+//! instead of oversubscribing the host.
 //!
 //! **Completion.** When lane 0 returns or unwinds, the caller retracts its
 //! offer — no lane of it starts after that — waits only for the lanes that
@@ -71,7 +74,8 @@ static WAKE: Condvar = Condvar::new();
 
 thread_local! {
     /// Whether this thread already counts as running: a helper always (it
-    /// fans out only from inside a lane), a caller while its offer is open.
+    /// fans out only from inside a lane), a caller while its offer is open
+    /// or while it holds.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -132,10 +136,7 @@ pub(crate) fn run(lanes: usize, lane: &(dyn Fn(usize) + Sync)) {
         let mut st = lock();
         st.offers.retain(|offer| !std::ptr::eq(offer.fan, erased));
         if counted {
-            st.running -= 1;
-            if !st.offers.is_empty() && st.idle > 0 {
-                WAKE.notify_one();
-            }
+            uncount(&mut st);
         }
     }
     if counted {
@@ -149,6 +150,35 @@ pub(crate) fn run(lanes: usize, lane: &(dyn Fn(usize) + Sync)) {
         lock().panics.extract_if(.., |(fan, _)| *fan == id).map(|(_, payload)| payload).collect();
     if let Some(payload) = own.err().or_else(|| theirs.into_iter().next()) {
         resume_unwind(payload);
+    }
+}
+
+/// Runs `f` with the calling thread counted against admission, unless it
+/// already counts (then `f` just runs). The count is released when `f`
+/// returns or unwinds.
+pub(crate) fn hold<R>(f: impl FnOnce() -> R) -> R {
+    /// Releases the count of the hold that created it.
+    struct Held;
+    impl Drop for Held {
+        fn drop(&mut self) {
+            uncount(&mut lock());
+            COUNTED.set(false);
+        }
+    }
+    if COUNTED.replace(true) {
+        return f();
+    }
+    lock().running += 1;
+    let _held = Held;
+    f()
+}
+
+/// Releases one count taken by a thread whose `COUNTED` was false, waking a
+/// parked helper when an offer waits for the freed core.
+fn uncount(st: &mut State) {
+    st.running -= 1;
+    if !st.offers.is_empty() && st.idle > 0 {
+        WAKE.notify_one();
     }
 }
 
@@ -189,5 +219,100 @@ fn helper() {
         // everything the lane wrote.
         fan.started.fetch_sub(1, Ordering::Release);
         caller.unpark();
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    /// The tests of this crate that touch the pool take turns, so that the
+    /// admission tests below read a count no other test is moving.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn running() -> usize {
+        lock().running
+    }
+
+    #[test]
+    fn a_hold_counts_once_however_deeply_it_nests() {
+        let _serial = serial();
+        assert_eq!(running(), 0);
+        hold(|| {
+            assert_eq!(running(), 1);
+            hold(|| assert_eq!(running(), 1, "a nested hold adds nothing"));
+            assert_eq!(running(), 1, "a nested hold releases nothing");
+        });
+        assert_eq!(running(), 0);
+    }
+
+    #[test]
+    fn a_fan_out_inside_a_hold_adds_only_its_helpers() {
+        let _serial = serial();
+        hold(|| {
+            if crate::workers() == 1 {
+                // No helpers: the fan-out runs inline and counts nothing.
+                run(2, &|_| assert_eq!(running(), 1));
+            } else {
+                // The holder is the only other running thread, so the one
+                // offered lane is admitted; both lanes meet while it runs.
+                let met = Barrier::new(2);
+                run(2, &|_| {
+                    met.wait();
+                    assert_eq!(running(), 2, "the holder once, plus one helper");
+                    met.wait();
+                });
+            }
+            assert_eq!(running(), 1);
+        });
+        assert_eq!(running(), 0);
+    }
+
+    #[test]
+    fn a_panic_inside_a_hold_restores_the_count() {
+        let _serial = serial();
+        let unwound = catch_unwind(|| hold(|| panic!("injected panic inside a hold")));
+        assert!(unwound.is_err());
+        assert_eq!(running(), 0);
+        // The thread no longer counts, so a new hold counts it again.
+        hold(|| assert_eq!(running(), 1));
+    }
+
+    #[test]
+    fn fan_outs_run_inline_while_every_other_core_holds() {
+        let _serial = serial();
+        let holders = crate::workers() - 1;
+        let entered = Barrier::new(holders + 1);
+        let release = Barrier::new(holders + 1);
+        let lanes = Mutex::new(Vec::new());
+        // Observed while the holders hold, asserted once they are released,
+        // so that a failing assertion cannot leave them waiting.
+        let held = std::thread::scope(|scope| {
+            for _ in 0..holders {
+                scope.spawn(|| {
+                    hold(|| {
+                        entered.wait();
+                        release.wait();
+                    })
+                });
+            }
+            entered.wait();
+            let held = running();
+            crate::for_each_budget(0..64, crate::workers(), |_| {
+                lanes.lock().expect("lane ids").push(std::thread::current().id());
+            });
+            release.wait();
+            held
+        });
+        assert_eq!(held, holders);
+        let caller = std::thread::current().id();
+        let lanes = lanes.into_inner().expect("lane ids");
+        assert_eq!(lanes.len(), 64);
+        assert!(lanes.iter().all(|&id| id == caller), "a helper took a lane");
+        assert_eq!(running(), 0);
     }
 }
