@@ -219,8 +219,9 @@ impl NetworkExecutor {
     /// the same cloud (with `sample_rate`, `radius` and `neighbors` taken
     /// from the model's first set-abstraction stage) feeds stage 1
     /// directly, sharing the serving layer's partition cache. Deeper
-    /// stages search globally over the already-reduced set, matching the
-    /// paper's tree reuse at coarser levels.
+    /// stages still sample and group globally over the already-reduced
+    /// set; the paper runs them block-wise too, which this executor does
+    /// not yet do.
     ///
     /// # Errors
     ///

@@ -5,6 +5,15 @@ use fractalcloud_pointcloud::kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Rows per register tile of [`kernels::linear_into`]: a lane's row range
+/// is a whole number of tiles.
+const TILE_ROWS: usize = 4;
+
+/// Multiply-accumulates a lane must have before a forward pass fans out to
+/// it: below that a helper's hand-off costs more than its rows save (a
+/// 1024 × 6 → 64 layer split in two ran slower than on one thread).
+const LANE_MACS: usize = 1 << 18;
+
 /// A dense layer `y = relu(W·x + b)` with deterministic seeded weights.
 ///
 /// The weights live only in the panel layout of
@@ -38,22 +47,36 @@ impl Linear {
     /// `rows × cout` into a caller-owned buffer (cleared and resized), so a
     /// warmed buffer performs no heap allocation.
     ///
+    /// The rows are split into contiguous ranges of whole 4-row tiles
+    /// across up to [`fractalcloud_parallel::effective_budget`] lanes — no
+    /// more than one per 2¹⁸ multiply-accumulates, so small layers stay on
+    /// the caller — and every range runs the kernel on the caller's
+    /// backend. Each output element is computed in the same order
+    /// whichever rows share a kernel call, so the result is bit-identical
+    /// at every budget.
+    ///
     /// # Panics
     ///
     /// Panics if `input.len()` is not a multiple of `cin`.
     pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
         assert_eq!(input.len() % self.cin, 0, "input width mismatch");
+        let rows = input.len() / self.cin;
         out.clear();
-        out.resize(input.len() / self.cin * self.cout, 0.0);
-        kernels::linear_into(
-            kernels::active_backend(),
-            &self.packed,
-            &self.bias,
-            self.cin,
-            self.relu,
-            input,
-            out,
-        );
+        out.resize(rows * self.cout, 0.0);
+        // Resolved here, so a `with_backend` override reaches helper lanes.
+        let backend = kernels::active_backend();
+        let kernel = |input: &[f32], out: &mut [f32]| {
+            kernels::linear_into(backend, &self.packed, &self.bias, self.cin, self.relu, input, out)
+        };
+        let macs = rows * self.cin * self.cout;
+        let lanes =
+            fractalcloud_parallel::effective_budget().min(rows / TILE_ROWS).min(macs / LANE_MACS);
+        if lanes <= 1 {
+            return kernel(input, out);
+        }
+        let lane_rows = rows.div_ceil(TILE_ROWS).div_ceil(lanes) * TILE_ROWS;
+        let ranges = input.chunks(lane_rows * self.cin).zip(out.chunks_mut(lane_rows * self.cout));
+        fractalcloud_parallel::for_each_budget(ranges, lanes, |(input, out)| kernel(input, out));
     }
 
     /// Multiply-accumulates performed by a forward pass over `rows` rows.
@@ -89,6 +112,25 @@ mod tests {
         let l = Linear::seeded(2, 4, 3, false);
         let out = forward(&l, &[-10.0, -10.0]);
         assert!(out.iter().any(|&v| v < 0.0));
+    }
+
+    #[test]
+    fn split_rows_are_bit_identical_at_every_budget() {
+        use fractalcloud_parallel::with_budget;
+        use fractalcloud_pointcloud::kernels::{with_backend, Backend};
+        // Wide enough to split four ways; a ragged last tile.
+        let l = Linear::seeded(64, 128, 5, true);
+        let rows = 1027;
+        let input: Vec<f32> =
+            (0..rows * 64).map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0).collect();
+        for backend in Backend::ALL {
+            let at = |budget| with_budget(budget, || with_backend(backend, || forward(&l, &input)));
+            let one: Vec<u32> = at(1).iter().map(|v| v.to_bits()).collect();
+            for budget in [2, 3, 4, 64] {
+                let split: Vec<u32> = at(budget).iter().map(|v| v.to_bits()).collect();
+                assert!(split == one, "{backend:?}, budget {budget}");
+            }
+        }
     }
 
     #[test]

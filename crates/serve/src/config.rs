@@ -29,7 +29,8 @@ pub struct ServeConfig {
     /// Thread budget shared by the requests of one batch: a lone request
     /// gets the whole budget, while a fused batch divides it across one
     /// lane per request; a lane spends its share on the block fan-out
-    /// inside its pipeline (the Fractal build is single-threaded).
+    /// inside its pipeline (the Fractal build is single-threaded) and, for
+    /// `INFER`, on splitting each wide dense layer's rows.
     pub thread_budget: usize,
     /// Maximum concurrent TCP connections; further connects are answered
     /// with `status::TOO_MANY_CONNECTIONS` (retryable) and closed.

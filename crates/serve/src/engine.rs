@@ -27,13 +27,16 @@
 //!    thread: the worker runs a fan-out's first lane itself and the
 //!    parallel crate's parked helpers take the others, each only while
 //!    fewer than [`fractalcloud_parallel::workers`] threads run lanes
-//!    process-wide, so when every engine worker is busy its fan-outs run
-//!    inline instead of oversubscribing the cores. Every lane runs the same
+//!    process-wide. A worker counts as one for the whole of every batch it
+//!    executes ([`fractalcloud_parallel::hold_lane`]), so when every core
+//!    has a busy engine worker the fan-outs run inline instead of
+//!    oversubscribing the cores. Every lane runs the same
 //!    staged executor (`run_job`): deadline and fault checks, partition
 //!    (cached or built), stage 1 (sampling + grouping at the job's sample
 //!    budget, in the lane's workspace and pooled staging), then the kind's
 //!    epilogue — swap the vectors into a pooled [`FrameResponse`], cache
-//!    the ordering and slice a chunk, or run the network forward pass.
+//!    the ordering and slice a chunk, or run the network forward pass
+//!    (whose dense layers split their rows across the lane's budget).
 //!    Results are bit-identical to direct library calls for every budget
 //!    and batch size, so scheduling is purely a latency/throughput
 //!    decision.
@@ -1459,9 +1462,11 @@ fn worker_loop(shared: &Arc<Shared>) {
     let mut batch: Vec<Job> = Vec::new();
     while next_batch(shared, &mut batch) {
         // An empty batch means the pop only found expired jobs (already
-        // shed by next_batch) — go straight back for more work.
+        // shed by next_batch) — go straight back for more work. A batch
+        // runs as a held lane, so the fan-outs of concurrent jobs only
+        // take helpers from cores no worker is busy on.
         if !batch.is_empty() {
-            execute_batch(shared, &mut batch);
+            fractalcloud_parallel::hold_lane(|| execute_batch(shared, &mut batch));
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The steady-state allocation contract: once its buffers have grown, a
 //! cache-hit frame touches the heap zero times — in the core hot path and
 //! through the serving engine's recycling loop, with or without a request
-//! deadline — whatever `FRACTALCLOUD_THREADS` says, because a sequential
-//! lane is something the caller configures (`parallel = false`,
-//! `thread_budget(1)`), not something the host happens to provide.
+//! deadline — and so does a cache-hit inference request through the
+//! engine's recycling loop, whatever `FRACTALCLOUD_THREADS` says, because
+//! a sequential lane is something the caller configures (`parallel =
+//! false`, `thread_budget(1)`), not something the host happens to provide.
 //!
 //! The counter is process-wide, so this binary holds exactly one test:
 //! nothing else may allocate while a window is open.
@@ -12,7 +13,7 @@ use fractalcloud_core::{Pipeline, PipelineConfig, PipelineOutput, Workspace};
 use fractalcloud_pointcloud::count_alloc::{allocation_count, CountingAllocator};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud_pointcloud::PointCloud;
-use fractalcloud_serve::{Engine, ServeConfig};
+use fractalcloud_serve::{Engine, InferRequest, ModelConfig, ServeConfig};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -34,6 +35,32 @@ fn serve_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> u64 {
     for _ in 0..FRAMES {
         let r = engine.process_shared(Arc::clone(cloud), cfg).expect("serve frame");
         engine.recycle(r);
+    }
+    let allocations = allocation_count() - before;
+    engine.shutdown();
+    allocations
+}
+
+/// Inference requests per window: a forward pass is far dearer than a
+/// frame in an unoptimised build.
+const INFERS: usize = 4;
+
+/// Heap allocations over `INFERS` cache-hit inference requests through an
+/// engine started with `config`, after as many warm-up requests; every
+/// response is recycled. The requests are built before the window opens:
+/// an `InferRequest` owns its model description.
+fn infer_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> u64 {
+    let request = || InferRequest::new(ModelConfig::pointnetpp_classification());
+    let engine = Engine::start(config);
+    for _ in 0..INFERS {
+        let r = engine.process_infer(Arc::clone(cloud), request()).expect("infer warm-up");
+        engine.recycle_infer(r);
+    }
+    let requests: Vec<InferRequest> = (0..INFERS).map(|_| request()).collect();
+    let before = allocation_count();
+    for req in requests {
+        let r = engine.process_infer(Arc::clone(cloud), req).expect("infer");
+        engine.recycle_infer(r);
     }
     let allocations = allocation_count() - before;
     engine.shutdown();
@@ -87,5 +114,15 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
         serve_loop_allocations(serial.deadline_ms(60_000), &shared),
         0,
         "serve loop with a deadline, {FRAMES} warmed cache-hit frames"
+    );
+
+    // Inference, cache-hit shape: the executor and the partition are
+    // cached, the forward pass runs in the lane's workspace, and
+    // `recycle_infer` hands the output's buffers back.
+    let object = Arc::new(scene_cloud(&SceneConfig::default(), 512, 1));
+    assert_eq!(
+        infer_loop_allocations(serial, &object),
+        0,
+        "infer loop, {INFERS} warmed cache-hit requests"
     );
 }
