@@ -383,11 +383,18 @@ struct Slot {
 /// it already set resets and pushes the slot. Exactly one of two racing
 /// swaps finds it set, so a slot is pooled once, never twice and never
 /// zero times. The first end touches nothing but its `Arc` count after its
-/// swap (`AcqRel`), and the second end's swap acquires it, ordering the
+/// swap (`AcqRel`) — for the guard, nothing but the unlock of the result
+/// it published — and the second end's swap acquires it, ordering the
 /// first end's mutex accesses before the reset; the reset flag and result
 /// reach the slot's next owner through the stash mutex. So a recycled slot
 /// is always unset, `None` and unobserved. A slot whose admission failed
 /// has one end and is simply dropped.
+///
+/// The guard releases while it still holds the result lock it published
+/// under, so a waiter that saw its result is always the second end: it
+/// pools the slot as its ticket drops, before its next submission looks
+/// for one. Were the guard to release after the unlock, a waiter could
+/// submit again before the slot was pooled and find the stash empty.
 #[derive(Debug, Default)]
 struct SlotStash {
     slots: Mutex<Vec<Arc<Slot>>>,
@@ -400,10 +407,15 @@ impl SlotStash {
 
     fn release(&self, slot: Arc<Slot>) {
         if slot.released.swap(true, Ordering::AcqRel) {
-            slot.released.store(false, Ordering::Relaxed);
-            *lock_unpoisoned(&slot.result) = None;
-            lock_unpoisoned(&self.slots).push(slot);
+            self.pool(slot);
         }
+    }
+
+    /// Resets a slot both of whose ends have released it, and pushes it.
+    fn pool(&self, slot: Arc<Slot>) {
+        slot.released.store(false, Ordering::Relaxed);
+        *lock_unpoisoned(&slot.result) = None;
+        lock_unpoisoned(&self.slots).push(slot);
     }
 }
 
@@ -501,15 +513,13 @@ struct TicketGuard {
     admitted_at: Instant,
     /// Flight-recorder request id (shared with the waiter's [`Ticket`]).
     req: u64,
-    /// `Some` until the drop handler releases the slot to the stash.
+    /// `Some` until the guard resolves and releases the slot. Tracked on
+    /// the guard (not inferred from the slot's result) because a waiter
+    /// *takes* the result out of the slot — an emptied slot must not look
+    /// unresolved to the guard's own `Drop`.
     slot: Option<Arc<Slot>>,
     stash: Arc<SlotStash>,
     metrics: Arc<Metrics>,
-    /// Whether this guard already resolved its slot. Tracked on the guard
-    /// (not inferred from the slot) because a waiter *takes* the result
-    /// out of the slot — an emptied slot must not look unresolved to the
-    /// guard's own `Drop`.
-    resolved: bool,
 }
 
 impl TicketGuard {
@@ -519,43 +529,45 @@ impl TicketGuard {
     /// queue-bound sheds are counted by the displacing submitter).
     fn finish(mut self, outcome: Result<EngineResponse, ServeError>) {
         self.resolve(outcome);
-        // The impending Drop finds `resolved` set: no-op.
+        // The impending Drop finds the slot released: no-op.
     }
 
+    /// Publishes `outcome` (unless the slot already holds one) and releases
+    /// this end of the slot; a no-op once the slot is released.
     fn resolve(&mut self, outcome: Result<EngineResponse, ServeError>) {
-        if self.resolved {
-            return;
-        }
-        self.resolved = true;
-        let slot = self.slot.as_ref().expect("slot present until drop");
+        let Some(slot) = self.slot.take() else { return };
         let mut guard = lock_unpoisoned(&slot.result);
-        if guard.is_some() {
-            return;
-        }
-        match &outcome {
-            Ok(_) | Err(ServeError::Invalid(_)) => {
-                let elapsed = self.admitted_at.elapsed();
-                self.metrics.latency.record(elapsed);
-                self.metrics.latency_by_class[self.priority.index()].record(elapsed);
-                self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.note_progress();
-                if let Some(threshold) = obs::slow_threshold_ms() {
-                    if elapsed.as_millis() as u64 >= threshold {
-                        log_slow_request(self.req, self.priority, elapsed, threshold);
+        if guard.is_none() {
+            match &outcome {
+                Ok(_) | Err(ServeError::Invalid(_)) => {
+                    let elapsed = self.admitted_at.elapsed();
+                    self.metrics.latency.record(elapsed);
+                    self.metrics.latency_by_class[self.priority.index()].record(elapsed);
+                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.note_progress();
+                    if let Some(threshold) = obs::slow_threshold_ms() {
+                        if elapsed.as_millis() as u64 >= threshold {
+                            log_slow_request(self.req, self.priority, elapsed, threshold);
+                        }
                     }
                 }
+                Err(ServeError::Shed(ShedReason::DeadlineExceeded)) => {
+                    self.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(ServeError::Shed(_)) => {}
+                Err(ServeError::Internal) => {
+                    self.metrics.failed_internal.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            Err(ServeError::Shed(ShedReason::DeadlineExceeded)) => {
-                self.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Shed(_)) => {}
-            Err(ServeError::Internal) => {
-                self.metrics.failed_internal.fetch_add(1, Ordering::Relaxed);
-            }
+            *guard = Some(outcome);
+            slot.ready.notify_all();
         }
-        *guard = Some(outcome);
+        // Released under the lock (see `SlotStash`).
+        let second = slot.released.swap(true, Ordering::AcqRel);
         drop(guard);
-        slot.ready.notify_all();
+        if second {
+            self.stash.pool(slot);
+        }
     }
 }
 
@@ -564,9 +576,6 @@ impl Drop for TicketGuard {
         // Reached unresolved only when the job was abandoned by a panic
         // somewhere between admission and publication.
         self.resolve(Err(ServeError::Internal));
-        if let Some(slot) = self.slot.take() {
-            self.stash.release(slot);
-        }
     }
 }
 
@@ -1037,7 +1046,6 @@ impl Engine {
                     slot: Some(Arc::clone(&slot)),
                     stash: Arc::clone(&self.shared.slots),
                     metrics: Arc::clone(m),
-                    resolved: false,
                 },
             });
             m.admitted.fetch_add(1, Ordering::Relaxed);
@@ -1958,7 +1966,6 @@ mod tests {
                 slot: Some(Arc::new(Slot::default())),
                 stash: Arc::new(SlotStash::default()),
                 metrics: Arc::new(Metrics::default()),
-                resolved: false,
             },
         }
     }
