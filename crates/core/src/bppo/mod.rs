@@ -121,7 +121,7 @@ pub(crate) trait BlockParts: Default + Send {
 /// Contiguous runs per fanned-out lane. A lane that finishes early waits
 /// for about half a run, so fewer, longer runs can cost wall time, while
 /// every run costs a fresh result part: at 16, a fanned-out frame (sample
-/// and group, 2 threads) allocates 134 / 410 / 646 times at 4k / 16k / 64k
+/// and group, 2 threads) allocates 131 / 402 / 658 times at 4k / 16k / 64k
 /// points, nearly all of it result parts, as no fan-out spawns a thread.
 /// Frames alternating 4, 8, 16 and 32 runs per lane (2 threads, 4 rooms a
 /// frame, 2 × 31 frames per size) found no count faster than 16 in more
@@ -142,12 +142,13 @@ fn block_runs(blocks: usize, lanes: usize) -> Vec<Range<usize>> {
 /// With one lane — the caller asked for sequential execution, the thread
 /// budget in effect is 1, or there is at most one block — every block
 /// streams through the caller's `ws` straight into `out`: no allocation
-/// once both are warm. Otherwise `0..blocks` is cut into contiguous runs
-/// claimed through [`fractalcloud_parallel::parallel_map_budget_with`]'s
-/// counter at that budget ([`fractalcloud_parallel::effective_budget`]),
-/// each lane streaming its runs through one pooled [`Workspace`] into a
-/// fresh part per run, and the parts are absorbed into `out` in block
-/// order. The result is the same at every lane count.
+/// once both are warm. Otherwise `0..blocks` is cut into contiguous runs,
+/// each paired with a fresh result part, and the pairs are handed out by
+/// [`fractalcloud_parallel::for_each_budget`] at that budget
+/// ([`fractalcloud_parallel::effective_budget`]); each run streams its
+/// blocks through one workspace checked out of the [`global_pool`] into its
+/// part, and the parts are absorbed into `out` in block order. The result
+/// is the same at every lane count.
 pub(crate) fn for_each_block<R, F>(
     blocks: usize,
     parallel: bool,
@@ -164,16 +165,13 @@ pub(crate) fn for_each_block<R, F>(
         (0..blocks).for_each(|b| body(b, ws, out));
         return;
     }
-    let parts = fractalcloud_parallel::parallel_map_budget_with(
-        block_runs(blocks, lanes),
-        budget,
-        || global_pool().checkout(),
-        |_, run, ws| {
-            let mut part = R::default();
-            run.for_each(|b| body(b, ws, &mut part));
-            part
-        },
-    );
+    let runs = block_runs(blocks, lanes);
+    let mut parts: Vec<R> = std::iter::repeat_with(R::default).take(runs.len()).collect();
+    let work = runs.into_iter().zip(&mut parts);
+    fractalcloud_parallel::for_each_budget(work, budget, |(run, part)| {
+        let mut ws = global_pool().checkout();
+        run.for_each(|b| body(b, &mut ws, part));
+    });
     parts.into_iter().for_each(|part| out.absorb(part));
 }
 

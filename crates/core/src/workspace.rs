@@ -20,9 +20,8 @@
 //!   one (property-tested in `tests/workspace_reuse.rs`).
 //! * Fanned-out lanes never share scratch: the block driver streams every
 //!   block through the caller's workspace when it runs one lane, and
-//!   otherwise checks one workspace out of the [`global_pool`] per lane
-//!   (the `make` hook of
-//!   [`fractalcloud_parallel::parallel_map_budget_with`]).
+//!   otherwise each run of blocks checks one workspace out of the
+//!   [`global_pool`] for as long as it runs.
 //! * The no-workspace entry points (`block_fps`, `Fractal::build`,
 //!   `Pipeline::run_with_partition`, …) are thin wrappers that check a
 //!   workspace out of the process-wide [`global_pool`] — so even legacy

@@ -2,22 +2,18 @@
 //!
 //! The crates.io registry is unreachable in this build environment, so
 //! instead of `rayon` this small crate provides the one primitive the
-//! workspace needs: [`parallel_map_budget`] — map a function over owned
-//! items with an explicit worker budget, returning results in item order
-//! regardless of scheduling (work distributed by an atomic counter so
-//! imbalanced items still load-balance). It runs sequentially for a budget
-//! or item count of one, and is deterministic in its *results* by
-//! construction: scheduling affects only wall-clock time. The budget lets
-//! layers that multiplex many independent requests (the serving engine)
-//! hand each one a bounded sub-pool; a caller that wants whatever its
-//! enclosing region allows passes [`effective_budget`].
-//! [`parallel_map_budget_with`] additionally hands every execution lane a
-//! private scratch value (`make` is called once per lane that claims an
-//! item) — the hook the workspace layer uses to give each lane a reusable
-//! arena without any cross-thread sharing. [`for_each_budget`] is the
-//! allocation-free form for work that writes in place: it runs a function
-//! on every item of an iterator of disjoint pieces (row ranges of one
-//! output, say) and returns nothing.
+//! workspace needs: [`for_each_budget`] — run a function on every item of
+//! an iterator with an explicit worker budget, allocating nothing. Items
+//! are typically disjoint pieces of one piece of work (row ranges of one
+//! output, runs of blocks paired with their result parts, the jobs of one
+//! batch), so each call writes its results in place; lanes take the next
+//! item through one lock, so imbalanced items still load-balance. It runs
+//! sequentially for a budget or item count of one, and scheduling affects
+//! only wall-clock time, never results. The budget lets layers that
+//! multiplex many independent requests (the serving engine) hand each one
+//! a bounded sub-pool; a caller that wants whatever its enclosing region
+//! allows passes [`effective_budget`]. [`parallel_map_budget`] is the
+//! owned-items adapter over it: it maps items to results in item order.
 //!
 //! No fan-out spawns its lanes. The calling thread runs a fan-out's first
 //! lane itself and offers the others to one process-wide pool of at most
@@ -38,7 +34,6 @@
 #![warn(rust_2018_idioms)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 mod pool;
@@ -62,13 +57,13 @@ pub fn workers() -> usize {
 }
 
 thread_local! {
-    /// The worker allowance the enclosing [`parallel_map_budget`] region
+    /// The worker allowance the enclosing [`for_each_budget`] region
     /// granted this thread (`None` outside any budgeted region).
     static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The worker budget in effect on the current thread: the enclosing
-/// [`parallel_map_budget`] region's per-lane allowance, or [`workers`] when
+/// [`for_each_budget`] region's per-lane allowance, or [`workers`] when
 /// no budgeted region is active.
 ///
 /// A fan-out that passes this as its budget (the block ops do) therefore
@@ -95,9 +90,9 @@ fn set_budget(v: usize) -> BudgetGuard {
 /// Runs `f` on the calling thread with `budget` (minimum 1) as its
 /// [`effective_budget`], so every fan-out inside `f` that passes
 /// [`effective_budget`] shares exactly that allowance; the thread's
-/// previous allowance is restored when `f` returns or unwinds. This is how
-/// a caller that runs a lone job inline gives it the same allowance
-/// [`parallel_map_budget`] would give a one-item batch.
+/// previous allowance is restored when `f` returns or unwinds. It gives
+/// `f` the allowance [`for_each_budget`] gives a lone item, which is how
+/// tests pin the budget a piece of code runs under.
 pub fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     let _restore = set_budget(budget.max(1));
     f()
@@ -106,10 +101,29 @@ pub fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
 /// Maps `f` over `items` with at most `budget` workers, returning results
 /// in item order.
 ///
-/// `f` receives the item index and the owned item. Items are claimed one at
-/// a time through an atomic counter, so heterogeneous item costs still
-/// balance across workers. Results are identical to the sequential order
-/// regardless of scheduling. The explicit budget is the primitive behind
+/// `f` receives the item index and the owned item. This is
+/// [`for_each_budget`] over the items paired with their result slots, so
+/// lanes, allowances and admission are exactly that function's, and the
+/// results are identical to the sequential map for every budget.
+pub fn parallel_map_budget<I, T, F>(items: Vec<I>, budget: usize, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(usize, I) -> T + Sync,
+{
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for_each_budget(items.into_iter().zip(&mut out).enumerate(), budget, |(i, (item, slot))| {
+        *slot = Some(f(i, item));
+    });
+    out.into_iter().map(|t| t.expect("every item computed")).collect()
+}
+
+/// Runs `f` on every item of `items` with at most `budget` lanes, in no
+/// particular order, and allocates nothing: lanes take the next item
+/// through one lock around the iterator, so heterogeneous item costs still
+/// balance across lanes. Meant for items that are disjoint pieces of one
+/// piece of work (`chunks_mut` of an output, say), so `f` writes its
+/// results in place. The explicit budget is the primitive behind
 /// per-request thread budgets in the serving layer, where concurrent
 /// requests each get a bounded sub-pool rather than all contending for
 /// every core.
@@ -118,95 +132,18 @@ pub fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
 /// inherits a share of the budget as its own [`effective_budget`], so
 /// nested fan-outs at [`effective_budget`] keep the total number of active
 /// workers within the budget — *exactly*, not up to rounding. The
-/// remainder rule: with `lanes = min(budget, items)`, every lane gets
-/// `budget / lanes` workers and the first `budget % lanes` lanes get one
-/// extra, so the lane allowances always sum to precisely `budget` (a budget
-/// of 7 over 4 lanes grants 2+2+2+1, not 1+1+1+1). A `budget` of 0 or 1
-/// runs sequentially and pins nested fan-outs to 1; a single item keeps the
-/// entire budget. The calling thread runs the first lane; the others run
-/// only as pool helpers are admitted, so a budget — including one above
-/// [`workers`] — is capped by admission: no more than [`workers`] threads
-/// run lanes process-wide. Results are identical for every budget.
-pub fn parallel_map_budget<I, T, F>(items: Vec<I>, budget: usize, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    parallel_map_budget_with(items, budget, || (), |i, item, ()| f(i, item))
-}
-
-/// [`parallel_map_budget`] with per-lane scratch state: each lane — the
-/// caller's, a helper's or the inline one — that claims an item calls
-/// `make` exactly once and hands the scratch, by `&mut`, to every `f`
-/// invocation it claims, so lanes never share scratch and a lane reuses
-/// its scratch across all its items. This is how higher layers hand out
-/// one workspace per lane: the budget split decides how many lanes exist,
-/// and each lane's scratch is private to it for the whole call. The inline
-/// path (a budget or item count of one) also calls `make` once, so callers
-/// that hand out pooled workspaces see identical checkout behavior whether
-/// or not helpers joined. Results are identical for any `make`.
-pub fn parallel_map_budget_with<I, T, S, M, F>(
-    items: Vec<I>,
-    budget: usize,
-    make: M,
-    f: F,
-) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, I, &mut S) -> T + Sync,
-{
-    let n = items.len();
-    let budget = budget.max(1);
-    let lanes = budget.min(n);
-    if lanes <= 1 {
-        // A lone item keeps the whole budget; a budget of 1 pins the
-        // subtree sequential.
-        let _inline = set_budget(if n <= 1 { budget } else { 1 });
-        let mut scratch = make();
-        return items.into_iter().enumerate().map(|(i, item)| f(i, item, &mut scratch)).collect();
-    }
-    // Each slot is locked by the lane that claims its index to take the
-    // item and again to store the result, so the mutexes are uncontended;
-    // they exist to move `I` and `T` between threads safely.
-    let slots: Vec<Mutex<(Option<I>, Option<T>)>> =
-        items.into_iter().map(|i| Mutex::new((Some(i), None))).collect();
-    let next = AtomicUsize::new(0);
-    pool::run(lanes, &|lane| {
-        // Claim before `make`, so a lane that starts after the work is
-        // gone checks out no scratch.
-        let mut i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let _lane = set_budget(lane_budget(budget, lanes, lane));
-        let mut scratch = make();
-        while i < n {
-            let item = slots[i].lock().expect("slot lock").0.take().expect("item claimed once");
-            let out = f(i, item, &mut scratch);
-            slots[i].lock().expect("slot lock").1 = Some(out);
-            i = next.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").1.expect("every item computed"))
-        .collect()
-}
-
-/// Runs `f` on every item of `items` with at most `budget` lanes, in no
-/// particular order, and allocates nothing: lanes take the next item
-/// through one lock around the iterator. Meant for items that are disjoint
-/// pieces of one piece of work (`chunks_mut` of an output, say), so `f`
-/// writes its results in place.
-///
-/// Lanes and their allowances follow [`parallel_map_budget`]: `min(budget,
-/// items)` lanes (the item count is the iterator's upper size bound), each
-/// with its share of `budget` as its [`effective_budget`], the caller
-/// running the first and helpers admitted for the rest. A budget of 0 or 1
-/// runs every item in order on the caller.
+/// remainder rule: with `lanes = min(budget, items)` (the item count is the
+/// iterator's upper size bound), every lane gets `budget / lanes` workers
+/// and the first `budget % lanes` lanes get one extra, so the lane
+/// allowances always sum to precisely `budget` (a budget of 7 over 4 lanes
+/// grants 2+2+2+1, not 1+1+1+1). A `budget` of 0 or 1 runs every item in
+/// order on the caller and pins nested fan-outs to 1; a single item keeps
+/// the entire budget and runs inline. The calling thread runs the first
+/// lane; the others run only as pool helpers are admitted, so a budget —
+/// including one above [`workers`] — is capped by admission: no more than
+/// [`workers`] threads run lanes process-wide. A panic in any lane reaches
+/// the caller as an ordinary unwind once every started lane has finished;
+/// the items no lane took are dropped with the iterator.
 pub fn for_each_budget<I, F>(items: I, budget: usize, f: F)
 where
     I: IntoIterator,
@@ -218,6 +155,8 @@ where
     let budget = budget.max(1);
     let lanes = budget.min(n);
     if lanes <= 1 {
+        // A lone item keeps the whole budget; a budget of 1 pins the
+        // subtree sequential.
         let _inline = set_budget(if n <= 1 { budget } else { 1 });
         return items.for_each(f);
     }
@@ -395,55 +334,6 @@ mod tests {
         let seen =
             parallel_map_budget((0..4).collect::<Vec<usize>>(), 11, |_, _| effective_budget());
         assert!(seen.iter().all(|b| grants.contains(b)), "{seen:?} against {grants:?}");
-    }
-
-    #[test]
-    fn scratch_is_per_lane_and_reused_across_items() {
-        let _serial = crate::pool::tests::serial();
-        use std::collections::BTreeSet;
-        use std::sync::Mutex;
-        // Each lane's scratch accumulates the items it processed; lanes
-        // never observe one another's scratch, and together they cover
-        // every item exactly once.
-        let seen = Mutex::new(Vec::<Vec<usize>>::new());
-        let items: Vec<usize> = (0..97).collect();
-        let out = parallel_map_budget_with(
-            items,
-            4,
-            Vec::<usize>::new,
-            |_, v, scratch: &mut Vec<usize>| {
-                scratch.push(v);
-                (v, scratch.len())
-            },
-        );
-        // Record per-lane progressions: within one lane, the scratch length
-        // strictly increases with each claimed item.
-        let mut by_count: Vec<usize> = out.iter().map(|&(_, c)| c).collect();
-        by_count.sort_unstable();
-        let all: BTreeSet<usize> = out.iter().map(|&(v, _)| v).collect();
-        assert_eq!(all.len(), 97, "every item processed exactly once");
-        assert_eq!(by_count[0], 1, "every lane starts from a fresh scratch");
-        drop(seen);
-    }
-
-    #[test]
-    fn scratch_make_called_once_on_inline_path() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let makes = AtomicUsize::new(0);
-        let out = parallel_map_budget_with(
-            (0..10).collect::<Vec<usize>>(),
-            1,
-            || {
-                makes.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |_, v, s| {
-                *s += 1;
-                v + *s
-            },
-        );
-        assert_eq!(makes.load(Ordering::Relaxed), 1, "inline path shares one scratch");
-        assert_eq!(out[9], 9 + 10, "scratch persisted across all inline items");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The process-wide lane pool behind [`crate::parallel_map_budget_with`].
+//! The process-wide lane pool behind [`crate::for_each_budget`].
 //!
 //! A fan-out of `k` lanes runs lane 0 on the calling thread and offers
 //! lanes `1..k` to at most [`crate::workers`] − 1 helper threads, spawned
 //! on first need and parked on a condvar between offers. Lanes claim work
-//! through the caller's own counter, so a lane no helper starts costs
+//! through the caller's own iterator, so a lane no helper starts costs
 //! nothing: the lanes that did start finish the work between them.
 //!
 //! **Admission.** A helper starts a lane only while fewer than

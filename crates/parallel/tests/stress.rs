@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-use fractalcloud_parallel::{effective_budget, parallel_map_budget, parallel_map_budget_with};
+use fractalcloud_parallel::{effective_budget, parallel_map_budget};
 
 const CALLERS: u64 = 4;
 const CASES_PER_CALLER: usize = 300;
@@ -66,7 +66,7 @@ impl Case {
     /// both levels); the injected panic fires only with `inject`.
     fn run(&self, budget: usize, inject: bool) -> Vec<u64> {
         let panic_at = self.panic_at.filter(|_| inject);
-        let f = |i: usize, v: u64, seen: &mut usize| {
+        let f = |i: usize, v: u64| {
             if panic_at == Some((i, None)) {
                 panic!("injected outer lane panic");
             }
@@ -77,10 +77,9 @@ impl Case {
                 }
                 value(j, w)
             });
-            *seen += 1;
             nested.iter().fold(value(i, v), |acc, x| acc.wrapping_add(*x))
         };
-        parallel_map_budget_with(self.items.clone(), budget, || 0usize, f)
+        parallel_map_budget(self.items.clone(), budget, f)
     }
 }
 

@@ -43,24 +43,26 @@ pub fn frame_key(cloud: &PointCloud, threshold: usize) -> u64 {
 pub struct PartitionCache {
     capacity: usize,
     tick: u64,
-    entries: HashMap<u64, (u64, Arc<FractalResult>)>,
-    orders: HashMap<u64, (u64, Arc<PipelineOutput>)>,
+    entries: Lru<FractalResult>,
+    orders: Lru<PipelineOutput>,
 }
 
 impl PartitionCache {
     /// Creates a cache holding at most `capacity` partitions (0 disables
     /// caching: every lookup misses, inserts are dropped).
     pub fn new(capacity: usize) -> PartitionCache {
-        PartitionCache { capacity, tick: 0, entries: HashMap::new(), orders: HashMap::new() }
+        PartitionCache {
+            capacity,
+            tick: 0,
+            entries: Lru(HashMap::new()),
+            orders: Lru(HashMap::new()),
+        }
     }
 
     /// Looks up a partition, refreshing its recency on hit.
     pub fn get(&mut self, key: u64) -> Option<Arc<FractalResult>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (at, v) = self.entries.get_mut(&key)?;
-        *at = tick;
-        Some(Arc::clone(v))
+        let tick = self.stamp();
+        self.entries.get(key, tick)
     }
 
     /// Inserts a partition, evicting the least-recently-used entry when at
@@ -68,27 +70,12 @@ impl PartitionCache {
     ///
     /// Recency is bumped on insert exactly as on [`PartitionCache::get`]:
     /// a re-insert of a present key is a pure refresh-and-replace — it can
-    /// never evict anything (the update path is separated from the
-    /// eviction path below, so the at-capacity check only ever sees
-    /// genuinely new keys), and it moves the key to most-recently-used.
+    /// never evict anything, and it moves the key to most-recently-used.
     pub fn insert(&mut self, key: u64, value: Arc<FractalResult>) {
-        if self.capacity == 0 {
-            return;
+        if self.capacity > 0 {
+            let tick = self.stamp();
+            self.entries.insert(key, value, tick, self.capacity);
         }
-        self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            // Present key: refresh recency and replace the value in place.
-            *entry = (self.tick, value);
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(&oldest) =
-                self.entries.iter().min_by_key(|(_, (at, _))| *at).map(|(k, _)| k)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert(key, (self.tick, value));
     }
 
     /// Looks up a cached full-depth pipeline output (the quality ordering a
@@ -96,47 +83,68 @@ impl PartitionCache {
     /// caller's business — the engine folds the frame key with the pipeline
     /// compatibility key so distinct configs never alias.
     pub fn get_order(&mut self, key: u64) -> Option<Arc<PipelineOutput>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (at, v) = self.orders.get_mut(&key)?;
-        *at = tick;
-        Some(Arc::clone(v))
+        let tick = self.stamp();
+        self.orders.get(key, tick)
     }
 
     /// Inserts a full-depth pipeline output under the same tick-LRU
     /// discipline as [`PartitionCache::insert`] (shared tick, same capacity
     /// bound, independent eviction).
     pub fn insert_order(&mut self, key: u64, value: Arc<PipelineOutput>) {
-        if self.capacity == 0 {
-            return;
+        if self.capacity > 0 {
+            let tick = self.stamp();
+            self.orders.insert(key, value, tick, self.capacity);
         }
-        self.tick += 1;
-        if let Some(entry) = self.orders.get_mut(&key) {
-            *entry = (self.tick, value);
-            return;
-        }
-        if self.orders.len() >= self.capacity {
-            if let Some(&oldest) = self.orders.iter().min_by_key(|(_, (at, _))| *at).map(|(k, _)| k)
-            {
-                self.orders.remove(&oldest);
-            }
-        }
-        self.orders.insert(key, (self.tick, value));
     }
 
     /// Number of cached partitions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.0.len()
     }
 
     /// Number of cached full-depth orderings.
     pub fn orders_len(&self) -> usize {
-        self.orders.len()
+        self.orders.0.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.orders.is_empty()
+        self.entries.0.is_empty() && self.orders.0.is_empty()
+    }
+
+    /// Advances the shared tick and returns it.
+    fn stamp(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+}
+
+/// One tick-LRU map: each entry carries the tick of its last use.
+#[derive(Debug)]
+struct Lru<V>(HashMap<u64, (u64, Arc<V>)>);
+
+impl<V> Lru<V> {
+    /// Looks up `key`, stamping it with `tick` on hit.
+    fn get(&mut self, key: u64, tick: u64) -> Option<Arc<V>> {
+        let (at, v) = self.0.get_mut(&key)?;
+        *at = tick;
+        Some(Arc::clone(v))
+    }
+
+    /// Inserts `value` stamped with `tick`. A present key is refreshed and
+    /// replaced in place; only a new key at `capacity` evicts, and then the
+    /// entry with the oldest tick.
+    fn insert(&mut self, key: u64, value: Arc<V>, tick: u64, capacity: usize) {
+        if let Some(entry) = self.0.get_mut(&key) {
+            *entry = (tick, value);
+            return;
+        }
+        if self.0.len() >= capacity {
+            if let Some(&oldest) = self.0.iter().min_by_key(|(_, (at, _))| *at).map(|(k, _)| k) {
+                self.0.remove(&oldest);
+            }
+        }
+        self.0.insert(key, (tick, value));
     }
 }
 

@@ -15,11 +15,12 @@
 //!    `max_batch - 1` further *compatible* jobs (equal
 //!    [`PipelineConfig`]) from every class, highest first, preserving each
 //!    class's arrival order among what remains.
-//! 4. **Execution** — one schedule for every request kind: a lone job
-//!    runs inline on its worker with the whole thread budget (block
-//!    fan-out); a fused batch runs one lane per job
-//!    ([`fractalcloud_parallel::parallel_map_budget_with`]), and each
-//!    lane's share of the budget is inherited by every nested fan-out
+//! 4. **Execution** — one schedule for every request kind and batch size:
+//!    the batch's jobs are the items of one
+//!    [`fractalcloud_parallel::for_each_budget`] over the thread budget, so
+//!    a lone job runs inline on its worker with the whole budget and a
+//!    fused batch runs one lane per job, and each job's share of the
+//!    budget is inherited by every nested fan-out
 //!    ([`fractalcloud_parallel::effective_budget`]) — the paper's
 //!    block-parallel point operations spread one frame's independent blocks
 //!    over whatever the lane was granted — so the batch's total worker
@@ -30,18 +31,20 @@
 //!    process-wide. A worker counts as one for the whole of every batch it
 //!    executes ([`fractalcloud_parallel::hold_lane`]), so when every core
 //!    has a busy engine worker the fan-outs run inline instead of
-//!    oversubscribing the cores. Every lane runs the same
+//!    oversubscribing the cores. Every job runs the same
 //!    staged executor (`run_job`): deadline and fault checks, partition
 //!    (cached or built), stage 1 (sampling + grouping at the job's sample
-//!    budget, in the lane's workspace and pooled staging), then the kind's
+//!    budget, in a pooled workspace and staging), then the kind's
 //!    epilogue — swap the vectors into a pooled [`FrameResponse`], cache
 //!    the ordering and slice a chunk, or run the network forward pass
-//!    (whose dense layers split their rows across the lane's budget).
+//!    (whose dense layers split their rows across the job's budget).
 //!    Results are bit-identical to direct library calls for every budget
 //!    and batch size, so scheduling is purely a latency/throughput
 //!    decision.
-//! 5. **Completion** — the response is published through the request's
-//!    [`Ticket`] and latency is recorded, globally and per class.
+//! 5. **Completion** — each job's response is published through its
+//!    request's [`Ticket`] as soon as that job finishes, in whichever lane
+//!    ran it, without waiting for the rest of the batch; latency is
+//!    recorded, globally and per class.
 //!
 //! Partition reuse: before building, each frame's [`frame_key`] is looked
 //! up in the engine-wide [`PartitionCache`]; identical frame bytes at the
@@ -1509,25 +1512,21 @@ fn next_batch(shared: &Arc<Shared>, batch: &mut Vec<Job>) -> bool {
                     if batch.len() >= shared.cfg.max_batch {
                         break;
                     }
+                    // One rotation of the lane in place: every job is
+                    // popped once and the ones that stay go to the back,
+                    // so arrival order is kept and the lane keeps its
+                    // capacity (no allocation per batch or per submit).
                     let lane = &mut queue.classes[class];
-                    // Skipping empty lanes is a steady-state allocation
-                    // guarantee, not just a shortcut: the rebuild below
-                    // would replace a warm lane's capacity with an empty
-                    // one, forcing the next submit to reallocate it.
-                    if lane.is_empty() {
-                        continue;
-                    }
-                    let mut kept = VecDeque::with_capacity(lane.len());
-                    while let Some(job) = lane.pop_front() {
+                    for _ in 0..lane.len() {
+                        let job = lane.pop_front().expect("within the lane's length");
                         if job.expired(now) {
                             expired.push(job);
                         } else if batch.len() < shared.cfg.max_batch && job.compat == compat {
                             batch.push(job);
                         } else {
-                            kept.push_back(job);
+                            lane.push_back(job);
                         }
                     }
-                    *lane = kept;
                 }
                 shared.metrics.set_queue_depth(queue.len());
                 break true;
@@ -1608,44 +1607,18 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
         return;
     }
 
-    if size == 1 {
-        // Lone-job fast path, executed inline on this worker: no per-batch
-        // result vector. It runs under the configured budget, as
-        // a one-item fused batch would — with `thread_budget(1)`, a warmed
-        // workspace and staging it performs zero heap allocations
-        // (`tests/zero_alloc.rs`).
-        let job = batch.pop().expect("size checked above");
-        let mut ws = global_pool().checkout();
-        let outcome = fractalcloud_parallel::with_budget(shared.cfg.thread_budget, || {
-            run_job(shared, &job, size, &mut ws)
-        });
+    // One schedule for every batch size: the jobs are the items of one
+    // fan-out over the engine's budget (a lone job keeps all of it and runs
+    // inline on this worker), and each job checks a workspace out of the
+    // process-wide pool. Each ticket resolves as soon as its job finishes;
+    // a job whose lane panicked, or that no lane reached, resolves Internal
+    // through its guard. Once warm, nothing here allocates
+    // (`tests/zero_alloc.rs`).
+    fractalcloud_parallel::for_each_budget(batch.drain(..), shared.cfg.thread_budget, |job| {
+        // The workspace goes back to the pool before the waiter wakes.
+        let outcome = run_job(shared, &job, size, &mut global_pool().checkout());
         job.ticket.finish(outcome);
-        return;
-    }
-
-    // One lane per job. `parallel_map_budget_with` divides the engine's
-    // budget across the lanes, each lane's allowance is inherited by every
-    // fan-out inside the pipeline, and each lane checks one workspace out
-    // of the process-wide pool — scratch is reused across the lane's jobs
-    // and across batches, never shared between threads. Results are
-    // identical for every budget — only wall-clock (and allocation
-    // traffic) differs.
-    let owned: Vec<Job> = std::mem::take(batch);
-    let outcomes = fractalcloud_parallel::parallel_map_budget_with(
-        owned,
-        shared.cfg.thread_budget,
-        || global_pool().checkout(),
-        |_, job, ws| {
-            let outcome = run_job(shared, &job, size, ws);
-            (job.ticket, outcome)
-        },
-    );
-    // A lane that panicked dropped its (ticket, outcome) pair mid-flight —
-    // that ticket already resolved Internal via its guard; the survivors
-    // resolve here.
-    for (ticket, outcome) in outcomes {
-        ticket.finish(outcome);
-    }
+    });
 }
 
 /// The staged executor every job runs through, whatever its kind: the

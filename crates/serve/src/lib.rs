@@ -14,8 +14,8 @@
 //!   (weighted dequeue, Bulk-sheds-first displacement at the bound) and
 //!   counted load-shedding (never unbounded growth), an adaptive batcher
 //!   fusing compatible frames into one lane per request on
-//!   [`fractalcloud_parallel::parallel_map_budget_with`] (each lane's share
-//!   of the thread budget is inherited by the block fan-out inside its
+//!   [`fractalcloud_parallel::for_each_budget`] (each request's share of
+//!   the thread budget is inherited by the block fan-out inside its
 //!   pipeline — bit-identical results for every budget), and a partition
 //!   LRU ([`cache`]) keyed by frame hash;
 //! * [`Metrics`] — per-stage counters (global and per priority class),

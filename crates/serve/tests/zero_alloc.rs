@@ -1,10 +1,11 @@
 //! The steady-state allocation contract: once its buffers have grown, a
 //! cache-hit frame touches the heap zero times — in the core hot path and
 //! through the serving engine's recycling loop, with or without a request
-//! deadline — and so does a cache-hit inference request through the
-//! engine's recycling loop, whatever `FRACTALCLOUD_THREADS` says, because
-//! a sequential lane is something the caller configures (`parallel =
-//! false`, `thread_budget(1)`), not something the host happens to provide.
+//! deadline, alone or fused into a batch — and so does a cache-hit
+//! inference request through the engine's recycling loop, whatever
+//! `FRACTALCLOUD_THREADS` says, because a sequential lane is something the
+//! caller configures (`parallel = false`, `thread_budget(1)`, a one-block
+//! frame), not something the host happens to provide.
 //!
 //! The counter is process-wide, so this binary holds exactly one test:
 //! nothing else may allocate while a window is open.
@@ -13,8 +14,11 @@ use fractalcloud_core::{Pipeline, PipelineConfig, PipelineOutput, Workspace};
 use fractalcloud_pointcloud::count_alloc::{allocation_count, CountingAllocator};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud_pointcloud::PointCloud;
-use fractalcloud_serve::{Engine, InferRequest, ModelConfig, ServeConfig};
+use fractalcloud_serve::{
+    Engine, FaultKind, FaultPlan, FaultPoint, InferRequest, ModelConfig, Priority, ServeConfig,
+};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -39,6 +43,40 @@ fn serve_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> u64 {
     let allocations = allocation_count() - before;
     engine.shutdown();
     allocations
+}
+
+/// Tickets submitted per round of [`fused_loop_allocations`].
+const BURST: usize = 8;
+
+/// Heap allocations over `FRAMES` rounds of `BURST` cache-hit frames each,
+/// submitted at once to an engine started with `config`, then all waited
+/// for, then all recycled, after as many warm-up rounds; also the engine's
+/// `(batches, batched_frames)` over the window. Waiting for the whole
+/// burst before recycling any of it keeps exactly `BURST` responses in
+/// circulation whatever the scheduling, so every round reuses the shells
+/// the warm-up grew.
+fn fused_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> (u64, u64, u64) {
+    let cfg = PipelineConfig::default();
+    let engine = Engine::start(config);
+    let mut tickets = Vec::with_capacity(BURST);
+    let mut responses = Vec::with_capacity(BURST);
+    let mut round = || {
+        for _ in 0..BURST {
+            let ticket =
+                engine.submit_shared_with_options(Arc::clone(cloud), cfg, Priority::Normal, None);
+            tickets.push(ticket.expect("admitted"));
+        }
+        responses.extend(tickets.drain(..).map(|t| t.wait().expect("fused frame")));
+        responses.drain(..).for_each(|r| engine.recycle(r));
+    };
+    (0..FRAMES).for_each(|_| round());
+    let start = engine.metrics();
+    let before = allocation_count();
+    (0..FRAMES).for_each(|_| round());
+    let allocations = allocation_count() - before;
+    let end = engine.metrics();
+    engine.shutdown();
+    (allocations, end.batches - start.batches, end.batched_frames - start.batched_frames)
 }
 
 /// Inference requests per window: a forward pass is far dearer than a
@@ -115,6 +153,18 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
         0,
         "serve loop with a deadline, {FRAMES} warmed cache-hit frames"
     );
+
+    // Fused, cache-hit shape: a delay at every batch holds the one worker
+    // while the rest of a burst queues, so those jobs fuse into one batch
+    // and run as the items of one fan-out over a budget of 2. The frame is
+    // one block, so no block fan-out runs inside a job.
+    let held = FaultPlan::OFF
+        .with_fault(FaultKind::Delay, FaultPoint::Worker, 1.0)
+        .with_delay(FaultPoint::Worker, Duration::from_millis(2));
+    let fused = ServeConfig::default().workers(1).thread_budget(2).faults(held);
+    let (allocations, batches, batched_frames) = fused_loop_allocations(fused, &Arc::new(small));
+    assert!(batched_frames > batches, "{batched_frames} frames in {batches} batches fused none");
+    assert_eq!(allocations, 0, "fused serve loop, {FRAMES} warmed rounds of {BURST}");
 
     // Inference, cache-hit shape: the executor and the partition are
     // cached, the forward pass runs in the lane's workspace, and
