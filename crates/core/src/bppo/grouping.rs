@@ -66,10 +66,15 @@ impl BlockParts for BlockNeighborResult {
 /// streamed from the center's own block onwards, wrapping around —
 /// mirroring the hardware's streamed block reads.
 ///
+/// Results are bit-identical at every lane count. The allocation-free
+/// steady state of grouping is the pipeline's
+/// [`Pipeline::run_with_partition_into`](crate::Pipeline::run_with_partition_into).
+///
 /// # Errors
 ///
 /// Returns [`Error::ShapeMismatch`] if `centers_per_block` does not match
-/// the partition's block count, or parameter errors for `radius`/`num`.
+/// the partition's block count, [`Error::IndexOutOfBounds`] for a center
+/// index outside the cloud, or parameter errors for `radius`/`num`.
 pub fn block_ball_query(
     cloud: &PointCloud,
     partition: &Partition,
@@ -78,41 +83,6 @@ pub fn block_ball_query(
     num: usize,
     config: &BppoConfig,
 ) -> Result<BlockNeighborResult> {
-    let mut ws = global_pool().checkout();
-    let mut out = BlockNeighborResult::default();
-    block_ball_query_into(
-        cloud,
-        partition,
-        centers_per_block,
-        radius,
-        num,
-        config,
-        &mut ws,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// [`block_ball_query`] running inside a caller-provided [`Workspace`] and
-/// refilling a caller-provided result — the allocation-free steady state
-/// of the grouping stage: `out` is fully reset and every block appends its
-/// rows under the block driver. Results are bit-identical at every lane
-/// count (and to a fresh allocation).
-///
-/// # Errors
-///
-/// As [`block_ball_query`].
-#[allow(clippy::too_many_arguments)]
-pub fn block_ball_query_into(
-    cloud: &PointCloud,
-    partition: &Partition,
-    centers_per_block: &[Vec<usize>],
-    radius: f32,
-    num: usize,
-    config: &BppoConfig,
-    ws: &mut Workspace,
-    out: &mut BlockNeighborResult,
-) -> Result<()> {
     if centers_per_block.len() != partition.blocks.len() {
         return Err(Error::ShapeMismatch {
             expected: partition.blocks.len(),
@@ -120,7 +90,12 @@ pub fn block_ball_query_into(
         });
     }
     ops::check_ball_query(radius, num)?;
-    with_layout(ws, cloud, partition, |layout, ws| {
+    if let Some(&index) = centers_per_block.iter().flatten().find(|&&ci| ci >= cloud.len()) {
+        return Err(Error::IndexOutOfBounds { index, len: cloud.len() });
+    }
+    let mut ws = global_pool().checkout();
+    let mut out = BlockNeighborResult::default();
+    with_layout(&mut ws, cloud, partition, |layout, ws| {
         ball_query_blocks(
             cloud,
             layout,
@@ -130,16 +105,18 @@ pub fn block_ball_query_into(
             num,
             config,
             ws,
-            out,
+            &mut out,
         );
         Ok(())
-    })
+    })?;
+    Ok(out)
 }
 
 /// Block ball query over an already filled [`Layout`] of `cloud` under
-/// `partition` — the body of [`block_ball_query_into`], which the pipeline
+/// `partition` — the body of [`block_ball_query`], which the pipeline
 /// calls on the layout it shares with sampling. The caller has checked the
-/// arguments.
+/// arguments (the pipeline's centers come from block FPS, so are in
+/// range).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ball_query_blocks(
     cloud: &PointCloud,
@@ -367,6 +344,16 @@ mod tests {
         assert!(block_ball_query(&cloud, &part, &centers, 0.5, 0, &BppoConfig::default()).is_err());
         let wrong = vec![Vec::new(); part.blocks.len() + 1];
         assert!(block_ball_query(&cloud, &part, &wrong, 0.5, 8, &BppoConfig::default()).is_err());
+    }
+
+    #[test]
+    fn bwg_center_outside_the_cloud_is_an_error() {
+        let cloud =
+            PointCloud::from_points((0..40).map(|i| Point3::new(i as f32, 0.0, 0.0)).collect());
+        let part = Fractal::with_threshold(64).build(&cloud).unwrap().partition;
+        assert_eq!(part.blocks.len(), 1);
+        let r = block_ball_query(&cloud, &part, &[vec![3, 99]], 0.5, 4, &BppoConfig::sequential());
+        assert_eq!(r, Err(Error::IndexOutOfBounds { index: 99, len: 40 }));
     }
 
     #[test]

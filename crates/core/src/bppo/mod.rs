@@ -31,19 +31,15 @@
 
 mod grouping;
 pub mod interpolation;
-pub mod reference;
 mod sampling;
 
 pub(crate) use grouping::ball_query_blocks;
-pub use grouping::{
-    ball_query_block_model, block_ball_query, block_ball_query_into, BlockNeighborResult,
-};
+pub use grouping::{ball_query_block_model, block_ball_query, BlockNeighborResult};
 pub use interpolation::{block_interpolate, BlockInterpolationResult};
-pub(crate) use sampling::fps_blocks;
 pub use sampling::{
-    block_fps, block_fps_with_counts, block_fps_with_counts_into, block_sample_counts,
-    block_sample_counts_into, equal_sample_counts, BlockFpsResult,
+    block_fps, block_fps_with_counts, block_sample_counts, equal_sample_counts, BlockFpsResult,
 };
+pub(crate) use sampling::{block_sample_counts_into, fps_blocks};
 
 use crate::workspace::{global_pool, Slab, Workspace};
 use fractalcloud_pointcloud::partition::Partition;

@@ -68,7 +68,7 @@ pub fn block_sample_counts(block_sizes: &[usize], rate: f64) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics if `rate` is not within `0.0..=1.0`.
-pub fn block_sample_counts_into(
+pub(crate) fn block_sample_counts_into(
     block_sizes: &[usize],
     rate: f64,
     counts: &mut Vec<usize>,
@@ -186,7 +186,9 @@ pub fn block_fps(
 }
 
 /// Block-wise FPS with an explicit per-block sample budget (the
-/// allocation-policy-agnostic core of [`block_fps`]).
+/// allocation-policy-agnostic core of [`block_fps`]). The allocation-free
+/// steady state of sampling is the pipeline's
+/// [`Pipeline::run_with_partition_into`](crate::Pipeline::run_with_partition_into).
 ///
 /// # Errors
 ///
@@ -198,30 +200,6 @@ pub fn block_fps_with_counts(
     counts: &[usize],
     config: &BppoConfig,
 ) -> Result<BlockFpsResult> {
-    let mut ws = global_pool().checkout();
-    let mut out = BlockFpsResult::default();
-    block_fps_with_counts_into(cloud, partition, counts, config, &mut ws, &mut out)?;
-    Ok(out)
-}
-
-/// [`block_fps_with_counts`] running inside a caller-provided [`Workspace`]
-/// and refilling a caller-provided result — the allocation-free steady
-/// state of the sampling stage. `out` is fully reset (its buffers,
-/// including the recycled `per_block` rows, keep their capacity), so a
-/// dirty result from any earlier frame yields bit-identical output, at
-/// every lane count of the block driver.
-///
-/// # Errors
-///
-/// As [`block_fps_with_counts`].
-pub fn block_fps_with_counts_into(
-    cloud: &PointCloud,
-    partition: &Partition,
-    counts: &[usize],
-    config: &BppoConfig,
-    ws: &mut Workspace,
-    out: &mut BlockFpsResult,
-) -> Result<()> {
     if cloud.is_empty() {
         return Err(Error::EmptyCloud);
     }
@@ -231,15 +209,18 @@ pub fn block_fps_with_counts_into(
             actual: counts.len(),
         });
     }
-    with_layout(ws, cloud, partition, |layout, ws| {
-        fps_blocks(layout, counts, config, ws, out);
+    let mut ws = global_pool().checkout();
+    let mut out = BlockFpsResult::default();
+    with_layout(&mut ws, cloud, partition, |layout, ws| {
+        fps_blocks(layout, counts, config, ws, &mut out);
         Ok(())
-    })
+    })?;
+    Ok(out)
 }
 
 /// Block FPS over an already filled [`Layout`] — the body of
-/// [`block_fps_with_counts_into`], which the pipeline calls on the layout
-/// it shares with grouping. `counts` has one entry per laid-out block.
+/// [`block_fps_with_counts`], which the pipeline calls on the layout it
+/// shares with grouping. `counts` has one entry per laid-out block.
 pub(crate) fn fps_blocks(
     layout: &Layout,
     counts: &[usize],

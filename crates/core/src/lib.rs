@@ -14,7 +14,6 @@
 //!   ([`block_interpolate`]);
 //! * [`Pipeline`] — a validated, reusable partition + BPPO pipeline (the
 //!   seam the `fractalcloud-serve` request engine is built on);
-//! * [`WindowCheck`] — the RSPU redundancy-skipping mask (Fig. 11(c));
 //! * [`quality`] — accuracy-proxy evaluation of block vs global pipelines;
 //! * [`workspace`] — reusable scratch arenas ([`Workspace`], [`workspace::Pool`])
 //!   threaded through the build and BPPO hot paths so a warmed pipeline
@@ -47,19 +46,17 @@ pub mod lod;
 mod pipeline;
 pub mod quality;
 mod tree;
-mod window;
 pub mod workspace;
 
 pub use bppo::interpolation::BlockInterpolationResult;
 pub use bppo::{
-    ball_query_block_model, block_ball_query, block_ball_query_into, block_fps,
-    block_fps_with_counts, block_fps_with_counts_into, block_interpolate, block_sample_counts,
-    equal_sample_counts, BlockFpsResult, BlockNeighborResult, BppoConfig, ReuseStats,
+    ball_query_block_model, block_ball_query, block_fps, block_fps_with_counts, block_interpolate,
+    block_sample_counts, equal_sample_counts, BlockFpsResult, BlockNeighborResult, BppoConfig,
+    ReuseStats,
 };
 pub use fractal::{Fractal, FractalConfig, FractalResult};
 pub use lod::{LodCursor, LodSegment, LodSegmentRef, LodSlice, SampleOrder};
 pub use pipeline::{fnv1a64, Pipeline, PipelineConfig, PipelineOutput, FNV1A64_SEED};
 pub use quality::{evaluate_quality, QualityConfig, QualityReport};
 pub use tree::{FractalNode, FractalTree, NodeId};
-pub use window::WindowCheck;
 pub use workspace::{InferScratch, LevelMeta, Workspace};

@@ -19,7 +19,7 @@
 //! allocator is not house-monotone (the Alabama paradox), so a budget-`k`
 //! run is **defined** as: derive per-block counts from `schedule[..k]`,
 //! then run the ordinary kernels at those counts
-//! ([`Pipeline::run_with_partition_budget`](crate::Pipeline::run_with_partition_budget)).
+//! ([`Pipeline::run_with_partition_into_cancel`](crate::Pipeline::run_with_partition_into_cancel)).
 //!
 //! Counters in sliced views come from the same closed-form models the real
 //! kernel drivers use ([`OpCounters::fps_model`],
@@ -55,18 +55,9 @@ pub struct SampleOrder {
 
 impl SampleOrder {
     /// Builds the schedule for `partition` with full per-block sample
-    /// budget `counts`.
-    pub fn build(partition: &Partition, counts: &[usize]) -> SampleOrder {
-        let mut order = SampleOrder::default();
-        let mut scratch = Vec::new();
-        order.build_into(partition, counts, &mut scratch);
-        order
-    }
-
-    /// [`SampleOrder::build`] refilling `self` in place with caller-provided
-    /// sort scratch — the allocation-free form the workspace pipeline uses
-    /// (a warmed order + scratch pair allocates nothing while the block
-    /// count is stable).
+    /// budget `counts`, refilling `self` in place with caller-provided sort
+    /// scratch (a warmed order + scratch pair allocates nothing while the
+    /// block count is stable).
     pub fn build_into(
         &mut self,
         partition: &Partition,
@@ -191,7 +182,7 @@ impl PipelineOutput {
     /// The first-`k` view of this output: bit-identical — indices,
     /// counters, critical path, reuse statistics, ordering — to running
     /// the same pipeline with a sample budget of `k`
-    /// ([`Pipeline::run_with_partition_budget`](crate::Pipeline::run_with_partition_budget)).
+    /// ([`Pipeline::run_with_partition_into_cancel`](crate::Pipeline::run_with_partition_into_cancel)).
     ///
     /// Pure slicing: per-block sample rows and neighbor rows are prefixes
     /// of the full ones (FPS is greedy, grouping is per-center), work

@@ -279,14 +279,22 @@ impl Pipeline {
     }
 
     /// The one implementation of the BPPO half, behind every `run*` entry
-    /// point: [`Pipeline::run_with_partition_into`] at a sample budget
-    /// (clamped to the run's total, so `usize::MAX` is full depth; see
-    /// [`Pipeline::run_with_partition_budget`]) and with an optional
-    /// `deadline` checked at the stage seams (entry, after sample counts,
-    /// between sampling and grouping). Cancellation is cooperative: a
-    /// running stage finishes, and the run returns [`Error::Cancelled`] at
-    /// the next seam, so a frame whose deadline already passed stops
-    /// burning its thread budget mid-run.
+    /// point: [`Pipeline::run_with_partition_into`] at a sample `budget`
+    /// and with an optional `deadline` checked at the stage seams (entry,
+    /// after sample counts, between sampling and grouping).
+    ///
+    /// The budget is clamped to the run's total, so `usize::MAX` is full
+    /// depth. Per-block counts are the first `budget` ranks of the
+    /// [`SampleOrder`] interleave schedule built from the *full* budgets —
+    /// not the largest-remainder allocator re-run at a smaller rate, which
+    /// is not prefix-monotone — and the ordinary kernels then run at those
+    /// counts. By construction, [`PipelineOutput::prefix`]`(budget)` of a
+    /// full run is bit-identical to this, which is the contract streaming
+    /// refinement relies on.
+    ///
+    /// Cancellation is cooperative: a running stage finishes, and the run
+    /// returns [`Error::Cancelled`] at the next seam, so a frame whose
+    /// deadline already passed stops burning its thread budget mid-run.
     ///
     /// After an `Err(Error::Cancelled)` return, `out` holds garbage from
     /// the aborted stages — reuse the buffers, never the contents.
@@ -372,7 +380,8 @@ impl Pipeline {
     // --- Budget runs (progressive LOD) -----------------------------------
 
     /// Runs the full pipeline at an explicit sample budget of `k` points:
-    /// partition, then [`Pipeline::run_with_partition_budget`].
+    /// partition, then [`Pipeline::run_with_partition_into_cancel`] at
+    /// budget `k`.
     ///
     /// # Errors
     ///
@@ -384,31 +393,9 @@ impl Pipeline {
         parallel: bool,
     ) -> Result<PipelineOutput> {
         let built = self.partition(cloud)?;
-        self.run_with_partition_budget(cloud, &built, k, parallel)
-    }
-
-    /// The BPPO half at an explicit sample budget `k` (clamped to the
-    /// run's total): per-block counts are the first `k` ranks of the
-    /// [`SampleOrder`] interleave schedule built from the *full* budgets
-    /// — not the largest-remainder allocator re-run at a smaller rate,
-    /// which is not prefix-monotone — and the ordinary kernels then run at
-    /// those counts. By construction,
-    /// [`PipelineOutput::prefix`]`(k)` of a full run is bit-identical to
-    /// this, which is the contract streaming refinement relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyCloud`] for an empty cloud.
-    pub fn run_with_partition_budget(
-        &self,
-        cloud: &PointCloud,
-        built: &FractalResult,
-        k: usize,
-        parallel: bool,
-    ) -> Result<PipelineOutput> {
         let mut ws = global_pool().checkout();
         let mut out = PipelineOutput::default();
-        self.run_with_partition_into_cancel(cloud, built, k, parallel, &mut ws, &mut out, None)?;
+        self.run_with_partition_into_cancel(cloud, &built, k, parallel, &mut ws, &mut out, None)?;
         Ok(out)
     }
 }

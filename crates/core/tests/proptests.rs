@@ -1,9 +1,9 @@
 //! Property-based tests for Fractal and the block-parallel operations.
 
-use fractalcloud_core::bppo::reference as bppo_reference;
 use fractalcloud_core::{
     block_ball_query, block_fps, block_interpolate, BppoConfig, Fractal, FractalTree, NodeId,
 };
+use fractalcloud_oracle::bppo as bppo_reference;
 use fractalcloud_pointcloud::generate::{
     object_cloud, scene_cloud, uniform_cube, ObjectKind, SceneConfig,
 };
@@ -329,11 +329,18 @@ proptest! {
             let full = pipe.run_with_partition(&cloud, &built, false).unwrap();
             let k = ((full.total_samples() as f64) * frac).floor() as usize;
             let view = full.prefix(k);
+            let budget_run = || {
+                let mut ws = fractalcloud_core::workspace::global_pool().checkout();
+                let mut out = fractalcloud_core::PipelineOutput::default();
+                pipe.run_with_partition_into_cancel(&cloud, &built, k, false, &mut ws, &mut out, None)
+                    .unwrap();
+                out
+            };
             // Cache-hit repeat: the same `built` serves the budget run...
-            let direct = pipe.run_with_partition_budget(&cloud, &built, k, false).unwrap();
+            let direct = budget_run();
             assert_eq!(view, direct, "prefix({k}) diverged from a budget-{k} run");
             // ...and a second identical budget run must not drift.
-            let again = pipe.run_with_partition_budget(&cloud, &built, k, false).unwrap();
+            let again = budget_run();
             assert_eq!(direct, again, "budget-{k} repeat drifted");
             (view, direct)
         });

@@ -8,10 +8,7 @@
 //! stands on: scratch arenas carry no results between frames.
 
 use fractalcloud_core::workspace::Workspace;
-use fractalcloud_core::{
-    block_ball_query, block_ball_query_into, block_fps_with_counts_into, BlockFpsResult,
-    BlockNeighborResult, BppoConfig, Fractal, Pipeline, PipelineConfig, PipelineOutput,
-};
+use fractalcloud_core::{Fractal, Pipeline, PipelineConfig, PipelineOutput};
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;
@@ -58,7 +55,10 @@ proptest! {
     /// workspace + dirty output staging equals fresh allocation, on every
     /// backend, including every counter — at full depth and at a sample
     /// budget, where the dirty run must equal the same-length prefix of
-    /// the fresh full run.
+    /// the fresh full run. The staging is dirtied first by a pipeline of
+    /// another config over the same partition (other sample counts and
+    /// neighbor width, so ragged block rows of another length), then by
+    /// another frame.
     #[test]
     fn dirty_workspace_pipeline_is_bit_identical(
         (cloud, th) in (arb_cloud(400), 4usize..96),
@@ -82,7 +82,10 @@ proptest! {
                 let built_ws = pipe.partition_ws(&cloud, &mut ws).unwrap();
                 assert_eq!(built_ws, built, "dirty-workspace build diverged");
                 let mut staging = PipelineOutput::default();
-                // Dirty the staging with a different frame first.
+                // Dirty the staging with a different config first...
+                let other = Pipeline::new(PipelineConfig::new(th, rate / 2.0, 1.7, num + 2)).unwrap();
+                other.run_with_partition_into(&cloud, &built_ws, false, &mut ws, &mut staging).unwrap();
+                // ...then with a different frame.
                 pipe.run_with_partition_into(&seed, &pipe.partition(&seed).unwrap(), false, &mut ws, &mut staging).unwrap();
                 pipe.run_with_partition_into(&cloud, &built_ws, false, &mut ws, &mut staging).unwrap();
                 assert_eq!(staging, fresh, "dirty-staging output diverged");
@@ -97,41 +100,6 @@ proptest! {
         for w in results.windows(2) {
             prop_assert_eq!(&w[0], &w[1]);
         }
-    }
-
-    /// The workspace-taking block ops on their own (explicit per-block
-    /// counts, not the pipeline's rate): a dirty workspace + dirty result
-    /// equal a fresh pair, block rows included (ragged blocks by
-    /// construction — Fractal leaves are unevenly sized).
-    #[test]
-    fn dirty_workspace_block_tasks_match_wrappers(
-        (cloud, th) in (arb_cloud(300), 4usize..48),
-        count in 1usize..64,
-        radius in 0.3f32..3.0,
-        num in 1usize..8,
-    ) {
-        let part = Fractal::with_threshold(th).build(&cloud).unwrap().partition;
-        let seed = PointCloud::from_points(
-            (0..61).map(|i| Point3::new(-(i as f32) * 0.7, (i % 5) as f32 * 1.3, 0.2)).collect(),
-        );
-        let cfg = BppoConfig::sequential();
-        let counts = vec![count; part.blocks.len()];
-        let sample_group = |ws: &mut Workspace, fps: &mut BlockFpsResult, bq: &mut BlockNeighborResult| {
-            block_fps_with_counts_into(&cloud, &part, &counts, &cfg, ws, fps).unwrap();
-            block_ball_query_into(&cloud, &part, &fps.per_block, radius, num, &cfg, ws, bq).unwrap();
-        };
-        let (mut fresh_fps, mut fresh_bq) = Default::default();
-        sample_group(&mut Workspace::new(), &mut fresh_fps, &mut fresh_bq);
-        // Dirty results: a run at other counts and another neighbor width.
-        let mut ws = dirty_workspace(&seed);
-        let (mut fps, mut bq) = Default::default();
-        let other = vec![count / 2 + 3; part.blocks.len()];
-        block_fps_with_counts_into(&cloud, &part, &other, &cfg, &mut ws, &mut fps).unwrap();
-        block_ball_query_into(&cloud, &part, &fps.per_block, 1.7, num + 2, &cfg, &mut ws, &mut bq)
-            .unwrap();
-        sample_group(&mut ws, &mut fps, &mut bq);
-        prop_assert_eq!(&fps, &fresh_fps);
-        prop_assert_eq!(&bq, &fresh_bq);
     }
 
     /// Repeating the same frame through one workspace (the cache-hit serve
@@ -186,8 +154,9 @@ fn pool_survives_injected_mid_stage_panic() {
     assert_eq!(staging, pooled, "post-panic pooled run diverged from fresh workspaces");
 }
 
-/// Deterministic (non-property) check that ball queries through a dirty
-/// workspace handle the empty-centers and single-block edge shapes.
+/// Deterministic (non-property) check that a pipeline run through a dirty
+/// workspace handles the empty-centers and single-block edge shapes: a
+/// budget-0 run samples no centers at all.
 #[test]
 fn dirty_workspace_handles_edge_shapes() {
     let cloud = PointCloud::from_points(
@@ -198,22 +167,10 @@ fn dirty_workspace_handles_edge_shapes() {
         (0..33).map(|i| Point3::new(0.0, i as f32 * 0.5, 1.0)).collect::<Vec<_>>(),
     );
     let mut ws = dirty_workspace(&seed);
-    let centers: Vec<Vec<usize>> = vec![Vec::new()]; // no centers at all
-    let fresh =
-        block_ball_query(&cloud, &built.partition, &centers, 0.5, 4, &BppoConfig::sequential())
-            .unwrap();
-    let mut out = Default::default();
-    fractalcloud_core::block_ball_query_into(
-        &cloud,
-        &built.partition,
-        &centers,
-        0.5,
-        4,
-        &BppoConfig::sequential(),
-        &mut ws,
-        &mut out,
-    )
-    .unwrap();
+    let pipe = Pipeline::new(PipelineConfig::new(64, 0.25, 0.5, 4)).unwrap();
+    let fresh = pipe.run_budget(&cloud, 0, false).unwrap(); // no centers at all
+    let mut out = PipelineOutput::default();
+    pipe.run_with_partition_into_cancel(&cloud, &built, 0, false, &mut ws, &mut out, None).unwrap();
     assert_eq!(out, fresh);
-    assert!(out.indices.is_empty());
+    assert!(out.grouped.indices.is_empty());
 }

@@ -1,19 +1,19 @@
-//! Retained scalar reference implementation of block-wise FPS.
+//! Scalar reference implementation of block-wise FPS.
 //!
 //! This is the seed's original per-point formulation: it materializes a
 //! [`Point3`](fractalcloud_pointcloud::Point3) per candidate, bumps
 //! counters inside the inner loop, and walks the [`WindowCheck`] lowest-one
-//! detector candidate by candidate. It is kept as the equivalence oracle
-//! for the chunked SoA path in `bppo::sampling`: property tests assert
-//! identical sampled indices and counters.
+//! detector candidate by candidate. It is the equivalence oracle for the
+//! chunked SoA path of [`fractalcloud_core::block_fps`]: property tests
+//! assert identical sampled indices and counters.
 
-use crate::bppo::{block_sample_counts, BlockFpsResult, BppoConfig};
-use crate::window::WindowCheck;
+use crate::WindowCheck;
+use fractalcloud_core::{block_sample_counts, BlockFpsResult, BppoConfig};
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::partition::Partition;
 use fractalcloud_pointcloud::{Error, PointCloud, Result};
 
-/// Scalar block-wise FPS; see [`block_fps`](crate::block_fps).
+/// Scalar block-wise FPS; see [`fractalcloud_core::block_fps`].
 ///
 /// Blocks are always processed sequentially (this is a single-thread
 /// baseline); `config.window_check` selects the same two counter models as
@@ -134,8 +134,8 @@ fn fps_in_block_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bppo::block_fps as kernel_block_fps;
-    use crate::fractal::Fractal;
+    use fractalcloud_core::block_fps as kernel_block_fps;
+    use fractalcloud_core::Fractal;
     use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 
     #[test]

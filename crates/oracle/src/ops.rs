@@ -1,31 +1,29 @@
-//! Retained scalar reference implementations of the point operations.
+//! Scalar reference implementations of the global point operations.
 //!
 //! These are the seed's original per-point formulations: they materialize a
 //! [`Point3`] per candidate and bump [`OpCounters`] fields inside every
 //! inner loop. They are deliberately *not* fast — they exist as the
 //! equivalence baseline for the chunked SoA kernel path in
-//! [`kernels`](crate::kernels): property tests assert that the optimized
-//! operations return identical indices, distances, and counters.
+//! [`kernels`](fractalcloud_pointcloud::kernels): property tests assert that
+//! the optimized operations return identical indices, distances, and
+//! counters.
 //!
 //! Each function has the same signature and result type as its optimized
-//! counterpart in [`ops`](crate::ops).
+//! counterpart in [`fractalcloud_pointcloud::ops`].
 
 // The seed's formulations are preserved verbatim — equivalence against them
 // is the whole point — so style lints on the loop shapes are silenced. Only
 // the parameter contracts are shared with the optimized operations.
 #![allow(clippy::needless_range_loop)]
 
-use crate::cloud::PointCloud;
-use crate::error::{Error, Result};
-use crate::ops::fps::check_fps;
-use crate::ops::knn::check_k;
-use crate::ops::{
-    check_ball_query, BallQueryResult, FpsResult, InterpolationResult, KnnResult, OpCounters,
+use fractalcloud_pointcloud::ops::{
+    check_ball_query, check_fps, check_k, BallQueryResult, FpsResult, InterpolationResult,
+    KnnResult, OpCounters,
 };
-use crate::point::Point3;
+use fractalcloud_pointcloud::{Error, Point3, PointCloud, Result};
 
 /// Scalar global farthest point sampling; see
-/// [`ops::farthest_point_sample`](crate::ops::farthest_point_sample).
+/// [`ops::farthest_point_sample`](fractalcloud_pointcloud::ops::farthest_point_sample).
 ///
 /// # Errors
 ///
@@ -76,7 +74,7 @@ pub fn farthest_point_sample(cloud: &PointCloud, m: usize, start: usize) -> Resu
 }
 
 /// Scalar brute-force KNN; see
-/// [`ops::k_nearest_neighbors`](crate::ops::k_nearest_neighbors).
+/// [`ops::k_nearest_neighbors`](fractalcloud_pointcloud::ops::k_nearest_neighbors).
 ///
 /// # Errors
 ///
@@ -126,7 +124,7 @@ pub fn k_nearest_neighbors(
     Ok(KnnResult { indices, distances_sq: distances, k, counters })
 }
 
-/// Scalar global ball query; see [`ops::ball_query`](crate::ops::ball_query).
+/// Scalar global ball query; see [`ops::ball_query`](fractalcloud_pointcloud::ops::ball_query).
 ///
 /// # Errors
 ///
@@ -185,7 +183,7 @@ pub fn ball_query(
 }
 
 /// Scalar IDW interpolation (embedding the scalar KNN); see
-/// [`ops::interpolate_features`](crate::ops::interpolate_features).
+/// [`ops::interpolate_features`](fractalcloud_pointcloud::ops::interpolate_features).
 ///
 /// # Errors
 ///

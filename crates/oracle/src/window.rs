@@ -19,7 +19,7 @@
 /// # Examples
 ///
 /// ```
-/// use fractalcloud_core::WindowCheck;
+/// use fractalcloud_oracle::WindowCheck;
 ///
 /// let mut wc = WindowCheck::new(8);
 /// wc.mark_sampled(0);

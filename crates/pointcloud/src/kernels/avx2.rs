@@ -38,7 +38,7 @@
 //! * distances use `sub`/`mul`/`add` in the same association as
 //!   `dx*dx + dy*dy + dz*dz` — intrinsics are never contracted to FMA;
 //! * `_mm256_min_ps(nd, cur)` implements `if nd < cur { nd } else { cur }`
-//!   per lane (returns the second operand on NaN), exactly the reference's
+//!   per lane (returns the second operand on NaN), exactly the oracle's
 //!   relax idiom; `_mm256_max_ps(v, acc)` likewise never lets NaN overwrite
 //!   the accumulator;
 //! * the dense layer keeps its lanes across output columns, so each element

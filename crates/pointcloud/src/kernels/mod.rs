@@ -4,8 +4,8 @@
 //!
 //! The paper's thesis is that point operations (FPS, KNN, ball query,
 //! aggregation) are *memory-bound* and benefit from streaming one axis at a
-//! time over blocked data. The per-point reference operations in
-//! [`ops::reference`](crate::ops::reference) negate that on real CPUs: they
+//! time over blocked data. The seed's per-point operations (kept as test
+//! oracles in `fractalcloud_oracle::ops`) negate that on real CPUs: they
 //! materialize a [`Point3`](crate::Point3) per candidate and bump
 //! [`OpCounters`](crate::ops::OpCounters) fields inside every inner loop,
 //! which defeats auto-vectorization and triples the instruction count of
@@ -25,7 +25,7 @@
 //!   from select idioms the compiler lowers to vector min/max; the portable
 //!   path, and the fallback on every host without AVX2.
 //!   The per-point oracle is not a backend: it is
-//!   [`ops::reference`](crate::ops::reference).
+//!   `fractalcloud_oracle::ops`, a dev-dependency.
 //! * [`Backend::Avx2`] — explicit 8-lane `core::arch::x86_64` intrinsics
 //!   (module `avx2`), used when `is_x86_feature_detected!("avx2")` holds. All
 //!   SIMD `unsafe` is confined to that one module behind safe wrappers.
@@ -42,10 +42,9 @@
 //! same order per candidate (no FMA contraction), ties resolve identically
 //! (first extremum wins, insertion order preserved), and NaN coordinates
 //! degrade the same way (vector `min`/`max` operand order matches the
-//! reference's `if d < dist` select idiom). Property tests in
+//! oracle's `if d < dist` select idiom). Property tests in
 //! `tests/backend_equivalence.rs` assert equality of indices, distances,
-//! *and* counters across both backends and against the retained per-point
-//! reference implementations.
+//! *and* counters across both backends and against the per-point oracles.
 //!
 //! # The SoA chunking contract
 //!
@@ -324,7 +323,7 @@ pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [
 /// farthest point (first maximum wins on ties), on the active backend.
 ///
 /// Per candidate this computes the squared distance branch-free, lowers
-/// `dist` with the `min` select idiom (equivalent to the reference's
+/// `dist` with the `min` select idiom (equivalent to the oracle's
 /// `if d < dist[i]` update, including for NaN distances, which leave `dist`
 /// unchanged), then reduces to the running argmax. Entries already selected
 /// can be pinned to `f32::NEG_INFINITY` by the caller; the strict `>`
@@ -429,23 +428,6 @@ pub fn segmented_max_into_with(
     assert!(indices.len() >= counts.len() * num, "indices shorter than counts.len() * num");
     assert_eq!(out.len(), counts.len() * channels, "out length mismatch");
     dispatch!(backend, segmented_max(features, channels, indices, counts, num, out));
-}
-
-/// Allocating convenience form of [`segmented_max_into`].
-///
-/// # Panics
-///
-/// As [`segmented_max_into`].
-pub fn segmented_max(
-    features: &[f32],
-    channels: usize,
-    indices: &[usize],
-    counts: &[usize],
-    num: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0; counts.len() * channels];
-    segmented_max_into(features, channels, indices, counts, num, &mut out);
-    out
 }
 
 /// Packs a `cout × cin` weight matrix, streamed in row-major order, into the
@@ -609,12 +591,12 @@ pub fn gather_coords(
 /// the software form of the RSPU's merge-sort top-k unit.
 ///
 /// `select` scans `(distance, payload)` pairs in order, maintaining the `k`
-/// smallest in ascending order with the reference's exact semantics:
+/// smallest in ascending order with the oracle's exact semantics:
 /// candidates tying the current worst are rejected (`>=`), equal distances
 /// keep scan order, a NaN distance is never selected (ball selection's
 /// rule: it has no place in an ascending row), and `on_insert(len_before)`
 /// is invoked for every accepted candidate so callers can replicate the
-/// reference's insertion-cost accounting.
+/// oracle's insertion-cost accounting.
 ///
 /// Internally the scan is two-phase: once the buffer holds `k` entries, a
 /// branch-reduced prefilter compacts the lanes that can still be accepted
@@ -761,7 +743,7 @@ impl TopK {
     /// The fused-prefilter threshold: the current worst distance when the
     /// buffer is full, else NaN. `!(d >= NaN)` is true for every `d`, so a
     /// NaN threshold makes the prefilter keep all lanes — exactly the
-    /// reference's behavior while the buffer is still filling.
+    /// oracle's behavior while the buffer is still filling.
     fn prefilter_threshold(&self) -> f32 {
         if self.buf.len() == self.k {
             self.buf[self.k - 1].0
@@ -1241,7 +1223,7 @@ mod tests {
     #[test]
     fn relax_argmax_first_max_wins_on_ties() {
         // Two equidistant candidates: the lower index must win, matching the
-        // reference's strict `>` scan.
+        // oracle's strict `>` scan.
         let (xs, ys, zs) = soa_of(&[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]);
         for b in available() {
             let mut dist = vec![f32::INFINITY; 3];
@@ -1749,8 +1731,10 @@ mod tests {
             }
         }
         for b in available() {
-            let got =
-                with_backend(b, || segmented_max(&features, channels, &indices, &counts, num));
+            let mut got = vec![0.0; counts.len() * channels];
+            with_backend(b, || {
+                segmented_max_into(&features, channels, &indices, &counts, num, &mut got)
+            });
             assert_eq!(got, expect, "backend {}", b.name());
             let mut out = vec![f32::NAN; counts.len() * channels];
             segmented_max_into_with(b, &features, channels, &indices, &counts, num, &mut out);
@@ -1761,7 +1745,8 @@ mod tests {
     #[test]
     fn segmented_max_empty_segment_is_neg_infinity() {
         let features = [1.0f32, 2.0];
-        let out = segmented_max(&features, 2, &[0, 0], &[0], 2);
+        let mut out = vec![0.0; 2];
+        segmented_max_into(&features, 2, &[0, 0], &[0], 2, &mut out);
         assert_eq!(out, vec![f32::NEG_INFINITY; 2]);
     }
 

@@ -49,7 +49,7 @@ pub fn knn_prefilter_tile(
         distances_sq(xs, ys, zs, *q, row);
         // Branch-free mask build over the precomputed row; the `!(d >= thr)`
         // form keeps NaN distances (and everything under a NaN threshold)
-        // on the insert path, like the reference's `>=`-skip.
+        // on the insert path, like the oracle's `>=`-skip.
         let mut mask = 0u64;
         for (j, &d) in row.iter().enumerate() {
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -65,7 +65,7 @@ pub fn knn_prefilter_tile(
 /// [`kernels::fps_relax_argmax`](super::fps_relax_argmax).
 ///
 /// Per chunk this computes squared distances branch-free, lowers `dist`
-/// with `f32::min` (equivalent to the reference's `if d < dist[i]` update,
+/// with `f32::min` (equivalent to the oracle's `if d < dist[i]` update,
 /// including for NaN distances, which leave `dist` unchanged), then scans
 /// the chunk for the running argmax.
 pub fn fps_relax_argmax(
@@ -81,7 +81,7 @@ pub fn fps_relax_argmax(
     // min-relaxation, and per-chunk maxima in one stream over the data.
     // The select idioms `if nd < cur { nd } else { cur }` / `if v > m { v }
     // else { m }` compile to vector min/max; the min keeps the old value
-    // for NaN distances, matching the reference's `if d < dist[i]` update.
+    // for NaN distances, matching the oracle's `if d < dist[i]` update.
     // LANES independent running maxima break the floating-point dependency
     // chain a single running max would create, and the fixed-size lane
     // arrays (`chunks_exact` + `try_into`) eliminate bounds checks from
@@ -143,7 +143,7 @@ pub fn fps_relax_argmax(
     // Selection: the recorded chunk contains the first occurrence of the
     // global maximum (distances are never -0.0, so value equality is
     // exact); a short in-chunk scan finds it — the same winner as the
-    // reference's strict `>` running argmax (first maximum wins on ties).
+    // oracle's strict `>` running argmax (first maximum wins on ties).
     let mut best = cmax_chunk_base;
     while dist[best] != cmax {
         best += 1;

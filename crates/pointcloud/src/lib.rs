@@ -10,8 +10,8 @@
 //! * [`ops`] — exact global point operations (FPS, ball query, KNN,
 //!   interpolation) with hardware-relevant work counters, built on the
 //!   runtime-dispatched kernels of [`kernels`] (the original per-point
-//!   formulations are retained in [`ops::reference`] as equivalence
-//!   oracles);
+//!   formulations are the equivalence oracles of the `fractalcloud-oracle`
+//!   dev-dependency);
 //! * [`kernels`] — runtime-dispatched distance/argmax/top-k backends
 //!   (chunked SoA, explicit AVX2 behind feature detection; bit-identical,
 //!   `FRACTALCLOUD_KERNEL` overrides the selection) with

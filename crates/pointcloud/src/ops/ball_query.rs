@@ -149,8 +149,8 @@ pub fn check_ball_query(radius: f32, num: usize) -> Result<()> {
 /// A center with no candidate at a finite distance (a NaN or infinite
 /// coordinate, say) gets a row of candidate `0`: every index of a non-empty
 /// candidate set is in range. Counters are [`OpCounters::neighbor_model`]
-/// and match the scalar reference
-/// ([`reference::ball_query`](crate::ops::reference::ball_query)) exactly.
+/// and match the scalar oracle (`fractalcloud_oracle::ops::ball_query`)
+/// exactly.
 ///
 /// # Errors
 ///

@@ -63,7 +63,13 @@ pub fn fps_into(
 
 /// The parameter contract of global FPS: a non-empty cloud, `m <= n` and
 /// `start < n`.
-pub(crate) fn check_fps(n: usize, m: usize, start: usize) -> Result<()> {
+///
+/// # Errors
+///
+/// Returns [`Error::EmptyCloud`] when `n` is zero,
+/// [`Error::InvalidParameter`] when `m > n`, and
+/// [`Error::IndexOutOfBounds`] when `start >= n`.
+pub fn check_fps(n: usize, m: usize, start: usize) -> Result<()> {
     if n == 0 {
         return Err(Error::EmptyCloud);
     }
@@ -91,8 +97,8 @@ pub(crate) fn check_fps(n: usize, m: usize, start: usize) -> Result<()> {
 /// Every one of the `m - 1` iterations is a full global traversal — the
 /// O(n·m) memory traffic the paper attributes to original FPS — so the
 /// counters are [`OpCounters::fps_model`] without the window check; indices
-/// and counters are identical to the retained scalar reference
-/// ([`reference::farthest_point_sample`](crate::ops::reference::farthest_point_sample)).
+/// and counters are identical to the scalar oracle
+/// (`fractalcloud_oracle::ops::farthest_point_sample`).
 ///
 /// # Errors
 ///

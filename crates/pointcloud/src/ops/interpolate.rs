@@ -107,8 +107,7 @@ pub fn interpolate_into<'f>(
 /// exactly.
 ///
 /// Results and counters (the embedded KNN's included) are identical to the
-/// scalar reference
-/// ([`reference::interpolate_features`](crate::ops::reference::interpolate_features)).
+/// scalar oracle (`fractalcloud_oracle::ops::interpolate_features`).
 ///
 /// # Errors
 ///

@@ -39,14 +39,19 @@ impl KnnResult {
 
 /// The comparisons one accepted candidate costs the top-k insertion buffer
 /// holding `len_before` entries: log₂ of the occupancy, at least 1 — the
-/// scalar reference's insertion-cost model.
+/// scalar oracle's insertion-cost model.
 pub(crate) fn insertion_cost(len_before: usize) -> u64 {
     (len_before as f64).log2().max(1.0) as u64
 }
 
 /// The parameter contract of every global K-NN search: a non-empty
 /// candidate set and `1 <= k <= n`.
-pub(crate) fn check_k(n: usize, k: usize) -> Result<()> {
+///
+/// # Errors
+///
+/// Returns [`Error::EmptyCloud`] when `n` is zero and
+/// [`Error::InvalidParameter`] when `k` is outside `1..=n`.
+pub fn check_k(n: usize, k: usize) -> Result<()> {
     if n == 0 {
         return Err(Error::EmptyCloud);
     }
@@ -67,8 +72,7 @@ pub(crate) fn check_k(n: usize, k: usize) -> Result<()> {
 /// the batched selection kernel [`kernels::knn_select_batch_into`] on the
 /// active [`kernels::Backend`]. Counters are
 /// [`OpCounters::neighbor_model`] plus the data-dependent insertion costs,
-/// and match the scalar reference
-/// ([`reference::k_nearest_neighbors`](crate::ops::reference::k_nearest_neighbors))
+/// and match the scalar oracle (`fractalcloud_oracle::ops::k_nearest_neighbors`)
 /// exactly. A candidate at a NaN distance is never a neighbour: a row it
 /// leaves short repeats its last entry, and a row with none (a NaN center)
 /// is candidate 0 at `+∞`.

@@ -20,20 +20,21 @@
 //! work; only data-dependent terms (top-k insertion costs, feature rows
 //! read) are counted where they happen.
 //!
-//! [`mod@reference`] keeps the seed's per-point formulations as the oracle:
-//! property tests assert index, distance and counter equality against them
-//! on every kernel backend.
+//! The seed's per-point formulations live on as test oracles in the
+//! `fractalcloud-oracle` dev-dependency: property tests assert index,
+//! distance and counter equality against them on every kernel backend. The
+//! parameter checks ([`check_fps`], [`check_k`], [`check_ball_query`]) are
+//! public so the oracles share the operations' contracts.
 
 mod ball_query;
 mod fps;
 mod interpolate;
 mod knn;
-pub mod reference;
 
 pub use ball_query::{ball_query, ball_query_into, check_ball_query, BallQueryResult};
-pub use fps::{farthest_point_sample, fps_into, FpsResult};
+pub use fps::{check_fps, farthest_point_sample, fps_into, FpsResult};
 pub use interpolate::{interpolate_features, interpolate_into, InterpolationResult};
-pub use knn::{k_nearest_neighbors, KnnResult};
+pub use knn::{check_k, k_nearest_neighbors, KnnResult};
 
 /// Work counters shared by all point operations.
 ///

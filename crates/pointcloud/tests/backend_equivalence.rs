@@ -7,10 +7,10 @@
 //! Backends unavailable on the host resolve to `Soa`, so the suite stays
 //! portable (the comparisons degenerate to Soa-vs-Soa there).
 
+use fractalcloud_oracle::ops as reference;
 use fractalcloud_pointcloud::kernels::{self, Backend, SelectScratch, CHUNK, QUERY_TILE};
 use fractalcloud_pointcloud::ops::{
     ball_query, ball_query_into, farthest_point_sample, interpolate_features, k_nearest_neighbors,
-    reference,
 };
 use fractalcloud_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;

@@ -6,10 +6,11 @@
 //! 8-lane stride) so partial chunks, exact chunks, and tails are all
 //! exercised.
 
+use fractalcloud_oracle::ops as reference;
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::{
-    ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors, reference,
+    ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors,
 };
 use fractalcloud_pointcloud::{Point3, PointCloud};
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the point-cloud substrate.
 
+use fractalcloud_oracle::ops as reference;
 use fractalcloud_pointcloud::metrics::{covering_radius, neighbor_recall};
 use fractalcloud_pointcloud::ops::{
-    ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors, reference,
+    ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors,
 };
 use fractalcloud_pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,

@@ -98,7 +98,7 @@
 //! — it ran the frame at `budget_served` samples instead of the full (or
 //! requested) budget, and the results are the exact `budget_served`-sample
 //! prefix of the full run (see
-//! [`Pipeline::run_with_partition_budget`](fractalcloud_core::Pipeline::run_with_partition_budget)).
+//! [`Pipeline::run_with_partition_into_cancel`](fractalcloud_core::Pipeline::run_with_partition_into_cancel)).
 //! Non-degraded responses omit the field, staying byte-identical to
 //! pre-brown-out servers.
 

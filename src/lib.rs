@@ -10,7 +10,7 @@
 //!
 //! This facade crate re-exports the whole workspace under one name:
 //!
-//! * [`pointcloud`] — geometry, datasets, reference ops, baseline
+//! * [`pointcloud`] — geometry, datasets, exact global ops, baseline
 //!   partitioners ([`fractalcloud_pointcloud`]);
 //! * [`core`] — Fractal + BPPO, the paper's contribution
 //!   ([`fractalcloud_core`]);

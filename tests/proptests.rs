@@ -1,12 +1,13 @@
 //! Cross-crate property-based tests (proptest) over the core invariants.
 
-use fractalcloud::core::{block_fps, block_sample_counts, BppoConfig, Fractal, WindowCheck};
+use fractalcloud::core::{block_fps, block_sample_counts, BppoConfig, Fractal};
 use fractalcloud::dram::{Controller, DramConfig, Request};
 use fractalcloud::pointcloud::ops::{ball_query, farthest_point_sample, k_nearest_neighbors};
 use fractalcloud::pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
 };
 use fractalcloud::pointcloud::{Point3, PointCloud};
+use fractalcloud_oracle::WindowCheck;
 use proptest::prelude::*;
 
 fn arb_cloud(max_n: usize) -> impl Strategy<Value = PointCloud> {
