@@ -7,8 +7,11 @@
 //! This is the contract the serving engine's zero-allocation steady state
 //! stands on: scratch arenas carry no results between frames.
 
-use fractalcloud_core::workspace::Workspace;
-use fractalcloud_core::{Fractal, Pipeline, PipelineConfig, PipelineOutput};
+use fractalcloud_core::workspace::{global_pool, Workspace};
+use fractalcloud_core::{
+    block_ball_query, block_fps_with_counts, BlockFpsResult, BlockNeighborResult, BppoConfig,
+    Fractal, Pipeline, PipelineConfig, PipelineOutput,
+};
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::{Point3, PointCloud};
 use proptest::prelude::*;
@@ -100,6 +103,44 @@ proptest! {
         for w in results.windows(2) {
             prop_assert_eq!(&w[0], &w[1]);
         }
+    }
+
+    /// The block ops on their own (explicit per-block counts, not the
+    /// pipeline's rate): they check their scratch out of the global pool, so
+    /// a dirty pooled workspace must give the same results as a fresh one,
+    /// block rows included (ragged blocks by construction — Fractal leaves
+    /// are unevenly sized).
+    #[test]
+    fn dirty_workspace_block_tasks_match_wrappers(
+        (cloud, th) in (arb_cloud(300), 4usize..48),
+        count in 1usize..64,
+        radius in 0.3f32..3.0,
+        num in 1usize..8,
+    ) {
+        let part = Fractal::with_threshold(th).build(&cloud).unwrap().partition;
+        let seed = PointCloud::from_points(
+            (0..61).map(|i| Point3::new(-(i as f32) * 0.7, (i % 5) as f32 * 1.3, 0.2)).collect(),
+        );
+        let cfg = BppoConfig::sequential();
+        let counts = vec![count; part.blocks.len()];
+        let sample_group = |counts: &[usize], radius: f32, num: usize| -> (BlockFpsResult, BlockNeighborResult) {
+            let fps = block_fps_with_counts(&cloud, &part, counts, &cfg).unwrap();
+            let bq = block_ball_query(&cloud, &part, &fps.per_block, radius, num, &cfg).unwrap();
+            (fps, bq)
+        };
+        // Fresh: with the pool emptied, the checkout constructs a workspace.
+        let pool = global_pool();
+        let held: Vec<Workspace> =
+            std::iter::from_fn(|| (pool.idle() > 0).then(|| pool.take())).collect();
+        let fresh = sample_group(&counts, radius, num);
+        held.into_iter().for_each(|ws| pool.put(ws));
+        // Dirty: the pool's top workspace is left by another cloud, then by
+        // a run at other counts and another neighbor width.
+        pool.put(dirty_workspace(&seed));
+        sample_group(&vec![count / 2 + 3; part.blocks.len()], 1.7, num + 2);
+        let dirty = sample_group(&counts, radius, num);
+        prop_assert_eq!(&dirty.0, &fresh.0);
+        prop_assert_eq!(&dirty.1, &fresh.1);
     }
 
     /// Repeating the same frame through one workspace (the cache-hit serve
