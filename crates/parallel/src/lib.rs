@@ -26,6 +26,13 @@
 //! executing a batch) counts too while it runs inside [`hold_lane`].
 //! The pool's one `unsafe` block and its invariant are in `pool.rs`.
 //!
+//! How many lanes a fan-out asks for is one rule, [`lanes_for`]: a caller
+//! states its op's closed-form work in nanoseconds (multiply-accumulates
+//! for a dense layer, pooled elements for a max-pool, distance evaluations
+//! for a block op, each at its own rate), and gets the most lanes its
+//! budget allows that still leave every lane enough work to pay for the
+//! hand-off. Small ops stay on the caller whatever the budget.
+//!
 //! The worker count is `std::thread::available_parallelism`, overridable
 //! with the `FRACTALCLOUD_THREADS` environment variable (set to `1` to
 //! force sequential execution everywhere: the pool then has no helpers).
@@ -169,6 +176,30 @@ where
             f(item);
         }
     });
+}
+
+/// Nanoseconds of work each lane of a fan-out must have: about six times
+/// the measured cost of handing a lane to a parked helper and collecting
+/// it (`parallel.map_overhead_us`, 2.5–3.9 µs on a 2-vCPU host), so a
+/// helper's start-up is a small fraction of what it saves. At a dense
+/// layer's 16 multiply-accumulates per ns this is 2¹⁸ MACs per lane.
+pub const LANE_NS: u64 = 1 << 14;
+
+/// The one rule for how many lanes a fan-out gets: the largest count, at
+/// most `budget`, whose per-lane share of `work_ns` — the op's closed-form
+/// work converted to nanoseconds by the caller — is at least [`LANE_NS`];
+/// never less than one. The caller caps the result at its item count and
+/// passes it as the budget of [`for_each_budget`].
+///
+/// ```
+/// use fractalcloud_parallel::{lanes_for, LANE_NS};
+/// assert_eq!(lanes_for(8, 0), 1);
+/// assert_eq!(lanes_for(8, 3 * LANE_NS - 1), 2);
+/// assert_eq!(lanes_for(2, u64::MAX), 2);
+/// ```
+pub fn lanes_for(budget: usize, work_ns: u64) -> usize {
+    let by_work = usize::try_from(work_ns / LANE_NS).unwrap_or(usize::MAX);
+    budget.min(by_work).max(1)
 }
 
 /// Runs `f` with the calling thread counted as a running lane against the
@@ -355,6 +386,23 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         for_each_budget(0..4, 6, |_| seen.lock().expect("seen").push(effective_budget()));
         assert!(seen.into_inner().expect("seen").iter().all(|&b| b == 2 || b == 1));
+    }
+
+    #[test]
+    fn lanes_for_gives_every_lane_a_lane_of_work_within_the_budget() {
+        for budget in [0usize, 1, 2, 3, 8, 64] {
+            for work in [0, 1, LANE_NS - 1, LANE_NS, 2 * LANE_NS - 1, 2 * LANE_NS, 100 * LANE_NS] {
+                let lanes = lanes_for(budget, work);
+                assert!(lanes >= 1 && lanes <= budget.max(1), "budget {budget}, work {work}");
+                // The largest count whose share is a whole lane of work.
+                if lanes > 1 {
+                    assert!(work / lanes as u64 >= LANE_NS, "budget {budget}, work {work}");
+                }
+                if lanes < budget {
+                    assert!(work / (lanes as u64 + 1) < LANE_NS, "budget {budget}, work {work}");
+                }
+            }
+        }
     }
 
     #[test]

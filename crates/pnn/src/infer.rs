@@ -18,8 +18,11 @@
 //!
 //! Both schedules pool through the same fused
 //! [`kernels::segmented_max_into`] primitive (eager over identity index
-//! lists, delayed over the real neighbor lists), so their logits are
-//! **bit-identical** on every kernel backend — asserted by the tests below.
+//! lists, delayed over the real neighbor lists), each center over its
+//! in-radius hits only — ball-query padding repeats a hit, so it cannot
+//! change a maximum — so their logits are **bit-identical** on every
+//! kernel backend — asserted by the tests below. The classifier's global
+//! max before the head is the same body over one identity list.
 //!
 //! The executor runs entirely inside [`Workspace::infer`] scratch: a warmed
 //! workspace executes a whole forward pass without heap allocation.
@@ -29,7 +32,7 @@
 //! stage ([`NetworkExecutor::run_with_stage1`], what `INFER` serves), and
 //! the tests below compare the two predictions point by point.
 
-use crate::layers::Linear;
+use crate::layers::{max_pool_into, Linear};
 use crate::segment::{MlpShape, Segments};
 use crate::zoo::ModelConfig;
 use fractalcloud_core::{InferScratch, LevelMeta, PipelineOutput, Workspace};
@@ -288,6 +291,20 @@ impl NetworkExecutor {
                 ),
             });
         }
+        let found = &po.grouped.found;
+        if found.len() != c_cnt || found.iter().any(|&f| f > sa.nsample) {
+            return Err(Error::InvalidParameter {
+                name: "stage1",
+                message: format!(
+                    "pipeline hit counts ({} entries, largest {}) do not match {} centers of \
+                     at most {} neighbors",
+                    found.len(),
+                    found.iter().max().copied().unwrap_or(0),
+                    c_cnt,
+                    sa.nsample
+                ),
+            });
+        }
         let n = cloud.len();
         if po.grouped.center_indices.iter().chain(po.grouped.indices.iter()).any(|&i| i >= n) {
             return Err(Error::InvalidParameter {
@@ -385,6 +402,8 @@ impl NetworkExecutor {
                         centers.extend_from_slice(&po.grouped.center_indices);
                         neighbors.clear();
                         neighbors.extend_from_slice(&po.grouped.indices);
+                        counts.clear();
+                        counts.extend_from_slice(&po.grouped.found);
                     }
                     _ => {
                         let n_out = ((n_in as f64) * sa.sample_ratio).round().max(1.0) as usize;
@@ -408,9 +427,8 @@ impl NetworkExecutor {
                         queries.clear();
                         queries.extend(centers.iter().map(|&i| [xs[i], ys[i], zs[i]]));
                         neighbors.clear();
-                        // The hit counts land in `counts` and are overwritten
-                        // below: pooling reads the padded rows. A center with
-                        // no candidate at a finite distance (NaN or infinite
+                        // The hit counts land in `counts`. A center with no
+                        // candidate at a finite distance (NaN or infinite
                         // coordinates) groups itself.
                         counts.clear();
                         ops::ball_query_into(
@@ -437,8 +455,13 @@ impl NetworkExecutor {
                     }
                 }
                 c_cnt = centers.len();
-                counts.clear();
-                counts.resize(c_cnt, sa.nsample);
+                // Pool each center over its hits only: padding repeats slot
+                // 0 (a hitless row holds one fallback entry), so the first
+                // `clamp(hits, 1, nsample)` slots pool to the same bits as
+                // the whole row.
+                for count in counts.iter_mut() {
+                    *count = (*count).clamp(1, sa.nsample);
+                }
 
                 // Grouped-row MLP + segmented max-pool, eager or delayed.
                 let cin = ch + 3;
@@ -464,8 +487,9 @@ impl NetworkExecutor {
                         ch_out = sw.mlp.last().map(|l| l.cout).unwrap_or(cin);
                         // Pool the grouped rows through the same segmented
                         // kernel the delayed schedule uses, over identity
-                        // index lists — shared reduction code keeps the two
-                        // schedules bit-identical.
+                        // index lists and the same hit counts — shared
+                        // reduction code keeps the two schedules
+                        // bit-identical.
                         neighbors.clear();
                         neighbors.extend(0..c_cnt * sa.nsample);
                     }
@@ -495,9 +519,7 @@ impl NetworkExecutor {
                 pooled.resize(c_cnt * ch_out, 0.0);
                 let agg_span =
                     fractalcloud_obs::span(fractalcloud_obs::SpanKind::Aggregate, s as u32);
-                kernels::segmented_max_into_with(
-                    backend, rows, ch_out, neighbors, counts, sa.nsample, pooled,
-                );
+                max_pool_into(backend, rows, ch_out, neighbors, counts, sa.nsample, pooled);
                 agg_span.done();
                 counters.feature_reads += (c_cnt * sa.nsample) as u64;
                 counters.writes += c_cnt as u64;
@@ -598,17 +620,14 @@ impl NetworkExecutor {
 
         // ---- Head ----
         if !has_prop {
-            // Global max over the remaining points → one row; the strict-`>`
-            // select idiom matches the segmented kernel exactly.
-            let last = *lvl_meta.last().expect("level 0 exists");
+            // Global max over the remaining points → one row: one segment
+            // over an identity index list, through the stages' pooling body.
+            let last = lvl_meta.last().expect("level 0 exists").len;
+            neighbors.clear();
+            neighbors.extend(0..last);
             rows.clear();
-            rows.resize(cur_ch, f32::NEG_INFINITY);
-            for r in 0..last.len {
-                let frow = &pooled[r * cur_ch..(r + 1) * cur_ch];
-                for (o, &v) in rows.iter_mut().zip(frow) {
-                    *o = if v > *o { v } else { *o };
-                }
-            }
+            rows.resize(cur_ch, 0.0);
+            max_pool_into(backend, pooled, cur_ch, neighbors, &[last], last, rows);
             std::mem::swap(pooled, rows);
         }
         let span = mlp_span(s_cnt);
@@ -858,6 +877,31 @@ mod tests {
         let mut ws = Workspace::default();
         let err = exec(model, Aggregation::Delayed).run_with_stage1(&cloud, &po, &mut ws);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn stage1_hit_counts_are_validated() {
+        let cloud = scene_cloud(&SceneConfig::default(), 256, 4);
+        let model = ModelConfig::pointnetpp_segmentation();
+        let sa = &model.stages[0];
+        let cfg = PipelineConfig::new(128, sa.sample_ratio, sa.radius, sa.nsample);
+        let po = Pipeline::new(cfg).unwrap().run(&cloud, false).unwrap();
+        let ex = exec(model.clone(), Aggregation::Delayed);
+        let mut ws = Workspace::default();
+        assert!(ex.run_with_stage1(&cloud, &po, &mut ws).is_ok());
+
+        let short = |po: &mut PipelineOutput| {
+            po.grouped.found.pop();
+        };
+        let long = |po: &mut PipelineOutput| po.grouped.found.push(0);
+        let too_many = |po: &mut PipelineOutput| po.grouped.found[0] = sa.nsample + 1;
+        let cases: [&dyn Fn(&mut PipelineOutput); 3] = [&short, &long, &too_many];
+        for corrupt in cases {
+            let mut bad = po.clone();
+            corrupt(&mut bad);
+            let err = ex.run_with_stage1(&cloud, &bad, &mut ws);
+            assert!(matches!(err, Err(Error::InvalidParameter { name: "stage1", .. })), "{err:?}");
+        }
     }
 
     #[test]

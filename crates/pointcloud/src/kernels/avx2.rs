@@ -77,7 +77,7 @@ use core::arch::x86_64::{
     _CMP_LE_OQ, _CMP_NGE_UQ,
 };
 
-use super::{CHUNK, LINEAR_PANEL as PANEL};
+use super::{CHUNK, LINEAR_PANEL as PANEL, SEGMENT_STRIP as STRIP};
 
 /// SIMD width: 8 `f32` lanes per 256-bit vector.
 const LANES: usize = 8;
@@ -307,10 +307,12 @@ unsafe fn fps_relax_argmax_impl(
 
 /// AVX2 segmented max-aggregation over neighbor index lists; see
 /// [`kernels::segmented_max_into`](super::segmented_max_into) for the
-/// contract. Per segment, each 8-channel group's accumulator stays in a
-/// register while the neighbors' feature rows stream through
-/// `_mm256_max_ps(v, acc)` — which returns `acc` when `v` is NaN and on
-/// `±0.0` ties, exactly the SoA backend's strict-`>` update.
+/// contract and the loop nest. A strip holds up to 64 channels
+/// (`SEGMENT_STRIP`) in eight accumulator registers for the whole neighbor
+/// list, so the eight `_mm256_max_ps(v, acc)` chains of one neighbor issue
+/// back to back; the remaining channels take one strip each of 32, 16 and
+/// 8 (as they fit) and one masked register. `_mm256_max_ps(v, acc)` returns `acc` when `v`
+/// is NaN and on `±0.0` ties, exactly the SoA backend's strict-`>` update.
 pub fn segmented_max(
     features: &[f32],
     channels: usize,
@@ -320,9 +322,9 @@ pub fn segmented_max(
     out: &mut [f32],
 ) {
     assert_avx2();
-    // SAFETY: AVX2 availability asserted above; every feature row is
-    // re-sliced through bounds-checked safe indexing before any load, and
-    // the masked tail never touches memory of inactive lanes.
+    // SAFETY: AVX2 availability asserted above; every strip of a feature
+    // row is re-sliced through bounds-checked safe indexing before any
+    // load, and the masked tail never touches memory of inactive lanes.
     unsafe { segmented_max_impl(features, channels, indices, counts, num, out) }
 }
 
@@ -335,37 +337,86 @@ unsafe fn segmented_max_impl(
     num: usize,
     out: &mut [f32],
 ) {
-    let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
     for (c, &count) in counts.iter().enumerate() {
         let seg = &indices[c * num..c * num + count];
         let orow = &mut out[c * channels..c * channels + channels];
         let mut ch = 0;
-        while ch + LANES <= channels {
-            let mut acc = neg_inf;
-            for &i in seg {
-                let frow = &features[i * channels..i * channels + channels];
-                let v = _mm256_loadu_ps(frow.as_ptr().add(ch));
-                // max(v, acc): NaN `v` never overwrites the accumulator,
-                // and ±0.0 ties keep the accumulator — the select idiom.
-                acc = _mm256_max_ps(v, acc);
-            }
-            _mm256_storeu_ps(orow.as_mut_ptr().add(ch), acc);
+        while channels - ch >= STRIP {
+            max_strip::<{ STRIP / LANES }>(features, channels, seg, ch, orow);
+            ch += STRIP;
+        }
+        if channels - ch >= 4 * LANES {
+            max_strip::<4>(features, channels, seg, ch, orow);
+            ch += 4 * LANES;
+        }
+        if channels - ch >= 2 * LANES {
+            max_strip::<2>(features, channels, seg, ch, orow);
+            ch += 2 * LANES;
+        }
+        if channels - ch >= LANES {
+            max_strip::<1>(features, channels, seg, ch, orow);
             ch += LANES;
         }
-        let rem = channels - ch;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let mut acc = neg_inf;
-            for &i in seg {
-                let frow = &features[i * channels..i * channels + channels];
-                // Inactive lanes load 0.0 and pollute only accumulator
-                // lanes the masked store below never writes back.
-                let v = _mm256_maskload_ps(frow.as_ptr().add(ch), m);
-                acc = _mm256_max_ps(v, acc);
-            }
-            _mm256_maskstore_ps(orow.as_mut_ptr().add(ch), m, acc);
+        if ch < channels {
+            max_strip_masked(features, channels, seg, ch, orow);
         }
     }
+}
+
+/// Channels `ch..ch + 8·R` of one segment: `R` accumulators, each one
+/// register for the whole neighbor list.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn max_strip<const R: usize>(
+    features: &[f32],
+    channels: usize,
+    seg: &[usize],
+    ch: usize,
+    orow: &mut [f32],
+) {
+    let mut acc = [_mm256_set1_ps(f32::NEG_INFINITY); R];
+    for &i in seg {
+        let strip = &features[i * channels + ch..i * channels + ch + R * LANES];
+        for (r, a) in acc.iter_mut().enumerate() {
+            // max(v, acc): NaN `v` never overwrites the accumulator, and
+            // ±0.0 ties keep the accumulator — the select idiom.
+            *a = _mm256_max_ps(_mm256_loadu_ps(strip.as_ptr().add(r * LANES)), *a);
+        }
+    }
+    let dst = &mut orow[ch..ch + R * LANES];
+    for (r, a) in acc.iter().enumerate() {
+        _mm256_storeu_ps(dst.as_mut_ptr().add(r * LANES), *a);
+    }
+}
+
+/// The last `channels − ch < 8` channels of one segment in one masked
+/// register.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn max_strip_masked(
+    features: &[f32],
+    channels: usize,
+    seg: &[usize],
+    ch: usize,
+    orow: &mut [f32],
+) {
+    let m = tail_mask(channels - ch);
+    let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+    for &i in seg {
+        let strip = &features[i * channels + ch..i * channels + channels];
+        // Inactive lanes load 0.0 and pollute only accumulator lanes the
+        // masked store below never writes back.
+        acc = _mm256_max_ps(_mm256_maskload_ps(strip.as_ptr(), m), acc);
+    }
+    _mm256_maskstore_ps(orow[ch..].as_mut_ptr(), m, acc);
 }
 
 /// AVX2 dense layer over packed weight panels; see

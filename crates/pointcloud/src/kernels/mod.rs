@@ -177,6 +177,11 @@ pub const QUERY_TILE: usize = 8;
 /// accumulators in eight 256-bit registers.
 pub const LINEAR_PANEL: usize = 16;
 
+/// Channels one register strip of [`segmented_max_into`] accumulates across
+/// a whole neighbor list: eight 8-lane vectors, half the sixteen 256-bit
+/// registers.
+pub(crate) const SEGMENT_STRIP: usize = 64;
+
 /// A kernel implementation, selectable at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
@@ -379,12 +384,25 @@ pub fn fps_relax_argmax_with(
 /// segment with `counts[c] == 0` yields a row of `f32::NEG_INFINITY` — the
 /// pooling identity, matching an eager max-pool over zero rows.
 ///
+/// The loop nest is segment-outer, strip-middle, neighbor-inner: for each
+/// segment, a strip of up to 64 channels keeps its accumulators in vector
+/// registers while the whole index list streams past, is stored once, and
+/// the next strip walks the list again (channels beyond the last whole
+/// strip take narrower strips and a short tail). Each output element still
+/// folds its neighbors in list order starting from `f32::NEG_INFINITY`, so
+/// the strip width changes only speed.
+///
 /// All backends use the same strict-`>` select idiom, so results are
 /// bit-identical: NaN feature values never overwrite the accumulator, and
 /// `±0.0` ties keep the accumulator. Aggregation is a pure reduction —
 /// duplicate indices (ball-query padding, `k ≥ n` repeats) cannot change
 /// the maximum, so the result equals an eager max-pool over the padded
 /// grouped matrix whenever every padded slot repeats a listed neighbor.
+///
+/// That is the hits rule: a ball-query row pads its `found` in-radius hits
+/// by repeating slot 0 (a row with no hit holds one fallback entry), so
+/// pooling its first `found.clamp(1, num)` slots returns the same bits as
+/// pooling all `num` — a segment's count is its hits, not its slots.
 ///
 /// Counter accounting is the caller's job, like every kernel here:
 /// `counts[c]` feature-row reads and one row write per segment.

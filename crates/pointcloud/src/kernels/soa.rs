@@ -9,7 +9,7 @@
 //! The partition count and scatter and the key-row insertion are already
 //! branch-free straight-line loops, so they have no chunked form.
 
-use super::{CHUNK, LINEAR_PANEL as PANEL};
+use super::{CHUNK, LINEAR_PANEL as PANEL, SEGMENT_STRIP as STRIP};
 
 /// Chunked squared distances; see [`kernels::distances_sq`](super::distances_sq).
 pub fn distances_sq(xs: &[f32], ys: &[f32], zs: &[f32], q: [f32; 3], out: &mut [f32]) {
@@ -153,11 +153,14 @@ pub fn fps_relax_argmax(
 
 /// Segmented max-aggregation over neighbor index lists; see
 /// [`kernels::segmented_max_into`](super::segmented_max_into) for the
-/// contract. The accumulator row stays hot while each neighbor's feature
-/// row streams through the select idiom `if v > acc { v } else { acc }`,
-/// which the compiler lowers to vector max (NaN feature values never
-/// overwrite the accumulator, `-0.0`/`0.0` ties keep it: a strict-`>`
-/// update).
+/// contract and the loop nest. A strip's accumulators are a fixed-size
+/// array of up to 64 channels (`SEGMENT_STRIP`), which the compiler keeps
+/// in vector registers for the whole neighbor list; the remaining channels
+/// take one strip each of 32, 16 and 8 (as they fit), then a short scalar
+/// tail. The
+/// update is the select idiom `if v > acc { v } else { acc }`, which the
+/// compiler lowers to vector max (NaN feature values never overwrite the
+/// accumulator, `-0.0`/`0.0` ties keep it: a strict-`>` update).
 pub fn segmented_max(
     features: &[f32],
     channels: usize,
@@ -167,15 +170,55 @@ pub fn segmented_max(
     out: &mut [f32],
 ) {
     for (c, &count) in counts.iter().enumerate() {
+        let seg = &indices[c * num..c * num + count];
         let orow = &mut out[c * channels..c * channels + channels];
-        orow.fill(f32::NEG_INFINITY);
-        for &i in &indices[c * num..c * num + count] {
-            let frow = &features[i * channels..i * channels + channels];
-            for (acc, &v) in orow.iter_mut().zip(frow) {
+        let mut ch = 0;
+        while channels - ch >= STRIP {
+            max_strip::<STRIP>(features, channels, seg, ch, orow);
+            ch += STRIP;
+        }
+        if channels - ch >= STRIP / 2 {
+            max_strip::<{ STRIP / 2 }>(features, channels, seg, ch, orow);
+            ch += STRIP / 2;
+        }
+        if channels - ch >= STRIP / 4 {
+            max_strip::<{ STRIP / 4 }>(features, channels, seg, ch, orow);
+            ch += STRIP / 4;
+        }
+        if channels - ch >= STRIP / 8 {
+            max_strip::<{ STRIP / 8 }>(features, channels, seg, ch, orow);
+            ch += STRIP / 8;
+        }
+        let tail = &mut orow[ch..];
+        tail.fill(f32::NEG_INFINITY);
+        for &i in seg {
+            let frow = &features[i * channels + ch..i * channels + channels];
+            for (acc, &v) in tail.iter_mut().zip(frow) {
                 *acc = if v > *acc { v } else { *acc };
             }
         }
     }
+}
+
+/// Channels `ch..ch + W` of one segment, accumulated in a `[f32; W]` the
+/// compiler keeps in registers across the neighbor list.
+#[inline(always)]
+fn max_strip<const W: usize>(
+    features: &[f32],
+    channels: usize,
+    seg: &[usize],
+    ch: usize,
+    orow: &mut [f32],
+) {
+    let mut acc = [f32::NEG_INFINITY; W];
+    for &i in seg {
+        let strip: &[f32; W] =
+            features[i * channels + ch..][..W].try_into().expect("a strip is W channels");
+        for (a, &v) in acc.iter_mut().zip(strip) {
+            *a = if v > *a { v } else { *a };
+        }
+    }
+    orow[ch..ch + W].copy_from_slice(&acc);
 }
 
 /// Dense layer over packed weight panels; see

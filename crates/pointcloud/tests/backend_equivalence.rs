@@ -509,7 +509,7 @@ proptest! {
     #[test]
     fn segmented_max_bit_identical_across_backends(
         n in 1usize..40,
-        channels in 1usize..14,
+        channels in 1usize..150,
         num in 1usize..48,
         salt in 0usize..100_000,
     ) {
@@ -540,6 +540,36 @@ proptest! {
             kernels::segmented_max_into_with(b, &features, channels, &indices, &counts, num, &mut out);
             let got_bits: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(&got_bits, &expect_bits);
+        }
+    }
+
+    /// The hits rule: a ball-query row pads its hits by repeating slot 0,
+    /// so pooling its first `max(found, 1)` slots returns the bits pooling
+    /// all `num` slots does — on every backend, with NaN, ±inf and ±0
+    /// features among the pooled rows.
+    #[test]
+    fn pooling_the_hits_equals_pooling_the_padded_row(
+        pts in arb_points(120),
+        centers in arb_points(24),
+        radius in 0.5f32..40.0,
+        num in 1usize..40,
+        channels in 1usize..80,
+        salt in 0usize..100_000,
+    ) {
+        let cloud = PointCloud::from_points(pts);
+        let (indices, found) =
+            select_rows(Backend::Soa, &cloud, &centers, radius, num, &mut SelectScratch::new());
+        let features: Vec<f32> =
+            (0..cloud.len() * channels).map(|i| salted_feature(salt, i)).collect();
+        let hits: Vec<usize> = found.iter().map(|&f| f.clamp(1, num)).collect();
+        let padded = vec![num; found.len()];
+        for b in Backend::ALL {
+            let pool = |counts: &[usize]| {
+                let mut out = vec![0.0f32; counts.len() * channels];
+                kernels::segmented_max_into_with(b, &features, channels, &indices, counts, num, &mut out);
+                out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+            };
+            prop_assert!(pool(&hits) == pool(&padded), "backend {} pooled the hits differently", b.name());
         }
     }
 
