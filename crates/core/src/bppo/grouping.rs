@@ -136,10 +136,8 @@ pub(crate) fn ball_query_blocks(
     out.counters = OpCounters::new();
     out.critical_path = OpCounters::new();
     out.reuse = ReuseStats::default();
-    let search = |b| search_run(partition, b, config.parent_expansion);
-    let evals = |b| (layout.span(search(b)).len() * centers_per_block[b].len()) as u64;
-    for_each_block(partition.blocks.len(), evals, config.parallel, ws, out, |b, ws, out| {
-        let search = search(b);
+    for_each_block(partition.blocks.len(), config.parallel, ws, out, |b, ws, out| {
+        let search = search_run(partition, b, config.parent_expansion);
         ball_query_block(cloud, layout, search, b, &centers_per_block[b], radius, num, ws, out);
     });
 }

@@ -91,13 +91,7 @@ pub fn block_interpolate(
     let channels = sources.channels();
     let mut out = BlockInterpolationResult { k, channels, ..Default::default() };
     let mut ws = global_pool().checkout();
-    let evals = |b| {
-        let (first, end) = search_run(partition, b, config.parent_expansion);
-        let candidates: usize = sources_per_block[first..end].iter().map(Vec::len).sum();
-        (candidates * partition.blocks[b].len()) as u64
-    };
-    let blocks = partition.blocks.len();
-    for_each_block(blocks, evals, config.parallel, &mut ws, &mut out, |b, ws, out| {
+    for_each_block(partition.blocks.len(), config.parallel, &mut ws, &mut out, |b, ws, out| {
         // Candidate source rows: the sampled points of the search space,
         // staged in the lane's workspace.
         ws.candidates.clear();

@@ -131,33 +131,22 @@ fn block_runs(blocks: usize, lanes: usize) -> Vec<Range<usize>> {
     (0..runs).map(|r| r * blocks / runs..(r + 1) * blocks / runs).collect()
 }
 
-/// Distance evaluations a block op performs per nanosecond on one lane, the
-/// rate that turns a frame's closed-form block work into
-/// [`fractalcloud_parallel::lanes_for`]'s: the measured kernels run at
-/// about 1 ns per FPS point and 10 ns per ball-query pair, so one per ns
-/// never overstates a frame's work.
-const EVALS_PER_NS: u64 = 1;
-
 /// The block driver behind every block-parallel operation: runs
 /// `body(b, workspace, result)` for every block, where `body` *appends*
-/// block `b`'s rows and work to the result it is handed, and `evals(b)` is
-/// block `b`'s closed-form distance evaluations.
+/// block `b`'s rows and work to the result it is handed.
 ///
-/// The frame gets [`fractalcloud_parallel::lanes_for`] its summed
-/// evaluations under [`fractalcloud_parallel::effective_budget`], at most
-/// one lane per block. With one lane — the caller asked for sequential
-/// execution, the thread budget in effect is 1, the frame is too small to
-/// pay for a hand-off, or there is at most one block — every block streams
-/// through the caller's `ws` straight into `out`: no allocation once both
-/// are warm. Otherwise `0..blocks` is cut into contiguous runs, each paired
-/// with a fresh result part, and the pairs are handed out by
-/// [`fractalcloud_parallel::for_each_budget`] over that many lanes; each
-/// run streams its blocks through one workspace checked out of the
-/// [`global_pool`] into its part, and the parts are absorbed into `out` in
-/// block order. The result is the same at every lane count.
+/// With one lane — the caller asked for sequential execution, the thread
+/// budget in effect is 1, or there is at most one block — every block
+/// streams through the caller's `ws` straight into `out`: no allocation
+/// once both are warm. Otherwise `0..blocks` is cut into contiguous runs,
+/// each paired with a fresh result part, and the pairs are handed out by
+/// [`fractalcloud_parallel::for_each_budget`] at that budget
+/// ([`fractalcloud_parallel::effective_budget`]); each run streams its
+/// blocks through one workspace checked out of the [`global_pool`] into its
+/// part, and the parts are absorbed into `out` in block order. The result
+/// is the same at every lane count.
 pub(crate) fn for_each_block<R, F>(
     blocks: usize,
-    evals: impl Fn(usize) -> u64,
     parallel: bool,
     ws: &mut Workspace,
     out: &mut R,
@@ -166,14 +155,8 @@ pub(crate) fn for_each_block<R, F>(
     R: BlockParts,
     F: Fn(usize, &mut Workspace, &mut R) + Sync,
 {
-    let lanes = match parallel {
-        true if blocks > 1 => {
-            let work_ns = (0..blocks).map(evals).sum::<u64>() / EVALS_PER_NS;
-            fractalcloud_parallel::lanes_for(fractalcloud_parallel::effective_budget(), work_ns)
-                .min(blocks)
-        }
-        _ => 1,
-    };
+    let budget = if parallel { fractalcloud_parallel::effective_budget() } else { 1 };
+    let lanes = budget.min(blocks);
     if lanes <= 1 {
         (0..blocks).for_each(|b| body(b, ws, out));
         return;
@@ -181,7 +164,7 @@ pub(crate) fn for_each_block<R, F>(
     let runs = block_runs(blocks, lanes);
     let mut parts: Vec<R> = std::iter::repeat_with(R::default).take(runs.len()).collect();
     let work = runs.into_iter().zip(&mut parts);
-    fractalcloud_parallel::for_each_budget(work, lanes, |(run, part)| {
+    fractalcloud_parallel::for_each_budget(work, budget, |(run, part)| {
         let mut ws = global_pool().checkout();
         run.for_each(|b| body(b, &mut ws, part));
     });
@@ -332,10 +315,8 @@ mod tests {
         (0..blocks).for_each(|b| body(b, &mut Workspace::new(), &mut want));
         for parallel in [false, true] {
             let mut got = Recorded::default();
-            // Work enough for a lane per block.
-            let evals = |_| fractalcloud_parallel::LANE_NS * EVALS_PER_NS;
             fractalcloud_parallel::with_budget(budget, || {
-                for_each_block(blocks, evals, parallel, &mut Workspace::new(), &mut got, body)
+                for_each_block(blocks, parallel, &mut Workspace::new(), &mut got, body)
             });
             assert_eq!(got, want, "{blocks} blocks, budget {budget}, parallel {parallel}");
         }
@@ -371,31 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn served_frames_take_one_lane_per_budget_worker() {
-        use crate::{Pipeline, PipelineConfig};
-        use fractalcloud_parallel::lanes_for;
-        use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
-        // The rooms the serving workloads send carry enough closed-form
-        // work that the driver's lane count is `min(budget, blocks)`, the
-        // rule before `lanes_for`, at every budget up to 8.
-        for n in [4096, 16_384, 65_536] {
-            let cloud = scene_cloud(&SceneConfig::default(), n, 7);
-            let out = Pipeline::new(PipelineConfig::default()).unwrap().run(&cloud, false).unwrap();
-            for evals in [out.sampled.counters.distance_evals, out.grouped.counters.distance_evals]
-            {
-                for budget in 1..=8 {
-                    let lanes = lanes_for(budget, evals / EVALS_PER_NS).min(out.blocks);
-                    assert_eq!(lanes, budget.min(out.blocks), "{n} points, budget {budget}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn for_each_block_empty() {
         let mut out = Recorded::default();
-        let (evals, body) = (|_| unreachable!(), |_, _: &mut _, _: &mut _| unreachable!());
-        for_each_block(0, evals, true, &mut Workspace::new(), &mut out, body);
+        for_each_block(0, true, &mut Workspace::new(), &mut out, |_, _, _| unreachable!());
         assert_eq!(out, Recorded::default());
     }
 

@@ -231,11 +231,7 @@ pub(crate) fn fps_blocks(
     out.indices.clear();
     out.counters = OpCounters::new();
     out.critical_path = OpCounters::new();
-    let evals = |b| {
-        let n = layout.span((b, b + 1)).len();
-        OpCounters::fps_model(n, counts[b], config.window_check).distance_evals
-    };
-    for_each_block(layout.blocks(), evals, config.parallel, ws, out, |b, ws, out| {
+    for_each_block(layout.blocks(), config.parallel, ws, out, |b, ws, out| {
         fps_block(layout, b, counts[b], config.window_check, ws, out)
     });
     // Block b's row is its `min(count, population)` samples of the

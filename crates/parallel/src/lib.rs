@@ -26,12 +26,12 @@
 //! executing a batch) counts too while it runs inside [`hold_lane`].
 //! The pool's one `unsafe` block and its invariant are in `pool.rs`.
 //!
-//! How many lanes a fan-out asks for is one rule, [`lanes_for`]: a caller
-//! states its op's closed-form work in nanoseconds (multiply-accumulates
-//! for a dense layer, pooled elements for a max-pool, distance evaluations
-//! for a block op, each at its own rate), and gets the most lanes its
-//! budget allows that still leave every lane enough work to pay for the
-//! hand-off. Small ops stay on the caller whatever the budget.
+//! How many lanes a fan-out asks for by its work is one rule,
+//! [`lanes_for`]: a caller states its op's closed-form work in nanoseconds
+//! (a dense layer's multiply-accumulates at its measured rate), and gets
+//! the most lanes its budget allows that still leave every lane enough
+//! work to pay for the hand-off. Small ops stay on the caller whatever the
+//! budget.
 //!
 //! The worker count is `std::thread::available_parallelism`, overridable
 //! with the `FRACTALCLOUD_THREADS` environment variable (set to `1` to

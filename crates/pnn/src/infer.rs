@@ -32,7 +32,7 @@
 //! stage ([`NetworkExecutor::run_with_stage1`], what `INFER` serves), and
 //! the tests below compare the two predictions point by point.
 
-use crate::layers::{max_pool_into, Linear};
+use crate::layers::Linear;
 use crate::segment::{MlpShape, Segments};
 use crate::zoo::ModelConfig;
 use fractalcloud_core::{InferScratch, LevelMeta, PipelineOutput, Workspace};
@@ -519,9 +519,11 @@ impl NetworkExecutor {
                 pooled.resize(c_cnt * ch_out, 0.0);
                 let agg_span =
                     fractalcloud_obs::span(fractalcloud_obs::SpanKind::Aggregate, s as u32);
-                max_pool_into(backend, rows, ch_out, neighbors, counts, sa.nsample, pooled);
+                kernels::segmented_max_into_with(
+                    backend, rows, ch_out, neighbors, counts, sa.nsample, pooled,
+                );
                 agg_span.done();
-                counters.feature_reads += (c_cnt * sa.nsample) as u64;
+                counters.feature_reads += counts.iter().sum::<usize>() as u64;
                 counters.writes += c_cnt as u64;
 
                 // Residual blocks on the pooled features (identical in both
@@ -627,7 +629,10 @@ impl NetworkExecutor {
             neighbors.extend(0..last);
             rows.clear();
             rows.resize(cur_ch, 0.0);
-            max_pool_into(backend, pooled, cur_ch, neighbors, &[last], last, rows);
+            let count = [last];
+            kernels::segmented_max_into_with(
+                backend, pooled, cur_ch, neighbors, &count, last, rows,
+            );
             std::mem::swap(pooled, rows);
         }
         let span = mlp_span(s_cnt);

@@ -1,10 +1,8 @@
 //! The dense layer [`NetworkExecutor`](crate::NetworkExecutor) runs: seeded
-//! weights, packed once, applied by the dispatched linear kernel; and the
-//! max-pool it runs between them. Both split their work across lanes by
-//! [`fractalcloud_parallel::lanes_for`], each from its closed-form work.
+//! weights, packed once, applied by the dispatched linear kernel.
 
 use fractalcloud_parallel::{effective_budget, for_each_budget, lanes_for};
-use fractalcloud_pointcloud::kernels::{self, Backend, LINEAR_PANEL};
+use fractalcloud_pointcloud::kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,26 +14,9 @@ const TILE_ROWS: usize = 4;
 /// rate that turns [`Linear::macs`] into [`lanes_for`]'s work: the AVX2
 /// kernel measures 28–44 GFLOP/s (`pnn.layers.linear_gflops`, 2 FLOPs per
 /// MAC) on a 2-vCPU host as its speed drifts. At this rate a lane needs
-/// 2¹⁸ MACs.
+/// 2¹⁸ MACs; below that a helper's hand-off costs more than its rows save
+/// (a 1024 × 6 → 64 layer split in two ran slower than on one thread).
 const MACS_PER_NS: u64 = 16;
-
-/// Pooled feature elements (a segment's count times its channels) per
-/// nanosecond on one lane, the rate that turns a max-pool into
-/// [`lanes_for`]'s work: a served PN++ (c) request pools ≈ 2.5 M elements
-/// in 0.34 ms (`pnn.infer.aggregate_ms`, AVX2, 2-vCPU host), from feature
-/// rows mostly in L2.
-const POOLED_PER_NS: u64 = 8;
-
-/// How [`Linear::forward_into`] cuts a pass over some rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Split {
-    /// Contiguous ranges of whole 4-row tiles over this many lanes (one
-    /// lane: the caller runs the kernel itself).
-    Rows(usize),
-    /// Too few rows to give every lane a tile: each row's output columns
-    /// are cut into ranges of whole 16-column panels, over this many lanes.
-    Panels(usize),
-}
 
 /// A dense layer `y = relu(W·x + b)` with deterministic seeded weights.
 ///
@@ -70,17 +51,13 @@ impl Linear {
     /// `rows × cout` into a caller-owned buffer (cleared and resized), so a
     /// warmed buffer performs no heap allocation.
     ///
-    /// The pass gets [`lanes_for`] its [`Linear::macs`] at 16 per ns under
+    /// The rows are split into contiguous ranges of whole 4-row tiles
+    /// over [`lanes_for`] the pass's [`Linear::macs`] at 16 per ns under
     /// [`fractalcloud_parallel::effective_budget`] — one lane per 2¹⁸
-    /// multiply-accumulates, so small layers stay on the caller. With at
-    /// least one 4-row tile per lane, the rows are split into contiguous
-    /// ranges of whole tiles; with fewer rows (a classification head's one
-    /// row), each row's output columns are split into ranges of whole
-    /// 16-column weight panels, so the lanes stream disjoint parts of the
-    /// weights. Every range runs the kernel on the caller's backend. Each
-    /// output element is computed in the same order whichever rows and
-    /// columns share a kernel call, so the result is bit-identical at
-    /// every budget.
+    /// multiply-accumulates, so small layers stay on the caller — and every
+    /// range runs the kernel on the caller's backend. Each output element
+    /// is computed in the same order whichever rows share a kernel call, so
+    /// the result is bit-identical at every budget.
     ///
     /// # Panics
     ///
@@ -92,89 +69,29 @@ impl Linear {
         out.resize(rows * self.cout, 0.0);
         // Resolved here, so a `with_backend` override reaches helper lanes.
         let backend = kernels::active_backend();
-        let kernel = |packed: &[f32], bias: &[f32], input: &[f32], out: &mut [f32]| {
-            kernels::linear_into(backend, packed, bias, self.cin, self.relu, input, out)
+        let kernel = |input: &[f32], out: &mut [f32]| {
+            kernels::linear_into(backend, &self.packed, &self.bias, self.cin, self.relu, input, out)
         };
-        match self.split(rows, effective_budget()) {
-            Split::Rows(lanes) | Split::Panels(lanes) if lanes <= 1 => {
-                kernel(&self.packed, &self.bias, input, out)
-            }
-            Split::Rows(lanes) => {
-                let lane_rows = rows.div_ceil(TILE_ROWS).div_ceil(lanes) * TILE_ROWS;
-                let ranges =
-                    input.chunks(lane_rows * self.cin).zip(out.chunks_mut(lane_rows * self.cout));
-                for_each_budget(ranges, lanes, |(input, out)| {
-                    kernel(&self.packed, &self.bias, input, out)
-                });
-            }
-            Split::Panels(lanes) => {
-                let lane_cols = self.panels().div_ceil(lanes) * LINEAR_PANEL;
-                let panels = self.packed.chunks(lane_cols * self.cin);
-                let ranges =
-                    input.chunks(self.cin).zip(out.chunks_mut(self.cout)).flat_map(|(x, y)| {
-                        let cols = self.bias.chunks(lane_cols).zip(y.chunks_mut(lane_cols));
-                        panels.clone().zip(cols).map(move |(w, (b, y))| (w, b, x, y))
-                    });
-                for_each_budget(ranges, lanes, |(w, b, x, y)| kernel(w, b, x, y));
-            }
+        let lanes = self.lanes(rows, effective_budget());
+        if lanes <= 1 {
+            return kernel(input, out);
         }
+        let lane_rows = rows.div_ceil(TILE_ROWS).div_ceil(lanes) * TILE_ROWS;
+        let ranges = input.chunks(lane_rows * self.cin).zip(out.chunks_mut(lane_rows * self.cout));
+        for_each_budget(ranges, lanes, |(input, out)| kernel(input, out));
     }
 
-    /// How a pass over `rows` rows is cut at `budget`.
-    fn split(&self, rows: usize, budget: usize) -> Split {
-        let lanes = lanes_for(budget, self.macs(rows) / MACS_PER_NS);
-        if rows >= TILE_ROWS * lanes {
-            Split::Rows(lanes)
-        } else {
-            Split::Panels(lanes.min(self.panels()))
-        }
-    }
-
-    /// Packed 16-column weight panels.
-    fn panels(&self) -> usize {
-        self.cout.div_ceil(LINEAR_PANEL)
+    /// Lanes a pass over `rows` rows takes at `budget`: [`lanes_for`] its
+    /// multiply-accumulates, at most one per 4-row tile (one or none: the
+    /// caller runs the kernel itself).
+    fn lanes(&self, rows: usize, budget: usize) -> usize {
+        lanes_for(budget, self.macs(rows) / MACS_PER_NS).min(rows / TILE_ROWS)
     }
 
     /// Multiply-accumulates performed by a forward pass over `rows` rows.
     pub fn macs(&self, rows: usize) -> u64 {
         (rows * self.cin * self.cout) as u64
     }
-}
-
-/// The max-pool between dense layers: [`kernels::segmented_max_into_with`]
-/// over `counts.len()` segments on `backend` (same arguments and contract),
-/// with the output rows split into contiguous ranges over [`lanes_for`]
-/// the pooled elements — `Σ counts · channels` at 8 per ns — under
-/// [`fractalcloud_parallel::effective_budget`]. Output rows are
-/// independent, so the result is bit-identical at every budget; the split
-/// allocates nothing.
-pub(crate) fn max_pool_into(
-    backend: Backend,
-    features: &[f32],
-    channels: usize,
-    indices: &[usize],
-    counts: &[usize],
-    num: usize,
-    out: &mut [f32],
-) {
-    let segments = counts.len();
-    assert_eq!(out.len(), segments * channels, "out length mismatch");
-    let pooled = counts.iter().sum::<usize>() * channels;
-    let lanes = lanes_for(effective_budget(), pooled as u64 / POOLED_PER_NS).min(segments);
-    if lanes <= 1 {
-        return kernels::segmented_max_into_with(
-            backend, features, channels, indices, counts, num, out,
-        );
-    }
-    // Some segment pools a row, so `channels` and `num` are non-zero.
-    let lane_rows = segments.div_ceil(lanes);
-    let ranges = out
-        .chunks_mut(lane_rows * channels)
-        .zip(counts.chunks(lane_rows))
-        .zip(indices[..segments * num].chunks(lane_rows * num));
-    for_each_budget(ranges, lanes, |((out, counts), indices)| {
-        kernels::segmented_max_into_with(backend, features, channels, indices, counts, num, out)
-    });
 }
 
 #[cfg(test)]
@@ -225,31 +142,6 @@ mod tests {
         }
     }
 
-    /// Bits of `f` at `budget` on `backend`.
-    fn bits_at(budget: usize, backend: Backend, f: impl Fn() -> Vec<f32>) -> Vec<u32> {
-        let out = fractalcloud_parallel::with_budget(budget, || kernels::with_backend(backend, &f));
-        out.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn split_panels_are_bit_identical_at_every_budget() {
-        // One row (a classification head), and a few rows short of a tile
-        // per lane; 1000 columns end in a half-empty panel.
-        for (cin, cout, rows) in [(1024, 512, 1), (2048, 1000, 1), (512, 1000, 5)] {
-            let l = Linear::seeded(cin, cout, 9, false);
-            assert!(matches!(l.split(rows, 64), Split::Panels(lanes) if lanes >= 2));
-            let input: Vec<f32> =
-                (0..rows * cin).map(|i| ((i * 53 % 211) as f32 - 105.0) / 50.0).collect();
-            for backend in Backend::ALL {
-                let one = bits_at(1, backend, || forward(&l, &input));
-                for budget in [2, 3, 4, 64] {
-                    let split = bits_at(budget, backend, || forward(&l, &input));
-                    assert!(split == one, "{cin}→{cout} × {rows}, {backend:?}, budget {budget}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn lanes_at_every_served_classifier_shape_match_the_row_rule() {
         use crate::{ModelConfig, Segments};
@@ -265,56 +157,12 @@ mod tests {
         for shape in shapes {
             let l = Linear::seeded(shape.cin, shape.cout, 0, true);
             for budget in 1..=8 {
-                let split = l.split(shape.rows, budget);
                 // The rule before `lanes_for`: min(budget, rows / 4,
                 // MACs / 2¹⁸), one lane below two.
                 let macs = shape.rows * shape.cin * shape.cout;
-                let rows_rule = budget.min(shape.rows / TILE_ROWS).min(macs >> 18).max(1);
-                let at = format!("{shape:?} at budget {budget}");
-                match split {
-                    Split::Rows(lanes) => assert_eq!(lanes, rows_rule, "{at}"),
-                    // Only a head row fills no tile; it ran on one lane.
-                    Split::Panels(lanes) => {
-                        assert!(shape.rows < TILE_ROWS && rows_rule == 1, "{at}");
-                        assert_eq!(lanes, budget.min(macs >> 18).clamp(1, l.panels()), "{at}");
-                    }
-                }
-            }
-        }
-        // The first head layer, 1024 → 512 on one row, takes two lanes.
-        let head = Linear::seeded(1024, 512, 0, true);
-        assert_eq!(head.split(1, 2), Split::Panels(2));
-    }
-
-    #[test]
-    fn split_pooling_is_bit_identical_at_every_budget() {
-        // Ragged counts (empty segments included) over padded rows, with
-        // NaN, ±inf and ±0 among the features; enough pooled elements for
-        // three or more lanes at a budget of 64.
-        let (rows, channels, num, segments) = (300, 200, 32, 257);
-        let features: Vec<f32> = (0..rows * channels)
-            .map(|i| match i % 23 {
-                0 => f32::NAN,
-                1 => f32::NEG_INFINITY,
-                2 => f32::INFINITY,
-                3 => -0.0,
-                4 => 0.0,
-                k => ((i * 37 + k) % 401) as f32 - 200.0,
-            })
-            .collect();
-        let counts: Vec<usize> = (0..segments).map(|c| (c * 7) % (num + 1)).collect();
-        let indices: Vec<usize> = (0..segments * num).map(|i| (i * 31 + 5) % rows).collect();
-        let pooled = counts.iter().sum::<usize>() * channels;
-        assert!(lanes_for(64, pooled as u64 / POOLED_PER_NS) >= 3, "the test must split");
-        for backend in Backend::ALL {
-            let pool = || {
-                let mut out = vec![0.0; segments * channels];
-                max_pool_into(backend, &features, channels, &indices, &counts, num, &mut out);
-                out
-            };
-            let one = bits_at(1, backend, pool);
-            for budget in [2, 3, 64] {
-                assert!(bits_at(budget, backend, pool) == one, "{backend:?}, budget {budget}");
+                let rule = budget.min(shape.rows / TILE_ROWS).min(macs >> 18).max(1);
+                let lanes = l.lanes(shape.rows, budget).max(1);
+                assert_eq!(lanes, rule, "{shape:?} at budget {budget}");
             }
         }
     }
