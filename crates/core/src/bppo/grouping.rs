@@ -1,6 +1,6 @@
 //! Block-wise grouping (BWG): ball query with block-local search spaces.
 
-use crate::bppo::{for_each_block, with_layout, BlockParts, BppoConfig, Layout, ReuseStats};
+use crate::bppo::{for_each_block, pieces, with_layout, BppoConfig, Layout, ReuseStats};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
@@ -30,25 +30,10 @@ pub struct BlockNeighborResult {
 }
 
 impl BlockNeighborResult {
-    /// Adds one block's work (its rows are appended by the caller).
+    /// Adds the work of the next block in block order.
     pub(crate) fn push(&mut self, work: OpCounters, reuse: ReuseStats) {
         merge_work(&mut self.counters, &mut self.critical_path, &work, work);
         self.reuse.merge(&reuse);
-    }
-}
-
-impl BlockParts for BlockNeighborResult {
-    fn absorb(&mut self, later: BlockNeighborResult) {
-        self.indices.extend_from_slice(&later.indices);
-        self.center_indices.extend_from_slice(&later.center_indices);
-        self.found.extend_from_slice(&later.found);
-        merge_work(
-            &mut self.counters,
-            &mut self.critical_path,
-            &later.counters,
-            later.critical_path,
-        );
-        self.reuse.merge(&later.reuse);
     }
 }
 
@@ -117,6 +102,19 @@ pub fn block_ball_query(
 /// calls on the layout it shares with sampling. The caller has checked the
 /// arguments (the pipeline's centers come from block FPS, so are in
 /// range).
+///
+/// The center rows are `centers_per_block` concatenated in block order, so
+/// the outputs are sized once and block `b` fills its own `centers × num`
+/// neighbor slots and `centers` hit counts: [`ops::ball_query_into`] for
+/// its centers against its search space — the run of blocks
+/// [`Block::search`](fractalcloud_pointcloud::partition::Block::search),
+/// one contiguous slice of the layout read in place, loaded on-chip once
+/// and shared by every center of the block (§V-C) — scanning from the
+/// block's own offset in the space (its centers' nearest candidates; rows
+/// are unchanged by where the scan starts). A center with no candidate at
+/// a finite distance falls back to itself: its own block is always in the
+/// space. The work is then added in block order from
+/// [`ball_query_block_model`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ball_query_blocks(
     cloud: &PointCloud,
@@ -129,63 +127,51 @@ pub(crate) fn ball_query_blocks(
     ws: &mut Workspace,
     out: &mut BlockNeighborResult,
 ) {
-    out.indices.clear();
+    let blocks = partition.blocks.len();
+    let search = |b: usize| search_run(partition, b, config.parent_expansion);
+    let rows = |b: usize| centers_per_block[b].len();
     out.center_indices.clear();
+    centers_per_block.iter().for_each(|c| out.center_indices.extend_from_slice(c));
+    let total = out.center_indices.len();
+    out.indices.clear();
+    out.indices.resize(total * num, 0);
     out.found.clear();
+    out.found.resize(total, 0);
     out.num = num;
+    let backend = kernels::active_backend();
+    let slots = pieces(&mut out.indices, blocks, move |b| rows(b) * num);
+    let items = slots.zip(pieces(&mut out.found, blocks, rows)).enumerate();
+    for_each_block(items, config.parallel, ws, |(b, (indices, found)), ws| {
+        let search = search(b);
+        debug_assert!((search.0..search.1).contains(&b), "a block searches its own points");
+        let (xs, ys, zs, order) = layout.run(search);
+        let first = layout.span((search.0, b)).len();
+        let centers = &centers_per_block[b];
+        ws.queries.clear();
+        ws.queries.extend(centers.iter().map(|&c| [cloud.xs()[c], cloud.ys()[c], cloud.zs()[c]]));
+        ops::ball_query_into(
+            backend,
+            xs,
+            ys,
+            zs,
+            &ws.queries,
+            radius,
+            num,
+            first,
+            &mut ws.select,
+            indices,
+            found,
+            |slot| order[slot] as usize,
+            |row| centers[row],
+        );
+    });
     out.counters = OpCounters::new();
     out.critical_path = OpCounters::new();
     out.reuse = ReuseStats::default();
-    for_each_block(partition.blocks.len(), config.parallel, ws, out, |b, ws, out| {
-        let search = search_run(partition, b, config.parent_expansion);
-        ball_query_block(cloud, layout, search, b, &centers_per_block[b], radius, num, ws, out);
-    });
-}
-
-/// One block's body under the block driver: runs [`ops::ball_query_into`]
-/// for `centers` against the search space — the run of blocks `search`,
-/// one contiguous slice of the layout read in place, loaded on-chip once
-/// and shared by every center of the block (§V-C) — scanning from block
-/// `own`'s offset in the space (its centers' nearest candidates; rows are
-/// unchanged by where the scan starts), and *appends* the neighbor rows,
-/// center indices, per-center hit counts and the block's work to `out`. A
-/// center with no candidate at a finite distance falls back to itself: its
-/// own block is always in the space.
-#[allow(clippy::too_many_arguments)]
-fn ball_query_block(
-    cloud: &PointCloud,
-    layout: &Layout,
-    search: (usize, usize),
-    own: usize,
-    centers: &[usize],
-    radius: f32,
-    num: usize,
-    ws: &mut Workspace,
-    out: &mut BlockNeighborResult,
-) {
-    debug_assert!((search.0..search.1).contains(&own), "a block searches its own points");
-    let (xs, ys, zs, order) = layout.run(search);
-    let first = layout.span((search.0, own)).len();
-    ws.queries.clear();
-    ws.queries.extend(centers.iter().map(|&ci| [cloud.xs()[ci], cloud.ys()[ci], cloud.zs()[ci]]));
-    out.center_indices.extend_from_slice(centers);
-    ops::ball_query_into(
-        kernels::active_backend(),
-        xs,
-        ys,
-        zs,
-        &ws.queries,
-        radius,
-        num,
-        first,
-        &mut ws.select,
-        &mut out.indices,
-        &mut out.found,
-        |slot| order[slot] as usize,
-        |row| centers[row],
-    );
-    let (counters, reuse) = ball_query_block_model(xs.len(), centers.len(), num);
-    out.push(counters, reuse);
+    for b in 0..blocks {
+        let (counters, reuse) = ball_query_block_model(layout.span(search(b)).len(), rows(b), num);
+        out.push(counters, reuse);
+    }
 }
 
 /// Closed-form work model for one block's ball query: `candidates` search

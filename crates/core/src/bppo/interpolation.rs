@@ -2,7 +2,7 @@
 //! search spaces.
 
 use crate::bppo::grouping::search_run;
-use crate::bppo::{for_each_block, BlockParts, BppoConfig, ReuseStats};
+use crate::bppo::{for_each_block, pieces, BppoConfig, ReuseStats};
 use crate::workspace::global_pool;
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
@@ -31,21 +31,6 @@ pub struct BlockInterpolationResult {
     pub critical_path: OpCounters,
     /// Intra-block reuse statistics.
     pub reuse: ReuseStats,
-}
-
-impl BlockParts for BlockInterpolationResult {
-    fn absorb(&mut self, later: BlockInterpolationResult) {
-        self.features.extend_from_slice(&later.features);
-        self.target_indices.extend_from_slice(&later.target_indices);
-        self.neighbor_indices.extend_from_slice(&later.neighbor_indices);
-        merge_work(
-            &mut self.counters,
-            &mut self.critical_path,
-            &later.counters,
-            later.critical_path,
-        );
-        self.reuse.merge(&later.reuse);
-    }
 }
 
 /// Block-wise inverse-distance-weighted KNN interpolation (§IV-B).
@@ -88,10 +73,22 @@ pub fn block_interpolate(
         });
     }
 
+    // Every point of every block is a target, in block order: the outputs
+    // are sized once and block `b` fills its own rows of them.
     let channels = sources.channels();
-    let mut out = BlockInterpolationResult { k, channels, ..Default::default() };
+    let blocks = partition.blocks.len();
+    let targets = |b: usize| partition.blocks[b].len();
+    let target_indices: Vec<usize> =
+        partition.blocks.iter().flat_map(|b| b.indices.iter().copied()).collect();
+    let mut features = vec![0.0; target_indices.len() * channels];
+    let mut neighbor_indices = vec![0; target_indices.len() * k];
+    // Each block's work, merged in block order once every block has run.
+    let mut work = vec![(OpCounters::new(), ReuseStats::default()); blocks];
+    let rows = pieces(&mut features, blocks, move |b| targets(b) * channels);
+    let nbrs = pieces(&mut neighbor_indices, blocks, move |b| targets(b) * k);
+    let items = rows.zip(nbrs).zip(&mut work).enumerate();
     let mut ws = global_pool().checkout();
-    for_each_block(partition.blocks.len(), config.parallel, &mut ws, &mut out, |b, ws, out| {
+    for_each_block(items, config.parallel, &mut ws, |(b, ((rows, nbrs), work)), ws| {
         // Candidate source rows: the sampled points of the search space,
         // staged in the lane's workspace.
         ws.candidates.clear();
@@ -122,11 +119,7 @@ pub fn block_interpolate(
         ws.queries
             .extend(targets.iter().map(|&ti| [cloud.xs()[ti], cloud.ys()[ti], cloud.zs()[ti]]));
         let candidates = &ws.candidates;
-        let BlockInterpolationResult { features, target_indices, neighbor_indices, .. } = out;
-        target_indices.extend_from_slice(targets);
-        let base = features.len();
-        features.resize(base + targets.len() * channels, 0.0);
-        neighbor_indices.reserve(targets.len() * k);
+        let mut nbrs = nbrs.iter_mut();
         // One row written per target.
         let mut counters = OpCounters::shared_neighbor_model(candidates.len(), targets.len(), 1);
         counters.feature_reads = ops::interpolate_into(
@@ -138,17 +131,29 @@ pub fn block_interpolate(
             k,
             &mut ws.select,
             |slot| sources.feature(candidates[slot]),
-            &mut features[base..],
+            rows,
             channels,
-            |slot| neighbor_indices.push(candidates[slot]),
+            |slot| *nbrs.next().expect("k neighbours per target") = candidates[slot],
             |_| {},
         );
-        merge_work(&mut out.counters, &mut out.critical_path, &counters, counters);
-        out.reuse.merge(&ReuseStats {
+        let reuse = ReuseStats {
             shared_loads: candidates.len() as u64,
             unshared_loads: (candidates.len() * targets.len().max(1)) as u64,
-        });
+        };
+        *work = (counters, reuse);
     });
+    let mut out = BlockInterpolationResult {
+        features,
+        target_indices,
+        neighbor_indices,
+        k,
+        channels,
+        ..Default::default()
+    };
+    for (counters, reuse) in &work {
+        merge_work(&mut out.counters, &mut out.critical_path, counters, *counters);
+        out.reuse.merge(reuse);
+    }
     Ok(out)
 }
 

@@ -11,18 +11,22 @@
 //! * [`block_interpolate`] — block-wise interpolation with the same
 //!   search-space rule.
 //!
-//! Each operation is a per-block body that runs the *same* slice-level
-//! operation the global form runs ([`fractalcloud_pointcloud::ops`]:
-//! `fps_into`, `ball_query_into`, `interpolate_into`) over the block's
-//! resident points and *appends* the block's rows and work to a result;
-//! one driver decides how blocks reach lanes (one lane streaming every block
-//! through the caller's workspace, or contiguous runs of blocks claimed by
-//! the lanes of the thread budget) and one rule
-//! ([`merge_work`](fractalcloud_pointcloud::ops::merge_work)) merges the
-//! work, so results are bit-identical at every lane count. Sampling and
-//! grouping read their points in place from one block-order copy of the
-//! cloud (`Layout`), laid out once per frame; interpolation gathers its
-//! sources, which are not the laid-out cloud.
+//! Every block's output size is known before any block runs — FPS picks
+//! `min(count, population)` points per block, grouping writes `num` slots
+//! per center, interpolation one row per point — so each operation sizes
+//! its output once, cuts it into consecutive per-block slices in block
+//! order, and runs a per-block body that writes the block's rows straight
+//! into its own slices with the *same* slice-level operation the global
+//! form runs ([`fractalcloud_pointcloud::ops`]: `fps_into`,
+//! `ball_query_into`, `interpolate_into`) over the block's resident points.
+//! One driver decides how blocks reach lanes (one lane running every block
+//! through the caller's workspace, or the blocks handed to the lanes of the
+//! thread budget), and the work is merged afterwards in block order by one
+//! rule ([`merge_work`](fractalcloud_pointcloud::ops::merge_work)), so
+//! results are bit-identical at every lane count. Sampling and grouping
+//! read their points in place from one block-order copy of the cloud
+//! (`Layout`), laid out once per frame; interpolation gathers its sources,
+//! which are not the laid-out cloud.
 //!
 //! All functions take a [`Partition`] — any partitioner works (the paper's
 //! fractal engine also supports uniform and KD-tree modes) — but only
@@ -104,71 +108,56 @@ impl ReuseStats {
     }
 }
 
-/// How a block op's result grows: each block *appends* its rows and adds
-/// its work through the type's `push`, and a result built from a later run
-/// of blocks is appended whole by [`BlockParts::absorb`]. `Default` is the
-/// empty part a fanned-out run starts from.
-pub(crate) trait BlockParts: Default + Send {
-    /// Appends `later` — the rows and work of the blocks that follow this
-    /// result's own, in block order.
-    fn absorb(&mut self, later: Self);
-}
-
-/// Contiguous runs per fanned-out lane. A lane that finishes early waits
-/// for about half a run, so fewer, longer runs can cost wall time, while
-/// every run costs a fresh result part: at 16, a fanned-out frame (sample
-/// and group, 2 threads) allocates 131 / 402 / 658 times at 4k / 16k / 64k
-/// points, nearly all of it result parts, as no fan-out spawns a thread.
-/// Frames alternating 4, 8, 16 and 32 runs per lane (2 threads, 4 rooms a
-/// frame, 2 × 31 frames per size) found no count faster than 16 in more
-/// than 18 of 31 frames at any size.
-const RUNS_PER_LANE: usize = 16;
-
-/// Cuts `0..blocks` into `lanes × RUNS_PER_LANE` contiguous, non-empty runs
-/// of near-equal length (fewer when blocks run short), in block order.
-fn block_runs(blocks: usize, lanes: usize) -> Vec<Range<usize>> {
-    let runs = (lanes * RUNS_PER_LANE).min(blocks);
-    (0..runs).map(|r| r * blocks / runs..(r + 1) * blocks / runs).collect()
+/// Cuts `data` into consecutive per-block slices, in block order: block
+/// `b`'s slice is `len(b)` long. A block op sizes its output once from the
+/// row counts it knows before any block runs, and each block then fills
+/// its own slice — the concatenation in DFT order of §IV-B, written in
+/// place.
+///
+/// # Panics
+///
+/// The iterator panics if the lengths add up to more than `data` holds.
+pub(crate) fn pieces<'a, T>(
+    data: &'a mut [T],
+    blocks: usize,
+    len: impl Fn(usize) -> usize + 'a,
+) -> impl Iterator<Item = &'a mut [T]> + 'a {
+    (0..blocks).scan(data, move |rest, b| {
+        let (piece, tail) = std::mem::take(rest).split_at_mut(len(b));
+        *rest = tail;
+        Some(piece)
+    })
 }
 
 /// The block driver behind every block-parallel operation: runs
-/// `body(b, workspace, result)` for every block, where `body` *appends*
-/// block `b`'s rows and work to the result it is handed.
+/// `body(item, workspace)` for every item, one item per block, where an
+/// item holds that block's disjoint slices of the output (cut by
+/// [`pieces`]) and the body writes its rows there.
 ///
 /// With one lane — the caller asked for sequential execution, the thread
-/// budget in effect is 1, or there is at most one block — every block
-/// streams through the caller's `ws` straight into `out`: no allocation
-/// once both are warm. Otherwise `0..blocks` is cut into contiguous runs,
-/// each paired with a fresh result part, and the pairs are handed out by
-/// [`fractalcloud_parallel::for_each_budget`] at that budget
-/// ([`fractalcloud_parallel::effective_budget`]); each run streams its
-/// blocks through one workspace checked out of the [`global_pool`] into its
-/// part, and the parts are absorbed into `out` in block order. The result
-/// is the same at every lane count.
-pub(crate) fn for_each_block<R, F>(
-    blocks: usize,
-    parallel: bool,
-    ws: &mut Workspace,
-    out: &mut R,
-    body: F,
-) where
-    R: BlockParts,
-    F: Fn(usize, &mut Workspace, &mut R) + Sync,
+/// budget in effect is 1, or there is at most one block — the blocks run
+/// in order through the caller's `ws`. Otherwise the items are handed out
+/// by [`fractalcloud_parallel::for_each_budget`] at that budget
+/// ([`fractalcloud_parallel::effective_budget`]), each block running on a
+/// workspace checked out of the [`global_pool`]. Either way nothing is
+/// allocated once the workspaces are warm, and since every block writes
+/// only its own slices the output is the same at every lane count. The
+/// callers merge the blocks' work in block order afterwards.
+pub(crate) fn for_each_block<I, F>(items: I, parallel: bool, ws: &mut Workspace, body: F)
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    F: Fn(I::Item, &mut Workspace) + Sync,
 {
+    let items = items.into_iter();
     let budget = if parallel { fractalcloud_parallel::effective_budget() } else { 1 };
-    let lanes = budget.min(blocks);
-    if lanes <= 1 {
-        (0..blocks).for_each(|b| body(b, ws, out));
+    if budget.min(items.size_hint().1.unwrap_or(usize::MAX)) <= 1 {
+        items.for_each(|item| body(item, ws));
         return;
     }
-    let runs = block_runs(blocks, lanes);
-    let mut parts: Vec<R> = std::iter::repeat_with(R::default).take(runs.len()).collect();
-    let work = runs.into_iter().zip(&mut parts);
-    fractalcloud_parallel::for_each_budget(work, budget, |(run, part)| {
-        let mut ws = global_pool().checkout();
-        run.for_each(|b| body(b, &mut ws, part));
+    fractalcloud_parallel::for_each_budget(items, budget, |item| {
+        body(item, &mut global_pool().checkout())
     });
-    parts.into_iter().for_each(|part| out.absorb(part));
 }
 
 /// The cloud laid out in block order — what the sampling and grouping
@@ -274,64 +263,36 @@ pub(crate) fn with_layout<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractalcloud_pointcloud::ops::{merge_work, OpCounters};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A result that records what the driver did: ragged rows (some
-    /// blocks append nothing) and work whose distance evaluations tie, so
-    /// `writes` tells which block the tie rule kept.
-    #[derive(Debug, Default, PartialEq)]
-    struct Recorded {
-        rows: Vec<usize>,
-        counters: OpCounters,
-        critical_path: OpCounters,
-    }
-
-    impl BlockParts for Recorded {
-        fn absorb(&mut self, later: Recorded) {
-            self.rows.extend_from_slice(&later.rows);
-            merge_work(
-                &mut self.counters,
-                &mut self.critical_path,
-                &later.counters,
-                later.critical_path,
-            );
-        }
-    }
-
-    /// Runs the recording body over `blocks` blocks under a thread budget
-    /// and checks the result against the plain one-lane loop, and the runs
-    /// the budget cuts against `0..blocks`.
-    fn assert_matches_one_lane(blocks: usize, budget: usize, ragged: usize, ties: u64, salt: u64) {
-        let body = |b: usize, _: &mut Workspace, out: &mut Recorded| {
-            out.rows.extend(std::iter::repeat_n(b, b % ragged));
-            let work = OpCounters {
-                distance_evals: (b as u64 ^ salt) % ties,
-                writes: b as u64,
-                ..OpCounters::new()
-            };
-            merge_work(&mut out.counters, &mut out.critical_path, &work, work);
-        };
-        let mut want = Recorded::default();
-        (0..blocks).for_each(|b| body(b, &mut Workspace::new(), &mut want));
+    /// Runs a recording body over `blocks` blocks under a thread budget:
+    /// block `b` fills its ragged slice (`b % ragged` rows, so some blocks
+    /// own none) with `b` and counts its runs. The rows must land in block
+    /// order and every block run exactly once, one lane or fanned out.
+    fn assert_fills_in_block_order(blocks: usize, budget: usize, ragged: usize) {
+        let len = |b: usize| b % ragged;
+        let want: Vec<usize> = (0..blocks).flat_map(|b| std::iter::repeat_n(b, len(b))).collect();
         for parallel in [false, true] {
-            let mut got = Recorded::default();
+            let mut rows = vec![usize::MAX; want.len()];
+            let runs: Vec<AtomicUsize> = (0..blocks).map(|_| AtomicUsize::new(0)).collect();
+            let items = pieces(&mut rows, blocks, len).enumerate();
             fractalcloud_parallel::with_budget(budget, || {
-                for_each_block(blocks, parallel, &mut Workspace::new(), &mut got, body)
+                for_each_block(items, parallel, &mut Workspace::new(), |(b, piece), _| {
+                    piece.fill(b);
+                    runs[b].fetch_add(1, Ordering::Relaxed);
+                })
             });
-            assert_eq!(got, want, "{blocks} blocks, budget {budget}, parallel {parallel}");
+            let context = format!("{blocks} blocks, budget {budget}, parallel {parallel}");
+            assert_eq!(rows, want, "{context}");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{context}");
         }
-
-        let runs = block_runs(blocks, budget.min(blocks));
-        assert!(runs.iter().all(|r| !r.is_empty()), "{runs:?}");
-        assert!(runs.len() <= budget * RUNS_PER_LANE);
-        assert_eq!(runs.into_iter().flatten().collect::<Vec<_>>(), (0..blocks).collect::<Vec<_>>());
     }
 
     #[test]
     fn for_each_block_preserves_order() {
         for blocks in [0, 1, 2, 7, 398] {
             for budget in [1, 2, 3, 8] {
-                assert_matches_one_lane(blocks, budget, 3, 4, 0);
+                assert_fills_in_block_order(blocks, budget, 3);
             }
         }
     }
@@ -344,18 +305,16 @@ mod tests {
             blocks in 0usize..300,
             budget in 1usize..9,
             ragged in 1usize..6,
-            ties in 1u64..7,
-            salt in 0u64..1000,
         ) {
-            assert_matches_one_lane(blocks, budget, ragged, ties, salt);
+            assert_fills_in_block_order(blocks, budget, ragged);
         }
     }
 
     #[test]
     fn for_each_block_empty() {
-        let mut out = Recorded::default();
-        for_each_block(0, true, &mut Workspace::new(), &mut out, |_, _, _| unreachable!());
-        assert_eq!(out, Recorded::default());
+        let mut rows: Vec<usize> = Vec::new();
+        let items = pieces(&mut rows, 0, |_| unreachable!()).enumerate();
+        for_each_block(items, true, &mut Workspace::new(), |_, _| unreachable!());
     }
 
     #[test]

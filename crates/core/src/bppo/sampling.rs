@@ -1,6 +1,6 @@
 //! Block-wise sampling (BWS): farthest point sampling decomposed per block.
 
-use crate::bppo::{for_each_block, with_layout, BlockParts, BppoConfig, Layout};
+use crate::bppo::{for_each_block, pieces, with_layout, BppoConfig, Layout};
 use crate::workspace::{global_pool, Workspace};
 use fractalcloud_pointcloud::kernels;
 use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
@@ -23,23 +23,9 @@ pub struct BlockFpsResult {
 }
 
 impl BlockFpsResult {
-    /// Adds one block's work (its samples are appended by the caller).
+    /// Adds the work of the next block in block order.
     pub(crate) fn push(&mut self, work: OpCounters) {
         merge_work(&mut self.counters, &mut self.critical_path, &work, work);
-    }
-}
-
-impl BlockParts for BlockFpsResult {
-    /// A part carries `indices` and work only: `per_block` is cut from the
-    /// assembled `indices` once, on the caller's recycled rows.
-    fn absorb(&mut self, later: BlockFpsResult) {
-        self.indices.extend_from_slice(&later.indices);
-        merge_work(
-            &mut self.counters,
-            &mut self.critical_path,
-            &later.counters,
-            later.critical_path,
-        );
     }
 }
 
@@ -221,6 +207,21 @@ pub fn block_fps_with_counts(
 /// Block FPS over an already filled [`Layout`] — the body of
 /// [`block_fps_with_counts`], which the pipeline calls on the layout it
 /// shares with grouping. `counts` has one entry per laid-out block.
+///
+/// Block `b` picks `min(counts[b], population)` points, so `indices` is
+/// sized once and every block fills its own slice of it: [`ops::fps_into`]
+/// over the block's run of the layout in place (the software analogue of
+/// streaming the block into SRAM, §V-C), from its first point in layout
+/// order (the hardware uses the first streamed point). Block `b`'s
+/// `per_block` row is a copy of its slice in a recycled row: rows keep
+/// their capacity across frames, so a warmed result allocates nothing
+/// while the block count is stable.
+///
+/// The work, added in block order once every block has run, is
+/// [`OpCounters::fps_model`] — the *hardware* work: with the window check,
+/// iteration `s` visits the `n − s` valid candidates and skips `s`;
+/// without it, all `n`. The mask changes the count, never the selection:
+/// the shared loop pins every pick either way.
 pub(crate) fn fps_blocks(
     layout: &Layout,
     counts: &[usize],
@@ -228,62 +229,28 @@ pub(crate) fn fps_blocks(
     ws: &mut Workspace,
     out: &mut BlockFpsResult,
 ) {
+    let blocks = layout.blocks();
+    let population = |b: usize| layout.span((b, b + 1)).len();
+    let picks = |b: usize| counts[b].min(population(b));
     out.indices.clear();
+    out.indices.resize((0..blocks).map(picks).sum(), 0);
+    let backend = kernels::active_backend();
+    let items = pieces(&mut out.indices, blocks, picks).enumerate();
+    for_each_block(items, config.parallel, ws, |(b, picked), ws| {
+        let (xs, ys, zs, order) = layout.run((b, b + 1));
+        ops::fps_into(backend, xs, ys, zs, 0, &mut ws.dist, picked, |slot| order[slot] as usize);
+    });
     out.counters = OpCounters::new();
     out.critical_path = OpCounters::new();
-    for_each_block(layout.blocks(), config.parallel, ws, out, |b, ws, out| {
-        fps_block(layout, b, counts[b], config.window_check, ws, out)
-    });
-    // Block b's row is its `min(count, population)` samples of the
-    // concatenation, copied into a recycled row: rows keep their capacity
-    // across frames, so a warmed result allocates nothing while the block
-    // count is stable.
-    out.per_block.resize_with(layout.blocks(), Vec::new);
-    let mut start = 0usize;
-    for (b, row) in out.per_block.iter_mut().enumerate() {
-        let end = start + counts[b].min(layout.span((b, b + 1)).len());
+    for (b, &m) in counts.iter().enumerate() {
+        out.push(OpCounters::fps_model(population(b), m, config.window_check));
+    }
+    out.per_block.resize_with(blocks, Vec::new);
+    let rows = pieces(&mut out.indices, blocks, picks);
+    for (row, picked) in out.per_block.iter_mut().zip(rows) {
         row.clear();
-        row.extend_from_slice(&out.indices[start..end]);
-        start = end;
+        row.extend_from_slice(picked);
     }
-}
-
-/// FPS restricted to block `b`, selecting `m` points — one block's body
-/// under the block driver: [`ops::fps_into`] runs over the block's run of
-/// the layout in place (the software analogue of streaming the block into
-/// SRAM, §V-C) from its first point in layout order (the hardware uses the
-/// first streamed point), and the selected global indices and the block's
-/// work are *appended* to `out`. A warmed workspace + result performs no
-/// heap allocation.
-///
-/// The work is [`OpCounters::fps_model`] — the *hardware* work: with the
-/// window check, iteration `s` visits the `n − s` valid candidates and
-/// skips `s`; without it, all `n`. The mask changes the count, never the
-/// selection: the shared loop pins every pick either way.
-fn fps_block(
-    layout: &Layout,
-    b: usize,
-    m: usize,
-    window_check: bool,
-    ws: &mut Workspace,
-    out: &mut BlockFpsResult,
-) {
-    let (xs, ys, zs, order) = layout.run((b, b + 1));
-    out.push(OpCounters::fps_model(xs.len(), m, window_check));
-    if m == 0 {
-        return;
-    }
-    ops::fps_into(
-        kernels::active_backend(),
-        xs,
-        ys,
-        zs,
-        m,
-        0,
-        &mut ws.dist,
-        &mut out.indices,
-        |slot| order[slot] as usize,
-    );
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@
 //!   nothing in it survives as a result — every operation fully resets the
 //!   portions it reads, so a *dirty* workspace is bit-identical to a fresh
 //!   one (property-tested in `tests/workspace_reuse.rs`).
-//! * Fanned-out lanes never share scratch: the block driver streams every
+//! * Fanned-out lanes never share scratch: the block driver runs every
 //!   block through the caller's workspace when it runs one lane, and
-//!   otherwise each run of blocks checks one workspace out of the
-//!   [`global_pool`] for as long as it runs.
+//!   otherwise each block checks one workspace out of the [`global_pool`]
+//!   for as long as it runs.
 //! * The no-workspace entry points (`block_fps`, `Fractal::build`,
 //!   `Pipeline::run_with_partition`, …) are thin wrappers that check a
 //!   workspace out of the process-wide [`global_pool`] — so even legacy

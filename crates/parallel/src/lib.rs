@@ -5,9 +5,10 @@
 //! workspace needs: [`for_each_budget`] — run a function on every item of
 //! an iterator with an explicit worker budget, allocating nothing. Items
 //! are typically disjoint pieces of one piece of work (row ranges of one
-//! output, runs of blocks paired with their result parts, the jobs of one
-//! batch), so each call writes its results in place; lanes take the next
-//! item through one lock, so imbalanced items still load-balance. It runs
+//! output, the blocks of a block op each with its own slices of the
+//! output, the jobs of one batch), so each call writes its results in
+//! place; lanes take the next item through one lock, so imbalanced items
+//! still load-balance. It runs
 //! sequentially for a budget or item count of one, and scheduling affects
 //! only wall-clock time, never results. The budget lets layers that
 //! multiplex many independent requests (the serving engine) hand each one

@@ -416,7 +416,8 @@ impl NetworkExecutor {
                             u32::MAX,
                         );
                         centers.clear();
-                        ops::fps_into(backend, xs, ys, zs, m_samp, 0, dist, centers, |i| i);
+                        centers.resize(m_samp, 0);
+                        ops::fps_into(backend, xs, ys, zs, 0, dist, centers, |i| i);
                         span.done();
                         counters.merge(&OpCounters::fps_model(n_in, m_samp, false));
 
@@ -427,10 +428,12 @@ impl NetworkExecutor {
                         queries.clear();
                         queries.extend(centers.iter().map(|&i| [xs[i], ys[i], zs[i]]));
                         neighbors.clear();
+                        neighbors.resize(m_samp * sa.nsample, 0);
                         // The hit counts land in `counts`. A center with no
                         // candidate at a finite distance (NaN or infinite
                         // coordinates) groups itself.
                         counts.clear();
+                        counts.resize(m_samp, 0);
                         ops::ball_query_into(
                             backend,
                             xs,

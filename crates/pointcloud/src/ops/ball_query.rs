@@ -39,9 +39,9 @@ impl BallQueryResult {
 /// The ball-query row rule over the resident candidates `xs`/`ys`/`zs`: for
 /// every query, the `num` nearest candidates within `radius` (ascending,
 /// equal distances in scan order), selected by the batched fused kernel
-/// [`kernels::ball_select_batch_into`] on `backend`. One `num`-slot row per
-/// query is appended to `indices` as `index(slot)`, and the number of
-/// in-radius hits (before padding) to `found`:
+/// [`kernels::ball_select_batch_into`] on `backend`. Query `q`'s `num`-slot
+/// row is written to `indices[q * num..][..num]` as `index(slot)`, and its
+/// number of in-radius hits (before padding) to `found[q]`:
 ///
 /// * hits come first, nearest first;
 /// * a row with no hit holds the nearest candidate instead, so downstream
@@ -64,8 +64,9 @@ impl BallQueryResult {
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ, `num` is zero, or there are more
-/// than `u32::MAX` candidates.
+/// Panics if the slice lengths differ, `indices` is shorter than
+/// `queries × num` or `found` than `queries`, `num` is zero, or there are
+/// more than `u32::MAX` candidates.
 #[allow(clippy::too_many_arguments)]
 pub fn ball_query_into(
     backend: Backend,
@@ -77,13 +78,11 @@ pub fn ball_query_into(
     num: usize,
     first: usize,
     select: &mut SelectScratch,
-    indices: &mut Vec<usize>,
-    found: &mut Vec<usize>,
+    indices: &mut [usize],
+    found: &mut [usize],
     index: impl Fn(usize) -> usize,
     fallback: impl Fn(usize) -> usize,
 ) {
-    indices.reserve(queries.len() * num);
-    found.reserve(queries.len());
     let r_sq = radius * radius;
     kernels::ball_select_rotated_into(
         backend,
@@ -96,18 +95,16 @@ pub fn ball_query_into(
         first,
         select,
         |row, best, nearest| {
-            found.push(best.len());
-            let row_start = indices.len();
-            indices.extend(best.iter().map(|&(_, slot)| index(slot)));
-            if best.is_empty() {
-                indices.push(if nearest.1 == usize::MAX {
-                    fallback(row)
-                } else {
-                    index(nearest.1)
-                });
+            found[row] = best.len();
+            let out = &mut indices[row * num..][..num];
+            for (o, &(_, slot)) in out.iter_mut().zip(best) {
+                *o = index(slot);
             }
-            let first = indices[row_start];
-            indices.resize(row_start + num, first);
+            if best.is_empty() {
+                out[0] = if nearest.1 == usize::MAX { fallback(row) } else { index(nearest.1) };
+            }
+            let first = out[0];
+            out[best.len().max(1)..].fill(first);
         },
     );
 }
@@ -180,7 +177,7 @@ pub fn ball_query(
     check_ball_query(radius, num)?;
     let n = candidates.len();
     let queries: Vec<[f32; 3]> = centers.iter().map(|c| [c.x, c.y, c.z]).collect();
-    let (mut indices, mut found) = (Vec::new(), Vec::new());
+    let (mut indices, mut found) = (vec![0; centers.len() * num], vec![0; centers.len()]);
     ball_query_into(
         kernels::active_backend(),
         candidates.xs(),

@@ -14,49 +14,48 @@ pub struct FpsResult {
     pub counters: OpCounters,
 }
 
-/// The FPS loop over the resident points `xs`/`ys`/`zs`: seeds with slot
-/// `start`, then `min(m, n) - 1` times relaxes the running nearest-sample
-/// distances in `dist` against the newest pick and takes the farthest point
-/// ([`kernels::fps_relax_argmax_with`] on `backend`, first maximum on
-/// ties). Every pick is appended to `out` as `index(slot)` and **pinned** —
-/// its running distance becomes `-∞`, which the strict argmax never selects
-/// — so no point is sampled twice, coincident points included, as the RSPU's
-/// window-check mask excludes it from the scan.
+/// The FPS loop over the resident points `xs`/`ys`/`zs`, picking
+/// `m = out.len()` of them: seeds with slot `start`, then `m - 1` times
+/// relaxes the running nearest-sample distances in `dist` against the newest
+/// pick and takes the farthest point ([`kernels::fps_relax_argmax_with`] on
+/// `backend`, first maximum on ties). Pick `p` is written to `out[p]` as
+/// `index(slot)` and **pinned** — its running distance becomes `-∞`, which
+/// the strict argmax never selects — so no point is sampled twice,
+/// coincident points included, as the RSPU's window-check mask excludes it
+/// from the scan.
 ///
 /// `dist` is scratch, fully reset here. The work is
 /// [`OpCounters::fps_model`]; the caller records it.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ or `start` is out of range while
-/// there is something to select.
+/// Panics if the slice lengths differ, `out` is longer than the cloud, or
+/// `start` is out of range while there is something to select.
 #[allow(clippy::too_many_arguments)]
 pub fn fps_into(
     backend: Backend,
     xs: &[f32],
     ys: &[f32],
     zs: &[f32],
-    m: usize,
     start: usize,
     dist: &mut Vec<f32>,
-    out: &mut Vec<usize>,
+    out: &mut [usize],
     index: impl Fn(usize) -> usize,
 ) {
     let n = xs.len();
-    let m = m.min(n);
-    if m == 0 {
+    assert!(out.len() <= n, "cannot pick {} of {n} points", out.len());
+    if out.is_empty() {
         return;
     }
     dist.clear();
     dist.resize(n, f32::INFINITY);
-    out.reserve(m);
     let mut current = start;
-    for picked in 0..m {
+    for (picked, slot) in out.iter_mut().enumerate() {
         if picked > 0 {
             let q = [xs[current], ys[current], zs[current]];
             current = kernels::fps_relax_argmax_with(backend, xs, ys, zs, q, dist);
         }
-        out.push(index(current));
+        *slot = index(current);
         dist[current] = f32::NEG_INFINITY;
     }
 }
@@ -123,9 +122,9 @@ pub fn check_fps(n: usize, m: usize, start: usize) -> Result<()> {
 pub fn farthest_point_sample(cloud: &PointCloud, m: usize, start: usize) -> Result<FpsResult> {
     let n = cloud.len();
     check_fps(n, m, start)?;
-    let mut indices = Vec::new();
+    let mut indices = vec![0; m];
     let (xs, ys, zs) = (cloud.xs(), cloud.ys(), cloud.zs());
-    fps_into(kernels::active_backend(), xs, ys, zs, m, start, &mut Vec::new(), &mut indices, |i| i);
+    fps_into(kernels::active_backend(), xs, ys, zs, start, &mut Vec::new(), &mut indices, |i| i);
     Ok(FpsResult { indices, counters: OpCounters::fps_model(n, m, false) })
 }
 

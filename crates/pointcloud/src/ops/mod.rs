@@ -5,11 +5,12 @@
 //! a *block-wise* operation differ only in which points are resident
 //! (§IV-B). So each operation has one slice-level body here — [`fps_into`],
 //! [`ball_query_into`], [`interpolate_into`] — over SoA coordinate slices:
-//! the caller resolves the kernel backend once, passes scratch in, and gets
-//! results appended to its buffers through a `slot → index` map. A global
-//! operation hands a body the whole cloud and the identity map, a block body
-//! in `fractalcloud-core` a gathered search space and `candidates[slot]`,
-//! the inference executor one pyramid level. The functions taking a
+//! the caller resolves the kernel backend once, passes scratch in, and
+//! hands over output slices the body fills by row, through a
+//! `slot → index` map. A global operation hands a body the whole cloud and
+//! the identity map, a block body in `fractalcloud-core` its search space
+//! and `order[slot]` (each block filling its own slice of one output), the
+//! inference executor one pyramid level. The functions taking a
 //! [`PointCloud`](crate::PointCloud) and returning an owned result are the
 //! one allocating convenience layer over the bodies.
 //!

@@ -151,7 +151,7 @@ fn select_rows(
     scratch: &mut SelectScratch,
 ) -> (Vec<usize>, Vec<usize>) {
     let queries: Vec<[f32; 3]> = centers.iter().map(|c| [c.x, c.y, c.z]).collect();
-    let (mut indices, mut found) = (Vec::new(), Vec::new());
+    let (mut indices, mut found) = (vec![0; centers.len() * num], vec![0; centers.len()]);
     ball_query_into(
         backend,
         cloud.xs(),

@@ -860,7 +860,8 @@ impl Engine {
     /// per `(frame, config)` and cached engine-wide, so N viewers streaming
     /// the same frame share one FPS — each chunk job is then a pure slice.
     /// The TCP front-end submits exactly one per stream — the first paint,
-    /// at the requester's priority — and serves the refinements itself from
+    /// at the requester's priority, as the empty level `lo = hi` at its
+    /// depth — and cuts the first paint and every refinement itself from
     /// the [`StreamChunkResponse::output`] that job hands back; in-process
     /// callers may keep submitting one job per chunk.
     ///

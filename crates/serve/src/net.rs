@@ -625,9 +625,13 @@ impl Connection<'_> {
 
         // First paint: admitted at the requester's priority — it is the
         // time-to-first-point the viewer sees — and never credit-gated.
+        // The connection cuts the first paint's ranks itself, below, so
+        // the engine is asked for the empty level at that depth: it still
+        // caches the ordering and clamps the depth to the total.
         let engine = self.engine;
         let submit = || {
-            engine.submit_stream_chunk(Arc::new(cloud), config, 0, first_paint, priority, deadline)
+            let depth = first_paint;
+            engine.submit_stream_chunk(Arc::new(cloud), config, depth, depth, priority, deadline)
         };
         self.run_job(priority, submit, move |conn, first| {
             // The first paint goes out through the same borrowed cut as

@@ -1,11 +1,13 @@
 //! The steady-state allocation contract: once its buffers have grown, a
 //! cache-hit frame touches the heap zero times — in the core hot path and
 //! through the serving engine's recycling loop, with or without a request
-//! deadline, alone or fused into a batch — and so does a cache-hit
-//! inference request through the engine's recycling loop, whatever
-//! `FRACTALCLOUD_THREADS` says, because a sequential lane is something the
-//! caller configures (`parallel = false`, `thread_budget(1)`, a one-block
-//! frame), not something the host happens to provide.
+//! deadline, on one lane or with its blocks fanned out over a thread
+//! budget, alone or fused into a batch — and so does a cache-hit inference
+//! request through the engine's recycling loop, whatever
+//! `FRACTALCLOUD_THREADS` says. A fanned-out block writes its rows in place
+//! into its own slice of the frame's output, on a pooled workspace, so the
+//! lanes that happen to run change nothing the heap sees once the pool
+//! holds a warmed workspace per lane.
 //!
 //! The counter is process-wide, so this binary holds exactly one test:
 //! nothing else may allocate while a window is open.
@@ -152,6 +154,15 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
         serve_loop_allocations(serial.deadline_ms(60_000), &shared),
         0,
         "serve loop with a deadline, {FRAMES} warmed cache-hit frames"
+    );
+    // Fanned out: a 16k-point room is about a hundred blocks, so sampling
+    // and grouping hand their blocks to the lanes of a budget of 2.
+    let fanned = ServeConfig::default().workers(1).thread_budget(2);
+    let room = Arc::new(scene_cloud(&SceneConfig::default(), 16_384, 0));
+    assert_eq!(
+        serve_loop_allocations(fanned, &room),
+        0,
+        "fanned-out serve loop, {FRAMES} warmed cache-hit frames"
     );
 
     // Fused, cache-hit shape: a delay at every batch holds the one worker

@@ -125,17 +125,6 @@ impl EnergyBreakdown {
         self.noc_pj += other.noc_pj;
         self.static_pj += other.static_pj;
     }
-
-    /// Scales every component (used for technology scaling of baselines).
-    pub fn scaled(&self, factor: f64) -> EnergyBreakdown {
-        EnergyBreakdown {
-            compute_pj: self.compute_pj * factor,
-            sram_pj: self.sram_pj * factor,
-            dram_pj: self.dram_pj * factor,
-            noc_pj: self.noc_pj * factor,
-            static_pj: self.static_pj * factor,
-        }
-    }
 }
 
 impl std::ops::Add for EnergyBreakdown {
@@ -180,15 +169,6 @@ mod tests {
         b.add(EnergyCategory::Noc, 3.0);
         let c = a + b;
         assert_eq!(c.total_pj(), 10.0);
-    }
-
-    #[test]
-    fn scaled_multiplies_everything() {
-        let mut a = EnergyBreakdown::new();
-        a.add(EnergyCategory::Static, 8.0);
-        a.add(EnergyCategory::Dram, 2.0);
-        let s = a.scaled(0.5);
-        assert_eq!(s.total_pj(), 5.0);
     }
 
     #[test]

@@ -31,16 +31,6 @@ impl SramConfig {
         SramConfig { bytes: 1624 * 1024, banks: 16, bank_width: 16 }
     }
 
-    /// Peak bandwidth, bytes per cycle (all banks busy).
-    pub fn peak_bytes_per_cycle(&self) -> usize {
-        self.banks * self.bank_width
-    }
-
-    /// Bytes per bank.
-    pub fn bank_bytes(&self) -> usize {
-        self.bytes / self.banks.max(1)
-    }
-
     /// Energy per byte for this macro size (banks ≥ ~1 MB total use the
     /// "large array" cost — longer wordlines/bitlines and H-tree).
     pub fn pj_per_byte(&self, table: &EnergyTable) -> f64 {
@@ -210,6 +200,5 @@ mod tests {
     fn config_constants_match_table2() {
         assert_eq!(SramConfig::global_buffer_274k().bytes, 280_576);
         assert!(SramConfig::crescent_1622k().bytes > 1_600_000);
-        assert_eq!(SramConfig::global_buffer_274k().peak_bytes_per_cycle(), 256);
     }
 }
