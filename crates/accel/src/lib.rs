@@ -8,6 +8,14 @@
 //! model walks the plan stage by stage and charges analytic point-operation
 //! work (cross-validated against the executable implementations).
 //!
+//! Each paper comparison is stated once, as the parameter sets the models
+//! run: [`DesignParams::table2`] is Table II's four designs in column order
+//! (the `table2_accelerators` bin prints their rows, Fig. 13's fleet runs
+//! them) and [`DesignParams::ablation_ladder`] is Fig. 18's seven rungs.
+//! The columns every design shares (PE array, clock, DRAM, energy table)
+//! are the `fractalcloud-sim` unit constructors [`DesignModel::new`] builds
+//! each design with.
+//!
 //! # Example
 //!
 //! ```
@@ -24,13 +32,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod analytic;
-mod config;
 mod device;
 mod gpu;
 mod models;
 mod workload;
 
-pub use config::{AcceleratorConfig, ChipSpec};
 pub use device::{Accelerator, ExecutionReport};
 pub use gpu::{GpuConfig, GpuModel};
 pub use models::{DesignModel, DesignParams, PartitionKind};

@@ -171,6 +171,60 @@ impl DesignParams {
             streamed_layout: false,
         }
     }
+
+    /// Table II's designs, in column order: Mesorasi, PointAcc, Crescent,
+    /// FractalCloud.
+    pub fn table2() -> Vec<DesignParams> {
+        vec![
+            DesignParams::mesorasi(),
+            DesignParams::pointacc(),
+            DesignParams::crescent(),
+            DesignParams::fractalcloud(),
+        ]
+    }
+
+    /// Fig. 18's ablation ladder: FractalCloud's hardware with every
+    /// optimisation off ("Baseline"), then one more enabled per rung —
+    /// Mesorasi's delayed aggregation, the RSPU's window check and
+    /// intra-block reuse, then block-wise sampling (on the fractal
+    /// partition), grouping, interpolation and gathering. The last rung,
+    /// "+BWGa", is [`DesignParams::fractalcloud`] under another name.
+    pub fn ablation_ladder() -> Vec<DesignParams> {
+        let mut p = DesignParams {
+            partition: PartitionKind::None,
+            block_sampling: false,
+            block_grouping: false,
+            block_interpolation: false,
+            block_gathering: false,
+            window_check: false,
+            intra_block_reuse: false,
+            delayed_aggregation: false,
+            ..DesignParams::fractalcloud()
+        };
+        type Enable = fn(&mut DesignParams);
+        let rungs: [(&str, Enable); 7] = [
+            ("Baseline", |_| {}),
+            ("Baseline(Meso)", |p| p.delayed_aggregation = true),
+            ("+RSPU", |p| {
+                p.window_check = true;
+                p.intra_block_reuse = true;
+            }),
+            ("+BWS", |p| {
+                p.partition = PartitionKind::Fractal;
+                p.block_sampling = true;
+            }),
+            ("+BWG", |p| p.block_grouping = true),
+            ("+BWI", |p| p.block_interpolation = true),
+            ("+BWGa", |p| p.block_gathering = true),
+        ];
+        rungs
+            .into_iter()
+            .map(|(name, enable)| {
+                enable(&mut p);
+                DesignParams { name: name.into(), ..p.clone() }
+            })
+            .collect()
+    }
 }
 
 /// A design bound to its unit models.
@@ -590,7 +644,7 @@ impl Accelerator for DesignModel {
         ExecutionReport {
             accelerator: p.name.clone(),
             timeline,
-            freq_ghz: 1.0,
+            freq_ghz: self.dma.core_ghz(),
             dram_bytes: dram_total,
         }
     }
@@ -737,35 +791,11 @@ mod tests {
         // slow the design down, and the full ladder must deliver a large
         // cumulative gain.
         let w = workload(16_384);
-        let mut p = DesignParams::fractalcloud();
-        p.partition = PartitionKind::None;
-        p.block_sampling = false;
-        p.block_grouping = false;
-        p.block_interpolation = false;
-        p.block_gathering = false;
-        p.window_check = false;
-        p.intra_block_reuse = false;
-        p.delayed_aggregation = false;
-        let mut prev = DesignModel::new(p.clone()).execute(&w).latency_ms();
+        let ladder = DesignParams::ablation_ladder();
+        let mut prev = DesignModel::new(ladder[0].clone()).execute(&w).latency_ms();
         let base = prev;
-        type Step = Box<dyn Fn(&mut DesignParams)>;
-        let steps: Vec<Step> = vec![
-            Box::new(|p| p.delayed_aggregation = true),
-            Box::new(|p| {
-                p.window_check = true;
-                p.intra_block_reuse = true;
-            }),
-            Box::new(|p| {
-                p.partition = PartitionKind::Fractal;
-                p.block_sampling = true;
-            }),
-            Box::new(|p| p.block_grouping = true),
-            Box::new(|p| p.block_interpolation = true),
-            Box::new(|p| p.block_gathering = true),
-        ];
-        for (i, step) in steps.iter().enumerate() {
-            step(&mut p);
-            let lat = DesignModel::new(p.clone()).execute(&w).latency_ms();
+        for (i, p) in ladder.into_iter().skip(1).enumerate() {
+            let lat = DesignModel::new(p).execute(&w).latency_ms();
             assert!(lat <= prev * 1.02, "ablation step {i} regressed: {prev} -> {lat} ms");
             prev = lat;
         }

@@ -8,7 +8,7 @@ use fractalcloud_pnn::ModelConfig;
 fn main() {
     header("Fig. 4", "GPU latency (ms) and point-op share across scales");
 
-    // Left half: the 7 workloads at their representative scales.
+    // Left half: five Table I workloads at their representative scales.
     let workloads = [
         (ModelConfig::pointnetpp_classification(), 1024),
         (ModelConfig::pointnext_classification(), 2048),

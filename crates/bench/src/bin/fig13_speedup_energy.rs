@@ -3,20 +3,21 @@
 //! scales — the paper's headline result.
 
 use fractalcloud_bench::{
-    format_value, header, large_scales, quick, row_str, FleetReports, SMALL_SCALES,
+    format_value, header, large_scale_models, large_scales, quick, row_str, small_scale_workloads,
+    FleetReports,
 };
-use fractalcloud_pnn::ModelConfig;
 
 fn print_block(title: &str, runs: &[(String, FleetReports)]) {
     println!("--- {title} ---");
     row_str("workload", &runs.iter().map(|(l, _)| l.clone()).collect::<Vec<_>>());
-    for (i, name) in ["Mesorasi", "PointAcc", "Crescent", "FractalCloud"].iter().enumerate() {
+    let names: Vec<&str> = runs[0].1.designs.iter().map(|r| r.accelerator.as_str()).collect();
+    for (i, name) in names.iter().enumerate() {
         row_str(
             &format!("speedup {name}"),
             &runs.iter().map(|(_, f)| format_value(f.speedups()[i])).collect::<Vec<_>>(),
         );
     }
-    for (i, name) in ["Mesorasi", "PointAcc", "Crescent", "FractalCloud"].iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
         row_str(
             &format!("energy-sav {name}"),
             &runs.iter().map(|(_, f)| format_value(f.energy_savings()[i])).collect::<Vec<_>>(),
@@ -29,21 +30,14 @@ fn main() {
     header("Fig. 13", "speedup & energy saving vs GPU (higher is better)");
 
     // Small-scale: classification / part segmentation at 1K-4K.
-    let small: Vec<(ModelConfig, usize)> = vec![
-        (ModelConfig::pointnetpp_classification(), SMALL_SCALES[0]),
-        (ModelConfig::pointnext_classification(), SMALL_SCALES[1]),
-        (ModelConfig::pointnetpp_part_segmentation(), SMALL_SCALES[2]),
-        (ModelConfig::pointnext_part_segmentation(), SMALL_SCALES[2]),
-        (ModelConfig::pointnetpp_segmentation(), SMALL_SCALES[2]),
-    ];
-    let runs: Vec<(String, FleetReports)> = small
+    let runs: Vec<(String, FleetReports)> = small_scale_workloads()
         .iter()
         .map(|(m, n)| (format!("{}@{}", m.notation, n), FleetReports::run(m, *n)))
         .collect();
     print_block("small-scale inputs", &runs);
 
     // Large-scale: PNXt (s) and PVr (s) sweeps (the S3DIS-Test columns).
-    for model in [ModelConfig::pointnext_segmentation(), ModelConfig::pointvector_segmentation()] {
+    for model in large_scale_models() {
         let runs: Vec<(String, FleetReports)> = large_scales()
             .iter()
             .map(|&n| (format!("{}K", n / 1024), FleetReports::run(&model, n)))

@@ -13,16 +13,12 @@ fn main() {
     let model = ModelConfig::pointnext_segmentation();
     let cloud = scene_cloud(&SceneConfig::default(), n, SEED);
 
-    // The "no fractal" baseline: global ops on the same hardware.
-    let mut base_params = DesignParams::fractalcloud();
-    base_params.name = "no-fractal".into();
-    base_params.partition = fractalcloud_accel::PartitionKind::None;
-    base_params.block_sampling = false;
-    base_params.block_grouping = false;
-    base_params.block_interpolation = false;
-    base_params.block_gathering = false;
+    // The "no fractal" baseline: global ops on the same hardware, Fig. 18's
+    // "+RSPU" rung.
+    let rung = DesignParams::ablation_ladder().into_iter().find(|p| p.name == "+RSPU");
+    let no_fractal = rung.expect("Fig. 18's +RSPU rung");
     let w0 = Workload::prepare(&model, n, SEED);
-    let base = DesignModel::new(base_params).execute(&w0);
+    let base = DesignModel::new(no_fractal).execute(&w0);
 
     let thresholds = [8usize, 64, 256, 512, 1024, 4096];
     row_str("th", &thresholds.iter().map(|t| t.to_string()).collect::<Vec<_>>());

@@ -2,60 +2,9 @@
 //! Baseline → +delayed-aggregation (Meso) → +RSPU (window check + reuse) →
 //! +BWS → +BWG → +BWI → +BWGa — on PointNeXt (s).
 
-use fractalcloud_accel::{Accelerator, DesignModel, DesignParams, PartitionKind, Workload};
+use fractalcloud_accel::{Accelerator, DesignModel, DesignParams, Workload};
 use fractalcloud_bench::{format_value, header, quick, row_str, SEED};
 use fractalcloud_pnn::ModelConfig;
-
-/// The ablation ladder: every step enables one more optimization.
-fn steps() -> Vec<(&'static str, DesignParams)> {
-    let mut p = DesignParams::fractalcloud();
-    p.partition = PartitionKind::None;
-    p.block_sampling = false;
-    p.block_grouping = false;
-    p.block_interpolation = false;
-    p.block_gathering = false;
-    p.window_check = false;
-    p.intra_block_reuse = false;
-    p.delayed_aggregation = false;
-    p.name = "Baseline".into();
-    let base = p.clone();
-
-    let mut meso = base.clone();
-    meso.delayed_aggregation = true;
-    meso.name = "Baseline(Meso)".into();
-
-    let mut rspu = meso.clone();
-    rspu.window_check = true;
-    rspu.intra_block_reuse = true;
-    rspu.name = "+RSPU".into();
-
-    let mut bws = rspu.clone();
-    bws.partition = PartitionKind::Fractal;
-    bws.block_sampling = true;
-    bws.name = "+BWS".into();
-
-    let mut bwg = bws.clone();
-    bwg.block_grouping = true;
-    bwg.name = "+BWG".into();
-
-    let mut bwi = bwg.clone();
-    bwi.block_interpolation = true;
-    bwi.name = "+BWI".into();
-
-    let mut bwga = bwi.clone();
-    bwga.block_gathering = true;
-    bwga.name = "+BWGa".into();
-
-    vec![
-        ("Baseline", base),
-        ("Baseline(Meso)", meso),
-        ("+RSPU", rspu),
-        ("+BWS", bws),
-        ("+BWG", bwg),
-        ("+BWI", bwi),
-        ("+BWGa", bwga),
-    ]
-}
 
 fn main() {
     header("Fig. 18", "incremental speedup & energy savings of RSPU + BPPO");
@@ -63,23 +12,24 @@ fn main() {
     println!("(PointNeXt (s) @ {n} points)");
     let w = Workload::prepare(&ModelConfig::pointnext_segmentation(), n, SEED);
 
-    let ladder = steps();
-    let reports: Vec<_> =
-        ladder.iter().map(|(name, p)| (*name, DesignModel::new(p.clone()).execute(&w))).collect();
-    let base = &reports[0].1;
+    let reports: Vec<_> = DesignParams::ablation_ladder()
+        .into_iter()
+        .map(|p| DesignModel::new(p).execute(&w))
+        .collect();
+    let base = &reports[0];
 
-    row_str("step", &reports.iter().map(|(n, _)| n.to_string()).collect::<Vec<_>>());
+    row_str("step", &reports.iter().map(|r| r.accelerator.clone()).collect::<Vec<_>>());
     row_str(
         "latency (ms)",
-        &reports.iter().map(|(_, r)| format_value(r.latency_ms())).collect::<Vec<_>>(),
+        &reports.iter().map(|r| format_value(r.latency_ms())).collect::<Vec<_>>(),
     );
     row_str(
         "cum. speedup",
-        &reports.iter().map(|(_, r)| format_value(r.speedup_over(base))).collect::<Vec<_>>(),
+        &reports.iter().map(|r| format_value(r.speedup_over(base))).collect::<Vec<_>>(),
     );
     row_str(
         "cum. energy saving",
-        &reports.iter().map(|(_, r)| format_value(r.energy_saving_over(base))).collect::<Vec<_>>(),
+        &reports.iter().map(|r| format_value(r.energy_saving_over(base))).collect::<Vec<_>>(),
     );
     println!();
     println!("Paper: Meso ≈ 1.004×; +RSPU 1.37× (1.48× energy); +BWS 2.3×;");

@@ -12,24 +12,41 @@ use fractalcloud_accel::{
     Accelerator, DesignModel, DesignParams, ExecutionReport, GpuModel, Workload,
 };
 use fractalcloud_pnn::ModelConfig;
+use fractalcloud_sim::SramConfig;
 
 /// The deterministic seed every harness uses.
 pub const SEED: u64 = 42;
 
-/// Input scales for the small-scale sweep (Fig. 13 left).
-pub const SMALL_SCALES: [usize; 3] = [1024, 2048, 4096];
+/// Fig. 13's small-scale columns: classification and part segmentation at
+/// 1K–4K points.
+pub fn small_scale_workloads() -> [(ModelConfig, usize); 5] {
+    [
+        (ModelConfig::pointnetpp_classification(), 1024),
+        (ModelConfig::pointnext_classification(), 2048),
+        (ModelConfig::pointnetpp_part_segmentation(), 4096),
+        (ModelConfig::pointnext_part_segmentation(), 4096),
+        (ModelConfig::pointnetpp_segmentation(), 4096),
+    ]
+}
+
+/// Fig. 13's large-scale models, swept over [`large_scales`] (the
+/// S3DIS-Test columns).
+pub fn large_scale_models() -> [ModelConfig; 2] {
+    [ModelConfig::pointnext_segmentation(), ModelConfig::pointvector_segmentation()]
+}
 
 /// Input scales for the large-scale sweep (Fig. 13 right / Fig. 4). The
-/// paper uses 8K/33K/131K/289K; pass `--quick` to any binary to cap at 33K.
+/// paper uses 8K/33K/131K/289K; pass `--quick` to any binary to keep the
+/// first [`QUICK_LARGE`].
 pub const LARGE_SCALES: [usize; 4] = [8192, 33_000, 131_000, 289_000];
+
+/// How many of [`LARGE_SCALES`] a `--quick` run keeps (8K and 33K).
+pub const QUICK_LARGE: usize = 2;
 
 /// Returns the large-scale list honoring a `--quick` CLI flag.
 pub fn large_scales() -> Vec<usize> {
-    if quick() {
-        LARGE_SCALES.iter().copied().filter(|&n| n <= 33_000).collect()
-    } else {
-        LARGE_SCALES.to_vec()
-    }
+    let kept = if quick() { QUICK_LARGE } else { LARGE_SCALES.len() };
+    LARGE_SCALES[..kept].to_vec()
 }
 
 /// True if `--quick` was passed (trims the largest inputs for fast runs).
@@ -75,18 +92,17 @@ pub fn format_value(v: f64) -> String {
     }
 }
 
-/// Executes one workload on every Table II design plus the GPU.
+/// Table II's SRAM column: a buffer's capacity in KB, to 0.1 KB.
+pub fn sram_kb(sram: &SramConfig) -> f64 {
+    (sram.bytes as f64 * 10.0 / 1024.0).round() / 10.0
+}
+
+/// One workload executed on every Table II design plus the GPU.
 pub struct FleetReports {
     /// GPU baseline.
     pub gpu: ExecutionReport,
-    /// Mesorasi.
-    pub mesorasi: ExecutionReport,
-    /// PointAcc.
-    pub pointacc: ExecutionReport,
-    /// Crescent.
-    pub crescent: ExecutionReport,
-    /// FractalCloud.
-    pub fractalcloud: ExecutionReport,
+    /// [`DesignParams::table2`]'s designs, in its column order.
+    pub designs: Vec<ExecutionReport>,
 }
 
 impl FleetReports {
@@ -95,46 +111,22 @@ impl FleetReports {
         let w = Workload::prepare(model, n, SEED);
         FleetReports {
             gpu: GpuModel::titan_rtx().execute(&w),
-            mesorasi: DesignModel::new(DesignParams::mesorasi()).execute(&w),
-            pointacc: DesignModel::new(DesignParams::pointacc()).execute(&w),
-            crescent: DesignModel::new(DesignParams::crescent()).execute(&w),
-            fractalcloud: DesignModel::new(DesignParams::fractalcloud()).execute(&w),
+            designs: DesignParams::table2()
+                .into_iter()
+                .map(|p| DesignModel::new(p).execute(&w))
+                .collect(),
         }
     }
 
-    /// Speedups over the GPU, in Fig. 13 row order
-    /// (Mesorasi, PointAcc, Crescent, FractalCloud).
-    pub fn speedups(&self) -> [f64; 4] {
-        [
-            self.mesorasi.speedup_over(&self.gpu),
-            self.pointacc.speedup_over(&self.gpu),
-            self.crescent.speedup_over(&self.gpu),
-            self.fractalcloud.speedup_over(&self.gpu),
-        ]
+    /// Speedups over the GPU, one per design.
+    pub fn speedups(&self) -> Vec<f64> {
+        self.designs.iter().map(|r| r.speedup_over(&self.gpu)).collect()
     }
 
-    /// Energy savings over the GPU, same order.
-    pub fn energy_savings(&self) -> [f64; 4] {
-        [
-            self.mesorasi.energy_saving_over(&self.gpu),
-            self.pointacc.energy_saving_over(&self.gpu),
-            self.crescent.energy_saving_over(&self.gpu),
-            self.fractalcloud.energy_saving_over(&self.gpu),
-        ]
+    /// Energy savings over the GPU, one per design.
+    pub fn energy_savings(&self) -> Vec<f64> {
+        self.designs.iter().map(|r| r.energy_saving_over(&self.gpu)).collect()
     }
-}
-
-/// The seven Table I workloads with their representative scales.
-pub fn table1_workloads() -> Vec<(ModelConfig, usize)> {
-    vec![
-        (ModelConfig::pointnetpp_classification(), 1024),
-        (ModelConfig::pointnext_classification(), 2048),
-        (ModelConfig::pointnetpp_part_segmentation(), 2048),
-        (ModelConfig::pointnext_part_segmentation(), 4096),
-        (ModelConfig::pointnetpp_segmentation(), 4096),
-        (ModelConfig::pointnext_segmentation(), 16_384),
-        (ModelConfig::pointvector_segmentation(), 16_384),
-    ]
 }
 
 #[cfg(test)]
@@ -156,10 +148,5 @@ mod tests {
         assert_eq!(format_value(2.34159), "2.34");
         assert_eq!(format_value(27.4), "27.4");
         assert_eq!(format_value(1893.0), "1893");
-    }
-
-    #[test]
-    fn seven_workloads() {
-        assert_eq!(table1_workloads().len(), 7);
     }
 }

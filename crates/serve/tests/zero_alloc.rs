@@ -9,9 +9,14 @@
 //! lanes that happen to run change nothing the heap sees once the pool
 //! holds a warmed workspace per lane.
 //!
-//! The counter is process-wide, so this binary holds exactly one test:
-//! nothing else may allocate while a window is open.
+//! The counter is process-wide, so nothing else may allocate while a
+//! window is open. That is why this binary has no test harness
+//! (`harness = false`): libtest's main thread inserts the running test
+//! into its bookkeeping map after spawning the test's thread, and that
+//! insert could land inside the first window. Here `main` runs the windows
+//! itself and panics — a failed run — on the first non-zero count.
 
+use fractalcloud_core::workspace::global_pool;
 use fractalcloud_core::{Pipeline, PipelineConfig, PipelineOutput, Workspace};
 use fractalcloud_pointcloud::count_alloc::{allocation_count, CountingAllocator};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
@@ -57,12 +62,22 @@ const BURST: usize = 8;
 /// burst before recycling any of it keeps exactly `BURST` responses in
 /// circulation whatever the scheduling, so every round reuses the shells
 /// the warm-up grew.
-fn fused_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> (u64, u64, u64) {
+///
+/// Workspaces and stagings are pooled last-in first-out, and a small
+/// frame's job is so short that the caller's lane often drains a burst
+/// before a helper wakes: the warm-up alone may leave one of each warmed.
+/// So the warm-up starts with rounds of `large`, whose jobs are long enough
+/// that both lanes always take one; their buffers then fit `cloud` too.
+fn fused_loop_allocations(
+    config: ServeConfig,
+    cloud: &Arc<PointCloud>,
+    large: &Arc<PointCloud>,
+) -> (u64, u64, u64) {
     let cfg = PipelineConfig::default();
     let engine = Engine::start(config);
     let mut tickets = Vec::with_capacity(BURST);
     let mut responses = Vec::with_capacity(BURST);
-    let mut round = || {
+    let mut round = |cloud: &Arc<PointCloud>| {
         for _ in 0..BURST {
             let ticket =
                 engine.submit_shared_with_options(Arc::clone(cloud), cfg, Priority::Normal, None);
@@ -71,10 +86,11 @@ fn fused_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> (u64,
         responses.extend(tickets.drain(..).map(|t| t.wait().expect("fused frame")));
         responses.drain(..).for_each(|r| engine.recycle(r));
     };
-    (0..FRAMES).for_each(|_| round());
+    (0..2).for_each(|_| round(large));
+    (0..FRAMES).for_each(|_| round(cloud));
     let start = engine.metrics();
     let before = allocation_count();
-    (0..FRAMES).for_each(|_| round());
+    (0..FRAMES).for_each(|_| round(cloud));
     let allocations = allocation_count() - before;
     let end = engine.metrics();
     engine.shutdown();
@@ -107,8 +123,7 @@ fn infer_loop_allocations(config: ServeConfig, cloud: &Arc<PointCloud>) -> u64 {
     allocations
 }
 
-#[test]
-fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
+fn main() {
     let cloud = scene_cloud(&SceneConfig::default(), 4096, 0);
     let cfg = PipelineConfig::default();
     assert!(allocation_count() > 0, "the counting allocator is installed");
@@ -159,6 +174,16 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
     // and grouping hand their blocks to the lanes of a budget of 2.
     let fanned = ServeConfig::default().workers(1).thread_budget(2);
     let room = Arc::new(scene_cloud(&SceneConfig::default(), 16_384, 0));
+    // Such a frame holds three workspaces of the process-wide pool at once
+    // (the job's and one per lane), and which of them runs which block
+    // depends on scheduling, so the engine's warm-up may leave one that
+    // never ran the largest block. Warm three on the whole room first.
+    let mut held: Vec<_> = (0..3).map(|_| global_pool().checkout()).collect();
+    let built = pipe.partition_ws(&room, &mut held[0]).expect("partition");
+    for ws in &mut held {
+        pipe.run_with_partition_into(&room, &built, false, ws, &mut staging).expect("warm-up");
+    }
+    drop(held);
     assert_eq!(
         serve_loop_allocations(fanned, &room),
         0,
@@ -173,7 +198,8 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
         .with_fault(FaultKind::Delay, FaultPoint::Worker, 1.0)
         .with_delay(FaultPoint::Worker, Duration::from_millis(2));
     let fused = ServeConfig::default().workers(1).thread_budget(2).faults(held);
-    let (allocations, batches, batched_frames) = fused_loop_allocations(fused, &Arc::new(small));
+    let (allocations, batches, batched_frames) =
+        fused_loop_allocations(fused, &Arc::new(small), &room);
     assert!(batched_frames > batches, "{batched_frames} frames in {batches} batches fused none");
     assert_eq!(allocations, 0, "fused serve loop, {FRAMES} warmed rounds of {BURST}");
 
@@ -186,4 +212,5 @@ fn warmed_core_hot_path_and_recycling_serve_loop_allocate_nothing() {
         0,
         "infer loop, {INFERS} warmed cache-hit requests"
     );
+    println!("zero_alloc: every warmed window allocated nothing");
 }

@@ -69,6 +69,11 @@ impl Dma {
         Dma { model, core_period_ps }
     }
 
+    /// The core clock in GHz.
+    pub fn core_ghz(&self) -> f64 {
+        1000.0 / self.core_period_ps as f64
+    }
+
     /// The underlying DRAM model.
     pub fn dram(&self) -> &StreamModel {
         &self.model

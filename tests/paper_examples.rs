@@ -81,14 +81,3 @@ fn two_distant_clusters_bound() {
     let un_max = un.blocks.iter().map(|b| b.len()).max().unwrap();
     assert!(un_max > 2000, "uniform worst cell {un_max} should be huge");
 }
-
-/// Table II consistency: peak GOPS derives from the PE array at 1 GHz.
-#[test]
-fn table2_peak_performance_consistency() {
-    use fractalcloud::accel::AcceleratorConfig;
-    use fractalcloud::sim::SystolicConfig;
-    let pe = SystolicConfig::pe16x16();
-    for c in AcceleratorConfig::table2() {
-        assert_eq!(pe.peak_gops(c.freq_ghz), c.peak_gops, "{}", c.name);
-    }
-}
