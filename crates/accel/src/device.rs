@@ -1,7 +1,8 @@
 //! The accelerator interface and execution reports.
 
+use crate::energy::EnergyBreakdown;
+use crate::kernel::{PhaseClass, Timeline};
 use crate::workload::Workload;
-use fractalcloud_sim::{EnergyBreakdown, PhaseClass, Timeline};
 
 /// An accelerator (or GPU) model that can execute a workload.
 pub trait Accelerator {
@@ -83,7 +84,8 @@ impl ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractalcloud_sim::{EnergyCategory, Phase};
+    use crate::energy::EnergyCategory;
+    use crate::kernel::Phase;
 
     fn report(cycles: u64, pj: f64) -> ExecutionReport {
         let mut timeline = Timeline::new();

@@ -4,7 +4,7 @@ use crate::config::DramConfig;
 
 /// The DRAM commands a bank accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Command {
+pub(crate) enum Command {
     /// Open (activate) a row.
     Activate,
     /// Read one burst from the open row.
@@ -17,7 +17,7 @@ pub enum Command {
 
 /// Row-buffer state of one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankState {
+pub(crate) enum BankState {
     /// No row open (precharged).
     Closed,
     /// Row `row` is open in the row buffer.
@@ -31,7 +31,7 @@ pub enum BankState {
 /// tRC (ACT→ACT), CL/CWL + burst (column→column data bus), tWR (write
 /// recovery before PRE).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bank {
+pub(crate) struct Bank {
     state: BankState,
     /// Earliest cycle an ACT may issue.
     next_act: u64,
@@ -49,7 +49,7 @@ pub struct Bank {
 
 impl Bank {
     /// A closed, immediately-usable bank.
-    pub fn new() -> Bank {
+    pub(crate) fn new() -> Bank {
         Bank {
             state: BankState::Closed,
             next_act: 0,
@@ -63,17 +63,17 @@ impl Bank {
     }
 
     /// Current row-buffer state.
-    pub fn state(&self) -> BankState {
+    pub(crate) fn state(&self) -> BankState {
         self.state
     }
 
     /// `(row-hits, row-misses, row-conflicts)` classified at access time.
-    pub fn stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.conflicts)
     }
 
     /// Earliest cycle at which `cmd` may legally issue.
-    pub fn ready_at(&self, cmd: Command) -> u64 {
+    pub(crate) fn ready_at(&self, cmd: Command) -> u64 {
         match cmd {
             Command::Activate => self.next_act,
             Command::Read | Command::Write => self.next_column,
@@ -82,7 +82,7 @@ impl Bank {
     }
 
     /// True if `cmd` may issue at `now`.
-    pub fn can_issue(&self, cmd: Command, now: u64) -> bool {
+    pub(crate) fn can_issue(&self, cmd: Command, now: u64) -> bool {
         if now < self.ready_at(cmd) {
             return false;
         }
@@ -102,7 +102,7 @@ impl Bank {
     /// Panics if the command violates protocol (wrong state or too early) —
     /// the controller must check [`Bank::can_issue`] first. This hard
     /// failure is what the protocol property tests rely on.
-    pub fn issue(&mut self, cmd: Command, row: usize, now: u64, cfg: &DramConfig) {
+    pub(crate) fn issue(&mut self, cmd: Command, row: usize, now: u64, cfg: &DramConfig) {
         assert!(
             self.can_issue(cmd, now),
             "protocol violation: {cmd:?} at {now}, state {:?}, ready {}",
@@ -138,7 +138,7 @@ impl Bank {
     /// Classifies an access to `row` against the current row buffer and
     /// records the outcome: hit (open, same row), miss (closed), or conflict
     /// (open, different row).
-    pub fn classify_access(&mut self, row: usize) -> RowOutcome {
+    pub(crate) fn classify_access(&mut self, row: usize) -> RowOutcome {
         match self.state {
             BankState::Open(r) if r == row => {
                 self.hits += 1;
@@ -156,15 +156,9 @@ impl Bank {
     }
 }
 
-impl Default for Bank {
-    fn default() -> Bank {
-        Bank::new()
-    }
-}
-
 /// Row-buffer outcome of an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowOutcome {
+pub(crate) enum RowOutcome {
     /// Same row already open — column command only.
     Hit,
     /// Bank closed — ACT then column.

@@ -10,70 +10,70 @@
 pub struct DramConfig {
     // ---- organization ----
     /// Independent channels (each with its own controller).
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// Ranks per channel.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Bank groups per rank (DDR4: 4).
-    pub bank_groups: usize,
+    pub(crate) bank_groups: usize,
     /// Banks per bank group (DDR4: 4).
-    pub banks_per_group: usize,
+    pub(crate) banks_per_group: usize,
     /// Rows per bank.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Row (page) size in bytes.
-    pub row_bytes: usize,
+    pub(crate) row_bytes: usize,
     /// Data-bus width in bytes (x64 channel = 8).
-    pub bus_bytes: usize,
+    pub(crate) bus_bytes: usize,
     /// Burst length in beats (DDR4: 8 → 64-byte transactions).
-    pub burst_length: usize,
+    pub(crate) burst_length: usize,
 
     // ---- clocking ----
     /// Memory-clock period in picoseconds (DDR4-2133: I/O at 1066.5 MHz,
     /// tCK ≈ 937 ps).
-    pub t_ck_ps: u64,
+    pub(crate) t_ck_ps: u64,
 
     // ---- timings (cycles) ----
     /// ACT → internal read/write delay.
-    pub t_rcd: u64,
+    pub(crate) t_rcd: u64,
     /// PRE → ACT delay.
-    pub t_rp: u64,
+    pub(crate) t_rp: u64,
     /// CAS (read) latency.
-    pub cl: u64,
+    pub(crate) cl: u64,
     /// CAS write latency.
-    pub cwl: u64,
+    pub(crate) cwl: u64,
     /// ACT → PRE minimum.
-    pub t_ras: u64,
+    pub(crate) t_ras: u64,
     /// ACT → ACT same bank.
-    pub t_rc: u64,
+    pub(crate) t_rc: u64,
     /// Column-to-column, same bank group.
-    pub t_ccd_l: u64,
+    pub(crate) t_ccd_l: u64,
     /// Column-to-column, different bank group.
-    pub t_ccd_s: u64,
+    pub(crate) t_ccd_s: u64,
     /// Write recovery (end of write data → PRE).
-    pub t_wr: u64,
+    pub(crate) t_wr: u64,
     /// ACT → ACT different banks, same rank.
-    pub t_rrd: u64,
+    pub(crate) t_rrd: u64,
     /// Refresh cycle time.
-    pub t_rfc: u64,
+    pub(crate) t_rfc: u64,
     /// Average refresh interval.
-    pub t_refi: u64,
+    pub(crate) t_refi: u64,
 
     // ---- energy (picojoules / milliwatts) ----
     /// Energy of one ACT + PRE pair.
-    pub act_pre_pj: f64,
+    pub(crate) act_pre_pj: f64,
     /// Energy of one read burst (column access + I/O, 64 B).
-    pub read_pj: f64,
+    pub(crate) read_pj: f64,
     /// Energy of one write burst.
-    pub write_pj: f64,
+    pub(crate) write_pj: f64,
     /// Energy of one refresh operation (per rank).
-    pub refresh_pj: f64,
+    pub(crate) refresh_pj: f64,
     /// Background (standby) power per rank, in milliwatts.
-    pub background_mw: f64,
+    pub(crate) background_mw: f64,
 }
 
 impl DramConfig {
     /// DDR4-2133, 64-bit channel, 17 GB/s — the configuration every
     /// accelerator in Table II is evaluated with.
-    pub fn ddr4_2133() -> DramConfig {
+    pub(crate) fn ddr4_2133() -> DramConfig {
         DramConfig {
             channels: 1,
             ranks: 1,
@@ -108,17 +108,18 @@ impl DramConfig {
     }
 
     /// Total banks per channel.
-    pub fn banks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn banks(&self) -> usize {
         self.bank_groups * self.banks_per_group
     }
 
     /// Bytes transferred by one burst.
-    pub fn burst_bytes(&self) -> usize {
+    pub(crate) fn burst_bytes(&self) -> usize {
         self.bus_bytes * self.burst_length
     }
 
     /// Bus cycles occupied by one burst's data (DDR: two beats per clock).
-    pub fn burst_cycles(&self) -> u64 {
+    pub(crate) fn burst_cycles(&self) -> u64 {
         (self.burst_length / 2).max(1) as u64
     }
 
@@ -130,19 +131,14 @@ impl DramConfig {
     }
 
     /// Converts a cycle count to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * self.t_ck_ps as f64 / 1000.0
     }
 
     /// Columns (bursts) per row.
-    pub fn bursts_per_row(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bursts_per_row(&self) -> usize {
         self.row_bytes / self.burst_bytes()
-    }
-}
-
-impl Default for DramConfig {
-    fn default() -> DramConfig {
-        DramConfig::ddr4_2133()
     }
 }
 

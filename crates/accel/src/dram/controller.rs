@@ -6,74 +6,64 @@ use std::collections::VecDeque;
 
 /// One memory request (a 64-byte burst).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Byte address.
-    pub addr: u64,
+    pub(crate) addr: u64,
     /// True for a write, false for a read.
-    pub is_write: bool,
+    pub(crate) is_write: bool,
     /// Cycle at which the request enters the controller.
-    pub arrival: u64,
+    pub(crate) arrival: u64,
 }
 
 impl Request {
     /// A read arriving at cycle 0.
-    pub fn read(addr: u64) -> Request {
+    pub(crate) fn read(addr: u64) -> Request {
         Request { addr, is_write: false, arrival: 0 }
     }
 
     /// A write arriving at cycle 0.
-    pub fn write(addr: u64) -> Request {
+    pub(crate) fn write(addr: u64) -> Request {
         Request { addr, is_write: true, arrival: 0 }
     }
 }
 
 /// Decoded address: which bank and row a request targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decoded {
+pub(crate) struct Decoded {
     /// Flat bank index (bank group × banks-per-group + bank).
-    pub bank: usize,
+    pub(crate) bank: usize,
     /// Row within the bank.
-    pub row: usize,
+    pub(crate) row: usize,
     /// Column (burst index within the row).
-    pub column: usize,
+    pub(crate) column: usize,
 }
 
 /// Aggregate results of running a request trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceResult {
+pub(crate) struct TraceResult {
     /// Cycle at which the last request's data completed.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Total DRAM energy in picojoules (commands + refresh + background).
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
     /// Row-buffer hits.
-    pub row_hits: u64,
+    pub(crate) row_hits: u64,
     /// Row-buffer misses (bank closed).
-    pub row_misses: u64,
+    pub(crate) row_misses: u64,
     /// Row-buffer conflicts (wrong row open).
-    pub row_conflicts: u64,
+    pub(crate) row_conflicts: u64,
     /// Requests served.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Mean request latency (arrival → data) in cycles.
-    pub avg_latency: f64,
+    pub(crate) avg_latency: f64,
 }
 
 impl TraceResult {
     /// Achieved bandwidth in bytes per cycle.
-    pub fn bytes_per_cycle(&self, cfg: &DramConfig) -> f64 {
+    pub(crate) fn bytes_per_cycle(&self, cfg: &DramConfig) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
             (self.requests as f64 * cfg.burst_bytes() as f64) / self.cycles as f64
-        }
-    }
-
-    /// Row-buffer hit rate over all classified accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses + self.row_conflicts;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
         }
     }
 }
@@ -89,22 +79,8 @@ struct Pending {
 /// A single-channel FR-FCFS controller (DRAMsim3-style): row-buffer-hit
 /// column commands are prioritized over older row-miss requests, subject to
 /// one command per cycle and a shared data bus.
-///
-/// # Examples
-///
-/// ```
-/// use fractalcloud_dram::{Controller, DramConfig, Request};
-///
-/// let cfg = DramConfig::ddr4_2133();
-/// let mut ctrl = Controller::new(cfg.clone());
-/// // Sequential reads of one row: one ACT, then row hits.
-/// let reqs: Vec<Request> = (0..8).map(|i| Request::read(i * 64)).collect();
-/// let result = ctrl.run_trace(&reqs);
-/// assert_eq!(result.row_hits, 7);
-/// assert_eq!(result.row_misses, 1);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Controller {
+pub(crate) struct Controller {
     cfg: DramConfig,
     banks: Vec<Bank>,
     /// Cycle at which the shared data bus frees.
@@ -117,14 +93,14 @@ pub struct Controller {
 
 impl Controller {
     /// Creates a controller with a 32-entry request window.
-    pub fn new(cfg: DramConfig) -> Controller {
+    pub(crate) fn new(cfg: DramConfig) -> Controller {
         let banks = (0..cfg.banks()).map(|_| Bank::new()).collect();
         let next_refresh = cfg.t_refi;
         Controller { cfg, banks, bus_free: 0, next_refresh, energy_pj: 0.0, queue_capacity: 32 }
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
+    pub(crate) fn config(&self) -> &DramConfig {
         &self.cfg
     }
 
@@ -132,7 +108,7 @@ impl Controller {
     /// friendly `row : bank : column : offset` layout: consecutive 64-byte
     /// bursts walk a 2 KB row, then move to the next bank (bank
     /// interleaving), so sequential streams pipeline ACTs across banks.
-    pub fn decode(&self, addr: u64) -> Decoded {
+    pub(crate) fn decode(&self, addr: u64) -> Decoded {
         let burst = self.cfg.burst_bytes() as u64;
         let cols = self.cfg.bursts_per_row() as u64;
         let banks = self.cfg.banks() as u64;
@@ -145,7 +121,7 @@ impl Controller {
 
     /// Runs a trace to completion and resets nothing: the controller keeps
     /// its bank state, so consecutive traces model phase sequences.
-    pub fn run_trace(&mut self, requests: &[Request]) -> TraceResult {
+    pub(crate) fn run_trace(&mut self, requests: &[Request]) -> TraceResult {
         let mut pending: VecDeque<Pending> = VecDeque::new();
         let mut next_req = 0usize;
         let mut now = 0u64;
@@ -328,9 +304,43 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ctrl() -> Controller {
         Controller::new(DramConfig::ddr4_2133())
+    }
+
+    #[test]
+    fn one_row_of_reads_is_one_miss_then_hits() {
+        let cfg = DramConfig::ddr4_2133();
+        let mut ctrl = Controller::new(cfg.clone());
+        // Sequential reads of one row: one ACT, then row hits.
+        let reqs: Vec<Request> = (0..8).map(|i| Request::read(i * 64)).collect();
+        let result = ctrl.run_trace(&reqs);
+        assert_eq!(result.row_hits, 7);
+        assert_eq!(result.row_misses, 1);
+    }
+
+    proptest! {
+        /// The DRAM controller serves any in-range request trace to completion
+        /// without protocol violations (Bank::issue panics on violations).
+        #[test]
+        fn dram_controller_protocol_holds(
+            addrs in proptest::collection::vec(0u64..(1 << 28), 1..64),
+            writes in proptest::collection::vec(any::<bool>(), 64),
+        ) {
+            let mut ctrl = Controller::new(DramConfig::ddr4_2133());
+            let reqs: Vec<Request> = addrs
+                .iter()
+                .zip(&writes)
+                .map(|(&a, &w)| Request { addr: a & !63, is_write: w, arrival: 0 })
+                .collect();
+            let r = ctrl.run_trace(&reqs);
+            prop_assert_eq!(r.requests, reqs.len() as u64);
+            prop_assert!(r.cycles > 0);
+            let classified = r.row_hits + r.row_misses + r.row_conflicts;
+            prop_assert_eq!(classified, reqs.len() as u64);
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!    peak bandwidth.
 
 use crate::device::{Accelerator, ExecutionReport};
+use crate::energy::{EnergyBreakdown, EnergyCategory};
+use crate::kernel::{Phase, PhaseClass, Timeline};
 use crate::workload::Workload;
 use fractalcloud_pnn::MlpShape;
-use fractalcloud_sim::{EnergyBreakdown, EnergyCategory, Phase, PhaseClass, Timeline};
 
 /// TITAN RTX-class GPU parameters.
 #[derive(Debug, Clone, PartialEq)]

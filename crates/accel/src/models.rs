@@ -5,19 +5,21 @@
 //! check, data reuse, block parallelism, delayed aggregation, SRAM size).
 //! [`DesignParams`] captures those axes; [`DesignModel::execute`] turns a
 //! [`Workload`] into a phase [`Timeline`] by composing the unit models of
-//! `fractalcloud-sim`.
+//! [`sim`](crate::sim).
 
 use crate::analytic::{self, COORD_BYTES, SCALAR_BYTES};
 use crate::device::{Accelerator, ExecutionReport};
+use crate::dma::{Dma, DmaCost};
+use crate::energy::{EnergyBreakdown, EnergyCategory, EnergyTable};
+use crate::fractal_engine::FractalEngine;
+use crate::kernel::{Phase, PhaseClass, Timeline};
+use crate::rspu::{Rspu, RspuConfig};
+use crate::sram::{Sram, SramConfig, SramPattern};
+use crate::stream::AccessPattern;
+use crate::systolic::{Systolic, SystolicConfig};
 use crate::workload::Workload;
-use fractalcloud_dram::AccessPattern;
 use fractalcloud_pnn::MlpShape;
 use fractalcloud_pointcloud::ops::OpCounters;
-use fractalcloud_sim::{
-    Dma, DmaCost, EnergyBreakdown, EnergyCategory, EnergyTable, FractalEngine, FractalEngineConfig,
-    Phase, PhaseClass, Rspu, RspuConfig, Sram, SramConfig, SramPattern, Systolic, SystolicConfig,
-    Timeline,
-};
 
 /// Which partitioning a design performs before point operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,7 +249,7 @@ impl DesignModel {
             sram: Sram::new(params.sram, table.clone()),
             systolic: Systolic::new(SystolicConfig::pe16x16(), table.clone()),
             rspu: Rspu::new(params.rspu, table.clone()),
-            engine: FractalEngine::new(FractalEngineConfig::fractalcloud(), table.clone()),
+            engine: FractalEngine::new(table.clone()),
             dma: Dma::at_1ghz(),
             table,
             params,

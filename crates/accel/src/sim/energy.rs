@@ -11,21 +11,21 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTable {
     /// One FP16 multiply-accumulate (PE array datapath + pipeline regs).
-    pub mac_fp16_pj: f64,
+    pub(crate) mac_fp16_pj: f64,
     /// One FP16 add/compare (RSPU comparator, pooling).
-    pub alu_fp16_pj: f64,
+    pub(crate) alu_fp16_pj: f64,
     /// Small SRAM bank access, per byte (≤ 64 KB banks, e.g. the 274 KB
     /// multi-bank global buffer).
-    pub sram_small_pj_per_byte: f64,
+    pub(crate) sram_small_pj_per_byte: f64,
     /// Large SRAM access, per byte (≥ 1 MB monolithic-ish arrays, e.g.
     /// Crescent's 1.6 MB buffer) — bigger arrays burn more per access.
-    pub sram_large_pj_per_byte: f64,
+    pub(crate) sram_large_pj_per_byte: f64,
     /// Local register-file / FIFO access, per byte.
-    pub regfile_pj_per_byte: f64,
+    pub(crate) regfile_pj_per_byte: f64,
     /// NoC transfer, per byte per hop.
-    pub noc_pj_per_byte_hop: f64,
+    pub(crate) noc_pj_per_byte_hop: f64,
     /// Core leakage + clock-tree power per mm² of logic, in milliwatts.
-    pub static_mw_per_mm2: f64,
+    pub(crate) static_mw_per_mm2: f64,
 }
 
 impl EnergyTable {
@@ -43,15 +43,9 @@ impl EnergyTable {
     }
 }
 
-impl Default for EnergyTable {
-    fn default() -> EnergyTable {
-        EnergyTable::tsmc28()
-    }
-}
-
 /// Energy categories reported in the paper's Fig. 15(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EnergyCategory {
+pub(crate) enum EnergyCategory {
     /// Datapath compute (PE array, RSPUs, fractal engine, pooling).
     Compute,
     /// On-chip SRAM traffic.
@@ -62,17 +56,6 @@ pub enum EnergyCategory {
     Noc,
     /// Leakage + clock tree, proportional to runtime.
     Static,
-}
-
-impl EnergyCategory {
-    /// All categories in report order.
-    pub const ALL: [EnergyCategory; 5] = [
-        EnergyCategory::Compute,
-        EnergyCategory::Sram,
-        EnergyCategory::Dram,
-        EnergyCategory::Noc,
-        EnergyCategory::Static,
-    ];
 }
 
 /// Accumulates energy by category.
@@ -92,12 +75,12 @@ pub struct EnergyBreakdown {
 
 impl EnergyBreakdown {
     /// Zeroed breakdown.
-    pub fn new() -> EnergyBreakdown {
+    pub(crate) fn new() -> EnergyBreakdown {
         EnergyBreakdown::default()
     }
 
     /// Adds `pj` to `category`.
-    pub fn add(&mut self, category: EnergyCategory, pj: f64) {
+    pub(crate) fn add(&mut self, category: EnergyCategory, pj: f64) {
         match category {
             EnergyCategory::Compute => self.compute_pj += pj,
             EnergyCategory::Sram => self.sram_pj += pj,
@@ -113,12 +96,12 @@ impl EnergyBreakdown {
     }
 
     /// Total energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
+    pub(crate) fn total_mj(&self) -> f64 {
         self.total_pj() * 1e-9
     }
 
     /// Component-wise sum.
-    pub fn merge(&mut self, other: &EnergyBreakdown) {
+    pub(crate) fn merge(&mut self, other: &EnergyBreakdown) {
         self.compute_pj += other.compute_pj;
         self.sram_pj += other.sram_pj;
         self.dram_pj += other.dram_pj;

@@ -2,25 +2,14 @@
 //! units, with uniform and KD-tree modes sharing the datapath.
 
 use crate::energy::EnergyTable;
-use crate::sorter::{Sorter, SorterConfig};
+use crate::sorter::Sorter;
 use fractalcloud_pointcloud::partition::PartitionCost;
 
-/// Fractal engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FractalEngineConfig {
-    /// Parallel comparator lanes in the partition unit (points per cycle).
-    pub partition_lanes: usize,
-    /// Pipeline flush cycles between iterations (mask write-back + block
-    /// pointer update, Fig. 9(c)).
-    pub iteration_overhead: u64,
-}
-
-impl FractalEngineConfig {
-    /// The FractalCloud configuration: 16 lanes, 8-cycle iteration turnover.
-    pub fn fractalcloud() -> FractalEngineConfig {
-        FractalEngineConfig { partition_lanes: 16, iteration_overhead: 8 }
-    }
-}
+/// Parallel comparator lanes in the partition unit (points per cycle).
+const PARTITION_LANES: u64 = 16;
+/// Pipeline flush cycles between iterations (mask write-back + block
+/// pointer update, Fig. 9(c)).
+const ITERATION_OVERHEAD: u64 = 8;
 
 /// Cost of building a partition on the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,7 +17,7 @@ pub struct PartitionEngineCost {
     /// Total cycles.
     pub cycles: u64,
     /// Datapath energy in pJ.
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
 }
 
 /// The fractal engine: costs partitioning work measured by the software
@@ -44,11 +33,10 @@ pub struct PartitionEngineCost {
 /// # Examples
 ///
 /// ```
-/// use fractalcloud_sim::{EnergyTable, FractalEngine, FractalEngineConfig};
+/// use fractalcloud_accel::sim::{EnergyTable, FractalEngine};
 /// use fractalcloud_pointcloud::partition::PartitionCost;
 ///
-/// let engine = FractalEngine::new(
-///     FractalEngineConfig::fractalcloud(), EnergyTable::tsmc28());
+/// let engine = FractalEngine::new(EnergyTable::tsmc28());
 /// let cost = PartitionCost {
 ///     traversal_elements: 11 * 289_000,
 ///     traversal_passes: 11,
@@ -60,29 +48,23 @@ pub struct PartitionEngineCost {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FractalEngine {
-    config: FractalEngineConfig,
     energy: EnergyTable,
     sorter: Sorter,
 }
 
 impl FractalEngine {
-    /// Creates an engine model with a 16-lane internal sorter (for KD mode).
-    pub fn new(config: FractalEngineConfig, energy: EnergyTable) -> FractalEngine {
-        let sorter = Sorter::new(SorterConfig::lanes16(), energy.clone());
-        FractalEngine { config, energy, sorter }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FractalEngineConfig {
-        &self.config
+    /// The FractalCloud engine: 16 partition lanes, an 8-cycle iteration
+    /// turnover, and a 16-lane sorter for KD mode.
+    pub fn new(energy: EnergyTable) -> FractalEngine {
+        let sorter = Sorter::new(energy.clone());
+        FractalEngine { energy, sorter }
     }
 
     /// Costs a traversal-based partition (fractal, uniform grid, octree)
     /// from its measured cost record.
     pub fn traversal_partition(&self, cost: &PartitionCost) -> PartitionEngineCost {
-        let lanes = self.config.partition_lanes as u64;
-        let stream_cycles = cost.traversal_elements.div_ceil(lanes);
-        let overhead = cost.traversal_passes * self.config.iteration_overhead;
+        let stream_cycles = cost.traversal_elements.div_ceil(PARTITION_LANES);
+        let overhead = cost.traversal_passes * ITERATION_OVERHEAD;
         // Each element passes one comparator (partition) and one min/max
         // update pair (midpoint comp) — both per Fig. 9(a).
         let energy = cost.traversal_elements as f64 * 3.0 * self.energy.alu_fp16_pj
@@ -104,7 +86,7 @@ mod tests {
     use super::*;
 
     fn engine() -> FractalEngine {
-        FractalEngine::new(FractalEngineConfig::fractalcloud(), EnergyTable::tsmc28())
+        FractalEngine::new(EnergyTable::tsmc28())
     }
 
     #[test]

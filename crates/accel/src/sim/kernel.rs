@@ -23,7 +23,7 @@ pub struct Phase {
     /// Human-readable name ("fractal", "fps", "mlp-sa1", …).
     pub name: String,
     /// Reporting class.
-    pub class: PhaseClass,
+    pub(crate) class: PhaseClass,
     /// Cycles of on-chip compute (and SRAM, already folded by the caller).
     pub compute_cycles: u64,
     /// Cycles of DRAM traffic.
@@ -37,7 +37,7 @@ pub struct Phase {
 
 impl Phase {
     /// The phase's contribution to total latency.
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         if self.overlapped {
             self.compute_cycles.max(self.dram_cycles)
         } else {
@@ -54,12 +54,12 @@ pub struct Timeline {
 
 impl Timeline {
     /// An empty timeline.
-    pub fn new() -> Timeline {
+    pub(crate) fn new() -> Timeline {
         Timeline::default()
     }
 
     /// Appends a phase.
-    pub fn push(&mut self, phase: Phase) {
+    pub(crate) fn push(&mut self, phase: Phase) {
         self.phases.push(phase);
     }
 
@@ -70,17 +70,17 @@ impl Timeline {
 
     /// Total latency in cycles (phases execute serially; overlap is within
     /// a phase).
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.phases.iter().map(Phase::latency).sum()
     }
 
     /// Latency attributed to `class`.
-    pub fn cycles_of(&self, class: PhaseClass) -> u64 {
+    pub(crate) fn cycles_of(&self, class: PhaseClass) -> u64 {
         self.phases.iter().filter(|p| p.class == class).map(Phase::latency).sum()
     }
 
     /// Total energy across phases.
-    pub fn total_energy(&self) -> EnergyBreakdown {
+    pub(crate) fn total_energy(&self) -> EnergyBreakdown {
         let mut e = EnergyBreakdown::new();
         for p in &self.phases {
             e.merge(&p.energy);
@@ -89,7 +89,7 @@ impl Timeline {
     }
 
     /// Wall-clock milliseconds at `freq_ghz`.
-    pub fn ms(&self, freq_ghz: f64) -> f64 {
+    pub(crate) fn ms(&self, freq_ghz: f64) -> f64 {
         self.total_cycles() as f64 / (freq_ghz * 1e9) * 1e3
     }
 }

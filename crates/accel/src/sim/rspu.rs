@@ -7,22 +7,16 @@ use fractalcloud_pointcloud::ops::OpCounters;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RspuConfig {
     /// Number of RSPU cores (inter-block parallelism width).
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Distance-compute lanes per core (points processed per cycle when the
     /// pipeline is full).
-    pub lanes: usize,
+    pub(crate) lanes: usize,
 }
 
 impl RspuConfig {
     /// The FractalCloud configuration: 8 cores × 16 lanes.
     pub fn fractalcloud() -> RspuConfig {
         RspuConfig { cores: 8, lanes: 16 }
-    }
-
-    /// A single point-level-parallel unit (PointAcc-style baseline: all
-    /// lanes serve one global operation, no block parallelism).
-    pub fn single_unit() -> RspuConfig {
-        RspuConfig { cores: 1, lanes: 128 }
     }
 }
 
@@ -32,11 +26,11 @@ pub struct RspuCost {
     /// Makespan cycles across the cores.
     pub cycles: u64,
     /// Datapath energy, pJ.
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
     /// Distance evaluations performed.
-    pub distance_evals: u64,
+    pub(crate) distance_evals: u64,
     /// Candidates skipped by window-check.
-    pub skipped: u64,
+    pub(crate) skipped: u64,
 }
 
 /// RSPU array model: converts measured operation counters into cycles and
@@ -45,12 +39,15 @@ pub struct RspuCost {
 /// # Examples
 ///
 /// ```
-/// use fractalcloud_sim::{EnergyTable, Rspu, RspuConfig};
+/// use fractalcloud_accel::sim::{EnergyTable, Rspu, RspuConfig};
+/// use fractalcloud_pointcloud::ops::OpCounters;
 ///
 /// let rspu = Rspu::new(RspuConfig::fractalcloud(), EnergyTable::tsmc28());
-/// // 8 equal blocks parallelize perfectly over 8 cores.
-/// let makespan = rspu.schedule_blocks(&[1000; 8]);
-/// assert_eq!(makespan, 1000);
+/// // 8 equal blocks of 1600 evaluations parallelize perfectly over 8
+/// // cores of 16 lanes: each core takes one block, 100 cycles.
+/// let block = OpCounters { distance_evals: 1600, ..Default::default() };
+/// let total = OpCounters { distance_evals: 8 * 1600, ..Default::default() };
+/// assert_eq!(rspu.block_parallel_from_aggregate(&total, &block).cycles, 100);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rspu {
@@ -64,22 +61,19 @@ impl Rspu {
         Rspu { config, energy }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RspuConfig {
-        &self.config
-    }
-
     /// Cycles for one core to execute `distance_evals` pipelined distance
     /// computations (one per lane per cycle; compares/top-k overlap in the
     /// pipeline).
-    pub fn core_cycles(&self, distance_evals: u64) -> u64 {
+    pub(crate) fn core_cycles(&self, distance_evals: u64) -> u64 {
         distance_evals.div_ceil(self.config.lanes as u64)
     }
 
     /// Greedy LPT (longest-processing-time) makespan of per-block cycle
     /// costs over the core array — the latency of inter-block parallel
-    /// execution (Alg. 2 rows 2–3).
-    pub fn schedule_blocks(&self, block_cycles: &[u64]) -> u64 {
+    /// execution (Alg. 2 rows 2–3). The reference the aggregate form is
+    /// checked against.
+    #[cfg(test)]
+    pub(crate) fn schedule_blocks(&self, block_cycles: &[u64]) -> u64 {
         let cores = self.config.cores.max(1);
         if block_cycles.is_empty() {
             return 0;
@@ -98,7 +92,7 @@ impl Rspu {
     /// all cores gang up on one sequential dependency chain, so only
     /// `lanes` of one core apply per FPS iteration — the paper's
     /// point-level parallelism.
-    pub fn global_op(&self, counters: &OpCounters) -> RspuCost {
+    pub(crate) fn global_op(&self, counters: &OpCounters) -> RspuCost {
         let lanes = (self.config.lanes * self.config.cores) as u64;
         let cycles = counters.distance_evals.div_ceil(lanes);
         RspuCost {
@@ -111,7 +105,8 @@ impl Rspu {
 
     /// Costs a block-parallel point operation from per-block counters:
     /// every block becomes one unit of work; makespan over cores.
-    pub fn block_parallel_op(&self, per_block: &[OpCounters]) -> RspuCost {
+    #[cfg(test)]
+    pub(crate) fn block_parallel_op(&self, per_block: &[OpCounters]) -> RspuCost {
         let block_cycles: Vec<u64> =
             per_block.iter().map(|c| self.core_cycles(c.distance_evals)).collect();
         let cycles = self.schedule_blocks(&block_cycles);
@@ -127,8 +122,8 @@ impl Rspu {
         }
     }
 
-    /// Same as [`Rspu::block_parallel_op`] but from aggregate + critical
-    /// path counters (when per-block detail was already reduced): makespan ≈
+    /// Costs a block-parallel point operation from aggregate + critical
+    /// path counters (the per-block detail already reduced): makespan ≈
     /// max(total/cores, critical block).
     pub fn block_parallel_from_aggregate(
         &self,
@@ -192,7 +187,7 @@ mod tests {
         }
         let block = r.block_parallel_op(&per_block);
         // A single-unit design with the same total lanes (128).
-        let single = Rspu::new(RspuConfig::single_unit(), EnergyTable::tsmc28());
+        let single = Rspu::new(RspuConfig { cores: 1, lanes: 128 }, EnergyTable::tsmc28());
         let glob = single.global_op(&total);
         // Same aggregate lane count → same cycles when perfectly balanced;
         // the advantage comes from the reduced work (block FPS does fewer

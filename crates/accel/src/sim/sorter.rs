@@ -3,34 +3,24 @@
 
 use crate::energy::EnergyTable;
 
-/// Merge-sort unit configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SorterConfig {
-    /// Elements the comparator network consumes per cycle.
-    pub throughput: usize,
-}
-
-impl SorterConfig {
-    /// A 16-lane merge sorter (matches the PointAcc sorting-engine scale).
-    pub fn lanes16() -> SorterConfig {
-        SorterConfig { throughput: 16 }
-    }
-}
+/// Elements the comparator network consumes per cycle: a 16-lane merge
+/// sorter (matches the PointAcc sorting-engine scale).
+const THROUGHPUT: u64 = 16;
 
 /// Cost of one sort invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SortCost {
+pub(crate) struct SortCost {
     /// Cycles for the full sort.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Comparator operations.
-    pub compares: u64,
+    pub(crate) compares: u64,
     /// Energy in picojoules.
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
 }
 
 impl SortCost {
     /// Accumulates another sort (sequential invocations).
-    pub fn merge(&mut self, other: &SortCost) {
+    pub(crate) fn merge(&mut self, other: &SortCost) {
         self.cycles += other.cycles;
         self.compares += other.compares;
         self.energy_pj += other.energy_pj;
@@ -40,41 +30,29 @@ impl SortCost {
 /// Model of a pipelined hardware merge sorter.
 ///
 /// A merge sort of `n` elements makes `⌈log₂ n⌉` passes, each streaming all
-/// `n` elements through the merge network at `throughput` elements/cycle —
+/// `n` elements through the merge network at `THROUGHPUT` elements/cycle —
 /// the *exclusive, indivisible* operation of Fig. 5 whose latency the
 /// KD-tree pays at every node.
-///
-/// # Examples
-///
-/// ```
-/// use fractalcloud_sim::{EnergyTable, Sorter, SorterConfig};
-///
-/// let sorter = Sorter::new(SorterConfig::lanes16(), EnergyTable::tsmc28());
-/// let small = sorter.sort(1_000);
-/// let big = sorter.sort(289_000);
-/// assert!(big.cycles > 200 * small.cycles / 2); // superlinear growth
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sorter {
-    config: SorterConfig,
+pub(crate) struct Sorter {
     energy: EnergyTable,
 }
 
 impl Sorter {
     /// Creates a sorter model.
-    pub fn new(config: SorterConfig, energy: EnergyTable) -> Sorter {
-        Sorter { config, energy }
+    pub(crate) fn new(energy: EnergyTable) -> Sorter {
+        Sorter { energy }
     }
 
     /// Costs one full sort of `n` elements.
     ///
     /// Merge pass `p` merges sorted runs of length `2^p`; the network's
-    /// `throughput` lanes are independent two-way mergers, each consuming
+    /// `THROUGHPUT` lanes are independent two-way mergers, each consuming
     /// one element per cycle, so pass `p` can only use
     /// `min(lanes, runs/2) = min(lanes, n / 2^(p+1))` lanes. The final
     /// passes of a large sort are therefore nearly serial — the
     /// low-utilization regime §III-C blames for KD-tree inefficiency.
-    pub fn sort(&self, n: u64) -> SortCost {
+    pub(crate) fn sort(&self, n: u64) -> SortCost {
         if n <= 1 {
             return SortCost { cycles: 0, compares: 0, energy_pj: 0.0 };
         }
@@ -82,7 +60,7 @@ impl Sorter {
         let mut cycles = 0u64;
         for p in 0..passes {
             let merges = (n >> (p + 1)).max(1);
-            let lanes = (self.config.throughput as u64).min(merges);
+            let lanes = THROUGHPUT.min(merges);
             cycles += n.div_ceil(lanes);
         }
         let compares = passes * n;
@@ -93,7 +71,7 @@ impl Sorter {
     /// `bs`: every level re-sorts all points, and levels run *serially*
     /// because each split depends on the previous sort — the
     /// non-decomposable dependency chain of §III-C.
-    pub fn kd_tree_build(&self, n: u64, bs: u64) -> SortCost {
+    pub(crate) fn kd_tree_build(&self, n: u64, bs: u64) -> SortCost {
         let mut total = SortCost { cycles: 0, compares: 0, energy_pj: 0.0 };
         let mut nodes = 1u64;
         loop {
@@ -118,7 +96,7 @@ mod tests {
     use super::*;
 
     fn sorter() -> Sorter {
-        Sorter::new(SorterConfig::lanes16(), EnergyTable::tsmc28())
+        Sorter::new(EnergyTable::tsmc28())
     }
 
     #[test]
@@ -142,6 +120,14 @@ mod tests {
         let small_per = small.cycles as f64 / 64.0;
         assert!(small_per > 1.0, "small sorts should cost >1 cycle/elem");
         let _ = big_per;
+    }
+
+    #[test]
+    fn sort_cycles_grow_superlinearly() {
+        let s = sorter();
+        let small = s.sort(1_000);
+        let big = s.sort(289_000);
+        assert!(big.cycles > 200 * small.cycles / 2);
     }
 
     #[test]

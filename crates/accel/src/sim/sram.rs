@@ -9,31 +9,31 @@ pub struct SramConfig {
     /// Total capacity in bytes.
     pub bytes: usize,
     /// Number of independently-addressed banks.
-    pub banks: usize,
+    pub(crate) banks: usize,
     /// Port width per bank, bytes per cycle.
-    pub bank_width: usize,
+    pub(crate) bank_width: usize,
 }
 
 impl SramConfig {
     /// The FractalCloud / PointAcc 274 KB buffer: 16 banks × ~17 KB, 16 B
     /// ports.
-    pub fn global_buffer_274k() -> SramConfig {
+    pub(crate) fn global_buffer_274k() -> SramConfig {
         SramConfig { bytes: 274 * 1024, banks: 16, bank_width: 16 }
     }
 
     /// Crescent's 1622.8 KB buffer (Table II).
-    pub fn crescent_1622k() -> SramConfig {
+    pub(crate) fn crescent_1622k() -> SramConfig {
         SramConfig { bytes: 1622 * 1024 + 819, banks: 16, bank_width: 16 }
     }
 
     /// Mesorasi's 1624 KB buffer (Table II).
-    pub fn mesorasi_1624k() -> SramConfig {
+    pub(crate) fn mesorasi_1624k() -> SramConfig {
         SramConfig { bytes: 1624 * 1024, banks: 16, bank_width: 16 }
     }
 
     /// Energy per byte for this macro size (banks ≥ ~1 MB total use the
     /// "large array" cost — longer wordlines/bitlines and H-tree).
-    pub fn pj_per_byte(&self, table: &EnergyTable) -> f64 {
+    pub(crate) fn pj_per_byte(&self, table: &EnergyTable) -> f64 {
         if self.bytes >= 1 << 20 {
             table.sram_large_pj_per_byte
         } else {
@@ -44,7 +44,7 @@ impl SramConfig {
 
 /// How concurrent accessors hit the banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SramPattern {
+pub(crate) enum SramPattern {
     /// Each accessor streams its own bank (post-Fractal block-per-bank
     /// layout, §IV-A): zero conflicts.
     BankAligned,
@@ -57,43 +57,27 @@ pub enum SramPattern {
 
 /// Result of an SRAM access batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SramAccess {
+pub(crate) struct SramAccess {
     /// Cycles to satisfy the batch.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Energy in picojoules.
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
     /// Effective conflict factor applied (1.0 = conflict-free).
-    pub conflict_factor: f64,
+    pub(crate) conflict_factor: f64,
 }
 
 /// Multi-banked SRAM: converts byte volumes + access patterns into cycles
 /// and energy.
-///
-/// # Examples
-///
-/// ```
-/// use fractalcloud_sim::{EnergyTable, Sram, SramConfig, SramPattern};
-///
-/// let sram = Sram::new(SramConfig::global_buffer_274k(), EnergyTable::tsmc28());
-/// let aligned = sram.access(1 << 20, SramPattern::BankAligned, 16);
-/// let random = sram.access(1 << 20, SramPattern::Random, 16);
-/// assert!(random.cycles > aligned.cycles); // bank conflicts serialize
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sram {
+pub(crate) struct Sram {
     config: SramConfig,
     energy: EnergyTable,
 }
 
 impl Sram {
     /// Creates an SRAM model.
-    pub fn new(config: SramConfig, energy: EnergyTable) -> Sram {
+    pub(crate) fn new(config: SramConfig, energy: EnergyTable) -> Sram {
         Sram { config, energy }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SramConfig {
-        &self.config
     }
 
     /// Estimates a batch of `bytes` accessed by `accessors` concurrent
@@ -105,7 +89,7 @@ impl Sram {
     /// bin load, approximated by `a/b + ln(b)/ln(1 + b·ln(b)/a)`-style
     /// closed forms; we use the simpler and well-tested
     /// `max(1, a/b) + conflict_penalty` with penalty 0.35·ln(min(a,b)).
-    pub fn access(&self, bytes: u64, pattern: SramPattern, accessors: usize) -> SramAccess {
+    pub(crate) fn access(&self, bytes: u64, pattern: SramPattern, accessors: usize) -> SramAccess {
         if bytes == 0 {
             return SramAccess { cycles: 0, energy_pj: 0.0, conflict_factor: 1.0 };
         }
@@ -124,11 +108,6 @@ impl Sram {
         let cycles = (base_cycles as f64 * conflict_factor).ceil() as u64;
         let energy_pj = bytes as f64 * self.config.pj_per_byte(&self.energy);
         SramAccess { cycles, energy_pj, conflict_factor }
-    }
-
-    /// True if a working set of `bytes` fits on-chip.
-    pub fn fits(&self, bytes: u64) -> bool {
-        bytes <= self.config.bytes as u64
     }
 }
 
@@ -183,10 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn capacity_check() {
+    fn bank_conflicts_serialize_a_megabyte() {
         let s = sram();
-        assert!(s.fits(274 * 1024));
-        assert!(!s.fits(274 * 1024 + 1));
+        let aligned = s.access(1 << 20, SramPattern::BankAligned, 16);
+        let random = s.access(1 << 20, SramPattern::Random, 16);
+        assert!(random.cycles > aligned.cycles);
     }
 
     #[test]

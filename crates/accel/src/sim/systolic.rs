@@ -19,7 +19,7 @@ impl SystolicConfig {
     }
 
     /// Peak multiply-accumulates per cycle.
-    pub fn macs_per_cycle(&self) -> usize {
+    pub(crate) fn macs_per_cycle(&self) -> usize {
         self.rows * self.cols
     }
 
@@ -31,49 +31,34 @@ impl SystolicConfig {
 
 /// Result of a GEMM on the array.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GemmCost {
+pub(crate) struct GemmCost {
     /// Cycles including tile fill/drain.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// MAC operations executed (`m·n·k`).
-    pub macs: u64,
+    pub(crate) macs: u64,
     /// Compute energy in picojoules.
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
     /// Achieved utilization in `[0, 1]`.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 /// Cycle/energy model of a weight-stationary-ish tiled GEMM
 /// `C[m×n] = A[m×k] × B[k×n]`, tiles of `rows × cols`, `k`-deep pipelines
 /// with `rows + cols` fill/drain per tile wave.
-///
-/// # Examples
-///
-/// ```
-/// use fractalcloud_sim::{EnergyTable, Systolic, SystolicConfig};
-///
-/// let pe = Systolic::new(SystolicConfig::pe16x16(), EnergyTable::tsmc28());
-/// let big = pe.gemm(1024, 64, 64);
-/// assert!(big.utilization > 0.5);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Systolic {
+pub(crate) struct Systolic {
     config: SystolicConfig,
     energy: EnergyTable,
 }
 
 impl Systolic {
     /// Creates an array model.
-    pub fn new(config: SystolicConfig, energy: EnergyTable) -> Systolic {
+    pub(crate) fn new(config: SystolicConfig, energy: EnergyTable) -> Systolic {
         Systolic { config, energy }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SystolicConfig {
-        &self.config
-    }
-
     /// Costs a GEMM of `m × k` by `k × n`.
-    pub fn gemm(&self, m: u64, n: u64, k: u64) -> GemmCost {
+    pub(crate) fn gemm(&self, m: u64, n: u64, k: u64) -> GemmCost {
         if m == 0 || n == 0 || k == 0 {
             return GemmCost { cycles: 0, macs: 0, energy_pj: 0.0, utilization: 1.0 };
         }
@@ -93,16 +78,10 @@ impl Systolic {
         }
     }
 
-    /// Costs a batched pointwise MLP layer: `rows` points, `cin → cout`
-    /// channels (the shared-MLP building block of every PNN).
-    pub fn mlp_layer(&self, rows: u64, cin: u64, cout: u64) -> GemmCost {
-        self.gemm(rows, cout, cin)
-    }
-
     /// Costs a max-pooling reduction over `groups` of `size` elements with
     /// `channels` channels (the pooling unit, one comparator lane per PE
     /// column).
-    pub fn max_pool(&self, groups: u64, size: u64, channels: u64) -> GemmCost {
+    pub(crate) fn max_pool(&self, groups: u64, size: u64, channels: u64) -> GemmCost {
         let compares = groups * size.saturating_sub(1).max(1) * channels;
         let lanes = self.config.cols as u64;
         let cycles = compares.div_ceil(lanes);
@@ -157,10 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn mlp_layer_is_gemm() {
-        let a = pe().mlp_layer(512, 64, 128);
-        let b = pe().gemm(512, 128, 64);
-        assert_eq!(a, b);
+    fn gemm_of_a_thousand_rows_keeps_half_the_array_busy() {
+        let big = pe().gemm(1024, 64, 64);
+        assert!(big.utilization > 0.5);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! cargo run --release -p fractalcloud-bench --bin discussion_limits
 //! ```
 
+use fractalcloud_accel::sim::{EnergyTable, Rspu, RspuConfig};
 use fractalcloud_accel::{Accelerator, DesignModel, DesignParams, GpuModel, Workload};
 use fractalcloud_bench::{format_value, header, quick, row_str, SEED};
 use fractalcloud_core::Fractal;
 use fractalcloud_pnn::ModelConfig;
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
-use fractalcloud_sim::{EnergyTable, Rspu, RspuConfig};
 
 fn main() {
     header("§VI-D", "asymptotic limit and imbalance effect");

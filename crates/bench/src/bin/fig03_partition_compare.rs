@@ -2,20 +2,20 @@
 //! (PNNPU), KD-tree (Crescent), Fractal — on partition latency, balance,
 //! and the accuracy proxy.
 
+use fractalcloud_accel::sim::{EnergyTable, FractalEngine};
 use fractalcloud_bench::{format_value, header, row_str, SEED};
 use fractalcloud_core::{evaluate_quality, Fractal, QualityConfig};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud_pointcloud::partition::{
     KdTreePartitioner, Partition, Partitioner, UniformPartitioner,
 };
-use fractalcloud_sim::{EnergyTable, FractalEngine, FractalEngineConfig};
 
 fn main() {
     header("Fig. 3", "partitioning strategies: latency, balance, accuracy proxy");
     let n = 16_384;
     let th = 256;
     let cloud = scene_cloud(&SceneConfig::default(), n, SEED);
-    let engine = FractalEngine::new(FractalEngineConfig::fractalcloud(), EnergyTable::tsmc28());
+    let engine = FractalEngine::new(EnergyTable::tsmc28());
 
     let uniform = UniformPartitioner::with_target_block_size(th).partition(&cloud).unwrap();
     let kd = KdTreePartitioner::new(th).partition(&cloud).unwrap();

@@ -1,10 +1,10 @@
 //! Fig. 15: latency and energy breakdowns for PointAcc, Crescent, and
 //! FractalCloud running PointNeXt (s) on a 33K-point scene.
 
+use fractalcloud_accel::sim::PhaseClass;
 use fractalcloud_accel::{Accelerator, DesignModel, DesignParams, Workload};
 use fractalcloud_bench::{format_value, header, row_str, SEED};
 use fractalcloud_pnn::ModelConfig;
-use fractalcloud_sim::PhaseClass;
 
 fn main() {
     header("Fig. 15", "latency & energy breakdown, PNXt (s) @ 33K");

@@ -3,13 +3,13 @@
 //! KD-tree, and Fractal across the three dataset families.
 
 use fractalcloud_accel::analytic;
+use fractalcloud_accel::sim::{EnergyTable, FractalEngine, Rspu, RspuConfig};
 use fractalcloud_bench::{format_value, header, row_str, SEED};
 use fractalcloud_core::Fractal;
 use fractalcloud_pointcloud::generate::DatasetKind;
 use fractalcloud_pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partition, Partitioner, UniformPartitioner,
 };
-use fractalcloud_sim::{EnergyTable, FractalEngine, FractalEngineConfig, Rspu, RspuConfig};
 
 /// Mean neighbor-search expansion factor measured from the partition: the
 /// ratio of a block's parent search-space population to its own population.
@@ -38,7 +38,7 @@ fn point_op_cycles(p: &Partition, rspu: &Rspu) -> u64 {
 
 fn main() {
     header("Fig. 16", "partition speedup (vs kd-tree) & point-op speedup (vs uniform)");
-    let engine = FractalEngine::new(FractalEngineConfig::fractalcloud(), EnergyTable::tsmc28());
+    let engine = FractalEngine::new(EnergyTable::tsmc28());
     let rspu = Rspu::new(RspuConfig::fractalcloud(), EnergyTable::tsmc28());
     let n = 16_384;
     let th = 256;

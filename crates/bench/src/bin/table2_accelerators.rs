@@ -1,9 +1,9 @@
 //! Table II + Fig. 12: the evaluated hardware accelerators and the
 //! FractalCloud chip summary, printed from the designs the models run.
 
+use fractalcloud_accel::sim::{Dma, SystolicConfig};
 use fractalcloud_accel::DesignParams;
 use fractalcloud_bench::{header, sram_kb};
-use fractalcloud_sim::{Dma, SystolicConfig};
 
 /// The DRAM column names `DramConfig::ddr4_2133`, which `Dma::at_1ghz`
 /// streams from in every design.

@@ -8,11 +8,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use fractalcloud_accel::sim::SramConfig;
 use fractalcloud_accel::{
     Accelerator, DesignModel, DesignParams, ExecutionReport, GpuModel, Workload,
 };
 use fractalcloud_pnn::ModelConfig;
-use fractalcloud_sim::SramConfig;
 
 /// The deterministic seed every harness uses.
 pub const SEED: u64 = 42;

@@ -4,13 +4,13 @@
 //! Fig. 18's ablation ladder. Shapes the models do not reproduce are
 //! recorded as measured gaps in ROADMAP item 6, not asserted here.
 
+use fractalcloud_accel::sim::{Dma, SystolicConfig};
 use fractalcloud_accel::{Accelerator, DesignModel, DesignParams, Workload};
 use fractalcloud_bench::{
     large_scale_models, small_scale_workloads, sram_kb, FleetReports, LARGE_SCALES, QUICK_LARGE,
     SEED,
 };
 use fractalcloud_pnn::ModelConfig;
-use fractalcloud_sim::{Dma, SystolicConfig};
 
 #[test]
 fn table2_matches_paper() {

@@ -14,11 +14,11 @@
 //!   partitioners ([`fractalcloud_pointcloud`]);
 //! * [`core`] — Fractal + BPPO, the paper's contribution
 //!   ([`fractalcloud_core`]);
-//! * [`dram`] — the DDR4-2133 model ([`fractalcloud_dram`]);
-//! * [`sim`] — on-chip unit models ([`fractalcloud_sim`]);
 //! * [`pnn`] — networks, traces and the serving executor
 //!   ([`fractalcloud_pnn`]);
-//! * [`accel`] — accelerator cost models ([`fractalcloud_accel`]);
+//! * [`accel`] — accelerator cost models over their on-chip unit models
+//!   ([`accel::sim`]) and DDR4-2133 model ([`accel::dram`])
+//!   ([`fractalcloud_accel`]);
 //! * [`parallel`] — the persistent worker pool
 //!   ([`fractalcloud_parallel`]);
 //! * [`serve`] — the batched request-serving engine and TCP front-end
@@ -48,9 +48,7 @@
 
 pub use fractalcloud_accel as accel;
 pub use fractalcloud_core as core;
-pub use fractalcloud_dram as dram;
 pub use fractalcloud_parallel as parallel;
 pub use fractalcloud_pnn as pnn;
 pub use fractalcloud_pointcloud as pointcloud;
 pub use fractalcloud_serve as serve;
-pub use fractalcloud_sim as sim;

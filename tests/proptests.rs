@@ -1,7 +1,6 @@
 //! Cross-crate property-based tests (proptest) over the core invariants.
 
 use fractalcloud::core::{block_fps, block_sample_counts, BppoConfig, Fractal};
-use fractalcloud::dram::{Controller, DramConfig, Request};
 use fractalcloud::pointcloud::ops::{ball_query, farthest_point_sample, k_nearest_neighbors};
 use fractalcloud::pointcloud::partition::{
     KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
@@ -128,25 +127,5 @@ proptest! {
             count += 1;
         }
         prop_assert_eq!(count, wc.valid_count());
-    }
-
-    /// The DRAM controller serves any in-range request trace to completion
-    /// without protocol violations (Bank::issue panics on violations).
-    #[test]
-    fn dram_controller_protocol_holds(
-        addrs in proptest::collection::vec(0u64..(1 << 28), 1..64),
-        writes in proptest::collection::vec(any::<bool>(), 64),
-    ) {
-        let mut ctrl = Controller::new(DramConfig::ddr4_2133());
-        let reqs: Vec<Request> = addrs
-            .iter()
-            .zip(&writes)
-            .map(|(&a, &w)| Request { addr: a & !63, is_write: w, arrival: 0 })
-            .collect();
-        let r = ctrl.run_trace(&reqs);
-        prop_assert_eq!(r.requests, reqs.len() as u64);
-        prop_assert!(r.cycles > 0);
-        let classified = r.row_hits + r.row_misses + r.row_conflicts;
-        prop_assert_eq!(classified, reqs.len() as u64);
     }
 }
