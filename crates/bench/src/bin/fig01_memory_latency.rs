@@ -3,7 +3,7 @@
 //! across 1K → 289K input points.
 
 use fractalcloud_accel::{Accelerator, DesignModel, DesignParams, Workload};
-use fractalcloud_bench::{format_value, header, large_scales, row_str, SEED};
+use fractalcloud_bench::{format_value, header, large_scales, points_label, row_str, SEED};
 use fractalcloud_pnn::ModelConfig;
 
 fn main() {
@@ -12,7 +12,7 @@ fn main() {
     let mut scales = vec![1024, 4096, 16_384];
     scales.extend(large_scales().into_iter().filter(|&n| n > 16_384));
 
-    let labels: Vec<String> = scales.iter().map(|n| format!("{}K", n / 1024)).collect();
+    let labels: Vec<String> = scales.iter().map(|&n| points_label(n)).collect();
     row_str("points", &labels);
 
     let mut base_mem = Vec::new();

@@ -2,7 +2,7 @@
 //! Table I workloads and input scales — the bottleneck-shift motivation.
 
 use fractalcloud_accel::{Accelerator, GpuModel, Workload};
-use fractalcloud_bench::{format_value, header, large_scales, row_str, SEED};
+use fractalcloud_bench::{format_value, header, large_scales, points_label, row_str, SEED};
 use fractalcloud_pnn::ModelConfig;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     println!("--- PointNeXt (s) scale sweep ---");
     let model = ModelConfig::pointnext_segmentation();
     let scales = large_scales();
-    row_str("points", &scales.iter().map(|n| format!("{}K", n / 1024)).collect::<Vec<_>>());
+    row_str("points", &scales.iter().map(|&n| points_label(n)).collect::<Vec<_>>());
     let mut lat = Vec::new();
     let mut share = Vec::new();
     for &n in &scales {

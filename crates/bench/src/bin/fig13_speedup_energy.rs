@@ -3,8 +3,8 @@
 //! scales — the paper's headline result.
 
 use fractalcloud_bench::{
-    format_value, header, large_scale_models, large_scales, quick, row_str, small_scale_workloads,
-    FleetReports,
+    format_value, header, large_scale_models, large_scales, points_label, quick, row_str,
+    small_scale_workloads, FleetReports,
 };
 
 fn print_block(title: &str, runs: &[(String, FleetReports)]) {
@@ -40,7 +40,7 @@ fn main() {
     for model in large_scale_models() {
         let runs: Vec<(String, FleetReports)> = large_scales()
             .iter()
-            .map(|&n| (format!("{}K", n / 1024), FleetReports::run(&model, n)))
+            .map(|&n| (points_label(n), FleetReports::run(&model, n)))
             .collect();
         print_block(&format!("{} on S3DIS-Test", model.notation), &runs);
     }

@@ -54,6 +54,12 @@ pub fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// A point-count column label in the paper's units: `n / 1000` points, so
+/// 33 000 reads "33K" and 1024 reads "1K".
+pub fn points_label(n: usize) -> String {
+    format!("{}K", n / 1000)
+}
+
 /// Prints a figure/table header.
 pub fn header(id: &str, caption: &str) {
     println!("================================================================");
@@ -148,5 +154,14 @@ mod tests {
         assert_eq!(format_value(2.34159), "2.34");
         assert_eq!(format_value(27.4), "27.4");
         assert_eq!(format_value(1893.0), "1893");
+    }
+
+    #[test]
+    fn point_labels_match_the_paper_columns() {
+        let labels: Vec<String> =
+            [1024, 4096, 8192, 16_384].into_iter().map(points_label).collect();
+        assert_eq!(labels, ["1K", "4K", "8K", "16K"]);
+        let labels: Vec<String> = LARGE_SCALES.into_iter().map(points_label).collect();
+        assert_eq!(labels, ["8K", "33K", "131K", "289K"]);
     }
 }
