@@ -39,8 +39,6 @@ pub(crate) struct Bank {
     next_column: u64,
     /// Earliest cycle a PRE may issue.
     next_pre: u64,
-    /// Cycle of the last ACT (for tRAS/tRC bookkeeping).
-    last_act: u64,
     /// Row-buffer statistics.
     hits: u64,
     misses: u64,
@@ -55,7 +53,6 @@ impl Bank {
             next_act: 0,
             next_column: 0,
             next_pre: 0,
-            last_act: 0,
             hits: 0,
             misses: 0,
             conflicts: 0,
@@ -112,7 +109,6 @@ impl Bank {
         match cmd {
             Command::Activate => {
                 self.state = BankState::Open(row);
-                self.last_act = now;
                 self.next_column = now + cfg.t_rcd;
                 self.next_pre = now + cfg.t_ras;
                 self.next_act = now + cfg.t_rc;

@@ -11,8 +11,6 @@ pub struct DramConfig {
     // ---- organization ----
     /// Independent channels (each with its own controller).
     pub(crate) channels: usize,
-    /// Ranks per channel.
-    pub(crate) ranks: usize,
     /// Bank groups per rank (DDR4: 4).
     pub(crate) bank_groups: usize,
     /// Banks per bank group (DDR4: 4).
@@ -50,8 +48,6 @@ pub struct DramConfig {
     pub(crate) t_ccd_s: u64,
     /// Write recovery (end of write data → PRE).
     pub(crate) t_wr: u64,
-    /// ACT → ACT different banks, same rank.
-    pub(crate) t_rrd: u64,
     /// Refresh cycle time.
     pub(crate) t_rfc: u64,
     /// Average refresh interval.
@@ -76,7 +72,6 @@ impl DramConfig {
     pub(crate) fn ddr4_2133() -> DramConfig {
         DramConfig {
             channels: 1,
-            ranks: 1,
             bank_groups: 4,
             banks_per_group: 4,
             rows: 32768,
@@ -93,7 +88,6 @@ impl DramConfig {
             t_ccd_l: 6,
             t_ccd_s: 4,
             t_wr: 16,
-            t_rrd: 5,
             t_rfc: 374,   // 350 ns
             t_refi: 8316, // 7.8 µs
             // Micron DDR4 datasheet-derived approximations (8 Gb x8 dies,

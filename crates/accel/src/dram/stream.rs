@@ -38,8 +38,6 @@ pub(crate) struct StreamEstimate {
     pub(crate) cycles: u64,
     /// Energy in picojoules.
     pub(crate) energy_pj: f64,
-    /// Bursts transferred.
-    pub(crate) bursts: u64,
     /// Estimated row-buffer hit rate.
     pub(crate) hit_rate: f64,
 }
@@ -47,7 +45,7 @@ pub(crate) struct StreamEstimate {
 impl StreamEstimate {
     /// Zero-traffic estimate.
     fn zero() -> StreamEstimate {
-        StreamEstimate { cycles: 0, energy_pj: 0.0, bursts: 0, hit_rate: 1.0 }
+        StreamEstimate { cycles: 0, energy_pj: 0.0, hit_rate: 1.0 }
     }
 
     /// Wall-clock time in nanoseconds.
@@ -125,7 +123,7 @@ impl StreamModel {
 
         let mut energy = acts as f64 * cfg.act_pre_pj + bursts as f64 * cfg.read_pj;
         energy += cfg.background_mw * 1e-3 * cfg.cycles_to_ns(cycles);
-        StreamEstimate { cycles, energy_pj: energy, bursts, hit_rate: hit_rate.clamp(0.0, 1.0) }
+        StreamEstimate { cycles, energy_pj: energy, hit_rate: hit_rate.clamp(0.0, 1.0) }
     }
 }
 

@@ -27,10 +27,6 @@ pub struct RspuCost {
     pub cycles: u64,
     /// Datapath energy, pJ.
     pub(crate) energy_pj: f64,
-    /// Distance evaluations performed.
-    pub(crate) distance_evals: u64,
-    /// Candidates skipped by window-check.
-    pub(crate) skipped: u64,
 }
 
 /// RSPU array model: converts measured operation counters into cycles and
@@ -95,12 +91,7 @@ impl Rspu {
     pub(crate) fn global_op(&self, counters: &OpCounters) -> RspuCost {
         let lanes = (self.config.lanes * self.config.cores) as u64;
         let cycles = counters.distance_evals.div_ceil(lanes);
-        RspuCost {
-            cycles,
-            energy_pj: self.datapath_pj(counters),
-            distance_evals: counters.distance_evals,
-            skipped: counters.skipped,
-        }
+        RspuCost { cycles, energy_pj: self.datapath_pj(counters) }
     }
 
     /// Costs a block-parallel point operation from per-block counters:
@@ -114,12 +105,7 @@ impl Rspu {
         for c in per_block {
             total.merge(c);
         }
-        RspuCost {
-            cycles,
-            energy_pj: self.datapath_pj(&total),
-            distance_evals: total.distance_evals,
-            skipped: total.skipped,
-        }
+        RspuCost { cycles, energy_pj: self.datapath_pj(&total) }
     }
 
     /// Costs a block-parallel point operation from aggregate + critical
@@ -133,12 +119,7 @@ impl Rspu {
         let total_cycles = self.core_cycles(total.distance_evals);
         let spread = total_cycles.div_ceil(self.config.cores as u64);
         let critical_cycles = self.core_cycles(critical.distance_evals);
-        RspuCost {
-            cycles: spread.max(critical_cycles),
-            energy_pj: self.datapath_pj(total),
-            distance_evals: total.distance_evals,
-            skipped: total.skipped,
-        }
+        RspuCost { cycles: spread.max(critical_cycles), energy_pj: self.datapath_pj(total) }
     }
 
     fn datapath_pj(&self, c: &OpCounters) -> f64 {
