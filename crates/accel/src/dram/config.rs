@@ -6,16 +6,22 @@
 /// channel (17 GB/s peak)**, with JEDEC-typical grade timings (CL15). The
 /// energy constants follow the DRAMsim3 methodology (IDD-derived per-command
 /// energies) collapsed to per-event picojoules.
+///
+/// The fields under `#[cfg(test)]` are read only by the test builds: the
+/// reference bank and controller models and the timing unit tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     // ---- organization ----
     /// Independent channels (each with its own controller).
     pub(crate) channels: usize,
     /// Bank groups per rank (DDR4: 4).
+    #[cfg(test)]
     pub(crate) bank_groups: usize,
     /// Banks per bank group (DDR4: 4).
+    #[cfg(test)]
     pub(crate) banks_per_group: usize,
     /// Rows per bank.
+    #[cfg(test)]
     pub(crate) rows: usize,
     /// Row (page) size in bytes.
     pub(crate) row_bytes: usize,
@@ -33,20 +39,27 @@ pub struct DramConfig {
     /// ACT → internal read/write delay.
     pub(crate) t_rcd: u64,
     /// PRE → ACT delay.
+    #[cfg(test)]
     pub(crate) t_rp: u64,
     /// CAS (read) latency.
+    #[cfg(test)]
     pub(crate) cl: u64,
     /// CAS write latency.
+    #[cfg(test)]
     pub(crate) cwl: u64,
     /// ACT → PRE minimum.
+    #[cfg(test)]
     pub(crate) t_ras: u64,
     /// ACT → ACT same bank.
     pub(crate) t_rc: u64,
     /// Column-to-column, same bank group.
+    #[cfg(test)]
     pub(crate) t_ccd_l: u64,
     /// Column-to-column, different bank group.
+    #[cfg(test)]
     pub(crate) t_ccd_s: u64,
     /// Write recovery (end of write data → PRE).
+    #[cfg(test)]
     pub(crate) t_wr: u64,
     /// Refresh cycle time.
     pub(crate) t_rfc: u64,
@@ -59,8 +72,10 @@ pub struct DramConfig {
     /// Energy of one read burst (column access + I/O, 64 B).
     pub(crate) read_pj: f64,
     /// Energy of one write burst.
+    #[cfg(test)]
     pub(crate) write_pj: f64,
     /// Energy of one refresh operation (per rank).
+    #[cfg(test)]
     pub(crate) refresh_pj: f64,
     /// Background (standby) power per rank, in milliwatts.
     pub(crate) background_mw: f64,
@@ -72,21 +87,31 @@ impl DramConfig {
     pub(crate) fn ddr4_2133() -> DramConfig {
         DramConfig {
             channels: 1,
+            #[cfg(test)]
             bank_groups: 4,
+            #[cfg(test)]
             banks_per_group: 4,
+            #[cfg(test)]
             rows: 32768,
             row_bytes: 2048,
             bus_bytes: 8,
             burst_length: 8,
             t_ck_ps: 937,
             t_rcd: 15,
+            #[cfg(test)]
             t_rp: 15,
+            #[cfg(test)]
             cl: 15,
+            #[cfg(test)]
             cwl: 11,
+            #[cfg(test)]
             t_ras: 33,
             t_rc: 47,
+            #[cfg(test)]
             t_ccd_l: 6,
+            #[cfg(test)]
             t_ccd_s: 4,
+            #[cfg(test)]
             t_wr: 16,
             t_rfc: 374,   // 350 ns
             t_refi: 8316, // 7.8 µs
@@ -95,7 +120,9 @@ impl DramConfig {
             // (≈17 pJ/byte), REF ≈ 27 nJ, standby ≈ 110 mW.
             act_pre_pj: 1800.0,
             read_pj: 1100.0,
+            #[cfg(test)]
             write_pj: 1150.0,
+            #[cfg(test)]
             refresh_pj: 27000.0,
             background_mw: 110.0,
         }

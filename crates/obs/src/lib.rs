@@ -74,11 +74,16 @@ pub enum SpanKind {
     /// One streaming refinement chunk sliced and emitted; `aux` = chunk
     /// end depth (`hi`, clamped to `u32`).
     ChunkEmit = 11,
+    /// A wire request's payload decoded into its cloud, on the connection
+    /// thread.
+    WireDecode = 12,
+    /// A frame's partition-cache key hashed.
+    FrameKey = 13,
 }
 
 impl SpanKind {
     /// Every kind, indexable by discriminant.
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 14] = [
         SpanKind::QueueWait,
         SpanKind::BatchFuse,
         SpanKind::PartitionBuild,
@@ -91,6 +96,8 @@ impl SpanKind {
         SpanKind::WireEncode,
         SpanKind::WireWrite,
         SpanKind::ChunkEmit,
+        SpanKind::WireDecode,
+        SpanKind::FrameKey,
     ];
 
     /// Stable snake_case name (used in trace dumps and stage breakdowns).
@@ -108,6 +115,8 @@ impl SpanKind {
             SpanKind::WireEncode => "wire_encode",
             SpanKind::WireWrite => "wire_write",
             SpanKind::ChunkEmit => "chunk_emit",
+            SpanKind::WireDecode => "wire_decode",
+            SpanKind::FrameKey => "frame_key",
         }
     }
 
@@ -652,6 +661,19 @@ mod tests {
         let again: Vec<_> = drain().into_iter().filter(|e| e.request_id == req).collect();
         assert_eq!(again.len(), 1);
         assert_eq!((again[0].aux, again[0].thread), (65, mine));
+    }
+
+    #[test]
+    fn span_kinds_are_dense_and_uniquely_named() {
+        for (code, kind) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, code, "{kind:?}");
+            assert_eq!(SpanKind::from_code(code as u8), Some(kind));
+        }
+        assert_eq!(SpanKind::from_code(SpanKind::ALL.len() as u8), None);
+        let mut names: Vec<_> = SpanKind::ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SpanKind::ALL.len());
     }
 
     #[test]

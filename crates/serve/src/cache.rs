@@ -12,21 +12,53 @@ use fractalcloud_pointcloud::PointCloud;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Independent FNV-1a chains [`frame_key`] folds a frame through.
+const LANES: usize = 8;
+
 /// Hashes the coordinate bits of `cloud` together with the partition
-/// threshold (the shared [`fnv1a64`] word fold over the raw `f32` bit
+/// threshold: the shared [`fnv1a64`] word fold over the raw `f32` bit
 /// patterns, so `-0.0 != 0.0` and NaN payloads are distinguished — bit
-/// identity, not float equality). With a 64-bit key over a
-/// tens-of-entries cache, an accidental collision is a ≈2⁻⁵⁸-per-pair
-/// event — negligible next to the hardware's own error rates.
+/// identity, not float equality. With a 64-bit key over a tens-of-entries
+/// cache, an accidental collision is a ≈2⁻⁵⁸-per-pair event — negligible
+/// next to the hardware's own error rates.
+///
+/// The fold runs in eight (`LANES`) independent chains, so the multiplies
+/// of neighbouring words overlap instead of each waiting on the last. The
+/// threshold and the point count seed every lane. Each axis (`xs`, then
+/// `ys`, then `zs`) is cut into rows of `2 × LANES` coordinates, and lane
+/// `j` folds the row's `j`-th pair of coordinates as one word (the first
+/// one's bits low, the second's high). An axis's last, shorter row fills
+/// lanes from lane 0 the same way, a lone last coordinate as a word with
+/// a zero high half. The lanes then fold, in order, into the seed.
+///
+/// It is still a bitwise identity: where each coordinate's bits land
+/// (which lane, which word, which half) depends on the point count alone,
+/// and the count is folded too. So equal bits give equal keys, and every
+/// bit of every coordinate, in order, goes into the key.
 pub fn frame_key(cloud: &PointCloud, threshold: usize) -> u64 {
     let mut h = fnv1a64(FNV1A64_SEED, threshold as u64);
     h = fnv1a64(h, cloud.len() as u64);
+    let mut lanes = [h; LANES];
     for axis in [cloud.xs(), cloud.ys(), cloud.zs()] {
-        for v in axis {
-            h = fnv1a64(h, u64::from(v.to_bits()));
+        let mut rows = axis.chunks_exact(2 * LANES);
+        for row in &mut rows {
+            for (lane, pair) in lanes.iter_mut().zip(row.chunks_exact(2)) {
+                *lane = fnv1a64(*lane, word(pair));
+            }
+        }
+        for (lane, pair) in lanes.iter_mut().zip(rows.remainder().chunks(2)) {
+            *lane = fnv1a64(*lane, word(pair));
         }
     }
-    h
+    lanes.iter().fold(h, |h, &lane| fnv1a64(h, lane))
+}
+
+/// One or two coordinates' bit patterns as one word, the first one low
+/// (a missing second one reads as zero bits).
+#[inline(always)]
+fn word(pair: &[f32]) -> u64 {
+    let bits = |i: usize| pair.get(i).map_or(0, |c| u64::from(c.to_bits()));
+    bits(0) | bits(1) << 32
 }
 
 /// A small LRU map from [`frame_key`] to shared [`FractalResult`]s, with a
@@ -173,6 +205,73 @@ mod tests {
         let pos = PointCloud::from_points(vec![Point3::new(0.0, 0.0, 0.0)]);
         let neg = PointCloud::from_points(vec![Point3::new(-0.0, 0.0, 0.0)]);
         assert_ne!(frame_key(&pos, 64), frame_key(&neg, 64));
+    }
+
+    fn cloud_of(axes: [Vec<f32>; 3]) -> PointCloud {
+        let [xs, ys, zs] = axes;
+        PointCloud::from_soa(xs, ys, zs).unwrap()
+    }
+
+    #[test]
+    fn frame_key_sees_every_coordinate_bit_at_every_lane_remainder() {
+        // A lane row is 16 coordinates of one axis, so 1..=33 points ends
+        // each axis at every tail length, past one and two whole rows.
+        for n in 1..=33usize {
+            let axes: [Vec<f32>; 3] =
+                std::array::from_fn(|k| (0..n).map(|i| (3 * i + k + 1) as f32 * 0.25).collect());
+            let key = frame_key(&cloud_of(axes.clone()), 64);
+            let edited = |edit: &dyn Fn(&mut [Vec<f32>; 3])| {
+                let mut axes = axes.clone();
+                edit(&mut axes);
+                frame_key(&cloud_of(axes), 64)
+            };
+            for k in 0..3 {
+                for i in 0..n {
+                    for bit in [0, 22, 31] {
+                        let flip = |a: &mut [Vec<f32>; 3]| {
+                            a[k][i] = f32::from_bits(a[k][i].to_bits() ^ 1 << bit);
+                        };
+                        assert_ne!(edited(&flip), key, "n {n}, axis {k}, point {i}, bit {bit}");
+                    }
+                    if i + 1 < n {
+                        let swap = |a: &mut [Vec<f32>; 3]| a[k].swap(i, i + 1);
+                        assert_ne!(edited(&swap), key, "n {n}, axis {k}: {i} <-> {}", i + 1);
+                    }
+                    let across = |a: &mut [Vec<f32>; 3]| {
+                        let (v, w) = (a[k][i], a[(k + 1) % 3][i]);
+                        (a[k][i], a[(k + 1) % 3][i]) = (w, v);
+                    };
+                    assert_ne!(edited(&across), key, "n {n}, point {i}: axis {k} <-> next axis");
+                }
+            }
+            if n >= 4 {
+                // Points 0-1 trade places with points 2-3 on every axis, so
+                // lanes 0 and 1 trade all their words: only the ordered fold
+                // of the lanes tells the two orders apart.
+                let pairs = |a: &mut [Vec<f32>; 3]| {
+                    for axis in a.iter_mut() {
+                        let (lo, hi) = axis.split_at_mut(2);
+                        lo.swap_with_slice(&mut hi[..2]);
+                    }
+                };
+                assert_ne!(edited(&pairs), key, "n {n}: points 0-1 and 2-3 swapped");
+            }
+            if n > 1 {
+                let shorter = |a: &mut [Vec<f32>; 3]| a.iter_mut().for_each(|v| v.truncate(n - 1));
+                assert_ne!(edited(&shorter), key, "n {n} without its last point");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_key_of_a_cloud_survives_its_wire_round_trip() {
+        let cfg = fractalcloud_core::PipelineConfig::default();
+        for n in [1, 17, 1000] {
+            let cloud = uniform_cube(n, n as u64);
+            let payload = crate::protocol::encode_request_payload(&cloud, &cfg);
+            let (wire, ..) = crate::protocol::decode_request_payload(&payload).unwrap();
+            assert_eq!(frame_key(&wire, 64), frame_key(&cloud, 64), "{n} points");
+        }
     }
 
     #[test]

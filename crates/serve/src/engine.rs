@@ -49,7 +49,11 @@
 //! Partition reuse: before building, each frame's [`frame_key`] is looked
 //! up in the engine-wide [`PartitionCache`]; identical frame bytes at the
 //! same threshold reuse the cached `Arc<FractalResult>` and skip straight
-//! to the BPPO half ([`Pipeline::run_with_partition`]).
+//! to the BPPO half ([`Pipeline::run_with_partition`]). Every job, from
+//! the wire or in-process, pays the key once, in its lane
+//! (`cached_partition`, traced as [`obs::SpanKind::FrameKey`]): one read
+//! of the frame's coordinates folded through independent FNV-1a lanes, so
+//! on a cache hit the key is most of what the partition half costs.
 //!
 //! # Failure model
 //!
@@ -1793,7 +1797,9 @@ fn cached_partition(
     cloud: &PointCloud,
     ws: &mut Workspace,
 ) -> Result<(Arc<fractalcloud_core::FractalResult>, bool, u64), ServeError> {
+    let span = obs::span(obs::SpanKind::FrameKey, 0);
     let key = frame_key(cloud, pipeline.config().threshold);
+    span.done();
     let cached = lock_unpoisoned(&shared.cache).get(key);
     match cached {
         Some(b) => {

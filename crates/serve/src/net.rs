@@ -42,7 +42,7 @@ use crate::protocol::{
 use fractalcloud_core::LodCursor;
 use fractalcloud_obs as obs;
 use fractalcloud_pnn::{Aggregation, ModelConfig};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -294,6 +294,12 @@ fn flow(written: io::Result<()>) -> Flow {
     }
 }
 
+/// When a request's payload decode started and ended, taken only while the
+/// recorder is on. The decode runs before admission mints the request id
+/// its [`obs::SpanKind::WireDecode`] span carries, so the span is recorded
+/// from these once the id exists.
+type Decoded = Option<(std::time::Instant, std::time::Instant)>;
+
 /// One accepted connection: its socket and wire scratch, plus the shared
 /// engine, fairness gate and fault layer every request on it goes through.
 struct Connection<'a> {
@@ -420,12 +426,15 @@ impl Connection<'_> {
             return self.refuse(&[&m.shed_oversized], payload_len, status::OVERSIZED, &why);
         }
 
-        // Reused per-connection read buffer: resized to each request,
-        // capacity retained across the connection's lifetime.
-        self.scratch.request.clear();
-        self.scratch.request.resize(payload_len, 0);
-        if self.stream.read_exact(&mut self.scratch.request).is_err() {
-            return Flow::CloseError; // disconnect (or stall) mid-request
+        // Reused per-connection read buffer, capacity retained across the
+        // connection's lifetime: each request is read straight into its
+        // spare capacity, with no zero-fill pass first.
+        let request = &mut self.scratch.request;
+        request.clear();
+        request.reserve(payload_len);
+        match (&mut self.stream).take(payload_len as u64).read_to_end(request) {
+            Ok(read) if read == payload_len => {}
+            _ => return Flow::CloseError, // disconnect (or stall) mid-request
         }
 
         // Zero-downtime drain: while the engine is soft-draining, work
@@ -485,11 +494,19 @@ impl Connection<'_> {
     fn run_job<T>(
         &mut self,
         priority: Priority,
+        decoded: Decoded,
         submit: impl FnOnce() -> Result<Ticket<T>, ServeError>,
         reply: impl FnOnce(&mut Self, T) -> Flow,
     ) -> Flow {
         let (trace_req, outcome) = match self.gate.admit(submit) {
-            Ok(ticket) => (ticket.request_id(), ticket.wait()),
+            Ok(ticket) => {
+                let req = ticket.request_id();
+                if let Some((start, end)) = decoded {
+                    let class = priority.index() as u8;
+                    obs::record_span_at(obs::SpanKind::WireDecode, req, class, start, end, 0);
+                }
+                (req, ticket.wait())
+            }
             Err(e) => (0, Err(e)),
         };
         if faults::fire(&self.faults, FaultPoint::NetWrite) {
@@ -504,22 +521,33 @@ impl Connection<'_> {
         }
     }
 
+    /// Decodes the buffered request payload with `decode`, noting when
+    /// the decode ran while the recorder is on (see [`Decoded`]).
+    fn decode<T>(
+        &self,
+        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+    ) -> (Result<T, WireError>, Decoded) {
+        let start = obs::enabled().then(std::time::Instant::now);
+        let request = decode(&self.scratch.request);
+        (request, start.map(|start| (start, std::time::Instant::now())))
+    }
+
     /// PROCESS_FRAME. A non-zero wire budget runs the truncated
     /// (prefix-identical) frame.
     fn serve_frame(&mut self, priority: Priority) -> Flow {
         let m = self.metrics;
-        let (cloud, config, deadline_ms, budget) =
-            match protocol::decode_request_payload(&self.scratch.request) {
-                Ok(request) => request,
-                // Framing was intact — the connection may continue.
-                Err(WireError(what)) => {
-                    return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
-                }
-            };
+        let (request, decoded) = self.decode(protocol::decode_request_payload);
+        let (cloud, config, deadline_ms, budget) = match request {
+            Ok(request) => request,
+            // Framing was intact — the connection may continue.
+            Err(WireError(what)) => {
+                return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
+            }
+        };
         let (engine, budget, deadline) = (self.engine, budget as usize, wire_deadline(deadline_ms));
         let submit =
             || engine.submit_shared_budget(Arc::new(cloud), config, budget, priority, deadline);
-        self.run_job(priority, submit, |conn, resp| {
+        self.run_job(priority, decoded, submit, |conn, resp| {
             flow(write_ok(&mut conn.stream, &resp, &mut conn.scratch))
         })
     }
@@ -527,13 +555,13 @@ impl Connection<'_> {
     /// INFER: the notation resolves against the server-side zoo.
     fn serve_infer(&mut self, priority: Priority) -> Flow {
         let m = self.metrics;
-        let (cloud, wire_req, deadline_ms) =
-            match protocol::decode_infer_request_payload(&self.scratch.request) {
-                Ok(request) => request,
-                Err(WireError(what)) => {
-                    return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
-                }
-            };
+        let (request, decoded) = self.decode(protocol::decode_infer_request_payload);
+        let (cloud, wire_req, deadline_ms) = match request {
+            Ok(request) => request,
+            Err(WireError(what)) => {
+                return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
+            }
+        };
         // An unknown notation is a caller bug, not a framing error: counted
         // as the engine counts a model it cannot serve.
         let Some(model) =
@@ -560,6 +588,7 @@ impl Connection<'_> {
         let engine = self.engine;
         self.run_job(
             priority,
+            decoded,
             || engine.submit_infer(Arc::new(cloud), req),
             |conn, resp| flow(write_infer_ok(&mut conn.stream, &resp, &mut conn.scratch)),
         )
@@ -583,13 +612,13 @@ impl Connection<'_> {
     /// [`Engine::drain`] lets the open stream finish.
     fn serve_stream(&mut self, priority: Priority) -> Flow {
         let m = self.metrics;
-        let (cloud, config, deadline_ms, open) =
-            match protocol::decode_stream_request_payload(&self.scratch.request) {
-                Ok(request) => request,
-                Err(WireError(what)) => {
-                    return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
-                }
-            };
+        let (request, decoded) = self.decode(protocol::decode_stream_request_payload);
+        let (cloud, config, deadline_ms, open) = match request {
+            Ok(request) => request,
+            Err(WireError(what)) => {
+                return self.refuse(&[&m.net_malformed], 0, status::MALFORMED, what)
+            }
+        };
         let deadline = wire_deadline(deadline_ms);
         m.streams_opened.fetch_add(1, Ordering::Relaxed);
         // Every exit path balances the open/closed pair through this guard
@@ -633,7 +662,7 @@ impl Connection<'_> {
             let depth = first_paint;
             engine.submit_stream_chunk(Arc::new(cloud), config, depth, depth, priority, deadline)
         };
-        self.run_job(priority, submit, move |conn, first| {
+        self.run_job(priority, decoded, submit, move |conn, first| {
             // The first paint goes out through the same borrowed cut as
             // every refinement: the cursor must count its ranks to stand
             // there anyway.
@@ -1115,9 +1144,21 @@ impl ServeClient {
         Ok(())
     }
 
-    /// Writes one request message.
+    /// Writes one request message: the header and the payload leave in one
+    /// vectored write, the payload from the caller's buffer (no copy of it
+    /// behind a header first).
     fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
-        self.stream.write_all(&protocol::encode_message(kind, payload))?;
+        let header = protocol::message_header(kind, payload.len());
+        let mut parts = [IoSlice::new(&header), IoSlice::new(payload)];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match self.stream.write_vectored(parts) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         Ok(())
     }
 
@@ -1447,6 +1488,78 @@ mod tests {
         assert!(accepted.nodelay().unwrap());
         assert_eq!(accepted.read_timeout().unwrap(), None);
         assert_eq!(accepted.write_timeout().unwrap(), None);
+    }
+
+    #[test]
+    fn client_requests_are_the_encoded_messages_byte_for_byte() {
+        // The client writes header and payload as two slices of one
+        // vectored write; the peer must read exactly the one message
+        // `encode_message` builds, for every work opcode.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = ServeClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        // A wrong byte count fails a read here rather than hanging the test.
+        let limit = Some(Duration::from_secs(10));
+        client.set_read_timeout(limit).unwrap();
+        peer.set_read_timeout(limit).unwrap();
+        // Large enough that the kernel may take the write in pieces.
+        let cloud = fractalcloud_pointcloud::generate::uniform_cube(40_000, 5);
+        let config = fractalcloud_core::PipelineConfig::default();
+        let open = WireStreamOpen { first_paint: 64, chunk: 32, credits: 3 };
+        let req = WireInferRequest {
+            threshold: 64,
+            seed: 9,
+            aggregation: AGG_DELAYED,
+            notation: "PN++ (c)".to_owned(),
+        };
+        let expected = [
+            protocol::encode_message(
+                protocol::request_kind(Priority::High),
+                &protocol::encode_request_payload_budget(&cloud, &config, 250, 64),
+            ),
+            protocol::encode_message(
+                protocol::stream_request_kind(Priority::Bulk),
+                &protocol::encode_stream_request_payload(&cloud, &config, 40, &open),
+            ),
+            protocol::encode_message(
+                protocol::infer_request_kind(Priority::Normal),
+                &protocol::encode_infer_request_payload(&cloud, &req, 750),
+            ),
+        ];
+        let (sent, read) = std::thread::scope(|scope| {
+            let sender = scope.spawn(|| {
+                // The frame and the inference wait for a reply; the peer
+                // answers each with an error status once it has read it.
+                let frame = client.process_budget(&cloud, &config, Priority::High, 250, 64);
+                let stream = client.stream_open(&cloud, &config, Priority::Bulk, 40, &open);
+                let infer = client.infer_with_options(&cloud, &req, Priority::Normal, 750);
+                [frame.err(), stream.err(), infer.err()].map(|e| e.map(|e| e.to_string()))
+            });
+            let mut read = Vec::new();
+            for i in 0..expected.len() {
+                let mut message = vec![0u8; 9];
+                if peer.read_exact(&mut message).is_err() {
+                    break;
+                }
+                let len = u32::from_le_bytes(message[5..9].try_into().unwrap()) as usize;
+                message.resize(9 + len.min(1 << 24), 0);
+                if peer.read_exact(&mut message[9..]).is_err() {
+                    break;
+                }
+                read.push(message);
+                if i != 1 {
+                    write_error(&mut peer, status::INVALID, "read").unwrap();
+                }
+            }
+            drop(peer);
+            (sender.join().unwrap(), read)
+        });
+        assert_eq!(read.len(), expected.len(), "client errors: {sent:?}");
+        for (i, (message, want)) in read.iter().zip(&expected).enumerate() {
+            assert!(message == want, "request {i} differs from its encoded message");
+        }
+        let invalid = ClientError::Server { code: status::INVALID, message: "read".into() };
+        assert_eq!(sent, [Some(invalid.to_string()), None, Some(invalid.to_string())]);
     }
 
     const IDLE: Option<Duration> = Some(Duration::from_millis(1500));

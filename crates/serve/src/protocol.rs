@@ -327,18 +327,33 @@ fn put_u32s(buf: &mut Vec<u8>, run: impl ExactSizeIterator<Item = u32>) {
     }
 }
 
-/// Deinterleaves wire coordinate triplets once, into the three arrays the
-/// cloud then owns.
+/// Points per block of [`cloud_from_triplets`]: 768 bytes of triplets,
+/// which stay in L1 while the block's three axes are copied out of them.
+const TRIPLET_BLOCK: usize = 64;
+
+/// Deinterleaves wire coordinate triplets into the three arrays the cloud
+/// then owns, in one pass over the payload: each block of
+/// [`TRIPLET_BLOCK`] triplets is read from memory once and appended to the
+/// three arrays while it sits in L1. The arrays are sized once and never
+/// zero-filled, and every coordinate is a copy of its wire bits, so NaN
+/// payloads, `-0.0`, infinities and subnormals arrive bit for bit.
 fn cloud_from_triplets(triplets: &[u8]) -> PointCloud {
-    let axis = |at: usize| -> Vec<f32> {
-        let coord = |t: &[u8]| f32::from_le_bytes(t[at..at + 4].try_into().expect("4 bytes"));
-        triplets.chunks_exact(12).map(coord).collect()
-    };
-    PointCloud::from_soa(axis(0), axis(4), axis(8)).expect("three arrays of one length")
+    let n = triplets.len() / 12;
+    let mut axes = [Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n)];
+    for block in triplets.chunks(12 * TRIPLET_BLOCK) {
+        for (at, axis) in [0, 4, 8].into_iter().zip(&mut axes) {
+            let coord = |t: &[u8]| f32::from_le_bytes(t[at..at + 4].try_into().expect("4 bytes"));
+            axis.extend(block.chunks_exact(12).map(coord));
+        }
+    }
+    let [xs, ys, zs] = axes;
+    PointCloud::from_soa(xs, ys, zs).expect("three arrays of one length")
 }
 
 /// Appends a cloud's `n_points:u32` and coordinate triplets, interleaved
-/// from its three arrays into a run sized once.
+/// from its three arrays into a run sized once. The run is zero-filled
+/// before it is written: forms that write each triplet only once (an exact
+/// length flat map, 64-point blocks staged on the stack) measured slower.
 fn put_cloud(buf: &mut Vec<u8>, cloud: &PointCloud) {
     put_u32(buf, cloud.len() as u32);
     let at = buf.len();
@@ -349,6 +364,21 @@ fn put_cloud(buf: &mut Vec<u8>, cloud: &PointCloud) {
         slot[4..8].copy_from_slice(&y.to_le_bytes());
         slot[8..12].copy_from_slice(&z.to_le_bytes());
     }
+}
+
+/// A PROCESS_FRAME-layout payload — pipeline parameters, the cloud, then
+/// `trailer` — in one buffer sized exactly once.
+fn encode_frame_payload(cloud: &PointCloud, config: &PipelineConfig, trailer: &[u32]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(REQUEST_FIXED_BYTES + cloud.len() * 12 + 4 * trailer.len());
+    put_u32(&mut buf, config.threshold as u32);
+    buf.extend_from_slice(&config.sample_rate.to_le_bytes());
+    buf.extend_from_slice(&config.radius.to_le_bytes());
+    put_u32(&mut buf, config.neighbors as u32);
+    put_cloud(&mut buf, cloud);
+    for &word in trailer {
+        put_u32(&mut buf, word);
+    }
+    buf
 }
 
 /// Encodes a process-frame request payload (the part after the 9-byte
@@ -374,19 +404,11 @@ pub fn encode_request_payload_budget(
     deadline_ms: u32,
     budget: u32,
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(REQUEST_FIXED_BYTES + cloud.len() * 12 + 8);
-    put_u32(&mut buf, config.threshold as u32);
-    buf.extend_from_slice(&config.sample_rate.to_le_bytes());
-    buf.extend_from_slice(&config.radius.to_le_bytes());
-    put_u32(&mut buf, config.neighbors as u32);
-    put_cloud(&mut buf, cloud);
-    if deadline_ms > 0 || budget > 0 {
-        put_u32(&mut buf, deadline_ms);
+    match (deadline_ms, budget) {
+        (0, 0) => encode_frame_payload(cloud, config, &[]),
+        (_, 0) => encode_frame_payload(cloud, config, &[deadline_ms]),
+        _ => encode_frame_payload(cloud, config, &[deadline_ms, budget]),
     }
-    if budget > 0 {
-        put_u32(&mut buf, budget);
-    }
-    buf
 }
 
 /// Decodes a process-frame request payload. The third element is the wire
@@ -444,12 +466,7 @@ pub fn encode_stream_request_payload(
     deadline_ms: u32,
     open: &WireStreamOpen,
 ) -> Vec<u8> {
-    let mut buf = encode_request_payload(cloud, config);
-    put_u32(&mut buf, deadline_ms);
-    put_u32(&mut buf, open.first_paint);
-    put_u32(&mut buf, open.chunk);
-    put_u32(&mut buf, open.credits);
-    buf
+    encode_frame_payload(cloud, config, &[deadline_ms, open.first_paint, open.chunk, open.credits])
 }
 
 /// Decodes an [`OP_STREAM`] request payload.
@@ -1144,10 +1161,18 @@ pub fn encode_message(kind_byte: u8, payload: &[u8]) -> Vec<u8> {
 /// [`encode_message`] appending into a caller-provided buffer (the wire
 /// path's per-connection scratch form).
 pub fn encode_message_into(kind_byte: u8, payload: &[u8], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.push(kind_byte);
-    put_u32(buf, payload.len() as u32);
+    buf.extend_from_slice(&message_header(kind_byte, payload.len()));
     buf.extend_from_slice(payload);
+}
+
+/// The 9-byte header [`encode_message`] puts before a `payload_len`-byte
+/// payload — for writers that send the payload from where it already is.
+pub fn message_header(kind_byte: u8, payload_len: usize) -> [u8; 9] {
+    let mut header = [0; 9];
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = kind_byte;
+    header[5..9].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    header
 }
 
 #[cfg(test)]
@@ -1738,5 +1763,164 @@ mod tests {
         assert_eq!(msg[4], OP_PROCESS_FRAME);
         assert_eq!(u32::from_le_bytes(msg[5..9].try_into().unwrap()), 2);
         assert_eq!(&msg[9..], &[0xAB, 0xCD]);
+    }
+
+    /// The request decoders against hostile bytes: any coordinate bits
+    /// round-trip bit for bit, and truncated or count-inflated payloads are
+    /// a [`WireError`], never a panic or an allocation sized from the count.
+    mod hostile {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One coordinate's bit pattern, weighted towards the ones float
+        /// equality mishandles: NaNs (quiet or signalling, either sign, any
+        /// payload), ±0.0, ±∞ and subnormals; the rest are any bits at all.
+        fn coord_bits() -> impl Strategy<Value = u32> {
+            (0u8..6, 0u32..=u32::MAX).prop_map(|(class, bits)| {
+                let (sign, fraction) = (bits & 0x8000_0000, (bits & 0x007f_ffff).max(1));
+                match class {
+                    0 => sign | 0x7f80_0000 | fraction,
+                    1 => sign,
+                    2 => sign | 0x7f80_0000,
+                    3 => sign | fraction,
+                    _ => bits,
+                }
+            })
+        }
+
+        /// A cloud of fewer than `max` points of any coordinate bits (past
+        /// two whole decode blocks at `max` 150).
+        fn any_bits_cloud(max: usize) -> impl Strategy<Value = PointCloud> {
+            let point = (coord_bits(), coord_bits(), coord_bits());
+            proptest::collection::vec(point, 0..max).prop_map(|points| {
+                let axis = |pick: fn(&(u32, u32, u32)) -> u32| {
+                    points.iter().map(|p| f32::from_bits(pick(p))).collect()
+                };
+                PointCloud::from_soa(axis(|p| p.0), axis(|p| p.1), axis(|p| p.2)).unwrap()
+            })
+        }
+
+        fn bits(c: &PointCloud) -> [Vec<u32>; 3] {
+            [c.xs(), c.ys(), c.zs()].map(|v| v.iter().map(|c| c.to_bits()).collect())
+        }
+
+        fn config(threshold: u32, sample_rate: u32, radius: u32, neighbors: u32) -> PipelineConfig {
+            let (rate, radius) = (f64::from(sample_rate) / 64.0, f32::from_bits(radius));
+            PipelineConfig::new(threshold as usize, rate, radius, neighbors as usize)
+        }
+
+        /// Where the `n_points:u32` of an INFER payload sits.
+        fn infer_count_at(req: &WireInferRequest) -> usize {
+            4 + 8 + 1 + 4 + req.notation.len()
+        }
+
+        /// `payload` with its point count overwritten by `n`.
+        fn with_count(payload: &[u8], at: usize, n: u32) -> Vec<u8> {
+            let mut inflated = payload.to_vec();
+            inflated[at..at + 4].copy_from_slice(&n.to_le_bytes());
+            inflated
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn frame_requests_round_trip_bit_for_bit_and_reject_every_truncation(
+                cloud in any_bits_cloud(150),
+                knobs in (0u32..=u32::MAX, 0u32..=64, 0u32..=u32::MAX, 0u32..=u32::MAX),
+                trailer in (0u32..3, 1u32..=u32::MAX, 1u32..=u32::MAX),
+                extra in 1u32..=u32::MAX,
+            ) {
+                let cfg = config(knobs.0, knobs.1, knobs.2, knobs.3);
+                let (deadline, budget) = match trailer.0 {
+                    0 => (0, 0),
+                    1 => (trailer.1, 0),
+                    _ => (trailer.1, trailer.2),
+                };
+                let payload = encode_request_payload_budget(&cloud, &cfg, deadline, budget);
+                let (wire, cfg2, deadline2, budget2) = decode_request_payload(&payload).unwrap();
+                prop_assert_eq!(bits(&wire), bits(&cloud));
+                prop_assert_eq!(cfg2.threshold, cfg.threshold);
+                prop_assert_eq!(cfg2.sample_rate.to_bits(), cfg.sample_rate.to_bits());
+                prop_assert_eq!(cfg2.radius.to_bits(), cfg.radius.to_bits());
+                prop_assert_eq!(cfg2.neighbors, cfg.neighbors);
+                prop_assert_eq!((deadline2, budget2), (deadline, budget));
+                // The trailer is optional, so a cut at one of its field
+                // boundaries is a shorter valid request; any other cut fails.
+                let frame_end = REQUEST_FIXED_BYTES + 12 * cloud.len();
+                for cut in 0..payload.len() {
+                    match decode_request_payload(&payload[..cut]) {
+                        Ok((_, _, d, b)) => {
+                            prop_assert!(cut == frame_end || cut == frame_end + 4, "cut {}", cut);
+                            prop_assert_eq!((d, b), (if cut == frame_end { 0 } else { deadline }, 0));
+                        }
+                        Err(WireError(_)) => prop_assert!(cut != frame_end, "cut {}", cut),
+                    }
+                }
+                for n in [cloud.len() as u32 + extra.min(u32::MAX - cloud.len() as u32), u32::MAX] {
+                    if n as usize > cloud.len() {
+                        let inflated = with_count(&payload, REQUEST_FIXED_BYTES - 4, n);
+                        prop_assert!(decode_request_payload(&inflated).is_err(), "count {}", n);
+                    }
+                }
+            }
+
+            #[test]
+            fn stream_requests_round_trip_bit_for_bit_and_reject_every_truncation(
+                cloud in any_bits_cloud(150),
+                knobs in (0u32..=u32::MAX, 0u32..=64, 0u32..=u32::MAX, 0u32..=u32::MAX),
+                open in (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX),
+                extra in 1u32..=u32::MAX,
+            ) {
+                let cfg = config(knobs.0, knobs.1, knobs.2, knobs.3);
+                let (deadline, open) = (
+                    open.0,
+                    WireStreamOpen { first_paint: open.1, chunk: open.2, credits: open.3 },
+                );
+                let payload = encode_stream_request_payload(&cloud, &cfg, deadline, &open);
+                prop_assert_eq!(payload.len(), REQUEST_FIXED_BYTES + 12 * cloud.len() + 16);
+                let (wire, cfg2, deadline2, open2) = decode_stream_request_payload(&payload).unwrap();
+                prop_assert_eq!(bits(&wire), bits(&cloud));
+                prop_assert_eq!(cfg2.radius.to_bits(), cfg.radius.to_bits());
+                prop_assert_eq!((deadline2, open2), (deadline, open));
+                for cut in 0..payload.len() {
+                    prop_assert!(decode_stream_request_payload(&payload[..cut]).is_err(), "cut {}", cut);
+                }
+                for n in [cloud.len() as u32 + extra.min(u32::MAX - cloud.len() as u32), u32::MAX] {
+                    if n as usize > cloud.len() {
+                        let inflated = with_count(&payload, REQUEST_FIXED_BYTES - 4, n);
+                        prop_assert!(decode_stream_request_payload(&inflated).is_err(), "count {}", n);
+                    }
+                }
+            }
+
+            #[test]
+            fn infer_requests_round_trip_bit_for_bit_and_reject_every_truncation(
+                cloud in any_bits_cloud(150),
+                head in (0u32..=u32::MAX, 0u64..=u64::MAX, 0u8..=AGG_DELAYED, 0usize..4),
+                deadline in 0u32..=u32::MAX,
+                extra in 1u32..=u32::MAX,
+            ) {
+                let notation = ["", "PN++ (c)", "PointNeXt (s)", "ü ≠ u"][head.3].to_owned();
+                let req =
+                    WireInferRequest { threshold: head.0, seed: head.1, aggregation: head.2, notation };
+                let payload = encode_infer_request_payload(&cloud, &req, deadline);
+                let (wire, req2, deadline2) = decode_infer_request_payload(&payload).unwrap();
+                prop_assert_eq!(bits(&wire), bits(&cloud));
+                prop_assert_eq!((req2, deadline2), (req.clone(), deadline));
+                // Only the optional deadline makes a shorter valid request.
+                let frame_end = infer_count_at(&req) + 4 + 12 * cloud.len();
+                for cut in 0..payload.len() {
+                    let decoded = decode_infer_request_payload(&payload[..cut]);
+                    prop_assert!(decoded.is_ok() == (cut == frame_end), "cut {}", cut);
+                }
+                for n in [cloud.len() as u32 + extra.min(u32::MAX - cloud.len() as u32), u32::MAX] {
+                    if n as usize > cloud.len() {
+                        let inflated = with_count(&payload, infer_count_at(&req), n);
+                        prop_assert!(decode_infer_request_payload(&inflated).is_err(), "count {}", n);
+                    }
+                }
+            }
+        }
     }
 }

@@ -196,6 +196,42 @@ fn stream_is_one_queue_wait_and_one_chunk_emit_per_chunk_under_one_request_id() 
     engine.shutdown();
 }
 
+/// A wire job's ingest is attributed to it: a traced PROCESS_FRAME and a
+/// traced STREAM each record one payload decode (on the connection thread,
+/// before admission minted the id) and one frame-key hash (on the worker)
+/// under the job's request id.
+#[test]
+fn wire_jobs_record_one_decode_and_one_frame_key_span_each() {
+    let _guard = lock();
+    // The capacity `health_reports_trace_status_and_uptime` asserts.
+    obs::enable(2048);
+    let engine = Arc::new(Engine::start(ServeConfig::default().workers(2)));
+    let mut server = TcpServer::bind("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let cloud = scene_cloud(&SceneConfig::default(), 4096, 23);
+    let cfg = PipelineConfig::default();
+    let ingest = |req: u64| {
+        let spans = obs::spans_for(req);
+        let count = |kind: obs::SpanKind| spans.iter().filter(|s| s.kind == kind).count();
+        (count(obs::SpanKind::WireDecode), count(obs::SpanKind::FrameKey))
+    };
+
+    // As in the stream test above: the recorder lock keeps every other
+    // engine in this binary quiet, so each job takes the next id.
+    let req = obs::next_request_id() + 1;
+    client.process(&cloud, &cfg).expect("frame");
+    assert_eq!(ingest(req), (1, 1), "PROCESS_FRAME: {:?}", obs::spans_for(req));
+
+    let req = obs::next_request_id() + 1;
+    let open = WireStreamOpen { first_paint: 128, chunk: 128, credits: 2 };
+    client.stream_frame(&cloud, &cfg, Priority::Normal, 0, &open).expect("stream");
+    assert_eq!(ingest(req), (1, 1), "STREAM: {:?}", obs::spans_for(req));
+
+    obs::disable();
+    server.shutdown();
+    engine.shutdown();
+}
+
 /// `HEALTH` carries the recorder's status and an uptime that moves.
 #[test]
 fn health_reports_trace_status_and_uptime() {
