@@ -23,42 +23,40 @@ const LANES: usize = 8;
 /// next to the hardware's own error rates.
 ///
 /// The fold runs in eight (`LANES`) independent chains, so the multiplies
-/// of neighbouring words overlap instead of each waiting on the last. The
-/// threshold and the point count seed every lane. Each axis (`xs`, then
-/// `ys`, then `zs`) is cut into rows of `2 × LANES` coordinates, and lane
-/// `j` folds the row's `j`-th pair of coordinates as one word (the first
-/// one's bits low, the second's high). An axis's last, shorter row fills
-/// lanes from lane 0 the same way, a lone last coordinate as a word with
-/// a zero high half. The lanes then fold, in order, into the seed.
+/// of neighbouring coordinates overlap instead of each waiting on the
+/// last. The threshold and the point count seed every lane. Each axis
+/// (`xs`, then `ys`, then `zs`) is cut into rows of `LANES` coordinates,
+/// and lane `j` folds the row's `j`-th coordinate, one word per
+/// coordinate as in a single chain. An axis's last, shorter row fills
+/// lanes from lane 0. The lanes then fold, in order, into the seed.
 ///
-/// It is still a bitwise identity: where each coordinate's bits land
-/// (which lane, which word, which half) depends on the point count alone,
-/// and the count is folded too. So equal bits give equal keys, and every
-/// bit of every coordinate, in order, goes into the key.
+/// It is still a bitwise identity: which lane folds each coordinate, and
+/// in which step, depends on the point count alone, and the count is
+/// folded too. So equal bits give equal keys, and every bit of every
+/// coordinate, in order, goes into the key. Each word holds one
+/// coordinate in its low 32 bits, as in the serial chain: FNV-1a carries
+/// a word's bits only upwards, and a flip of bit 63 stays exactly that
+/// through every later step, so two coordinates packed into one word
+/// would let two sign flips of the upper ones cancel. For the same
+/// reason, frames that differ only in their coordinates' sign bits differ
+/// only in the key's top 33 bits (a ≈2⁻³³-per-pair collision), as they
+/// did in the serial chain.
 pub fn frame_key(cloud: &PointCloud, threshold: usize) -> u64 {
     let mut h = fnv1a64(FNV1A64_SEED, threshold as u64);
     h = fnv1a64(h, cloud.len() as u64);
     let mut lanes = [h; LANES];
     for axis in [cloud.xs(), cloud.ys(), cloud.zs()] {
-        let mut rows = axis.chunks_exact(2 * LANES);
+        let mut rows = axis.chunks_exact(LANES);
         for row in &mut rows {
-            for (lane, pair) in lanes.iter_mut().zip(row.chunks_exact(2)) {
-                *lane = fnv1a64(*lane, word(pair));
+            for (lane, v) in lanes.iter_mut().zip(row) {
+                *lane = fnv1a64(*lane, u64::from(v.to_bits()));
             }
         }
-        for (lane, pair) in lanes.iter_mut().zip(rows.remainder().chunks(2)) {
-            *lane = fnv1a64(*lane, word(pair));
+        for (lane, v) in lanes.iter_mut().zip(rows.remainder()) {
+            *lane = fnv1a64(*lane, u64::from(v.to_bits()));
         }
     }
     lanes.iter().fold(h, |h, &lane| fnv1a64(h, lane))
-}
-
-/// One or two coordinates' bit patterns as one word, the first one low
-/// (a missing second one reads as zero bits).
-#[inline(always)]
-fn word(pair: &[f32]) -> u64 {
-    let bits = |i: usize| pair.get(i).map_or(0, |c| u64::from(c.to_bits()));
-    bits(0) | bits(1) << 32
 }
 
 /// A small LRU map from [`frame_key`] to shared [`FractalResult`]s, with a
@@ -214,8 +212,8 @@ mod tests {
 
     #[test]
     fn frame_key_sees_every_coordinate_bit_at_every_lane_remainder() {
-        // A lane row is 16 coordinates of one axis, so 1..=33 points ends
-        // each axis at every tail length, past one and two whole rows.
+        // A lane row is 8 coordinates of one axis, so 1..=33 points ends
+        // each axis at every tail length, past one to four whole rows.
         for n in 1..=33usize {
             let axes: [Vec<f32>; 3] =
                 std::array::from_fn(|k| (0..n).map(|i| (3 * i + k + 1) as f32 * 0.25).collect());
@@ -244,21 +242,59 @@ mod tests {
                     assert_ne!(edited(&across), key, "n {n}, point {i}: axis {k} <-> next axis");
                 }
             }
-            if n >= 4 {
-                // Points 0-1 trade places with points 2-3 on every axis, so
-                // lanes 0 and 1 trade all their words: only the ordered fold
-                // of the lanes tells the two orders apart.
-                let pairs = |a: &mut [Vec<f32>; 3]| {
-                    for axis in a.iter_mut() {
-                        let (lo, hi) = axis.split_at_mut(2);
-                        lo.swap_with_slice(&mut hi[..2]);
+            if n >= 2 {
+                // The first two coordinates of every row trade places on
+                // every axis, so lanes 0 and 1 trade all their words: only
+                // the ordered fold of the lanes tells the two orders apart.
+                let lanes = |a: &mut [Vec<f32>; 3]| {
+                    for row in a.iter_mut().flat_map(|axis| axis.chunks_mut(LANES)) {
+                        if row.len() >= 2 {
+                            row.swap(0, 1);
+                        }
                     }
                 };
-                assert_ne!(edited(&pairs), key, "n {n}: points 0-1 and 2-3 swapped");
+                assert_ne!(edited(&lanes), key, "n {n}: lanes 0 and 1 swapped");
             }
             if n > 1 {
                 let shorter = |a: &mut [Vec<f32>; 3]| a.iter_mut().for_each(|v| v.truncate(n - 1));
                 assert_ne!(edited(&shorter), key, "n {n} without its last point");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_key_separates_every_pair_of_sign_flips() {
+        // FNV-1a carries a word's bits only upwards, and bit 63 of a word
+        // stays exactly a bit-63 flip through every later step. A fold that
+        // put a coordinate's sign there would give these pairs one key.
+        let ones = |xs: [f32; 4]| cloud_of([xs.to_vec(), vec![1.0; 4], vec![1.0; 4]]);
+        let key = frame_key(&ones([1.0, 1.0, 1.0, 1.0]), 64);
+        assert_ne!(frame_key(&ones([1.0, -1.0, 1.0, -1.0]), 64), key);
+        let zeros = |xs: [f32; 4]| cloud_of([xs.to_vec(), vec![0.0; 4], vec![0.0; 4]]);
+        let key = frame_key(&zeros([0.0, 0.0, 0.0, 0.0]), 64);
+        assert_ne!(frame_key(&zeros([0.0, -0.0, 0.0, -0.0]), 64), key);
+
+        // Every cloud that differs from a base cloud by the signs of one
+        // or two coordinates, in the same lane or in different lanes, at
+        // every lane remainder: all of them have distinct keys.
+        for n in 1..=33usize {
+            let base: Vec<f32> = (0..3 * n).map(|i| (i + 1) as f32 * 0.25).collect();
+            let key_of = |flips: &[usize]| {
+                let mut coords = base.clone();
+                for &i in flips {
+                    coords[i] = -coords[i];
+                }
+                let (xs, rest) = coords.split_at(n);
+                let (ys, zs) = rest.split_at(n);
+                frame_key(&cloud_of([xs.to_vec(), ys.to_vec(), zs.to_vec()]), 64)
+            };
+            let mut keys = std::collections::HashSet::new();
+            assert!(keys.insert(key_of(&[])));
+            for i in 0..3 * n {
+                assert!(keys.insert(key_of(&[i])), "n {n}: sign of {i}");
+                for j in 0..i {
+                    assert!(keys.insert(key_of(&[j, i])), "n {n}: signs of {j} and {i}");
+                }
             }
         }
     }
