@@ -79,11 +79,15 @@ pub enum SpanKind {
     WireDecode = 12,
     /// A frame's partition-cache key hashed.
     FrameKey = 13,
+    /// A stream's connection reading the viewer's control frames before a
+    /// refinement chunk (waiting only when out of credits); `aux` = the
+    /// chunk's sequence number.
+    CreditWait = 14,
 }
 
 impl SpanKind {
     /// Every kind, indexable by discriminant.
-    pub const ALL: [SpanKind; 14] = [
+    pub const ALL: [SpanKind; 15] = [
         SpanKind::QueueWait,
         SpanKind::BatchFuse,
         SpanKind::PartitionBuild,
@@ -98,6 +102,7 @@ impl SpanKind {
         SpanKind::ChunkEmit,
         SpanKind::WireDecode,
         SpanKind::FrameKey,
+        SpanKind::CreditWait,
     ];
 
     /// Stable snake_case name (used in trace dumps and stage breakdowns).
@@ -117,6 +122,7 @@ impl SpanKind {
             SpanKind::ChunkEmit => "chunk_emit",
             SpanKind::WireDecode => "wire_decode",
             SpanKind::FrameKey => "frame_key",
+            SpanKind::CreditWait => "credit_wait",
         }
     }
 
@@ -670,6 +676,9 @@ mod tests {
             assert_eq!(SpanKind::from_code(code as u8), Some(kind));
         }
         assert_eq!(SpanKind::from_code(SpanKind::ALL.len() as u8), None);
+        // The newest kind closes the list, under its trace-dump name.
+        assert_eq!(SpanKind::ALL.last(), Some(&SpanKind::CreditWait));
+        assert_eq!(SpanKind::CreditWait.name(), "credit_wait");
         let mut names: Vec<_> = SpanKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();

@@ -676,7 +676,10 @@ impl Connection<'_> {
             while cursor.hi() < first.slice.total {
                 // Consume queued control frames before each refinement —
                 // waiting (deadline-bounded) only when out of credits, so a
-                // cancel takes effect even while credits remain.
+                // cancel takes effect even while credits remain. The span
+                // is how long the server idled for the viewer before
+                // refinement `seq + 1`.
+                let wait_span = obs::span(obs::SpanKind::CreditWait, seq + 1);
                 loop {
                     let verdict = if credits == 0 {
                         wait_for_credit(&mut conn.stream, &conn.faults, wait_deadline, idle)
@@ -705,6 +708,7 @@ impl Connection<'_> {
                         ControlRead::Bad => return Flow::CloseError,
                     }
                 }
+                wait_span.done();
                 credits -= 1;
                 // A stream outlives a soft drain, not a terminal shutdown:
                 // that refuses the next chunk boundary.

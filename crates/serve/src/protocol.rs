@@ -68,8 +68,12 @@
 //! answers STREAM_END with `cancelled = 1`, and the connection returns to
 //! the ordinary request/response loop. Concatenating the per-block
 //! segments of chunks `1..=n` reproduces byte-for-byte the PROCESS_FRAME
-//! response a direct `budget = hi_n` request returns (see
-//! [`StreamAccumulator`]).
+//! response a direct `budget = hi_n` request returns. Both ends pay for a
+//! chunk by its bytes, not by the partition's block count: the server
+//! encodes the cut straight from the rows it borrows, and the client's
+//! [`StreamAccumulator`] appends each segment's runs to flat arrays in
+//! arrival order and puts them in block order once, when the response is
+//! asked for.
 //!
 //! Inference logits cross the wire as raw little-endian `f32` bit
 //! patterns, so a TCP round-trip is *bit-identical* to the in-process
@@ -959,12 +963,24 @@ pub fn encode_stream_cut_into(seq: u32, cache_hit: bool, cut: &LodCursor<'_>, bu
     }
 }
 
+/// A chunk's depths: `lo ≤ hi ≤ total`, so `hi - lo` samples is a count.
+fn check_chunk_depths(lo: u32, hi: u32, total: u32) -> Result<(), WireError> {
+    if hi < lo {
+        return Err(WireError("chunk ends before it starts"));
+    }
+    if hi > total {
+        return Err(WireError("chunk ends past the total"));
+    }
+    Ok(())
+}
+
 /// Decodes a [`status::CHUNK`] payload.
 ///
 /// # Errors
 ///
-/// [`WireError`] when the payload is truncated, over-long, or a declared
-/// segment count disagrees with the bytes present.
+/// [`WireError`] when the payload is truncated, over-long, its depths are
+/// out of order (`hi < lo` or `hi > total`), or a declared segment count
+/// disagrees with the bytes present.
 pub fn decode_stream_chunk_payload(payload: &[u8]) -> Result<WireStreamChunk, WireError> {
     let mut r = Reader { buf: payload, at: 0 };
     let seq = r.u32("truncated seq")?;
@@ -974,6 +990,7 @@ pub fn decode_stream_chunk_payload(payload: &[u8]) -> Result<WireStreamChunk, Wi
     let blocks = r.u32("truncated blocks")?;
     let num = r.u32("truncated num")?;
     let cache_hit = r.u8("truncated cache_hit")? != 0;
+    check_chunk_depths(lo, hi, total)?;
     let nseg = r.u32("truncated segment count")? as usize;
     // Every declared count is validated against the bytes actually present
     // before any buffer is sized from it (hostile-peer rule).
@@ -1036,14 +1053,24 @@ pub fn decode_stream_end_payload(payload: &[u8]) -> Result<WireStreamEnd, WireEr
 /// Client-side reassembly of streaming chunks into the response a direct
 /// budget request returns.
 ///
-/// Chunks append per-block state (sampled prefixes grow, neighbor rows and
-/// found counts follow); [`StreamAccumulator::response`] concatenates the
-/// per-block state in block order, which is exactly the layout
-/// [`encode_response_payload`] wires for a PROCESS_FRAME run — so after
-/// pushing chunks `1..=n`, `response()` encodes byte-for-byte the payload a
-/// direct `budget = hi_n` request would have returned (for the same warm
-/// frame; `cache_hit` is taken from the first chunk and `batch_size` is 1,
-/// matching an unbatched direct request).
+/// The pushed segments are stored flat, in arrival order: their sampled,
+/// neighbor and found runs are appended to three `u32` arrays, and a
+/// `(block, count)` table records the segments. So a chunk costs what its
+/// bytes cost — three appends per segment and one table entry — however
+/// many blocks the partition has, and nothing is sized from a declared
+/// count (`blocks`, `total`) that received bytes do not back.
+/// [`StreamAccumulator::response`] puts the runs in block order with one
+/// stable sort of the table (each chunk's segments already arrive in block
+/// order, so the sort merges runs) and one gather. A block's segments keep
+/// their arrival order, so its samples continue its FPS order — exactly
+/// the layout [`encode_response_payload`] wires for a PROCESS_FRAME run.
+/// After pushing chunks `1..=n`, `response()` therefore encodes
+/// byte-for-byte the payload a direct `budget = hi_n` request would have
+/// returned (for the same warm frame; `cache_hit` is taken from the first
+/// chunk and `batch_size` is 1, matching an unbatched direct request).
+///
+/// A chunk is checked whole before any of it is folded in: a refused push
+/// leaves the accumulator as it was.
 #[derive(Debug, Clone, Default)]
 pub struct StreamAccumulator {
     blocks: u32,
@@ -1052,9 +1079,12 @@ pub struct StreamAccumulator {
     cache_hit: bool,
     depth: u32,
     chunks: u32,
-    sampled: Vec<Vec<u32>>,
-    grouped: Vec<Vec<u32>>,
-    found: Vec<Vec<u32>>,
+    /// `(block, samples)` of every folded segment, in arrival order.
+    segments: Vec<(u32, u32)>,
+    /// The folded segments' runs, concatenated in arrival order.
+    sampled: Vec<u32>,
+    grouped: Vec<u32>,
+    found: Vec<u32>,
 }
 
 impl StreamAccumulator {
@@ -1063,47 +1093,55 @@ impl StreamAccumulator {
         StreamAccumulator::default()
     }
 
-    /// Folds one chunk in.
+    /// Folds one chunk in, or refuses it and changes nothing.
     ///
     /// # Errors
     ///
     /// [`WireError`] when the chunk is non-contiguous with the depth
-    /// reached so far, disagrees with the stream's geometry, or references
-    /// an out-of-range block.
+    /// reached so far, ends before it starts or past the total, disagrees
+    /// with the stream's geometry, references an out-of-range block, or
+    /// carries rows that do not add up to its `hi - lo` samples.
     pub fn push(&mut self, chunk: &WireStreamChunk) -> Result<(), WireError> {
-        if self.chunks == 0 {
-            self.blocks = chunk.blocks;
-            self.num = chunk.num;
-            self.total = chunk.total;
-            self.cache_hit = chunk.cache_hit;
-            self.sampled = vec![Vec::new(); chunk.blocks as usize];
-            self.grouped = vec![Vec::new(); chunk.blocks as usize];
-            self.found = vec![Vec::new(); chunk.blocks as usize];
-        } else if chunk.blocks != self.blocks || chunk.num != self.num || chunk.total != self.total
-        {
+        let geometry = (chunk.blocks, chunk.num, chunk.total);
+        if self.chunks > 0 && geometry != (self.blocks, self.num, self.total) {
             return Err(WireError("chunk geometry changed mid-stream"));
         }
         if chunk.lo != self.depth {
             return Err(WireError("non-contiguous chunk"));
         }
+        check_chunk_depths(chunk.lo, chunk.hi, chunk.total)?;
         let mut delivered = 0usize;
         for seg in &chunk.segments {
-            let b = seg.block as usize;
-            if b >= self.sampled.len() {
+            if seg.block >= chunk.blocks {
                 return Err(WireError("segment block out of range"));
             }
-            if seg.grouped.len() != seg.sampled.len() * self.num as usize
-                || seg.found.len() != seg.sampled.len()
+            let count = seg.sampled.len();
+            if seg.found.len() != count
+                || count.checked_mul(chunk.num as usize) != Some(seg.grouped.len())
             {
                 return Err(WireError("segment row shape mismatch"));
             }
-            self.sampled[b].extend_from_slice(&seg.sampled);
-            self.grouped[b].extend_from_slice(&seg.grouped);
-            self.found[b].extend_from_slice(&seg.found);
-            delivered += seg.sampled.len();
+            delivered += count;
         }
         if delivered != (chunk.hi - chunk.lo) as usize {
             return Err(WireError("chunk sample count mismatch"));
+        }
+
+        if self.chunks == 0 {
+            (self.blocks, self.num, self.total) = geometry;
+            self.cache_hit = chunk.cache_hit;
+        }
+        // `delivered` is backed by the rows just checked, so reserving it
+        // sizes nothing from a declared count.
+        self.sampled.reserve(delivered);
+        self.grouped.reserve(delivered * chunk.num as usize);
+        self.found.reserve(delivered);
+        for seg in &chunk.segments {
+            // `count ≤ hi - lo`, a `u32`.
+            self.segments.push((seg.block, seg.sampled.len() as u32));
+            self.sampled.extend_from_slice(&seg.sampled);
+            self.grouped.extend_from_slice(&seg.grouped);
+            self.found.extend_from_slice(&seg.found);
         }
         self.depth = chunk.hi;
         self.chunks += 1;
@@ -1129,13 +1167,28 @@ impl StreamAccumulator {
     /// `budget = depth()` request returns (block-order concatenation,
     /// `batch_size` 1).
     pub fn response(&self) -> WireResponse {
-        let mut sampled_indices = Vec::new();
-        let mut neighbor_indices = Vec::new();
-        let mut found = Vec::new();
-        for b in 0..self.sampled.len() {
-            sampled_indices.extend_from_slice(&self.sampled[b]);
-            neighbor_indices.extend_from_slice(&self.grouped[b]);
-            found.extend_from_slice(&self.found[b]);
+        let num = self.num as usize;
+        // Each segment's block and sample range in the flat runs, then
+        // block order; the sort is stable, so a block's segments stay in
+        // arrival (FPS) order.
+        let mut at = 0usize;
+        let mut runs: Vec<(u32, usize, usize)> = self
+            .segments
+            .iter()
+            .map(|&(block, count)| {
+                let run = (block, at, at + count as usize);
+                at = run.2;
+                run
+            })
+            .collect();
+        runs.sort_by_key(|run| run.0);
+        let mut sampled_indices = Vec::with_capacity(self.sampled.len());
+        let mut neighbor_indices = Vec::with_capacity(self.grouped.len());
+        let mut found = Vec::with_capacity(self.found.len());
+        for (_, lo, hi) in runs {
+            sampled_indices.extend_from_slice(&self.sampled[lo..hi]);
+            neighbor_indices.extend_from_slice(&self.grouped[lo * num..hi * num]);
+            found.extend_from_slice(&self.found[lo..hi]);
         }
         WireResponse {
             sampled_indices,
@@ -1756,6 +1809,112 @@ mod tests {
         assert!(resp.cache_hit);
     }
 
+    /// A segment of `block` gaining `sampled`, with rows `num` wide
+    /// filled from the samples.
+    fn segment(block: u32, sampled: &[u32], num: u32) -> WireLodSegment {
+        WireLodSegment {
+            block,
+            sampled: sampled.to_vec(),
+            grouped: sampled.iter().flat_map(|&s| (0..num).map(move |j| s * 10 + j)).collect(),
+            found: sampled.iter().map(|&s| s % (num + 1)).collect(),
+        }
+    }
+
+    /// A chunk `(lo, hi]` of a 3-block, 2-slot, 6-sample stream.
+    fn chunk(seq: u32, lo: u32, hi: u32, segments: Vec<WireLodSegment>) -> WireStreamChunk {
+        WireStreamChunk { seq, lo, hi, total: 6, blocks: 3, num: 2, cache_hit: true, segments }
+    }
+
+    #[test]
+    fn a_refused_chunk_leaves_the_accumulator_as_it_was() {
+        let first = chunk(1, 0, 2, vec![segment(0, &[1], 2), segment(2, &[7], 2)]);
+        let good = chunk(2, 2, 5, vec![segment(0, &[2], 2), segment(1, &[4, 5], 2)]);
+        let mut alone = StreamAccumulator::new();
+        alone.push(&first).unwrap();
+        alone.push(&good).unwrap();
+        // Each bad chunk's first segment passes every check; the chunk is
+        // refused at its second segment or at the final sample count.
+        let mut out_of_range = good.clone();
+        out_of_range.segments[1].block = 3;
+        let mut misshapen = good.clone();
+        misshapen.segments[1].grouped.pop();
+        let mut short_found = good.clone();
+        short_found.segments[1].found.pop();
+        let mut miscounted = good.clone();
+        miscounted.hi = 6;
+        for (bad, why) in [
+            (out_of_range, "segment block out of range"),
+            (misshapen, "segment row shape mismatch"),
+            (short_found, "segment row shape mismatch"),
+            (miscounted, "chunk sample count mismatch"),
+        ] {
+            let mut acc = StreamAccumulator::new();
+            acc.push(&first).unwrap();
+            assert_eq!(acc.push(&bad), Err(WireError(why)));
+            assert_eq!((acc.depth(), acc.chunks()), (2, 1), "{why}");
+            acc.push(&good).unwrap();
+            assert_eq!(acc.response(), alone.response(), "after a chunk refused: {why}");
+        }
+        // A refused first chunk fixes no geometry either.
+        let mut acc = StreamAccumulator::new();
+        let mut wide = first.clone();
+        (wide.blocks, wide.num, wide.total, wide.cache_hit) = (9, 1, 8, false);
+        wide.segments = vec![segment(8, &[3], 1), segment(4, &[5, 6], 1)];
+        assert_eq!(acc.push(&wide), Err(WireError("chunk sample count mismatch")));
+        assert_eq!((acc.depth(), acc.total(), acc.chunks()), (0, 0, 0));
+        acc.push(&first).unwrap();
+        acc.push(&good).unwrap();
+        assert_eq!(acc.response(), alone.response());
+    }
+
+    #[test]
+    fn chunk_depths_out_of_order_are_refused_without_a_panic() {
+        let mut acc = StreamAccumulator::new();
+        acc.push(&chunk(1, 0, 2, vec![segment(0, &[1], 2), segment(2, &[7], 2)])).unwrap();
+        // `lo` is the depth reached, so only the depth order can refuse
+        // these: `hi < lo` would be a count of -1 samples.
+        for (hi, why) in [(1, "chunk ends before it starts"), (7, "chunk ends past the total")] {
+            let bad = chunk(2, 2, hi, Vec::new());
+            assert_eq!(acc.push(&bad), Err(WireError(why)));
+            let mut payload = Vec::new();
+            encode_stream_chunk_into(&bad, &mut payload);
+            assert_eq!(decode_stream_chunk_payload(&payload), Err(WireError(why)));
+        }
+        assert_eq!((acc.depth(), acc.chunks()), (2, 1));
+        // An empty cut and a cut ending at the total are in order.
+        acc.push(&chunk(2, 2, 2, Vec::new())).unwrap();
+        let last = chunk(3, 2, 6, vec![segment(1, &[4, 5, 6], 2), segment(2, &[8], 2)]);
+        let mut payload = Vec::new();
+        encode_stream_chunk_into(&last, &mut payload);
+        acc.push(&decode_stream_chunk_payload(&payload).unwrap()).unwrap();
+        assert_eq!((acc.depth(), acc.total(), acc.chunks()), (6, 6, 3));
+        assert_eq!(acc.response().sampled_indices, vec![1, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_declared_block_count_sizes_nothing() {
+        // 37 bytes declaring u32::MAX blocks of u32::MAX slots: one empty
+        // segment of the last block. Nothing the accumulator allocates may
+        // follow the declared counts: three per-block tables of u32::MAX
+        // empty vectors would ask for about 300 GB and abort the client.
+        let mut payload = Vec::new();
+        for v in [1u32, 0, 0, 0, u32::MAX, u32::MAX] {
+            put_u32(&mut payload, v);
+        }
+        payload.push(1);
+        for v in [1u32, u32::MAX - 1, 0] {
+            put_u32(&mut payload, v);
+        }
+        assert_eq!(payload.len(), 37);
+        let chunk = decode_stream_chunk_payload(&payload).unwrap();
+        let mut acc = StreamAccumulator::new();
+        acc.push(&chunk).unwrap();
+        let resp = acc.response();
+        assert_eq!((resp.blocks, resp.num, acc.depth(), acc.chunks()), (u32::MAX, u32::MAX, 0, 1));
+        assert!(resp.sampled_indices.is_empty() && resp.neighbor_indices.is_empty());
+        assert!(resp.found.is_empty());
+    }
+
     #[test]
     fn message_header_layout() {
         let msg = encode_message(OP_PROCESS_FRAME, &[0xAB, 0xCD]);
@@ -1820,6 +1979,39 @@ mod tests {
             inflated[at..at + 4].copy_from_slice(&n.to_le_bytes());
             inflated
         }
+
+        /// Any CHUNK a server could send, bytes aside: depths in order,
+        /// rows `num` (< 5) wide, up to 5 segments of any block with up to
+        /// 4 samples, every run value any bits.
+        fn any_chunk() -> impl Strategy<Value = WireStreamChunk> {
+            let word = || 0u32..=u32::MAX;
+            let head = (word(), (word(), word(), word()), word(), 0u32..5, any::<bool>());
+            // A segment's block, its sample count, and the bits its runs
+            // are cut from (4 × (1 + 4 + 1) at most).
+            let segment = (word(), 0usize..5, proptest::collection::vec(word(), 24));
+            (head, proptest::collection::vec(segment, 0..6)).prop_map(|(head, segments)| {
+                let (seq, (a, b, c), blocks, num, cache_hit) = head;
+                let mut depths = [a, b, c];
+                depths.sort_unstable();
+                let [lo, hi, total] = depths;
+                let segments = segments
+                    .into_iter()
+                    .map(|(block, count, bits)| {
+                        let rows = count * num as usize;
+                        WireLodSegment {
+                            block,
+                            sampled: bits[..count].to_vec(),
+                            grouped: bits[count..count + rows].to_vec(),
+                            found: bits[count + rows..2 * count + rows].to_vec(),
+                        }
+                    })
+                    .collect();
+                WireStreamChunk { seq, lo, hi, total, blocks, num, cache_hit, segments }
+            })
+        }
+
+        /// Byte offset of the `n_segments:u32` of a CHUNK payload.
+        const CHUNK_SEGMENTS_AT: usize = 6 * 4 + 1;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1895,6 +2087,57 @@ mod tests {
             }
 
             #[test]
+            fn stream_chunks_round_trip_bit_for_bit_and_reject_every_truncation(
+                chunk in any_chunk(),
+                extra in 1u32..=u32::MAX,
+            ) {
+                let mut payload = Vec::new();
+                encode_stream_chunk_into(&chunk, &mut payload);
+                let back = decode_stream_chunk_payload(&payload).unwrap();
+                let mut again = Vec::new();
+                encode_stream_chunk_into(&back, &mut again);
+                prop_assert_eq!(&back, &chunk);
+                prop_assert!(again == payload, "re-encoding changed the bytes");
+                for cut in 0..payload.len() {
+                    prop_assert!(decode_stream_chunk_payload(&payload[..cut]).is_err(), "cut {}", cut);
+                }
+                let mut long = payload.clone();
+                long.push(0);
+                prop_assert_eq!(decode_stream_chunk_payload(&long), Err(WireError("trailing bytes")));
+                // More segments than the bytes carry, and a first segment
+                // longer than the bytes carry, are refused.
+                let nseg = chunk.segments.len() as u32;
+                for n in [nseg + extra.min(u32::MAX - nseg), u32::MAX] {
+                    if n > nseg {
+                        let inflated = with_count(&payload, CHUNK_SEGMENTS_AT, n);
+                        prop_assert!(decode_stream_chunk_payload(&inflated).is_err(), "segments {}", n);
+                    }
+                }
+                if let Some(first) = chunk.segments.first() {
+                    let count = first.sampled.len() as u32;
+                    let at = CHUNK_SEGMENTS_AT + 8;
+                    for n in [count + extra.min(u32::MAX - count), u32::MAX] {
+                        if n > count {
+                            let inflated = with_count(&payload, at, n);
+                            prop_assert!(decode_stream_chunk_payload(&inflated).is_err(), "count {}", n);
+                        }
+                    }
+                }
+                // Depths out of order are refused whatever follows them.
+                if chunk.lo < chunk.hi {
+                    let swapped = with_count(&with_count(&payload, 4, chunk.hi), 8, chunk.lo);
+                    prop_assert_eq!(
+                        decode_stream_chunk_payload(&swapped),
+                        Err(WireError("chunk ends before it starts"))
+                    );
+                }
+                if chunk.total < u32::MAX {
+                    let past = with_count(&payload, 8, chunk.total + 1);
+                    prop_assert!(decode_stream_chunk_payload(&past).is_err());
+                }
+            }
+
+            #[test]
             fn infer_requests_round_trip_bit_for_bit_and_reject_every_truncation(
                 cloud in any_bits_cloud(150),
                 head in (0u32..=u32::MAX, 0u64..=u64::MAX, 0u8..=AGG_DELAYED, 0usize..4),
@@ -1920,6 +2163,77 @@ mod tests {
                         prop_assert!(decode_infer_request_payload(&inflated).is_err(), "count {}", n);
                     }
                 }
+            }
+        }
+    }
+
+    /// The accumulator against a real ordering: a generated 4k room cut at
+    /// random schedules, every cut through the wire encoder and decoder,
+    /// checked at every depth against the response a direct budget request
+    /// is answered with.
+    mod reassembly {
+        use super::*;
+        use fractalcloud_core::{Pipeline, PipelineOutput};
+        use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn room() -> &'static PipelineOutput {
+            static ROOM: OnceLock<PipelineOutput> = OnceLock::new();
+            ROOM.get_or_init(|| {
+                let cloud = scene_cloud(&SceneConfig::default(), 4096, 31);
+                Pipeline::new(PipelineConfig::default()).unwrap().run(&cloud, false).unwrap()
+            })
+        }
+
+        /// The payload a direct `budget = k` request is answered with.
+        fn direct(out: &PipelineOutput, k: usize, cache_hit: bool) -> Vec<u8> {
+            let prefix = out.prefix(k);
+            let narrow = |v: &[usize]| v.iter().map(|&i| i as u32).collect();
+            encode_response_payload(&WireResponse {
+                sampled_indices: narrow(&prefix.sampled.indices),
+                neighbor_indices: narrow(&prefix.grouped.indices),
+                found: narrow(&prefix.grouped.found),
+                num: prefix.grouped.num as u32,
+                blocks: prefix.blocks as u32,
+                cache_hit,
+                batch_size: 1,
+                degraded: false,
+                budget_served: 0,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn random_cuts_reassemble_to_the_direct_prefix_at_every_depth(
+                first in 0usize..1 << 20,
+                step in 0usize..1 << 20,
+                cache_hit in any::<bool>(),
+            ) {
+                let out = room();
+                let total = out.total_samples();
+                // First paint and chunk size, each anywhere in `1..=total`.
+                let (first, step) = (1 + first % total, 1 + step % total);
+                let mut cursor = LodCursor::new(out);
+                let mut acc = StreamAccumulator::new();
+                let (mut seq, mut hi, mut payload) = (0u32, first, Vec::new());
+                while seq == 0 || cursor.hi() < total {
+                    cursor.advance(hi);
+                    seq += 1;
+                    payload.clear();
+                    encode_stream_cut_into(seq, cache_hit, &cursor, &mut payload);
+                    acc.push(&decode_stream_chunk_payload(&payload).unwrap()).unwrap();
+                    prop_assert_eq!(acc.depth() as usize, cursor.hi());
+                    let reassembled = encode_response_payload(&acc.response());
+                    prop_assert!(
+                        reassembled == direct(out, cursor.hi(), cache_hit),
+                        "depth {} of ({}, {})", cursor.hi(), first, step
+                    );
+                    hi = cursor.hi() + step;
+                }
+                prop_assert_eq!((acc.chunks(), acc.total() as usize), (seq, total));
             }
         }
     }

@@ -183,6 +183,10 @@ fn stream_is_one_queue_wait_and_one_chunk_emit_per_chunk_under_one_request_id() 
     assert_eq!(count(obs::SpanKind::ChunkEmit), 8, "one slice per chunk: {spans:?}");
     assert_eq!(count(obs::SpanKind::WireEncode), 8);
     assert_eq!(count(obs::SpanKind::WireWrite), 8);
+    // One credit wait before each refinement, labelled with its chunk.
+    let waits: Vec<u32> =
+        spans.iter().filter(|s| s.kind == obs::SpanKind::CreditWait).map(|s| s.aux).collect();
+    assert_eq!(waits, (2..=8).collect::<Vec<u32>>(), "credit waits: {spans:?}");
     // Nothing of the stream was recorded under a later id: it minted none.
     assert_eq!(obs::next_request_id(), req + 1, "the refinements admitted nothing");
     // Counted on two threads (the worker's first paint, the connection's

@@ -67,6 +67,89 @@ fn accumulated_chunks_are_byte_identical_to_direct_budget_responses_at_every_dep
 }
 
 #[test]
+fn every_chunk_and_stream_end_the_server_writes_is_the_encoded_message_byte_for_byte() {
+    // The server encodes each CHUNK straight from the cursor's borrowed
+    // rows. A raw viewer reads exactly the messages the owned path builds:
+    // `slice_level` → `WireStreamChunk` → `encode_stream_chunk_into` →
+    // `encode_message`, then the STREAM_END summary.
+    use fractalcloud_core::Pipeline;
+    use protocol::{status, WireLodSegment, WireStreamChunk, WireStreamEnd};
+    use std::io::{Read, Write};
+    let (engine, mut server) = start(ServeConfig::default().workers(2));
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A wrong byte count fails a read here rather than hanging the test.
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let cloud = scene_cloud(&SceneConfig::default(), 8192, 13);
+    let cfg = PipelineConfig::default();
+    let out = Pipeline::new(cfg).unwrap().run(&cloud, false).unwrap();
+    let total = out.total_samples();
+    let narrow = |v: &[usize]| v.iter().map(|&i| i as u32).collect::<Vec<u32>>();
+
+    // Cold, then warm (the second stream's ordering comes from the cache);
+    // the warm one ends in a single chunk of every remaining sample.
+    for (open, cache_hit) in [
+        (WireStreamOpen { first_paint: 100, chunk: 700, credits: 1 }, false),
+        (WireStreamOpen { first_paint: 16, chunk: total as u32, credits: 1 }, true),
+    ] {
+        let mut expected = Vec::new();
+        let (mut lo, mut hi) = (0, open.first_paint as usize);
+        while lo < total {
+            let slice = out.slice_level(lo, hi);
+            let chunk = WireStreamChunk {
+                seq: expected.len() as u32 + 1,
+                lo: slice.lo as u32,
+                hi: slice.hi as u32,
+                total: slice.total as u32,
+                blocks: slice.blocks as u32,
+                num: slice.num as u32,
+                cache_hit,
+                segments: slice
+                    .segments
+                    .iter()
+                    .map(|s| WireLodSegment {
+                        block: s.block as u32,
+                        sampled: narrow(&s.sampled),
+                        grouped: narrow(&s.grouped),
+                        found: narrow(&s.found),
+                    })
+                    .collect(),
+            };
+            let mut payload = Vec::new();
+            protocol::encode_stream_chunk_into(&chunk, &mut payload);
+            expected.push(protocol::encode_message(status::CHUNK, &payload));
+            (lo, hi) = (slice.hi, slice.hi + open.chunk as usize);
+        }
+        let end = WireStreamEnd {
+            chunks: expected.len() as u32,
+            delivered: total as u32,
+            cancelled: false,
+        };
+        let mut payload = Vec::new();
+        protocol::encode_stream_end_into(&end, &mut payload);
+        expected.push(protocol::encode_message(status::STREAM_END, &payload));
+
+        let request = protocol::encode_stream_request_payload(&cloud, &cfg, 0, &open);
+        let kind = protocol::stream_request_kind(Priority::Normal);
+        raw.write_all(&protocol::encode_message(kind, &request)).unwrap();
+        for (i, want) in expected.iter().enumerate() {
+            let mut message = vec![0u8; 9];
+            raw.read_exact(&mut message).unwrap();
+            let len = u32::from_le_bytes(message[5..9].try_into().unwrap()) as usize;
+            message.resize(9 + len.min(1 << 24), 0);
+            raw.read_exact(&mut message[9..]).unwrap();
+            assert!(message == *want, "message {} of the {open:?} stream differs", i + 1);
+            if message[4] == status::CHUNK {
+                // A credit after every chunk, the last included, as a
+                // viewer that keeps its window full sends them.
+                raw.write_all(&protocol::encode_message(protocol::OP_STREAM_CREDIT, &[])).unwrap();
+            }
+        }
+    }
+    server.shutdown();
+    engine.shutdown();
+}
+
+#[test]
 fn stream_frame_completes_with_server_default_knobs() {
     let (engine, mut server) = start(ServeConfig::default().workers(1));
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
