@@ -2,10 +2,10 @@
 
 use crate::bppo::{for_each_block, pieces, with_layout, BppoConfig, Layout, ReuseStats};
 use crate::workspace::{global_pool, Workspace};
-use fractalcloud_pointcloud::kernels;
+use fractalcloud_pointcloud::kernels::{self, CandidateRun};
 use fractalcloud_pointcloud::ops::{self, merge_work, OpCounters};
 use fractalcloud_pointcloud::partition::Partition;
-use fractalcloud_pointcloud::{Error, PointCloud, Result};
+use fractalcloud_pointcloud::{Aabb, Error, PointCloud, Result};
 
 /// Output of [`block_ball_query`] and
 /// [`block_interpolate`](crate::block_interpolate)'s neighbor stage.
@@ -42,14 +42,16 @@ impl BlockNeighborResult {
 /// cloud.
 ///
 /// `centers_per_block[b]` holds the global indices of block `b`'s center
-/// points (typically the block's block-FPS samples). Neighbor rows are
-/// built by the body the global
-/// [`ball_query`](fractalcloud_pointcloud::ops::ball_query) runs
-/// ([`ops::ball_query_into`]), so they differ from a global search only
-/// through the restricted search space; candidates are slotted in
-/// search-space layout order (the parent's blocks in DFT order) and
-/// streamed from the center's own block onwards, wrapping around —
-/// mirroring the hardware's streamed block reads.
+/// points (typically the block's block-FPS samples). Neighbor rows follow
+/// the row rule the global
+/// [`ball_query`](fractalcloud_pointcloud::ops::ball_query) follows
+/// ([`ops::ball_query_into`], [`ops::ball_row`]) through the same selection
+/// driver, so they differ from a global search only through the restricted
+/// search space; candidates are slotted in search-space layout order (the
+/// parent's blocks in DFT order) and streamed block by block from the
+/// center's own block onwards, wrapping around — mirroring the hardware's
+/// streamed block reads. A block whose box cannot hold a candidate that
+/// would change a row is skipped without changing any row.
 ///
 /// Results are bit-identical at every lane count. The allocation-free
 /// steady state of grouping is the pipeline's
@@ -105,16 +107,34 @@ pub fn block_ball_query(
 ///
 /// The center rows are `centers_per_block` concatenated in block order, so
 /// the outputs are sized once and block `b` fills its own `centers × num`
-/// neighbor slots and `centers` hit counts: [`ops::ball_query_into`] for
-/// its centers against its search space — the run of blocks
+/// neighbor slots and `centers` hit counts: the selection driver
+/// [`kernels::ball_select_runs_into`] for its centers against its search
+/// space — the run of blocks
 /// [`Block::search`](fractalcloud_pointcloud::partition::Block::search),
 /// one contiguous slice of the layout read in place, loaded on-chip once
-/// and shared by every center of the block (§V-C) — scanning from the
-/// block's own offset in the space (its centers' nearest candidates; rows
-/// are unchanged by where the scan starts). A center with no candidate at
-/// a finite distance falls back to itself: its own block is always in the
-/// space. The work is then added in block order from
-/// [`ball_query_block_model`].
+/// and shared by every center of the block (§V-C) — with each row written
+/// by the global form's row rule ([`ops::ball_row`]). A center with no
+/// candidate at a finite distance falls back to itself: its own block is
+/// always in the space. The work is then added in block order from
+/// [`ball_query_block_model`], the hardware's closed form: it counts every
+/// candidate of the space, skipped or not.
+///
+/// The driver receives the space as a list of [`CandidateRun`]s, one per
+/// block with its [`Block::aabb`](fractalcloud_pointcloud::partition::Block::aabb):
+/// the centers' own block first (their nearest candidates, which fill the
+/// rows early), then the rest of the space in layout order, wrapping
+/// around. The centers are staged as queries in Morton order over their
+/// block's box, so each tile of queries that shares a candidate pass is a
+/// compact cluster; every row still lands at its own position. A block is
+/// skipped for a tile when, for every query of the tile, its box's lower
+/// bound is strictly above the query's bar: the worst hit once the row is
+/// full, r² while it is partial, max(r², nearest so far) while it is
+/// empty. The bound is computed with the kernels' own separate multiply
+/// and add, so it never exceeds a distance the kernels compute for a point
+/// in the box (every partitioner's box holds its block's points, NaN
+/// coordinates aside), and rows, hit counts and fallbacks are bit-identical
+/// to an unpruned scan; see the
+/// [kernels docs](fractalcloud_pointcloud::kernels#batched-query-selection).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ball_query_blocks(
     cloud: &PointCloud,
@@ -141,28 +161,42 @@ pub(crate) fn ball_query_blocks(
     let backend = kernels::active_backend();
     let slots = pieces(&mut out.indices, blocks, move |b| rows(b) * num);
     let items = slots.zip(pieces(&mut out.found, blocks, rows)).enumerate();
+    let r_sq = radius * radius;
     for_each_block(items, config.parallel, ws, |(b, (indices, found)), ws| {
         let search = search(b);
         debug_assert!((search.0..search.1).contains(&b), "a block searches its own points");
         let (xs, ys, zs, order) = layout.run(search);
-        let first = layout.span((search.0, b)).len();
         let centers = &centers_per_block[b];
-        ws.queries.clear();
-        ws.queries.extend(centers.iter().map(|&c| [cloud.xs()[c], cloud.ys()[c], cloud.zs()[c]]));
-        ops::ball_query_into(
+        let Workspace { queries, tiles, runs, select, .. } = ws;
+        let offset = layout.span(search).start;
+        runs.clear();
+        runs.extend((b..search.1).chain(search.0..b).map(|s| {
+            let slots = layout.span((s, s + 1));
+            let aabb = &partition.blocks[s].aabb;
+            CandidateRun {
+                start: slots.start - offset,
+                end: slots.end - offset,
+                lo: aabb.min().into(),
+                hi: aabb.max().into(),
+            }
+        }));
+        stage_tiles(cloud, centers, &partition.blocks[b].aabb, tiles, queries);
+        kernels::ball_select_runs_into(
             backend,
             xs,
             ys,
             zs,
-            &ws.queries,
-            radius,
+            queries,
+            r_sq,
             num,
-            first,
-            &mut ws.select,
-            indices,
-            found,
-            |slot| order[slot] as usize,
-            |row| centers[row],
+            runs,
+            select,
+            |pos, best, nearest| {
+                let row = tiles[pos] as u32 as usize;
+                found[row] = best.len();
+                let out = &mut indices[row * num..][..num];
+                ops::ball_row(out, best, nearest, |slot| order[slot] as usize, || centers[row]);
+            },
         );
     });
     out.counters = OpCounters::new();
@@ -209,6 +243,49 @@ pub(crate) fn search_run(
     } else {
         (b, b + 1)
     }
+}
+
+/// Stages the centres of one block as selection queries in Morton order
+/// over the block's box `aabb`, so each tile of
+/// [`QUERY_TILE`](kernels::QUERY_TILE) consecutive queries is a compact
+/// cluster whose bars a far block of the search space exceeds together.
+/// `tiles[pos]` holds the Morton code of the query staged at `pos` above
+/// its row in `centers` (the low 32 bits), and `queries[pos]` its
+/// coordinates. Which tile a query lands in never changes its row.
+fn stage_tiles(
+    cloud: &PointCloud,
+    centers: &[usize],
+    aabb: &Aabb,
+    tiles: &mut Vec<u64>,
+    queries: &mut Vec<[f32; 3]>,
+) {
+    let (lo, hi) = (aabb.min(), aabb.max());
+    let (lo, hi): ([f32; 3], [f32; 3]) = (lo.into(), hi.into());
+    tiles.clear();
+    tiles.extend(centers.iter().enumerate().map(|(row, &c)| {
+        let p = [cloud.xs()[c], cloud.ys()[c], cloud.zs()[c]];
+        // 10 bits per axis; `as` saturates, and sends NaN (a flat or NaN
+        // axis, a NaN coordinate) to cell 0.
+        let cell = |k: usize| (((p[k] - lo[k]) / (hi[k] - lo[k]) * 1024.0) as u32).min(1023);
+        let code = spread_bits(cell(0)) | spread_bits(cell(1)) << 1 | spread_bits(cell(2)) << 2;
+        u64::from(code) << 32 | row as u64
+    }));
+    tiles.sort_unstable();
+    queries.clear();
+    queries.extend(tiles.iter().map(|&t| {
+        let c = centers[t as u32 as usize];
+        [cloud.xs()[c], cloud.ys()[c], cloud.zs()[c]]
+    }));
+}
+
+/// Spreads the low 10 bits of `v` two bits apart (bit `i` to bit `3i`), so
+/// three axes interleave into one 30-bit Morton code.
+fn spread_bits(v: u32) -> u32 {
+    let mut x = v & 0x3FF;
+    x = (x | x << 16) & 0x0300_00FF;
+    x = (x | x << 8) & 0x0300_F00F;
+    x = (x | x << 4) & 0x030C_30C3;
+    (x | x << 2) & 0x0924_9249
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ pub use bppo::{
     ReuseStats,
 };
 pub use fractal::{Fractal, FractalConfig, FractalResult};
-pub use lod::{LodCursor, LodSegment, LodSegmentRef, LodSlice, SampleOrder};
+pub use lod::{LodCursor, LodSegment, LodSegmentRef, LodSlice, SampleOrder, ScheduleScratch};
 pub use pipeline::{fnv1a64, Pipeline, PipelineConfig, PipelineOutput, FNV1A64_SEED};
 pub use quality::{evaluate_quality, QualityConfig, QualityReport};
 pub use tree::{FractalNode, FractalTree, NodeId};

@@ -32,6 +32,8 @@ use crate::bppo::{ball_query_block_model, BlockFpsResult, BlockNeighborResult};
 use crate::pipeline::PipelineOutput;
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::partition::Partition;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// The full coarse-to-fine sample ordering of one pipeline run — the
 /// quality ordering block-parallel FPS computes and a fixed-budget output
@@ -55,14 +57,14 @@ pub struct SampleOrder {
 
 impl SampleOrder {
     /// Builds the schedule for `partition` with full per-block sample
-    /// budget `counts`, refilling `self` in place with caller-provided sort
+    /// budget `counts`, refilling `self` in place with caller-provided
     /// scratch (a warmed order + scratch pair allocates nothing while the
-    /// block count is stable).
+    /// block count and the largest count are stable).
     pub fn build_into(
         &mut self,
         partition: &Partition,
         counts: &[usize],
-        scratch: &mut Vec<(u32, u32, u32)>,
+        scratch: &mut ScheduleScratch,
     ) {
         self.block_sizes.clear();
         self.block_sizes.extend(partition.blocks.iter().map(|b| b.indices.len()));
@@ -71,29 +73,7 @@ impl SampleOrder {
             let (first, end) = b.search;
             partition.blocks[first..end].iter().map(|g| g.indices.len()).sum::<usize>()
         }));
-
-        // Interleave blocks by budget fraction: block b's j-th sample (of
-        // c_b) carries the exact rational key j/c_b; ascending key order
-        // spreads every block proportionally across the schedule, so any
-        // prefix holds a balanced coarse approximation. Comparison is the
-        // exact u64 cross-multiply (j, c < 2^32, so no overflow and no
-        // float rounding at equal fractions); ties go to the lower block
-        // index. The comparator is a total order — (j/c, b) pairs are
-        // unique — so the allocation-free unstable sort is deterministic.
-        scratch.clear();
-        for (b, &c) in counts.iter().enumerate() {
-            debug_assert!(c <= u32::MAX as usize && b <= u32::MAX as usize);
-            for j in 1..=c as u32 {
-                scratch.push((j, c as u32, b as u32));
-            }
-        }
-        scratch.sort_unstable_by(|a, b| {
-            let left = u64::from(a.0) * u64::from(b.1);
-            let right = u64::from(b.0) * u64::from(a.1);
-            left.cmp(&right).then(a.2.cmp(&b.2))
-        });
-        self.schedule.clear();
-        self.schedule.extend(scratch.iter().map(|&(_, _, b)| b));
+        interleave(counts, scratch, &mut self.schedule);
     }
 
     /// Total samples in the full ordering.
@@ -126,6 +106,115 @@ impl SampleOrder {
             schedule: self.schedule[..k.min(self.schedule.len())].to_vec(),
             block_sizes: self.block_sizes.clone(),
             cand_sizes: self.cand_sizes.clone(),
+        }
+    }
+}
+
+/// Scratch of [`SampleOrder::build_into`]'s interleave, kept by the caller
+/// so a warm build allocates nothing.
+#[derive(Debug, Default)]
+pub struct ScheduleScratch {
+    /// Per count `c`: where the ranks of `c`'s fractions start in `ranks`,
+    /// and how many blocks have count `c`.
+    by_count: Vec<(u32, u32)>,
+    /// The rank of fraction `j/c` at `by_count[c].0 + j - 1`.
+    ranks: Vec<u32>,
+    /// Per rank: its samples' count, then the next schedule position.
+    next: Vec<u32>,
+    /// Merge cursors, one per distinct count.
+    heap: Vec<Reverse<Fraction>>,
+}
+
+/// A sample's schedule key `j/c`, ordered exactly by `u64`
+/// cross-multiplication (`j, c < 2³²`, so no overflow and no rounding at
+/// equal fractions).
+#[derive(Debug, Clone, Copy)]
+struct Fraction {
+    j: u32,
+    c: u32,
+}
+
+impl Ord for Fraction {
+    fn cmp(&self, other: &Fraction) -> Ordering {
+        (u64::from(self.j) * u64::from(other.c)).cmp(&(u64::from(other.j) * u64::from(self.c)))
+    }
+}
+
+impl PartialOrd for Fraction {
+    fn partial_cmp(&self, other: &Fraction) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Fraction {
+    fn eq(&self, other: &Fraction) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Fraction {}
+
+/// Fills `schedule` with the block of every sample in ascending key order:
+/// block `b`'s `j`-th sample (of `counts[b]`) carries the exact rational
+/// key `j/counts[b]`, ties going to the lower block. Ascending key order
+/// spreads every block proportionally across the schedule, so any prefix
+/// holds a balanced coarse approximation.
+///
+/// Blocks with equal counts share their keys, so the keys are ranked once
+/// per distinct count: a merge of the distinct counts' ascending runs
+/// `1/c, 2/c, …, c/c`, equal fractions of different counts sharing a rank.
+/// A counting sort then places every block's samples at their ranks,
+/// visiting the blocks in ascending order, so a rank's samples keep block
+/// order. `O(N + F log D)` for `N` samples and `D` distinct counts summing
+/// to `F`, against the `O(N log N)` key comparisons of sorting every
+/// sample.
+fn interleave(counts: &[usize], scratch: &mut ScheduleScratch, schedule: &mut Vec<u32>) {
+    let ScheduleScratch { by_count, ranks, next, heap } = scratch;
+    let max = counts.iter().copied().max().unwrap_or(0);
+    debug_assert!(max <= u32::MAX as usize && counts.len() <= u32::MAX as usize);
+    by_count.clear();
+    by_count.resize(max + 1, (0, 0));
+    for &c in counts {
+        by_count[c].1 += 1;
+    }
+    heap.clear();
+    let mut fractions = 0u32;
+    for (c, (first, blocks)) in by_count.iter_mut().enumerate().skip(1) {
+        if *blocks > 0 {
+            *first = fractions;
+            fractions += c as u32;
+            heap.push(Reverse(Fraction { j: 1, c: c as u32 }));
+        }
+    }
+    ranks.clear();
+    ranks.resize(fractions as usize, 0);
+    next.clear();
+    let mut merge = BinaryHeap::from(std::mem::take(heap));
+    let mut last = None;
+    while let Some(Reverse(f)) = merge.pop() {
+        if last != Some(f) {
+            next.push(0);
+        }
+        last = Some(f);
+        let (first, blocks) = by_count[f.c as usize];
+        ranks[(first + f.j - 1) as usize] = next.len() as u32 - 1;
+        *next.last_mut().expect("a rank was just opened") += blocks;
+        if f.j < f.c {
+            merge.push(Reverse(Fraction { j: f.j + 1, c: f.c }));
+        }
+    }
+    *heap = merge.into_vec();
+    let mut total = 0;
+    for n in next.iter_mut() {
+        (*n, total) = (total, total + *n);
+    }
+    schedule.clear();
+    schedule.resize(total as usize, 0);
+    for (b, &c) in counts.iter().enumerate() {
+        let first = by_count[c].0 as usize;
+        for &r in &ranks[first..first + c] {
+            schedule[next[r as usize] as usize] = b as u32;
+            next[r as usize] += 1;
         }
     }
 }
@@ -349,7 +438,7 @@ impl<'a> LodCursor<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::{LodCursor, LodSegment, LodSlice};
+    use super::{interleave, LodCursor, LodSegment, LodSlice, ScheduleScratch};
     use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
     use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
     use proptest::prelude::*;
@@ -490,6 +579,72 @@ mod tests {
                 assert_eq!(seg.grouped.len(), seg.sampled.len() * slice.num);
                 assert_eq!(seg.found.len(), seg.sampled.len());
             }
+        }
+    }
+
+    /// The interleave as a comparison sort of every sample's `(j, c, b)`
+    /// triple, key `j/c` by exact cross-multiplication, then block: the
+    /// oracle of the ranked counting sort.
+    fn interleave_by_sort(counts: &[usize]) -> Vec<u32> {
+        let mut keys: Vec<(u32, u32, u32)> = Vec::new();
+        for (b, &c) in counts.iter().enumerate() {
+            for j in 1..=c as u32 {
+                keys.push((j, c as u32, b as u32));
+            }
+        }
+        keys.sort_unstable_by(|a, b| {
+            let left = u64::from(a.0) * u64::from(b.1);
+            let right = u64::from(b.0) * u64::from(a.1);
+            left.cmp(&right).then(a.2.cmp(&b.2))
+        });
+        keys.into_iter().map(|(_, _, b)| b).collect()
+    }
+
+    #[test]
+    fn interleave_matches_the_sort_on_hand_picked_counts() {
+        let mut scratch = ScheduleScratch::default();
+        let mut schedule = vec![7; 3];
+        for counts in [
+            vec![],
+            vec![0],
+            vec![0, 0, 0],
+            vec![1],
+            vec![3, 0, 3, 3],
+            vec![2, 4, 6, 3, 1],
+            vec![7, 11, 13, 0, 7],
+            vec![64, 63, 1, 32, 16, 8],
+        ] {
+            interleave(&counts, &mut scratch, &mut schedule);
+            assert_eq!(schedule, interleave_by_sort(&counts), "counts {counts:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The ranked counting sort gives the comparison sort's schedule,
+        /// on one dirty scratch, over counts drawn with zeros from a wide
+        /// range, from multiples of 6, from pairwise coprime values, or all
+        /// equal.
+        #[test]
+        fn interleave_matches_the_sort(
+            mode in 0usize..4,
+            picks in proptest::collection::vec(0usize..400, 0..60),
+        ) {
+            let counts: Vec<usize> = picks
+                .iter()
+                .map(|&p| match mode {
+                    0 => p % 70,
+                    1 => (p % 6) * 6,
+                    2 => [0, 7, 11, 13, 16, 9, 25][p % 7],
+                    _ => picks[0] % 40,
+                })
+                .collect();
+            let mut scratch = ScheduleScratch::default();
+            let mut schedule = Vec::new();
+            interleave(&[5, 0, 9, 2], &mut scratch, &mut schedule);
+            interleave(&counts, &mut scratch, &mut schedule);
+            prop_assert!(schedule == interleave_by_sort(&counts), "counts {:?}", counts);
         }
     }
 }

@@ -36,7 +36,8 @@
 //! number of concurrent lanes ever observed, and checkout is one
 //! uncontended mutex pop — no allocation.
 
-use fractalcloud_pointcloud::kernels::SelectScratch;
+use crate::lod::ScheduleScratch;
+use fractalcloud_pointcloud::kernels::{CandidateRun, SelectScratch};
 use std::sync::Mutex;
 
 /// Scratch-buffer arena for one execution lane of the partition + BPPO
@@ -63,6 +64,12 @@ pub struct Workspace {
     pub(crate) candidates: Vec<usize>,
     /// Query coordinates staged for batched selection.
     pub(crate) queries: Vec<[f32; 3]>,
+    /// Block grouping's query tile order: each staged query's Morton code
+    /// above its row (see `bppo::grouping`).
+    pub(crate) tiles: Vec<u64>,
+    /// Block grouping's search space as candidate runs, one per block with
+    /// its box, the centres' own block first.
+    pub(crate) runs: Vec<CandidateRun>,
     /// Batched-selection scratch: top-k heaps, distance tiles, key rows.
     pub(crate) select: SelectScratch,
     /// Block sizes staged for sample-count allocation.
@@ -73,9 +80,9 @@ pub struct Workspace {
     pub(crate) rems: Vec<(f64, usize)>,
     /// Fractal build scratch (point slabs, order buffer, active-node lists).
     pub(crate) build: BuildScratch,
-    /// LOD schedule scratch: `(rank, count, block)` entries staged for the
-    /// [`SampleOrder`](crate::lod::SampleOrder) interleave sort.
-    pub(crate) sched: Vec<(u32, u32, u32)>,
+    /// LOD schedule scratch of the
+    /// [`SampleOrder`](crate::lod::SampleOrder) interleave.
+    pub(crate) sched: ScheduleScratch,
     /// Network-inference scratch (per-layer activations, level pyramid).
     pub infer: InferScratch,
 }

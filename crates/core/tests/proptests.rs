@@ -7,10 +7,13 @@ use fractalcloud_oracle::bppo as bppo_reference;
 use fractalcloud_pointcloud::generate::{
     object_cloud, scene_cloud, uniform_cube, ObjectKind, SceneConfig,
 };
+use fractalcloud_pointcloud::kernels::{self, SelectScratch};
+use fractalcloud_pointcloud::ops;
 use fractalcloud_pointcloud::partition::{
-    KdTreePartitioner, OctreePartitioner, Partitioner, UniformPartitioner,
+    Block, KdTreePartitioner, OctreePartitioner, Partition, PartitionCost, Partitioner,
+    UniformPartitioner,
 };
-use fractalcloud_pointcloud::{Point3, PointCloud};
+use fractalcloud_pointcloud::{Aabb, Point3, PointCloud};
 use proptest::prelude::*;
 
 fn arb_cloud(max_n: usize) -> impl Strategy<Value = PointCloud> {
@@ -344,5 +347,223 @@ proptest! {
             assert_eq!(direct, again, "budget-{k} repeat drifted");
             (view, direct)
         });
+    }
+}
+
+/// Block grouping as it ran before candidate runs, kept as the oracle of
+/// the pruned driver: per block, its search space gathered in block order
+/// and scanned whole from the block's own offset through the unpruned
+/// rotated scan, the rows in block order.
+fn unpruned_block_ball_query(
+    cloud: &PointCloud,
+    part: &Partition,
+    centers: &[Vec<usize>],
+    radius: f32,
+    num: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let total: usize = centers.iter().map(Vec::len).sum();
+    let (mut indices, mut found) = (vec![0; total * num], vec![0; total]);
+    let mut select = SelectScratch::new();
+    let mut row = 0;
+    for (b, block) in part.blocks.iter().enumerate() {
+        let (first, end) = block.search;
+        let order: Vec<usize> =
+            part.blocks[first..end].iter().flat_map(|g| g.indices.iter().copied()).collect();
+        let axis = |a: &[f32]| order.iter().map(|&i| a[i]).collect::<Vec<f32>>();
+        let own: usize = part.blocks[first..b].iter().map(|g| g.len()).sum();
+        let rows = centers[b].len();
+        let queries: Vec<[f32; 3]> = centers[b].iter().map(|&c| cloud.point(c).into()).collect();
+        ops::ball_query_into(
+            kernels::active_backend(),
+            &axis(cloud.xs()),
+            &axis(cloud.ys()),
+            &axis(cloud.zs()),
+            &queries,
+            radius,
+            num,
+            own,
+            &mut select,
+            &mut indices[row * num..(row + rows) * num],
+            &mut found[row..row + rows],
+            |slot| order[slot],
+            |r| centers[b][r],
+        );
+        row += rows;
+    }
+    (indices, found)
+}
+
+/// A room with hostile coordinates: `generated_cloud`'s shapes, and with
+/// `hostile` 3 every seventh point on an infinite plane, with 4 every
+/// fourth point scaled far out (squared distances overflow).
+fn hostile_room(kind: usize, n: usize, seed: u64, hostile: usize) -> PointCloud {
+    let cloud = generated_cloud(kind, n, seed, hostile.min(2));
+    let mut pts: Vec<Point3> = cloud.iter().collect();
+    match hostile {
+        3 => (0..n).step_by(7).for_each(|i| pts[i].x = [f32::INFINITY, f32::NEG_INFINITY][i % 2]),
+        4 => (0..n).step_by(4).for_each(|i| pts[i] = pts[i] * 1.0e30),
+        _ => {}
+    }
+    PointCloud::from_points(pts)
+}
+
+/// The four partitioners at threshold `th`, each that accepts the cloud.
+fn every_partition(cloud: &PointCloud, th: usize) -> Vec<Partition> {
+    let fractal = Fractal::with_threshold(th).build(cloud).map(|r| r.partition);
+    [
+        fractal,
+        KdTreePartitioner::new(th).partition(cloud),
+        OctreePartitioner::new(th).partition(cloud),
+        UniformPartitioner::with_target_block_size(th).partition(cloud),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Block grouping at every row width on both backends, against the
+/// unpruned oracle.
+fn assert_grouping_matches_unpruned(
+    cloud: &PointCloud,
+    part: &Partition,
+    centers: &[Vec<usize>],
+    radius: f32,
+) -> Result<(), TestCaseError> {
+    use fractalcloud_pointcloud::kernels::{with_backend, Backend};
+    for num in [1, 8, 16, 17, 32, 64] {
+        for backend in [Backend::Soa, Backend::Avx2] {
+            let (got, want) = with_backend(backend, || {
+                let r =
+                    block_ball_query(cloud, part, centers, radius, num, &BppoConfig::sequential())
+                        .unwrap();
+                ((r.indices, r.found), unpruned_block_ball_query(cloud, part, centers, radius, num))
+            });
+            prop_assert!(
+                got == want,
+                "{} num {num} radius {radius} on {}",
+                part.method,
+                backend.name()
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The pruned block grouping gives the unpruned rows, hit counts and
+    /// fallbacks on every partitioner, at every row width, on both
+    /// backends: over rooms, objects and cubes with duplicated, NaN,
+    /// infinite or far-out points; radii from empty balls to an overflowing
+    /// r²; and besides each block's FPS centres one centre from elsewhere
+    /// in the cloud, whose row may stay empty so that its nearest candidate
+    /// decides.
+    #[test]
+    fn block_grouping_equals_the_unpruned_driver_on_every_partitioner(
+        (kind, n, seed) in (0usize..3, 1usize..700, 0u64..1 << 32),
+        (th, hostile, r) in (8usize..160, 0usize..5, 0usize..5),
+    ) {
+        let cloud = hostile_room(kind, n, seed, hostile);
+        let radius = [0.01, 0.1, 0.4, 2.0, 1.0e20][r];
+        for part in every_partition(&cloud, th) {
+            let mut centers = block_fps(&cloud, &part, 0.25, &BppoConfig::sequential())
+                .unwrap()
+                .per_block;
+            for (b, c) in centers.iter_mut().enumerate() {
+                c.push((b * 7919 + seed as usize) % n);
+            }
+            assert_grouping_matches_unpruned(&cloud, &part, &centers, radius)?;
+        }
+    }
+
+    /// Every point of every block lies in the block's box, NaN coordinates
+    /// excepted, on every partitioner: the precondition of the box bound
+    /// block grouping skips by.
+    #[test]
+    fn every_block_box_holds_its_points_on_every_partitioner(
+        (kind, n, seed) in (0usize..3, 1usize..1200, 0u64..1 << 32),
+        (th, hostile) in (1usize..200, 0usize..5),
+    ) {
+        let cloud = hostile_room(kind, n, seed, hostile);
+        for part in every_partition(&cloud, th) {
+            for (b, block) in part.blocks.iter().enumerate() {
+                let (lo, hi) = (block.aabb.min().to_array(), block.aabb.max().to_array());
+                for &i in &block.indices {
+                    let p = cloud.point(i).to_array();
+                    for k in 0..3 {
+                        prop_assert!(
+                            p[k].is_nan() || (lo[k] <= p[k] && p[k] <= hi[k]),
+                            "{} block {b}: point {i} axis {k}: {} outside {}..={}",
+                            part.method, p[k], lo[k], hi[k]
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `cloud`'s points cut into the blocks `groups`, each with its tight box,
+/// every block searching the whole cloud.
+fn one_space(cloud: &PointCloud, groups: &[Vec<usize>]) -> Partition {
+    let blocks = groups
+        .iter()
+        .map(|g| Block {
+            indices: g.clone(),
+            aabb: Aabb::from_points(g.iter().map(|&i| cloud.point(i))).unwrap(),
+            depth: 1,
+            search: (0, groups.len()),
+        })
+        .collect();
+    Partition { blocks, cost: PartitionCost::default(), max_depth: 1, method: "constructed" }
+}
+
+/// Constructed search spaces where one candidate sits exactly at a
+/// query's bar in a block scanned after the centre's own: at the worst hit
+/// of a full row (it wins the tie on its lower slot), at r² while the row
+/// is partial, and at or below the nearest so far of a row that stays
+/// empty, whose nearest is the fallback; and one where an FMA-rounded box
+/// bound would land above the kernels' own distance. A skip by `>=`, a bar
+/// without the empty row's nearest or an FMA-contracted bound each change
+/// a row here.
+#[test]
+fn a_candidate_exactly_at_a_querys_bar_is_never_skipped() {
+    // The least `a` of a fixed ladder whose FMA-contracted `a·a + b·b`
+    // rounds above the separate multiply and add.
+    let b_ax = 0.7f32;
+    let a_ax = (0..100_000)
+        .map(|i| 0.3 + i as f32 * 1e-4)
+        .find(|&a| a.mul_add(a, b_ax * b_ax) > a * a + b_ax * b_ax)
+        .expect("some ladder step rounds differently under FMA");
+    let d = a_ax * a_ax + b_ax * b_ax;
+    // Point 0 is alone in block 0 (lower slots); the centre is point 1, in
+    // block 1, scanned first.
+    let cases: [(Vec<Point3>, f32, usize, usize); 6] = [
+        (vec![Point3::new(-0.5, 0.0, 0.0), Point3::ORIGIN, Point3::new(0.5, 0.0, 0.0)], 1.0, 2, 1),
+        (vec![Point3::new(-0.5, 0.0, 0.0), Point3::ORIGIN], 0.5, 3, 1),
+        (vec![Point3::new(-0.5, 0.0, 0.0), Point3::ORIGIN, Point3::new(0.5, 0.0, 0.0)], 0.5, 8, 1),
+        // Rows that stay empty: the centre (point 2) lies outside the space.
+        (vec![Point3::new(-3.0, 0.0, 0.0), Point3::new(3.0, 0.0, 0.0), Point3::ORIGIN], 0.1, 2, 2),
+        (vec![Point3::new(-2.0, 0.0, 0.0), Point3::new(3.0, 0.0, 0.0), Point3::ORIGIN], 0.1, 2, 2),
+        (
+            vec![Point3::new(a_ax, b_ax, 0.0), Point3::ORIGIN, Point3::new(-a_ax, -b_ax, 0.0)],
+            2.0 * d.sqrt(),
+            2,
+            1,
+        ),
+    ];
+    for (case, (pts, radius, num, centre)) in cases.into_iter().enumerate() {
+        let cloud = PointCloud::from_points(pts);
+        let space = [vec![0], (1..cloud.len()).filter(|&i| i != 2 || centre != 2).collect()];
+        let part = one_space(&cloud, &space);
+        let centers = [vec![], vec![centre]];
+        let r = block_ball_query(&cloud, &part, &centers, radius, num, &BppoConfig::sequential())
+            .unwrap();
+        assert!(r.indices.contains(&0), "case {case}: point 0 must be selected: {:?}", r.indices);
+        assert!(
+            assert_grouping_matches_unpruned(&cloud, &part, &centers, radius).is_ok(),
+            "case {case}"
+        );
     }
 }

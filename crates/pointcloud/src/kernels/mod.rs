@@ -95,14 +95,44 @@
 //! Above 16 the row is `num` wide and a hit is a branch-free count of the
 //! keys below it plus one `copy_within`, on every backend.
 //!
-//! The scan may start at any chunk and wrap around
-//! ([`ball_select_rotated_into`]; a block's centres start at their own
-//! block, whose near hits tighten the prefilter early) without changing the
-//! result, because slots keep numbering candidates in the caller's order.
-//! The selection is the `num` smallest of unique, totally ordered keys —
-//! the prefilter admits a tie with the worst distance, since after the
-//! wrap a tying candidate has the lower slot and wins — and the empty-ball
+//! The candidates are scanned as a list of runs
+//! ([`ball_select_runs_into`], the one driver body; [`CandidateRun`]): each
+//! run is a stretch of consecutive slots with a box that holds every
+//! candidate of the run. The global form passes one
+//! unbounded run ([`ball_select_batch_into`]); a rotated scan passes two
+//! ([`ball_select_rotated_into`]); block grouping passes one run per block
+//! of the search space, its centres' own block first, whose near hits
+//! tighten the prefilter early. The scan order never changes the result,
+//! because slots keep numbering candidates in the caller's order: the
+//! selection is the `num` smallest of unique, totally ordered keys — the
+//! prefilter admits a tie with the worst distance, since a tying candidate
+//! scanned later may have the lower slot and win — and the empty-ball
 //! fallback is the least `(distance, slot)` pair below `+∞`.
+//!
+//! A run is skipped for a whole tile when, for every query of the tile, the
+//! box's lower bound is strictly above the query's bar — the largest
+//! distance a candidate could have and still change the query's row or its
+//! nearest (a bar only falls as the scan goes on, so a run out of reach
+//! once stays so):
+//!
+//! * the row's worst hit once its `num` slots are full (a tie may still
+//!   win on slot, hence *strictly* above);
+//! * `r_sq` while the row is partly filled (its nearest is already a hit,
+//!   at most `r_sq` away);
+//! * `max(r_sq, nearest so far)` while the row is empty, because then the
+//!   nearest candidate is the fallback.
+//!
+//! The bound is `(dx·dx + dy·dy) + dz·dz` over the per-axis gaps between
+//! the query and the box, with the kernels' own separate multiply and add.
+//! Every step of the kernels' distance — the difference, the square, the
+//! two sums — is a correctly rounded operation that is monotone in its
+//! operands, and each gap is at most the candidate's difference on that
+//! axis, so the bound is at most every distance the kernels compute for a
+//! candidate in the box; NaN gaps count as 0. A skipped run therefore holds
+//! no candidate that could have entered a row or replaced the nearest: rows,
+//! hit counts and fallbacks are the unpruned ones, bit for bit, on every
+//! backend. A fused multiply-add would round the bound once instead of
+//! twice and could land above the kernels' own distance.
 //!
 //! The kernels read contiguous SoA slices. Block sampling and grouping pass
 //! runs of a block-order copy of the cloud, laid out once per frame; a
@@ -952,7 +982,44 @@ pub fn ball_select_batch_into(
     scratch: &mut SelectScratch,
     emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
 ) {
-    ball_select_rotated_into(backend, xs, ys, zs, queries, r_sq, num, 0, scratch, emit);
+    let all = [CandidateRun::unbounded(0, xs.len())];
+    ball_select_runs_into(backend, xs, ys, zs, queries, r_sq, num, &all, scratch, emit);
+}
+
+/// A stretch of consecutive candidate slots, `start..end`, that
+/// [`ball_select_runs_into`] scans as one unit, with a box `lo..=hi` that
+/// holds every candidate of the run on every axis (a NaN coordinate
+/// aside): a block of the search space and its tight box.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CandidateRun {
+    /// The run's first slot.
+    pub start: usize,
+    /// One past the run's last slot.
+    pub end: usize,
+    /// The box's least corner.
+    pub lo: [f32; 3],
+    /// The box's greatest corner.
+    pub hi: [f32; 3],
+}
+
+impl CandidateRun {
+    /// Slots `start..end` in an unbounded box: never skipped.
+    pub fn unbounded(start: usize, end: usize) -> CandidateRun {
+        CandidateRun { start, end, lo: [f32::NEG_INFINITY; 3], hi: [f32::INFINITY; 3] }
+    }
+
+    /// A lower bound of every squared distance the selection kernels
+    /// compute from `q` to a candidate in the box: the per-axis gaps (0
+    /// inside the box's slab, and for a NaN gap) squared and summed in the
+    /// kernels' order with separate multiplies and adds; see the
+    /// [module docs](self#batched-query-selection) for why it is exact. `0`
+    /// for an unbounded run.
+    #[inline]
+    fn lower_bound(&self, q: [f32; 3]) -> f32 {
+        let gap = |k: usize| (self.lo[k] - q[k]).max(q[k] - self.hi[k]).max(0.0);
+        let (dx, dy, dz) = (gap(0), gap(1), gap(2));
+        dx * dx + dy * dy + dz * dz
+    }
 }
 
 /// Inserts the hit lanes `mask` of one chunk's distance row `dists` (lane
@@ -1045,12 +1112,10 @@ fn insert_key_shift(a: &mut [u64], key: u64) {
 
 /// [`ball_select_batch_into`] with the scan of every query starting at the
 /// chunk that holds candidate slot `first` and wrapping around (from chunk
-/// 0 when `first` is past the candidates). Slots still number the
-/// candidates in slice order, and every emitted row and nearest candidate
-/// equals the `first = 0` result: see the
-/// [module docs](self#batched-query-selection). A block's queries pass the
-/// offset of their own block in the search space, whose near hits then
-/// fill the rows first and let the prefilter drop more of the rest.
+/// 0 when `first` is past the candidates): two unbounded runs through
+/// [`ball_select_runs_into`]. Slots still number the candidates in slice
+/// order, and every emitted row and nearest candidate equals the
+/// `first = 0` result: see the [module docs](self#batched-query-selection).
 ///
 /// # Panics
 ///
@@ -1065,6 +1130,43 @@ pub fn ball_select_rotated_into(
     r_sq: f32,
     num: usize,
     first: usize,
+    scratch: &mut SelectScratch,
+    emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
+) {
+    let n = xs.len();
+    let start = if first < n { first - first % CHUNK } else { 0 };
+    let runs = [CandidateRun::unbounded(start, n), CandidateRun::unbounded(0, start)];
+    ball_select_runs_into(backend, xs, ys, zs, queries, r_sq, num, &runs, scratch, emit);
+}
+
+/// The ball-selection driver: [`ball_select_batch_into`]'s rows over the
+/// candidates of `runs`, scanned run by run in list order, each run in
+/// [`CHUNK`]s from its own start (a chunk that would end short at a run's
+/// end runs on into the next run when that run starts there and is not
+/// skipped). A run is skipped for a whole tile of
+/// queries when its box cannot hold a candidate that would change any of
+/// the tile's rows or nearest candidates, so every emitted row and nearest
+/// candidate equals the one an unpruned scan of the same slots gives; see
+/// the [module docs](self#batched-query-selection). Block grouping passes
+/// one run per block of its search space, its queries' own block first,
+/// and stages each block's queries so that a tile's queries lie close
+/// together.
+///
+/// # Panics
+///
+/// As [`ball_select_batch_into`], and if a run reaches past the
+/// candidates. Runs must not overlap: a slot in two runs would be
+/// inserted twice.
+#[allow(clippy::too_many_arguments)]
+pub fn ball_select_runs_into(
+    backend: Backend,
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    queries: &[[f32; 3]],
+    r_sq: f32,
+    num: usize,
+    runs: &[CandidateRun],
     scratch: &mut SelectScratch,
     mut emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
 ) {
@@ -1082,8 +1184,6 @@ pub fn ball_select_rotated_into(
         9..=16 => 16,
         _ => num,
     };
-    let n = xs.len();
-    let start = if first < n { first - first % CHUNK } else { 0 };
     let tile_cap = QUERY_TILE.min(queries.len().max(1));
     if scratch.keys.len() < tile_cap * width {
         scratch.keys.resize(tile_cap * width, EMPTY_KEY);
@@ -1104,70 +1204,97 @@ pub fn ball_select_rotated_into(
         let mut thresholds = [0.0f32; QUERY_TILE];
         let mut masks = [0u64; QUERY_TILE];
         let mut mins = [f32::INFINITY; QUERY_TILE];
-        for base in (start..n).step_by(CHUNK).chain((0..start).step_by(CHUNK)) {
-            let len = CHUNK.min(n - base);
-            let (xc, yc, zc) =
-                (&xs[base..base + len], &ys[base..base + len], &zs[base..base + len]);
-            // Acceptance prefilter thresholds: once a query's first `num`
-            // slots are occupied, only hits at or below its current worst
-            // distance can be accepted — the fused tile kernel drops the
-            // rest before selection ever sees them (bit-identical results;
-            // the threshold only tightens within the chunk). While slot
-            // `num - 1` is empty the threshold is NaN, and `!(d >= NaN)`
-            // keeps every in-radius lane (+inf distances included), exactly
-            // like the knn prefilter's filling sentinel.
-            for (thr, row) in thresholds.iter_mut().zip(keys.chunks_exact(width)) {
-                *thr = key_threshold(row[num - 1]);
+        let mut next = 0;
+        while let Some(run) = runs.get(next) {
+            next += 1;
+            if out_of_reach(run, tile, keys, nearests, width, num, r_sq) {
+                continue;
             }
-            // One fused dispatched call scores the whole tile against this
-            // chunk (the AVX2 path keeps the coordinate vectors in
-            // registers across all tile queries), producing per-query hit
-            // masks and chunk minima.
-            dispatch!(
-                backend,
-                ball_prefilter_tile(
-                    xc,
-                    yc,
-                    zc,
-                    tile,
-                    r_sq,
-                    &thresholds[..tile.len()],
-                    &mut *dbuf,
-                    &mut masks,
-                    &mut mins,
-                )
-            );
-            for (qi, krow) in keys.chunks_exact_mut(width).take(tile.len()).enumerate() {
-                let row = &dbuf[qi * CHUNK..qi * CHUNK + len];
-                let cmin = mins[qi];
-                let (near, near_slot) = nearests[qi];
-                // The running nearest is the least `(distance, slot)` seen
-                // so far. A chunk improves it with a smaller minimum, or with
-                // an equal finite one at lower slots (after the wrap). `+∞`
-                // never rescans: an all-NaN chunk's minimum is `+∞` with no
-                // lane holding it.
-                if cmin < near || (cmin == near && cmin < f32::INFINITY && base < near_slot) {
-                    // Lazy first-occurrence rescan: only chunks that improve
-                    // the running nearest pay it (the first chunk or two of
-                    // a scan), and the stored row makes it backend-neutral —
-                    // the same (value, earliest-lane) pair every backend's
-                    // eager tracking produced.
-                    let mut l = 0;
-                    while row[l] != cmin {
-                        l += 1;
-                    }
-                    nearests[qi] = (cmin, base + l);
-                }
-                // Every surviving lane is inserted unconditionally: one
-                // that the tightened threshold would now reject lands past
-                // slot `num - 1` or falls off the row.
-                if width <= 16 {
-                    ball_insert_hits(backend, krow, row, masks[qi], base);
-                } else {
-                    for l in mask_lanes(masks[qi]) {
-                        insert_key_shift(krow, pack_hit(row[l], base + l));
+            let (mut base, mut end) = (run.start, run.end);
+            while base < end {
+                // A chunk that would stop short at the run's end runs on
+                // into the next run instead, when that run starts right
+                // there and the bars as they stand now cannot skip it (they
+                // only tighten, so a run out of reach stays so).
+                if end - base < CHUNK {
+                    if let Some(after) = runs.get(next).filter(|after| after.start == end) {
+                        if !out_of_reach(after, tile, keys, nearests, width, num, r_sq) {
+                            end = after.end;
+                            next += 1;
+                            continue;
+                        }
                     }
                 }
+                let len = CHUNK.min(end - base);
+                let (xc, yc, zc) =
+                    (&xs[base..base + len], &ys[base..base + len], &zs[base..base + len]);
+                // Acceptance prefilter thresholds: once a query's first `num`
+                // slots are occupied, only hits at or below its current worst
+                // distance can be accepted — the fused tile kernel drops the
+                // rest before selection ever sees them (bit-identical results;
+                // the threshold only tightens within the chunk). While slot
+                // `num - 1` is empty the threshold is NaN, and `!(d >= NaN)`
+                // keeps every in-radius lane (+inf distances included), exactly
+                // like the knn prefilter's filling sentinel.
+                for (thr, row) in thresholds.iter_mut().zip(keys.chunks_exact(width)) {
+                    *thr = key_threshold(row[num - 1]);
+                }
+                // One fused dispatched call scores the whole tile against this
+                // chunk (the AVX2 path keeps the coordinate vectors in
+                // registers across all tile queries), producing per-query hit
+                // masks and chunk minima.
+                dispatch!(
+                    backend,
+                    ball_prefilter_tile(
+                        xc,
+                        yc,
+                        zc,
+                        tile,
+                        r_sq,
+                        &thresholds[..tile.len()],
+                        &mut *dbuf,
+                        &mut masks,
+                        &mut mins,
+                    )
+                );
+                for (qi, krow) in keys.chunks_exact_mut(width).take(tile.len()).enumerate() {
+                    let row = &dbuf[qi * CHUNK..qi * CHUNK + len];
+                    let cmin = mins[qi];
+                    let (near, near_slot) = nearests[qi];
+                    // The running nearest is the least `(distance, slot)` seen
+                    // so far. A chunk improves it with a smaller minimum, or with
+                    // an equal finite one at lower slots (runs are disjoint, so
+                    // the whole chunk lies below the slot). `+∞` never rescans: an all-NaN chunk's minimum is `+∞` with no
+                    // lane holding it.
+                    if cmin < near || (cmin == near && cmin < f32::INFINITY && base < near_slot) {
+                        // Lazy first-occurrence rescan: only chunks that improve
+                        // the running nearest pay it (the first chunk or two of
+                        // a scan), and the stored row makes it backend-neutral —
+                        // the same (value, earliest-lane) pair every backend's
+                        // eager tracking produced.
+                        let mut l = 0;
+                        while row[l] != cmin {
+                            l += 1;
+                        }
+                        nearests[qi] = (cmin, base + l);
+                    }
+                    // Every surviving lane is inserted unconditionally: one
+                    // that the tightened threshold would now reject lands past
+                    // slot `num - 1` or falls off the row. No surviving lane
+                    // leaves the row as it is.
+                    let mask = masks[qi];
+                    if mask == 0 {
+                        continue;
+                    }
+                    if width <= 16 {
+                        ball_insert_hits(backend, krow, row, mask, base);
+                    } else {
+                        for l in mask_lanes(mask) {
+                            insert_key_shift(krow, pack_hit(row[l], base + l));
+                        }
+                    }
+                }
+                base += len;
             }
         }
         for (qi, krow) in keys.chunks_exact(width).take(tile.len()).enumerate() {
@@ -1178,6 +1305,34 @@ pub fn ball_select_rotated_into(
             emit(tile_idx * QUERY_TILE + qi, hits, nearests[qi]);
         }
     }
+}
+
+/// Whether no candidate in `run`'s box can change the row or the nearest
+/// candidate of any query of `tile`: the box's lower bound is strictly above
+/// every query's bar — its worst hit once its `num` slots are full, `r_sq`
+/// while it is partly filled, `max(r_sq, nearest so far)` while it is
+/// empty (see the [module docs](self#batched-query-selection)). A NaN bound
+/// or bar never skips.
+#[inline]
+fn out_of_reach(
+    run: &CandidateRun,
+    tile: &[[f32; 3]],
+    keys: &[u64],
+    nearests: &[(f32, usize)],
+    width: usize,
+    num: usize,
+    r_sq: f32,
+) -> bool {
+    tile.iter().zip(keys.chunks_exact(width)).zip(nearests).all(|((&q, row), &(near, _))| {
+        let bar = if row[num - 1] != EMPTY_KEY {
+            unpack_hit(row[num - 1]).0
+        } else if row[0] != EMPTY_KEY {
+            r_sq
+        } else {
+            r_sq.max(near)
+        };
+        run.lower_bound(q) > bar
+    })
 }
 
 #[cfg(test)]
@@ -1820,5 +1975,340 @@ mod tests {
                 assert_eq!(nearest, (f32::INFINITY, usize::MAX));
             },
         );
+    }
+
+    /// The ball-selection driver as it was before candidate runs, kept
+    /// verbatim as the oracle of the pruned one: one rotated scan over
+    /// every chunk, no run ever skipped.
+    #[allow(clippy::too_many_arguments)]
+    fn ball_select_unpruned(
+        backend: Backend,
+        xs: &[f32],
+        ys: &[f32],
+        zs: &[f32],
+        queries: &[[f32; 3]],
+        r_sq: f32,
+        num: usize,
+        first: usize,
+        scratch: &mut SelectScratch,
+        mut emit: impl FnMut(usize, &[(f32, usize)], (f32, usize)),
+    ) {
+        assert_soa(xs, ys, zs);
+        assert!(num > 0, "num must be at least 1");
+        assert!(xs.len() <= u32::MAX as usize, "candidate slots must fit the key's low 32 bits");
+        // The full-pass update needs its row width at compile time (it unrolls
+        // into straight-line compare/select code) and costs O(width) per hit: it
+        // measured 1.5× faster than count + shift at `num` 16; a 32-wide pass
+        // was 1.05× faster at `num` 32 and 1.09× slower at 17, so rows stop at 16.
+        // Slots past `num` only ever hold keys above `row[num - 1]`: acceptance,
+        // the hit count and the emitted row all read the first `num`.
+        let width = match num {
+            ..=8 => 8,
+            9..=16 => 16,
+            _ => num,
+        };
+        let n = xs.len();
+        let start = if first < n { first - first % CHUNK } else { 0 };
+        let tile_cap = QUERY_TILE.min(queries.len().max(1));
+        if scratch.keys.len() < tile_cap * width {
+            scratch.keys.resize(tile_cap * width, EMPTY_KEY);
+        }
+        if scratch.nearests.len() < tile_cap {
+            scratch.nearests.resize(tile_cap, (f32::INFINITY, usize::MAX));
+        }
+        if scratch.dbuf.len() < tile_cap * CHUNK {
+            scratch.dbuf.resize(tile_cap * CHUNK, 0.0);
+        }
+        let keys = &mut scratch.keys[..tile_cap * width];
+        let nearests = &mut scratch.nearests[..tile_cap];
+        let dbuf = &mut scratch.dbuf[..];
+        let hits = &mut scratch.hits;
+        for (tile_idx, tile) in queries.chunks(QUERY_TILE).enumerate() {
+            keys.fill(EMPTY_KEY);
+            nearests.fill((f32::INFINITY, usize::MAX));
+            let mut thresholds = [0.0f32; QUERY_TILE];
+            let mut masks = [0u64; QUERY_TILE];
+            let mut mins = [f32::INFINITY; QUERY_TILE];
+            for base in (start..n).step_by(CHUNK).chain((0..start).step_by(CHUNK)) {
+                let len = CHUNK.min(n - base);
+                let (xc, yc, zc) =
+                    (&xs[base..base + len], &ys[base..base + len], &zs[base..base + len]);
+                // Acceptance prefilter thresholds: once a query's first `num`
+                // slots are occupied, only hits at or below its current worst
+                // distance can be accepted — the fused tile kernel drops the
+                // rest before selection ever sees them (bit-identical results;
+                // the threshold only tightens within the chunk). While slot
+                // `num - 1` is empty the threshold is NaN, and `!(d >= NaN)`
+                // keeps every in-radius lane (+inf distances included), exactly
+                // like the knn prefilter's filling sentinel.
+                for (thr, row) in thresholds.iter_mut().zip(keys.chunks_exact(width)) {
+                    *thr = key_threshold(row[num - 1]);
+                }
+                // One fused dispatched call scores the whole tile against this
+                // chunk (the AVX2 path keeps the coordinate vectors in
+                // registers across all tile queries), producing per-query hit
+                // masks and chunk minima.
+                dispatch!(
+                    backend,
+                    ball_prefilter_tile(
+                        xc,
+                        yc,
+                        zc,
+                        tile,
+                        r_sq,
+                        &thresholds[..tile.len()],
+                        &mut *dbuf,
+                        &mut masks,
+                        &mut mins,
+                    )
+                );
+                for (qi, krow) in keys.chunks_exact_mut(width).take(tile.len()).enumerate() {
+                    let row = &dbuf[qi * CHUNK..qi * CHUNK + len];
+                    let cmin = mins[qi];
+                    let (near, near_slot) = nearests[qi];
+                    // The running nearest is the least `(distance, slot)` seen
+                    // so far. A chunk improves it with a smaller minimum, or with
+                    // an equal finite one at lower slots (after the wrap). `+∞`
+                    // never rescans: an all-NaN chunk's minimum is `+∞` with no
+                    // lane holding it.
+                    if cmin < near || (cmin == near && cmin < f32::INFINITY && base < near_slot) {
+                        // Lazy first-occurrence rescan: only chunks that improve
+                        // the running nearest pay it (the first chunk or two of
+                        // a scan), and the stored row makes it backend-neutral —
+                        // the same (value, earliest-lane) pair every backend's
+                        // eager tracking produced.
+                        let mut l = 0;
+                        while row[l] != cmin {
+                            l += 1;
+                        }
+                        nearests[qi] = (cmin, base + l);
+                    }
+                    // Every surviving lane is inserted unconditionally: one
+                    // that the tightened threshold would now reject lands past
+                    // slot `num - 1` or falls off the row.
+                    if width <= 16 {
+                        ball_insert_hits(backend, krow, row, masks[qi], base);
+                    } else {
+                        for l in mask_lanes(masks[qi]) {
+                            insert_key_shift(krow, pack_hit(row[l], base + l));
+                        }
+                    }
+                }
+            }
+            for (qi, krow) in keys.chunks_exact(width).take(tile.len()).enumerate() {
+                hits.clear();
+                hits.extend(
+                    krow[..num].iter().take_while(|&&k| k != EMPTY_KEY).map(|&k| unpack_hit(k)),
+                );
+                emit(tile_idx * QUERY_TILE + qi, hits, nearests[qi]);
+            }
+        }
+    }
+
+    /// Every `(row, hits, nearest)` one driver call emits.
+    type Emitted = Vec<(usize, Vec<(f32, usize)>, (f32, usize))>;
+
+    /// `ball_select_runs_into` over `runs` and the unpruned oracle over
+    /// every slot, on `backend`.
+    fn pruned_and_unpruned(
+        backend: Backend,
+        pts: &[[f32; 3]],
+        runs: &[CandidateRun],
+        queries: &[[f32; 3]],
+        r_sq: f32,
+        num: usize,
+    ) -> (Emitted, Emitted) {
+        let (xs, ys, zs) = soa_of(pts);
+        let (mut pruned, mut unpruned) = (Vec::new(), Vec::new());
+        let mut scratch = SelectScratch::new();
+        ball_select_runs_into(
+            backend,
+            &xs,
+            &ys,
+            &zs,
+            queries,
+            r_sq,
+            num,
+            runs,
+            &mut scratch,
+            |q, hits, nearest| pruned.push((q, hits.to_vec(), nearest)),
+        );
+        ball_select_unpruned(
+            backend,
+            &xs,
+            &ys,
+            &zs,
+            queries,
+            r_sq,
+            num,
+            0,
+            &mut scratch,
+            |q, hits, nearest| unpruned.push((q, hits.to_vec(), nearest)),
+        );
+        (pruned, unpruned)
+    }
+
+    /// The run of slots `start..end` of `pts` with its tight box, as
+    /// `Aabb::from_points` takes it (NaN coordinates ignored, an all-NaN
+    /// axis NaN).
+    fn boxed_run(pts: &[[f32; 3]], start: usize, end: usize) -> CandidateRun {
+        let points = pts[start..end].iter().map(|&p| crate::Point3::from(p));
+        match crate::Aabb::from_points(points) {
+            Some(b) => CandidateRun { start, end, lo: b.min().into(), hi: b.max().into() },
+            None => CandidateRun::unbounded(start, end),
+        }
+    }
+
+    /// `pts` cut at `cuts` into runs with tight boxes, listed from the
+    /// run holding slot `own` onwards and wrapping, as block grouping
+    /// lists a search space.
+    fn cut_runs(pts: &[[f32; 3]], cuts: &[usize], own: usize) -> Vec<CandidateRun> {
+        let n = pts.len();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (n + 1)).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut runs: Vec<CandidateRun> =
+            bounds.windows(2).map(|w| boxed_run(pts, w[0], w[1])).collect();
+        let first = runs.iter().position(|r| r.end > own % n.max(1)).unwrap_or(0);
+        runs.rotate_left(first);
+        runs
+    }
+
+    /// The least `a` from a fixed ladder for which an FMA-contracted
+    /// `a·a + b·b` rounds above the kernels' separate multiply and add.
+    fn fma_rounds_above(b: f32) -> f32 {
+        (0..100_000)
+            .map(|i| 0.3 + i as f32 * 1e-4)
+            .find(|&a| a.mul_add(a, b * b) > a * a + b * b)
+            .expect("some ladder step rounds differently under FMA")
+    }
+
+    #[test]
+    fn a_run_out_of_reach_is_skipped_for_every_row_state() {
+        // Slot 0's run is listed last and its box lies (the point is near
+        // the query): a run the driver skips shows as that point missing
+        // from the result. Full row (bar = worst hit), partial row (bar =
+        // r²), empty row (bar = the nearest so far, here above r²).
+        let liar = |p: [f32; 3], start: usize| CandidateRun { start, end: start + 1, lo: p, hi: p };
+        for b in available() {
+            let pts = [[0.05, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]];
+            let runs = [boxed_run(&pts, 1, 3), liar([0.5, 0.0, 0.0], 0)];
+            let (pruned, unpruned) = pruned_and_unpruned(b, &pts, &runs, &[[0.0; 3]], 1.0, 2);
+            assert_eq!(pruned[0].1, [(0.0, 1), (0.010000001, 2)], "full, {}", b.name());
+            assert_eq!(unpruned[0].1, [(0.0, 1), (0.0025000002, 0)], "full, {}", b.name());
+            let (pruned, _) = pruned_and_unpruned(b, &pts, &runs, &[[0.0; 3]], 0.2, 3);
+            assert_eq!(pruned[0].1.len(), 2, "partial, {}", b.name());
+            let pts = [[2.0, 0.0, 0.0], [5.0, 0.0, 0.0]];
+            let runs = [boxed_run(&pts, 1, 2), liar([6.0, 0.0, 0.0], 0)];
+            let (pruned, unpruned) = pruned_and_unpruned(b, &pts, &runs, &[[0.0; 3]], 0.01, 2);
+            assert_eq!(pruned[0].2, (25.0, 1), "empty, {}", b.name());
+            assert_eq!(unpruned[0].2, (4.0, 0), "empty, {}", b.name());
+            // A run right after another is judged before that run's short
+            // last chunk: out of reach by then, it is skipped, not scanned
+            // on into.
+            let mut pts = vec![[1.0f32, 0.0, 0.0]; CHUNK + 3];
+            pts[CHUNK + 2] = [0.5, 0.0, 0.0];
+            let runs = [boxed_run(&pts, 0, CHUNK + 2), liar([3.0, 0.0, 0.0], CHUNK + 2)];
+            let (pruned, unpruned) = pruned_and_unpruned(b, &pts, &runs, &[[0.0; 3]], 4.0, 1);
+            assert_eq!(pruned[0].1, [(1.0, 0)], "tail, {}", b.name());
+            assert_eq!(unpruned[0].1, [(0.25, CHUNK + 2)], "tail, {}", b.name());
+        }
+    }
+
+    #[test]
+    fn a_candidate_exactly_at_the_bar_is_scanned() {
+        // Slot 0 sits alone in a run listed last, so its box is the point
+        // and its lower bound is exactly its distance. At the worst hit it
+        // wins the tie on slot; at r² it is a hit; at the nearest so far
+        // (an empty row) it wins the fallback on slot. A `>=` skip, a bar
+        // without the empty row's nearest, or an FMA-rounded bound each
+        // lose it.
+        let b_ax = 0.7f32;
+        let a_ax = fma_rounds_above(b_ax);
+        let d = a_ax * a_ax + b_ax * b_ax;
+        let cases: [(&[[f32; 3]], f32, usize); 5] = [
+            // A tie with the worst hit of a full row.
+            (&[[-0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], 1.0, 2),
+            // Exactly r² while the row is partial.
+            (&[[-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.25, 3),
+            // A tie with the nearest so far of an empty row.
+            (&[[-3.0, 0.0, 0.0], [3.0, 0.0, 0.0]], 0.01, 2),
+            // The nearest, outside r², of an empty row.
+            (&[[-2.0, 0.0, 0.0], [3.0, 0.0, 0.0]], 0.01, 2),
+            // A tie with the worst hit where an FMA bound rounds above.
+            (&[[a_ax, b_ax, 0.0], [-a_ax, -b_ax, 0.0]], 2.0 * d, 1),
+        ];
+        for b in available() {
+            for (i, &(pts, r_sq, num)) in cases.iter().enumerate() {
+                let runs = [boxed_run(pts, 1, pts.len()), boxed_run(pts, 0, 1)];
+                let (pruned, unpruned) = pruned_and_unpruned(b, pts, &runs, &[[0.0; 3]], r_sq, num);
+                assert_eq!(pruned, unpruned, "case {i} on {}", b.name());
+                let (_, hits, nearest) = &pruned[0];
+                assert!(
+                    hits.iter().any(|h| h.1 == 0) || nearest.1 == 0,
+                    "case {i} on {}: slot 0 must be selected: {hits:?} {nearest:?}",
+                    b.name()
+                );
+            }
+        }
+    }
+
+    /// Candidate coordinates on a coarse grid (ties), with NaN, ±∞ and
+    /// huge values mixed in.
+    fn arb_pruning_cloud() -> impl proptest::prelude::Strategy<Value = Vec<[f32; 3]>> {
+        use proptest::prelude::Strategy;
+        let coord = |k: usize| match k {
+            16 => f32::NAN,
+            17 => f32::INFINITY,
+            18 => f32::NEG_INFINITY,
+            19 => 3.0e38,
+            20 => -1.0e30,
+            _ => (k as f32 - 8.0) * 0.125,
+        };
+        let point = (0usize..21, 0usize..21, 0usize..21)
+            .prop_map(move |(x, y, z)| [coord(x), coord(y), coord(z)]);
+        proptest::collection::vec(point, 1..5 * CHUNK)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The pruned driver emits what the unpruned one does — rows, hit
+        /// counts and nearest candidates — on every backend, for any cut
+        /// of the candidates into boxed runs and any first run, at every
+        /// row width, over ties, NaN, ±∞ and huge coordinates, radii that
+        /// leave balls empty, partial, full or unbounded, and queries on
+        /// points, beside them, far away, NaN and infinite.
+        #[test]
+        fn pruned_ball_selection_equals_the_unpruned_driver(
+            pts in arb_pruning_cloud(),
+            cuts in proptest::collection::vec(0usize..5 * CHUNK, 0..8),
+            own in 0usize..5 * CHUNK,
+            r in 0usize..5,
+            num in 0usize..6,
+            centers_n in 1usize..(3 * QUERY_TILE),
+        ) {
+            let r_sq = [0.0, 0.01, 0.3, 4.0, f32::INFINITY][r];
+            let num = [1, 8, 16, 17, 32, 64][num];
+            let n = pts.len();
+            let queries: Vec<[f32; 3]> = (0..centers_n)
+                .map(|i| {
+                    let p = pts[(i * 5) % n];
+                    match i % 7 {
+                        1 | 4 => [p[0] + 0.0625, p[1], p[2] - 0.125],
+                        2 => [6.0, -6.0, 6.0],
+                        3 => [f32::NAN, p[1], p[2]],
+                        5 => [f32::INFINITY, p[1], p[2]],
+                        _ => p,
+                    }
+                })
+                .collect();
+            let runs = cut_runs(&pts, &cuts, own);
+            for b in available() {
+                let (pruned, unpruned) = pruned_and_unpruned(b, &pts, &runs, &queries, r_sq, num);
+                proptest::prop_assert!(pruned == unpruned, "backend {}: {:?} != {:?}", b.name(), pruned, unpruned);
+            }
+        }
     }
 }

@@ -55,9 +55,10 @@ impl BallQueryResult {
 /// `first` is the slot where the scan starts, a hint that never changes a
 /// row: the kernel scans from the chunk holding slot `first`, wraps around
 /// ([`kernels::ball_select_rotated_into`]), and still numbers and ranks
-/// candidates by slot. A block passes the offset of the queries' own block
-/// in its search space, so the nearest candidates come first and the
-/// prefilter drops more of the rest; `0` is the plain ascending scan.
+/// candidates by slot; `0` is the plain ascending scan. Block grouping runs
+/// the driver itself, over a run per block
+/// ([`kernels::ball_select_runs_into`]), and writes its rows through
+/// [`ball_row`].
 ///
 /// The work is [`OpCounters::neighbor_model`] (or its shared-load flavour for
 /// a block); the caller records it.
@@ -96,17 +97,32 @@ pub fn ball_query_into(
         select,
         |row, best, nearest| {
             found[row] = best.len();
-            let out = &mut indices[row * num..][..num];
-            for (o, &(_, slot)) in out.iter_mut().zip(best) {
-                *o = index(slot);
-            }
-            if best.is_empty() {
-                out[0] = if nearest.1 == usize::MAX { fallback(row) } else { index(nearest.1) };
-            }
-            let first = out[0];
-            out[best.len().max(1)..].fill(first);
+            ball_row(&mut indices[row * num..][..num], best, nearest, &index, || fallback(row));
         },
     );
+}
+
+/// Writes one query's padded row of [`ball_query_into`]'s row rule into
+/// `out` (`num` slots) from the selection driver's ascending hits `best`
+/// and its `nearest` candidate: the hits as `index(slot)`; with no hit, the
+/// nearest candidate, or `fallback()` when none is at a finite distance;
+/// then the first entry repeated. Block grouping, which runs the driver
+/// itself over a run per block, writes its rows through this too.
+pub fn ball_row(
+    out: &mut [usize],
+    best: &[(f32, usize)],
+    nearest: (f32, usize),
+    index: impl Fn(usize) -> usize,
+    fallback: impl FnOnce() -> usize,
+) {
+    for (o, &(_, slot)) in out.iter_mut().zip(best) {
+        *o = index(slot);
+    }
+    if best.is_empty() {
+        out[0] = if nearest.1 == usize::MAX { fallback() } else { index(nearest.1) };
+    }
+    let first = out[0];
+    out[best.len().max(1)..].fill(first);
 }
 
 /// The parameter contract of every ball query, global or block-wise.

@@ -32,7 +32,7 @@ mod fps;
 mod interpolate;
 mod knn;
 
-pub use ball_query::{ball_query, ball_query_into, check_ball_query, BallQueryResult};
+pub use ball_query::{ball_query, ball_query_into, ball_row, check_ball_query, BallQueryResult};
 pub use fps::{check_fps, farthest_point_sample, fps_into, FpsResult};
 pub use interpolate::{interpolate_features, interpolate_into, InterpolationResult};
 pub use knn::{check_k, k_nearest_neighbors, KnnResult};

@@ -101,11 +101,17 @@ impl PartitionCache {
     /// Recency is bumped on insert exactly as on [`PartitionCache::get`]:
     /// a re-insert of a present key is a pure refresh-and-replace — it can
     /// never evict anything, and it moves the key to most-recently-used.
-    pub fn insert(&mut self, key: u64, value: Arc<FractalResult>) {
-        if self.capacity > 0 {
-            let tick = self.stamp();
-            self.entries.insert(key, value, tick, self.capacity);
+    ///
+    /// Returns the entry the insert pushed out — the evicted one, the
+    /// replaced value of a present key, or `value` itself when caching is
+    /// disabled — so that a caller holding the cache behind a lock can
+    /// release the lock before the entry is freed.
+    pub fn insert(&mut self, key: u64, value: Arc<FractalResult>) -> Option<Arc<FractalResult>> {
+        if self.capacity == 0 {
+            return Some(value);
         }
+        let tick = self.stamp();
+        self.entries.insert(key, value, tick, self.capacity)
     }
 
     /// Looks up a cached full-depth pipeline output (the quality ordering a
@@ -119,12 +125,18 @@ impl PartitionCache {
 
     /// Inserts a full-depth pipeline output under the same tick-LRU
     /// discipline as [`PartitionCache::insert`] (shared tick, same capacity
-    /// bound, independent eviction).
-    pub fn insert_order(&mut self, key: u64, value: Arc<PipelineOutput>) {
-        if self.capacity > 0 {
-            let tick = self.stamp();
-            self.orders.insert(key, value, tick, self.capacity);
+    /// bound, independent eviction), returning the entry it pushed out as
+    /// [`PartitionCache::insert`] does.
+    pub fn insert_order(
+        &mut self,
+        key: u64,
+        value: Arc<PipelineOutput>,
+    ) -> Option<Arc<PipelineOutput>> {
+        if self.capacity == 0 {
+            return Some(value);
         }
+        let tick = self.stamp();
+        self.orders.insert(key, value, tick, self.capacity)
     }
 
     /// Number of cached partitions.
@@ -163,18 +175,20 @@ impl<V> Lru<V> {
 
     /// Inserts `value` stamped with `tick`. A present key is refreshed and
     /// replaced in place; only a new key at `capacity` evicts, and then the
-    /// entry with the oldest tick.
-    fn insert(&mut self, key: u64, value: Arc<V>, tick: u64, capacity: usize) {
+    /// entry with the oldest tick. Returns the replaced or evicted value,
+    /// unfreed.
+    fn insert(&mut self, key: u64, value: Arc<V>, tick: u64, capacity: usize) -> Option<Arc<V>> {
         if let Some(entry) = self.0.get_mut(&key) {
-            *entry = (tick, value);
-            return;
+            return Some(std::mem::replace(entry, (tick, value)).1);
         }
+        let mut evicted = None;
         if self.0.len() >= capacity {
             if let Some(&oldest) = self.0.iter().min_by_key(|(_, (at, _))| *at).map(|(k, _)| k) {
-                self.0.remove(&oldest);
+                evicted = self.0.remove(&oldest).map(|(_, v)| v);
             }
         }
         self.0.insert(key, (tick, value));
+        evicted
     }
 }
 
@@ -358,6 +372,28 @@ mod tests {
         assert_eq!(c.len(), 2, "refresh of a present key must not change occupancy");
         assert!(c.get(1).is_some(), "refresh of a present key must not evict");
         assert!(Arc::ptr_eq(&c.get(2).unwrap(), &replacement), "value must be replaced");
+    }
+
+    #[test]
+    fn insert_hands_back_the_entry_it_pushed_out() {
+        // The caller frees it, after releasing whatever lock guards the
+        // cache: the evicted entry, a present key's replaced value, or the
+        // value itself when caching is off.
+        let mut c = PartitionCache::new(2);
+        let (one, two) = (built(100, 1), built(100, 2));
+        assert!(c.insert(1, Arc::clone(&one)).is_none());
+        assert!(c.insert(2, Arc::clone(&two)).is_none());
+        let evicted = c.insert(3, built(100, 3)).expect("a full cache evicts");
+        assert!(Arc::ptr_eq(&evicted, &one), "the least recently used entry is handed back");
+        let replaced = c.insert(2, built(64, 9)).expect("a re-insert replaces");
+        assert!(Arc::ptr_eq(&replaced, &two));
+        let first = order(96, 1);
+        assert!(c.insert_order(1, Arc::clone(&first)).is_none());
+        c.insert_order(2, order(96, 2));
+        let evicted = c.insert_order(3, order(96, 3)).expect("a full ordering map evicts");
+        assert!(Arc::ptr_eq(&evicted, &first));
+        let mut off = PartitionCache::new(0);
+        assert!(Arc::ptr_eq(&off.insert(1, Arc::clone(&one)).unwrap(), &one));
     }
 
     #[test]

@@ -1714,7 +1714,11 @@ fn run_job(
                     stage1(job, &pipeline, &built, usize::MAX, ws, &mut out)?;
                     let full = Arc::new(out);
                     if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
-                        lock_unpoisoned(&shared.cache).insert_order(order_key, Arc::clone(&full));
+                        // The evicted ordering is freed after the lock is
+                        // released, not under it.
+                        let evicted = lock_unpoisoned(&shared.cache)
+                            .insert_order(order_key, Arc::clone(&full));
+                        drop(evicted);
                     }
                     full
                 }
@@ -1811,7 +1815,10 @@ fn cached_partition(
             shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
             let built = Arc::new(pipeline.partition_ws(cloud, ws).map_err(ServeError::Invalid)?);
             if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
-                lock_unpoisoned(&shared.cache).insert(key, Arc::clone(&built));
+                // The evicted partition (megabytes at 64k) is freed after
+                // the lock is released, not under it.
+                let evicted = lock_unpoisoned(&shared.cache).insert(key, Arc::clone(&built));
+                drop(evicted);
             }
             Ok((built, false, key))
         }
