@@ -11,10 +11,11 @@
 //!
 //! Each paper comparison is stated once, as the parameter sets the models
 //! run: [`DesignParams::table2`] is Table II's four designs in column order
-//! (the `table2_accelerators` bin prints their rows, Fig. 13's fleet runs
+//! (the bench crate's `table2` prints their rows, Fig. 13's fleet runs
 //! them) and [`DesignParams::ablation_ladder`] is Fig. 18's seven rungs.
-//! The columns every design shares (PE array, clock, DRAM, energy table)
-//! are the unit constructors [`DesignModel::new`] builds each design with.
+//! The columns every design shares (PE array, clock, DRAM) are the unit
+//! constructors [`DesignModel::new`] builds each design with, and every
+//! unit charges its events to the one 28 nm energy table.
 //!
 //! # Example
 //!
@@ -42,7 +43,7 @@ mod workload;
 // The unit models. Their sources are grouped under `sim/` (on-chip units)
 // and `dram/` (DDR4), but each is a module of the crate root: the units
 // name one another as `crate::energy`, `crate::stream`, …, and `sim` /
-// `dram` re-export what the figure bins and tests read. The cycle-level
+// `dram` re-export what the figure functions and tests read. The cycle-level
 // controller and its banks are the reference `StreamModel`'s calibration
 // tests run against; nothing else needs them.
 #[cfg(test)]

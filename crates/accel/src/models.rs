@@ -10,7 +10,7 @@
 use crate::analytic::{self, COORD_BYTES, SCALAR_BYTES};
 use crate::device::{Accelerator, ExecutionReport};
 use crate::dma::{Dma, DmaCost};
-use crate::energy::{EnergyBreakdown, EnergyCategory, EnergyTable};
+use crate::energy::{EnergyBreakdown, EnergyCategory, TSMC28};
 use crate::fractal_engine::FractalEngine;
 use crate::kernel::{Phase, PhaseClass, Timeline};
 use crate::rspu::{Rspu, RspuConfig};
@@ -238,20 +238,17 @@ pub struct DesignModel {
     rspu: Rspu,
     engine: FractalEngine,
     dma: Dma,
-    table: EnergyTable,
 }
 
 impl DesignModel {
     /// Builds the unit models for a parameter set.
     pub fn new(params: DesignParams) -> DesignModel {
-        let table = EnergyTable::tsmc28();
         DesignModel {
-            sram: Sram::new(params.sram, table.clone()),
-            systolic: Systolic::new(SystolicConfig::pe16x16(), table.clone()),
-            rspu: Rspu::new(params.rspu, table.clone()),
-            engine: FractalEngine::new(table.clone()),
+            sram: Sram::new(params.sram),
+            systolic: Systolic::new(SystolicConfig::pe16x16()),
+            rspu: Rspu::new(params.rspu),
+            engine: FractalEngine::new(),
             dma: Dma::at_1ghz(),
-            table,
             params,
         }
     }
@@ -298,7 +295,7 @@ impl DesignModel {
         energy.add(EnergyCategory::Compute, compute_pj);
         energy.add(EnergyCategory::Sram, sram_cost.energy_pj);
         energy.add(EnergyCategory::Dram, dram.dram_energy_pj);
-        energy.add(EnergyCategory::Noc, dram.bytes as f64 * self.table.noc_pj_per_byte_hop);
+        energy.add(EnergyCategory::Noc, dram.bytes as f64 * TSMC28.noc_pj_per_byte_hop);
         Phase {
             name,
             class,
@@ -523,7 +520,7 @@ impl Accelerator for DesignModel {
             timeline.push(self.point_phase(
                 format!("sa{s}-gather"),
                 g_cycles,
-                accesses as f64 * self.table.alu_fp16_pj,
+                accesses as f64 * TSMC28.alu_fp16_pj,
                 gather_bytes,
                 g_pattern,
                 g_dram,
@@ -612,7 +609,7 @@ impl Accelerator for DesignModel {
             timeline.push(self.point_phase(
                 format!("fp{f}-gather"),
                 accesses.div_ceil(self.params.rspu.cores.max(1) as u64 * 4),
-                accesses as f64 * 3.0 * self.table.mac_fp16_pj, // idw weights
+                accesses as f64 * 3.0 * TSMC28.mac_fp16_pj, // idw weights
                 accesses * row_bytes,
                 g_pattern,
                 g_dram,
@@ -631,7 +628,7 @@ impl Accelerator for DesignModel {
 
         // ---- Static energy over the whole run ----
         let total_cycles = timeline.total_cycles();
-        let static_pj = self.table.static_mw_per_mm2 * p.area_mm2 * total_cycles as f64; // mW × ns = pJ (1 GHz)
+        let static_pj = TSMC28.static_mw_per_mm2 * p.area_mm2 * total_cycles as f64; // mW × ns = pJ (1 GHz)
         let mut energy = EnergyBreakdown::new();
         energy.add(EnergyCategory::Static, static_pj);
         timeline.push(Phase {
@@ -802,7 +799,7 @@ mod tests {
             prev = lat;
         }
         // At 16K the gain is modest (~3×); it reaches ~90× at 289K
-        // (fig18_bppo_ablation). Monotonicity above is the real guard.
+        // (`figures fig18`). Monotonicity above is the real guard.
         assert!(base / prev > 2.5, "full ladder gain {} too small", base / prev);
     }
 

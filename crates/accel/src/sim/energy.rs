@@ -28,18 +28,22 @@ pub struct EnergyTable {
     pub(crate) static_mw_per_mm2: f64,
 }
 
+/// The 28 nm table used throughout the evaluation: every unit model
+/// charges its events to it.
+pub(crate) const TSMC28: EnergyTable = EnergyTable {
+    mac_fp16_pj: 1.1,
+    alu_fp16_pj: 0.4,
+    sram_small_pj_per_byte: 0.18,
+    sram_large_pj_per_byte: 0.55,
+    regfile_pj_per_byte: 0.03,
+    noc_pj_per_byte_hop: 0.10,
+    static_mw_per_mm2: 18.0,
+};
+
 impl EnergyTable {
     /// The 28 nm table used throughout the evaluation.
     pub fn tsmc28() -> EnergyTable {
-        EnergyTable {
-            mac_fp16_pj: 1.1,
-            alu_fp16_pj: 0.4,
-            sram_small_pj_per_byte: 0.18,
-            sram_large_pj_per_byte: 0.55,
-            regfile_pj_per_byte: 0.03,
-            noc_pj_per_byte_hop: 0.10,
-            static_mw_per_mm2: 18.0,
-        }
+        TSMC28
     }
 }
 

@@ -1,7 +1,7 @@
 //! Fractal engine cycle model (Fig. 9): pipelined partition + midpoint
 //! units, with uniform and KD-tree modes sharing the datapath.
 
-use crate::energy::EnergyTable;
+use crate::energy::TSMC28;
 use crate::sorter::Sorter;
 use fractalcloud_pointcloud::partition::PartitionCost;
 
@@ -33,10 +33,10 @@ pub struct PartitionEngineCost {
 /// # Examples
 ///
 /// ```
-/// use fractalcloud_accel::sim::{EnergyTable, FractalEngine};
+/// use fractalcloud_accel::sim::FractalEngine;
 /// use fractalcloud_pointcloud::partition::PartitionCost;
 ///
-/// let engine = FractalEngine::new(EnergyTable::tsmc28());
+/// let engine = FractalEngine::new();
 /// let cost = PartitionCost {
 ///     traversal_elements: 11 * 289_000,
 ///     traversal_passes: 11,
@@ -46,18 +46,16 @@ pub struct PartitionEngineCost {
 /// let kd = engine.kd_tree_partition(289_000, 256);
 /// assert!(kd.cycles > 50 * fractal.cycles); // Fig. 16: ≈133× faster
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FractalEngine {
-    energy: EnergyTable,
     sorter: Sorter,
 }
 
 impl FractalEngine {
     /// The FractalCloud engine: 16 partition lanes, an 8-cycle iteration
     /// turnover, and a 16-lane sorter for KD mode.
-    pub fn new(energy: EnergyTable) -> FractalEngine {
-        let sorter = Sorter::new(energy.clone());
-        FractalEngine { energy, sorter }
+    pub fn new() -> FractalEngine {
+        FractalEngine { sorter: Sorter::new() }
     }
 
     /// Costs a traversal-based partition (fractal, uniform grid, octree)
@@ -67,8 +65,8 @@ impl FractalEngine {
         let overhead = cost.traversal_passes * ITERATION_OVERHEAD;
         // Each element passes one comparator (partition) and one min/max
         // update pair (midpoint comp) — both per Fig. 9(a).
-        let energy = cost.traversal_elements as f64 * 3.0 * self.energy.alu_fp16_pj
-            + cost.compare_ops as f64 * self.energy.alu_fp16_pj;
+        let energy = cost.traversal_elements as f64 * 3.0 * TSMC28.alu_fp16_pj
+            + cost.compare_ops as f64 * TSMC28.alu_fp16_pj;
         PartitionEngineCost { cycles: stream_cycles + overhead, energy_pj: energy }
     }
 
@@ -86,7 +84,7 @@ mod tests {
     use super::*;
 
     fn engine() -> FractalEngine {
-        FractalEngine::new(EnergyTable::tsmc28())
+        FractalEngine::new()
     }
 
     #[test]

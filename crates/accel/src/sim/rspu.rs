@@ -1,6 +1,6 @@
 //! Reuse-and-Skip-enabled Point Unit (RSPU) cycle model (Fig. 11).
 
-use crate::energy::EnergyTable;
+use crate::energy::TSMC28;
 use fractalcloud_pointcloud::ops::OpCounters;
 
 /// RSPU array configuration.
@@ -35,10 +35,10 @@ pub struct RspuCost {
 /// # Examples
 ///
 /// ```
-/// use fractalcloud_accel::sim::{EnergyTable, Rspu, RspuConfig};
+/// use fractalcloud_accel::sim::{Rspu, RspuConfig};
 /// use fractalcloud_pointcloud::ops::OpCounters;
 ///
-/// let rspu = Rspu::new(RspuConfig::fractalcloud(), EnergyTable::tsmc28());
+/// let rspu = Rspu::new(RspuConfig::fractalcloud());
 /// // 8 equal blocks of 1600 evaluations parallelize perfectly over 8
 /// // cores of 16 lanes: each core takes one block, 100 cycles.
 /// let block = OpCounters { distance_evals: 1600, ..Default::default() };
@@ -48,13 +48,12 @@ pub struct RspuCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rspu {
     config: RspuConfig,
-    energy: EnergyTable,
 }
 
 impl Rspu {
     /// Creates an RSPU array model.
-    pub fn new(config: RspuConfig, energy: EnergyTable) -> Rspu {
-        Rspu { config, energy }
+    pub fn new(config: RspuConfig) -> Rspu {
+        Rspu { config }
     }
 
     /// Cycles for one core to execute `distance_evals` pipelined distance
@@ -125,9 +124,9 @@ impl Rspu {
     fn datapath_pj(&self, c: &OpCounters) -> f64 {
         // A distance eval = 3 subs + 3 MACs; compares on the ALU; skipped
         // candidates burn one mask-register read each (window check).
-        c.distance_evals as f64 * (3.0 * self.energy.mac_fp16_pj + 3.0 * self.energy.alu_fp16_pj)
-            + c.comparisons as f64 * self.energy.alu_fp16_pj
-            + c.skipped as f64 * self.energy.regfile_pj_per_byte
+        c.distance_evals as f64 * (3.0 * TSMC28.mac_fp16_pj + 3.0 * TSMC28.alu_fp16_pj)
+            + c.comparisons as f64 * TSMC28.alu_fp16_pj
+            + c.skipped as f64 * TSMC28.regfile_pj_per_byte
     }
 }
 
@@ -136,7 +135,7 @@ mod tests {
     use super::*;
 
     fn rspu() -> Rspu {
-        Rspu::new(RspuConfig::fractalcloud(), EnergyTable::tsmc28())
+        Rspu::new(RspuConfig::fractalcloud())
     }
 
     #[test]
@@ -168,7 +167,7 @@ mod tests {
         }
         let block = r.block_parallel_op(&per_block);
         // A single-unit design with the same total lanes (128).
-        let single = Rspu::new(RspuConfig { cores: 1, lanes: 128 }, EnergyTable::tsmc28());
+        let single = Rspu::new(RspuConfig { cores: 1, lanes: 128 });
         let glob = single.global_op(&total);
         // Same aggregate lane count → same cycles when perfectly balanced;
         // the advantage comes from the reduced work (block FPS does fewer

@@ -1,7 +1,7 @@
 //! Hardware merge-sort unit model (PointAcc-style, used for KD-tree
 //! partitioning and top-k selection in the baselines).
 
-use crate::energy::EnergyTable;
+use crate::energy::TSMC28;
 
 /// Elements the comparator network consumes per cycle: a 16-lane merge
 /// sorter (matches the PointAcc sorting-engine scale).
@@ -33,15 +33,13 @@ impl SortCost {
 /// `n` elements through the merge network at `THROUGHPUT` elements/cycle —
 /// the *exclusive, indivisible* operation of Fig. 5 whose latency the
 /// KD-tree pays at every node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Sorter {
-    energy: EnergyTable,
-}
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct Sorter;
 
 impl Sorter {
     /// Creates a sorter model.
-    pub(crate) fn new(energy: EnergyTable) -> Sorter {
-        Sorter { energy }
+    pub(crate) fn new() -> Sorter {
+        Sorter
     }
 
     /// Costs one full sort of `n` elements.
@@ -64,7 +62,7 @@ impl Sorter {
             cycles += n.div_ceil(lanes);
         }
         let compares = passes * n;
-        SortCost { cycles, compares, energy_pj: compares as f64 * self.energy.alu_fp16_pj }
+        SortCost { cycles, compares, energy_pj: compares as f64 * TSMC28.alu_fp16_pj }
     }
 
     /// Costs the full KD-tree construction of `n` points with leaf size
@@ -94,9 +92,10 @@ impl Sorter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyTable;
 
     fn sorter() -> Sorter {
-        Sorter::new(EnergyTable::tsmc28())
+        Sorter::new()
     }
 
     #[test]

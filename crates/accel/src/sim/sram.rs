@@ -1,6 +1,6 @@
 //! Multi-banked on-chip SRAM model.
 
-use crate::energy::EnergyTable;
+use crate::energy::TSMC28;
 
 /// Configuration of a multi-banked scratchpad (the paper's 274 KB global
 /// buffer follows PointAcc's organization).
@@ -33,11 +33,11 @@ impl SramConfig {
 
     /// Energy per byte for this macro size (banks ≥ ~1 MB total use the
     /// "large array" cost — longer wordlines/bitlines and H-tree).
-    pub(crate) fn pj_per_byte(&self, table: &EnergyTable) -> f64 {
+    pub(crate) fn pj_per_byte(&self) -> f64 {
         if self.bytes >= 1 << 20 {
-            table.sram_large_pj_per_byte
+            TSMC28.sram_large_pj_per_byte
         } else {
-            table.sram_small_pj_per_byte
+            TSMC28.sram_small_pj_per_byte
         }
     }
 }
@@ -71,13 +71,12 @@ pub(crate) struct SramAccess {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Sram {
     config: SramConfig,
-    energy: EnergyTable,
 }
 
 impl Sram {
     /// Creates an SRAM model.
-    pub(crate) fn new(config: SramConfig, energy: EnergyTable) -> Sram {
-        Sram { config, energy }
+    pub(crate) fn new(config: SramConfig) -> Sram {
+        Sram { config }
     }
 
     /// Estimates a batch of `bytes` accessed by `accessors` concurrent
@@ -106,7 +105,7 @@ impl Sram {
         let width = (accessors.min(banks) * self.config.bank_width) as u64;
         let base_cycles = bytes.div_ceil(width);
         let cycles = (base_cycles as f64 * conflict_factor).ceil() as u64;
-        let energy_pj = bytes as f64 * self.config.pj_per_byte(&self.energy);
+        let energy_pj = bytes as f64 * self.config.pj_per_byte();
         SramAccess { cycles, energy_pj, conflict_factor }
     }
 }
@@ -114,9 +113,10 @@ impl Sram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyTable;
 
     fn sram() -> Sram {
-        Sram::new(SramConfig::global_buffer_274k(), EnergyTable::tsmc28())
+        Sram::new(SramConfig::global_buffer_274k())
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
         let t = EnergyTable::tsmc28();
         let small = sram().access(1000, SramPattern::Sequential, 1);
         assert!((small.energy_pj - 1000.0 * t.sram_small_pj_per_byte).abs() < 1e-9);
-        let big = Sram::new(SramConfig::crescent_1622k(), t.clone());
+        let big = Sram::new(SramConfig::crescent_1622k());
         let b = big.access(1000, SramPattern::Sequential, 1);
         assert!(
             b.energy_pj > small.energy_pj * 2.0,

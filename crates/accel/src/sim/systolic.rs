@@ -1,6 +1,6 @@
 //! 16×16 output-stationary systolic array model (the MLP engine).
 
-use crate::energy::EnergyTable;
+use crate::energy::TSMC28;
 
 /// Systolic array configuration. All Table II accelerators use 16×16 PEs at
 /// 1 GHz → 256 MACs/cycle → 512 GOPS (2 ops per MAC).
@@ -48,13 +48,12 @@ pub(crate) struct GemmCost {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Systolic {
     config: SystolicConfig,
-    energy: EnergyTable,
 }
 
 impl Systolic {
     /// Creates an array model.
-    pub(crate) fn new(config: SystolicConfig, energy: EnergyTable) -> Systolic {
-        Systolic { config, energy }
+    pub(crate) fn new(config: SystolicConfig) -> Systolic {
+        Systolic { config }
     }
 
     /// Costs a GEMM of `m × k` by `k × n`.
@@ -73,7 +72,7 @@ impl Systolic {
         GemmCost {
             cycles,
             macs,
-            energy_pj: macs as f64 * self.energy.mac_fp16_pj,
+            energy_pj: macs as f64 * TSMC28.mac_fp16_pj,
             utilization: macs as f64 / peak as f64,
         }
     }
@@ -88,7 +87,7 @@ impl Systolic {
         GemmCost {
             cycles,
             macs: 0,
-            energy_pj: compares as f64 * self.energy.alu_fp16_pj,
+            energy_pj: compares as f64 * TSMC28.alu_fp16_pj,
             utilization: 1.0,
         }
     }
@@ -99,7 +98,7 @@ mod tests {
     use super::*;
 
     fn pe() -> Systolic {
-        Systolic::new(SystolicConfig::pe16x16(), EnergyTable::tsmc28())
+        Systolic::new(SystolicConfig::pe16x16())
     }
 
     #[test]
