@@ -9,7 +9,7 @@
 
 /// Energy cost table (picojoules per event) at 28 nm, 0.9 V.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EnergyTable {
+pub(crate) struct EnergyTable {
     /// One FP16 multiply-accumulate (PE array datapath + pipeline regs).
     pub(crate) mac_fp16_pj: f64,
     /// One FP16 add/compare (RSPU comparator, pooling).
@@ -39,13 +39,6 @@ pub(crate) const TSMC28: EnergyTable = EnergyTable {
     noc_pj_per_byte_hop: 0.10,
     static_mw_per_mm2: 18.0,
 };
-
-impl EnergyTable {
-    /// The 28 nm table used throughout the evaluation.
-    pub fn tsmc28() -> EnergyTable {
-        TSMC28
-    }
-}
 
 /// Energy categories reported in the paper's Fig. 15(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,7 +123,7 @@ mod tests {
 
     #[test]
     fn table_has_sane_ordering() {
-        let t = EnergyTable::tsmc28();
+        let t = TSMC28;
         // The hierarchy the whole paper leans on.
         assert!(t.regfile_pj_per_byte < t.sram_small_pj_per_byte);
         assert!(t.sram_small_pj_per_byte < t.sram_large_pj_per_byte);

@@ -9,12 +9,12 @@
 //! * [`FractalEngine`] — the partition datapath (fractal/uniform/KD modes);
 //! * [`Dma`] — the memory interface over the [`dram`](crate::dram) model;
 //! * [`Timeline`] — phase composition with double-buffered overlap;
-//! * [`EnergyTable`] / [`EnergyBreakdown`] — 28 nm per-event energy
+//! * `EnergyTable` / [`EnergyBreakdown`] — 28 nm per-event energy
 //!   accounting (on-chip network energy is a per-byte-hop rate the designs
 //!   charge on point-operation DMA traffic).
 //!
 //! [`DesignModel`](crate::DesignModel) composes them into the Table II
-//! designs; the items exported here are the ones the figure bins read.
+//! designs; the items exported here are the ones the figure functions read.
 //!
 //! # Example
 //!
@@ -29,7 +29,7 @@
 //! ```
 
 pub use crate::dma::Dma;
-pub use crate::energy::{EnergyBreakdown, EnergyTable};
+pub use crate::energy::EnergyBreakdown;
 pub use crate::fractal_engine::{FractalEngine, PartitionEngineCost};
 pub use crate::kernel::{Phase, PhaseClass, Timeline};
 pub use crate::rspu::{Rspu, RspuConfig, RspuCost};

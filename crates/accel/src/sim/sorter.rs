@@ -92,7 +92,6 @@ impl Sorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::energy::EnergyTable;
 
     fn sorter() -> Sorter {
         Sorter::new()
@@ -163,7 +162,7 @@ mod tests {
     fn energy_tracks_compares() {
         let s = sorter();
         let c = s.sort(4096);
-        let t = EnergyTable::tsmc28();
+        let t = TSMC28;
         assert!((c.energy_pj - c.compares as f64 * t.alu_fp16_pj).abs() < 1e-9);
     }
 }

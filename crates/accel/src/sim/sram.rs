@@ -113,7 +113,6 @@ impl Sram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::energy::EnergyTable;
 
     fn sram() -> Sram {
         Sram::new(SramConfig::global_buffer_274k())
@@ -148,7 +147,7 @@ mod tests {
 
     #[test]
     fn energy_is_per_byte_and_size_dependent() {
-        let t = EnergyTable::tsmc28();
+        let t = TSMC28;
         let small = sram().access(1000, SramPattern::Sequential, 1);
         assert!((small.energy_pj - 1000.0 * t.sram_small_pj_per_byte).abs() < 1e-9);
         let big = Sram::new(SramConfig::crescent_1622k());

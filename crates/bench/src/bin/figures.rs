@@ -51,11 +51,11 @@ const FIGURES: [(&str, Figure); 13] = [
     ("table2", |_, _| table2()),
     ("fig13", |s, _| fig13(s.large)),
     ("fig14", |_, q| fig14(scene(q))),
-    ("fig15", |_, _| fig15(33_000)),
-    ("fig16", |_, _| fig16(16_384)),
+    ("fig15", |_, _| fig15()),
+    ("fig16", |_, _| fig16()),
     ("fig17", |s, _| fig17(s.fig17, 8192)),
     ("fig18", |s, _| fig18(s.fig18)),
-    ("discussion", |s, _| discussion(s.asymptotic, 33_000)),
+    ("discussion", |s, _| discussion(s.asymptotic)),
 ];
 
 /// Reads `[--quick] [name…]` into the run's sizes and the names of the

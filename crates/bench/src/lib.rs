@@ -12,7 +12,7 @@
 
 mod table;
 
-pub use table::{format_value, Cell, Section, Table};
+pub use table::{Cell, Section, Table};
 
 use fractalcloud_accel::analytic;
 use fractalcloud_accel::sim::{
@@ -304,7 +304,7 @@ pub fn table2() -> Table {
     let mut designs = section("", "accelerator", columns);
     for p in DesignParams::table2() {
         // The DRAM is `DramConfig::ddr4_2133`, which `Dma::at_1ghz` streams
-        // from; the node is `EnergyTable::tsmc28`'s.
+        // from; the node is that of the 28 nm energy table every unit reads.
         let cells = vec![
             Cell::Text(format!("{}x{}", pe.rows, pe.cols)),
             Cell::Exact(sram_kb(&p.sram)),
@@ -450,8 +450,9 @@ pub fn fig14(scene: &SceneQuality) -> Table {
 }
 
 /// Fig. 15: latency and energy breakdowns for PointAcc, Crescent, and
-/// FractalCloud running PointNeXt (s) on an `n`-point scene.
-pub fn fig15(n: usize) -> Table {
+/// FractalCloud running PointNeXt (s) on a 33K-point scene.
+pub fn fig15() -> Table {
+    let n = 33_000;
     let w = Workload::prepare(&ModelConfig::pointnext_segmentation(), n, SEED);
     let reports =
         [DesignParams::pointacc(), DesignParams::crescent(), DesignParams::fractalcloud()]
@@ -515,8 +516,9 @@ fn point_op_cycles(p: &Partition, rspu: &Rspu) -> u64 {
 
 /// Fig. 16: partitioning speedup (dots, normalized to KD-tree) and point-
 /// operation speedup (bars, normalized to uniform) for uniform, octree,
-/// KD-tree, and Fractal across the three dataset families, at `n` points.
-pub fn fig16(n: usize) -> Table {
+/// KD-tree, and Fractal across the three dataset families, at 16K points.
+pub fn fig16() -> Table {
+    let n = 16_384;
     let engine = FractalEngine::new();
     let rspu = Rspu::new(RspuConfig::fractalcloud());
     let datasets = [DatasetKind::ModelNet, DatasetKind::ShapeNet, DatasetKind::S3dis];
@@ -558,7 +560,8 @@ pub fn fig16(n: usize) -> Table {
                4.4× over uniform and 2.1× over octree. Expected shape: kd-class\n\
                balance, hence the best point-op column. Measured: fractal\n\
                partitions several times slower than uniform, and slower than\n\
-               octree (gaps recorded in ROADMAP item 6).",
+               octree; its point ops lead only on ModelNet40 and ShapeNet, and\n\
+               the kd-tree's lead on S3DIS (gaps recorded in ROADMAP item 6).",
     }
 }
 
@@ -638,8 +641,9 @@ pub fn fig18(n: usize) -> Table {
 
 /// §VI-D discussion experiments: the asymptotic limit (PNXt (s) at
 /// `asymptotic_n` points; the paper's is 1M) and the imbalance effect of
-/// Fractal partitioning on an `imbalance_n`-point scene.
-pub fn discussion(asymptotic_n: usize, imbalance_n: usize) -> Table {
+/// Fractal partitioning on a 33K-point scene.
+pub fn discussion(asymptotic_n: usize) -> Table {
+    let imbalance_n = 33_000;
     let model = ModelConfig::pointnext_segmentation();
 
     let cloud = scene_cloud(&SceneConfig::default(), asymptotic_n, SEED);
@@ -693,6 +697,7 @@ pub fn discussion(asymptotic_n: usize, imbalance_n: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::format_value;
 
     #[test]
     fn fleet_runs_a_small_workload() {

@@ -5,7 +5,7 @@ use std::fmt;
 /// One cell of a [`Section`] row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
-    /// A measured value, printed by [`format_value`].
+    /// A measured value, printed to 3 significant digits (`format_value`).
     Value(f64),
     /// A value printed to a fixed number of decimals (`{:.N}`).
     Fixed(f64, usize),
@@ -98,7 +98,7 @@ impl fmt::Display for Table {
 }
 
 /// Compact value formatting: 3 significant digits, engineering style.
-pub fn format_value(v: f64) -> String {
+pub(crate) fn format_value(v: f64) -> String {
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1000.0 {

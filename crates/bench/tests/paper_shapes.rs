@@ -184,7 +184,7 @@ fn fig13_fractalcloud_leads_every_quick_column() {
 /// ops are more than half of PointAcc's and of Crescent's latency.
 #[test]
 fn fig15_fractalcloud_is_fastest_and_cheapest() {
-    let t = fig15(33_000);
+    let t = fig15();
     for heading in ["latency breakdown (ms)", "energy breakdown (mJ)"] {
         let s = section(&t, heading);
         let total = row(s, "total");
@@ -202,7 +202,7 @@ fn fig15_fractalcloud_is_fastest_and_cheapest() {
 /// point-op speedup matches or beats octree's on every dataset.
 #[test]
 fn fig16_fractal_point_ops_beat_octree() {
-    let t = fig16(16_384);
+    let t = fig16();
     let kd = row(section(&t, "partitioning speedup (normalized to kd-tree)"), "kd-tree");
     assert!(kd.iter().all(|&v| v == 1.0), "{kd:?}");
     let ops = section(&t, "point-operation speedup (normalized to uniform)");
@@ -257,7 +257,7 @@ fn fig18_ladder_climbs_from_baseline_to_fractalcloud() {
 /// latency at 33K points (it adds 0.98 %).
 #[test]
 fn discussion_imbalance_costs_little_end_to_end() {
-    let t = discussion(8192, 33_000);
+    let t = discussion(8192);
     let impact =
         row(section(&t, "imbalance effect (point-op makespan)"), "end-to-end latency impact (%)");
     assert!(impact[0] < 10.0, "{impact:?}");
