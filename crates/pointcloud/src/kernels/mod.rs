@@ -79,21 +79,27 @@
 //! key, `distance bits << 32 | candidate slot`. A hit's distance satisfies
 //! `+0.0 <= d <= r_sq` — never NaN, never `-0.0` — and on that range `f32`
 //! bit patterns order like the values, so integer order on keys *is* the
-//! canonical `(distance, slot)` order. Each query owns one ascending row of
-//! keys, empty slots holding the sentinel `i64::MAX as u64`, whose distance
-//! half `0x7FFF_FFFF` is a NaN — above every hit distance (`<= 0x7F80_0000`),
-//! so the sentinel orders last as `u64` and as `i64`, and read as a
-//! prefilter threshold it keeps everything. There is no filling phase: the
-//! hit count is the number of non-sentinel keys among the first `num`. For
-//! `num <= 16` the row is 8 or 16 keys wide, a compile-time constant, and a
-//! hit is inserted by rewriting every slot as
-//! `max(row[i - 1], min(row[i], key))` — no data-dependent branch. One
-//! chunk's surviving lanes go in through a dispatched kernel,
+//! canonical `(distance, slot)` order. Each query owns one row of keys, and
+//! `num` fixes how it is built. For `num <= 16` the row is ascending and 8
+//! or 16 keys wide, a compile-time constant, empty slots holding the
+//! sentinel `i64::MAX as u64`, whose distance half `0x7FFF_FFFF` is a NaN —
+//! above every hit distance (`<= 0x7F80_0000`), so the sentinel orders last
+//! as `u64` and as `i64`, and read as a prefilter threshold it keeps
+//! everything. There is no filling phase: the hit count is the number of
+//! non-sentinel keys among the first `num`. A hit is inserted by rewriting
+//! every slot as `max(row[i - 1], min(row[i], key))` — no data-dependent
+//! branch. One chunk's surviving lanes go in through a dispatched kernel,
 //! [`ball_insert_hits`]: the portable form rewrites the row in memory per
 //! lane, the AVX2 form holds it in two or four registers for the whole
 //! chunk (signed 64-bit compares, hence the sentinel) and stores it once.
-//! Above 16 the row is `num` wide and a hit is a branch-free count of the
-//! keys below it plus one `copy_within`, on every backend.
+//! Above 16 the row is an unordered buffer of `2·num + CHUNK` keys, the
+//! same on every backend: each chunk's surviving lanes are appended, and
+//! once it holds more than `2·num` keys one `select_nth_unstable` keeps the
+//! `num` smallest, the largest of them in slot `num - 1`; the row is sorted
+//! once, when it is emitted. Slot `num - 1` after a select is the row's
+//! prefilter bar. Before the first select the row has none, and between
+//! selects its bar lags the `num` smallest keys: both only let more lanes
+//! through, and keys are unique, so both forms emit the same rows.
 //!
 //! The candidates are scanned as a list of runs
 //! ([`ball_select_runs_into`], the one driver body; [`CandidateRun`]): each
@@ -115,10 +121,11 @@
 //! nearest (a bar only falls as the scan goes on, so a run out of reach
 //! once stays so):
 //!
-//! * the row's worst hit once its `num` slots are full (a tie may still
-//!   win on slot, hence *strictly* above);
-//! * `r_sq` while the row is partly filled (its nearest is already a hit,
-//!   at most `r_sq` away);
+//! * the distance of the row's bar once it has one: the worst hit of a
+//!   full narrow row, slot `num - 1` of a wide row after its latest select
+//!   (a tie may still win on slot, hence *strictly* above);
+//! * `r_sq` while the row holds a hit but no bar (its nearest is already a
+//!   hit, at most `r_sq` away);
 //! * `max(r_sq, nearest so far)` while the row is empty, because then the
 //!   nearest candidate is the fallback.
 //!
@@ -832,7 +839,8 @@ impl TopK {
 pub struct SelectScratch {
     topks: Vec<TopK>,
     dbuf: Vec<f32>,
-    /// One sorted row of packed hit keys per tile query (ball driver).
+    /// One row of packed hit keys per tile query (ball driver): sorted up
+    /// to `num` 16, a selection buffer above.
     keys: Vec<u64>,
     /// The row handed to the ball driver's `emit`, unpacked from `keys`.
     hits: Vec<(f32, usize)>,
@@ -945,13 +953,14 @@ pub fn knn_select_batch_into(
 /// sharing each pass over the candidate chunks.
 ///
 /// Per chunk the fused distance + compare kernel produces a hit bitmask
-/// (`d <= r_sq`, and at most the query's current worst distance once it
-/// has `num` hits) and the chunk's minimum. Each hit lane is packed into a `u64` key
+/// (`d <= r_sq`, and at most the distance of the query's bar once it has
+/// one) and the chunk's minimum. Each hit lane is packed into a `u64` key
 /// — distance bits above the candidate slot, whose integer order is the
-/// canonical `(distance, scan order)` order — and inserted into the
-/// query's ascending key row (branch-free up to `num` 16); see the
+/// canonical `(distance, scan order)` order — and added to the query's key
+/// row: inserted branch-free into an ascending row up to `num` 16, appended
+/// to a buffer that keeps its `num` smallest by selection above; see the
 /// [module docs](self#batched-query-selection) for why that order holds and
-/// how the row width follows `num`. The result is the canonical
+/// how the row follows `num`. The result is the canonical
 /// nearest-`num`-within-radius set: equal distances keep scan order, and a
 /// hit tying the current worst is rejected.
 ///
@@ -1099,17 +1108,6 @@ fn insert_key_pass<const W: usize>(a: &mut [u64; W], key: u64) {
     a[0] = a[0].min(key);
 }
 
-/// [`insert_key_pass`] for rows too wide to rewrite per hit: counts the
-/// keys below `key` (branch-free) and shifts the tail once.
-#[inline]
-fn insert_key_shift(a: &mut [u64], key: u64) {
-    let pos: usize = a.iter().map(|&k| usize::from(k < key)).sum();
-    if pos < a.len() {
-        a.copy_within(pos..a.len() - 1, pos + 1);
-        a[pos] = key;
-    }
-}
-
 /// [`ball_select_batch_into`] with the scan of every query starting at the
 /// chunk that holds candidate slot `first` and wrapping around (from chunk
 /// 0 when `first` is past the candidates): two unbounded runs through
@@ -1173,20 +1171,10 @@ pub fn ball_select_runs_into(
     assert_soa(xs, ys, zs);
     assert!(num > 0, "num must be at least 1");
     assert!(xs.len() <= u32::MAX as usize, "candidate slots must fit the key's low 32 bits");
-    // The full-pass update needs its row width at compile time (it unrolls
-    // into straight-line compare/select code) and costs O(width) per hit: it
-    // measured 1.5× faster than count + shift at `num` 16; a 32-wide pass
-    // was 1.05× faster at `num` 32 and 1.09× slower at 17, so rows stop at 16.
-    // Slots past `num` only ever hold keys above `row[num - 1]`: acceptance,
-    // the hit count and the emitted row all read the first `num`.
-    let width = match num {
-        ..=8 => 8,
-        9..=16 => 16,
-        _ => num,
-    };
+    let stride = KeyRows::stride(num);
     let tile_cap = QUERY_TILE.min(queries.len().max(1));
-    if scratch.keys.len() < tile_cap * width {
-        scratch.keys.resize(tile_cap * width, EMPTY_KEY);
+    if scratch.keys.len() < tile_cap * stride {
+        scratch.keys.resize(tile_cap * stride, EMPTY_KEY);
     }
     if scratch.nearests.len() < tile_cap {
         scratch.nearests.resize(tile_cap, (f32::INFINITY, usize::MAX));
@@ -1194,12 +1182,12 @@ pub fn ball_select_runs_into(
     if scratch.dbuf.len() < tile_cap * CHUNK {
         scratch.dbuf.resize(tile_cap * CHUNK, 0.0);
     }
-    let keys = &mut scratch.keys[..tile_cap * width];
+    let mut rows = KeyRows::new(&mut scratch.keys[..tile_cap * stride], num);
     let nearests = &mut scratch.nearests[..tile_cap];
     let dbuf = &mut scratch.dbuf[..];
     let hits = &mut scratch.hits;
     for (tile_idx, tile) in queries.chunks(QUERY_TILE).enumerate() {
-        keys.fill(EMPTY_KEY);
+        rows.clear();
         nearests.fill((f32::INFINITY, usize::MAX));
         let mut thresholds = [0.0f32; QUERY_TILE];
         let mut masks = [0u64; QUERY_TILE];
@@ -1207,7 +1195,7 @@ pub fn ball_select_runs_into(
         let mut next = 0;
         while let Some(run) = runs.get(next) {
             next += 1;
-            if out_of_reach(run, tile, keys, nearests, width, num, r_sq) {
+            if out_of_reach(run, tile, &rows, nearests, r_sq) {
                 continue;
             }
             let (mut base, mut end) = (run.start, run.end);
@@ -1218,7 +1206,7 @@ pub fn ball_select_runs_into(
                 // only tighten, so a run out of reach stays so).
                 if end - base < CHUNK {
                     if let Some(after) = runs.get(next).filter(|after| after.start == end) {
-                        if !out_of_reach(after, tile, keys, nearests, width, num, r_sq) {
+                        if !out_of_reach(after, tile, &rows, nearests, r_sq) {
                             end = after.end;
                             next += 1;
                             continue;
@@ -1228,16 +1216,16 @@ pub fn ball_select_runs_into(
                 let len = CHUNK.min(end - base);
                 let (xc, yc, zc) =
                     (&xs[base..base + len], &ys[base..base + len], &zs[base..base + len]);
-                // Acceptance prefilter thresholds: once a query's first `num`
-                // slots are occupied, only hits at or below its current worst
-                // distance can be accepted — the fused tile kernel drops the
-                // rest before selection ever sees them (bit-identical results;
-                // the threshold only tightens within the chunk). While slot
-                // `num - 1` is empty the threshold is NaN, and `!(d >= NaN)`
-                // keeps every in-radius lane (+inf distances included), exactly
-                // like the knn prefilter's filling sentinel.
-                for (thr, row) in thresholds.iter_mut().zip(keys.chunks_exact(width)) {
-                    *thr = key_threshold(row[num - 1]);
+                // Acceptance prefilter thresholds: once a query's bar is a
+                // hit, only hits at or below its distance can be accepted —
+                // the fused tile kernel drops the rest before selection ever
+                // sees them (bit-identical results; the threshold only
+                // tightens within the chunk). While the bar is empty the
+                // threshold is NaN, and `!(d >= NaN)` keeps every in-radius
+                // lane (+inf distances included), exactly like the knn
+                // prefilter's filling sentinel.
+                for (qi, thr) in thresholds.iter_mut().enumerate().take(tile.len()) {
+                    *thr = key_threshold(rows.bar(qi));
                 }
                 // One fused dispatched call scores the whole tile against this
                 // chunk (the AVX2 path keeps the coordinate vectors in
@@ -1257,7 +1245,7 @@ pub fn ball_select_runs_into(
                         &mut mins,
                     )
                 );
-                for (qi, krow) in keys.chunks_exact_mut(width).take(tile.len()).enumerate() {
+                for qi in 0..tile.len() {
                     let row = &dbuf[qi * CHUNK..qi * CHUNK + len];
                     let cmin = mins[qi];
                     let (near, near_slot) = nearests[qi];
@@ -1278,58 +1266,157 @@ pub fn ball_select_runs_into(
                         }
                         nearests[qi] = (cmin, base + l);
                     }
-                    // Every surviving lane is inserted unconditionally: one
-                    // that the tightened threshold would now reject lands past
-                    // slot `num - 1` or falls off the row. No surviving lane
-                    // leaves the row as it is.
-                    let mask = masks[qi];
-                    if mask == 0 {
-                        continue;
-                    }
-                    if width <= 16 {
-                        ball_insert_hits(backend, krow, row, mask, base);
-                    } else {
-                        for l in mask_lanes(mask) {
-                            insert_key_shift(krow, pack_hit(row[l], base + l));
-                        }
+                    // Every surviving lane goes into the row unconditionally:
+                    // one that the tightened threshold would now reject is
+                    // never among the `num` emitted.
+                    if masks[qi] != 0 {
+                        rows.insert(backend, qi, row, masks[qi], base);
                     }
                 }
                 base += len;
             }
         }
-        for (qi, krow) in keys.chunks_exact(width).take(tile.len()).enumerate() {
+        for (qi, &nearest) in nearests.iter().enumerate().take(tile.len()) {
             hits.clear();
-            hits.extend(
-                krow[..num].iter().take_while(|&&k| k != EMPTY_KEY).map(|&k| unpack_hit(k)),
-            );
-            emit(tile_idx * QUERY_TILE + qi, hits, nearests[qi]);
+            hits.extend(rows.finish(qi).iter().map(|&k| unpack_hit(k)));
+            emit(tile_idx * QUERY_TILE + qi, hits, nearest);
         }
+    }
+}
+
+/// One tile's key rows in [`ball_select_runs_into`], [`KeyRows::stride`]
+/// keys per query, built one of two ways fixed by `num`.
+///
+/// A narrow row (`num <= 16`) is 8 or 16 ascending keys, sentinels after the
+/// hits, and takes each chunk's hits through [`ball_insert_hits`]. A wide
+/// row is an unordered buffer of `2·num + CHUNK` keys: each chunk's hits are
+/// appended, and once it holds more than `2·num` keys one
+/// `select_nth_unstable` keeps the `num` smallest, the largest of them in
+/// slot `num - 1`. It is sorted once, when emitted. Keys are unique, so
+/// both forms emit the same `num` smallest keys in the same order.
+struct KeyRows<'a> {
+    keys: &'a mut [u64],
+    num: usize,
+    stride: usize,
+    wide: bool,
+    /// Keys each wide row holds.
+    lens: [usize; QUERY_TILE],
+    /// Each wide row's bar key: slot `num - 1` after its latest select,
+    /// [`EMPTY_KEY`] before its first.
+    bars: [u64; QUERY_TILE],
+}
+
+impl<'a> KeyRows<'a> {
+    /// Keys per row for `num`. The full-pass update of a narrow row needs
+    /// its width at compile time (it unrolls into straight-line
+    /// compare/select code) and costs O(width) per hit. Past 16 keys,
+    /// appending and selecting costs less per hit than a count-and-shift
+    /// insertion: PointNet++ (c)'s grouping of a 1k object (`num` 32 and
+    /// 64) took ≈ 261 µs against ≈ 526 µs, sequential on 2 vCPUs. Selecting
+    /// a narrow row's first chunk measured no gain on a 64k scene.
+    fn stride(num: usize) -> usize {
+        match num {
+            ..=8 => 8,
+            9..=16 => 16,
+            _ => 2 * num + CHUNK,
+        }
+    }
+
+    fn new(keys: &'a mut [u64], num: usize) -> KeyRows<'a> {
+        let stride = KeyRows::stride(num);
+        let wide = stride > 16;
+        KeyRows { keys, num, stride, wide, lens: [0; QUERY_TILE], bars: [EMPTY_KEY; QUERY_TILE] }
+    }
+
+    /// Empties every row.
+    fn clear(&mut self) {
+        if self.wide {
+            self.lens = [0; QUERY_TILE];
+            self.bars = [EMPTY_KEY; QUERY_TILE];
+        } else {
+            self.keys.fill(EMPTY_KEY);
+        }
+    }
+
+    /// Query `qi`'s bar key: at or above its `num`-th smallest hit so far,
+    /// or [`EMPTY_KEY`] while it is not known to hold `num` hits. A wide
+    /// row's bar lags until its buffer is selected, which only admits more.
+    #[inline]
+    fn bar(&self, qi: usize) -> u64 {
+        if self.wide {
+            self.bars[qi]
+        } else {
+            self.keys[qi * self.stride + self.num - 1]
+        }
+    }
+
+    /// Whether query `qi`'s row holds a hit.
+    #[inline]
+    fn holds_hit(&self, qi: usize) -> bool {
+        if self.wide {
+            self.lens[qi] > 0
+        } else {
+            self.keys[qi * self.stride] != EMPTY_KEY
+        }
+    }
+
+    /// Adds the hit lanes `mask` of one chunk's distance row `dists` (lane
+    /// `l` is candidate slot `base + l`) to query `qi`'s row.
+    #[inline]
+    fn insert(&mut self, backend: Backend, qi: usize, dists: &[f32], mask: u64, base: usize) {
+        let row = &mut self.keys[qi * self.stride..(qi + 1) * self.stride];
+        if !self.wide {
+            ball_insert_hits(backend, row, dists, mask, base);
+            return;
+        }
+        let len = &mut self.lens[qi];
+        for l in mask_lanes(mask) {
+            row[*len] = pack_hit(dists[l], base + l);
+            *len += 1;
+        }
+        if *len > 2 * self.num {
+            row[..*len].select_nth_unstable(self.num - 1);
+            *len = self.num;
+            self.bars[qi] = row[self.num - 1];
+        }
+    }
+
+    /// Query `qi`'s hits: its `num` smallest keys, ascending.
+    fn finish(&mut self, qi: usize) -> &[u64] {
+        let (num, row) = (self.num, &mut self.keys[qi * self.stride..(qi + 1) * self.stride]);
+        if !self.wide {
+            let held = row[..num].iter().take_while(|&&k| k != EMPTY_KEY).count();
+            return &row[..held];
+        }
+        let len = self.lens[qi];
+        if len > num {
+            row[..len].select_nth_unstable(num - 1);
+        }
+        let row = &mut row[..len.min(num)];
+        row.sort_unstable();
+        row
     }
 }
 
 /// Whether no candidate in `run`'s box can change the row or the nearest
 /// candidate of any query of `tile`: the box's lower bound is strictly above
-/// every query's bar — its worst hit once its `num` slots are full, `r_sq`
-/// while it is partly filled, `max(r_sq, nearest so far)` while it is
-/// empty (see the [module docs](self#batched-query-selection)). A NaN bound
-/// or bar never skips.
+/// every query's bar — its bar key's distance once it has one, `r_sq` while
+/// it holds a hit, `max(r_sq, nearest so far)` while it is empty (see the
+/// [module docs](self#batched-query-selection)). A NaN bound or bar never
+/// skips.
 #[inline]
 fn out_of_reach(
     run: &CandidateRun,
     tile: &[[f32; 3]],
-    keys: &[u64],
+    rows: &KeyRows<'_>,
     nearests: &[(f32, usize)],
-    width: usize,
-    num: usize,
     r_sq: f32,
 ) -> bool {
-    tile.iter().zip(keys.chunks_exact(width)).zip(nearests).all(|((&q, row), &(near, _))| {
-        let bar = if row[num - 1] != EMPTY_KEY {
-            unpack_hit(row[num - 1]).0
-        } else if row[0] != EMPTY_KEY {
-            r_sq
-        } else {
-            r_sq.max(near)
+    tile.iter().zip(nearests).enumerate().all(|(qi, (&q, &(near, _)))| {
+        let bar = match rows.bar(qi) {
+            EMPTY_KEY if rows.holds_hit(qi) => r_sq,
+            EMPTY_KEY => r_sq.max(near),
+            key => unpack_hit(key).0,
         };
         run.lower_bound(q) > bar
     })
@@ -2105,6 +2192,17 @@ mod tests {
         }
     }
 
+    /// [`insert_key_pass`] for rows too wide to rewrite per hit: counts the
+    /// keys below `key` (branch-free) and shifts the tail once.
+    #[inline]
+    fn insert_key_shift(a: &mut [u64], key: u64) {
+        let pos: usize = a.iter().map(|&k| usize::from(k < key)).sum();
+        if pos < a.len() {
+            a.copy_within(pos..a.len() - 1, pos + 1);
+            a[pos] = key;
+        }
+    }
+
     /// Every `(row, hits, nearest)` one driver call emits.
     type Emitted = Vec<(usize, Vec<(f32, usize)>, (f32, usize))>;
 
@@ -2250,6 +2348,54 @@ mod tests {
                     "case {i} on {}: slot 0 must be selected: {hits:?} {nearest:?}",
                     b.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_selected_wide_bar_admits_a_later_tie_with_a_lower_slot() {
+        // `num` 17: the first run's 40 hits pass 2·17, so the row is
+        // selected, and its bar is slot 17 at distance 1. Slot 0 ties it,
+        // scanned after the select, and wins on slot.
+        let mut pts = vec![[0.5f32, 0.0, 0.0]; 41];
+        pts[0] = [1.0, 0.0, 0.0];
+        pts[17] = [0.0, 1.0, 0.0];
+        for p in &mut pts[18..] {
+            *p = [0.0, 0.0, 1.2];
+        }
+        let runs = [boxed_run(&pts, 1, 41), boxed_run(&pts, 0, 1)];
+        for b in available() {
+            let (pruned, unpruned) = pruned_and_unpruned(b, &pts, &runs, &[[0.0; 3]], 4.0, 17);
+            assert_eq!(pruned, unpruned, "{}", b.name());
+            let hits = &pruned[0].1;
+            assert_eq!(hits.len(), 17, "{}", b.name());
+            assert_eq!(hits[16], (1.0, 0), "{}: the tie with the lower slot wins", b.name());
+            assert!(hits[..16].iter().all(|&(d, s)| d == 0.25 && (1..17).contains(&s)));
+        }
+    }
+
+    #[test]
+    fn a_dirty_scratch_across_row_widths_matches_a_fresh_one() {
+        // A dense cloud with duplicates: the radius puts well over 2·64
+        // hits in most balls, so wide rows select more than once.
+        let pts: Vec<[f32; 3]> = (0..300)
+            .map(|i| [(i % 7) as f32 * 0.1, (i % 5) as f32 * 0.1, (i % 3) as f32 * 0.1])
+            .collect();
+        let (xs, ys, zs) = soa_of(&pts);
+        let queries: Vec<[f32; 3]> = (0..11).map(|i| pts[i * 23]).collect();
+        let rows = |b: Backend, num: usize, scratch: &mut SelectScratch| {
+            let mut rows: Emitted = Vec::new();
+            ball_select_batch_into(b, &xs, &ys, &zs, &queries, 0.2, num, scratch, |q, hits, n| {
+                rows.push((q, hits.to_vec(), n))
+            });
+            rows
+        };
+        for b in available() {
+            let mut dirty = SelectScratch::new();
+            for num in [64, 8, 33, 64] {
+                let fresh = rows(b, num, &mut SelectScratch::new());
+                assert!(fresh.iter().any(|r| r.1.len() == num), "num {num} fills a row");
+                assert_eq!(rows(b, num, &mut dirty), fresh, "num {num} on {}", b.name());
             }
         }
     }

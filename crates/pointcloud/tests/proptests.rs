@@ -1,6 +1,7 @@
 //! Property-based tests for the point-cloud substrate.
 
 use fractalcloud_oracle::ops as reference;
+use fractalcloud_pointcloud::kernels::{with_backend, Backend};
 use fractalcloud_pointcloud::metrics::{covering_radius, neighbor_recall};
 use fractalcloud_pointcloud::ops::{
     ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors,
@@ -186,5 +187,54 @@ proptest! {
         let scalar = reference::interpolate_features(&cloud, &targets, k).unwrap();
         prop_assert_eq!(kernel.features, scalar.features);
         prop_assert_eq!(kernel.counters, scalar.counters);
+    }
+}
+
+/// Up to 400 points on a 6³ grid of spacing 0.25 — duplicates tie — with
+/// one coordinate NaN.
+fn arb_dense_cloud() -> impl Strategy<Value = Vec<Point3>> {
+    let cell = 0u8..6;
+    let cells = proptest::collection::vec((cell.clone(), cell.clone(), cell), 1..400);
+    (cells, 0usize..400, 0usize..3).prop_map(|(cells, nan_at, axis)| {
+        let at = |c: u8| f32::from(c) * 0.25;
+        let mut pts: Vec<Point3> =
+            cells.into_iter().map(|(x, y, z)| Point3::new(at(x), at(y), at(z))).collect();
+        let n = pts.len();
+        let p = &mut pts[nan_at % n];
+        match axis {
+            0 => p.x = f32::NAN,
+            1 => p.y = f32::NAN,
+            _ => p.z = f32::NAN,
+        }
+        pts
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Ball query returns the reference's exact rows, fallbacks and
+    /// counters at row widths on both sides of 16, on dense clouds whose
+    /// widest balls (radius 3 holds the whole grid) take several times
+    /// `2·num` hits, so a wide row is selected more than once; one center
+    /// is NaN.
+    #[test]
+    fn wide_ball_rows_equal_reference(
+        pts in arb_dense_cloud(),
+        num in 0usize..5,
+        radius in 0usize..4,
+    ) {
+        let num = [1, 16, 17, 32, 64][num];
+        let radius = [0.2f32, 0.6, 1.0, 3.0][radius];
+        let cloud = PointCloud::from_points(pts);
+        let mut centers: Vec<Point3> = cloud.iter().step_by(7).take(20).collect();
+        centers.push(Point3::new(0.5, f32::NAN, 0.5));
+        let scalar = reference::ball_query(&cloud, &centers, radius, num).unwrap();
+        for b in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            let kernel = with_backend(b, || ball_query(&cloud, &centers, radius, num)).unwrap();
+            prop_assert!(kernel.indices == scalar.indices, "rows on {}", b.name());
+            prop_assert!(kernel.found == scalar.found, "hit counts on {}", b.name());
+            prop_assert!(kernel.counters == scalar.counters, "counters on {}", b.name());
+        }
     }
 }
